@@ -1616,7 +1616,7 @@ def verify_e0_universal(e: EnrichedCategory, action: UnitalAction,
         ph_unit, ph_mult, "strong",
     )
     for v in check_lax_monoidal_functor(phihat).violations:
-        report.add("background-functor-" + v.law, v.instance, v.note)
+        report.add("background-functor-" + v.law, v.instance, v.detail)
 
     comps = {}
     for a, b in itertools.product(la.objects(), repeat=2):
@@ -1633,7 +1633,7 @@ def verify_e0_universal(e: EnrichedCategory, action: UnitalAction,
         )
     ecphi = EnrichedFunctor(phihat, la, host, tuple(phi), comps)
     for v in check_enriched_functor(ecphi).violations:
-        report.add("comparison-functor-" + v.law, v.instance, v.note)
+        report.add("comparison-functor-" + v.law, v.instance, v.detail)
 
     fam = {
         x: _el_inv(e, u_e, odot_obj(unit_l, x), x, action.xi_el[x])
@@ -1670,7 +1670,7 @@ def verify_e0_universal(e: EnrichedCategory, action: UnitalAction,
         LaxMonoidalNat(fun1.background, bg, nat), fun1, action.odot, rho_el
     )
     for v in check_enriched_nat(ecrho).violations:
-        report.add("rho-" + v.law, v.instance, v.note)
+        report.add("rho-" + v.law, v.instance, v.detail)
 
     for x in range(nM):
         el = _apply_pair(
@@ -2036,7 +2036,7 @@ def verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalAction,
         ph_unit, ph_mult, "strong",
     )
     for v in check_lax_monoidal_functor(phat).violations:
-        report.add("background-functor-" + v.law, v.instance, v.note)
+        report.add("background-functor-" + v.law, v.instance, v.detail)
 
     comps = {}
     for a, b in itertools.product(la.objects(), repeat=2):
@@ -2050,7 +2050,7 @@ def verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalAction,
         )
     ecp = EnrichedFunctor(phat, la, host, tuple(P), comps)
     for v in check_enriched_functor(ecp).violations:
-        report.add("comparison-functor-" + v.law, v.instance, v.note)
+        report.add("comparison-functor-" + v.law, v.instance, v.detail)
 
     rho_bg = {}
     for a in ca.objects():
@@ -2098,7 +2098,7 @@ def verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalAction,
         LaxMonoidalNat(fun1.background, bg, nat), fun1, action.odot, rho_el
     )
     for v in check_enriched_nat(ecrho).violations:
-        report.add("rho-" + v.law, v.instance, v.note)
+        report.add("rho-" + v.law, v.instance, v.detail)
 
     for mo in range(nM):
         lhs = _el_path(
@@ -2285,7 +2285,7 @@ def verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAction,
         mA, m, Functor(ca, c, phat_obj, phat_mor), ph_unit, ph_mult, "strong"
     )
     for v in check_lax_monoidal_functor(phat).violations:
-        report.add("background-functor-" + v.law, v.instance, v.note)
+        report.add("background-functor-" + v.law, v.instance, v.detail)
 
     comps = {}
     for a, b in itertools.product(la.objects(), repeat=2):
@@ -2296,7 +2296,7 @@ def verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAction,
         )
     ecp = EnrichedFunctor(phat, la, host, tuple(P), comps)
     for v in check_enriched_functor(ecp).violations:
-        report.add("comparison-functor-" + v.law, v.instance, v.note)
+        report.add("comparison-functor-" + v.law, v.instance, v.detail)
 
     rho_bg = {}
     for a in ca.objects():
@@ -2344,7 +2344,7 @@ def verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAction,
         LaxMonoidalNat(fun1.background, bg, nat), fun1, action.odot, rho_el
     )
     for v in check_enriched_nat(ecrho).violations:
-        report.add("rho-" + v.law, v.instance, v.note)
+        report.add("rho-" + v.law, v.instance, v.detail)
 
     for mo in range(nM):
         lhs = _el_path(

@@ -3,12 +3,21 @@
 A category is a pile of index tables. Objects are ``0..n-1``; each morphism
 index has a domain, codomain; ``compose[(g, f)]`` is defined exactly when
 ``cod(f) == dom(g)``. Morphisms are compared by index only.
+
+Products are views, not copies. The tables of a product (of categories here,
+and of monoidal categories, lax functors and enriched categories elsewhere)
+are ``ProductSequence`` and ``ProductMapping`` objects that compute each
+entry from the factor tables by index arithmetic when it is read. They
+behave as read-only tuples and dicts, and compare equal by their factors,
+so iterated products cost only what their readers read.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+import math
+import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from ecat.report import Budget, StructureError, ValidationReport
@@ -17,10 +26,10 @@ from ecat.report import Budget, StructureError, ValidationReport
 @dataclass(frozen=True, eq=True)
 class FinCategory:
     n_objects: int
-    dom: tuple[int, ...]
-    cod: tuple[int, ...]
+    dom: Sequence[int]
+    cod: Sequence[int]
     identity: tuple[int, ...]
-    compose: dict  # (g, f) -> g.f, keys are morphism index pairs
+    compose: Mapping  # (g, f) -> g.f, keys are morphism index pairs
     obj_names: tuple[str, ...] | None = field(default=None, compare=False)
     mor_names: tuple[str, ...] | None = field(default=None, compare=False)
 
@@ -115,66 +124,178 @@ def check_category(c: FinCategory) -> ValidationReport:
     return report
 
 
-class ProductCompose(Mapping):
-    """Compose table of a product category, computed entry by entry.
+class _ProductView:
+    """Index arithmetic shared by the product views.
 
-    Materializing the full table for a product of two already-large
-    categories can need billions of entries. This keeps the plain mapping
-    interface but stores only the factor tables. Nested products flatten,
-    so equal iterated products compare equal regardless of bracketing.
+    A product index is a mixed-radix number whose digits index the factors,
+    first factor most significant: an object (i, j) of C x D is i*|D| + j.
+    Each factor is ``(table, n_in, n_out)``: a table of the factor, the size
+    of the range its keys run over, and the size of the range its values run
+    over. A key of the view carries ``arity`` product indices; the entry is
+    read from every factor at that factor's digits and the values are joined
+    by the same mixed-radix rule. Factors that are themselves views of the
+    same kind and arity are flattened, so bracketing does not matter.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "arity", "_n_in", "_steps")
+    _arities: tuple[int, ...] = ()
 
-    def __init__(self, c: FinCategory, d: FinCategory):
-        factors = []
-        for cat in (c, d):
-            if isinstance(cat.compose, ProductCompose):
-                factors.extend(cat.compose.factors)
+    def __init__(self, factors, arity: int):
+        if arity not in self._arities:
+            raise ValueError(f"{type(self).__name__} has no arity {arity}")
+        flat = []
+        for table, n_in, n_out in factors:
+            if isinstance(table, type(self)._kind) and table.arity == arity:
+                flat.extend(table.factors)
             else:
-                factors.append((cat.compose, cat.n_morphisms))
-        self.factors = tuple(factors)
+                flat.append((table, n_in, n_out))
+        self.factors = tuple(flat)
+        self.arity = arity
+        self._n_in = math.prod(n_in for _, n_in, _ in flat)
+        # (table, n_in, place value of its entries), last factor first
+        steps, scale = [], 1
+        for table, n_in, n_out in reversed(flat):
+            steps.append((table, n_in, scale))
+            scale *= n_out
+        self._steps = tuple(steps)
 
-    def _split(self, key):
-        g, f = key
-        parts = []
-        for table, m in reversed(self.factors):
-            g, gi = divmod(g, m)
-            f, fi = divmod(f, m)
-            parts.append((table, m, gi, fi))
-        parts.reverse()
-        return parts
-
-    def __getitem__(self, key):
+    def _join1(self, k: int) -> int:
+        """The entry at one in-range product index."""
         out = 0
-        for table, m, gi, fi in self._split(key):
-            out = out * m + table[(gi, fi)]
+        for table, n_in, scale in self._steps:
+            k, d = divmod(k, n_in)
+            out += table[d] * scale
         return out
 
-    def __contains__(self, key):
-        try:
-            self[key]
-        except (KeyError, TypeError):
-            return False
-        return True
+    def _same_factors(self, other) -> bool:
+        return (
+            isinstance(other, type(self)._kind)
+            and self.arity == other.arity
+            and self.factors == other.factors
+        )
+
+
+class ProductSequence(_ProductView, Sequence):
+    """A read-only tuple of a product, computed entry by entry.
+
+    Arity 1 serves ``dom``, ``cod``, functor maps and unitors: position ``k``
+    is one product index. Arity 2 serves the object and morphism maps of a
+    product tensor, whose source is the product with itself: position
+    ``k1*N + k2``, with ``N`` the product size, is a pair. Indexing, negative
+    indices, slices and out-of-range errors behave as on a tuple. Equality
+    is by factors, falling back to entrywise comparison with tuples and
+    other sequence views.
+    """
+
+    __slots__ = ("_size",)
+    _arities = (1, 2)
+
+    def __init__(self, factors, arity: int = 1):
+        super().__init__(factors, arity)
+        self._size = self._n_in**arity
 
     def __len__(self):
-        out = 1
-        for table, _ in self.factors:
-            out *= len(table)
+        return self._size
+
+    def __getitem__(self, index):
+        if type(index) is not int:
+            if isinstance(index, slice):
+                return tuple(self[k] for k in range(*index.indices(self._size)))
+            index = operator.index(index)
+        if index < 0:
+            index += self._size
+        if not 0 <= index < self._size:
+            raise IndexError("tuple index out of range")
+        if self.arity == 1:
+            return self._join1(index)
+        k1, k2 = divmod(index, self._n_in)
+        out = 0
+        for table, n_in, scale in self._steps:
+            k1, d1 = divmod(k1, n_in)
+            k2, d2 = divmod(k2, n_in)
+            out += table[d1 * n_in + d2] * scale
         return out
 
     def __iter__(self):
-        for combo in itertools.product(*(t.items() for t, _ in self.factors)):
-            g = f = 0
-            for (key, _), (_, m) in zip(combo, self.factors):
-                g = g * m + key[0]
-                f = f * m + key[1]
-            yield (g, f)
+        return map(self.__getitem__, range(self._size))
 
     def __eq__(self, other):
-        if isinstance(other, ProductCompose):
-            return self.factors == other.factors
+        if self._same_factors(other):
+            return True
+        if isinstance(other, (tuple, ProductSequence)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"ProductSequence(<{len(self)} entries, {len(self.factors)} factors>)"
+
+
+class ProductMapping(_ProductView, Mapping):
+    """A read-only dict of a product, computed entry by entry.
+
+    Keys are pairs or triples of product indices (arity 2 or 3), or bare
+    product indices (arity 1). An entry exists exactly when every factor
+    has one, so partial tables such as compose stay partial. Missing,
+    out-of-range and malformed keys raise ``KeyError`` as a dict would, so
+    ``in``, ``get`` and ``dict(view)`` work unchanged. Equality is by
+    factors, falling back to entrywise comparison with any mapping.
+    """
+
+    __slots__ = ()
+    _arities = (1, 2, 3)
+
+    def __len__(self):
+        return math.prod(len(table) for table, _, _ in self.factors)
+
+    def __getitem__(self, key):
+        n = self._n_in
+        try:
+            if self.arity == 1:
+                if not 0 <= key < n:
+                    raise KeyError(key)
+                return self._join1(key)
+            if type(key) is not tuple or len(key) != self.arity:
+                raise KeyError(key)
+            if self.arity == 2:
+                k1, k2 = key
+                if not (0 <= k1 < n and 0 <= k2 < n):
+                    raise KeyError(key)
+                out = 0
+                for table, n_in, scale in self._steps:
+                    k1, d1 = divmod(k1, n_in)
+                    k2, d2 = divmod(k2, n_in)
+                    out += table[d1, d2] * scale
+                return out
+            k1, k2, k3 = key
+            if not (0 <= k1 < n and 0 <= k2 < n and 0 <= k3 < n):
+                raise KeyError(key)
+            out = 0
+            for table, n_in, scale in self._steps:
+                k1, d1 = divmod(k1, n_in)
+                k2, d2 = divmod(k2, n_in)
+                k3, d3 = divmod(k3, n_in)
+                out += table[d1, d2, d3] * scale
+            return out
+        except (KeyError, TypeError):
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        radices = [n_in for _, n_in, _ in self.factors]
+        for combo in itertools.product(*(table for table, _, _ in self.factors)):
+            if self.arity == 1:
+                combo = [(k,) for k in combo]
+            comps = [0] * self.arity
+            for digits, n_in in zip(combo, radices):
+                for k, d in enumerate(digits):
+                    comps[k] = comps[k] * n_in + d
+            yield comps[0] if self.arity == 1 else tuple(comps)
+
+    def __eq__(self, other):
+        if self._same_factors(other):
+            return True
         if isinstance(other, Mapping):
             return len(self) == len(other) and all(
                 k in self and self[k] == v for k, v in other.items()
@@ -183,37 +304,52 @@ class ProductCompose(Mapping):
 
     __hash__ = None
 
+    def __repr__(self):
+        return f"ProductMapping(<{len(self)} entries, {len(self.factors)} factors>)"
 
-_PRODUCT_COMPOSE_CAP = 1_000_000
+
+ProductSequence._kind = ProductSequence
+ProductMapping._kind = ProductMapping
+
+
+class ProductCompose(ProductMapping):
+    """Compose table of a product category: a ``ProductMapping`` of arity 2.
+
+    ``(g, f)`` is defined exactly when every factor composes its digits, and
+    its value is the product index of the factor composites. No entry is
+    stored: iterated products, however large, hold only their factor tables,
+    and two products with the same factors compare equal without touching
+    an entry.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, c: FinCategory, d: FinCategory):
+        super().__init__(
+            [(cat.compose, cat.n_morphisms, cat.n_morphisms) for cat in (c, d)], 2
+        )
 
 
 def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
-    """Pairs with componentwise composition; object (i,j) gets index i*|D|+j."""
-    nd, md = d.n_objects, d.n_morphisms
-    dom, cod = [], []
-    for f in c.morphisms():
-        for g in d.morphisms():
-            dom.append(c.dom[f] * nd + d.dom[g])
-            cod.append(c.cod[f] * nd + d.cod[g])
+    """Pairs with componentwise composition; object (i,j) gets index i*|D|+j.
+
+    ``dom``, ``cod`` and ``compose`` are views over the factors; only the
+    per-object ``identity`` tuple is stored.
+    """
+    nc, nd = c.n_objects, d.n_objects
+    mc, md = c.n_morphisms, d.n_morphisms
     identity = tuple(
         c.identity[i] * md + d.identity[j] for i in c.objects() for j in d.objects()
     )
-    if len(c.compose) * len(d.compose) > _PRODUCT_COMPOSE_CAP:
-        compose = ProductCompose(c, d)
-    else:
-        compose = {}
-        for (g1, f1), h1 in c.compose.items():
-            for (g2, f2), h2 in d.compose.items():
-                compose[(g1 * md + g2, f1 * md + f2)] = h1 * md + h2
     names = None
     if c.obj_names and d.obj_names:
         names = tuple(f"({a},{b})" for a in c.obj_names for b in d.obj_names)
     return FinCategory(
-        n_objects=c.n_objects * nd,
-        dom=tuple(dom),
-        cod=tuple(cod),
+        n_objects=nc * nd,
+        dom=ProductSequence([(c.dom, mc, nc), (d.dom, md, nd)]),
+        cod=ProductSequence([(c.cod, mc, nc), (d.cod, md, nd)]),
         identity=identity,
-        compose=compose,
+        compose=ProductCompose(c, d),
         obj_names=names,
     )
 
@@ -247,8 +383,8 @@ def terminal_category() -> FinCategory:
 class Functor:
     source: FinCategory
     target: FinCategory
-    obj_map: tuple[int, ...]
-    mor_map: tuple[int, ...]
+    obj_map: Sequence[int]
+    mor_map: Sequence[int]
 
     def on_obj(self, x: int) -> int:
         return self.obj_map[x]
@@ -298,25 +434,6 @@ def compose_functors(g: Functor, f: Functor) -> Functor:
         tuple(g.obj_map[x] for x in f.obj_map),
         tuple(g.mor_map[m] for m in f.mor_map),
     )
-
-
-def pair_functor(f: Functor, g: Functor) -> Functor:
-    """The functor F x G between product categories."""
-    src = product_category(f.source, g.source)
-    tgt = product_category(f.target, g.target)
-    nd, md = g.source.n_objects, g.source.n_morphisms
-    nt, mt = g.target.n_objects, g.target.n_morphisms
-    obj = tuple(
-        f.obj_map[i] * nt + g.obj_map[j]
-        for i in f.source.objects()
-        for j in g.source.objects()
-    )
-    mor = tuple(
-        f.mor_map[i] * mt + g.mor_map[j]
-        for i in f.source.morphisms()
-        for j in g.source.morphisms()
-    )
-    return Functor(src, tgt, obj, mor)
 
 
 def constant_functor(c: FinCategory, d: FinCategory, x: int) -> Functor:

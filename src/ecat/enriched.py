@@ -8,12 +8,15 @@ base non-strict: unitors and associators are inserted explicitly.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from ecat.core import (
     FinCategory,
     Functor,
     NatTransf,
+    ProductMapping,
+    ProductSequence,
     identity_functor,
     product_category,
 )
@@ -36,9 +39,9 @@ from ecat.report import StructureError, ValidationReport
 class EnrichedCategory:
     base: MonoidalCategory
     n_objects: int
-    hom_obj: dict  # (x,y) -> object of base
-    ident: dict  # x -> morphism 1 -> hom(x,x)
-    comp: dict  # (x,y,z) -> morphism hom(y,z)@hom(x,y) -> hom(x,z)
+    hom_obj: Mapping  # (x,y) -> object of base
+    ident: Mapping  # x -> morphism 1 -> hom(x,x)
+    comp: Mapping  # (x,y,z) -> morphism hom(y,z)@hom(x,y) -> hom(x,z)
 
     def objects(self):
         return range(self.n_objects)
@@ -198,8 +201,8 @@ class EnrichedFunctor:
     background: LaxMonoidalFunctor  # between the bases
     source: EnrichedCategory
     target: EnrichedCategory
-    obj_map: tuple
-    components: dict  # (x,y) -> background(hom(x,y)) -> hom'(Fx,Fy)
+    obj_map: Sequence[int]
+    components: Mapping  # (x,y) -> background(hom(x,y)) -> hom'(Fx,Fy)
 
     def on_obj(self, x: int) -> int:
         return self.obj_map[x]
@@ -428,28 +431,18 @@ def underlying_nat(
 def cartesian_product_enriched(
     e1: EnrichedCategory, e2: EnrichedCategory
 ) -> EnrichedCategory:
-    """The product category, enriched over the product base."""
+    """The product category, enriched over the product base, as views."""
     from ecat.monoidal import product_monoidal
 
-    base = product_monoidal(e1.base, e2.base)
-    n2 = e2.base.base.n_objects
-    m2 = e2.base.base.n_morphisms
-    n_obj = e1.n_objects * e2.n_objects
-
-    def ob(x):
-        return divmod(x, e2.n_objects)
-
-    hom_obj, ident, comp = {}, {}, {}
-    for x, y in itertools.product(range(n_obj), repeat=2):
-        (x1, x2), (y1, y2) = ob(x), ob(y)
-        hom_obj[(x, y)] = e1.hom(x1, y1) * n2 + e2.hom(x2, y2)
-    for x in range(n_obj):
-        x1, x2 = ob(x)
-        ident[x] = e1.one(x1) * m2 + e2.one(x2)
-    for x, y, z in itertools.product(range(n_obj), repeat=3):
-        (x1, x2), (y1, y2), (z1, z2) = ob(x), ob(y), ob(z)
-        comp[(x, y, z)] = e1.c(x1, y1, z1) * m2 + e2.c(x2, y2, z2)
-    return EnrichedCategory(base, n_obj, hom_obj, ident, comp)
+    n1, n2 = e1.n_objects, e2.n_objects
+    b1, b2 = e1.base.base, e2.base.base
+    return EnrichedCategory(
+        product_monoidal(e1.base, e2.base),
+        n1 * n2,
+        ProductMapping([(e1.hom_obj, n1, b1.n_objects), (e2.hom_obj, n2, b2.n_objects)], 2),
+        ProductMapping([(e1.ident, n1, b1.n_morphisms), (e2.ident, n2, b2.n_morphisms)], 1),
+        ProductMapping([(e1.comp, n1, b1.n_morphisms), (e2.comp, n2, b2.n_morphisms)], 3),
+    )
 
 
 def star_enriched() -> EnrichedCategory:
@@ -469,22 +462,21 @@ def object_functor(e: EnrichedCategory, x: int) -> EnrichedFunctor:
 
 
 def product_enriched_functor(f: EnrichedFunctor, g: EnrichedFunctor) -> EnrichedFunctor:
-    """F x G between the cartesian product categories."""
-    src = cartesian_product_enriched(f.source, g.source)
-    tgt = cartesian_product_enriched(f.target, g.target)
-    n2s, n2t = g.source.n_objects, g.target.n_objects
-    mt = g.background.target.base.n_morphisms
-    obj = tuple(
-        f.on_obj(x1) * n2t + g.on_obj(x2)
-        for x1 in f.source.objects()
-        for x2 in g.source.objects()
+    """F x G between the cartesian product categories, as views."""
+    fs, gs = f.source.n_objects, g.source.n_objects
+    obj = ProductSequence(
+        [(f.obj_map, fs, f.target.n_objects), (g.obj_map, gs, g.target.n_objects)]
     )
-    comps = {}
-    for x, y in itertools.product(range(src.n_objects), repeat=2):
-        (x1, x2), (y1, y2) = divmod(x, n2s), divmod(y, n2s)
-        comps[(x, y)] = f.at(x1, y1) * mt + g.at(x2, y2)
+    comps = ProductMapping([
+        (f.components, fs, f.background.target.base.n_morphisms),
+        (g.components, gs, g.background.target.base.n_morphisms),
+    ], 2)
     return EnrichedFunctor(
-        product_lax(f.background, g.background), src, tgt, obj, comps
+        product_lax(f.background, g.background),
+        cartesian_product_enriched(f.source, g.source),
+        cartesian_product_enriched(f.target, g.target),
+        obj,
+        comps,
     )
 
 

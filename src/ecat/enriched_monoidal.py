@@ -243,7 +243,10 @@ def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
     if em.tensor.source != cartesian_product_enriched(e, e) or em.tensor.target != e:
         report.add("tensor-shape", ())
         return report
-    _absorb(report, check_enriched_functor(em.tensor), "tensor")
+    tensor_report = check_enriched_functor(em.tensor)
+    _absorb(report, tensor_report, "tensor")
+    if "enriched-functor-typing" in tensor_report.laws():
+        return report
 
     typed = True
     for x, y, z in itertools.product(e.objects(), repeat=3):

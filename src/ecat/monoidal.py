@@ -8,12 +8,15 @@ inserts them explicitly.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from ecat.core import (
     FinCategory,
     Functor,
     NatTransf,
+    ProductMapping,
+    ProductSequence,
     check_functor,
     check_nat_transf,
     identity_functor,
@@ -27,9 +30,9 @@ class MonoidalCategory:
     base: FinCategory
     tensor: Functor  # from product_category(base, base) to base
     unit: int
-    associator: dict  # (a,b,c) -> morphism (a@b)@c -> a@(b@c)
-    left_unitor: tuple[int, ...]  # unit@a -> a
-    right_unitor: tuple[int, ...]  # a@unit -> a
+    associator: Mapping  # (a,b,c) -> morphism (a@b)@c -> a@(b@c)
+    left_unitor: Sequence[int]  # unit@a -> a
+    right_unitor: Sequence[int]  # a@unit -> a
 
     def t_obj(self, a: int, b: int) -> int:
         return self.tensor.obj_map[a * self.base.n_objects + b]
@@ -166,40 +169,24 @@ def strict_monoidal(
 
 
 def product_monoidal(m: MonoidalCategory, n: MonoidalCategory) -> MonoidalCategory:
-    """Componentwise monoidal structure on the product category."""
+    """Componentwise monoidal structure on the product category, as views."""
     base = product_category(m.base, n.base)
     nm, mm = m.base.n_objects, m.base.n_morphisms
     nn, mn = n.base.n_objects, n.base.n_morphisms
-
-    def ob(i: int, j: int) -> int:
-        return i * nn + j
-
-    def mo(f: int, g: int) -> int:
-        return f * mn + g
-
-    src = product_category(base, base)
-    obj_map = [0] * src.n_objects
-    for i1, j1, i2, j2 in itertools.product(range(nm), range(nn), range(nm), range(nn)):
-        obj_map[ob(i1, j1) * base.n_objects + ob(i2, j2)] = ob(
-            m.t_obj(i1, i2), n.t_obj(j1, j2)
-        )
-    mor_map = [0] * src.n_morphisms
-    for f1, g1, f2, g2 in itertools.product(range(mm), range(mn), range(mm), range(mn)):
-        mor_map[mo(f1, g1) * base.n_morphisms + mo(f2, g2)] = mo(
-            m.t_mor(f1, f2), n.t_mor(g1, g2)
-        )
-    tensor = Functor(src, base, tuple(obj_map), tuple(mor_map))
-    unit = ob(m.unit, n.unit)
-    assoc = {}
-    for (i1, j1), (i2, j2), (i3, j3) in itertools.product(
-        itertools.product(range(nm), range(nn)), repeat=3
-    ):
-        assoc[(ob(i1, j1), ob(i2, j2), ob(i3, j3))] = mo(
-            m.a(i1, i2, i3), n.a(j1, j2, j3)
-        )
-    lu = tuple(mo(m.l(i), n.l(j)) for i in range(nm) for j in range(nn))
-    ru = tuple(mo(m.r(i), n.r(j)) for i in range(nm) for j in range(nn))
-    return MonoidalCategory(base, tensor, unit, assoc, lu, ru)
+    tensor = Functor(
+        product_category(base, base),
+        base,
+        ProductSequence([(m.tensor.obj_map, nm, nm), (n.tensor.obj_map, nn, nn)], 2),
+        ProductSequence([(m.tensor.mor_map, mm, mm), (n.tensor.mor_map, mn, mn)], 2),
+    )
+    return MonoidalCategory(
+        base,
+        tensor,
+        m.unit * nn + n.unit,
+        ProductMapping([(m.associator, nm, mm), (n.associator, nn, mn)], 3),
+        ProductSequence([(m.left_unitor, nm, mm), (n.left_unitor, nn, mn)]),
+        ProductSequence([(m.right_unitor, nm, mm), (n.right_unitor, nn, mn)]),
+    )
 
 
 def reversed_monoidal(m: MonoidalCategory) -> MonoidalCategory:
@@ -293,18 +280,6 @@ def check_braided(b: BraidedStructure) -> ValidationReport:
     return report
 
 
-def product_braided(b1: BraidedStructure, b2: BraidedStructure) -> BraidedStructure:
-    host = product_monoidal(b1.host, b2.host)
-    n2, m2 = b2.host.base.n_objects, b2.host.base.n_morphisms
-    braiding = {}
-    for i1, j1, i2, j2 in itertools.product(
-        b1.host.base.objects(), b2.host.base.objects(),
-        b1.host.base.objects(), b2.host.base.objects(),
-    ):
-        braiding[(i1 * n2 + j1, i2 * n2 + j2)] = b1.c(i1, i2) * m2 + b2.c(j1, j2)
-    return BraidedStructure(host, braiding, b1.symmetric_flag and b2.symmetric_flag)
-
-
 @dataclass(frozen=True, eq=True)
 class LaxMonoidalFunctor:
     """A functor between monoidal categories with comparison cells.
@@ -317,7 +292,7 @@ class LaxMonoidalFunctor:
     target: MonoidalCategory
     functor: Functor
     unit_cell: int
-    mult: dict  # (x,y) -> morphism
+    mult: Mapping  # (x,y) -> morphism
     direction: str = "lax"
 
     def on_obj(self, x: int) -> int:
@@ -471,29 +446,27 @@ def compose_lax(g: LaxMonoidalFunctor, f: LaxMonoidalFunctor) -> LaxMonoidalFunc
 
 
 def product_lax(f: LaxMonoidalFunctor, g: LaxMonoidalFunctor) -> LaxMonoidalFunctor:
-    """F x G between product monoidal categories (lax direction)."""
+    """F x G between product monoidal categories (lax direction), as views."""
     src = product_monoidal(f.source, g.source)
     tgt = product_monoidal(f.target, g.target)
-    n2, m2 = g.source.base.n_objects, g.source.base.n_morphisms
-    nt2, mt2 = g.target.base.n_objects, g.target.base.n_morphisms
-    obj = tuple(
-        f.on_obj(i) * nt2 + g.on_obj(j)
-        for i in f.source.base.objects()
-        for j in g.source.base.objects()
+    fs, gs = f.source.base, g.source.base
+    ft, gt = f.target.base, g.target.base
+    functor = Functor(
+        src.base,
+        tgt.base,
+        ProductSequence([
+            (f.functor.obj_map, fs.n_objects, ft.n_objects),
+            (g.functor.obj_map, gs.n_objects, gt.n_objects),
+        ]),
+        ProductSequence([
+            (f.functor.mor_map, fs.n_morphisms, ft.n_morphisms),
+            (g.functor.mor_map, gs.n_morphisms, gt.n_morphisms),
+        ]),
     )
-    mor = tuple(
-        f.on_mor(i) * mt2 + g.on_mor(j)
-        for i in f.source.base.morphisms()
-        for j in g.source.base.morphisms()
+    unit = f.unit_cell * gt.n_morphisms + g.unit_cell
+    mult = ProductMapping(
+        [(f.mult, fs.n_objects, ft.n_morphisms), (g.mult, gs.n_objects, gt.n_morphisms)], 2
     )
-    functor = Functor(src.base, tgt.base, obj, mor)
-    unit = f.unit_cell * mt2 + g.unit_cell
-    mult = {}
-    for i1, j1, i2, j2 in itertools.product(
-        f.source.base.objects(), g.source.base.objects(),
-        f.source.base.objects(), g.source.base.objects(),
-    ):
-        mult[(i1 * n2 + j1, i2 * n2 + j2)] = f.m2(i1, i2) * mt2 + g.m2(j1, j2)
     direction = "strong" if f.direction == g.direction == "strong" else "lax"
     return LaxMonoidalFunctor(src, tgt, functor, unit, mult, direction)
 

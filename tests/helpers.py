@@ -372,3 +372,161 @@ def sign_algebra(mult, unit):
     from ecat.monoidal import AlgebraObject
 
     return AlgebraObject(sign_monoidal(), 0, mult, unit, True)
+
+
+def chain3_monoidal():
+    """The chain 0 <= 1 <= 2 with min as tensor, unit 2."""
+    return thin_monoidal(thin_category(3, lambda x, y: x <= y), min, 2)
+
+
+def chain3_enriched():
+    """chain-3 enriched in itself: hom(x, y) = top if x <= y else y."""
+    return thin_enriched(chain3_monoidal(), [0, 1, 2], lambda x, y: 2 if x <= y else y)
+
+
+# --- eager product builders ---
+#
+# Every table is written out as a plain tuple or dict. The library builds
+# products as index views instead; these are the reference oracles for them.
+
+
+def eager_product_category(c, d):
+    nd, md = d.n_objects, d.n_morphisms
+    dom, cod = [], []
+    for f in c.morphisms():
+        for g in d.morphisms():
+            dom.append(c.dom[f] * nd + d.dom[g])
+            cod.append(c.cod[f] * nd + d.cod[g])
+    identity = tuple(
+        c.identity[i] * md + d.identity[j] for i in c.objects() for j in d.objects()
+    )
+    compose = {}
+    for (g1, f1), h1 in c.compose.items():
+        for (g2, f2), h2 in d.compose.items():
+            compose[(g1 * md + g2, f1 * md + f2)] = h1 * md + h2
+    names = None
+    if c.obj_names and d.obj_names:
+        names = tuple(f"({a},{b})" for a in c.obj_names for b in d.obj_names)
+    return FinCategory(c.n_objects * nd, tuple(dom), tuple(cod), identity, compose, names)
+
+
+def eager_product_monoidal(m, n):
+    import itertools
+
+    from ecat.core import Functor
+    from ecat.monoidal import MonoidalCategory
+
+    base = eager_product_category(m.base, n.base)
+    nm, mm = m.base.n_objects, m.base.n_morphisms
+    nn, mn = n.base.n_objects, n.base.n_morphisms
+
+    def ob(i, j):
+        return i * nn + j
+
+    def mo(f, g):
+        return f * mn + g
+
+    src = eager_product_category(base, base)
+    obj_map = [0] * src.n_objects
+    for i1, j1, i2, j2 in itertools.product(range(nm), range(nn), range(nm), range(nn)):
+        obj_map[ob(i1, j1) * base.n_objects + ob(i2, j2)] = ob(
+            m.t_obj(i1, i2), n.t_obj(j1, j2)
+        )
+    mor_map = [0] * src.n_morphisms
+    for f1, g1, f2, g2 in itertools.product(range(mm), range(mn), range(mm), range(mn)):
+        mor_map[mo(f1, g1) * base.n_morphisms + mo(f2, g2)] = mo(
+            m.t_mor(f1, f2), n.t_mor(g1, g2)
+        )
+    tensor = Functor(src, base, tuple(obj_map), tuple(mor_map))
+    assoc = {}
+    for (i1, j1), (i2, j2), (i3, j3) in itertools.product(
+        itertools.product(range(nm), range(nn)), repeat=3
+    ):
+        assoc[(ob(i1, j1), ob(i2, j2), ob(i3, j3))] = mo(
+            m.a(i1, i2, i3), n.a(j1, j2, j3)
+        )
+    lu = tuple(mo(m.l(i), n.l(j)) for i in range(nm) for j in range(nn))
+    ru = tuple(mo(m.r(i), n.r(j)) for i in range(nm) for j in range(nn))
+    return MonoidalCategory(base, tensor, ob(m.unit, n.unit), assoc, lu, ru)
+
+
+def eager_product_lax(f, g):
+    import itertools
+
+    from ecat.core import Functor
+    from ecat.monoidal import LaxMonoidalFunctor
+
+    src = eager_product_monoidal(f.source, g.source)
+    tgt = eager_product_monoidal(f.target, g.target)
+    n2 = g.source.base.n_objects
+    nt2, mt2 = g.target.base.n_objects, g.target.base.n_morphisms
+    obj = tuple(
+        f.on_obj(i) * nt2 + g.on_obj(j)
+        for i in f.source.base.objects()
+        for j in g.source.base.objects()
+    )
+    mor = tuple(
+        f.on_mor(i) * mt2 + g.on_mor(j)
+        for i in f.source.base.morphisms()
+        for j in g.source.base.morphisms()
+    )
+    mult = {}
+    for i1, j1, i2, j2 in itertools.product(
+        f.source.base.objects(), g.source.base.objects(),
+        f.source.base.objects(), g.source.base.objects(),
+    ):
+        mult[(i1 * n2 + j1, i2 * n2 + j2)] = f.m2(i1, i2) * mt2 + g.m2(j1, j2)
+    direction = "strong" if f.direction == g.direction == "strong" else "lax"
+    return LaxMonoidalFunctor(
+        src, tgt, Functor(src.base, tgt.base, obj, mor),
+        f.unit_cell * mt2 + g.unit_cell, mult, direction,
+    )
+
+
+def eager_cartesian_product_enriched(e1, e2):
+    import itertools
+
+    from ecat.enriched import EnrichedCategory
+
+    base = eager_product_monoidal(e1.base, e2.base)
+    n2 = e2.base.base.n_objects
+    m2 = e2.base.base.n_morphisms
+    n_obj = e1.n_objects * e2.n_objects
+
+    def ob(x):
+        return divmod(x, e2.n_objects)
+
+    hom_obj, ident, comp = {}, {}, {}
+    for x, y in itertools.product(range(n_obj), repeat=2):
+        (x1, x2), (y1, y2) = ob(x), ob(y)
+        hom_obj[(x, y)] = e1.hom(x1, y1) * n2 + e2.hom(x2, y2)
+    for x in range(n_obj):
+        x1, x2 = ob(x)
+        ident[x] = e1.one(x1) * m2 + e2.one(x2)
+    for x, y, z in itertools.product(range(n_obj), repeat=3):
+        (x1, x2), (y1, y2), (z1, z2) = ob(x), ob(y), ob(z)
+        comp[(x, y, z)] = e1.c(x1, y1, z1) * m2 + e2.c(x2, y2, z2)
+    return EnrichedCategory(base, n_obj, hom_obj, ident, comp)
+
+
+def eager_product_enriched_functor(f, g):
+    import itertools
+
+    from ecat.enriched import EnrichedFunctor
+
+    src = eager_cartesian_product_enriched(f.source, g.source)
+    tgt = eager_cartesian_product_enriched(f.target, g.target)
+    n2s, n2t = g.source.n_objects, g.target.n_objects
+    mt = g.background.target.base.n_morphisms
+    obj = tuple(
+        f.on_obj(x1) * n2t + g.on_obj(x2)
+        for x1 in f.source.objects()
+        for x2 in g.source.objects()
+    )
+    comps = {}
+    for x, y in itertools.product(range(src.n_objects), repeat=2):
+        (x1, x2), (y1, y2) = divmod(x, n2s), divmod(y, n2s)
+        comps[(x, y)] = f.at(x1, y1) * mt + g.at(x2, y2)
+    return EnrichedFunctor(
+        eager_product_lax(f.background, g.background), src, tgt, obj, comps
+    )

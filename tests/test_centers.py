@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from ecat import centers
 from ecat.centers import (
     braided_tables,
     bracket_pair,
@@ -47,7 +48,7 @@ from ecat.monoidal import (
     muger_center_z2,
     strict_monoidal,
 )
-from ecat.report import Budget, StructureError
+from ecat.report import Budget, StructureError, ValidationReport
 
 from helpers import (
     chain2_enriched,
@@ -279,6 +280,49 @@ def test_verify_e2_on_designated_fixtures():
     for act in acts:
         out = verify_e2_universal(eb, act, CAP, res)
         assert out.report.ok and out.uniqueness_count == 1
+
+
+def _one_violation(*args, **kwargs):
+    rep = ValidationReport("stub")
+    rep.add("stub-law", (0,), "stub detail")
+    return rep
+
+
+def _e0_verification():
+    e = chain2_enriched()
+    return verify_e0_universal(e, trivial_action(e), CAP, e0_center(e, CAP))
+
+
+def _e1_verification():
+    em = preorder_enriched_monoidal()
+    return verify_e1_universal(em, trivial_monoidal_action(em), CAP, gamma1(em, CAP))
+
+
+def _e2_verification():
+    em = preorder_enriched_monoidal()
+    eb = EnrichedBraidedCategory(em, preorder_braiding_el(em), True)
+    return verify_e2_universal(eb, trivial_monoidal_action(em), CAP, gamma2(eb, CAP))
+
+
+@pytest.mark.parametrize(
+    "check, prefix",
+    [
+        ("check_lax_monoidal_functor", "background-functor-"),
+        ("check_enriched_functor", "comparison-functor-"),
+        ("check_enriched_nat", "rho-"),
+    ],
+)
+@pytest.mark.parametrize(
+    "verify", [_e0_verification, _e1_verification, _e2_verification],
+    ids=["e0", "e1", "e2"],
+)
+def test_verifier_reports_functor_violation(monkeypatch, verify, check, prefix):
+    monkeypatch.setattr(centers, check, _one_violation)
+    out = verify()
+    assert not out.ok
+    assert [(v.law, v.instance, v.detail) for v in out.report.violations] == [
+        (prefix + "stub-law", (0,), "stub detail")
+    ]
 
 
 # --- the E1 center ---

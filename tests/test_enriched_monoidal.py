@@ -37,6 +37,7 @@ from ecat.report import StructureError
 
 from helpers import (
     identity_braiding,
+    lattice4_monoidal,
     preorder_enriched_monoidal,
     semion_braiding,
     semion_enriched_monoidal,
@@ -92,6 +93,26 @@ def test_background_convention_mismatch_reported():
     )
     rep = check_enriched_monoidal(bad)
     assert any(v.law == "tensor-background-convention" for v in rep.violations)
+
+
+def test_mistyped_tensor_cell_reported_not_raised():
+    from ecat.actions import monoidal_self_module
+    from ecat.canonical import canonical_monoidal
+
+    m = lattice4_monoidal()
+    em = canonical_monoidal(monoidal_self_module(identity_braiding(m)))
+    c = m.base
+    cells = dict(em.tensor.components)
+    key = (1 * 4 + 2, 3 * 4 + 3)
+    cell = cells[key]
+    cells[key] = next(
+        f for f in c.morphisms() if (c.dom[f], c.cod[f]) != (c.dom[cell], c.cod[cell])
+    )
+    bad = dataclasses.replace(em, tensor=dataclasses.replace(em.tensor, components=cells))
+    rep = check_enriched_monoidal(bad)
+    assert [(v.law, v.instance) for v in rep.violations] == [
+        ("tensor:enriched-functor-typing", key)
+    ]
 
 
 def test_extraction_validation_consistency():

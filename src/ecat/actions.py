@@ -471,7 +471,7 @@ def internal_hom(
     """
     c = mod.carrier
     ca = mod.base.base
-    budget = budget or Budget(10**7, "internal hom search")
+    budget = budget or Budget(None, "internal hom search")
     for h in ca.objects():
         for ev in c.hom(mod.a_obj(h, x), y):
             mediators = {}
@@ -552,38 +552,66 @@ def check_monoidal_module(mm: MonoidalModuleCells) -> ValidationReport:
     if not typed:
         return report
 
+    # Below, tables are bound locally, and every tensor, identity, associator
+    # component and mid-swap that does not depend on an inner index is read
+    # once, outside the inner loops. A ``*_row`` value is a morphism index
+    # times |mor C|: the start of its row in a flattened action or tensor
+    # mor_map, so ``act_mor[f_row + p]`` is ``mod.a_mor(f, p)``.
+    ca = a_cat.base
+    mc = c.n_morphisms
+    comp, cid = c.comp, c.identity
+    cdom, ccod = c.dom, c.cod
+    act_obj, act_mor = mod.act.obj_map, mod.act.mor_map
+    lt_obj, lt_mor = lm.tensor.obj_map, lm.tensor.mor_map
+    inter, oplax, lassoc = mm.interchange, mod.oplax_assoc, lm.associator
+    nx = c.n_objects
+
     # naturality of the interchange
-    for f, g in itertools.product(a_cat.base.morphisms(), repeat=2):
-        for p, q in itertools.product(c.morphisms(), repeat=2):
-            a, b = a_cat.base.dom[f], a_cat.base.dom[g]
-            x, y = c.dom[p], c.dom[q]
-            ap, bp = a_cat.base.cod[f], a_cat.base.cod[g]
-            xp, yp = c.cod[p], c.cod[q]
-            lhs = c.comp(
-                mm.i(ap, bp, xp, yp),
-                mod.a_mor(a_cat.t_mor(f, g), lm.t_mor(p, q)),
-            )
-            rhs = c.comp(
-                lm.t_mor(mod.a_mor(f, p), mod.a_mor(g, q)), mm.i(a, b, x, y)
-            )
-            if lhs != rhs:
-                report.add("interchange-naturality", (f, g, p, q))
+    for f, g in itertools.product(ca.morphisms(), repeat=2):
+        a, b = ca.dom[f], ca.dom[g]
+        ap, bp = ca.cod[f], ca.cod[g]
+        fg_row = a_cat.t_mor(f, g) * mc
+        f_row, g_row = f * mc, g * mc
+        for p in c.morphisms():
+            x, xp = cdom[p], ccod[p]
+            p_row = p * mc
+            fp_row = act_mor[f_row + p] * mc
+            for q in c.morphisms():
+                lhs = comp(
+                    inter[(ap, bp, xp, ccod[q])],
+                    act_mor[fg_row + lt_mor[p_row + q]],
+                )
+                rhs = comp(lt_mor[fp_row + act_mor[g_row + q]], inter[(a, b, x, cdom[q])])
+                if lhs != rhs:
+                    report.add("interchange-naturality", (f, g, p, q))
 
     # hexagon relating interchange and the two associators
     for a, b, d in itertools.product(objs_a, repeat=3):
-        for x, y, z in itertools.product(objs_x, repeat=3):
-            lhs = c.comp_many(
-                lm.a(mod.a_obj(a, x), mod.a_obj(b, y), mod.a_obj(d, z)),
-                lm.t_mor(mm.i(a, b, x, y), c.identity[mod.a_obj(d, z)]),
-                mm.i(a_cat.t_obj(a, b), d, lm.t_obj(x, y), z),
-            )
-            rhs = c.comp_many(
-                lm.t_mor(c.identity[mod.a_obj(a, x)], mm.i(b, d, y, z)),
-                mm.i(a, a_cat.t_obj(b, d), x, lm.t_obj(y, z)),
-                mod.a_mor(a_cat.a(a, b, d), lm.a(x, y, z)),
-            )
-            if lhs != rhs:
-                report.add("interchange-hexagon", (a, b, d, x, y, z))
+        ab, bd = a_cat.t_obj(a, b), a_cat.t_obj(b, d)
+        abd_row = a_cat.a(a, b, d) * mc
+        a_row, b_row, d_row = a * nx, b * nx, d * nx
+        for x in objs_x:
+            ax = act_obj[a_row + x]
+            id_ax_row = cid[ax] * mc
+            for y in objs_x:
+                by = act_obj[b_row + y]
+                i_abxy_row = inter[(a, b, x, y)] * mc
+                xy = lt_obj[x * nx + y]
+                for z in objs_x:
+                    dz = act_obj[d_row + z]
+                    lhs = comp(
+                        comp(lassoc[(ax, by, dz)], lt_mor[i_abxy_row + cid[dz]]),
+                        inter[(ab, d, xy, z)],
+                    )
+                    rhs = comp(
+                        comp(
+                            lt_mor[id_ax_row + inter[(b, d, y, z)]],
+                            inter[(a, bd, x, lt_obj[y * nx + z])],
+                        ),
+                        act_mor[abd_row + lassoc[(x, y, z)]],
+                    )
+                    if lhs != rhs:
+                        report.add("interchange-hexagon", (a, b, d, x, y, z))
 
     # unit squares against the two monoidal unitors
     for a, x in itertools.product(objs_a, objs_x):
@@ -606,26 +634,33 @@ def check_monoidal_module(mm: MonoidalModuleCells) -> ValidationReport:
     # the mid-swap on the base uses the anti-braiding
     from ecat.monoidal import mid_swap
 
+    def anti(u: int, v: int) -> int:
+        return inv(a_cat, mm.base_braiding.c(v, u))
+
     for a1, a2, b1, b2 in itertools.product(objs_a, repeat=4):
-        for x, y in itertools.product(objs_x, repeat=2):
-            lhs = c.comp_many(
-                mm.i(a1, a2, mod.a_obj(b1, x), mod.a_obj(b2, y)),
-                mod.a_mor(
-                    a_cat.base.identity[a_cat.t_obj(a1, a2)], mm.i(b1, b2, x, y)
-                ),
-                mod.o(a_cat.t_obj(a1, a2), a_cat.t_obj(b1, b2), lm.t_obj(x, y)),
-            )
-            swap = mid_swap(
-                a_cat, a1, a2, b1, b2,
-                lambda u, v: inv(a_cat, mm.base_braiding.c(v, u)),
-            )
-            rhs = c.comp_many(
-                lm.t_mor(mod.o(a1, b1, x), mod.o(a2, b2, y)),
-                mm.i(a_cat.t_obj(a1, b1), a_cat.t_obj(a2, b2), x, y),
-                mod.a_mor(swap, c.identity[lm.t_obj(x, y)]),
-            )
-            if lhs != rhs:
-                report.add("associator-oplax-monoidal", (a1, a2, b1, b2, x, y))
+        a12, b12 = a_cat.t_obj(a1, a2), a_cat.t_obj(b1, b2)
+        a1b1, a2b2 = a_cat.t_obj(a1, b1), a_cat.t_obj(a2, b2)
+        id_a12_row = ca.identity[a12] * mc
+        swap_row = mid_swap(a_cat, a1, a2, b1, b2, anti) * mc
+        b1_row, b2_row = b1 * nx, b2 * nx
+        for x in objs_x:
+            b1x = act_obj[b1_row + x]
+            o1_row = oplax[(a1, b1, x)] * mc
+            for y in objs_x:
+                xy = lt_obj[x * nx + y]
+                lhs = comp(
+                    comp(
+                        inter[(a1, a2, b1x, act_obj[b2_row + y])],
+                        act_mor[id_a12_row + inter[(b1, b2, x, y)]],
+                    ),
+                    oplax[(a12, b12, xy)],
+                )
+                rhs = comp(
+                    comp(lt_mor[o1_row + oplax[(a2, b2, y)]], inter[(a1b1, a2b2, x, y)]),
+                    act_mor[swap_row + cid[xy]],
+                )
+                if lhs != rhs:
+                    report.add("associator-oplax-monoidal", (a1, a2, b1, b2, x, y))
 
     # the module unitor is an oplax-monoidal transformation
     for x, y in itertools.product(objs_x, repeat=2):

@@ -19,12 +19,24 @@ import math
 import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ecat.report import Budget, StructureError, ValidationReport
 
 
 @dataclass(frozen=True, eq=True)
 class FinCategory:
+    """A finite category given by its index tables.
+
+    Lookups derived from the tables are built lazily, once per instance, on
+    first use: ``hom`` reads an index from ``(x, y)`` to the hom set, and
+    ``monoidal.find_inverse`` memoises its answers in ``_inverse_memo``.
+    Both live in the instance ``__dict__``, not in dataclass fields, so
+    equality, hashing and ``dataclasses.replace`` ignore them (a replaced
+    copy starts with empty caches). They rely on the tables not being
+    mutated after construction; nothing in ``ecat`` mutates them.
+    """
+
     n_objects: int
     dom: Sequence[int]
     cod: Sequence[int]
@@ -37,10 +49,21 @@ class FinCategory:
     def n_morphisms(self) -> int:
         return len(self.dom)
 
+    @cached_property
+    def _hom_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        index: dict[tuple[int, int], list[int]] = {}
+        dom, cod = self.dom, self.cod
+        for f in range(self.n_morphisms):
+            index.setdefault((dom[f], cod[f]), []).append(f)
+        return {key: tuple(mors) for key, mors in index.items()}
+
+    @cached_property
+    def _inverse_memo(self) -> dict[int, int | None]:
+        return {}
+
     def hom(self, x: int, y: int) -> tuple[int, ...]:
-        return tuple(
-            f for f in range(self.n_morphisms) if self.dom[f] == x and self.cod[f] == y
-        )
+        """The morphisms x -> y in ascending index order."""
+        return self._hom_index.get((x, y), ())
 
     def comp(self, g: int, f: int) -> int:
         """g after f."""
@@ -501,25 +524,6 @@ def hcomp_nats(beta: NatTransf, alpha: NatTransf) -> NatTransf:
     return NatTransf(compose_functors(fp, f), compose_functors(gp, g), comps)
 
 
-def whisker_right(nat: NatTransf, fun: Functor) -> NatTransf:
-    """nat applied after precomposition with fun."""
-    comps = tuple(nat.components[fun.obj_map[x]] for x in fun.source.objects())
-    return NatTransf(
-        compose_functors(nat.source_functor, fun),
-        compose_functors(nat.target_functor, fun),
-        comps,
-    )
-
-
-def whisker_left(fun: Functor, nat: NatTransf) -> NatTransf:
-    comps = tuple(fun.mor_map[c] for c in nat.components)
-    return NatTransf(
-        compose_functors(fun, nat.source_functor),
-        compose_functors(fun, nat.target_functor),
-        comps,
-    )
-
-
 def enumerate_functors(
     c: FinCategory, d: FinCategory, cap: int | None = None
 ) -> list[Functor]:
@@ -589,13 +593,9 @@ def find_terminal_objects(c: FinCategory) -> list[int]:
     return out
 
 
-def find_initial_objects(c: FinCategory) -> list[int]:
-    return find_terminal_objects(opposite_category(c))
-
-
 def _degree_signature(c: FinCategory, x: int) -> tuple:
-    outs = sorted(sum(1 for f in c.morphisms() if c.dom[f] == x and c.cod[f] == y) for y in c.objects())
-    ins = sorted(sum(1 for f in c.morphisms() if c.cod[f] == x and c.dom[f] == y) for y in c.objects())
+    outs = sorted(len(c.hom(x, y)) for y in c.objects())
+    ins = sorted(len(c.hom(y, x)) for y in c.objects())
     loops = len(c.hom(x, x))
     return (tuple(outs), tuple(ins), loops)
 

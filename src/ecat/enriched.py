@@ -605,11 +605,7 @@ def finset_skeletal(sizes: tuple) -> FinCategory:
     lexicographically.
     """
     sizes = tuple(sizes)
-    mors = []
-    for i, si in enumerate(sizes):
-        for j, sj in enumerate(sizes):
-            for fn in itertools.product(range(sj), repeat=si):
-                mors.append((i, j, fn))
+    mors = _finset_morphisms(sizes)
     index = {t: k for k, t in enumerate(mors)}
     dom = tuple(t[0] for t in mors)
     cod = tuple(t[1] for t in mors)
@@ -644,11 +640,7 @@ def finset_monoidal(sizes: tuple) -> MonoidalCategory:
     if 1 not in size_index:
         raise StructureError("a unit needs size 1 among the sizes")
 
-    mors = []
-    for i, si in enumerate(sizes):
-        for j, sj in enumerate(sizes):
-            for fn in itertools.product(range(sj), repeat=si):
-                mors.append((i, j, fn))
+    mors = _finset_morphisms(sizes)
     index = {t: k for k, t in enumerate(mors)}
     n = len(sizes)
     obj_map = [0] * (n * n)
@@ -678,6 +670,7 @@ def finset_braiding(m: MonoidalCategory, sizes: tuple):
     sizes = tuple(sizes)
     c = m.base
     size_index = {s: i for i, s in enumerate(sizes)}
+    mors = _finset_morphisms(sizes)
     braiding = {}
     for i, j in itertools.product(range(len(sizes)), repeat=2):
         si, sj = sizes[i], sizes[j]
@@ -688,21 +681,22 @@ def finset_braiding(m: MonoidalCategory, sizes: tuple):
         # locate the morphism with this function table
         found = None
         for f in c.hom(m.t_obj(i, j), m.t_obj(j, i)):
-            if _finset_table(c, sizes, f) == fn:
+            if mors[f][2] == fn:
                 found = f
                 break
         braiding[(i, j)] = found
     return BraidedStructure(m, braiding, True)
 
 
-def _finset_table(c: FinCategory, sizes: tuple, f: int) -> tuple:
-    """Recover the function table of a skeletal finite-set morphism."""
+def _finset_morphisms(sizes: tuple) -> list[tuple[int, int, tuple]]:
+    """Morphisms of the skeletal finite-set category in index order, each as
+    (source size index, target size index, function table)."""
     mors = []
     for i, si in enumerate(sizes):
         for j, sj in enumerate(sizes):
             for fn in itertools.product(range(sj), repeat=si):
                 mors.append((i, j, fn))
-    return mors[f][2]
+    return mors
 
 
 def hom_set_lax_functor(m: MonoidalCategory, sizes: tuple) -> LaxMonoidalFunctor:
@@ -714,11 +708,7 @@ def hom_set_lax_functor(m: MonoidalCategory, sizes: tuple) -> LaxMonoidalFunctor
     target = finset_monoidal(sizes)
     sizes = tuple(sizes)
     size_index = {s: i for i, s in enumerate(sizes)}
-    mors = []
-    for i, si in enumerate(sizes):
-        for j, sj in enumerate(sizes):
-            for fn in itertools.product(range(sj), repeat=si):
-                mors.append((i, j, fn))
+    mors = _finset_morphisms(sizes)
     mor_index = {t: k for k, t in enumerate(mors)}
 
     c = m.base

@@ -61,10 +61,17 @@ class MonoidalCategory:
 
 
 def find_inverse(c: FinCategory, f: int) -> int | None:
+    """The inverse of f, or None; memoised per category, None included."""
+    memo = c._inverse_memo
+    if f in memo:
+        return memo[f]
+    found = None
     for g in c.hom(c.cod[f], c.dom[f]):
         if c.comp(g, f) == c.identity[c.dom[f]] and c.comp(f, g) == c.identity[c.cod[f]]:
-            return g
-    return None
+            found = g
+            break
+    memo[f] = found
+    return found
 
 
 def inv(m: MonoidalCategory, f: int) -> int:
@@ -681,7 +688,7 @@ def enumerate_half_braidings(
 ) -> list[HalfBraidingOrd]:
     """All half-braidings on x, deterministically ordered."""
     c = m.base
-    budget = budget or Budget(10**7, "half-braiding enumeration")
+    budget = budget or Budget(None, "half-braiding enumeration")
     candidates = []
     for z in c.objects():
         opts = [
@@ -718,7 +725,7 @@ def drinfeld_center_z1(
 ) -> CenterResult:
     """The category of (object, half-braiding) pairs, built by brute force."""
     c = m.base
-    budget = budget or Budget(10**7, "drinfeld center")
+    budget = budget or Budget(None, "drinfeld center")
     z_objects: list[tuple[int, HalfBraidingOrd]] = []
     for x in c.objects():
         for hb in enumerate_half_braidings(m, x, budget):

@@ -530,3 +530,155 @@ def eager_product_enriched_functor(f, g):
     return EnrichedFunctor(
         eager_product_lax(f.background, g.background), src, tgt, obj, comps
     )
+
+
+# --- lookup oracles ---
+#
+# The library reads hom sets from a per-category index, memoises inverses
+# and hoists loop invariants out of check_monoidal_module. These are the
+# plain versions they replaced, kept as reference oracles.
+
+
+def scan_hom(c, x, y):
+    """Hom set by a linear scan over all morphisms, in ascending order."""
+    return tuple(f for f in range(c.n_morphisms) if c.dom[f] == x and c.cod[f] == y)
+
+
+def scan_inverse(c, f):
+    """Inverse of f by a fresh scan of the reverse hom set, or None."""
+    for g in scan_hom(c, c.cod[f], c.dom[f]):
+        if c.comp(g, f) == c.identity[c.dom[f]] and c.comp(f, g) == c.identity[c.cod[f]]:
+            return g
+    return None
+
+
+def exhaustive_check_monoidal_module(mm):
+    """check_monoidal_module before its lookups were hoisted, verbatim."""
+    import itertools
+
+    from ecat.actions import _expect, inv
+    from ecat.report import StructureError, ValidationReport
+
+    report = ValidationReport("monoidal module")
+    mod = mm.module
+    a_cat = mod.base
+    lm = mm.carrier_monoidal
+    c = mod.carrier
+    if lm.base is not c and lm.base != c:
+        raise StructureError("carrier monoidal structure must live on the carrier")
+    objs_a = list(a_cat.base.objects())
+    objs_x = list(c.objects())
+    un_a, un_l = a_cat.unit, lm.unit
+
+    typed = True
+    for a, b, x, y in itertools.product(objs_a, objs_a, objs_x, objs_x):
+        f = mm.interchange.get((a, b, x, y))
+        if f is None:
+            raise StructureError(f"interchange missing at {(a, b, x, y)}")
+        typed &= _expect(
+            report, "interchange-typing", (a, b, x, y), c, f,
+            mod.a_obj(a_cat.t_obj(a, b), lm.t_obj(x, y)),
+            lm.t_obj(mod.a_obj(a, x), mod.a_obj(b, y)),
+        )
+    typed &= _expect(
+        report, "unit-cell-typing", (), c, mm.unit_cell, mod.a_obj(un_a, un_l), un_l
+    )
+    if not typed:
+        return report
+
+    # naturality of the interchange
+    for f, g in itertools.product(a_cat.base.morphisms(), repeat=2):
+        for p, q in itertools.product(c.morphisms(), repeat=2):
+            a, b = a_cat.base.dom[f], a_cat.base.dom[g]
+            x, y = c.dom[p], c.dom[q]
+            ap, bp = a_cat.base.cod[f], a_cat.base.cod[g]
+            xp, yp = c.cod[p], c.cod[q]
+            lhs = c.comp(
+                mm.i(ap, bp, xp, yp),
+                mod.a_mor(a_cat.t_mor(f, g), lm.t_mor(p, q)),
+            )
+            rhs = c.comp(
+                lm.t_mor(mod.a_mor(f, p), mod.a_mor(g, q)), mm.i(a, b, x, y)
+            )
+            if lhs != rhs:
+                report.add("interchange-naturality", (f, g, p, q))
+
+    # hexagon relating interchange and the two associators
+    for a, b, d in itertools.product(objs_a, repeat=3):
+        for x, y, z in itertools.product(objs_x, repeat=3):
+            lhs = c.comp_many(
+                lm.a(mod.a_obj(a, x), mod.a_obj(b, y), mod.a_obj(d, z)),
+                lm.t_mor(mm.i(a, b, x, y), c.identity[mod.a_obj(d, z)]),
+                mm.i(a_cat.t_obj(a, b), d, lm.t_obj(x, y), z),
+            )
+            rhs = c.comp_many(
+                lm.t_mor(c.identity[mod.a_obj(a, x)], mm.i(b, d, y, z)),
+                mm.i(a, a_cat.t_obj(b, d), x, lm.t_obj(y, z)),
+                mod.a_mor(a_cat.a(a, b, d), lm.a(x, y, z)),
+            )
+            if lhs != rhs:
+                report.add("interchange-hexagon", (a, b, d, x, y, z))
+
+    # unit squares against the two monoidal unitors
+    for a, x in itertools.product(objs_a, objs_x):
+        lhs = c.comp_many(
+            lm.l(mod.a_obj(a, x)),
+            lm.t_mor(mm.unit_cell, c.identity[mod.a_obj(a, x)]),
+            mm.i(un_a, a, un_l, x),
+        )
+        if lhs != mod.a_mor(a_cat.l(a), lm.l(x)):
+            report.add("interchange-left-unit", (a, x))
+        rhs = c.comp_many(
+            lm.r(mod.a_obj(a, x)),
+            lm.t_mor(c.identity[mod.a_obj(a, x)], mm.unit_cell),
+            mm.i(a, un_a, x, un_l),
+        )
+        if rhs != mod.a_mor(a_cat.r(a), lm.r(x)):
+            report.add("interchange-right-unit", (a, x))
+
+    # the module associator is an oplax-monoidal transformation;
+    # the mid-swap on the base uses the anti-braiding
+    from ecat.monoidal import mid_swap
+
+    for a1, a2, b1, b2 in itertools.product(objs_a, repeat=4):
+        for x, y in itertools.product(objs_x, repeat=2):
+            lhs = c.comp_many(
+                mm.i(a1, a2, mod.a_obj(b1, x), mod.a_obj(b2, y)),
+                mod.a_mor(
+                    a_cat.base.identity[a_cat.t_obj(a1, a2)], mm.i(b1, b2, x, y)
+                ),
+                mod.o(a_cat.t_obj(a1, a2), a_cat.t_obj(b1, b2), lm.t_obj(x, y)),
+            )
+            swap = mid_swap(
+                a_cat, a1, a2, b1, b2,
+                lambda u, v: inv(a_cat, mm.base_braiding.c(v, u)),
+            )
+            rhs = c.comp_many(
+                lm.t_mor(mod.o(a1, b1, x), mod.o(a2, b2, y)),
+                mm.i(a_cat.t_obj(a1, b1), a_cat.t_obj(a2, b2), x, y),
+                mod.a_mor(swap, c.identity[lm.t_obj(x, y)]),
+            )
+            if lhs != rhs:
+                report.add("associator-oplax-monoidal", (a1, a2, b1, b2, x, y))
+
+    # the module unitor is an oplax-monoidal transformation
+    for x, y in itertools.product(objs_x, repeat=2):
+        rhs = c.comp_many(
+            lm.t_mor(mod.u(x), mod.u(y)),
+            mm.i(un_a, un_a, x, y),
+            mod.a_mor(inv(a_cat, a_cat.l(un_a)), c.identity[lm.t_obj(x, y)]),
+        )
+        if mod.u(lm.t_obj(x, y)) != rhs:
+            report.add("unitor-oplax-monoidal", (x, y))
+
+    # unit-cell coherence
+    lhs = c.comp_many(
+        mm.unit_cell,
+        mod.a_mor(a_cat.base.identity[un_a], mm.unit_cell),
+        mod.o(un_a, un_a, un_l),
+    )
+    if lhs != c.comp(mm.unit_cell, mod.a_mor(a_cat.l(un_a), c.identity[un_l])):
+        report.add("unit-cell-associator", ())
+    if mm.unit_cell != mod.u(un_l):
+        report.add("unit-cell-unitor", ())
+    return report

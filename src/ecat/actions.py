@@ -8,9 +8,19 @@ search for a terminal evaluation pair.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from ecat.core import FinCategory, Functor, NatTransf, check_functor, product_category
+from ecat.core import (
+    FinCategory,
+    Functor,
+    NatTransf,
+    ProductCompose,
+    ProductSequence,
+    check_category,
+    check_functor,
+    product_category,
+)
 from ecat.monoidal import (
     BraidedStructure,
     LaxMonoidalFunctor,
@@ -19,6 +29,7 @@ from ecat.monoidal import (
     _expect,
     find_inverse,
     inv,
+    mid_swap,
 )
 from ecat.report import Budget, StructureError, ValidationReport
 
@@ -525,6 +536,19 @@ class MonoidalModuleCells:
 
 
 def check_monoidal_module(mm: MonoidalModuleCells) -> ValidationReport:
+    """Check the interchange and unit cells of a monoidal module.
+
+    Every failing instance is reported, in a fixed order: section by
+    section (typing, interchange naturality, hexagon, unit squares, oplax
+    associator, oplax unitor, unit cell), each over its instances in
+    lexicographic order. A typing violation ends the check.
+
+    Naturality of the interchange is screened one variable at a time when
+    the base and the carrier are categories and the base tensor, the action
+    and the carrier tensor are functors (Mac Lane, CWM §II.3; see
+    ``_interchange_natural_by_variable``). Otherwise, or when a screened
+    square fails, every quadruple of morphisms is enumerated.
+    """
     report = ValidationReport("monoidal module")
     mod = mm.module
     a_cat = mod.base
@@ -536,11 +560,16 @@ def check_monoidal_module(mm: MonoidalModuleCells) -> ValidationReport:
     objs_x = list(c.objects())
     un_a, un_l = a_cat.unit, lm.unit
 
+    # The interchange is also collected as the flat list icell, read by
+    # mixed-radix index: the cell at (a, b, x, y) is
+    # icell[((a*|A| + b)*|C| + x)*|C| + y].
     typed = True
+    icell = []
     for a, b, x, y in itertools.product(objs_a, objs_a, objs_x, objs_x):
         f = mm.interchange.get((a, b, x, y))
         if f is None:
             raise StructureError(f"interchange missing at {(a, b, x, y)}")
+        icell.append(f)
         typed &= _expect(
             report, "interchange-typing", (a, b, x, y), c, f,
             mod.a_obj(a_cat.t_obj(a, b), lm.t_obj(x, y)),
@@ -558,58 +587,93 @@ def check_monoidal_module(mm: MonoidalModuleCells) -> ValidationReport:
     # times |mor C|: the start of its row in a flattened action or tensor
     # mor_map, so ``act_mor[f_row + p]`` is ``mod.a_mor(f, p)``.
     ca = a_cat.base
-    mc = c.n_morphisms
+    na, nx, mc = ca.n_objects, c.n_objects, c.n_morphisms
     comp, cid = c.comp, c.identity
     cdom, ccod = c.dom, c.cod
     act_obj, act_mor = mod.act.obj_map, mod.act.mor_map
     lt_obj, lt_mor = lm.tensor.obj_map, lm.tensor.mor_map
-    inter, oplax, lassoc = mm.interchange, mod.oplax_assoc, lm.associator
-    nx = c.n_objects
+    inter = mm.interchange
 
     # naturality of the interchange
-    for f, g in itertools.product(ca.morphisms(), repeat=2):
-        a, b = ca.dom[f], ca.dom[g]
-        ap, bp = ca.cod[f], ca.cod[g]
-        fg_row = a_cat.t_mor(f, g) * mc
-        f_row, g_row = f * mc, g * mc
-        for p in c.morphisms():
-            x, xp = cdom[p], ccod[p]
-            p_row = p * mc
-            fp_row = act_mor[f_row + p] * mc
-            for q in c.morphisms():
-                lhs = comp(
-                    inter[(ap, bp, xp, ccod[q])],
-                    act_mor[fg_row + lt_mor[p_row + q]],
-                )
-                rhs = comp(lt_mor[fp_row + act_mor[g_row + q]], inter[(a, b, x, cdom[q])])
-                if lhs != rhs:
-                    report.add("interchange-naturality", (f, g, p, q))
+    if not _interchange_natural_by_variable(mm, icell):
+        for f, g in itertools.product(ca.morphisms(), repeat=2):
+            a, b = ca.dom[f], ca.dom[g]
+            ap, bp = ca.cod[f], ca.cod[g]
+            fg_row = a_cat.t_mor(f, g) * mc
+            f_row, g_row = f * mc, g * mc
+            for p in c.morphisms():
+                x, xp = cdom[p], ccod[p]
+                p_row = p * mc
+                fp_row = act_mor[f_row + p] * mc
+                for q in c.morphisms():
+                    lhs = comp(
+                        inter[(ap, bp, xp, ccod[q])],
+                        act_mor[fg_row + lt_mor[p_row + q]],
+                    )
+                    rhs = comp(lt_mor[fp_row + act_mor[g_row + q]], inter[(a, b, x, cdom[q])])
+                    if lhs != rhs:
+                        report.add("interchange-naturality", (f, g, p, q))
+
+    # The hexagon and oplax-associator loops read the cells from flat
+    # lists: icell as above, the carrier associator at (x, y, z) from
+    # lcell[(x*|C| + y)*|C| + z] and the module associator at (a, b, x) from
+    # ocell[(a*|A| + b)*|C| + x]. A name such as ``b_d_y`` is the flat index
+    # of the key prefix (b, d, y) times |C|, so ``icell[b_d_y + z]`` is the
+    # cell at (b, d, y, z). ``ab_of[a][b]``, ``ax_of[a][x]`` and
+    # ``xy_of[x][y]`` are the tensors and actions of objects and ``id_ax_of``
+    # and ``id_xy_of`` the identities on them. They index the flat lists,
+    # so they must be objects.
+    ab_of = [[a_cat.t_obj(a, b) for b in objs_a] for a in objs_a]
+    ax_of = [[act_obj[a * nx + x] for x in objs_x] for a in objs_a]
+    xy_of = [[lt_obj[x * nx + y] for y in objs_x] for x in objs_x]
+    if not (_within(ab_of, na) and _within(ax_of, nx) and _within(xy_of, nx)):
+        raise StructureError("a tensor or action object map leaves the objects")
+    id_ax_of = [[cid[v] for v in row] for row in ax_of]
+    id_xy_of = [[cid[v] for v in row] for row in xy_of]
+
+    # Both loops below compose by reading the compose table directly. On a
+    # KeyError they compose the same cells again through c.comp, so that
+    # they raise what it raises: StructureError on an undefined composite,
+    # or the KeyError of a missing associator cell.
+    cmp = c.compose
 
     # hexagon relating interchange and the two associators
+    lcell = _flat(lm.associator, itertools.product(objs_x, repeat=3))
     for a, b, d in itertools.product(objs_a, repeat=3):
-        ab, bd = a_cat.t_obj(a, b), a_cat.t_obj(b, d)
+        ab, bd = ab_of[a][b], ab_of[b][d]
         abd_row = a_cat.a(a, b, d) * mc
-        a_row, b_row, d_row = a * nx, b * nx, d * nx
+        acts_b, acts_d, id_acts_d = ax_of[b], ax_of[d], id_ax_of[d]
+        a_b, ab_d = (a * na + b) * nx, (ab * na + d) * nx
+        b_d, a_bd = (b * na + d) * nx, (a * na + bd) * nx
         for x in objs_x:
-            ax = act_obj[a_row + x]
-            id_ax_row = cid[ax] * mc
+            ax = ax_of[a][x]
+            id_ax_row = id_ax_of[a][x] * mc
+            a_bd_x = (a_bd + x) * nx
             for y in objs_x:
-                by = act_obj[b_row + y]
-                i_abxy_row = inter[(a, b, x, y)] * mc
-                xy = lt_obj[x * nx + y]
-                for z in objs_x:
-                    dz = act_obj[d_row + z]
-                    lhs = comp(
-                        comp(lassoc[(ax, by, dz)], lt_mor[i_abxy_row + cid[dz]]),
-                        inter[(ab, d, xy, z)],
-                    )
-                    rhs = comp(
-                        comp(
-                            lt_mor[id_ax_row + inter[(b, d, y, z)]],
-                            inter[(a, bd, x, lt_obj[y * nx + z])],
-                        ),
-                        act_mor[abd_row + lassoc[(x, y, z)]],
-                    )
+                i_abxy_row = icell[(a_b + x) * nx + y] * mc
+                ax_by = (ax * nx + acts_b[y]) * nx
+                ab_d_xy = (ab_d + xy_of[x][y]) * nx
+                b_d_y = (b_d + y) * nx
+                x_y = (x * nx + y) * nx
+                for z, dz, id_dz, yz in zip(objs_x, acts_d, id_acts_d, xy_of[y]):
+                    try:
+                        lhs = cmp[
+                            cmp[lcell[ax_by + dz], lt_mor[i_abxy_row + id_dz]],
+                            icell[ab_d_xy + z],
+                        ]
+                        rhs = cmp[
+                            cmp[lt_mor[id_ax_row + icell[b_d_y + z]], icell[a_bd_x + yz]],
+                            act_mor[abd_row + lcell[x_y + z]],
+                        ]
+                    except KeyError:
+                        lhs = comp(
+                            comp(lcell[ax_by + dz], lt_mor[i_abxy_row + id_dz]),
+                            icell[ab_d_xy + z],
+                        )
+                        rhs = comp(
+                            comp(lt_mor[id_ax_row + icell[b_d_y + z]], icell[a_bd_x + yz]),
+                            act_mor[abd_row + lcell[x_y + z]],
+                        )
                     if lhs != rhs:
                         report.add("interchange-hexagon", (a, b, d, x, y, z))
 
@@ -632,33 +696,43 @@ def check_monoidal_module(mm: MonoidalModuleCells) -> ValidationReport:
 
     # the module associator is an oplax-monoidal transformation;
     # the mid-swap on the base uses the anti-braiding
-    from ecat.monoidal import mid_swap
-
     def anti(u: int, v: int) -> int:
         return inv(a_cat, mm.base_braiding.c(v, u))
 
+    ocell = _flat(mod.oplax_assoc, itertools.product(objs_a, objs_a, objs_x))
     for a1, a2, b1, b2 in itertools.product(objs_a, repeat=4):
-        a12, b12 = a_cat.t_obj(a1, a2), a_cat.t_obj(b1, b2)
-        a1b1, a2b2 = a_cat.t_obj(a1, b1), a_cat.t_obj(a2, b2)
+        a12, b12 = ab_of[a1][a2], ab_of[b1][b2]
+        a1b1, a2b2 = ab_of[a1][b1], ab_of[a2][b2]
         id_a12_row = ca.identity[a12] * mc
         swap_row = mid_swap(a_cat, a1, a2, b1, b2, anti) * mc
-        b1_row, b2_row = b1 * nx, b2 * nx
+        acts_b1, acts_b2 = ax_of[b1], ax_of[b2]
+        a1_a2, b1_b2 = (a1 * na + a2) * nx, (b1 * na + b2) * nx
+        a1b1_a2b2 = (a1b1 * na + a2b2) * nx
+        a1_b1, a2_b2, a12_b12 = (a1 * na + b1) * nx, (a2 * na + b2) * nx, (a12 * na + b12) * nx
         for x in objs_x:
-            b1x = act_obj[b1_row + x]
-            o1_row = oplax[(a1, b1, x)] * mc
-            for y in objs_x:
-                xy = lt_obj[x * nx + y]
-                lhs = comp(
-                    comp(
-                        inter[(a1, a2, b1x, act_obj[b2_row + y])],
-                        act_mor[id_a12_row + inter[(b1, b2, x, y)]],
-                    ),
-                    oplax[(a12, b12, xy)],
-                )
-                rhs = comp(
-                    comp(lt_mor[o1_row + oplax[(a2, b2, y)]], inter[(a1b1, a2b2, x, y)]),
-                    act_mor[swap_row + cid[xy]],
-                )
+            o1_row = ocell[a1_b1 + x] * mc
+            a1_a2_b1x = (a1_a2 + acts_b1[x]) * nx
+            b1_b2_x = (b1_b2 + x) * nx
+            a1b1_a2b2_x = (a1b1_a2b2 + x) * nx
+            for y, b2y, xy, id_xy in zip(objs_x, acts_b2, xy_of[x], id_xy_of[x]):
+                try:
+                    lhs = cmp[
+                        cmp[icell[a1_a2_b1x + b2y], act_mor[id_a12_row + icell[b1_b2_x + y]]],
+                        ocell[a12_b12 + xy],
+                    ]
+                    rhs = cmp[
+                        cmp[lt_mor[o1_row + ocell[a2_b2 + y]], icell[a1b1_a2b2_x + y]],
+                        act_mor[swap_row + id_xy],
+                    ]
+                except KeyError:
+                    lhs = comp(
+                        comp(icell[a1_a2_b1x + b2y], act_mor[id_a12_row + icell[b1_b2_x + y]]),
+                        ocell[a12_b12 + xy],
+                    )
+                    rhs = comp(
+                        comp(lt_mor[o1_row + ocell[a2_b2 + y]], icell[a1b1_a2b2_x + y]),
+                        act_mor[swap_row + id_xy],
+                    )
                 if lhs != rhs:
                     report.add("associator-oplax-monoidal", (a1, a2, b1, b2, x, y))
 
@@ -685,10 +759,107 @@ def check_monoidal_module(mm: MonoidalModuleCells) -> ValidationReport:
     return report
 
 
+def _interchange_natural_by_variable(mm: MonoidalModuleCells, icell: list) -> bool:
+    """Whether the interchange is natural, decided one variable at a time.
+
+    The square at (f, g, p, q) compares (f@g).(p@q) and (f.p)@(g.q) along
+    the interchange cells. When A and C are categories and the base tensor,
+    the action and the carrier tensor are functors out of the products that
+    their tables are indexed by, both sides are functors of (f, g, p, q) on
+    A x A x C x C. Every morphism there is a composite of four whose other
+    entries are identities, and squares paste along composites (Mac Lane,
+    CWM §II.3), so the 4·|mor|·|obj|³ squares with three identity entries
+    hold only if every square holds. False when a precondition fails or
+    raises ``StructureError``, or when one of those squares fails.
+    """
+    mod = mm.module
+    a_cat, lm, c = mod.base, mm.carrier_monoidal, mod.carrier
+    ca = a_cat.base
+    try:
+        for k in {id(ca): ca, id(c): c}.values():
+            if not check_category(k).ok:
+                return False
+        checked = set()
+        for fun, x, y in ((a_cat.tensor, ca, ca), (mod.act, ca, c), (lm.tensor, c, c)):
+            if not (fun.target == y and _is_product(fun.source, x, y)):
+                return False
+            if id(fun) not in checked:
+                checked.add(id(fun))
+                if not check_functor(fun).ok:
+                    return False
+
+        na, nx = ca.n_objects, c.n_objects
+        ma, mc = ca.n_morphisms, c.n_morphisms
+        adom, acod, cdom, ccod = ca.dom, ca.cod, c.dom, c.cod
+        t_mor, act_mor, lt_mor = a_cat.tensor.mor_map, mod.act.mor_map, lm.tensor.mor_map
+        comp = c.comp
+
+        def square(f: int, g: int, p: int, q: int) -> bool:
+            lhs = comp(
+                icell[((acod[f] * na + acod[g]) * nx + ccod[p]) * nx + ccod[q]],
+                act_mor[t_mor[f * ma + g] * mc + lt_mor[p * mc + q]],
+            )
+            rhs = comp(
+                lt_mor[act_mor[f * mc + p] * mc + act_mor[g * mc + q]],
+                icell[((adom[f] * na + adom[g]) * nx + cdom[p]) * nx + cdom[q]],
+            )
+            return lhs == rhs
+
+        ida, idc = ca.identity, c.identity
+        mor_a, mor_c = ca.morphisms(), c.morphisms()
+        one_variable = itertools.chain(
+            itertools.product(mor_a, ida, idc, idc),
+            itertools.product(ida, mor_a, idc, idc),
+            itertools.product(ida, ida, mor_c, idc),
+            itertools.product(ida, ida, idc, mor_c),
+        )
+        return all(itertools.starmap(square, one_variable))
+    except StructureError:
+        return False
+
+
+def _is_product(s: FinCategory, c: FinCategory, d: FinCategory) -> bool:
+    """Whether s has the tables of ``product_category(c, d)``, so that a
+    functor out of s is read by the mixed-radix index of c and d."""
+    nc, nd, mc, md = c.n_objects, d.n_objects, c.n_morphisms, d.n_morphisms
+    return (
+        s.n_objects == nc * nd
+        and s.identity == tuple(
+            c.identity[i] * md + d.identity[j] for i in c.objects() for j in d.objects()
+        )
+        and s.dom == ProductSequence([(c.dom, mc, nc), (d.dom, md, nd)])
+        and s.cod == ProductSequence([(c.cod, mc, nc), (d.cod, md, nd)])
+        and s.compose == ProductCompose(c, d)
+    )
+
+
+def _within(rows: list, n: int) -> bool:
+    return all(0 <= v < n for row in rows for v in row)
+
+
+class _KeyedCells:
+    """A table read by flat position: position k holds ``table[keys[k]]``,
+    read from the table each time, so it raises what the table raises."""
+
+    def __init__(self, table: Mapping, keys: list):
+        self.table, self.keys = table, keys
+
+    def __getitem__(self, k: int) -> int:
+        return self.table[self.keys[k]]
+
+
+def _flat(table: Mapping, keys) -> list | _KeyedCells:
+    """The entries of table at keys as a list, read by position. If reading
+    some key fails, the failure is left to the position's first read."""
+    keys = list(keys)
+    try:
+        return [table[key] for key in keys]
+    except Exception:
+        return _KeyedCells(table, keys)
+
+
 def monoidal_self_module(b: BraidedStructure) -> MonoidalModuleCells:
     """The self-action of a braided category, interchange via mid-swap."""
-    from ecat.monoidal import mid_swap
-
     m = b.host
     mod = self_module(m)
     interchange = {}

@@ -1,15 +1,40 @@
-"""Lookups paid for once: the hom index, the inverse memo and the hoisted
-check_monoidal_module, each compared with the plain version it replaced."""
+"""Lookups paid for once: the hom index, the inverse memo and the hoisted,
+screened check_monoidal_module, each compared with the plain version it
+replaced."""
 
 import dataclasses
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ecat.actions import check_monoidal_module, internal_hom, monoidal_self_module, self_module
-from ecat.core import FinCategory, _degree_signature, opposite_category, product_category
-from ecat.monoidal import drinfeld_center_z1, enumerate_half_braidings, find_inverse, product_monoidal
-from ecat.report import BudgetExceeded
+from ecat.actions import (
+    ModuleAction,
+    MonoidalModuleCells,
+    check_monoidal_module,
+    internal_hom,
+    monoidal_self_module,
+    self_module,
+)
+from ecat.core import (
+    FinCategory,
+    Functor,
+    _degree_signature,
+    check_category,
+    check_functor,
+    opposite_category,
+    product_category,
+)
+from ecat.monoidal import (
+    BraidedStructure,
+    drinfeld_center_z1,
+    enumerate_half_braidings,
+    find_inverse,
+    product_monoidal,
+    strict_monoidal,
+)
+from ecat.report import BudgetExceeded, StructureError
 
 from helpers import (
     chain3_monoidal,
@@ -122,6 +147,10 @@ def _self_cells():
         "sign-x-z2": monoidal_self_module(
             identity_braiding(product_monoidal(sign_monoidal(), z2_discrete_monoidal()))
         ),
+        # parallel arrows 0 -> 1, so a changed interchange cell breaks naturality
+        "sign-x-lattice2": monoidal_self_module(
+            identity_braiding(product_monoidal(sign_monoidal(), lattice2_monoidal()))
+        ),
     }
 
 
@@ -134,34 +163,53 @@ def _alternative(c, f, k):
     return alts[k % len(alts)] if alts else None
 
 
+MUTATED_TABLES = ("interchange", "module-associator", "action")
+
+
+def _entries(cells, table):
+    """The (key, morphism) entries of one table of the cells."""
+    mod = cells.module
+    if table == "interchange":
+        return list(cells.interchange.items())
+    if table == "module-associator":
+        return list(mod.oplax_assoc.items())
+    if table == "action":
+        return list(enumerate(mod.act.mor_map))
+    if table == "carrier-associator":
+        return list(cells.carrier_monoidal.associator.items())
+    return list(enumerate(cells.carrier_monoidal.tensor.mor_map))  # "carrier-tensor"
+
+
+def _with_entry(cells, table, key, g):
+    """A copy of the cells with one entry of one table set to g."""
+    mod = cells.module
+    if table == "interchange":
+        return dataclasses.replace(cells, interchange={**cells.interchange, key: g})
+    if table == "module-associator":
+        assoc = {**mod.oplax_assoc, key: g}
+        return dataclasses.replace(cells, module=dataclasses.replace(mod, oplax_assoc=assoc))
+    lm = cells.carrier_monoidal
+    if table == "carrier-associator":
+        lm = dataclasses.replace(lm, associator={**lm.associator, key: g})
+        return dataclasses.replace(cells, carrier_monoidal=lm)
+    fun = mod.act if table == "action" else lm.tensor
+    mor_map = list(fun.mor_map)
+    mor_map[key] = g
+    fun = dataclasses.replace(fun, mor_map=tuple(mor_map))
+    if table == "action":
+        return dataclasses.replace(cells, module=dataclasses.replace(mod, act=fun))
+    return dataclasses.replace(cells, carrier_monoidal=dataclasses.replace(lm, tensor=fun))
+
+
 def _mutations(cells):
     """One same-typed one-entry mutation per interchange cell, module
     associator cell and action mor_map entry that admits one."""
-    mod = cells.module
-    c = mod.carrier
-    for k, (key, f) in enumerate(cells.interchange.items()):
-        g = _alternative(c, f, k)
-        if g is not None:
-            inter = dict(cells.interchange)
-            inter[key] = g
-            yield "interchange", dataclasses.replace(cells, interchange=inter)
-    for k, (key, f) in enumerate(mod.oplax_assoc.items()):
-        g = _alternative(c, f, k)
-        if g is not None:
-            assoc = dict(mod.oplax_assoc)
-            assoc[key] = g
-            yield "module-associator", dataclasses.replace(
-                cells, module=dataclasses.replace(mod, oplax_assoc=assoc)
-            )
-    for k, f in enumerate(mod.act.mor_map):
-        g = _alternative(c, f, k)
-        if g is not None:
-            mor_map = list(mod.act.mor_map)
-            mor_map[k] = g
-            act = dataclasses.replace(mod.act, mor_map=tuple(mor_map))
-            yield "action", dataclasses.replace(
-                cells, module=dataclasses.replace(mod, act=act)
-            )
+    c = cells.module.carrier
+    for table in MUTATED_TABLES:
+        for k, (key, f) in enumerate(_entries(cells, table)):
+            g = _alternative(c, f, k)
+            if g is not None:
+                yield table, _with_entry(cells, table, key, g)
 
 
 @pytest.mark.parametrize("name", SELF_CELLS)
@@ -188,6 +236,210 @@ def test_check_monoidal_module_matches_oracle_on_mutations(name):
         assert "interchange-hexagon" in broken["interchange"]
         assert "interchange-naturality" in broken["action"]
         assert "associator-oplax-monoidal" in broken["module-associator"]
+
+
+@pytest.mark.parametrize("name", ["semion", "sign"])
+@pytest.mark.parametrize("table", ["action", "carrier-tensor"])
+def test_check_monoidal_module_matches_oracle_when_not_a_functor(name, table):
+    cells = SELF_CELLS[name]
+    c = cells.module.carrier
+    key, f = _entries(cells, table)[1]
+    broken = _with_entry(cells, table, key, _alternative(c, f, 0))
+    fun = broken.module.act if table == "action" else broken.carrier_monoidal.tensor
+    assert not check_functor(fun).ok  # typed, but no longer a functor
+    report = check_monoidal_module(broken)
+    assert not report.ok
+    assert report.violations == exhaustive_check_monoidal_module(broken).violations
+
+
+def test_check_monoidal_module_enumerates_when_a_screened_square_fails():
+    cells = SELF_CELLS["sign-x-lattice2"]
+    functors = (cells.module.base.tensor, cells.module.act, cells.carrier_monoidal.tensor)
+    assert all(check_functor(fun).ok for fun in functors)  # so the screen runs
+    c = cells.module.carrier
+    laws = set()
+    for key, f in _entries(cells, "interchange"):
+        for g in c.hom(c.dom[f], c.cod[f]):
+            if g == f:
+                continue
+            mutated = _with_entry(cells, "interchange", key, g)
+            got = check_monoidal_module(mutated).violations
+            assert got == exhaustive_check_monoidal_module(mutated).violations
+            laws.update(v.law for v in got)
+    assert "interchange-naturality" in laws
+
+
+@pytest.mark.parametrize("name", ["semion", "sign-x-lattice2"])
+def test_check_monoidal_module_matches_oracle_on_carrier_associator_mutations(name):
+    cells = SELF_CELLS[name]
+    c = cells.module.carrier
+    laws = set()
+    for k, (key, f) in enumerate(_entries(cells, "carrier-associator")):
+        g = _alternative(c, f, k)
+        if g is not None:
+            mutated = _with_entry(cells, "carrier-associator", key, g)
+            got = check_monoidal_module(mutated).violations
+            assert got == exhaustive_check_monoidal_module(mutated).violations
+            laws.update(v.law for v in got)
+    assert "interchange-hexagon" in laws
+
+
+def test_check_monoidal_module_enumerates_when_the_action_leaves_another_source():
+    cells = SELF_CELLS["sign-x-lattice2"]
+    mod = cells.module
+    ca, c = mod.base.base, mod.carrier
+    mc = c.n_morphisms
+    src = mod.act.source
+    # keep only the composites with an identity: the action then passes as
+    # a functor out of src even after changing its entry at two non-identities
+    ids = set(src.identity)
+    src = dataclasses.replace(
+        src, compose={k: v for k, v in src.compose.items() if ids.intersection(k)}
+    )
+    k = next(
+        f * mc + p
+        for f in ca.morphisms()
+        for p in c.morphisms()
+        if f not in ca.identity and p not in c.identity
+    )
+    mor_map = list(mod.act.mor_map)
+    mor_map[k] = _alternative(c, mor_map[k], 0)
+    act = dataclasses.replace(mod.act, source=src, mor_map=tuple(mor_map))
+    assert check_functor(act).ok
+    broken = dataclasses.replace(cells, module=dataclasses.replace(mod, act=act))
+    report = check_monoidal_module(broken)
+    assert "interchange-naturality" in report.laws()
+    assert report.violations == exhaustive_check_monoidal_module(broken).violations
+
+
+def test_check_monoidal_module_enumerates_when_the_carrier_is_not_a_category():
+    # one object, identity 0 and g = 1, with 0 . g = 0: the tensor that
+    # sends only (g, g) to g passes as a functor, but squares do not paste
+    c = FinCategory(1, (0, 0), (0, 0), (0,), {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1})
+    tensor = Functor(product_category(c, c), c, (0,), (0, 0, 0, 1))
+    m = strict_monoidal(c, tensor, 0)
+    cells = monoidal_self_module(BraidedStructure(m, {(0, 0): 0}, True))
+    assert not check_category(c).ok
+    assert check_functor(tensor).ok
+    report = check_monoidal_module(cells)
+    assert report.laws() == {"interchange-naturality"}
+    assert report.violations == exhaustive_check_monoidal_module(cells).violations
+
+
+class _CountingCompose(dict):
+    """A compose table that counts the compositions read from it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+class _Stop(Exception):
+    pass
+
+
+class _Unreadable:
+    def __getitem__(self, key):
+        raise _Stop
+
+
+def test_check_monoidal_module_screens_naturality_one_variable_at_a_time():
+    cells = SELF_CELLS["lattice4"]
+    mod, lm = cells.module, cells.carrier_monoidal
+    c = mod.carrier
+    m, n = c.n_morphisms, c.n_objects
+    compose = _CountingCompose(c.compose)
+    counted = dataclasses.replace(c, compose=compose)
+    check_category(counted)
+    category_reads = compose.reads
+    # The hexagon, which follows interchange naturality, starts by reading
+    # the carrier associator; an unreadable one ends the check there.
+    copy = dataclasses.replace(
+        cells,
+        module=dataclasses.replace(mod, carrier=counted),
+        carrier_monoidal=dataclasses.replace(lm, associator=_Unreadable()),
+    )
+    compose.reads = 0
+    with pytest.raises(_Stop):
+        check_monoidal_module(copy)
+    naturality_reads = compose.reads - category_reads
+    # two compositions per square: 4*m*n^3 one-variable squares, against
+    # m^4 = 6,561 quadruples without the screen
+    assert 0 < naturality_reads <= 2 * 4 * m * n**3 < 2 * m**4
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(["semion", "sign", "sign-x-z2", "sign-x-lattice2"]),
+    st.sampled_from(MUTATED_TABLES),
+    st.data(),
+)
+def test_check_monoidal_module_matches_oracle_on_drawn_mutations(name, table, data):
+    cells = SELF_CELLS[name]
+    c = cells.module.carrier
+    key, f = data.draw(st.sampled_from(_entries(cells, table)))
+    alternatives = [g for g in c.hom(c.dom[f], c.cod[f]) if g != f]
+    assume(alternatives)
+    mutated = _with_entry(cells, table, key, data.draw(st.sampled_from(alternatives)))
+    got = check_monoidal_module(mutated).violations
+    assert got == exhaustive_check_monoidal_module(mutated).violations
+
+
+@pytest.mark.parametrize("table", ["carrier-associator", "module-associator"])
+def test_check_monoidal_module_raises_on_a_missing_associator_entry(table):
+    cells = SELF_CELLS["semion"]
+    mod, lm = cells.module, cells.carrier_monoidal
+    if table == "carrier-associator":
+        assoc = dict(lm.associator)
+        del assoc[(1, 0, 1)]
+        cells = dataclasses.replace(
+            cells, carrier_monoidal=dataclasses.replace(lm, associator=assoc)
+        )
+    else:
+        assoc = dict(mod.oplax_assoc)
+        del assoc[(1, 0, 1)]
+        cells = dataclasses.replace(
+            cells, module=dataclasses.replace(mod, oplax_assoc=assoc)
+        )
+    with pytest.raises(KeyError) as oracle:
+        exhaustive_check_monoidal_module(cells)
+    with pytest.raises(KeyError) as got:
+        check_monoidal_module(cells)
+    assert got.value.args == oracle.value.args == ((1, 0, 1),)
+
+
+@pytest.mark.parametrize("table", ["carrier-associator", "module-associator"])
+def test_check_monoidal_module_raises_on_a_mistyped_associator_entry(table):
+    cells = SELF_CELLS["semion"]
+    c = cells.module.carrier
+    key, f = _entries(cells, table)[0]
+    g = next(h for h in c.morphisms() if (c.dom[h], c.cod[h]) != (c.dom[f], c.cod[f]))
+    cells = _with_entry(cells, table, key, g)
+    with pytest.raises(StructureError) as oracle:
+        exhaustive_check_monoidal_module(cells)
+    with pytest.raises(StructureError) as got:
+        check_monoidal_module(cells)
+    assert str(got.value) == str(oracle.value)
+    assert str(got.value).startswith("compose undefined")
+
+
+def test_check_monoidal_module_rejects_an_object_map_that_leaves_the_objects():
+    # sign acts on z2 through object 0; the carrier tensor sends (1, 1) to
+    # -1, which Python reads as the last object, so the typing pass holds
+    sign, z2 = sign_monoidal(), z2_discrete_monoidal()
+    c = z2.base
+    act = Functor(product_category(sign.base, c), c, (0, 0), (0, 0, 0, 0))
+    mod = ModuleAction(sign, c, act, {(0, 0, 0): 0, (0, 0, 1): 0}, (0, 1))
+    lm = dataclasses.replace(z2, tensor=dataclasses.replace(z2.tensor, obj_map=(0, 1, 1, -1)))
+    interchange = {(0, 0, x, y): 0 for x, y in itertools.product(range(2), repeat=2)}
+    cells = MonoidalModuleCells(mod, identity_braiding(sign), lm, interchange, 0)
+    # the enumeration looks up the interchange at object -1 and fails there
+    with pytest.raises(KeyError):
+        exhaustive_check_monoidal_module(cells)
+    with pytest.raises(StructureError, match="leaves the objects"):
+        check_monoidal_module(cells)
 
 
 # --- searches honour ECAT_BUDGET by default ---

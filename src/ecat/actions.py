@@ -15,8 +15,7 @@ from ecat.core import (
     FinCategory,
     Functor,
     NatTransf,
-    ProductCompose,
-    ProductSequence,
+    _is_product,
     check_category,
     check_functor,
     product_category,
@@ -816,21 +815,6 @@ def _interchange_natural_by_variable(mm: MonoidalModuleCells, icell: list) -> bo
         return all(itertools.starmap(square, one_variable))
     except StructureError:
         return False
-
-
-def _is_product(s: FinCategory, c: FinCategory, d: FinCategory) -> bool:
-    """Whether s has the tables of ``product_category(c, d)``, so that a
-    functor out of s is read by the mixed-radix index of c and d."""
-    nc, nd, mc, md = c.n_objects, d.n_objects, c.n_morphisms, d.n_morphisms
-    return (
-        s.n_objects == nc * nd
-        and s.identity == tuple(
-            c.identity[i] * md + d.identity[j] for i in c.objects() for j in d.objects()
-        )
-        and s.dom == ProductSequence([(c.dom, mc, nc), (d.dom, md, nd)])
-        and s.cod == ProductSequence([(c.cod, mc, nc), (d.cod, md, nd)])
-        and s.compose == ProductCompose(c, d)
-    )
 
 
 def _within(rows: list, n: int) -> bool:

@@ -25,8 +25,11 @@ from ecat.monoidal import (
     LaxMonoidalNat,
     MonoidalCategory,
     _expect,
+    check_lax_monoidal_functor,
+    check_lax_monoidal_nat,
     compose_lax,
     identity_lax,
+    identity_lax_nat,
     inv,
     product_lax,
     reversed_monoidal,
@@ -212,12 +215,19 @@ class EnrichedFunctor:
 
 
 def check_enriched_functor(f: EnrichedFunctor) -> ValidationReport:
-    from ecat.monoidal import check_lax_monoidal_functor
-
     report = ValidationReport("enriched functor")
     report.extend(check_lax_monoidal_functor(f.background))
     if not report.ok:
         return report
+    return _check_enriched_functor_laws(f, report)
+
+
+def _check_enriched_functor_laws(
+    f: EnrichedFunctor, report: ValidationReport
+) -> ValidationReport:
+    """Add to report the enriched-functor laws of f (component typing, then
+    identity and composition), taking its background as a valid lax
+    monoidal functor."""
     e, e2 = f.source, f.target
     bg = f.background
     c = e2.base.base
@@ -287,8 +297,6 @@ class EnrichedNat:
 
 
 def check_enriched_nat(n: EnrichedNat) -> ValidationReport:
-    from ecat.monoidal import check_lax_monoidal_nat
-
     report = ValidationReport("enriched natural transformation")
     report.extend(check_lax_monoidal_nat(n.background))
     if not report.ok:
@@ -339,8 +347,6 @@ def check_enriched_nat(n: EnrichedNat) -> ValidationReport:
 
 
 def identity_enriched_nat(f: EnrichedFunctor) -> EnrichedNat:
-    from ecat.monoidal import identity_lax_nat
-
     comps = {x: f.target.one(f.on_obj(x)) for x in f.source.objects()}
     return EnrichedNat(identity_lax_nat(f.background), f, f, comps)
 
@@ -534,8 +540,6 @@ def pushforward_functor(r: LaxMonoidalFunctor, f: EnrichedFunctor) -> EnrichedFu
 
 
 def pushforward_nat(r: LaxMonoidalFunctor, n: EnrichedNat) -> EnrichedNat:
-    from ecat.monoidal import identity_lax_nat
-
     f = pushforward_functor(r, n.source)
     g = pushforward_functor(r, n.target)
     comps = {
@@ -581,8 +585,6 @@ def split_nat(n: EnrichedNat) -> tuple:
     _, fcheck = split_functor(n.source)
     _, gcheck = split_functor(n.target)
     phi_star = nat_pushforward_functor(n.background, n.source.source)
-    from ecat.monoidal import identity_lax_nat
-
     checked = EnrichedNat(
         identity_lax_nat(identity_lax(n.background.source.target)),
         fcheck,

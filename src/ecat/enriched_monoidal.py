@@ -4,7 +4,10 @@ The tensor product is a genuine enriched functor from the cartesian square,
 and its background is pinned to the braiding-induced lax structure on the
 base tensor functor. Coherence data (associator, unitors, braiding) are
 enriched natural transformations whose backgrounds are the base coherence
-cells; all of that is validated literally, square by square.
+cells. Every law is validated square by square, with one exception: when
+the base is a valid braided monoidal category, the pinned tensor background
+is a strong monoidal functor by Joyal–Street, so ``check_enriched_monoidal``
+decides it from that fact instead of checking its lax laws again.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ecat.core import Functor, NatTransf, product_category
+from ecat.core import Functor, NatTransf, _is_product, check_category, product_category
 from ecat.monoidal import (
     AlgebraObject,
     BraidedStructure,
@@ -28,6 +31,7 @@ from ecat.monoidal import (
     check_half_braiding,
     check_lax_monoidal_functor,
     check_lax_monoidal_nat,
+    check_monoidal,
     find_inverse,
     inv,
 )
@@ -36,6 +40,7 @@ from ecat.enriched import (
     EnrichedFunctor,
     EnrichedNat,
     UnderlyingResult,
+    _check_enriched_functor_laws,
     cartesian_product_enriched,
     check_enriched,
     check_enriched_functor,
@@ -226,7 +231,52 @@ def underlying_monoidal(
     return MonoidalCategory(u.cat, tensor, em.unit_obj, assoc, lun, run)
 
 
+def _tensor_background_is_strong(m: MonoidalCategory) -> bool:
+    """Whether m is a monoidal category on a category, with its tensor a
+    functor from the tables of ``product_category(m.base, m.base)`` into
+    ``m.base``.
+
+    Given a braiding that passes ``check_braided``, this makes m a braided
+    monoidal category, so the tensor with its braiding-induced cells
+    (``braided_tensor_lax_structure``) is a strong monoidal functor
+    (Joyal–Street, Braided tensor categories, 1993, §5) and
+    ``check_lax_monoidal_functor`` reports nothing on it. False when a
+    condition fails or raises.
+    """
+    c = m.base
+    try:
+        return (
+            m.tensor.target == c
+            and _is_product(m.tensor.source, c, c)
+            and check_category(c).ok
+            and check_monoidal(m).ok
+        )
+    except Exception:
+        return False
+
+
 def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
+    """Every failing instance of the enriched-monoidal laws of em, in a
+    fixed order.
+
+    Checked in turn: the host is an enriched category (``host:``); the base
+    braiding is a braided structure (``base:``); the tensor background is
+    the braiding-induced lax structure on the base tensor; the tensor has
+    the cartesian square of the host as source and the host as target; the
+    tensor is an enriched functor (``tensor:``); the associator and unitor
+    elements are typed, and are enriched natural transformations
+    (``associator:``, ``left-unitor:``, ``right-unitor:``); the underlying
+    category is monoidal (``underlying:``). A wrong shape or a mistyped
+    tensor component or coherence element ends the check there.
+
+    When the braiding passes, the background is the pinned one and
+    ``_tensor_background_is_strong`` holds, the base is a braided monoidal
+    category and the background a strong monoidal functor (Joyal–Street),
+    so only the enriched-functor laws of the tensor are checked. Otherwise
+    the tensor goes through ``check_enriched_functor`` in full, which also
+    reports ``tensor:`` lax-functor violations of a broken base. The report
+    is the same either way.
+    """
     report = ValidationReport("enriched monoidal category")
     e = em.host
     m = e.base
@@ -237,13 +287,19 @@ def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
         report.add("base-mismatch", ())
         return report
     _absorb(report, check_enriched(e), "host")
-    _absorb(report, check_braided(em.braiding), "base")
-    if em.tensor.background != braided_tensor_lax_structure(em.braiding):
+    braided = _absorb(report, check_braided(em.braiding), "base")
+    pinned = em.tensor.background == braided_tensor_lax_structure(em.braiding)
+    if not pinned:
         report.add("tensor-background-convention", ())
     if em.tensor.source != cartesian_product_enriched(e, e) or em.tensor.target != e:
         report.add("tensor-shape", ())
         return report
-    tensor_report = check_enriched_functor(em.tensor)
+    if braided and pinned and _tensor_background_is_strong(m):
+        tensor_report = _check_enriched_functor_laws(
+            em.tensor, ValidationReport("enriched functor")
+        )
+    else:
+        tensor_report = check_enriched_functor(em.tensor)
     _absorb(report, tensor_report, "tensor")
     if "enriched-functor-typing" in tensor_report.laws():
         return report
@@ -278,8 +334,6 @@ def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
     except StructureError as err:
         report.add("underlying-elements", (), str(err))
         return report
-    from ecat.monoidal import check_monoidal
-
     _absorb(report, check_monoidal(um), "underlying")
     return report
 

@@ -682,3 +682,81 @@ def exhaustive_check_monoidal_module(mm):
     if mm.unit_cell != mod.u(un_l):
         report.add("unit-cell-unitor", ())
     return report
+
+
+def exhaustive_check_enriched_monoidal(em):
+    """check_enriched_monoidal before the tensor background was decided from
+    the validated braided base, verbatim: it always re-checks the background
+    as a lax monoidal functor."""
+    import itertools
+
+    from ecat.enriched import (
+        cartesian_product_enriched,
+        check_enriched,
+        check_enriched_functor,
+        check_enriched_nat,
+    )
+    from ecat.enriched_monoidal import (
+        _absorb,
+        associator_nat,
+        underlying_monoidal,
+        unitor_nat,
+    )
+    from ecat.monoidal import _expect, braided_tensor_lax_structure, check_braided
+    from ecat.report import StructureError, ValidationReport
+
+    report = ValidationReport("enriched monoidal category")
+    e = em.host
+    m = e.base
+    c = m.base
+    if not 0 <= em.unit_obj < e.n_objects:
+        raise StructureError("unit object out of range")
+    if em.braiding.host != m:
+        report.add("base-mismatch", ())
+        return report
+    _absorb(report, check_enriched(e), "host")
+    _absorb(report, check_braided(em.braiding), "base")
+    if em.tensor.background != braided_tensor_lax_structure(em.braiding):
+        report.add("tensor-background-convention", ())
+    if em.tensor.source != cartesian_product_enriched(e, e) or em.tensor.target != e:
+        report.add("tensor-shape", ())
+        return report
+    tensor_report = check_enriched_functor(em.tensor)
+    _absorb(report, tensor_report, "tensor")
+    if "enriched-functor-typing" in tensor_report.laws():
+        return report
+
+    typed = True
+    for x, y, z in itertools.product(e.objects(), repeat=3):
+        f = em.associator.get((x, y, z))
+        if f is None:
+            raise StructureError(f"associator element missing at {(x, y, z)}")
+        typed &= _expect(
+            report, "associator-typing", (x, y, z), c, f,
+            m.unit, e.hom(em.t(em.t(x, y), z), em.t(x, em.t(y, z))),
+        )
+    for x in e.objects():
+        typed &= _expect(
+            report, "unitor-typing", ("l", x), c, em.l_el(x),
+            m.unit, e.hom(em.t(em.unit_obj, x), x),
+        )
+        typed &= _expect(
+            report, "unitor-typing", ("r", x), c, em.r_el(x),
+            m.unit, e.hom(em.t(x, em.unit_obj), x),
+        )
+    if not typed:
+        return report
+
+    _absorb(report, check_enriched_nat(associator_nat(em)), "associator")
+    _absorb(report, check_enriched_nat(unitor_nat(em, "l")), "left-unitor")
+    _absorb(report, check_enriched_nat(unitor_nat(em, "r")), "right-unitor")
+
+    try:
+        um = underlying_monoidal(em)
+    except StructureError as err:
+        report.add("underlying-elements", (), str(err))
+        return report
+    from ecat.monoidal import check_monoidal
+
+    _absorb(report, check_monoidal(um), "underlying")
+    return report

@@ -35,10 +35,12 @@ from ecat.monoidal import (
 from ecat.report import StructureError
 
 from helpers import (
+    chain3_monoidal,
     identity_braiding,
     lattice2_monoidal,
     lattice4_monoidal,
     s3_discrete_monoidal,
+    semion_braiding,
     sign_monoidal,
     z2_discrete_monoidal,
 )
@@ -171,8 +173,16 @@ def test_oplax_direction_identity():
 
 
 def test_braided_tensor_lax_structure():
-    for build in [lattice2_monoidal, z2_discrete_monoidal, sign_monoidal]:
-        b = identity_braiding(build())
+    # the tensor of a braided monoidal category is strong monoidal
+    # (Joyal–Street), symmetric or not; check_enriched_monoidal relies on it
+    braidings = [
+        identity_braiding(build())
+        for build in [
+            lattice2_monoidal, z2_discrete_monoidal, sign_monoidal,
+            lattice4_monoidal, chain3_monoidal,
+        ]
+    ]
+    for b in braidings + [semion_braiding()]:
         f = braided_tensor_lax_structure(b)
         assert check_lax_monoidal_functor(f).ok
 

@@ -18,7 +18,11 @@ from ecat.core import (
     _is_product,
     check_category,
     check_functor,
+    check_nat_transf,
+    compose_functors,
+    identity_functor,
     product_category,
+    terminal_category,
 )
 from ecat.monoidal import (
     BraidedStructure,
@@ -26,7 +30,10 @@ from ecat.monoidal import (
     LaxMonoidalNat,
     MonoidalCategory,
     _expect,
+    check_lax_monoidal_functor,
+    check_lax_monoidal_nat,
     find_inverse,
+    identity_lax,
     inv,
     mid_swap,
 )
@@ -148,8 +155,6 @@ def self_module(m: MonoidalCategory) -> ModuleAction:
 
 def terminal_module(m: MonoidalCategory) -> ModuleAction:
     """The unique action on the terminal category."""
-    from ecat.core import terminal_category
-
     t = terminal_category()
     act = Functor(
         product_category(m.base, t), t,
@@ -228,8 +233,6 @@ def check_module_functor(mf: ModuleFunctor) -> ValidationReport:
 
 
 def identity_module_functor(mod: ModuleAction) -> ModuleFunctor:
-    from ecat.core import identity_functor
-
     cells = {
         (a, x): mod.carrier.identity[mod.a_obj(a, x)]
         for a in mod.base.base.objects()
@@ -239,8 +242,6 @@ def identity_module_functor(mod: ModuleAction) -> ModuleFunctor:
 
 
 def compose_module_functors(g: ModuleFunctor, f: ModuleFunctor) -> ModuleFunctor:
-    from ecat.core import compose_functors
-
     cm = g.target.carrier
     cells = {}
     for a in f.source.base.base.objects():
@@ -256,8 +257,6 @@ def compose_module_functors(g: ModuleFunctor, f: ModuleFunctor) -> ModuleFunctor
 def check_module_nat(
     f: ModuleFunctor, g: ModuleFunctor, nat: NatTransf
 ) -> ValidationReport:
-    from ecat.core import check_nat_transf
-
     report = ValidationReport("module natural transformation")
     report.extend(check_nat_transf(nat))
     if not report.ok:
@@ -350,8 +349,6 @@ def check_rlax(rl: RLaxStructure) -> ValidationReport:
 
 def rlax_from_module_functor(mf: ModuleFunctor) -> RLaxStructure:
     """A lax module functor is an R-lax functor along the identity."""
-    from ecat.monoidal import identity_lax
-
     return RLaxStructure(
         identity_lax(mf.source.base), mf.source, mf.target, mf.functor, dict(mf.cells)
     )
@@ -361,12 +358,8 @@ def check_xilax_nat(
     f1: RLaxStructure, f2: RLaxStructure, xihat: LaxMonoidalNat, xi: NatTransf
 ) -> ValidationReport:
     """The compatibility square between two r-lax functors."""
-    from ecat.core import check_nat_transf
-
     report = ValidationReport("xi-lax natural transformation")
     report.extend(check_nat_transf(xi))
-    from ecat.monoidal import check_lax_monoidal_nat
-
     report.extend(check_lax_monoidal_nat(xihat))
     if not report.ok:
         return report
@@ -397,8 +390,6 @@ class MonoidalAdjunction:
 
 
 def check_adjunction(adj: MonoidalAdjunction) -> ValidationReport:
-    from ecat.core import check_nat_transf
-
     report = ValidationReport("adjunction")
     report.extend(check_nat_transf(adj.unit))
     report.extend(check_nat_transf(adj.counit))
@@ -879,8 +870,6 @@ def check_monoidal_rlax(mr: MonoidalRLax) -> ValidationReport:
     c = mm.base
     # F as a lax monoidal functor between the carriers
     f_mon = LaxMonoidalFunctor(lm, mm, rl.functor, mr.f0, mr.f2, "strong")
-    from ecat.monoidal import check_lax_monoidal_functor
-
     report.extend(check_lax_monoidal_functor(f_mon))
     if not report.ok:
         return report

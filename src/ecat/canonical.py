@@ -19,6 +19,7 @@ from ecat.core import (
     Functor,
     NatTransf,
     compose_functors,
+    enumerate_functors,
     identity_functor,
     product_category,
 )
@@ -30,6 +31,9 @@ from ecat.actions import (
     all_internal_homs,
     check_rlax,
     check_xilax_nat,
+    identity_module_functor,
+    internal_hom,
+    rlax_from_module_functor,
 )
 from ecat.enriched import (
     EnrichedCategory,
@@ -38,6 +42,9 @@ from ecat.enriched import (
     cartesian_product_enriched,
     check_enriched_functor,
     check_enriched_nat,
+    compose_enriched_functors,
+    identity_enriched_functor,
+    underlying_category,
 )
 from ecat.enriched_monoidal import (
     EnrichedBraidedCategory,
@@ -83,8 +90,6 @@ def canonical_construction(
     m = mod.base
     homs = {}
     for x, y in itertools.product(c.objects(), repeat=2):
-        from ecat.actions import internal_hom
-
         ih = internal_hom(mod, x, y, budget)
         if ih is None:
             raise StructureError(f"internal hom missing for pair {(x, y)}")
@@ -148,8 +153,6 @@ def carrier_identification(can: CanonicalCategory) -> Functor:
     Identity on objects; a morphism goes to its transported element. The
     tests verify bijectivity and functoriality morphism by morphism.
     """
-    from ecat.enriched import underlying_category
-
     u = underlying_category(can.enriched)
     c = can.module.carrier
     mor_map = []
@@ -213,8 +216,6 @@ def enriched_functor_from_rlax(
 
 
 def identity_rlax(can: CanonicalCategory) -> RLaxStructure:
-    from ecat.actions import identity_module_functor, rlax_from_module_functor
-
     return rlax_from_module_functor(identity_module_functor(can.module))
 
 
@@ -432,8 +433,6 @@ def enumerate_rlax(
     cap: int | None = None,
 ) -> list:
     """All r-lax functors along r between the modules, by brute force."""
-    from ecat.core import enumerate_functors
-
     budget = Budget(cap, "r-lax enumeration")
     out = []
     cl, cm = src.module.carrier, tgt.module.carrier
@@ -518,7 +517,6 @@ def verify_canonical_2functor(
             if f not in seen:
                 report.add("local-surjectivity", (k,))
         images[k] = (rls, src, tgt)
-    from ecat.enriched import identity_enriched_functor
 
     done = []
     for k1, (rls1, src1, mid1) in images.items():
@@ -538,8 +536,6 @@ def verify_canonical_2functor(
                     lhs = enriched_functor_from_rlax(
                         compose_rlax(f2, f1), src1, tgt2
                     )
-                    from ecat.enriched import compose_enriched_functors
-
                     rhs = compose_enriched_functors(
                         enriched_functor_from_rlax(f2, mid2, tgt2),
                         enriched_functor_from_rlax(f1, src1, mid),

@@ -8,15 +8,22 @@ carry an enriched half-braiding, enriched over the Mueger center of the
 base via terminal bracket pairs. The E2 center of an enriched braided
 category is the full subcategory of transparent objects.
 
-Every terminality certificate produced here can be re-checked by an
-exhaustive morphism scan, and every universal-property verifier counts
-the mediating isomorphisms by brute force.
+Hom objects of the E0 and E1 centers are terminal families: a center
+object with components into hom objects (one per object for E0, a single
+zeta for E1), found by one terminal finder and mediated by one search.
+`check_bracket_terminal` re-checks any such certificate by an exhaustive
+morphism scan. The three universal-property verifiers run one skeleton:
+an induced comparison functor, its background, the unit isomorphism rho
+and the two pasting equations, then a brute-force count of the mediating
+isomorphisms; each level supplies only how its comparison functor lands
+in its center.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from ecat.actions import (
     ModuleAction,
@@ -31,7 +38,14 @@ from ecat.canonical import (
     canonical_construction,
     canonical_monoidal,
 )
-from ecat.core import FinCategory, Functor, NatTransf, check_nat_transf, product_category
+from ecat.core import (
+    FinCategory,
+    Functor,
+    NatTransf,
+    check_nat_transf,
+    enumerate_functors,
+    product_category,
+)
 from ecat.enriched import (
     EnrichedCategory,
     EnrichedFunctor,
@@ -78,13 +92,6 @@ from ecat.report import Budget, StructureError, ValidationReport
 
 
 # --- element-level helpers ---
-
-
-def _mor_inv(c: FinCategory, f: int) -> int:
-    g = find_inverse(c, f)
-    if g is None:
-        raise StructureError(f"morphism {f} is not invertible")
-    return g
 
 
 def _el_comp(e: EnrichedCategory, x: int, y: int, z: int, g: int, f: int) -> int:
@@ -152,6 +159,15 @@ def _el_mid_swap(em: EnrichedMonoidalCategory, u, a1: int, a2: int, b1: int,
     return _el_path(e, objs, els)
 
 
+def _half_braided_index(pairs) -> dict:
+    """Position of each (object, half-braiding) pair, keyed by the object
+    and the sorted half-braiding components."""
+    return {
+        (x, tuple(sorted(hb.components.items()))): i
+        for i, (x, hb) in enumerate(pairs)
+    }
+
+
 # --- endofunctor enumeration ---
 
 
@@ -173,6 +189,37 @@ def _identity_background_laws(src: EnrichedCategory, tgt: EnrichedCategory,
     return True
 
 
+def _identity_background_functors(src: EnrichedCategory, tgt: EnrichedCategory,
+                                  obj_maps, invertible: bool, budget: Budget):
+    """Yield the enriched functors src -> tgt with identity background.
+
+    Object maps come in the given order; each hom component ranges over the
+    sorted base morphisms between the hom objects, only the invertible ones
+    when invertible is set. Every component family spends one candidate.
+    """
+    m = src.base
+    c = m.base
+    bg = identity_lax(m)
+    keys = list(itertools.product(src.objects(), repeat=2))
+    for obj_map in obj_maps:
+        pools = []
+        for x, y in keys:
+            pool = [
+                f
+                for f in c.hom(src.hom(x, y), tgt.hom(obj_map[x], obj_map[y]))
+                if not invertible or find_inverse(c, f) is not None
+            ]
+            if not pool:
+                break
+            pools.append(sorted(pool))
+        else:
+            for combo in itertools.product(*pools):
+                budget.spend()
+                comps = dict(zip(keys, combo))
+                if _identity_background_laws(src, tgt, obj_map, comps):
+                    yield EnrichedFunctor(bg, src, tgt, obj_map, comps)
+
+
 def enumerate_identity_background_functors(
     src: EnrichedCategory, tgt: EnrichedCategory, cap: int | None = None
 ) -> list:
@@ -183,68 +230,131 @@ def enumerate_identity_background_functors(
     """
     if src.base != tgt.base:
         raise StructureError("functor enumeration needs a shared base")
-    m = src.base
-    c = m.base
     budget = Budget(cap, "enriched endofunctor enumeration")
-    bg = identity_lax(m)
-    keys = list(itertools.product(src.objects(), repeat=2))
-    found = []
-    for obj_map in itertools.product(tgt.objects(), repeat=src.n_objects):
-        pools = []
-        for x, y in keys:
-            pool = c.hom(src.hom(x, y), tgt.hom(obj_map[x], obj_map[y]))
-            if not pool:
-                pools = None
-                break
-            pools.append(sorted(pool))
-        if pools is None:
-            continue
-        for combo in itertools.product(*pools):
-            budget.spend()
-            comps = dict(zip(keys, combo))
-            if _identity_background_laws(src, tgt, obj_map, comps):
-                found.append(EnrichedFunctor(bg, src, tgt, obj_map, comps))
-    return found
+    obj_maps = itertools.product(tgt.objects(), repeat=src.n_objects)
+    return list(_identity_background_functors(src, tgt, obj_maps, False, budget))
 
 
 def _functor_key(f: EnrichedFunctor) -> tuple:
     return (tuple(f.obj_map), tuple(sorted(f.components.items())))
 
 
-# --- half-braided families between endofunctors ---
+# --- terminal families ---
 
 
 @dataclass
-class PFGObject:
-    """A family of morphisms I(a) -> hom(Fx, Gx) sliding past every hom.
+class Family:
+    """A center object z_obj with components from it into hom objects.
 
-    z_obj indexes an object of the ordinary center of the base; the family
-    must make the two routes hom(x,y) @ I(a) -> hom(Fx, Gy) agree for all
-    pairs (x, y)."""
+    A half-braided family of the E0 center has one component
+    I(a) -> hom(Fx, Gx) per object x; a bracket pair of the E1 center has
+    one component, zeta: a -> hom(x, y)."""
 
     z_obj: int
     components: tuple
 
 
 @dataclass
-class PFGResult:
-    """The category of half-braided families between two endofunctors."""
+class Bracket:
+    """A terminal family, with its mediator certificates.
 
-    cat: FinCategory
-    objects: tuple
-    morphisms: tuple  # position -> (p, q, base morphism of the center)
-    z1: object
-    functors: tuple
-
-
-@dataclass
-class BracketFG:
-    """A terminal half-braided family, with its mediator certificates."""
+    objects and morphisms are the category of families it is terminal in:
+    a morphism (p, q, k) is a center morphism k from family p to family q.
+    mediators maps each family position to its unique morphism into the
+    bracket."""
 
     obj: int
     components: tuple
-    mediators: dict  # family position -> morphism in the center base
-    pfg: PFGResult
+    mediators: dict
+    objects: tuple
+    morphisms: tuple
+
+    @property
+    def zeta(self) -> int:
+        return self.components[0]
+
+
+def _factors(c: FinCategory, incl: LaxMonoidalFunctor, k: int, tgt: tuple,
+             src: tuple) -> bool:
+    """Whether the components tgt after the center morphism k give src."""
+    under = incl.on_mor(k)
+    return all(c.comp(t, under) == s for t, s in zip(tgt, src))
+
+
+def _terminal_bracket(c: FinCategory, incl: LaxMonoidalFunctor, objects: list,
+                      budget: Budget) -> Bracket | None:
+    """The first terminal family among objects, if one exists.
+
+    incl maps the center into the base c. Morphisms are the center
+    morphisms through which the target family gives the source family;
+    each candidate spends one unit of budget.
+    """
+    zc = incl.source.base
+    morphisms = []
+    for p, src in enumerate(objects):
+        for q, tgt in enumerate(objects):
+            for k in zc.hom(src.z_obj, tgt.z_obj):
+                budget.spend()
+                if _factors(c, incl, k, tgt.components, src.components):
+                    morphisms.append((p, q, k))
+    incoming = {q: {} for q in range(len(objects))}
+    for p, q, k in morphisms:
+        incoming[q].setdefault(p, []).append(k)
+    for q, obj in enumerate(objects):
+        if all(len(incoming[q].get(p, ())) == 1 for p in range(len(objects))):
+            mediators = {p: ks[0] for p, ks in incoming[q].items()}
+            return Bracket(obj.z_obj, obj.components, mediators,
+                           tuple(objects), tuple(morphisms))
+    return None
+
+
+def check_bracket_terminal(bracket: Bracket) -> ValidationReport:
+    """Re-verify a terminality certificate by exhaustive morphism scan."""
+    report = ValidationReport("terminal family")
+    family = Family(bracket.obj, bracket.components)
+    if family not in bracket.objects:
+        report.add("bracket-object-missing", ())
+        return report
+    pos = bracket.objects.index(family)
+    for p in range(len(bracket.objects)):
+        hits = [k for (pp, qq, k) in bracket.morphisms if pp == p and qq == pos]
+        if len(hits) != 1:
+            report.add("bracket-not-terminal", (p,), f"{len(hits)} morphisms")
+        elif hits[0] != bracket.mediators.get(p):
+            report.add("bracket-wrong-mediator", (p,))
+    return report
+
+
+def _lifter(incl: LaxMonoidalFunctor):
+    """The map (zsrc, ztgt, f) -> the morphism zsrc -> ztgt of the center
+    base that incl sends to f, raising when there is none."""
+    zc = incl.source.base
+    index = {(zc.dom[k], zc.cod[k], incl.on_mor(k)): k for k in zc.morphisms()}
+
+    def lift(zsrc: int, ztgt: int, f: int) -> int:
+        k = index.get((zsrc, ztgt, f))
+        if k is None:
+            raise StructureError("morphism does not lift to the center")
+        return k
+
+    return lift
+
+
+def _mediate(c: FinCategory, incl: LaxMonoidalFunctor, bracket: Bracket,
+             src_z: int, family: tuple) -> int:
+    """The unique center morphism src_z -> bracket.obj through which the
+    bracket's components give family."""
+    hits = [
+        k
+        for k in incl.source.base.hom(src_z, bracket.obj)
+        if _factors(c, incl, k, bracket.components, family)
+    ]
+    if len(hits) != 1:
+        raise StructureError(f"expected one mediating morphism, found {len(hits)}")
+    return hits[0]
+
+
+# --- half-braided families between endofunctors ---
 
 
 def _family_square_ok(e: EnrichedCategory, fF: EnrichedFunctor,
@@ -268,18 +378,16 @@ def _family_square_ok(e: EnrichedCategory, fF: EnrichedFunctor,
     return True
 
 
-def build_PFG(e: EnrichedCategory, fF: EnrichedFunctor, fG: EnrichedFunctor,
-              z1=None, cap: int | None = None) -> PFGResult:
-    """The category of half-braided families from fF to fG.
+def bracket_family(e: EnrichedCategory, fF: EnrichedFunctor,
+                   fG: EnrichedFunctor, z1,
+                   cap: int | None = None) -> Bracket | None:
+    """The terminal half-braided family from fF to fG, if one exists.
 
-    Objects pair a center object a with a family I(a) -> hom(Fx, Gx);
-    morphisms are center morphisms compatible with both families. The
-    identities and composition are inherited from the center.
+    Families pair an object a of the ordinary center z1 of the base with
+    components I(a) -> hom(Fx, Gx) that slide past every hom; morphisms
+    are center morphisms compatible with both families.
     """
-    z1 = z1 or drinfeld_center_z1(e.base, Budget(cap, "ordinary center"))
-    m = e.base
-    c = m.base
-    zc = z1.monoidal.base
+    c = e.base.base
     budget = Budget(cap, "half-braided family enumeration")
     fwd = z1.forgetful
     objects = []
@@ -289,76 +397,15 @@ def build_PFG(e: EnrichedCategory, fF: EnrichedFunctor, fG: EnrichedFunctor,
         for x in e.objects():
             pool = c.hom(ia, e.hom(fF.on_obj(x), fG.on_obj(x)))
             if not pool:
-                pools = None
                 break
             pools.append(sorted(pool))
-        if pools is None:
-            continue
-        for combo in itertools.product(*pools):
-            budget.spend()
-            comps = dict(enumerate(combo))
-            if _family_square_ok(e, fF, fG, hb, comps):
-                objects.append(PFGObject(i, combo))
-    morphisms = []
-    for p, src in enumerate(objects):
-        for q, tgt in enumerate(objects):
-            for k in zc.hom(src.z_obj, tgt.z_obj):
+        else:
+            for combo in itertools.product(*pools):
                 budget.spend()
-                under = fwd.on_mor(k)
-                if all(
-                    c.comp(tgt.components[x], under) == src.components[x]
-                    for x in e.objects()
-                ):
-                    morphisms.append((p, q, k))
-    mor_index = {key: pos for pos, key in enumerate(morphisms)}
-    dom = tuple(p for p, _, _ in morphisms)
-    cod = tuple(q for _, q, _ in morphisms)
-    identity = tuple(
-        mor_index[(p, p, zc.identity[obj.z_obj])] for p, obj in enumerate(objects)
-    )
-    compose = {}
-    for gi, (q1, r, kg) in enumerate(morphisms):
-        for fi, (p, q2, kf) in enumerate(morphisms):
-            if q1 == q2:
-                compose[(gi, fi)] = mor_index[(p, r, zc.comp(kg, kf))]
-    cat = FinCategory(len(objects), dom, cod, identity, compose)
-    return PFGResult(cat, tuple(objects), tuple(morphisms), z1, (fF, fG))
-
-
-def terminal_family(pfg: PFGResult) -> BracketFG | None:
-    """The terminal half-braided family, if one exists."""
-    incoming = {q: {} for q in range(len(pfg.objects))}
-    for p, q, k in pfg.morphisms:
-        incoming[q].setdefault(p, []).append(k)
-    for q, obj in enumerate(pfg.objects):
-        ok = all(
-            len(incoming[q].get(p, ())) == 1 for p in range(len(pfg.objects))
-        )
-        if ok:
-            mediators = {p: ks[0] for p, ks in incoming[q].items()}
-            return BracketFG(obj.z_obj, obj.components, mediators, pfg)
-    return None
-
-
-def check_bracket_terminal(bracket: BracketFG) -> ValidationReport:
-    """Re-verify a terminality certificate by exhaustive morphism scan."""
-    report = ValidationReport("terminal half-braided family")
-    pfg = bracket.pfg
-    pos = None
-    for q, obj in enumerate(pfg.objects):
-        if obj.z_obj == bracket.obj and obj.components == bracket.components:
-            pos = q
-            break
-    if pos is None:
-        report.add("bracket-object-missing", ())
-        return report
-    for p in range(len(pfg.objects)):
-        hits = [k for (pp, qq, k) in pfg.morphisms if pp == p and qq == pos]
-        if len(hits) != 1:
-            report.add("bracket-not-terminal", (p,), f"{len(hits)} morphisms")
-        elif hits[0] != bracket.mediators.get(p):
-            report.add("bracket-wrong-mediator", (p,))
-    return report
+                comps = dict(enumerate(combo))
+                if _family_square_ok(e, fF, fG, hb, comps):
+                    objects.append(Family(i, combo))
+    return _terminal_bracket(c, fwd, objects, budget)
 
 
 @dataclass
@@ -366,7 +413,7 @@ class StarResult:
     """Per-pair terminal families over a fixed endofunctor list."""
 
     functors: tuple
-    brackets: dict  # (i, j) -> BracketFG or None
+    brackets: dict  # (i, j) -> Bracket or None
     z1: object
 
 
@@ -377,8 +424,7 @@ def condition_star(e: EnrichedCategory, cap: int | None = None) -> StarResult:
     brackets = {}
     for i, fF in enumerate(functors):
         for j, fG in enumerate(functors):
-            pfg = build_PFG(e, fF, fG, z1, cap)
-            brackets[(i, j)] = terminal_family(pfg)
+            brackets[(i, j)] = bracket_family(e, fF, fG, z1, cap)
     return StarResult(tuple(functors), brackets, z1)
 
 
@@ -398,27 +444,6 @@ class CenterResult:
     category: object
     witnesses: dict
     forgetful: object | None = None
-
-
-def _mediate_family(e: EnrichedCategory, z1, bracket: BracketFG, src_z: int,
-                    family: dict) -> int:
-    """The unique center morphism src_z -> bracket whose triangles match."""
-    c = e.base.base
-    zc = z1.monoidal.base
-    fwd = z1.forgetful
-    hits = [
-        k
-        for k in zc.hom(src_z, bracket.obj)
-        if all(
-            c.comp(bracket.components[x], fwd.on_mor(k)) == family[x]
-            for x in e.objects()
-        )
-    ]
-    if len(hits) != 1:
-        raise StructureError(
-            f"expected one mediating center morphism, found {len(hits)}"
-        )
-    return hits[0]
 
 
 def e0_center(e: EnrichedCategory, cap: int | None = None) -> CenterResult:
@@ -442,25 +467,26 @@ def e0_center(e: EnrichedCategory, cap: int | None = None) -> CenterResult:
     m = e.base
     c = m.base
     zmon = z1.monoidal
+    fwd = z1.forgetful
     n = len(functors)
     fun_index = {_functor_key(f): i for i, f in enumerate(functors)}
 
     hom_obj = {(i, j): brackets[(i, j)].obj for i, j in brackets}
     ident = {}
     for i, fF in enumerate(functors):
-        family = {x: e.one(fF.on_obj(x)) for x in e.objects()}
-        ident[i] = _mediate_family(e, z1, brackets[(i, i)], zmon.unit, family)
+        family = [e.one(fF.on_obj(x)) for x in e.objects()]
+        ident[i] = _mediate(c, fwd, brackets[(i, i)], zmon.unit, family)
     comp = {}
     for i, j, k in itertools.product(range(n), repeat=3):
         a, b = brackets[(i, j)], brackets[(j, k)]
-        family = {}
+        family = []
         for x in e.objects():
             fx = (functors[i].on_obj(x), functors[j].on_obj(x), functors[k].on_obj(x))
-            family[x] = c.comp(
+            family.append(c.comp(
                 e.c(*fx), m.t_mor(b.components[x], a.components[x])
-            )
-        comp[(i, j, k)] = _mediate_family(
-            e, z1, brackets[(i, k)], zmon.t_obj(b.obj, a.obj), family
+            ))
+        comp[(i, j, k)] = _mediate(
+            c, fwd, brackets[(i, k)], zmon.t_obj(b.obj, a.obj), family
         )
     host = EnrichedCategory(zmon, n, hom_obj, ident, comp)
 
@@ -474,21 +500,21 @@ def e0_center(e: EnrichedCategory, cap: int | None = None) -> CenterResult:
     for i, j in itertools.product(range(n), repeat=2):
         for k, l in itertools.product(range(n), repeat=2):
             a, b = brackets[(i, k)], brackets[(j, l)]
-            family = {}
+            family = []
             for x in e.objects():
                 jx, lx = functors[j].on_obj(x), functors[l].on_obj(x)
                 ij_x = functors[i].on_obj(jx)
                 il_x = functors[i].on_obj(lx)
                 kl_x = functors[k].on_obj(lx)
-                family[x] = c.comp(
+                family.append(c.comp(
                     e.c(ij_x, il_x, kl_x),
                     m.t_mor(
                         a.components[lx],
                         c.comp(functors[i].at(jx, lx), b.components[x]),
                     ),
-                )
-            cells[(i * n + j, k * n + l)] = _mediate_family(
-                e, z1, brackets[(t_obj[(i, j)], t_obj[(k, l)])],
+                ))
+            cells[(i * n + j, k * n + l)] = _mediate(
+                c, fwd, brackets[(t_obj[(i, j)], t_obj[(k, l)])],
                 zmon.t_obj(a.obj, b.obj), family,
             )
     tensor_obj_map = tuple(t_obj[(i, j)] for i in range(n) for j in range(n))
@@ -600,39 +626,15 @@ def enriched_iso_search(
         return None
     if e1.n_objects != e2.n_objects:
         return None
-    m = e1.base
-    c = m.base
     budget = Budget(cap, "enriched isomorphism search")
-    bg = identity_lax(m)
-    keys = list(itertools.product(e1.objects(), repeat=2))
-    for perm in itertools.permutations(range(e1.n_objects)):
-        pools = []
-        for x, y in keys:
-            pool = [
-                f
-                for f in c.hom(e1.hom(x, y), e2.hom(perm[x], perm[y]))
-                if find_inverse(c, f) is not None
-            ]
-            if not pool:
-                pools = None
-                break
-            pools.append(sorted(pool))
-        if pools is None:
-            continue
-        for combo in itertools.product(*pools):
-            budget.spend()
-            comps = dict(zip(keys, combo))
-            if _identity_background_laws(e1, e2, perm, comps):
-                return EnrichedFunctor(bg, e1, e2, perm, comps)
-    return None
+    perms = itertools.permutations(range(e1.n_objects))
+    return next(_identity_background_functors(e1, e2, perms, True, budget), None)
 
 
 # --- the E0 center through module endofunctors ---
 
 
 def _enumerate_module_endofunctors(mod: ModuleAction, cap: int | None) -> list:
-    from ecat.core import enumerate_functors
-
     budget = Budget(cap, "module endofunctor enumeration")
     cc = mod.carrier
     mb = mod.base.base
@@ -728,10 +730,13 @@ def e0_center_via_module(mod: ModuleAction, cap: int | None = None) -> CenterRes
         cells = {}
         for b in c.objects():
             for x in cc.objects():
+                o_inv = find_inverse(cc, mod.o(b, ia, x))
+                if o_inv is None:
+                    raise StructureError(f"morphism {mod.o(b, ia, x)} is not invertible")
                 cells[(b, x)] = cc.comp_many(
                     mod.o(ia, b, x),
                     mod.a_mor(hb.components[b], cc.identity[x]),
-                    _mor_inv(cc, mod.o(b, ia, x)),
+                    o_inv,
                 )
         h = ModuleFunctor(mod, mod, Functor(cc, cc, h_obj, h_mor), cells)
         return compose_module_functors(h, mf)
@@ -756,9 +761,6 @@ def e0_center_via_module(mod: ModuleAction, cap: int | None = None) -> CenterRes
         product_category(zc, funcat), funcat, tuple(act_obj), tuple(act_mor)
     )
 
-    def nat_of(i: int, j: int, comps: tuple) -> int:
-        return nat_index[(i, j, comps)]
-
     oplax_assoc = {}
     for zi, zj in itertools.product(zc.objects(), repeat=2):
         for k in range(nf):
@@ -768,12 +770,12 @@ def e0_center_via_module(mod: ModuleAction, cap: int | None = None) -> CenterRes
                 mod.o(fwd.on_obj(zi), fwd.on_obj(zj), mfs[k].functor.obj_map[x])
                 for x in cc.objects()
             )
-            oplax_assoc[(zi, zj, k)] = nat_of(src, tgt, comps)
+            oplax_assoc[(zi, zj, k)] = nat_index[(src, tgt, comps)]
     oplax_unitor = []
     for k in range(nf):
         src = act_obj[zmon.unit * nf + k]
         comps = tuple(mod.u(mfs[k].functor.obj_map[x]) for x in cc.objects())
-        oplax_unitor.append(nat_of(src, k, comps))
+        oplax_unitor.append(nat_index[(src, k, comps)])
     fmod = ModuleAction(
         zmon, funcat, act, oplax_assoc, tuple(oplax_unitor),
         mod.strongly_associative, mod.strongly_unital,
@@ -840,38 +842,6 @@ def compare_e0_routes(direct: CenterResult, via: CenterResult,
 # --- the E1 center ---
 
 
-@dataclass
-class PairObject:
-    """A transparent object together with a morphism into a hom object.
-
-    z_obj indexes an object of the transparent subcategory of the base;
-    zeta maps its underlying object into hom(x, y) and must slide past the
-    half-braidings of x and y on every tensor factor."""
-
-    z_obj: int
-    zeta: int
-
-
-@dataclass
-class PairResult:
-    """The category of bracket pairs between two half-braided objects."""
-
-    objects: tuple
-    morphisms: tuple  # position -> (p, q, morphism of the transparent base)
-    z2: tuple
-    carriers: tuple  # ((x, hb_x), (y, hb_y))
-
-
-@dataclass
-class BracketXY:
-    """A terminal bracket pair, with its mediator certificates."""
-
-    obj: int
-    zeta: int
-    mediators: dict  # pair position -> morphism in the transparent base
-    pairs: PairResult
-
-
 def _bracket_square_ok(em: EnrichedMonoidalCategory, oi, oj, a_host: int,
                        zeta: int) -> bool:
     e = em.host
@@ -898,10 +868,10 @@ def _bracket_square_ok(em: EnrichedMonoidalCategory, oi, oj, a_host: int,
 
 
 def bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
-                 cap: int | None = None) -> BracketXY | None:
+                 cap: int | None = None) -> Bracket | None:
     """The terminal bracket pair from oi to oj, if one exists.
 
-    Objects pair a transparent base object with a morphism into
+    Pairs join a transparent base object with a morphism zeta into
     hom(x, y) satisfying the sliding square; morphisms come from the
     transparent subcategory and must commute with both legs.
     """
@@ -916,61 +886,8 @@ def bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
         for zeta in sorted(c.hom(a_host, e.hom(x, y))):
             budget.spend()
             if _bracket_square_ok(em, oi, oj, a_host, zeta):
-                objects.append(PairObject(az, zeta))
-    morphisms = []
-    for p, src in enumerate(objects):
-        for q, tgt in enumerate(objects):
-            for g in z2mon.base.hom(src.z_obj, tgt.z_obj):
-                budget.spend()
-                if c.comp(tgt.zeta, z2incl.on_mor(g)) == src.zeta:
-                    morphisms.append((p, q, g))
-    pairs = PairResult(tuple(objects), tuple(morphisms), z2, (oi, oj))
-    incoming = {q: {} for q in range(len(objects))}
-    for p, q, g in morphisms:
-        incoming[q].setdefault(p, []).append(g)
-    for q, obj in enumerate(objects):
-        if all(len(incoming[q].get(p, ())) == 1 for p in range(len(objects))):
-            mediators = {p: gs[0] for p, gs in incoming[q].items()}
-            return BracketXY(obj.z_obj, obj.zeta, mediators, pairs)
-    return None
-
-
-def check_bracket_pair_terminal(bracket: BracketXY) -> ValidationReport:
-    """Re-verify a bracket-pair terminality certificate exhaustively."""
-    report = ValidationReport("terminal bracket pair")
-    pairs = bracket.pairs
-    pos = None
-    for q, obj in enumerate(pairs.objects):
-        if obj.z_obj == bracket.obj and obj.zeta == bracket.zeta:
-            pos = q
-            break
-    if pos is None:
-        report.add("bracket-object-missing", ())
-        return report
-    for p in range(len(pairs.objects)):
-        hits = [g for (pp, qq, g) in pairs.morphisms if pp == p and qq == pos]
-        if len(hits) != 1:
-            report.add("bracket-not-terminal", (p,), f"{len(hits)} morphisms")
-        elif hits[0] != bracket.mediators.get(p):
-            report.add("bracket-wrong-mediator", (p,))
-    return report
-
-
-def _factor_element(z2: tuple, e: EnrichedCategory, bracket: BracketXY,
-                    src_z2: int, route: int) -> int:
-    """The unique transparent morphism src_z2 -> bracket factoring route."""
-    z2mon, _, z2incl = z2
-    c = e.base.base
-    hits = [
-        g
-        for g in z2mon.base.hom(src_z2, bracket.obj)
-        if c.comp(bracket.zeta, z2incl.on_mor(g)) == route
-    ]
-    if len(hits) != 1:
-        raise StructureError(
-            f"expected one factoring transparent morphism, found {len(hits)}"
-        )
-    return hits[0]
+                objects.append(Family(az, (zeta,)))
+    return _terminal_bracket(c, z2incl, objects, budget)
 
 
 def gamma1(em: EnrichedMonoidalCategory, cap: int | None = None) -> CenterResult:
@@ -994,10 +911,7 @@ def gamma1(em: EnrichedMonoidalCategory, cap: int | None = None) -> CenterResult
     for x in e.objects():
         for hb in enumerate_enriched_half_braidings(em, x, cap):
             objs.append((x, hb))
-    obj_index = {
-        (x, tuple(sorted(hb.components.items()))): i
-        for i, (x, hb) in enumerate(objs)
-    }
+    obj_index = _half_braided_index(objs)
     n = len(objs)
 
     brackets = {}
@@ -1009,7 +923,7 @@ def gamma1(em: EnrichedMonoidalCategory, cap: int | None = None) -> CenterResult
 
     hom_obj = {p: br.obj for p, br in brackets.items()}
     ident = {
-        i: _factor_element(z2, e, brackets[(i, i)], z2mon.unit, e.one(x))
+        i: _mediate(c, z2incl, brackets[(i, i)], z2mon.unit, (e.one(x),))
         for i, (x, _) in enumerate(objs)
     }
     comp = {}
@@ -1019,8 +933,8 @@ def gamma1(em: EnrichedMonoidalCategory, cap: int | None = None) -> CenterResult
             e.c(objs[i][0], objs[j][0], objs[k][0]),
             m.t_mor(bjk.zeta, bij.zeta),
         )
-        comp[(i, j, k)] = _factor_element(
-            z2, e, brackets[(i, k)], z2mon.t_obj(bjk.obj, bij.obj), route
+        comp[(i, j, k)] = _mediate(
+            c, z2incl, brackets[(i, k)], z2mon.t_obj(bjk.obj, bij.obj), (route,)
         )
     host = EnrichedCategory(z2mon, n, hom_obj, ident, comp)
 
@@ -1061,9 +975,9 @@ def gamma1(em: EnrichedMonoidalCategory, cap: int | None = None) -> CenterResult
                 em.t_cell(objs[i][0], objs[j][0], objs[k][0], objs[l][0]),
                 m.t_mor(bik.zeta, bjl.zeta),
             )
-            cells[(i * n + j, k * n + l)] = _factor_element(
-                z2, e, brackets[(t1[(i, j)], t1[(k, l)])],
-                z2mon.t_obj(bik.obj, bjl.obj), route,
+            cells[(i * n + j, k * n + l)] = _mediate(
+                c, z2incl, brackets[(t1[(i, j)], t1[(k, l)])],
+                z2mon.t_obj(bik.obj, bjl.obj), (route,),
             )
     tensor = EnrichedFunctor(
         braided_tensor_lax_structure(z2br),
@@ -1076,29 +990,29 @@ def gamma1(em: EnrichedMonoidalCategory, cap: int | None = None) -> CenterResult
     assoc = {}
     for i, j, k in itertools.product(range(n), repeat=3):
         br = brackets[(t1[(t1[(i, j)], k)], t1[(i, t1[(j, k)])])]
-        assoc[(i, j, k)] = _factor_element(
-            z2, e, br, z2mon.unit,
-            em.a_el(objs[i][0], objs[j][0], objs[k][0]),
+        assoc[(i, j, k)] = _mediate(
+            c, z2incl, br, z2mon.unit,
+            (em.a_el(objs[i][0], objs[j][0], objs[k][0]),),
         )
     left = tuple(
-        _factor_element(
-            z2, e, brackets[(t1[(unit_idx, i)], i)], z2mon.unit,
-            em.l_el(objs[i][0]),
+        _mediate(
+            c, z2incl, brackets[(t1[(unit_idx, i)], i)], z2mon.unit,
+            (em.l_el(objs[i][0]),),
         )
         for i in range(n)
     )
     right = tuple(
-        _factor_element(
-            z2, e, brackets[(t1[(i, unit_idx)], i)], z2mon.unit,
-            em.r_el(objs[i][0]),
+        _mediate(
+            c, z2incl, brackets[(t1[(i, unit_idx)], i)], z2mon.unit,
+            (em.r_el(objs[i][0]),),
         )
         for i in range(n)
     )
     braid = {}
     for i, j in itertools.product(range(n), repeat=2):
-        braid[(i, j)] = _factor_element(
-            z2, e, brackets[(t1[(i, j)], t1[(j, i)])], z2mon.unit,
-            objs[j][1].components[objs[i][0]],
+        braid[(i, j)] = _mediate(
+            c, z2incl, brackets[(t1[(i, j)], t1[(j, i)])], z2mon.unit,
+            (objs[j][1].components[objs[i][0]],),
         )
     symmetric = all(
         _el_comp(
@@ -1155,21 +1069,8 @@ def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict
     zm = z1m.monoidal
     zc = zm.base
     fwd = z1m.forgetful
-    z1_obj_index = {
-        (x, tuple(sorted(hb.components.items()))): i
-        for i, (x, hb) in enumerate(z1m.object_data)
-    }
-    z1_mor_index = {
-        (zc.dom[k], zc.cod[k], fwd.on_mor(k)): k for k in zc.morphisms()
-    }
-
-    def lift_mor(zsrc: int, ztgt: int, f: int) -> int:
-        k = z1_mor_index.get((zsrc, ztgt, f))
-        if k is None:
-            raise StructureError(
-                "carrier morphism does not lift to the carrier center"
-            )
-        return k
+    z1_obj_index = _half_braided_index(z1m.object_data)
+    lift_mor = _lifter(fwd)
 
     phi_obj = []
     for a in ca.objects():
@@ -1179,10 +1080,10 @@ def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict
             comps[z] = cc.comp_many(
                 lm.t_mor(cc.identity[x], mod.u(z)),
                 mm.i(a, mA.unit, lm.unit, z),
-                mod.a_mor(_mor_inv(ca, mA.r(a)), _mor_inv(cc, lm.l(z))),
+                mod.a_mor(inv(mA, mA.r(a)), inv(lm, lm.l(z))),
                 mod.a_mor(mA.l(a), lm.r(z)),
-                _mor_inv(cc, mm.i(mA.unit, a, z, lm.unit)),
-                lm.t_mor(_mor_inv(cc, mod.u(z)), cc.identity[x]),
+                inv(lm, mm.i(mA.unit, a, z, lm.unit)),
+                lm.t_mor(inv(lm, mod.u(z)), cc.identity[x]),
             )
         pos = z1_obj_index.get((x, tuple(sorted(comps.items()))))
         if pos is None:
@@ -1198,12 +1099,12 @@ def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict
     for a, b in itertools.product(ca.objects(), repeat=2):
         g = cc.comp(
             mod.a_mor(ca.identity[mA.t_obj(a, b)], lm.l(lm.unit)),
-            _mor_inv(cc, mm.i(a, b, lm.unit, lm.unit)),
+            inv(lm, mm.i(a, b, lm.unit, lm.unit)),
         )
         phi2[(a, b)] = lift_mor(
             zm.t_obj(phi_obj[a], phi_obj[b]), phi_obj[mA.t_obj(a, b)], g
         )
-    phi0 = lift_mor(zm.unit, phi_obj[mA.unit], _mor_inv(cc, mod.u(lm.unit)))
+    phi0 = lift_mor(zm.unit, phi_obj[mA.unit], inv(lm, mod.u(lm.unit)))
 
     submon, subbr, subincl = muger_centralizer(z1m.braided, phi_obj)
     sub_obj = {subincl.on_obj(i): i for i in submon.base.objects()}
@@ -1234,13 +1135,13 @@ def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict
             ix = subincl.on_obj(x)
             g = zc.comp(
                 zm.a(phi_obj[a], phi_obj[b], ix),
-                zm.t_mor(_mor_inv(zc, phi2[(a, b)]), zc.identity[ix]),
+                zm.t_mor(inv(zm, phi2[(a, b)]), zc.identity[ix]),
             )
             oplax_assoc[(a2, b2, x)] = sub_mor[g]
     oplax_unit = []
     for x in submon.base.objects():
         ix = subincl.on_obj(x)
-        g = zc.comp(zm.l(ix), zm.t_mor(_mor_inv(zc, phi0), zc.identity[ix]))
+        g = zc.comp(zm.l(ix), zm.t_mor(inv(zm, phi0), zc.identity[ix]))
         oplax_unit.append(sub_mor[g])
     strong_a = all(
         find_inverse(submon.base, f) is not None for f in oplax_assoc.values()
@@ -1473,7 +1374,6 @@ class TheoremReport:
 
     report: ValidationReport
     uniqueness_count: int | None = None
-    details: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -1492,6 +1392,513 @@ def _apply_pair(fun: EnrichedFunctor, n2: int, m2: int, p1: int, x1: int,
     )
 
 
+class _UniversalCheck:
+    """The skeleton shared by the E0, E1 and E2 universal-property checks.
+
+    A left unital action of la on e induces a comparison enriched functor
+    into the center, whose background lands in the base zmon the center is
+    enriched over; incl: zmon -> base of e is that base's inclusion. run()
+    builds the comparison functor, the natural isomorphism rho from the
+    center's action composed with it to the given action, checks both
+    pasting equations, and counts the mediating isomorphisms by exhaustive
+    search. Each level supplies comparison_objects, background_objects,
+    rho_el, acting, pasting_underlying_ok, pasting_background_ok, fixes_unit
+    and fixes_rho; lift and component default to lifting through incl and
+    mediating into the center's terminal families.
+    """
+
+    title = ""
+
+    def __init__(self, e: EnrichedCategory, la: EnrichedCategory,
+                 action: UnitalAction, incl: LaxMonoidalFunctor, host):
+        self.report = ValidationReport(self.title)
+        self.e, self.la, self.action = e, la, action
+        self.incl = incl
+        self.zmon = incl.source
+        self.host = host
+        self.m = e.base
+        self.c = self.m.base
+        self.mA = la.base
+        self.ca = self.mA.base
+        self.bg = action.odot.background
+        self.nM = e.n_objects
+        self.nB = self.c.n_objects
+        self.mB = self.c.n_morphisms
+        self.unit_l = action.unit_obj
+        self.unit_b = self.m.unit
+        self.u_e = underlying_category(e)
+
+    def pr(self, a: int, x: int) -> int:
+        return a * self.nM + x
+
+    def po(self, a: int, b: int) -> int:
+        return a * self.nB + b
+
+    def odot_obj(self, a: int, x: int) -> int:
+        return self.action.odot.on_obj(self.pr(a, x))
+
+    def inverse_xi(self) -> dict:
+        """The inverse elements x -> unit . x of the unit isomorphism."""
+        return {
+            x: _el_inv(self.e, self.u_e, self.odot_obj(self.unit_l, x), x,
+                       self.action.xi_el[x])
+            for x in range(self.nM)
+        }
+
+    @cached_property
+    def lift(self):
+        """(zsrc, ztgt, f) -> the center-base morphism that incl sends to f."""
+        return _lifter(self.incl)
+
+    def route(self, a: int, b: int, h: int, x: int) -> int:
+        """The action on hom(a, b) at x, an element of hom(a.x, b.x)."""
+        pr = self.pr
+        return self.c.comp(
+            self.action.odot.at(pr(a, x), pr(b, x)),
+            self.bg.on_mor(self.ca.identity[h] * self.mB + self.e.one(x)),
+        )
+
+    def component(self, P: list, phat_obj: list, a: int, b: int, h: int) -> int:
+        """The comparison functor on hom(a, b): the mediator into the
+        terminal family of the routes at route_objects."""
+        family = [self.route(a, b, h, x) for x in self.route_objects]
+        return _mediate(self.c, self.incl, self.brackets[(P[a], P[b])],
+                        phat_obj[h], family)
+
+    def after_comparison(self, P: list) -> None:
+        """Data the remaining hooks need once the comparison functor exists."""
+
+    def run(self, cap: int | None) -> TheoremReport:
+        report = self.report
+        P = self.comparison_objects()
+        if not report.ok:
+            return TheoremReport(report)
+        phat_obj = self.background_objects()
+        if not report.ok:
+            return TheoremReport(report)
+        e, m, c, la, mA, ca = self.e, self.m, self.c, self.la, self.mA, self.ca
+        action, bg, zmon, host, lift, po = (
+            self.action, self.bg, self.zmon, self.host, self.lift, self.po
+        )
+        zc = zmon.base
+        nM, mB, unit_b = self.nM, self.mB, self.unit_b
+
+        phat_mor = tuple(
+            lift(
+                phat_obj[ca.dom[f]], phat_obj[ca.cod[f]],
+                bg.on_mor(f * mB + c.identity[unit_b]),
+            )
+            for f in ca.morphisms()
+        )
+        ph_mult = {}
+        for a, b in itertools.product(ca.objects(), repeat=2):
+            g = c.comp(
+                bg.on_mor(ca.identity[mA.t_obj(a, b)] * mB + m.l(unit_b)),
+                bg.m2(po(a, unit_b), po(b, unit_b)),
+            )
+            ph_mult[(a, b)] = lift(
+                zmon.t_obj(phat_obj[a], phat_obj[b]), phat_obj[mA.t_obj(a, b)], g
+            )
+        ph_unit = lift(zmon.unit, phat_obj[mA.unit], inv(m, action.xi_bg[unit_b]))
+        phat = LaxMonoidalFunctor(
+            mA, zmon, Functor(ca, zc, tuple(phat_obj), phat_mor),
+            ph_unit, ph_mult, "strong",
+        )
+        for v in check_lax_monoidal_functor(phat).violations:
+            report.add("background-functor-" + v.law, v.instance, v.detail)
+
+        comps = {}
+        for a, b in itertools.product(la.objects(), repeat=2):
+            comps[(a, b)] = self.component(P, phat_obj, a, b, la.hom(a, b))
+        ecp = EnrichedFunctor(phat, la, host, tuple(P), comps)
+        for v in check_enriched_functor(ecp).violations:
+            report.add("comparison-functor-" + v.law, v.instance, v.detail)
+        self.after_comparison(P)
+
+        rho_bg = {}
+        for a in ca.objects():
+            for b in c.objects():
+                rho_bg[(a, b)] = c.comp_many(
+                    bg.on_mor(mA.r(a) * mB + m.l(b)),
+                    bg.m2(po(a, unit_b), po(mA.unit, b)),
+                    m.t_mor(
+                        c.identity[bg.on_obj(po(a, unit_b))],
+                        inv(m, action.xi_bg[b]),
+                    ),
+                )
+        rho_el = self.rho_el()
+        act = self.acting()
+        fun1 = compose_enriched_functors(
+            act, product_enriched_functor(ecp, identity_enriched_functor(e))
+        )
+        nat = NatTransf(
+            fun1.background.functor, bg.functor,
+            tuple(rho_bg[(a, b)] for a in ca.objects() for b in c.objects()),
+        )
+        ecrho = EnrichedNat(
+            LaxMonoidalNat(fun1.background, bg, nat), fun1, action.odot, rho_el
+        )
+        for v in check_enriched_nat(ecrho).violations:
+            report.add("rho-" + v.law, v.instance, v.detail)
+
+        for x in range(nM):
+            if not self.pasting_underlying_ok(P, x, rho_el):
+                report.add("pasting-underlying", (x,))
+        for b in c.objects():
+            lhs = c.comp_many(
+                action.xi_bg[b],
+                rho_bg[(mA.unit, b)],
+                m.t_mor(self.incl.on_mor(ph_unit), c.identity[b]),
+            )
+            if not self.pasting_background_ok(b, lhs):
+                report.add("pasting-background", (b,))
+
+        u_host = underlying_category(host)
+        budget = Budget(cap, "mediating isomorphism search")
+        pools_bg = [sorted(zc.hom(phat_obj[a], phat_obj[a])) for a in ca.objects()]
+        pools_el = [
+            sorted(zc.hom(zmon.unit, host.hom(P[a], P[a]))) for a in la.objects()
+        ]
+        count = 0
+        for combo_bg in itertools.product(*pools_bg):
+            bg_nat = NatTransf(phat.functor, phat.functor, combo_bg)
+            if not check_nat_transf(bg_nat).ok:
+                continue
+            if any(find_inverse(zc, k) is None for k in combo_bg):
+                continue
+            lm_nat = LaxMonoidalNat(phat, phat, bg_nat)
+            for combo_el in itertools.product(*pools_el):
+                budget.spend()
+                alpha = dict(enumerate(combo_el))
+                if any(
+                    find_inverse(u_host.cat, u_host.index[(P[a], P[a], alpha[a])])
+                    is None
+                    for a in la.objects()
+                ):
+                    continue
+                if not check_enriched_nat(EnrichedNat(lm_nat, ecp, ecp, alpha)).ok:
+                    continue
+                if not self.fixes_unit(P, alpha, combo_bg, ph_unit):
+                    continue
+                ok3 = all(
+                    self.fixes_rho(
+                        a, x, rho_el,
+                        _apply_pair(act, nM, mB, P[a], x, P[a], x, alpha[a], e.one(x)),
+                    )
+                    for a in la.objects() for x in range(nM)
+                )
+                if not ok3:
+                    continue
+                ok3b = all(
+                    c.comp(
+                        rho_bg[(a, b)],
+                        m.t_mor(self.incl.on_mor(combo_bg[a]), c.identity[b]),
+                    )
+                    == rho_bg[(a, b)]
+                    for a in ca.objects() for b in c.objects()
+                )
+                if ok3b:
+                    count += 1
+        return TheoremReport(report, count)
+
+
+class _E0Check(_UniversalCheck):
+    """E0: the comparison functor lands in the endofunctor category, its
+    background in the ordinary center, and rho is the identity."""
+
+    title = "E0 universal property"
+
+    def __init__(self, e: EnrichedCategory, action: UnitalAction,
+                 res: CenterResult):
+        w = res.witnesses
+        self.z1, self.functors = w["z1"], w["functors"]
+        self.brackets, self.unit_idx = w["brackets"], w["unit_obj"]
+        self.ev = e0_ev(res)
+        la = action.actor
+        if isinstance(la, EnrichedMonoidalCategory):
+            la = la.host
+        super().__init__(e, la, action, self.z1.forgetful, res.category.host)
+        self.route_objects = range(self.nM)
+
+    def comparison_objects(self) -> list:
+        e, m, c, action, pr = self.e, self.m, self.c, self.action, self.pr
+        fun_index = {_functor_key(f): i for i, f in enumerate(self.functors)}
+        idbg = identity_lax(m)
+        phi = []
+        for a in self.la.objects():
+            obj_map = tuple(self.odot_obj(a, x) for x in range(self.nM))
+            comps = {}
+            for x, y in itertools.product(range(self.nM), repeat=2):
+                h = e.hom(x, y)
+                comps[(x, y)] = c.comp_many(
+                    action.odot.at(pr(a, x), pr(a, y)),
+                    self.bg.on_mor(self.la.one(a) * self.mB + c.identity[h]),
+                    inv(m, action.xi_bg[h]),
+                )
+            key = _functor_key(EnrichedFunctor(idbg, e, e, obj_map, comps))
+            pos = fun_index.get(key)
+            if pos is None:
+                self.report.add("induced-endofunctor-missing", (a,))
+            phi.append(pos)
+        return phi
+
+    def background_objects(self) -> list:
+        m, c, mA, bg, po = self.m, self.c, self.mA, self.bg, self.po
+        xi_bg, mB, unit_b = self.action.xi_bg, self.mB, self.unit_b
+        z1_obj_index = _half_braided_index(self.z1.object_data)
+        phihat_obj = []
+        for a in self.ca.objects():
+            xb = bg.on_obj(po(a, unit_b))
+            comps = {}
+            for z in c.objects():
+                comps[z] = c.comp_many(
+                    m.t_mor(c.identity[xb], xi_bg[z]),
+                    inv(m, bg.m2(po(a, unit_b), po(mA.unit, z))),
+                    bg.on_mor(inv(mA, mA.r(a)) * mB + inv(m, m.l(z))),
+                    bg.on_mor(mA.l(a) * mB + m.r(z)),
+                    bg.m2(po(mA.unit, z), po(a, unit_b)),
+                    m.t_mor(inv(m, xi_bg[z]), c.identity[xb]),
+                )
+            pos = z1_obj_index.get((xb, tuple(sorted(comps.items()))))
+            if pos is None:
+                self.report.add("background-image-not-central", (a,))
+            phihat_obj.append(pos)
+        return phihat_obj
+
+    def after_comparison(self, P: list) -> None:
+        inv_xi = self.inverse_xi()
+        self.sigma = _mediate(
+            self.c, self.incl, self.brackets[(self.unit_idx, P[self.unit_l])],
+            self.zmon.unit, [inv_xi[x] for x in range(self.nM)],
+        )
+
+    def rho_el(self) -> dict:
+        return {
+            self.pr(a, x): self.e.one(self.odot_obj(a, x))
+            for a in self.la.objects() for x in range(self.nM)
+        }
+
+    def acting(self) -> EnrichedFunctor:
+        return self.ev
+
+    def pasting_underlying_ok(self, P: list, x: int, rho_el: dict) -> bool:
+        e, unit_l = self.e, self.unit_l
+        el = _apply_pair(
+            self.ev, self.nM, self.mB, self.unit_idx, x, P[unit_l], x,
+            self.sigma, e.one(x),
+        )
+        xi = self.action.xi_el[x]
+        return _el_comp(e, x, self.odot_obj(unit_l, x), x, xi, el) == e.one(x)
+
+    def pasting_background_ok(self, b: int, lhs: int) -> bool:
+        m = self.m
+        return self.c.comp(lhs, inv(m, m.l(b))) == self.c.identity[b]
+
+    def fixes_unit(self, P: list, beta: dict, combo_bg: tuple,
+                   ph_unit: int) -> bool:
+        sigma, u = self.sigma, P[self.unit_l]
+        return (
+            _el_comp(self.host, self.unit_idx, u, u, beta[self.unit_l], sigma)
+            == sigma
+            and self.zmon.base.comp(combo_bg[self.mA.unit], ph_unit) == ph_unit
+        )
+
+    def fixes_rho(self, a: int, x: int, rho_el: dict, el: int) -> bool:
+        return el == self.e.one(self.odot_obj(a, x))
+
+
+class _MonoidalCheck(_UniversalCheck):
+    """E1 and E2: the action is monoidal, the comparison object of a is
+    a . 1 with its induced half-braiding, and rho is built from f2."""
+
+    def __init__(self, em: EnrichedMonoidalCategory, action: UnitalAction,
+                 res: CenterResult, incl: LaxMonoidalFunctor):
+        self.em, self.res, self.laM = em, res, action.actor
+        super().__init__(em.host, self.laM.host, action, incl,
+                         res.category.host.host)
+        self.unit_M = em.unit_obj
+        self.u_la = underlying_category(self.la)
+        self.route_objects = (self.unit_M,)
+        self.inv_xi = self.inverse_xi()
+
+    def odot_el(self, a1, x1, a2, x2, el1, el2) -> int:
+        return _apply_pair(self.action.odot, self.nM, self.mB, a1, x1, a2, x2,
+                           el1, el2)
+
+    def induced_half_braiding(self, a: int, mo: int) -> int:
+        """The half-braiding of a . 1 at mo induced by the monoidal action."""
+        em, e, la, laM, f2 = self.em, self.e, self.la, self.laM, self.action.f2
+        odot_obj, unit_l, unit_M = self.odot_obj, self.unit_l, self.unit_M
+        u_e, t = self.u_e, em.t
+        pa = odot_obj(a, unit_M)
+        o = [
+            t(mo, pa),
+            t(odot_obj(unit_l, mo), pa),
+            odot_obj(laM.t(unit_l, a), t(mo, unit_M)),
+            odot_obj(a, mo),
+            odot_obj(laM.t(a, unit_l), t(unit_M, mo)),
+            t(pa, odot_obj(unit_l, mo)),
+            t(pa, mo),
+        ]
+        els = [
+            _t_el(em, mo, odot_obj(unit_l, mo), pa, pa, self.inv_xi[mo], e.one(pa)),
+            f2[((unit_l, mo), (a, unit_M))],
+            self.odot_el(
+                laM.t(unit_l, a), t(mo, unit_M), a, mo,
+                laM.l_el(a), em.r_el(mo),
+            ),
+            self.odot_el(
+                a, mo, laM.t(a, unit_l), t(unit_M, mo),
+                _el_inv(la, self.u_la, laM.t(a, unit_l), a, laM.r_el(a)),
+                _el_inv(e, u_e, t(unit_M, mo), mo, em.l_el(mo)),
+            ),
+            _el_inv(
+                e, u_e, t(pa, odot_obj(unit_l, mo)),
+                odot_obj(laM.t(a, unit_l), t(unit_M, mo)),
+                f2[((a, unit_M), (unit_l, mo))],
+            ),
+            _t_el(em, pa, pa, odot_obj(unit_l, mo), mo, e.one(pa),
+                  self.action.xi_el[mo]),
+        ]
+        return _el_path(e, o, els)
+
+    def rho_el(self) -> dict:
+        em, e, laM, odot_obj = self.em, self.e, self.laM, self.odot_obj
+        unit_l, unit_M, t = self.unit_l, self.unit_M, em.t
+        rho_el = {}
+        for a in self.la.objects():
+            pa = odot_obj(a, unit_M)
+            for mo in range(self.nM):
+                o = [
+                    t(pa, mo),
+                    t(pa, odot_obj(unit_l, mo)),
+                    odot_obj(laM.t(a, unit_l), t(unit_M, mo)),
+                    odot_obj(a, mo),
+                ]
+                els = [
+                    _t_el(em, pa, pa, mo, odot_obj(unit_l, mo), e.one(pa),
+                          self.inv_xi[mo]),
+                    self.action.f2[((a, unit_M), (unit_l, mo))],
+                    self.odot_el(
+                        laM.t(a, unit_l), t(unit_M, mo), a, mo,
+                        laM.r_el(a), em.l_el(mo),
+                    ),
+                ]
+                rho_el[self.pr(a, mo)] = _el_path(e, o, els)
+        return rho_el
+
+    def acting(self) -> EnrichedFunctor:
+        return compose_enriched_functors(
+            self.em.tensor,
+            product_enriched_functor(
+                self.res.forgetful, identity_enriched_functor(self.e)
+            ),
+        )
+
+    def pasting_underlying_ok(self, P: list, mo: int, rho_el: dict) -> bool:
+        em, e, unit_l, unit_M = self.em, self.e, self.unit_l, self.unit_M
+        lhs = _el_path(
+            e,
+            [em.t(unit_M, mo), em.t(self.odot_obj(unit_l, unit_M), mo),
+             self.odot_obj(unit_l, mo), mo],
+            [
+                _t_el(em, unit_M, self.odot_obj(unit_l, unit_M), mo, mo,
+                      self.inv_xi[unit_M], e.one(mo)),
+                rho_el[self.pr(unit_l, mo)],
+                self.action.xi_el[mo],
+            ],
+        )
+        return lhs == em.l_el(mo)
+
+    def pasting_background_ok(self, b: int, lhs: int) -> bool:
+        return lhs == self.m.l(b)
+
+    def fixes_unit(self, P: list, alpha: dict, combo_bg: tuple,
+                   ph_unit: int) -> bool:
+        return True
+
+    def fixes_rho(self, a: int, mo: int, rho_el: dict, el: int) -> bool:
+        pa = self.odot_obj(a, self.unit_M)
+        rho = rho_el[self.pr(a, mo)]
+        t = self.em.t(pa, mo)
+        return _el_comp(self.e, t, t, self.odot_obj(a, mo), rho, el) == rho
+
+
+class _E1Check(_MonoidalCheck):
+    """E1: the comparison lands in the half-braided objects, its background
+    in the transparent subcategory of the base."""
+
+    title = "E1 universal property"
+
+    def __init__(self, em: EnrichedMonoidalCategory, action: UnitalAction,
+                 res: CenterResult):
+        self.brackets = res.witnesses["brackets"]
+        super().__init__(em, action, res, res.witnesses["z2"][2])
+
+    def comparison_objects(self) -> list:
+        obj_index = _half_braided_index(self.res.witnesses["objects"])
+        P = []
+        for a in self.la.objects():
+            pa = self.odot_obj(a, self.unit_M)
+            comps = {mo: self.induced_half_braiding(a, mo) for mo in range(self.nM)}
+            pos = obj_index.get((pa, tuple(sorted(comps.items()))))
+            if pos is None:
+                self.report.add("induced-half-braiding-missing", (a,))
+            P.append(pos)
+        return P
+
+    def background_objects(self) -> list:
+        sub_obj = {self.incl.on_obj(i): i for i in self.zmon.base.objects()}
+        phat_obj = []
+        for a in self.ca.objects():
+            pos = sub_obj.get(self.bg.on_obj(self.po(a, self.unit_b)))
+            if pos is None:
+                self.report.add("background-image-not-transparent", (a,))
+            phat_obj.append(pos)
+        return phat_obj
+
+
+class _E2Check(_MonoidalCheck):
+    """E2: E1 with the inclusion the identity on the base; the comparison
+    object must be transparent with its induced half-braiding equal to the
+    braiding of eb."""
+
+    title = "E2 universal property"
+
+    def __init__(self, eb: EnrichedBraidedCategory, action: UnitalAction,
+                 res: CenterResult):
+        self.braiding_el = eb.braiding_el
+        em = eb.host
+        super().__init__(em, action, res, identity_lax(em.host.base))
+
+    def comparison_objects(self) -> list:
+        pos_of = {x: i for i, x in enumerate(self.res.witnesses["objects"])}
+        P = []
+        for a in self.la.objects():
+            pa = self.odot_obj(a, self.unit_M)
+            pos = pos_of.get(pa)
+            if pos is None:
+                self.report.add("image-not-transparent", (a,))
+                P.append(None)
+                continue
+            for mo in range(self.nM):
+                if self.induced_half_braiding(a, mo) != self.braiding_el[(mo, pa)]:
+                    self.report.add("induced-braiding-mismatch", (a, mo))
+            P.append(pos)
+        return P
+
+    def background_objects(self) -> tuple:
+        return tuple(
+            self.bg.on_obj(self.po(a, self.unit_b)) for a in self.ca.objects()
+        )
+
+    def lift(self, zsrc: int, ztgt: int, f: int) -> int:
+        return f
+
+    def component(self, P: list, phat_obj: tuple, a: int, b: int, h: int) -> int:
+        return self.route(a, b, h, self.unit_M)
+
+
 def verify_e0_universal(e: EnrichedCategory, action: UnitalAction,
                         cap: int | None = None,
                         res: CenterResult | None = None) -> TheoremReport:
@@ -1502,248 +1909,33 @@ def verify_e0_universal(e: EnrichedCategory, action: UnitalAction,
     from the given action, checks the pasting equation on every component,
     and counts the mediating isomorphisms by exhaustive search.
     """
-    report = ValidationReport("E0 universal property")
-    res = res or e0_center(e, cap)
-    z1 = res.witnesses["z1"]
-    functors = res.witnesses["functors"]
-    brackets = res.witnesses["brackets"]
-    host = res.category.host
-    unit_idx = res.witnesses["unit_obj"]
-    ev = e0_ev(res)
-    m = e.base
-    c = m.base
-    zmon = z1.monoidal
-    zc = zmon.base
-    fwd = z1.forgetful
+    return _E0Check(e, action, res or e0_center(e, cap)).run(cap)
 
-    la = action.actor
-    if isinstance(la, EnrichedMonoidalCategory):
-        la = la.host
-    mA = la.base
-    ca = mA.base
-    bg = action.odot.background
-    nM = e.n_objects
-    nB = c.n_objects
-    mB = c.n_morphisms
-    unit_l = action.unit_obj
-    unit_b = m.unit
-    u_e = underlying_category(e)
 
-    def pr(a, x):
-        return a * nM + x
+def verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalAction,
+                        cap: int | None = None,
+                        res: CenterResult | None = None) -> TheoremReport:
+    """Check that the category of half-braided objects is terminal among
+    monoidal unital actions on em.
 
-    def po(a, b):
-        return a * nB + b
+    The action must carry the monoidal cells f2. Builds the comparison
+    functor into the E1 center, checks both pasting components, and
+    counts the mediating isomorphisms by exhaustive search.
+    """
+    return _E1Check(em, action, res or gamma1(em, cap)).run(cap)
 
-    def odot_obj(a, x):
-        return action.odot.on_obj(pr(a, x))
 
-    fun_index = {_functor_key(f): i for i, f in enumerate(functors)}
-    idbg = identity_lax(m)
-    phi = []
-    for a in la.objects():
-        obj_map = tuple(odot_obj(a, x) for x in range(nM))
-        comps = {}
-        for x, y in itertools.product(range(nM), repeat=2):
-            h = e.hom(x, y)
-            comps[(x, y)] = c.comp_many(
-                action.odot.at(pr(a, x), pr(a, y)),
-                bg.on_mor(la.one(a) * mB + c.identity[h]),
-                _mor_inv(c, action.xi_bg[h]),
-            )
-        pos = fun_index.get(_functor_key(EnrichedFunctor(idbg, e, e, obj_map, comps)))
-        if pos is None:
-            report.add("induced-endofunctor-missing", (a,))
-        phi.append(pos)
-    if not report.ok:
-        return TheoremReport(report)
+def verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAction,
+                        cap: int | None = None,
+                        res: CenterResult | None = None) -> TheoremReport:
+    """Check that the transparent subcategory is terminal among braided
+    monoidal unital actions on eb.
 
-    z1_obj_index = {
-        (x, tuple(sorted(hb.components.items()))): i
-        for i, (x, hb) in enumerate(z1.object_data)
-    }
-    z1_mor_index = {
-        (zc.dom[k], zc.cod[k], fwd.on_mor(k)): k for k in zc.morphisms()
-    }
-    phihat_obj = []
-    for a in ca.objects():
-        xb = bg.on_obj(po(a, unit_b))
-        comps = {}
-        for z in c.objects():
-            comps[z] = c.comp_many(
-                m.t_mor(c.identity[xb], action.xi_bg[z]),
-                _mor_inv(c, bg.m2(po(a, unit_b), po(mA.unit, z))),
-                bg.on_mor(_mor_inv(ca, mA.r(a)) * mB + _mor_inv(c, m.l(z))),
-                bg.on_mor(mA.l(a) * mB + m.r(z)),
-                bg.m2(po(mA.unit, z), po(a, unit_b)),
-                m.t_mor(_mor_inv(c, action.xi_bg[z]), c.identity[xb]),
-            )
-        pos = z1_obj_index.get((xb, tuple(sorted(comps.items()))))
-        if pos is None:
-            report.add("background-image-not-central", (a,))
-        phihat_obj.append(pos)
-    if not report.ok:
-        return TheoremReport(report)
-
-    def z1_lift(zsrc, ztgt, f):
-        k = z1_mor_index.get((zsrc, ztgt, f))
-        if k is None:
-            raise StructureError("morphism does not lift to the center")
-        return k
-
-    phihat_mor = tuple(
-        z1_lift(
-            phihat_obj[ca.dom[f]], phihat_obj[ca.cod[f]],
-            bg.on_mor(f * mB + c.identity[unit_b]),
-        )
-        for f in ca.morphisms()
-    )
-    ph_mult = {}
-    for a, b in itertools.product(ca.objects(), repeat=2):
-        g = c.comp(
-            bg.on_mor(ca.identity[mA.t_obj(a, b)] * mB + m.l(unit_b)),
-            bg.m2(po(a, unit_b), po(b, unit_b)),
-        )
-        ph_mult[(a, b)] = z1_lift(
-            zmon.t_obj(phihat_obj[a], phihat_obj[b]),
-            phihat_obj[mA.t_obj(a, b)], g,
-        )
-    ph_unit = z1_lift(
-        zmon.unit, phihat_obj[mA.unit], _mor_inv(c, action.xi_bg[unit_b])
-    )
-    phihat = LaxMonoidalFunctor(
-        mA, zmon, Functor(ca, zc, tuple(phihat_obj), phihat_mor),
-        ph_unit, ph_mult, "strong",
-    )
-    for v in check_lax_monoidal_functor(phihat).violations:
-        report.add("background-functor-" + v.law, v.instance, v.detail)
-
-    comps = {}
-    for a, b in itertools.product(la.objects(), repeat=2):
-        h = la.hom(a, b)
-        family = {
-            x: c.comp(
-                action.odot.at(pr(a, x), pr(b, x)),
-                bg.on_mor(ca.identity[h] * mB + e.one(x)),
-            )
-            for x in range(nM)
-        }
-        comps[(a, b)] = _mediate_family(
-            e, z1, brackets[(phi[a], phi[b])], phihat_obj[h], family
-        )
-    ecphi = EnrichedFunctor(phihat, la, host, tuple(phi), comps)
-    for v in check_enriched_functor(ecphi).violations:
-        report.add("comparison-functor-" + v.law, v.instance, v.detail)
-
-    fam = {
-        x: _el_inv(e, u_e, odot_obj(unit_l, x), x, action.xi_el[x])
-        for x in range(nM)
-    }
-    sigma = _mediate_family(
-        e, z1, brackets[(unit_idx, phi[unit_l])], zmon.unit, fam
-    )
-    sigma_hat = ph_unit
-
-    rho_bg = {}
-    for a in ca.objects():
-        for b in c.objects():
-            rho_bg[(a, b)] = c.comp_many(
-                bg.on_mor(mA.r(a) * mB + m.l(b)),
-                bg.m2(po(a, unit_b), po(mA.unit, b)),
-                m.t_mor(
-                    c.identity[bg.on_obj(po(a, unit_b))],
-                    _mor_inv(c, action.xi_bg[b]),
-                ),
-            )
-    rho_el = {
-        pr(a, x): e.one(odot_obj(a, x))
-        for a in la.objects() for x in range(nM)
-    }
-    fun1 = compose_enriched_functors(
-        ev, product_enriched_functor(ecphi, identity_enriched_functor(e))
-    )
-    nat = NatTransf(
-        fun1.background.functor, bg.functor,
-        tuple(rho_bg[(a, b)] for a in ca.objects() for b in c.objects()),
-    )
-    ecrho = EnrichedNat(
-        LaxMonoidalNat(fun1.background, bg, nat), fun1, action.odot, rho_el
-    )
-    for v in check_enriched_nat(ecrho).violations:
-        report.add("rho-" + v.law, v.instance, v.detail)
-
-    for x in range(nM):
-        el = _apply_pair(
-            ev, nM, mB, unit_idx, x, phi[unit_l], x, sigma, e.one(x)
-        )
-        if _el_comp(e, x, odot_obj(unit_l, x), x, action.xi_el[x], el) != e.one(x):
-            report.add("pasting-underlying", (x,))
-    for b in c.objects():
-        lhs = c.comp_many(
-            action.xi_bg[b],
-            rho_bg[(mA.unit, b)],
-            m.t_mor(fwd.on_mor(sigma_hat), c.identity[b]),
-            inv(m, m.l(b)),
-        )
-        if lhs != c.identity[b]:
-            report.add("pasting-background", (b,))
-
-    u_host = underlying_category(host)
-    budget = Budget(cap, "mediating isomorphism search")
-    pools_bg = [sorted(zc.hom(phihat_obj[a], phihat_obj[a])) for a in ca.objects()]
-    pools_el = [
-        sorted(zc.hom(zmon.unit, host.hom(phi[a], phi[a]))) for a in la.objects()
-    ]
-    count = 0
-    for combo_bg in itertools.product(*pools_bg):
-        bg_nat = NatTransf(phihat.functor, phihat.functor, combo_bg)
-        if not check_nat_transf(bg_nat).ok:
-            continue
-        if any(find_inverse(zc, k) is None for k in combo_bg):
-            continue
-        lm_nat = LaxMonoidalNat(phihat, phihat, bg_nat)
-        for combo_el in itertools.product(*pools_el):
-            budget.spend()
-            beta = dict(enumerate(combo_el))
-            if any(
-                find_inverse(u_host.cat, u_host.index[(phi[a], phi[a], beta[a])])
-                is None
-                for a in la.objects()
-            ):
-                continue
-            if not check_enriched_nat(
-                EnrichedNat(lm_nat, ecphi, ecphi, beta)
-            ).ok:
-                continue
-            if (
-                _el_comp(
-                    host, unit_idx, phi[unit_l], phi[unit_l],
-                    beta[unit_l], sigma,
-                )
-                != sigma
-            ):
-                continue
-            if zc.comp(combo_bg[mA.unit], sigma_hat) != sigma_hat:
-                continue
-            ok3 = all(
-                _apply_pair(ev, nM, mB, phi[a], x, phi[a], x, beta[a], e.one(x))
-                == e.one(odot_obj(a, x))
-                for a in la.objects() for x in range(nM)
-            )
-            if not ok3:
-                continue
-            ok3b = all(
-                c.comp(
-                    rho_bg[(a, b)],
-                    m.t_mor(fwd.on_mor(combo_bg[a]), c.identity[b]),
-                )
-                == rho_bg[(a, b)]
-                for a in ca.objects() for b in c.objects()
-            )
-            if ok3b:
-                count += 1
-    details = {"phi": ecphi, "sigma": sigma, "rho_bg": rho_bg, "center": res}
-    return TheoremReport(report, count, details)
+    Like the E1 check, but the induced half-braidings must agree with the
+    braiding of eb, so the comparison lands in the full subcategory of
+    transparent objects.
+    """
+    return _E2Check(eb, action, res or gamma2(eb, cap)).run(cap)
 
 
 # --- canonical actions for the verifiers ---
@@ -1839,29 +2031,38 @@ def tensor_action(em: EnrichedMonoidalCategory,
     return UnitalAction(em, e, em.tensor, em.unit_obj, xi_el, xi_bg, f2)
 
 
-def gamma1_evaluation_action(res: CenterResult,
-                             em: EnrichedMonoidalCategory) -> UnitalAction:
-    """The E1 center acting on its host by tensoring with the carrier."""
+def _center_evaluation_action(res: CenterResult, em: EnrichedMonoidalCategory,
+                              carriers: list, swap, unit_obj: int) -> UnitalAction:
+    """A center acting on its host by tensoring with the carrier.
+
+    carriers[i] is the host object under center object i, and swap(j, p)
+    the element 1 -> hom(p @ carriers[j], carriers[j] @ p) that makes the
+    action monoidal.
+    """
     e = em.host
-    m = e.base
     u = underlying_category(e)
     odot = compose_enriched_functors(
         em.tensor,
         product_enriched_functor(res.forgetful, identity_enriched_functor(e)),
     )
-    objs = res.witnesses["objects"]
     f2 = {}
-    for i, (xa, _) in enumerate(objs):
-        for j, (xb, hbb) in enumerate(objs):
+    for i, xa in enumerate(carriers):
+        for j, xb in enumerate(carriers):
             for p, q in itertools.product(range(e.n_objects), repeat=2):
-                f2[((i, p), (j, q))] = _el_mid_swap(
-                    em, u, xa, p, xb, q, hbb.components[p]
-                )
-    xi_el = {x: em.l_el(x) for x in range(e.n_objects)}
-    xi_bg = {b: m.l(b) for b in m.base.objects()}
+                f2[((i, p), (j, q))] = _el_mid_swap(em, u, xa, p, xb, q, swap(j, p))
+    unit = tensor_action(em)
     return UnitalAction(
-        res.category.host, e, odot, res.witnesses["unit_obj"],
-        xi_el, xi_bg, f2,
+        res.category.host, e, odot, unit_obj, unit.xi_el, unit.xi_bg, f2
+    )
+
+
+def gamma1_evaluation_action(res: CenterResult,
+                             em: EnrichedMonoidalCategory) -> UnitalAction:
+    """The E1 center acting on its host by tensoring with the carrier."""
+    objs = res.witnesses["objects"]
+    return _center_evaluation_action(
+        res, em, [x for x, _ in objs],
+        lambda j, p: objs[j][1].components[p], res.witnesses["unit_obj"],
     )
 
 
@@ -1869,550 +2070,8 @@ def gamma2_evaluation_action(res: CenterResult,
                              eb: EnrichedBraidedCategory) -> UnitalAction:
     """The E2 center acting on its host by tensoring with the carrier."""
     em = eb.host
-    e = em.host
-    m = e.base
-    u = underlying_category(e)
-    odot = compose_enriched_functors(
-        em.tensor,
-        product_enriched_functor(res.forgetful, identity_enriched_functor(e)),
-    )
     objs = res.witnesses["objects"]
-    f2 = {}
-    for i in range(len(objs)):
-        for j, xb in enumerate(objs):
-            for p, q in itertools.product(range(e.n_objects), repeat=2):
-                f2[((i, p), (j, q))] = _el_mid_swap(
-                    em, u, objs[i], p, xb, q, eb.braiding_el[(p, xb)]
-                )
-    xi_el = {x: em.l_el(x) for x in range(e.n_objects)}
-    xi_bg = {b: m.l(b) for b in m.base.objects()}
-    return UnitalAction(
-        res.category.host, e, odot, objs.index(em.unit_obj),
-        xi_el, xi_bg, f2,
+    return _center_evaluation_action(
+        res, em, objs, lambda j, p: eb.braiding_el[(p, objs[j])],
+        objs.index(em.unit_obj),
     )
-
-
-def verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalAction,
-                        cap: int | None = None,
-                        res: CenterResult | None = None) -> TheoremReport:
-    """Check that the category of half-braided objects is terminal among
-    monoidal unital actions on em.
-
-    The action must carry the monoidal cells f2. Builds the comparison
-    functor into the E1 center, checks both pasting components, and
-    counts the mediating isomorphisms by exhaustive search.
-    """
-    report = ValidationReport("E1 universal property")
-    res = res or gamma1(em, cap)
-    ghost = res.category.host
-    host = ghost.host
-    z2 = res.witnesses["z2"]
-    z2mon, _, z2incl = z2
-    zc = z2mon.base
-    objs = res.witnesses["objects"]
-    brackets = res.witnesses["brackets"]
-    obj_index = {
-        (x, tuple(sorted(hb.components.items()))): i
-        for i, (x, hb) in enumerate(objs)
-    }
-
-    e = em.host
-    m = e.base
-    c = m.base
-    laM = action.actor
-    la = laM.host
-    mA = la.base
-    ca = mA.base
-    bg = action.odot.background
-    nM = e.n_objects
-    nB = c.n_objects
-    mB = c.n_morphisms
-    unit_l = action.unit_obj
-    unit_b = m.unit
-    unit_M = em.unit_obj
-    u_e = underlying_category(e)
-    u_la = underlying_category(la)
-
-    def pr(a, x):
-        return a * nM + x
-
-    def po(a, b):
-        return a * nB + b
-
-    def odot_obj(a, x):
-        return action.odot.on_obj(pr(a, x))
-
-    def odot_el(a1, x1, a2, x2, el1, el2):
-        return _apply_pair(action.odot, nM, mB, a1, x1, a2, x2, el1, el2)
-
-    inv_xi = {
-        x: _el_inv(e, u_e, odot_obj(unit_l, x), x, action.xi_el[x])
-        for x in range(nM)
-    }
-
-    P = []
-    for a in la.objects():
-        pa = odot_obj(a, unit_M)
-        comps = {}
-        for mo in range(nM):
-            o = [
-                em.t(mo, pa),
-                em.t(odot_obj(unit_l, mo), pa),
-                odot_obj(laM.t(unit_l, a), em.t(mo, unit_M)),
-                odot_obj(a, mo),
-                odot_obj(laM.t(a, unit_l), em.t(unit_M, mo)),
-                em.t(pa, odot_obj(unit_l, mo)),
-                em.t(pa, mo),
-            ]
-            els = [
-                _t_el(em, mo, odot_obj(unit_l, mo), pa, pa, inv_xi[mo], e.one(pa)),
-                action.f2[((unit_l, mo), (a, unit_M))],
-                odot_el(
-                    laM.t(unit_l, a), em.t(mo, unit_M), a, mo,
-                    laM.l_el(a), em.r_el(mo),
-                ),
-                odot_el(
-                    a, mo, laM.t(a, unit_l), em.t(unit_M, mo),
-                    _el_inv(la, u_la, laM.t(a, unit_l), a, laM.r_el(a)),
-                    _el_inv(e, u_e, em.t(unit_M, mo), mo, em.l_el(mo)),
-                ),
-                _el_inv(
-                    e, u_e, em.t(pa, odot_obj(unit_l, mo)),
-                    odot_obj(laM.t(a, unit_l), em.t(unit_M, mo)),
-                    action.f2[((a, unit_M), (unit_l, mo))],
-                ),
-                _t_el(em, pa, pa, odot_obj(unit_l, mo), mo, e.one(pa),
-                      action.xi_el[mo]),
-            ]
-            comps[mo] = _el_path(e, o, els)
-        pos = obj_index.get((pa, tuple(sorted(comps.items()))))
-        if pos is None:
-            report.add("induced-half-braiding-missing", (a,))
-        P.append(pos)
-    if not report.ok:
-        return TheoremReport(report)
-
-    sub_obj = {z2incl.on_obj(i): i for i in zc.objects()}
-    sub_mor = {
-        (zc.dom[k], zc.cod[k], z2incl.on_mor(k)): k for k in zc.morphisms()
-    }
-
-    def z2_lift(zsrc, ztgt, f):
-        k = sub_mor.get((zsrc, ztgt, f))
-        if k is None:
-            raise StructureError("morphism not in the transparent subcategory")
-        return k
-
-    phat_obj = []
-    for a in ca.objects():
-        pos = sub_obj.get(bg.on_obj(po(a, unit_b)))
-        if pos is None:
-            report.add("background-image-not-transparent", (a,))
-        phat_obj.append(pos)
-    if not report.ok:
-        return TheoremReport(report)
-    phat_mor = tuple(
-        z2_lift(
-            phat_obj[ca.dom[f]], phat_obj[ca.cod[f]],
-            bg.on_mor(f * mB + c.identity[unit_b]),
-        )
-        for f in ca.morphisms()
-    )
-    ph_mult = {}
-    for a, b in itertools.product(ca.objects(), repeat=2):
-        g = c.comp(
-            bg.on_mor(ca.identity[mA.t_obj(a, b)] * mB + m.l(unit_b)),
-            bg.m2(po(a, unit_b), po(b, unit_b)),
-        )
-        ph_mult[(a, b)] = z2_lift(
-            z2mon.t_obj(phat_obj[a], phat_obj[b]),
-            phat_obj[mA.t_obj(a, b)], g,
-        )
-    ph_unit = z2_lift(
-        z2mon.unit, phat_obj[mA.unit], _mor_inv(c, action.xi_bg[unit_b])
-    )
-    phat = LaxMonoidalFunctor(
-        mA, z2mon, Functor(ca, zc, tuple(phat_obj), phat_mor),
-        ph_unit, ph_mult, "strong",
-    )
-    for v in check_lax_monoidal_functor(phat).violations:
-        report.add("background-functor-" + v.law, v.instance, v.detail)
-
-    comps = {}
-    for a, b in itertools.product(la.objects(), repeat=2):
-        h = la.hom(a, b)
-        route = c.comp(
-            action.odot.at(pr(a, unit_M), pr(b, unit_M)),
-            bg.on_mor(ca.identity[h] * mB + e.one(unit_M)),
-        )
-        comps[(a, b)] = _factor_element(
-            z2, e, brackets[(P[a], P[b])], phat_obj[h], route
-        )
-    ecp = EnrichedFunctor(phat, la, host, tuple(P), comps)
-    for v in check_enriched_functor(ecp).violations:
-        report.add("comparison-functor-" + v.law, v.instance, v.detail)
-
-    rho_bg = {}
-    for a in ca.objects():
-        for b in c.objects():
-            rho_bg[(a, b)] = c.comp_many(
-                bg.on_mor(mA.r(a) * mB + m.l(b)),
-                bg.m2(po(a, unit_b), po(mA.unit, b)),
-                m.t_mor(
-                    c.identity[bg.on_obj(po(a, unit_b))],
-                    _mor_inv(c, action.xi_bg[b]),
-                ),
-            )
-    rho_el = {}
-    for a in la.objects():
-        pa = odot_obj(a, unit_M)
-        for mo in range(nM):
-            o = [
-                em.t(pa, mo),
-                em.t(pa, odot_obj(unit_l, mo)),
-                odot_obj(laM.t(a, unit_l), em.t(unit_M, mo)),
-                odot_obj(a, mo),
-            ]
-            els = [
-                _t_el(em, pa, pa, mo, odot_obj(unit_l, mo), e.one(pa), inv_xi[mo]),
-                action.f2[((a, unit_M), (unit_l, mo))],
-                odot_el(
-                    laM.t(a, unit_l), em.t(unit_M, mo), a, mo,
-                    laM.r_el(a), em.l_el(mo),
-                ),
-            ]
-            rho_el[pr(a, mo)] = _el_path(e, o, els)
-
-    star_op = compose_enriched_functors(
-        em.tensor,
-        product_enriched_functor(res.forgetful, identity_enriched_functor(e)),
-    )
-    fun1 = compose_enriched_functors(
-        star_op, product_enriched_functor(ecp, identity_enriched_functor(e))
-    )
-    nat = NatTransf(
-        fun1.background.functor, bg.functor,
-        tuple(rho_bg[(a, b)] for a in ca.objects() for b in c.objects()),
-    )
-    ecrho = EnrichedNat(
-        LaxMonoidalNat(fun1.background, bg, nat), fun1, action.odot, rho_el
-    )
-    for v in check_enriched_nat(ecrho).violations:
-        report.add("rho-" + v.law, v.instance, v.detail)
-
-    for mo in range(nM):
-        lhs = _el_path(
-            e,
-            [em.t(unit_M, mo), em.t(odot_obj(unit_l, unit_M), mo),
-             odot_obj(unit_l, mo), mo],
-            [
-                _t_el(em, unit_M, odot_obj(unit_l, unit_M), mo, mo,
-                      inv_xi[unit_M], e.one(mo)),
-                rho_el[pr(unit_l, mo)],
-                action.xi_el[mo],
-            ],
-        )
-        if lhs != em.l_el(mo):
-            report.add("pasting-underlying", (mo,))
-    for b in c.objects():
-        lhs = c.comp_many(
-            action.xi_bg[b],
-            rho_bg[(mA.unit, b)],
-            m.t_mor(_mor_inv(c, action.xi_bg[unit_b]), c.identity[b]),
-        )
-        if lhs != m.l(b):
-            report.add("pasting-background", (b,))
-
-    u_host = underlying_category(host)
-    budget = Budget(cap, "mediating isomorphism search")
-    pools_bg = [sorted(zc.hom(phat_obj[a], phat_obj[a])) for a in ca.objects()]
-    pools_el = [
-        sorted(zc.hom(z2mon.unit, host.hom(P[a], P[a]))) for a in la.objects()
-    ]
-    count = 0
-    for combo_bg in itertools.product(*pools_bg):
-        bg_nat = NatTransf(phat.functor, phat.functor, combo_bg)
-        if not check_nat_transf(bg_nat).ok:
-            continue
-        if any(find_inverse(zc, k) is None for k in combo_bg):
-            continue
-        lm_nat = LaxMonoidalNat(phat, phat, bg_nat)
-        for combo_el in itertools.product(*pools_el):
-            budget.spend()
-            alpha = dict(enumerate(combo_el))
-            if any(
-                find_inverse(u_host.cat, u_host.index[(P[a], P[a], alpha[a])])
-                is None
-                for a in la.objects()
-            ):
-                continue
-            if not check_enriched_nat(EnrichedNat(lm_nat, ecp, ecp, alpha)).ok:
-                continue
-            ok3 = all(
-                _el_comp(
-                    e, em.t(odot_obj(a, unit_M), mo),
-                    em.t(odot_obj(a, unit_M), mo), odot_obj(a, mo),
-                    rho_el[pr(a, mo)],
-                    _apply_pair(star_op, nM, mB, P[a], mo, P[a], mo,
-                                alpha[a], e.one(mo)),
-                )
-                == rho_el[pr(a, mo)]
-                for a in la.objects() for mo in range(nM)
-            )
-            if not ok3:
-                continue
-            ok3b = all(
-                c.comp(
-                    rho_bg[(a, b)],
-                    m.t_mor(z2incl.on_mor(combo_bg[a]), c.identity[b]),
-                )
-                == rho_bg[(a, b)]
-                for a in ca.objects() for b in c.objects()
-            )
-            if ok3b:
-                count += 1
-    details = {"P": ecp, "rho_el": rho_el, "rho_bg": rho_bg, "center": res}
-    return TheoremReport(report, count, details)
-
-
-def verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAction,
-                        cap: int | None = None,
-                        res: CenterResult | None = None) -> TheoremReport:
-    """Check that the transparent subcategory is terminal among braided
-    monoidal unital actions on eb.
-
-    Like the E1 check, but the induced half-braidings must agree with the
-    braiding of eb, so the comparison lands in the full subcategory of
-    transparent objects.
-    """
-    report = ValidationReport("E2 universal property")
-    res = res or gamma2(eb, cap)
-    em = eb.host
-    host = res.category.host.host
-    trans = res.witnesses["objects"]
-    pos_of = {x: i for i, x in enumerate(trans)}
-
-    e = em.host
-    m = e.base
-    c = m.base
-    laM = action.actor
-    la = laM.host
-    mA = la.base
-    ca = mA.base
-    bg = action.odot.background
-    nM = e.n_objects
-    nB = c.n_objects
-    mB = c.n_morphisms
-    unit_l = action.unit_obj
-    unit_b = m.unit
-    unit_M = em.unit_obj
-    u_e = underlying_category(e)
-    u_la = underlying_category(la)
-
-    def pr(a, x):
-        return a * nM + x
-
-    def po(a, b):
-        return a * nB + b
-
-    def odot_obj(a, x):
-        return action.odot.on_obj(pr(a, x))
-
-    def odot_el(a1, x1, a2, x2, el1, el2):
-        return _apply_pair(action.odot, nM, mB, a1, x1, a2, x2, el1, el2)
-
-    inv_xi = {
-        x: _el_inv(e, u_e, odot_obj(unit_l, x), x, action.xi_el[x])
-        for x in range(nM)
-    }
-
-    P = []
-    for a in la.objects():
-        pa = odot_obj(a, unit_M)
-        pos = pos_of.get(pa)
-        if pos is None:
-            report.add("image-not-transparent", (a,))
-            P.append(None)
-            continue
-        for mo in range(nM):
-            o = [
-                em.t(mo, pa),
-                em.t(odot_obj(unit_l, mo), pa),
-                odot_obj(laM.t(unit_l, a), em.t(mo, unit_M)),
-                odot_obj(a, mo),
-                odot_obj(laM.t(a, unit_l), em.t(unit_M, mo)),
-                em.t(pa, odot_obj(unit_l, mo)),
-                em.t(pa, mo),
-            ]
-            els = [
-                _t_el(em, mo, odot_obj(unit_l, mo), pa, pa, inv_xi[mo], e.one(pa)),
-                action.f2[((unit_l, mo), (a, unit_M))],
-                odot_el(
-                    laM.t(unit_l, a), em.t(mo, unit_M), a, mo,
-                    laM.l_el(a), em.r_el(mo),
-                ),
-                odot_el(
-                    a, mo, laM.t(a, unit_l), em.t(unit_M, mo),
-                    _el_inv(la, u_la, laM.t(a, unit_l), a, laM.r_el(a)),
-                    _el_inv(e, u_e, em.t(unit_M, mo), mo, em.l_el(mo)),
-                ),
-                _el_inv(
-                    e, u_e, em.t(pa, odot_obj(unit_l, mo)),
-                    odot_obj(laM.t(a, unit_l), em.t(unit_M, mo)),
-                    action.f2[((a, unit_M), (unit_l, mo))],
-                ),
-                _t_el(em, pa, pa, odot_obj(unit_l, mo), mo, e.one(pa),
-                      action.xi_el[mo]),
-            ]
-            if _el_path(e, o, els) != eb.braiding_el[(mo, pa)]:
-                report.add("induced-braiding-mismatch", (a, mo))
-        P.append(pos)
-    if not report.ok:
-        return TheoremReport(report)
-
-    phat_obj = tuple(bg.on_obj(po(a, unit_b)) for a in ca.objects())
-    phat_mor = tuple(
-        bg.on_mor(f * mB + c.identity[unit_b]) for f in ca.morphisms()
-    )
-    ph_mult = {}
-    for a, b in itertools.product(ca.objects(), repeat=2):
-        ph_mult[(a, b)] = c.comp(
-            bg.on_mor(ca.identity[mA.t_obj(a, b)] * mB + m.l(unit_b)),
-            bg.m2(po(a, unit_b), po(b, unit_b)),
-        )
-    ph_unit = _mor_inv(c, action.xi_bg[unit_b])
-    phat = LaxMonoidalFunctor(
-        mA, m, Functor(ca, c, phat_obj, phat_mor), ph_unit, ph_mult, "strong"
-    )
-    for v in check_lax_monoidal_functor(phat).violations:
-        report.add("background-functor-" + v.law, v.instance, v.detail)
-
-    comps = {}
-    for a, b in itertools.product(la.objects(), repeat=2):
-        h = la.hom(a, b)
-        comps[(a, b)] = c.comp(
-            action.odot.at(pr(a, unit_M), pr(b, unit_M)),
-            bg.on_mor(ca.identity[h] * mB + e.one(unit_M)),
-        )
-    ecp = EnrichedFunctor(phat, la, host, tuple(P), comps)
-    for v in check_enriched_functor(ecp).violations:
-        report.add("comparison-functor-" + v.law, v.instance, v.detail)
-
-    rho_bg = {}
-    for a in ca.objects():
-        for b in c.objects():
-            rho_bg[(a, b)] = c.comp_many(
-                bg.on_mor(mA.r(a) * mB + m.l(b)),
-                bg.m2(po(a, unit_b), po(mA.unit, b)),
-                m.t_mor(
-                    c.identity[bg.on_obj(po(a, unit_b))],
-                    _mor_inv(c, action.xi_bg[b]),
-                ),
-            )
-    rho_el = {}
-    for a in la.objects():
-        pa = odot_obj(a, unit_M)
-        for mo in range(nM):
-            o = [
-                em.t(pa, mo),
-                em.t(pa, odot_obj(unit_l, mo)),
-                odot_obj(laM.t(a, unit_l), em.t(unit_M, mo)),
-                odot_obj(a, mo),
-            ]
-            els = [
-                _t_el(em, pa, pa, mo, odot_obj(unit_l, mo), e.one(pa), inv_xi[mo]),
-                action.f2[((a, unit_M), (unit_l, mo))],
-                odot_el(
-                    laM.t(a, unit_l), em.t(unit_M, mo), a, mo,
-                    laM.r_el(a), em.l_el(mo),
-                ),
-            ]
-            rho_el[pr(a, mo)] = _el_path(e, o, els)
-
-    star_op = compose_enriched_functors(
-        em.tensor,
-        product_enriched_functor(res.forgetful, identity_enriched_functor(e)),
-    )
-    fun1 = compose_enriched_functors(
-        star_op, product_enriched_functor(ecp, identity_enriched_functor(e))
-    )
-    nat = NatTransf(
-        fun1.background.functor, bg.functor,
-        tuple(rho_bg[(a, b)] for a in ca.objects() for b in c.objects()),
-    )
-    ecrho = EnrichedNat(
-        LaxMonoidalNat(fun1.background, bg, nat), fun1, action.odot, rho_el
-    )
-    for v in check_enriched_nat(ecrho).violations:
-        report.add("rho-" + v.law, v.instance, v.detail)
-
-    for mo in range(nM):
-        lhs = _el_path(
-            e,
-            [em.t(unit_M, mo), em.t(odot_obj(unit_l, unit_M), mo),
-             odot_obj(unit_l, mo), mo],
-            [
-                _t_el(em, unit_M, odot_obj(unit_l, unit_M), mo, mo,
-                      inv_xi[unit_M], e.one(mo)),
-                rho_el[pr(unit_l, mo)],
-                action.xi_el[mo],
-            ],
-        )
-        if lhs != em.l_el(mo):
-            report.add("pasting-underlying", (mo,))
-    for b in c.objects():
-        lhs = c.comp_many(
-            action.xi_bg[b],
-            rho_bg[(mA.unit, b)],
-            m.t_mor(_mor_inv(c, action.xi_bg[unit_b]), c.identity[b]),
-        )
-        if lhs != m.l(b):
-            report.add("pasting-background", (b,))
-
-    u_host = underlying_category(host)
-    budget = Budget(cap, "mediating isomorphism search")
-    pools_bg = [sorted(c.hom(phat_obj[a], phat_obj[a])) for a in ca.objects()]
-    pools_el = [
-        sorted(c.hom(m.unit, host.hom(P[a], P[a]))) for a in la.objects()
-    ]
-    count = 0
-    for combo_bg in itertools.product(*pools_bg):
-        bg_nat = NatTransf(phat.functor, phat.functor, combo_bg)
-        if not check_nat_transf(bg_nat).ok:
-            continue
-        if any(find_inverse(c, k) is None for k in combo_bg):
-            continue
-        lm_nat = LaxMonoidalNat(phat, phat, bg_nat)
-        for combo_el in itertools.product(*pools_el):
-            budget.spend()
-            alpha = dict(enumerate(combo_el))
-            if any(
-                find_inverse(u_host.cat, u_host.index[(P[a], P[a], alpha[a])])
-                is None
-                for a in la.objects()
-            ):
-                continue
-            if not check_enriched_nat(EnrichedNat(lm_nat, ecp, ecp, alpha)).ok:
-                continue
-            ok3 = all(
-                _el_comp(
-                    e, em.t(odot_obj(a, unit_M), mo),
-                    em.t(odot_obj(a, unit_M), mo), odot_obj(a, mo),
-                    rho_el[pr(a, mo)],
-                    _apply_pair(star_op, nM, mB, P[a], mo, P[a], mo,
-                                alpha[a], e.one(mo)),
-                )
-                == rho_el[pr(a, mo)]
-                for a in la.objects() for mo in range(nM)
-            )
-            if not ok3:
-                continue
-            ok3b = all(
-                c.comp(rho_bg[(a, b)], m.t_mor(combo_bg[a], c.identity[b]))
-                == rho_bg[(a, b)]
-                for a in ca.objects() for b in c.objects()
-            )
-            if ok3b:
-                count += 1
-    details = {"P": ecp, "rho_el": rho_el, "rho_bg": rho_bg, "center": res}
-    return TheoremReport(report, count, details)

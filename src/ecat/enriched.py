@@ -17,10 +17,14 @@ from ecat.core import (
     NatTransf,
     ProductMapping,
     ProductSequence,
+    hcomp_nats,
     identity_functor,
+    opposite_category,
     product_category,
+    vcomp_nats,
 )
 from ecat.monoidal import (
+    BraidedStructure,
     LaxMonoidalFunctor,
     LaxMonoidalNat,
     MonoidalCategory,
@@ -32,8 +36,12 @@ from ecat.monoidal import (
     identity_lax_nat,
     inv,
     product_lax,
+    product_monoidal,
     reversed_monoidal,
     strict_monoidal,
+    swap_lax,
+    trivial_monoidal,
+    unit_pick_lax,
 )
 from ecat.report import StructureError, ValidationReport
 
@@ -170,8 +178,6 @@ def hom_pre(e: EnrichedCategory, x: int, y: int, w: int, f: int) -> int:
 
 def hom_bifunctor(e: EnrichedCategory) -> Functor:
     """The functor underlying(e)^op x underlying(e) -> base on hom objects."""
-    from ecat.core import opposite_category
-
     u = underlying_category(e)
     src = product_category(opposite_category(u.cat), u.cat)
     c = e.base.base
@@ -353,8 +359,6 @@ def identity_enriched_nat(f: EnrichedFunctor) -> EnrichedNat:
 
 def vcomp_enriched_nats(beta: EnrichedNat, alpha: EnrichedNat) -> EnrichedNat:
     """beta after alpha, componentwise composition in the underlying sense."""
-    from ecat.core import vcomp_nats
-
     f = alpha.source
     k = beta.target
     e2 = f.target
@@ -376,8 +380,6 @@ def vcomp_enriched_nats(beta: EnrichedNat, alpha: EnrichedNat) -> EnrichedNat:
 
 def hcomp_enriched_nats(eta: EnrichedNat, xi: EnrichedNat) -> EnrichedNat:
     """eta * xi for xi: F => G (lower) and eta: H => K (upper)."""
-    from ecat.core import hcomp_nats
-
     f, g = xi.source, xi.target
     h, k = eta.source, eta.target
     e3 = k.target
@@ -438,8 +440,6 @@ def cartesian_product_enriched(
     e1: EnrichedCategory, e2: EnrichedCategory
 ) -> EnrichedCategory:
     """The product category, enriched over the product base, as views."""
-    from ecat.monoidal import product_monoidal
-
     n1, n2 = e1.n_objects, e2.n_objects
     b1, b2 = e1.base.base, e2.base.base
     return EnrichedCategory(
@@ -453,15 +453,11 @@ def cartesian_product_enriched(
 
 def star_enriched() -> EnrichedCategory:
     """The one-object enriched category over the trivial base."""
-    from ecat.monoidal import trivial_monoidal
-
     return EnrichedCategory(trivial_monoidal(), 1, {(0, 0): 0}, {0: 0}, {(0, 0, 0): 0})
 
 
 def object_functor(e: EnrichedCategory, x: int) -> EnrichedFunctor:
     """The enriched functor * -> e picking the object x."""
-    from ecat.monoidal import unit_pick_lax
-
     return EnrichedFunctor(
         unit_pick_lax(e.base), star_enriched(), e, (x,), {(0, 0): e.one(x)}
     )
@@ -488,8 +484,6 @@ def product_enriched_functor(f: EnrichedFunctor, g: EnrichedFunctor) -> Enriched
 
 def swap_enriched_functor(e1: EnrichedCategory, e2: EnrichedCategory) -> EnrichedFunctor:
     """The switching functor e1 x e2 -> e2 x e1."""
-    from ecat.monoidal import swap_lax
-
     src = cartesian_product_enriched(e1, e2)
     tgt = cartesian_product_enriched(e2, e1)
     bg = swap_lax(e1.base, e2.base)
@@ -667,8 +661,6 @@ def finset_monoidal(sizes: tuple) -> MonoidalCategory:
 
 def finset_braiding(m: MonoidalCategory, sizes: tuple):
     """The symmetric swap on the skeletal finite-set category."""
-    from ecat.monoidal import BraidedStructure
-
     sizes = tuple(sizes)
     c = m.base
     size_index = {s: i for i, s in enumerate(sizes)}

@@ -20,7 +20,9 @@ from ecat.core import (
     check_functor,
     check_nat_transf,
     identity_functor,
+    identity_nat,
     product_category,
+    terminal_category,
 )
 from ecat.report import Budget, StructureError, ValidationReport
 
@@ -480,8 +482,6 @@ def product_lax(f: LaxMonoidalFunctor, g: LaxMonoidalFunctor) -> LaxMonoidalFunc
 
 def trivial_monoidal() -> MonoidalCategory:
     """The one-object one-morphism monoidal category."""
-    from ecat.core import terminal_category
-
     return strict_monoidal(
         terminal_category(),
         Functor(product_category(terminal_category(), terminal_category()),
@@ -551,8 +551,6 @@ def check_lax_monoidal_nat(n: LaxMonoidalNat) -> ValidationReport:
 
 
 def identity_lax_nat(f: LaxMonoidalFunctor) -> LaxMonoidalNat:
-    from ecat.core import identity_nat
-
     return LaxMonoidalNat(f, f, identity_nat(f.functor))
 
 

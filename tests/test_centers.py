@@ -6,8 +6,6 @@ import pytest
 from ecat import centers
 from ecat.centers import (
     braided_tables,
-    bracket_pair,
-    check_bracket_pair_terminal,
     check_bracket_terminal,
     compare_e0_routes,
     condition_star,
@@ -164,18 +162,19 @@ def test_bracket_terminality_certificates_recheck():
 
 
 def test_mutated_bracket_certificate_rejected():
-    res = e0_center(chain2_enriched(), CAP)
-    br = res.witnesses["brackets"][(0, 0)]
-    others = [
-        o for o in br.pfg.objects
-        if (o.z_obj, o.components) != (br.obj, br.components)
-    ]
-    assert others, "fixture should admit a non-terminal family"
-    bad = dataclasses.replace(
-        br, obj=others[0].z_obj, components=others[0].components
-    )
-    rep = check_bracket_terminal(bad)
-    assert not rep.ok
+    e0_bracket = e0_center(chain2_enriched(), CAP).witnesses["brackets"][(0, 0)]
+    e1_bracket = gamma1(preorder_enriched_monoidal(), CAP).witnesses["brackets"][(0, 0)]
+    for br in (e0_bracket, e1_bracket):
+        others = [
+            o for o in br.objects
+            if (o.z_obj, o.components) != (br.obj, br.components)
+        ]
+        assert others, "fixture should admit a non-terminal family"
+        bad = dataclasses.replace(
+            br, obj=others[0].z_obj, components=others[0].components
+        )
+        rep = check_bracket_terminal(bad)
+        assert not rep.ok
 
 
 def test_condition_star_reports_every_pair():
@@ -341,7 +340,7 @@ def test_gamma1_bracket_pair_certificates_recheck():
     em = preorder_enriched_monoidal()
     res = gamma1(em, CAP)
     for br in res.witnesses["brackets"].values():
-        assert check_bracket_pair_terminal(br).ok
+        assert check_bracket_terminal(br).ok
 
 
 def test_gamma1_braiding_factors_the_half_braidings():

@@ -63,7 +63,6 @@ from ecat.enriched import (
 )
 from ecat.enriched_monoidal import (
     EnrichedBraidedCategory,
-    EnrichedHalfBraiding,
     EnrichedMonoidalCategory,
     enumerate_enriched_half_braidings,
     underlying_half_braiding,
@@ -74,12 +73,10 @@ from ecat.monoidal import (
     HalfBraidingOrd,
     LaxMonoidalFunctor,
     LaxMonoidalNat,
-    MonoidalCategory,
     braided_tensor_lax_structure,
     check_lax_monoidal_functor,
     drinfeld_center_z1,
     find_inverse,
-    full_monoidal_subcategory,
     identity_lax,
     inv,
     is_transparent,

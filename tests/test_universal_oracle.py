@@ -15,7 +15,7 @@ import itertools
 import pytest
 
 from ecat.actions import monoidal_self_module
-from ecat.canonical import canonical_braided, canonical_construction, canonical_monoidal
+from ecat.canonical import canonical_braided, canonical_construction
 from ecat.centers import (
     e0_center,
     evaluation_action,

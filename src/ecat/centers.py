@@ -2047,9 +2047,10 @@ def _center_evaluation_action(res: CenterResult, em: EnrichedMonoidalCategory,
         for j, xb in enumerate(carriers):
             for p, q in itertools.product(range(e.n_objects), repeat=2):
                 f2[((i, p), (j, q))] = _el_mid_swap(em, u, xa, p, xb, q, swap(j, p))
-    unit = tensor_action(em)
+    # The unit isomorphism is the one of em acting on itself.
+    tensor = tensor_action(em)
     return UnitalAction(
-        res.category.host, e, odot, unit_obj, unit.xi_el, unit.xi_bg, f2
+        res.category.host, e, odot, unit_obj, tensor.xi_el, tensor.xi_bg, f2
     )
 
 

@@ -2,8 +2,10 @@
 
 Everything is an explicit finite table: categories, monoidal structure,
 module actions, enriched categories. Every axiom is checked by exhausting
-its instances, and every universal property is decided by brute-force
-search under an explicit budget.
+its instances, and every universal property is decided by exhaustive
+search under an explicit budget. All such searches run on one backtracking
+search, ``ecat.core._search``, which prunes a partial assignment as soon as
+a constraint on it fails and spends one budget unit per node.
 """
 
 from ecat.report import BudgetExceeded, StructureError, ValidationReport, Violation

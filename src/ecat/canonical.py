@@ -15,12 +15,11 @@ import itertools
 from dataclasses import dataclass
 
 from ecat.core import (
-    FinCategory,
     Functor,
     NatTransf,
+    _functor_search,
+    _search,
     compose_functors,
-    enumerate_functors,
-    identity_functor,
     product_category,
 )
 from ecat.actions import (
@@ -28,9 +27,7 @@ from ecat.actions import (
     ModuleAction,
     MonoidalModuleCells,
     RLaxStructure,
-    all_internal_homs,
     check_rlax,
-    check_xilax_nat,
     identity_module_functor,
     internal_hom,
     rlax_from_module_functor,
@@ -41,7 +38,6 @@ from ecat.enriched import (
     EnrichedNat,
     cartesian_product_enriched,
     check_enriched_functor,
-    check_enriched_nat,
     compose_enriched_functors,
     identity_enriched_functor,
     underlying_category,
@@ -58,7 +54,6 @@ from ecat.monoidal import (
     braided_tensor_lax_structure,
     compose_lax,
     find_inverse,
-    identity_lax,
 )
 from ecat.report import Budget, StructureError, ValidationReport
 
@@ -432,31 +427,29 @@ def enumerate_rlax(
     tgt: CanonicalCategory,
     cap: int | None = None,
 ) -> list:
-    """All r-lax functors along r between the modules, by brute force."""
+    """All r-lax functors along r between the modules, by brute force.
+
+    The first variable is the underlying functor, the rest are the cells
+    at the pairs (a, x) in order."""
     budget = Budget(cap, "r-lax enumeration")
-    out = []
     cl, cm = src.module.carrier, tgt.module.carrier
-    a_objs = list(src.module.base.base.objects())
-    for f in enumerate_functors(cl, cm, cap):
-        pools = []
-        keys = []
-        for a in a_objs:
-            for x in cl.objects():
-                keys.append((a, x))
-                pools.append(
-                    cm.hom(
-                        tgt.module.a_obj(r.on_obj(a), f.obj_map[x]),
-                        f.obj_map[src.module.a_obj(a, x)],
-                    )
-                )
-        for combo in itertools.product(*pools):
-            budget.spend()
-            rl = RLaxStructure(
-                r, src.module, tgt.module, f, dict(zip(keys, combo))
-            )
-            if check_rlax(rl).ok:
-                out.append(rl)
-    return out
+    functors = list(_functor_search(cl, cm, budget))
+    keys = [(a, x) for a in src.module.base.base.objects() for x in cl.objects()]
+
+    def domain(i, v):
+        if i == 0:
+            return functors
+        (a, x), f = keys[i - 1], v[0]
+        return cm.hom(
+            tgt.module.a_obj(r.on_obj(a), f.obj_map[x]),
+            f.obj_map[src.module.a_obj(a, x)],
+        )
+
+    rls = (
+        RLaxStructure(r, src.module, tgt.module, v[0], dict(zip(keys, v[1:])))
+        for v in _search(len(keys) + 1, domain, (), budget)
+    )
+    return [rl for rl in rls if check_rlax(rl).ok]
 
 
 def enumerate_enriched_functors(
@@ -465,26 +458,27 @@ def enumerate_enriched_functors(
     tgt: CanonicalCategory,
     cap: int | None = None,
 ) -> list:
-    """All enriched functors along the background r, by brute force."""
+    """All enriched functors along the background r, by brute force.
+
+    The object map comes first, then the hom components at the pairs
+    (x, y) in order."""
     budget = Budget(cap, "enriched functor enumeration")
     e1, e2 = src.enriched, tgt.enriched
     cb = r.target.base
-    out = []
     n = e1.n_objects
-    for obj_map in itertools.product(range(e2.n_objects), repeat=n):
-        pools = []
-        keys = []
-        for x, y in itertools.product(range(n), repeat=2):
-            keys.append((x, y))
-            pools.append(
-                cb.hom(r.on_obj(e1.hom(x, y)), e2.hom(obj_map[x], obj_map[y]))
-            )
-        for combo in itertools.product(*pools):
-            budget.spend()
-            f = EnrichedFunctor(r, e1, e2, obj_map, dict(zip(keys, combo)))
-            if check_enriched_functor(f).ok:
-                out.append(f)
-    return out
+    keys = list(itertools.product(range(n), repeat=2))
+
+    def domain(i, v):
+        if i < n:
+            return range(e2.n_objects)
+        x, y = keys[i - n]
+        return cb.hom(r.on_obj(e1.hom(x, y)), e2.hom(v[x], v[y]))
+
+    efs = (
+        EnrichedFunctor(r, e1, e2, v[:n], dict(zip(keys, v[n:])))
+        for v in _search(n + len(keys), domain, (), budget)
+    )
+    return [f for f in efs if check_enriched_functor(f).ok]
 
 
 def verify_canonical_2functor(

@@ -42,8 +42,10 @@ from ecat.core import (
     FinCategory,
     Functor,
     NatTransf,
+    _functor_search,
+    _nat_search,
+    _search,
     check_nat_transf,
-    enumerate_functors,
     product_category,
 )
 from ecat.enriched import (
@@ -168,53 +170,51 @@ def _half_braided_index(pairs) -> dict:
 # --- endofunctor enumeration ---
 
 
-def _identity_background_laws(src: EnrichedCategory, tgt: EnrichedCategory,
-                              obj_map: tuple, comps: dict) -> bool:
-    m = tgt.base
-    c = m.base
-    for x in src.objects():
-        if c.comp(comps[(x, x)], src.one(x)) != tgt.one(obj_map[x]):
-            return False
-    for x, y, z in itertools.product(src.objects(), repeat=3):
-        lhs = c.comp(comps[(x, z)], src.c(x, y, z))
-        rhs = c.comp(
-            tgt.c(obj_map[x], obj_map[y], obj_map[z]),
-            m.t_mor(comps[(y, z)], comps[(x, y)]),
-        )
-        if lhs != rhs:
-            return False
-    return True
-
-
 def _identity_background_functors(src: EnrichedCategory, tgt: EnrichedCategory,
-                                  obj_maps, invertible: bool, budget: Budget):
+                                  budget: Budget, iso: bool = False):
     """Yield the enriched functors src -> tgt with identity background.
 
-    Object maps come in the given order; each hom component ranges over the
-    sorted base morphisms between the hom objects, only the invertible ones
-    when invertible is set. Every component family spends one candidate.
+    The object map comes first, in lexicographic order, then one hom
+    component per pair (x, y) in order, ranging over the base morphisms
+    between the hom objects. An object pair with no such morphism prunes the
+    object map; the identity law at x and the composition law at (x, y, z)
+    are checked once their components are assigned. With iso set, object
+    maps are bijections and components invertible.
     """
     m = src.base
     c = m.base
-    bg = identity_lax(m)
+    n = src.n_objects
     keys = list(itertools.product(src.objects(), repeat=2))
-    for obj_map in obj_maps:
-        pools = []
-        for x, y in keys:
-            pool = [
-                f
-                for f in c.hom(src.hom(x, y), tgt.hom(obj_map[x], obj_map[y]))
-                if not invertible or find_inverse(c, f) is not None
-            ]
-            if not pool:
-                break
-            pools.append(sorted(pool))
-        else:
-            for combo in itertools.product(*pools):
-                budget.spend()
-                comps = dict(zip(keys, combo))
-                if _identity_background_laws(src, tgt, obj_map, comps):
-                    yield EnrichedFunctor(bg, src, tgt, obj_map, comps)
+    var = {k: n + i for i, k in enumerate(keys)}
+
+    def pool(x, y, a):
+        return [
+            f for f in c.hom(src.hom(x, y), tgt.hom(a[x], a[y]))
+            if not iso or find_inverse(c, f) is not None
+        ]
+
+    def domain(i, a):
+        return tgt.objects() if i < n else pool(*keys[i - n], a)
+
+    def identity_law(a, x):
+        return c.comp(a[var[(x, x)]], src.one(x)) == tgt.one(a[x])
+
+    def composition_law(a, x, y, z):
+        return c.comp(a[var[(x, z)]], src.c(x, y, z)) == c.comp(
+            tgt.c(a[x], a[y], a[z]), m.t_mor(a[var[(y, z)]], a[var[(x, y)]])
+        )
+
+    constraints = [(x, lambda a, x=x: a[x] not in a[:x]) for x in range(n)] if iso else []
+    constraints += [(max(x, y), lambda a, k=(x, y): bool(pool(*k, a))) for x, y in keys]
+    constraints += [(var[(x, x)], lambda a, x=x: identity_law(a, x)) for x in range(n)]
+    constraints += [
+        (max(var[(x, z)], var[(y, z)], var[(x, y)]),
+         lambda a, t=(x, y, z): composition_law(a, *t))
+        for x, y, z in itertools.product(range(n), repeat=3)
+    ]
+    bg = identity_lax(m)
+    for a in _search(n + len(keys), domain, constraints, budget):
+        yield EnrichedFunctor(bg, src, tgt, a[:n], dict(zip(keys, a[n:])))
 
 
 def enumerate_identity_background_functors(
@@ -228,8 +228,7 @@ def enumerate_identity_background_functors(
     if src.base != tgt.base:
         raise StructureError("functor enumeration needs a shared base")
     budget = Budget(cap, "enriched endofunctor enumeration")
-    obj_maps = itertools.product(tgt.objects(), repeat=src.n_objects)
-    return list(_identity_background_functors(src, tgt, obj_maps, False, budget))
+    return list(_identity_background_functors(src, tgt, budget))
 
 
 def _functor_key(f: EnrichedFunctor) -> tuple:
@@ -376,32 +375,29 @@ def _family_square_ok(e: EnrichedCategory, fF: EnrichedFunctor,
 
 
 def bracket_family(e: EnrichedCategory, fF: EnrichedFunctor,
-                   fG: EnrichedFunctor, z1,
-                   cap: int | None = None) -> Bracket | None:
+                   fG: EnrichedFunctor, z1, budget: Budget) -> Bracket | None:
     """The terminal half-braided family from fF to fG, if one exists.
 
     Families pair an object a of the ordinary center z1 of the base with
     components I(a) -> hom(Fx, Gx) that slide past every hom; morphisms
-    are center morphisms compatible with both families.
+    are center morphisms compatible with both families. The center object
+    is the first variable of the search, the components the rest.
     """
     c = e.base.base
-    budget = Budget(cap, "half-braided family enumeration")
     fwd = z1.forgetful
-    objects = []
-    for i, (_, hb) in enumerate(z1.object_data):
-        ia = fwd.on_obj(i)
-        pools = []
-        for x in e.objects():
-            pool = c.hom(ia, e.hom(fF.on_obj(x), fG.on_obj(x)))
-            if not pool:
-                break
-            pools.append(sorted(pool))
-        else:
-            for combo in itertools.product(*pools):
-                budget.spend()
-                comps = dict(enumerate(combo))
-                if _family_square_ok(e, fF, fG, hb, comps):
-                    objects.append(Family(i, combo))
+
+    def domain(i, v):
+        if i == 0:
+            return range(len(z1.object_data))
+        return c.hom(fwd.on_obj(v[0]), e.hom(fF.on_obj(i - 1), fG.on_obj(i - 1)))
+
+    def slides(v):
+        return _family_square_ok(e, fF, fG, z1.object_data[v[0]][1], v[1:])
+
+    n = e.n_objects
+    objects = [
+        Family(v[0], v[1:]) for v in _search(n + 1, domain, [(n, slides)], budget)
+    ]
     return _terminal_bracket(c, fwd, objects, budget)
 
 
@@ -415,13 +411,17 @@ class StarResult:
 
 
 def condition_star(e: EnrichedCategory, cap: int | None = None) -> StarResult:
-    """Check whether every endofunctor pair has a terminal family."""
-    z1 = drinfeld_center_z1(e.base, Budget(cap, "ordinary center"))
-    functors = enumerate_identity_background_functors(e, e, cap)
+    """Check whether every endofunctor pair has a terminal family.
+
+    One budget of cap units bounds the ordinary center, the endofunctor
+    enumeration and every family search."""
+    budget = Budget(cap, "E0 center")
+    z1 = drinfeld_center_z1(e.base, budget)
+    functors = list(_identity_background_functors(e, e, budget))
     brackets = {}
     for i, fF in enumerate(functors):
         for j, fG in enumerate(functors):
-            brackets[(i, j)] = bracket_family(e, fF, fG, z1, cap)
+            brackets[(i, j)] = bracket_family(e, fF, fG, z1, budget)
     return StarResult(tuple(functors), brackets, z1)
 
 
@@ -624,37 +624,30 @@ def enriched_iso_search(
     if e1.n_objects != e2.n_objects:
         return None
     budget = Budget(cap, "enriched isomorphism search")
-    perms = itertools.permutations(range(e1.n_objects))
-    return next(_identity_background_functors(e1, e2, perms, True, budget), None)
+    return next(_identity_background_functors(e1, e2, budget, iso=True), None)
 
 
 # --- the E0 center through module endofunctors ---
 
 
-def _enumerate_module_endofunctors(mod: ModuleAction, cap: int | None) -> list:
-    budget = Budget(cap, "module endofunctor enumeration")
+def _enumerate_module_endofunctors(mod: ModuleAction, budget: Budget) -> list:
+    """Lax module endofunctors of mod: the underlying functor is the first
+    variable, the cells at the pairs (a, x) in order the rest."""
     cc = mod.carrier
-    mb = mod.base.base
-    found = []
-    for fun in enumerate_functors(cc, cc, cap):
-        keys = [(a, x) for a in mb.objects() for x in cc.objects()]
-        pools = []
-        for a, x in keys:
-            pool = cc.hom(
-                mod.a_obj(a, fun.obj_map[x]), fun.obj_map[mod.a_obj(a, x)]
-            )
-            if not pool:
-                pools = None
-                break
-            pools.append(sorted(pool))
-        if pools is None:
-            continue
-        for combo in itertools.product(*pools):
-            budget.spend()
-            mf = ModuleFunctor(mod, mod, fun, dict(zip(keys, combo)))
-            if check_module_functor(mf).ok:
-                found.append(mf)
-    return found
+    functors = list(_functor_search(cc, cc, budget))
+    keys = [(a, x) for a in mod.base.base.objects() for x in cc.objects()]
+
+    def domain(i, v):
+        if i == 0:
+            return functors
+        (a, x), fun = keys[i - 1], v[0]
+        return cc.hom(mod.a_obj(a, fun.obj_map[x]), fun.obj_map[mod.a_obj(a, x)])
+
+    mfs = (
+        ModuleFunctor(mod, mod, v[0], dict(zip(keys, v[1:])))
+        for v in _search(len(keys) + 1, domain, (), budget)
+    )
+    return [mf for mf in mfs if check_module_functor(mf).ok]
 
 
 def _module_functor_key(mf: ModuleFunctor) -> tuple:
@@ -671,9 +664,11 @@ def e0_center_via_module(mod: ModuleAction, cap: int | None = None) -> CenterRes
     The lax module endofunctors of mod form a category acted on by the
     ordinary center of the base; the canonical construction on that action
     yields an enriched category, shipped with the strict tensor table
-    given by endofunctor composition.
+    given by endofunctor composition. One budget of cap units bounds the
+    ordinary center, every search and the canonical construction.
     """
-    z1 = drinfeld_center_z1(mod.base, Budget(cap, "ordinary center"))
+    budget = Budget(cap, "E0 center")
+    z1 = drinfeld_center_z1(mod.base, budget)
     if not mod.strongly_associative:
         raise StructureError("module endofunctor action needs strong associativity")
     cc = mod.carrier
@@ -682,26 +677,16 @@ def e0_center_via_module(mod: ModuleAction, cap: int | None = None) -> CenterRes
     zmon = z1.monoidal
     zc = zmon.base
     fwd = z1.forgetful
-    budget = Budget(cap, "module endofunctor category")
 
-    mfs = _enumerate_module_endofunctors(mod, cap)
+    mfs = _enumerate_module_endofunctors(mod, budget)
     mf_index = {_module_functor_key(mf): i for i, mf in enumerate(mfs)}
-    nats = []
-    for i, fi in enumerate(mfs):
-        for j, fj in enumerate(mfs):
-            pools = [
-                sorted(cc.hom(fi.functor.obj_map[x], fj.functor.obj_map[x]))
-                for x in cc.objects()
-            ]
-            if any(not p for p in pools):
-                continue
-            for combo in itertools.product(*pools):
-                budget.spend()
-                nat = NatTransf(fi.functor, fj.functor, combo)
-                if not check_nat_transf(nat).ok:
-                    continue
-                if check_module_nat(fi, fj, nat).ok:
-                    nats.append((i, j, combo))
+    nats = [
+        (i, j, nat.components)
+        for i, fi in enumerate(mfs)
+        for j, fj in enumerate(mfs)
+        for nat in _nat_search(fi.functor, fj.functor, budget)
+        if check_module_nat(fi, fj, nat).ok
+    ]
     nat_index = {key: pos for pos, key in enumerate(nats)}
     dom = tuple(i for i, _, _ in nats)
     cod = tuple(j for _, j, _ in nats)
@@ -777,7 +762,7 @@ def e0_center_via_module(mod: ModuleAction, cap: int | None = None) -> CenterRes
         zmon, funcat, act, oplax_assoc, tuple(oplax_unitor),
         mod.strongly_associative, mod.strongly_unital,
     )
-    can = canonical_construction(fmod, Budget(cap, "module endofunctor homs"))
+    can = canonical_construction(fmod, budget)
     t_obj = {}
     for i, j in itertools.product(range(nf), repeat=2):
         t_obj[(i, j)] = mf_index[
@@ -1551,42 +1536,36 @@ class _UniversalCheck:
                 report.add("pasting-background", (b,))
 
         u_host = underlying_category(host)
-        budget = Budget(cap, "mediating isomorphism search")
-        pools_bg = [sorted(zc.hom(phat_obj[a], phat_obj[a])) for a in ca.objects()]
-        pools_el = [
-            sorted(zc.hom(zmon.unit, host.hom(P[a], P[a]))) for a in la.objects()
-        ]
-        count = 0
-        for combo_bg in itertools.product(*pools_bg):
-            bg_nat = NatTransf(phat.functor, phat.functor, combo_bg)
-            if not check_nat_transf(bg_nat).ok:
-                continue
-            if any(find_inverse(zc, k) is None for k in combo_bg):
-                continue
-            lm_nat = LaxMonoidalNat(phat, phat, bg_nat)
-            for combo_el in itertools.product(*pools_el):
-                budget.spend()
-                alpha = dict(enumerate(combo_el))
-                if any(
-                    find_inverse(u_host.cat, u_host.index[(P[a], P[a], alpha[a])])
-                    is None
-                    for a in la.objects()
-                ):
-                    continue
-                if not check_enriched_nat(EnrichedNat(lm_nat, ecp, ecp, alpha)).ok:
-                    continue
-                if not self.fixes_unit(P, alpha, combo_bg, ph_unit):
-                    continue
-                ok3 = all(
+        nA = ca.n_objects
+
+        def domain(i, v):
+            """Invertible background components, then invertible elements."""
+            if i < nA:
+                pool = zc.hom(phat_obj[i], phat_obj[i])
+                return [k for k in pool if find_inverse(zc, k) is not None]
+            a = P[i - nA]
+            return [
+                el for el in zc.hom(zmon.unit, host.hom(a, a))
+                if find_inverse(u_host.cat, u_host.index[(a, a, el)]) is not None
+            ]
+
+        def natural_bg(v):
+            return check_nat_transf(NatTransf(phat.functor, phat.functor, v[:nA])).ok
+
+        def mediates(v):
+            combo_bg, alpha = v[:nA], dict(enumerate(v[nA:]))
+            lm_nat = LaxMonoidalNat(phat, phat, NatTransf(phat.functor, phat.functor, combo_bg))
+            return (
+                check_enriched_nat(EnrichedNat(lm_nat, ecp, ecp, alpha)).ok
+                and self.fixes_unit(P, alpha, combo_bg, ph_unit)
+                and all(
                     self.fixes_rho(
                         a, x, rho_el,
                         _apply_pair(act, nM, mB, P[a], x, P[a], x, alpha[a], e.one(x)),
                     )
                     for a in la.objects() for x in range(nM)
                 )
-                if not ok3:
-                    continue
-                ok3b = all(
+                and all(
                     c.comp(
                         rho_bg[(a, b)],
                         m.t_mor(self.incl.on_mor(combo_bg[a]), c.identity[b]),
@@ -1594,8 +1573,11 @@ class _UniversalCheck:
                     == rho_bg[(a, b)]
                     for a in ca.objects() for b in c.objects()
                 )
-                if ok3b:
-                    count += 1
+            )
+
+        budget = Budget(cap, "mediating isomorphism search")
+        candidates = _search(nA + la.n_objects, domain, [(nA - 1, natural_bg)], budget)
+        count = sum(1 for v in candidates if mediates(v))
         return TheoremReport(report, count)
 
 

@@ -1,4 +1,4 @@
-"""Finite categories, functors, natural transformations, brute-force searches.
+"""Finite categories, functors, natural transformations, and the one search.
 
 A category is a pile of index tables. Objects are ``0..n-1``; each morphism
 index has a domain, codomain; ``compose[(g, f)]`` is defined exactly when
@@ -10,6 +10,13 @@ are ``ProductSequence`` and ``ProductMapping`` objects that compute each
 entry from the factor tables by index arithmetic when it is read. They
 behave as read-only tuples and dicts, and compare equal by their factors,
 so iterated products cost only what their readers read.
+
+Every exhaustive search of ``ecat`` (all functors, natural transformations,
+isomorphisms, half-braidings, enriched functors, terminal families and
+mediating isomorphisms) runs on ``_search``: a backtracking search that
+assigns variables in order, checks each constraint as soon as its last
+variable is assigned, yields solutions in lexicographic order and spends
+one budget unit per node.
 """
 
 from __future__ import annotations
@@ -539,65 +546,122 @@ def hcomp_nats(beta: NatTransf, alpha: NatTransf) -> NatTransf:
     return NatTransf(compose_functors(fp, f), compose_functors(gp, g), comps)
 
 
+def _search(n: int, domain, constraints, budget: Budget):
+    """Every assignment of variables 0..n-1 that meets the constraints.
+
+    This is the one exhaustive search of ``ecat``; every "all X" and "the
+    first X" is a call to it. ``domain(i, a)`` is called once variables
+    0..i-1 are assigned and gives the values of variable i in order; it may
+    read ``a[:i]`` while it is called.
+    ``constraints`` holds pairs ``(last, check)``: ``check(a)`` may read
+    ``a[:last + 1]`` and runs as soon as variable ``last`` is assigned, so a
+    failed check prunes every extension at once. Assignments are yielded as
+    tuples in lexicographic order, the order of ``itertools.product`` over
+    the domains. Each value tried for a variable spends one unit of budget,
+    so a search that returns has seen every candidate and one that cannot
+    finish raises ``BudgetExceeded``.
+    """
+    checks = [[] for _ in range(n)]
+    for last, check in constraints:
+        checks[last].append(check)
+    if n == 0:
+        yield ()
+        return
+    a = [None] * n
+    stack = [iter(domain(0, a))]
+    while stack:
+        i = len(stack) - 1
+        for a[i] in stack[i]:
+            budget.spend()
+            if all(check(a) for check in checks[i]):
+                break
+        else:
+            stack.pop()
+            continue
+        if i + 1 == n:
+            yield tuple(a)
+        else:
+            stack.append(iter(domain(i + 1, a)))
+
+
+def _functor_search(c: FinCategory, d: FinCategory, budget: Budget, iso: bool = False):
+    """Functors C -> D in lexicographic (obj_map, then mor_map) order.
+
+    Objects are the first variables, then the morphisms that are not
+    identities; a composite is checked once its three morphisms are mapped.
+    With iso set, only bijections that keep degree signatures are yielded.
+    """
+    n = c.n_objects
+    ident = {e: x for x, e in enumerate(c.identity)}
+    free = [f for f in c.morphisms() if f not in ident]
+    var = dict(ident)
+    var.update((f, n + k) for k, f in enumerate(free))
+    objs = [d.objects()] * n
+    if iso:
+        sig_c = [_degree_signature(c, x) for x in c.objects()]
+        sig_d = [_degree_signature(d, y) for y in d.objects()]
+        if sorted(sig_c) != sorted(sig_d):
+            return
+        objs = [[y for y in d.objects() if sig_d[y] == s] for s in sig_c]
+
+    def image(a, f):
+        return d.identity[a[ident[f]]] if f in ident else a[var[f]]
+
+    def domain(i, a):
+        if i < n:
+            return objs[i]
+        f = free[i - n]
+        return d.hom(a[c.dom[f]], a[c.cod[f]])
+
+    constraints = []
+    if iso:
+        d_ids = set(d.identity)
+        constraints += [(x, lambda a, x=x: a[x] not in a[:x]) for x in range(n)]
+        constraints += [
+            (n + k, lambda a, k=k: a[n + k] not in a[n:n + k] and a[n + k] not in d_ids)
+            for k in range(len(free))
+        ]
+    constraints += [
+        (max(c.dom[f], c.cod[f]), lambda a, f=f: bool(d.hom(a[c.dom[f]], a[c.cod[f]])))
+        for f in free
+    ]
+    constraints += [
+        (max(var[g], var[f], var[h]),
+         lambda a, g=g, f=f, h=h: d.comp(image(a, g), image(a, f)) == image(a, h))
+        for (g, f), h in c.compose.items()
+    ]
+    for a in _search(n + len(free), domain, constraints, budget):
+        yield Functor(c, d, a[:n], tuple(image(a, f) for f in c.morphisms()))
+
+
 def enumerate_functors(
     c: FinCategory, d: FinCategory, cap: int | None = None
 ) -> list[Functor]:
     """All functors C -> D in lexicographic (obj_map, then mor_map) order."""
-    budget = Budget(cap, "functor enumeration")
-    out: list[Functor] = []
-    non_identity = [f for f in c.morphisms() if f not in set(c.identity)]
-    forced = {}
-    for x in c.objects():
-        forced[c.identity[x]] = x
+    return list(_functor_search(c, d, Budget(cap, "functor enumeration")))
 
-    for obj_map in itertools.product(range(d.n_objects), repeat=c.n_objects):
-        budget.spend()
-        mor_map = [0] * c.n_morphisms
-        for e, x in forced.items():
-            mor_map[e] = d.identity[obj_map[x]]
-        candidates = {
-            f: d.hom(obj_map[c.dom[f]], obj_map[c.cod[f]]) for f in non_identity
-        }
-        if any(not v for v in candidates.values()):
-            continue
 
-        def consistent(upto: int) -> bool:
-            assigned = set(forced) | set(non_identity[: upto + 1])
-            for (g, f), h in c.compose.items():
-                if g in assigned and f in assigned and h in assigned:
-                    if d.comp(mor_map[g], mor_map[f]) != mor_map[h]:
-                        return False
-            return True
+def _nat_search(f: Functor, g: Functor, budget: Budget):
+    """Natural transformations f => g in lexicographic component order;
+    naturality at m is checked once both of its ends have components."""
+    c, d = f.source, f.target
+    constraints = [
+        (max(c.dom[m], c.cod[m]),
+         lambda a, m=m: d.comp(a[c.cod[m]], f.mor_map[m]) == d.comp(g.mor_map[m], a[c.dom[m]]))
+        for m in c.morphisms()
+    ]
 
-        def backtrack(i: int) -> None:
-            budget.spend()
-            if i == len(non_identity):
-                out.append(Functor(c, d, tuple(obj_map), tuple(mor_map)))
-                return
-            f = non_identity[i]
-            for m in candidates[f]:
-                mor_map[f] = m
-                if consistent(i):
-                    backtrack(i + 1)
-            mor_map[f] = 0
+    def domain(x, a):
+        return d.hom(f.obj_map[x], g.obj_map[x])
 
-        backtrack(0)
-    return out
+    for comps in _search(c.n_objects, domain, constraints, budget):
+        yield NatTransf(f, g, comps)
 
 
 def enumerate_nat_transfs(
     f: Functor, g: Functor, cap: int | None = None
 ) -> list[NatTransf]:
-    budget = Budget(cap, "natural transformation enumeration")
-    c, d = f.source, f.target
-    per_object = [sorted(d.hom(f.obj_map[x], g.obj_map[x])) for x in c.objects()]
-    out = []
-    for comps in itertools.product(*per_object):
-        budget.spend()
-        nat = NatTransf(f, g, comps)
-        if check_nat_transf(nat).ok:
-            out.append(nat)
-    return out
+    return list(_nat_search(f, g, Budget(cap, "natural transformation enumeration")))
 
 
 def find_terminal_objects(c: FinCategory) -> list[int]:
@@ -622,72 +686,7 @@ def iso_search(
     if c.n_objects != d.n_objects or c.n_morphisms != d.n_morphisms:
         return None
     budget = Budget(cap, "isomorphism search")
-    sig_c = [_degree_signature(c, x) for x in c.objects()]
-    sig_d = [_degree_signature(d, x) for x in d.objects()]
-    if sorted(sig_c) != sorted(sig_d):
-        return None
-
-    obj_map = [-1] * c.n_objects
-    used_obj = [False] * d.n_objects
-
-    def try_morphisms() -> Functor | None:
-        mor_map = [-1] * c.n_morphisms
-        used = [False] * d.n_morphisms
-        for x in c.objects():
-            e = c.identity[x]
-            mor_map[e] = d.identity[obj_map[x]]
-            used[mor_map[e]] = True
-        non_identity = [f for f in c.morphisms() if mor_map[f] == -1]
-
-        def backtrack(i: int) -> Functor | None:
-            budget.spend()
-            if i == len(non_identity):
-                fun = Functor(c, d, tuple(obj_map), tuple(mor_map))
-                return fun if check_functor(fun).ok else None
-            f = non_identity[i]
-            for m in d.hom(obj_map[c.dom[f]], obj_map[c.cod[f]]):
-                if used[m]:
-                    continue
-                mor_map[f] = m
-                used[m] = True
-                ok = True
-                assigned = [a for a in c.morphisms() if mor_map[a] != -1]
-                for g in assigned:
-                    for h in assigned:
-                        if (g, h) in c.compose:
-                            img = mor_map[c.compose[(g, h)]]
-                            if img != -1 and d.comp(mor_map[g], mor_map[h]) != img:
-                                ok = False
-                                break
-                    if not ok:
-                        break
-                if ok:
-                    res = backtrack(i + 1)
-                    if res is not None:
-                        return res
-                used[m] = False
-                mor_map[f] = -1
-            return None
-
-        return backtrack(0)
-
-    def assign_obj(x: int) -> Functor | None:
-        budget.spend()
-        if x == c.n_objects:
-            return try_morphisms()
-        for y in d.objects():
-            if used_obj[y] or sig_c[x] != sig_d[y]:
-                continue
-            obj_map[x] = y
-            used_obj[y] = True
-            res = assign_obj(x + 1)
-            if res is not None:
-                return res
-            used_obj[y] = False
-        obj_map[x] = -1
-        return None
-
-    return assign_obj(0)
+    return next(_functor_search(c, d, budget, iso=True), None)
 
 
 def inverse_functor(fun: Functor) -> Functor:

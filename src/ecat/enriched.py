@@ -18,7 +18,6 @@ from ecat.core import (
     ProductMapping,
     ProductSequence,
     hcomp_nats,
-    identity_functor,
     opposite_category,
     product_category,
     vcomp_nats,

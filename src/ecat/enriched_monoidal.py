@@ -15,7 +15,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ecat.core import Functor, NatTransf, _is_product, check_category, product_category
+from ecat.core import (
+    Functor,
+    NatTransf,
+    _is_product,
+    _search,
+    check_category,
+    product_category,
+)
 from ecat.monoidal import (
     AlgebraObject,
     BraidedStructure,
@@ -739,14 +746,9 @@ def enumerate_enriched_half_braidings(
     u = underlying_category(e)
     um = underlying_monoidal(em, u)
     budget = Budget(cap, "enriched half-braiding enumeration")
-    candidates = []
-    for z in e.objects():
-        pool = sorted(c.hom(m.unit, e.hom(em.t(z, x), em.t(x, z))))
-        candidates.append(pool)
-    found = []
-    for combo in itertools.product(*candidates):
-        budget.spend()
-        hb = EnrichedHalfBraiding(x, dict(enumerate(combo)))
-        if check_enriched_half_braiding(em, hb, u, um).ok:
-            found.append(hb)
-    return found
+    pools = [c.hom(m.unit, e.hom(em.t(z, x), em.t(x, z))) for z in e.objects()]
+    hbs = (
+        EnrichedHalfBraiding(x, dict(enumerate(combo)))
+        for combo in _search(len(pools), lambda z, a: pools[z], (), budget)
+    )
+    return [hb for hb in hbs if check_enriched_half_braiding(em, hb, u, um).ok]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ecat.core import (
     FinCategory,
@@ -17,6 +17,7 @@ from ecat.core import (
     NatTransf,
     ProductMapping,
     ProductSequence,
+    _search,
     check_functor,
     check_nat_transf,
     identity_functor,
@@ -687,25 +688,19 @@ def enumerate_half_braidings(
     """All half-braidings on x, deterministically ordered."""
     c = m.base
     budget = budget or Budget(None, "half-braiding enumeration")
-    candidates = []
-    for z in c.objects():
-        opts = [
-            f
-            for f in c.hom(m.t_obj(z, x), m.t_obj(x, z))
-            if find_inverse(c, f) is not None
-        ]
-        candidates.append(opts)
-    out = []
-    for combo in itertools.product(*candidates):
-        budget.spend()
-        hb = HalfBraidingOrd(x, dict(enumerate(combo)))
-        if check_half_braiding(m, hb).ok:
-            out.append(hb)
-    return out
+    pools = [
+        [f for f in c.hom(m.t_obj(z, x), m.t_obj(x, z)) if find_inverse(c, f) is not None]
+        for z in c.objects()
+    ]
+    hbs = (
+        HalfBraidingOrd(x, dict(enumerate(combo)))
+        for combo in _search(len(pools), lambda z, a: pools[z], (), budget)
+    )
+    return [hb for hb in hbs if check_half_braiding(m, hb).ok]
 
 
 @dataclass(frozen=True, eq=True)
-class CenterResult:
+class DrinfeldCenter:
     """A center presented as a braided monoidal category plus forgetful data.
 
     object_data[i] describes center object i; forgetful is a strong monoidal
@@ -720,7 +715,7 @@ class CenterResult:
 
 def drinfeld_center_z1(
     m: MonoidalCategory, budget: Budget | None = None
-) -> CenterResult:
+) -> DrinfeldCenter:
     """The category of (object, half-braiding) pairs, built by brute force."""
     c = m.base
     budget = budget or Budget(None, "drinfeld center")
@@ -833,7 +828,7 @@ def drinfeld_center_z1(
     forgetful = LaxMonoidalFunctor(
         zmon, m, forget, c.identity[m.unit], fmult, "strong"
     )
-    return CenterResult(zmon, zbraided, forgetful, tuple(z_objects))
+    return DrinfeldCenter(zmon, zbraided, forgetful, tuple(z_objects))
 
 
 def full_monoidal_subcategory(

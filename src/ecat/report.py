@@ -23,10 +23,12 @@ def default_budget() -> int:
 
 
 class BudgetExceeded(RuntimeError):
-    """An enumeration would exceed its candidate budget.
+    """A search would spend more units than its budget's cap.
 
-    Raised loudly instead of truncating, so completeness claims are never
-    silently violated.
+    A unit is one search node: one value tried for one variable of
+    ``core._search``, or one candidate of a single-pool filter. Raised
+    loudly instead of truncating, so completeness claims are never silently
+    violated.
     """
 
     def __init__(self, what: str, bound: int):
@@ -40,7 +42,13 @@ class StructureError(ValueError):
 
 
 class Budget:
-    """A mutable spend counter shared by nested searches."""
+    """A mutable spend counter shared by nested searches.
+
+    One unit is one search node: one value tried for one variable of
+    ``core._search``, whether or not a constraint then rejects it, or one
+    candidate tried by a single-pool filter (an internal-hom, center-morphism
+    or terminal-family scan). Searches that share one budget share its cap.
+    """
 
     __slots__ = ("cap", "used", "what")
 

@@ -8,7 +8,18 @@ from __future__ import annotations
 
 import itertools
 
+from ecat.actions import (
+    ModuleAction,
+    ModuleFunctor,
+    RLaxStructure,
+    check_module_functor,
+    check_module_nat,
+    check_rlax,
+)
+from ecat.canonical import CanonicalCategory
 from ecat.centers import (
+    Bracket,
+    Family,
     TheoremReport,
     _apply_pair,
     _el_comp,
@@ -16,13 +27,22 @@ from ecat.centers import (
     _el_path,
     _functor_key,
     _t_el,
+    _terminal_bracket,
     e0_center,
     e0_ev,
     gamma1,
     gamma2,
 )
-from ecat.core import FinCategory, Functor, NatTransf, check_nat_transf
+from ecat.core import (
+    FinCategory,
+    Functor,
+    NatTransf,
+    _degree_signature,
+    check_functor,
+    check_nat_transf,
+)
 from ecat.enriched import (
+    EnrichedCategory,
     EnrichedFunctor,
     EnrichedNat,
     check_enriched_functor,
@@ -32,10 +52,18 @@ from ecat.enriched import (
     product_enriched_functor,
     underlying_category,
 )
-from ecat.enriched_monoidal import EnrichedMonoidalCategory
+from ecat.enriched_monoidal import (
+    EnrichedHalfBraiding,
+    EnrichedMonoidalCategory,
+    check_enriched_half_braiding,
+    underlying_monoidal,
+)
 from ecat.monoidal import (
+    HalfBraidingOrd,
     LaxMonoidalFunctor,
     LaxMonoidalNat,
+    MonoidalCategory,
+    check_half_braiding,
     check_lax_monoidal_functor,
     find_inverse,
     identity_lax,
@@ -224,6 +252,17 @@ def chain2_enriched():
 def lattice4_self_enriched():
     """The Boolean lattice enriched in itself by implication."""
     return thin_enriched(lattice4_monoidal(), [0, 1, 2, 3], lambda x, y: (~x | y) & 3)
+
+
+def lattice8_monoidal():
+    """Boolean lattice on 3 bits, meet, unit 0b111."""
+    c = thin_category(8, lambda x, y: x & y == x)
+    return thin_monoidal(c, lambda x, y: x & y, 7)
+
+
+def lattice8_self_enriched():
+    """The 8-element Boolean lattice enriched in itself by implication."""
+    return thin_enriched(lattice8_monoidal(), list(range(8)), lambda x, y: (~x | y) & 7)
 
 
 def sign_enriched(n_objects, comp_value):
@@ -1626,3 +1665,434 @@ def exhaustive_verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAc
             if ok3b:
                 count += 1
     return TheoremReport(report, count)
+
+
+# --- enumerations before the search kernel ---
+
+# The parent bodies of every enumeration that now runs on core._search,
+# verbatim except for their names and for nested calls, which go to the
+# oracle copies. Each tries every combination of its pools and filters.
+
+
+def exhaustive_enumerate_functors(
+    c: FinCategory, d: FinCategory, cap: int | None = None
+) -> list[Functor]:
+    """All functors C -> D in lexicographic (obj_map, then mor_map) order."""
+    budget = Budget(cap, "functor enumeration")
+    out: list[Functor] = []
+    non_identity = [f for f in c.morphisms() if f not in set(c.identity)]
+    forced = {}
+    for x in c.objects():
+        forced[c.identity[x]] = x
+
+    for obj_map in itertools.product(range(d.n_objects), repeat=c.n_objects):
+        budget.spend()
+        mor_map = [0] * c.n_morphisms
+        for e, x in forced.items():
+            mor_map[e] = d.identity[obj_map[x]]
+        candidates = {
+            f: d.hom(obj_map[c.dom[f]], obj_map[c.cod[f]]) for f in non_identity
+        }
+        if any(not v for v in candidates.values()):
+            continue
+
+        def consistent(upto: int) -> bool:
+            assigned = set(forced) | set(non_identity[: upto + 1])
+            for (g, f), h in c.compose.items():
+                if g in assigned and f in assigned and h in assigned:
+                    if d.comp(mor_map[g], mor_map[f]) != mor_map[h]:
+                        return False
+            return True
+
+        def backtrack(i: int) -> None:
+            budget.spend()
+            if i == len(non_identity):
+                out.append(Functor(c, d, tuple(obj_map), tuple(mor_map)))
+                return
+            f = non_identity[i]
+            for m in candidates[f]:
+                mor_map[f] = m
+                if consistent(i):
+                    backtrack(i + 1)
+            mor_map[f] = 0
+
+        backtrack(0)
+    return out
+
+
+def exhaustive_enumerate_nat_transfs(
+    f: Functor, g: Functor, cap: int | None = None
+) -> list[NatTransf]:
+    budget = Budget(cap, "natural transformation enumeration")
+    c, d = f.source, f.target
+    per_object = [sorted(d.hom(f.obj_map[x], g.obj_map[x])) for x in c.objects()]
+    out = []
+    for comps in itertools.product(*per_object):
+        budget.spend()
+        nat = NatTransf(f, g, comps)
+        if check_nat_transf(nat).ok:
+            out.append(nat)
+    return out
+
+
+def exhaustive_iso_search(
+    c: FinCategory, d: FinCategory, cap: int | None = None
+) -> Functor | None:
+    """First isomorphism C -> D in deterministic order, or None."""
+    if c.n_objects != d.n_objects or c.n_morphisms != d.n_morphisms:
+        return None
+    budget = Budget(cap, "isomorphism search")
+    sig_c = [_degree_signature(c, x) for x in c.objects()]
+    sig_d = [_degree_signature(d, x) for x in d.objects()]
+    if sorted(sig_c) != sorted(sig_d):
+        return None
+
+    obj_map = [-1] * c.n_objects
+    used_obj = [False] * d.n_objects
+
+    def try_morphisms() -> Functor | None:
+        mor_map = [-1] * c.n_morphisms
+        used = [False] * d.n_morphisms
+        for x in c.objects():
+            e = c.identity[x]
+            mor_map[e] = d.identity[obj_map[x]]
+            used[mor_map[e]] = True
+        non_identity = [f for f in c.morphisms() if mor_map[f] == -1]
+
+        def backtrack(i: int) -> Functor | None:
+            budget.spend()
+            if i == len(non_identity):
+                fun = Functor(c, d, tuple(obj_map), tuple(mor_map))
+                return fun if check_functor(fun).ok else None
+            f = non_identity[i]
+            for m in d.hom(obj_map[c.dom[f]], obj_map[c.cod[f]]):
+                if used[m]:
+                    continue
+                mor_map[f] = m
+                used[m] = True
+                ok = True
+                assigned = [a for a in c.morphisms() if mor_map[a] != -1]
+                for g in assigned:
+                    for h in assigned:
+                        if (g, h) in c.compose:
+                            img = mor_map[c.compose[(g, h)]]
+                            if img != -1 and d.comp(mor_map[g], mor_map[h]) != img:
+                                ok = False
+                                break
+                    if not ok:
+                        break
+                if ok:
+                    res = backtrack(i + 1)
+                    if res is not None:
+                        return res
+                used[m] = False
+                mor_map[f] = -1
+            return None
+
+        return backtrack(0)
+
+    def assign_obj(x: int) -> Functor | None:
+        budget.spend()
+        if x == c.n_objects:
+            return try_morphisms()
+        for y in d.objects():
+            if used_obj[y] or sig_c[x] != sig_d[y]:
+                continue
+            obj_map[x] = y
+            used_obj[y] = True
+            res = assign_obj(x + 1)
+            if res is not None:
+                return res
+            used_obj[y] = False
+        obj_map[x] = -1
+        return None
+
+    return assign_obj(0)
+
+
+def exhaustive_enumerate_rlax(
+    r: LaxMonoidalFunctor,
+    src: CanonicalCategory,
+    tgt: CanonicalCategory,
+    cap: int | None = None,
+) -> list:
+    """All r-lax functors along r between the modules, by brute force."""
+    budget = Budget(cap, "r-lax enumeration")
+    out = []
+    cl, cm = src.module.carrier, tgt.module.carrier
+    a_objs = list(src.module.base.base.objects())
+    for f in exhaustive_enumerate_functors(cl, cm, cap):
+        pools = []
+        keys = []
+        for a in a_objs:
+            for x in cl.objects():
+                keys.append((a, x))
+                pools.append(
+                    cm.hom(
+                        tgt.module.a_obj(r.on_obj(a), f.obj_map[x]),
+                        f.obj_map[src.module.a_obj(a, x)],
+                    )
+                )
+        for combo in itertools.product(*pools):
+            budget.spend()
+            rl = RLaxStructure(
+                r, src.module, tgt.module, f, dict(zip(keys, combo))
+            )
+            if check_rlax(rl).ok:
+                out.append(rl)
+    return out
+
+
+def exhaustive_enumerate_enriched_functors(
+    r: LaxMonoidalFunctor,
+    src: CanonicalCategory,
+    tgt: CanonicalCategory,
+    cap: int | None = None,
+) -> list:
+    """All enriched functors along the background r, by brute force."""
+    budget = Budget(cap, "enriched functor enumeration")
+    e1, e2 = src.enriched, tgt.enriched
+    cb = r.target.base
+    out = []
+    n = e1.n_objects
+    for obj_map in itertools.product(range(e2.n_objects), repeat=n):
+        pools = []
+        keys = []
+        for x, y in itertools.product(range(n), repeat=2):
+            keys.append((x, y))
+            pools.append(
+                cb.hom(r.on_obj(e1.hom(x, y)), e2.hom(obj_map[x], obj_map[y]))
+            )
+        for combo in itertools.product(*pools):
+            budget.spend()
+            f = EnrichedFunctor(r, e1, e2, obj_map, dict(zip(keys, combo)))
+            if check_enriched_functor(f).ok:
+                out.append(f)
+    return out
+
+
+def _exhaustive_identity_background_laws(src: EnrichedCategory, tgt: EnrichedCategory,
+                                         obj_map: tuple, comps: dict) -> bool:
+    m = tgt.base
+    c = m.base
+    for x in src.objects():
+        if c.comp(comps[(x, x)], src.one(x)) != tgt.one(obj_map[x]):
+            return False
+    for x, y, z in itertools.product(src.objects(), repeat=3):
+        lhs = c.comp(comps[(x, z)], src.c(x, y, z))
+        rhs = c.comp(
+            tgt.c(obj_map[x], obj_map[y], obj_map[z]),
+            m.t_mor(comps[(y, z)], comps[(x, y)]),
+        )
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _exhaustive_identity_background_functors(src: EnrichedCategory, tgt: EnrichedCategory,
+                                             obj_maps, invertible: bool, budget: Budget):
+    """Yield the enriched functors src -> tgt with identity background.
+
+    Object maps come in the given order; each hom component ranges over the
+    sorted base morphisms between the hom objects, only the invertible ones
+    when invertible is set. Every component family spends one candidate.
+    """
+    m = src.base
+    c = m.base
+    bg = identity_lax(m)
+    keys = list(itertools.product(src.objects(), repeat=2))
+    for obj_map in obj_maps:
+        pools = []
+        for x, y in keys:
+            pool = [
+                f
+                for f in c.hom(src.hom(x, y), tgt.hom(obj_map[x], obj_map[y]))
+                if not invertible or find_inverse(c, f) is not None
+            ]
+            if not pool:
+                break
+            pools.append(sorted(pool))
+        else:
+            for combo in itertools.product(*pools):
+                budget.spend()
+                comps = dict(zip(keys, combo))
+                if _exhaustive_identity_background_laws(src, tgt, obj_map, comps):
+                    yield EnrichedFunctor(bg, src, tgt, obj_map, comps)
+
+
+def exhaustive_enumerate_identity_background_functors(
+    src: EnrichedCategory, tgt: EnrichedCategory, cap: int | None = None
+) -> list:
+    """All enriched functors src -> tgt whose background is the identity.
+
+    Enumeration is exhaustive: a call that returns has seen every candidate
+    object map and component family, so the list is complete.
+    """
+    if src.base != tgt.base:
+        raise StructureError("functor enumeration needs a shared base")
+    budget = Budget(cap, "enriched endofunctor enumeration")
+    obj_maps = itertools.product(tgt.objects(), repeat=src.n_objects)
+    return list(_exhaustive_identity_background_functors(src, tgt, obj_maps, False, budget))
+
+
+def exhaustive_enriched_iso_search(
+    e1: EnrichedCategory, e2: EnrichedCategory, cap: int | None = None
+) -> EnrichedFunctor | None:
+    """An identity-background enriched isomorphism e1 -> e2, if any.
+
+    Searches object bijections and invertible hom components exhaustively.
+    """
+    if e1.base != e2.base:
+        return None
+    if e1.n_objects != e2.n_objects:
+        return None
+    budget = Budget(cap, "enriched isomorphism search")
+    perms = itertools.permutations(range(e1.n_objects))
+    return next(_exhaustive_identity_background_functors(e1, e2, perms, True, budget), None)
+
+
+def _exhaustive_family_square_ok(e: EnrichedCategory, fF: EnrichedFunctor,
+                                 fG: EnrichedFunctor, hb: HalfBraidingOrd,
+                                 comps: dict) -> bool:
+    m = e.base
+    c = m.base
+    for x, y in itertools.product(e.objects(), repeat=2):
+        h = e.hom(x, y)
+        up = c.comp_many(
+            e.c(fF.on_obj(x), fF.on_obj(y), fG.on_obj(y)),
+            m.t_mor(comps[y], fF.at(x, y)),
+            hb.components[h],
+        )
+        down = c.comp(
+            e.c(fF.on_obj(x), fG.on_obj(x), fG.on_obj(y)),
+            m.t_mor(fG.at(x, y), comps[x]),
+        )
+        if up != down:
+            return False
+    return True
+
+
+def exhaustive_bracket_family(e: EnrichedCategory, fF: EnrichedFunctor,
+                              fG: EnrichedFunctor, z1,
+                              cap: int | None = None) -> Bracket | None:
+    """The terminal half-braided family from fF to fG, if one exists.
+
+    Families pair an object a of the ordinary center z1 of the base with
+    components I(a) -> hom(Fx, Gx) that slide past every hom; morphisms
+    are center morphisms compatible with both families.
+    """
+    c = e.base.base
+    budget = Budget(cap, "half-braided family enumeration")
+    fwd = z1.forgetful
+    objects = []
+    for i, (_, hb) in enumerate(z1.object_data):
+        ia = fwd.on_obj(i)
+        pools = []
+        for x in e.objects():
+            pool = c.hom(ia, e.hom(fF.on_obj(x), fG.on_obj(x)))
+            if not pool:
+                break
+            pools.append(sorted(pool))
+        else:
+            for combo in itertools.product(*pools):
+                budget.spend()
+                comps = dict(enumerate(combo))
+                if _exhaustive_family_square_ok(e, fF, fG, hb, comps):
+                    objects.append(Family(i, combo))
+    return _terminal_bracket(c, fwd, objects, budget)
+
+
+def exhaustive_enumerate_module_endofunctors(mod: ModuleAction, cap: int | None) -> list:
+    budget = Budget(cap, "module endofunctor enumeration")
+    cc = mod.carrier
+    mb = mod.base.base
+    found = []
+    for fun in exhaustive_enumerate_functors(cc, cc, cap):
+        keys = [(a, x) for a in mb.objects() for x in cc.objects()]
+        pools = []
+        for a, x in keys:
+            pool = cc.hom(
+                mod.a_obj(a, fun.obj_map[x]), fun.obj_map[mod.a_obj(a, x)]
+            )
+            if not pool:
+                pools = None
+                break
+            pools.append(sorted(pool))
+        if pools is None:
+            continue
+        for combo in itertools.product(*pools):
+            budget.spend()
+            mf = ModuleFunctor(mod, mod, fun, dict(zip(keys, combo)))
+            if check_module_functor(mf).ok:
+                found.append(mf)
+    return found
+
+
+def exhaustive_module_nats(mod: ModuleAction, mfs: list, cap: int | None) -> list:
+    """The natural-transformation loop of e0_center_via_module: every
+    (i, j, components) between the module endofunctors mfs."""
+    cc = mod.carrier
+    budget = Budget(cap, "module endofunctor category")
+    nats = []
+    for i, fi in enumerate(mfs):
+        for j, fj in enumerate(mfs):
+            pools = [
+                sorted(cc.hom(fi.functor.obj_map[x], fj.functor.obj_map[x]))
+                for x in cc.objects()
+            ]
+            if any(not p for p in pools):
+                continue
+            for combo in itertools.product(*pools):
+                budget.spend()
+                nat = NatTransf(fi.functor, fj.functor, combo)
+                if not check_nat_transf(nat).ok:
+                    continue
+                if check_module_nat(fi, fj, nat).ok:
+                    nats.append((i, j, combo))
+    return nats
+
+
+def exhaustive_enumerate_half_braidings(
+    m: MonoidalCategory, x: int, budget: Budget | None = None
+) -> list[HalfBraidingOrd]:
+    """All half-braidings on x, deterministically ordered."""
+    c = m.base
+    budget = budget or Budget(None, "half-braiding enumeration")
+    candidates = []
+    for z in c.objects():
+        opts = [
+            f
+            for f in c.hom(m.t_obj(z, x), m.t_obj(x, z))
+            if find_inverse(c, f) is not None
+        ]
+        candidates.append(opts)
+    out = []
+    for combo in itertools.product(*candidates):
+        budget.spend()
+        hb = HalfBraidingOrd(x, dict(enumerate(combo)))
+        if check_half_braiding(m, hb).ok:
+            out.append(hb)
+    return out
+
+
+def exhaustive_enumerate_enriched_half_braidings(
+    em: EnrichedMonoidalCategory, x: int, cap: int | None = None
+) -> list:
+    """All enriched half-braidings on x, in lexicographic component order."""
+    e = em.host
+    m = e.base
+    c = m.base
+    u = underlying_category(e)
+    um = underlying_monoidal(em, u)
+    budget = Budget(cap, "enriched half-braiding enumeration")
+    candidates = []
+    for z in e.objects():
+        pool = sorted(c.hom(m.unit, e.hom(em.t(z, x), em.t(x, z))))
+        candidates.append(pool)
+    found = []
+    for combo in itertools.product(*candidates):
+        budget.spend()
+        hb = EnrichedHalfBraiding(x, dict(enumerate(combo)))
+        if check_enriched_half_braiding(em, hb, u, um).ok:
+            found.append(hb)
+    return found

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecat.actions import self_module
+from ecat.actions import monoidal_self_module, self_module
 from ecat.canonical import (
     canonical_construction,
     canonical_monoidal,
@@ -24,6 +24,7 @@ from ecat.canonical import (
 )
 from ecat.centers import (
     _enumerate_module_endofunctors,
+    _identity_background_functors,
     bracket_family,
     e0_center_via_module,
     enriched_iso_search,
@@ -59,10 +60,12 @@ from helpers import (
     exhaustive_iso_search,
     exhaustive_module_nats,
     group_monoidal,
+    identity_braiding,
     lattice2_monoidal,
     lattice4_monoidal,
     lattice4_self_enriched,
     lattice8_self_enriched,
+    parallel_pair,
     preorder_enriched_monoidal,
     semion_enriched_monoidal,
     semion_monoidal,
@@ -103,9 +106,6 @@ ENRICHED_MONOIDALS = {
 
 
 def _self_cells(m):
-    from ecat.actions import monoidal_self_module
-    from helpers import identity_braiding
-
     return monoidal_self_module(identity_braiding(m))
 
 
@@ -249,6 +249,16 @@ def _ladder_categories():
     return {name: build().base for name, build in MONOIDALS.items()}
 
 
+def test_iso_search_matches_oracle_on_parallel_arrows():
+    """Two parallel arrows: a functor that is bijective on objects and
+    misses no identity may still merge them, so injectivity is checked."""
+    c = parallel_pair()
+    d = relabel(c, [1, 0], list(reversed(range(c.n_morphisms))))
+    found = iso_search(c, d, CAP)
+    assert found == exhaustive_iso_search(c, d, CAP)
+    assert sorted(found.mor_map) == list(d.morphisms())
+
+
 @pytest.mark.parametrize("name", list(MONOIDALS))
 def test_enumerate_functors_matches_oracle(name):
     cats = _ladder_categories()
@@ -362,8 +372,6 @@ def test_lattice8_e0_enumeration_spends_one_unit_per_node():
     """Every object map tried is paid for, not only the 27 that survive."""
     e = lattice8_self_enriched()
     budget = Budget(CAP)
-    from ecat.centers import _identity_background_functors
-
     assert len(list(_identity_background_functors(e, e, budget))) == 27
     with pytest.raises(BudgetExceeded):
         enumerate_identity_background_functors(e, e, budget.used - 1)

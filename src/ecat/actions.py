@@ -8,13 +8,13 @@ search for a terminal evaluation pair.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from ecat.core import (
     FinCategory,
     Functor,
     NatTransf,
+    _flat,
     _is_product,
     check_category,
     check_functor,
@@ -810,27 +810,6 @@ def _interchange_natural_by_variable(mm: MonoidalModuleCells, icell: list) -> bo
 
 def _within(rows: list, n: int) -> bool:
     return all(0 <= v < n for row in rows for v in row)
-
-
-class _KeyedCells:
-    """A table read by flat position: position k holds ``table[keys[k]]``,
-    read from the table each time, so it raises what the table raises."""
-
-    def __init__(self, table: Mapping, keys: list):
-        self.table, self.keys = table, keys
-
-    def __getitem__(self, k: int) -> int:
-        return self.table[self.keys[k]]
-
-
-def _flat(table: Mapping, keys) -> list | _KeyedCells:
-    """The entries of table at keys as a list, read by position. If reading
-    some key fails, the failure is left to the position's first read."""
-    keys = list(keys)
-    try:
-        return [table[key] for key in keys]
-    except Exception:
-        return _KeyedCells(table, keys)
 
 
 def monoidal_self_module(b: BraidedStructure) -> MonoidalModuleCells:

@@ -66,7 +66,7 @@ from ecat.enriched import (
 from ecat.enriched_monoidal import (
     EnrichedBraidedCategory,
     EnrichedMonoidalCategory,
-    enumerate_enriched_half_braidings,
+    _enriched_half_braidings,
     underlying_half_braiding,
     underlying_monoidal,
 )
@@ -850,7 +850,7 @@ def _bracket_square_ok(em: EnrichedMonoidalCategory, oi, oj, a_host: int,
 
 
 def bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
-                 cap: int | None = None) -> Bracket | None:
+                 budget: Budget) -> Bracket | None:
     """The terminal bracket pair from oi to oj, if one exists.
 
     Pairs join a transparent base object with a morphism zeta into
@@ -860,7 +860,6 @@ def bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
     z2mon, _, z2incl = z2
     e = em.host
     c = e.base.base
-    budget = Budget(cap, "bracket pair enumeration")
     x, y = oi[0], oj[0]
     objects = []
     for az in z2mon.base.objects():
@@ -878,8 +877,15 @@ def gamma1(em: EnrichedMonoidalCategory, cap: int | None = None) -> CenterResult
 
     Objects are pairs of a host object with an enriched half-braiding; hom
     objects are terminal bracket pairs; all structure elements are the
-    unique factorings of the corresponding host elements.
+    unique factorings of the corresponding host elements. One budget of
+    cap units bounds every half-braiding enumeration and bracket-pair
+    search.
     """
+    return _gamma1(em, Budget(cap, "E1 center"))
+
+
+def _gamma1(em: EnrichedMonoidalCategory, budget: Budget) -> CenterResult:
+    """``gamma1`` on a given budget."""
     e = em.host
     m = e.base
     c = m.base
@@ -891,14 +897,14 @@ def gamma1(em: EnrichedMonoidalCategory, cap: int | None = None) -> CenterResult
 
     objs = []
     for x in e.objects():
-        for hb in enumerate_enriched_half_braidings(em, x, cap):
+        for hb in _enriched_half_braidings(em, x, budget, u, um):
             objs.append((x, hb))
     obj_index = _half_braided_index(objs)
     n = len(objs)
 
     brackets = {}
     for i, j in itertools.product(range(n), repeat=2):
-        br = bracket_pair(em, z2, objs[i], objs[j], cap)
+        br = bracket_pair(em, z2, objs[i], objs[j], budget)
         if br is None:
             raise StructureError(f"no terminal bracket pair at {(i, j)}")
         brackets[(i, j)] = br
@@ -1037,17 +1043,20 @@ def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict
     the base acting on the carrier unit, and rebuilds a canonical category
     from the induced module over the transparent subcategory of the base.
     Returns both results with an isomorphism between them when one exists.
+    One budget of cap units bounds both canonical constructions, the E1
+    center, the carrier center and the isomorphism search.
     """
-    can = canonical_construction(mm.module, Budget(cap, "internal hom search"))
+    budget = Budget(cap, "E1 center of a canonical category")
+    can = canonical_construction(mm.module, budget)
     em = canonical_monoidal(mm, can)
-    direct = gamma1(em, cap)
+    direct = _gamma1(em, budget)
 
     mod = mm.module
     mA = mod.base
     ca = mA.base
     lm = mm.carrier_monoidal
     cc = mod.carrier
-    z1m = drinfeld_center_z1(lm, Budget(cap, "carrier center"))
+    z1m = drinfeld_center_z1(lm, budget)
     zm = z1m.monoidal
     zc = zm.base
     fwd = z1m.forgetful
@@ -1133,12 +1142,14 @@ def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict
         z2mon, submon.base, act, oplax_assoc, tuple(oplax_unit),
         strong_a, strong_u,
     )
-    canB = canonical_construction(modB, Budget(cap, "internal hom search"))
+    canB = canonical_construction(modB, budget)
     host = direct.category.host.host
     return {
         "gamma1": direct,
         "module_side": canB,
-        "iso": enriched_iso_search(host, canB.enriched, cap),
+        "iso": next(
+            _identity_background_functors(host, canB.enriched, budget, iso=True), None
+        ),
         "strict": enriched_tables_equal(host, canB.enriched),
     }
 
@@ -1265,9 +1276,11 @@ def gamma2_of_canonical(
     One route restricts the canonical braided category to its transparent
     objects; the other restricts the module to the transparent subcategory
     of the carrier first and rebuilds the canonical braided category.
-    Returns both with an exact comparison of all tables.
+    Returns both with an exact comparison of all tables. One budget of cap
+    units bounds both canonical constructions.
     """
-    can = canonical_construction(mm.module, Budget(cap, "internal hom search"))
+    budget = Budget(cap, "E2 center of a canonical category")
+    can = canonical_construction(mm.module, budget)
     eb = canonical_braided(mm, carrier_braiding, can, carrier_braiding.symmetric_flag)
     side1 = gamma2(eb, cap)
 
@@ -1313,7 +1326,7 @@ def gamma2_of_canonical(
     mm2 = MonoidalModuleCells(
         mod2, mm.base_braiding, subL, interchange, sub_mor[mm.unit_cell]
     )
-    eb2 = canonical_braided(mm2, subbr, None, True)
+    eb2 = canonical_braided(mm2, subbr, canonical_construction(mod2, budget), True)
     return {
         "restricted": side1,
         "module_side": eb2,

@@ -360,6 +360,85 @@ class ProductCompose(ProductMapping):
         )
 
 
+class _KeyedCells:
+    """A table read by flat position: position k holds ``table[keys[k]]``,
+    read from the table each time, so it raises what the table raises."""
+
+    def __init__(self, table: Mapping, keys: list):
+        self.table, self.keys = table, keys
+
+    def __getitem__(self, k: int) -> int:
+        return self.table[self.keys[k]]
+
+
+def _flat(table: Mapping, keys) -> list | _KeyedCells:
+    """The entries of table at keys as a list, read by position. If reading
+    some key fails, the failure is left to the position's first read."""
+    keys = list(keys)
+    try:
+        return [table[key] for key in keys]
+    except Exception:
+        return _KeyedCells(table, keys)
+
+
+def _flat_rows(table: Mapping, n: int, arity: int):
+    """The entries of table at every key of ``range(n)**arity`` (tuples,
+    arity 2 or more), one row per key prefix: in lexicographic order of the
+    prefixes, ``_flat`` of table at that prefix followed by each z in
+    ``range(n)``. A ``ProductMapping`` over exactly these keys whose factor
+    tables are total builds each row from rows of its factor tables by
+    index arithmetic, not key by key, and holds no more than its factor
+    tables and one row."""
+    rows = _product_rows(table, n, arity)
+    if rows is not None:
+        return rows
+    return (
+        _flat(table, (prefix + (z,) for z in range(n)))
+        for prefix in itertools.product(range(n), repeat=arity - 1)
+    )
+
+
+def _product_rows(view, n: int, arity: int):
+    """The rows of ``_flat_rows`` for a product view, or None when view is
+    not a ``ProductMapping`` over those keys or a factor lacks an entry.
+
+    A row of the product joins one row of each factor, first factor most
+    significant: joining a factor with out-range size o turns the row so
+    far, r, into [v*o + w for v in r for w in the factor's row].
+    """
+    if not (isinstance(view, ProductMapping) and view.arity == arity and view._n_in == n):
+        return None
+    factors = []
+    try:
+        for table, n_in, n_out in view.factors:
+            rows = [
+                [table[prefix + (z,)] for z in range(n_in)]
+                for prefix in itertools.product(range(n_in), repeat=arity - 1)
+            ]
+            factors.append((rows, n_in, n_out))
+    except Exception:
+        return None
+    digits = []  # digits[x][k]: the digit of product index x in factor k
+    for x in range(n):
+        ds = []
+        for _, n_in, _ in reversed(factors):
+            x, d = divmod(x, n_in)
+            ds.append(d)
+        digits.append(ds[::-1])
+
+    def joined():
+        for prefix in itertools.product(range(n), repeat=arity - 1):
+            row = [0]
+            for k, (rows, n_in, n_out) in enumerate(factors):
+                at = 0
+                for x in prefix:
+                    at = at * n_in + digits[x][k]
+                row = [v * n_out + w for v in row for w in rows[at]]
+            yield row
+
+    return joined()
+
+
 def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
     """Pairs with componentwise composition; object (i,j) gets index i*|D|+j.
 

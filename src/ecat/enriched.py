@@ -17,6 +17,7 @@ from ecat.core import (
     NatTransf,
     ProductMapping,
     ProductSequence,
+    _flat_rows,
     hcomp_nats,
     opposite_category,
     product_category,
@@ -236,14 +237,22 @@ def _check_enriched_functor_laws(
     e, e2 = f.source, f.target
     bg = f.background
     c = e2.base.base
+    n = e.n_objects
+    # The typing loop also collects the source hom objects and the
+    # components as flat lists, read by position: the entry at (x, y) is
+    # homs[x*n + y] and cells[x*n + y].
     typed = True
+    homs, cells = [], []
     for x, y in itertools.product(e.objects(), repeat=2):
         cell = f.components.get((x, y))
         if cell is None:
             raise StructureError(f"enriched functor component missing at {(x, y)}")
+        h = e.hom(x, y)
+        homs.append(h)
+        cells.append(cell)
         typed &= _expect(
             report, "enriched-functor-typing", (x, y), c, cell,
-            bg.on_obj(e.hom(x, y)), e2.hom(f.on_obj(x), f.on_obj(y)),
+            bg.on_obj(h), e2.hom(f.on_obj(x), f.on_obj(y)),
         )
     if not typed:
         return report
@@ -251,16 +260,36 @@ def _check_enriched_functor_laws(
         lhs = c.comp_many(f.at(x, x), bg.on_mor(e.one(x)), bg.unit_cell)
         if lhs != e2.one(f.on_obj(x)):
             report.add("enriched-functor-identity", (x,))
-    for x, y, z in itertools.product(e.objects(), repeat=3):
-        lhs = c.comp_many(
-            f.at(x, z), bg.on_mor(e.c(x, y, z)), bg.m2(e.hom(y, z), e.hom(x, y))
-        )
-        rhs = c.comp(
-            e2.c(f.on_obj(x), f.on_obj(y), f.on_obj(z)),
-            e2.base.t_mor(f.at(y, z), f.at(x, y)),
-        )
-        if lhs != rhs:
-            report.add("enriched-functor-composition", (x, y, z))
+
+    # The composition loop reads the source composition at (x, y, z) from
+    # the row of (x, y), built from the factor tables when the source is a
+    # product (``_flat_rows``), and composes by reading the compose table
+    # directly. On a LookupError it reads and composes the same cells again
+    # through the accessors and c.comp, so that it raises what they raise.
+    obj = [f.on_obj(x) for x in e.objects()]
+    cmp, e2comp, mult = c.compose, e2.comp, bg.mult
+    bg_mor, t_mor = bg.functor.mor_map, e2.base.tensor.mor_map
+    mc = c.n_morphisms
+    pairs = itertools.product(e.objects(), repeat=2)
+    for (x, y), comps in zip(pairs, _flat_rows(e.comp, n, 3)):
+        x_row, y_row, xy = x * n, y * n, x * n + y
+        cell_xy, hom_xy, fx, fy = cells[xy], homs[xy], obj[x], obj[y]
+        for z, fz in enumerate(obj):
+            try:
+                lhs = cmp[
+                    cmp[cells[x_row + z], bg_mor[comps[z]]],
+                    mult[homs[y_row + z], hom_xy],
+                ]
+                rhs = cmp[e2comp[fx, fy, fz], t_mor[cells[y_row + z] * mc + cell_xy]]
+            except LookupError:
+                lhs = c.comp_many(
+                    f.at(x, z), bg.on_mor(e.c(x, y, z)), bg.m2(e.hom(y, z), e.hom(x, y))
+                )
+                rhs = c.comp(
+                    e2.c(fx, fy, fz), e2.base.t_mor(f.at(y, z), f.at(x, y))
+                )
+            if lhs != rhs:
+                report.add("enriched-functor-composition", (x, y, z))
     return report
 
 
@@ -275,19 +304,85 @@ def identity_enriched_functor(e: EnrichedCategory) -> EnrichedFunctor:
 
 
 def compose_enriched_functors(g: EnrichedFunctor, f: EnrichedFunctor) -> EnrichedFunctor:
-    c = g.target.base.base
-    comps = {}
-    for x, y in itertools.product(f.source.objects(), repeat=2):
-        comps[(x, y)] = c.comp(
-            g.at(f.on_obj(x), f.on_obj(y)),
-            g.background.on_mor(f.at(x, y)),
-        )
+    """g after f. Its components are a ``_ComposedComponents`` view, so a
+    component is computed when it is first read."""
     return EnrichedFunctor(
         compose_lax(g.background, f.background),
         f.source, g.target,
         tuple(g.on_obj(f.on_obj(x)) for x in f.source.objects()),
-        comps,
+        _ComposedComponents(g, f),
     )
+
+
+class _ComposedComponents(Mapping):
+    """The components of g after f, computed on first read and kept.
+
+    The entry at (x, y) is g(Fx, Fy) . g^(f(x, y)). Keys are the pairs of
+    source objects, iterated in (x, y) order; ``in``, ``len`` and key
+    iteration compute no entry. Reading an entry raises what computing it
+    raises, also through ``get``. ``items`` and ``values``, and so equality
+    with any mapping, compute every entry in (x, y) order, and so raise at
+    the first entry that cannot be computed.
+    """
+
+    __slots__ = ("_g", "_f", "_n", "_memo", "_full")
+
+    def __init__(self, g: EnrichedFunctor, f: EnrichedFunctor):
+        self._g, self._f = g, f
+        self._n = f.source.n_objects
+        self._memo = {}
+        self._full = False
+
+    def _entry(self, x: int, y: int) -> int:
+        g, f = self._g, self._f
+        return g.target.base.base.comp(
+            g.at(f.on_obj(x), f.on_obj(y)), g.background.on_mor(f.at(x, y))
+        )
+
+    def __contains__(self, key) -> bool:
+        if type(key) is not tuple or len(key) != 2:
+            return False
+        x, y = key
+        try:
+            return 0 <= x < self._n and 0 <= y < self._n
+        except TypeError:
+            return False
+
+    def __getitem__(self, key) -> int:
+        value = self._memo.get(key)
+        if value is None:
+            if key not in self:
+                raise KeyError(key)
+            value = self._memo[key] = self._entry(*key)
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def __iter__(self):
+        return itertools.product(range(self._n), repeat=2)
+
+    def __len__(self) -> int:
+        return self._n * self._n
+
+    def _table(self) -> dict:
+        """Every entry, in (x, y) order."""
+        if not self._full:
+            memo = self._memo
+            self._memo = {
+                key: memo[key] if key in memo else self._entry(*key) for key in self
+            }
+            self._full = True
+        return self._memo
+
+    def items(self):
+        return self._table().items()
+
+    def values(self):
+        return self._table().values()
+
+    def __repr__(self):
+        return f"_ComposedComponents(<{len(self)} entries, {len(self._memo)} computed>)"
 
 
 @dataclass(frozen=True, eq=True)
@@ -322,33 +417,44 @@ def check_enriched_nat(n: EnrichedNat) -> ValidationReport:
     if not typed:
         return report
     for x, y in itertools.product(e.objects(), repeat=2):
-        h = f.background.on_obj(e.hom(x, y))
-        lhs = c.comp_many(
-            e2.c(f.on_obj(x), f.on_obj(y), g.on_obj(y)),
-            m2.t_mor(n.at(y), f.at(x, y)),
-            inv(m2, m2.l(h)),
-        )
-        rhs = c.comp_many(
-            e2.c(f.on_obj(x), g.on_obj(x), g.on_obj(y)),
-            m2.t_mor(g.at(x, y), n.at(x)),
-            inv(m2, m2.r(g.background.on_obj(e.hom(x, y)))),
-            n.background.at(e.hom(x, y)),
-        )
-        if lhs != rhs:
+        square, hom_route = _nat_squares(n, x, y)
+        if not square:
             report.add("enriched-nat-square", (x, y))
-        # same content routed through the hom bifunctor helpers
-        lhs2 = c.comp(
-            hom_post(e2, f.on_obj(x), f.on_obj(y), g.on_obj(y), n.at(y)),
-            f.at(x, y),
-        )
-        rhs2 = c.comp_many(
-            hom_pre(e2, f.on_obj(x), g.on_obj(x), g.on_obj(y), n.at(x)),
-            g.at(x, y),
-            n.background.at(e.hom(x, y)),
-        )
-        if lhs2 != rhs2:
+        if not hom_route:
             report.add("enriched-nat-square-hom-route", (x, y))
     return report
+
+
+def _nat_squares(n: EnrichedNat, x: int, y: int) -> tuple[bool, bool]:
+    """Whether the naturality square of n at the object pair (x, y)
+    commutes, and whether the same square, routed through ``hom_post`` and
+    ``hom_pre``, does."""
+    f, g = n.source, n.target
+    e, e2 = f.source, f.target
+    m2 = e2.base
+    c = m2.base
+    h = f.background.on_obj(e.hom(x, y))
+    lhs = c.comp_many(
+        e2.c(f.on_obj(x), f.on_obj(y), g.on_obj(y)),
+        m2.t_mor(n.at(y), f.at(x, y)),
+        inv(m2, m2.l(h)),
+    )
+    rhs = c.comp_many(
+        e2.c(f.on_obj(x), g.on_obj(x), g.on_obj(y)),
+        m2.t_mor(g.at(x, y), n.at(x)),
+        inv(m2, m2.r(g.background.on_obj(e.hom(x, y)))),
+        n.background.at(e.hom(x, y)),
+    )
+    lhs2 = c.comp(
+        hom_post(e2, f.on_obj(x), f.on_obj(y), g.on_obj(y), n.at(y)),
+        f.at(x, y),
+    )
+    rhs2 = c.comp_many(
+        hom_pre(e2, f.on_obj(x), g.on_obj(x), g.on_obj(y), n.at(x)),
+        g.at(x, y),
+        n.background.at(e.hom(x, y)),
+    )
+    return lhs == rhs, lhs2 == rhs2
 
 
 def identity_enriched_nat(f: EnrichedFunctor) -> EnrichedNat:

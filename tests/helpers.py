@@ -45,9 +45,8 @@ from ecat.enriched import (
     EnrichedCategory,
     EnrichedFunctor,
     EnrichedNat,
-    check_enriched_functor,
-    check_enriched_nat,
-    compose_enriched_functors,
+    hom_post,
+    hom_pre,
     identity_enriched_functor,
     product_enriched_functor,
     underlying_category,
@@ -63,8 +62,11 @@ from ecat.monoidal import (
     LaxMonoidalFunctor,
     LaxMonoidalNat,
     MonoidalCategory,
+    _expect,
     check_half_braiding,
     check_lax_monoidal_functor,
+    check_lax_monoidal_nat,
+    compose_lax,
     find_inverse,
     identity_lax,
     inv,
@@ -760,24 +762,158 @@ def exhaustive_check_monoidal_module(mm):
     return report
 
 
+# --- the enriched functor and nat checks before one-variable screening ---
+#
+# The parent bodies of check_enriched_nat, compose_enriched_functors (an
+# eager dict of components), _check_enriched_functor_laws (read key by key)
+# and associator_nat, verbatim except that nested calls go to these copies,
+# so that changing the library cannot change the oracles that use them.
+
+
+def exhaustive_check_enriched_functor(f):
+    report = ValidationReport("enriched functor")
+    report.extend(check_lax_monoidal_functor(f.background))
+    if not report.ok:
+        return report
+    return _exhaustive_check_enriched_functor_laws(f, report)
+
+
+def _exhaustive_check_enriched_functor_laws(f, report):
+    e, e2 = f.source, f.target
+    bg = f.background
+    c = e2.base.base
+    typed = True
+    for x, y in itertools.product(e.objects(), repeat=2):
+        cell = f.components.get((x, y))
+        if cell is None:
+            raise StructureError(f"enriched functor component missing at {(x, y)}")
+        typed &= _expect(
+            report, "enriched-functor-typing", (x, y), c, cell,
+            bg.on_obj(e.hom(x, y)), e2.hom(f.on_obj(x), f.on_obj(y)),
+        )
+    if not typed:
+        return report
+    for x in e.objects():
+        lhs = c.comp_many(f.at(x, x), bg.on_mor(e.one(x)), bg.unit_cell)
+        if lhs != e2.one(f.on_obj(x)):
+            report.add("enriched-functor-identity", (x,))
+    for x, y, z in itertools.product(e.objects(), repeat=3):
+        lhs = c.comp_many(
+            f.at(x, z), bg.on_mor(e.c(x, y, z)), bg.m2(e.hom(y, z), e.hom(x, y))
+        )
+        rhs = c.comp(
+            e2.c(f.on_obj(x), f.on_obj(y), f.on_obj(z)),
+            e2.base.t_mor(f.at(y, z), f.at(x, y)),
+        )
+        if lhs != rhs:
+            report.add("enriched-functor-composition", (x, y, z))
+    return report
+
+
+def exhaustive_compose_enriched_functors(g, f):
+    c = g.target.base.base
+    comps = {}
+    for x, y in itertools.product(f.source.objects(), repeat=2):
+        comps[(x, y)] = c.comp(
+            g.at(f.on_obj(x), f.on_obj(y)),
+            g.background.on_mor(f.at(x, y)),
+        )
+    return EnrichedFunctor(
+        compose_lax(g.background, f.background),
+        f.source, g.target,
+        tuple(g.on_obj(f.on_obj(x)) for x in f.source.objects()),
+        comps,
+    )
+
+
+def exhaustive_check_enriched_nat(n):
+    report = ValidationReport("enriched natural transformation")
+    report.extend(check_lax_monoidal_nat(n.background))
+    if not report.ok:
+        return report
+    f, g = n.source, n.target
+    e, e2 = f.source, f.target
+    m2 = e2.base
+    c = m2.base
+    typed = True
+    for x in e.objects():
+        comp = n.components.get(x)
+        if comp is None:
+            raise StructureError(f"enriched nat component missing at {x}")
+        typed &= _expect(
+            report, "enriched-nat-typing", (x,), c, comp,
+            m2.unit, e2.hom(f.on_obj(x), g.on_obj(x)),
+        )
+    if not typed:
+        return report
+    for x, y in itertools.product(e.objects(), repeat=2):
+        h = f.background.on_obj(e.hom(x, y))
+        lhs = c.comp_many(
+            e2.c(f.on_obj(x), f.on_obj(y), g.on_obj(y)),
+            m2.t_mor(n.at(y), f.at(x, y)),
+            inv(m2, m2.l(h)),
+        )
+        rhs = c.comp_many(
+            e2.c(f.on_obj(x), g.on_obj(x), g.on_obj(y)),
+            m2.t_mor(g.at(x, y), n.at(x)),
+            inv(m2, m2.r(g.background.on_obj(e.hom(x, y)))),
+            n.background.at(e.hom(x, y)),
+        )
+        if lhs != rhs:
+            report.add("enriched-nat-square", (x, y))
+        # same content routed through the hom bifunctor helpers
+        lhs2 = c.comp(
+            hom_post(e2, f.on_obj(x), f.on_obj(y), g.on_obj(y), n.at(y)),
+            f.at(x, y),
+        )
+        rhs2 = c.comp_many(
+            hom_pre(e2, f.on_obj(x), g.on_obj(x), g.on_obj(y), n.at(x)),
+            g.at(x, y),
+            n.background.at(e.hom(x, y)),
+        )
+        if lhs2 != rhs2:
+            report.add("enriched-nat-square-hom-route", (x, y))
+    return report
+
+
+def exhaustive_associator_nat(em):
+    e = em.host
+    n = e.n_objects
+    ide = identity_enriched_functor(e)
+    left = exhaustive_compose_enriched_functors(
+        em.tensor, product_enriched_functor(em.tensor, ide)
+    )
+    right = exhaustive_compose_enriched_functors(
+        em.tensor, product_enriched_functor(ide, em.tensor)
+    )
+    base = e.base
+    na = base.base.n_objects
+    comps = []
+    for p in left.background.source.base.objects():
+        ab, cc = divmod(p, na)
+        a, b = divmod(ab, na)
+        comps.append(base.a(a, b, cc))
+    bg = LaxMonoidalNat(
+        left.background,
+        right.background,
+        NatTransf(left.background.functor, right.background.functor, tuple(comps)),
+    )
+    components = {}
+    for x in range(n * n * n):
+        ij, k = divmod(x, n)
+        i, j = divmod(ij, n)
+        components[x] = em.a_el(i, j, k)
+    return EnrichedNat(bg, left, right, components)
+
+
 def exhaustive_check_enriched_monoidal(em):
     """check_enriched_monoidal before the tensor background was decided from
     the validated braided base, verbatim: it always re-checks the background
     as a lax monoidal functor."""
     import itertools
 
-    from ecat.enriched import (
-        cartesian_product_enriched,
-        check_enriched,
-        check_enriched_functor,
-        check_enriched_nat,
-    )
-    from ecat.enriched_monoidal import (
-        _absorb,
-        associator_nat,
-        underlying_monoidal,
-        unitor_nat,
-    )
+    from ecat.enriched import cartesian_product_enriched, check_enriched
+    from ecat.enriched_monoidal import _absorb, underlying_monoidal, unitor_nat
     from ecat.monoidal import _expect, braided_tensor_lax_structure, check_braided
     from ecat.report import StructureError, ValidationReport
 
@@ -797,7 +933,7 @@ def exhaustive_check_enriched_monoidal(em):
     if em.tensor.source != cartesian_product_enriched(e, e) or em.tensor.target != e:
         report.add("tensor-shape", ())
         return report
-    tensor_report = check_enriched_functor(em.tensor)
+    tensor_report = exhaustive_check_enriched_functor(em.tensor)
     _absorb(report, tensor_report, "tensor")
     if "enriched-functor-typing" in tensor_report.laws():
         return report
@@ -823,9 +959,9 @@ def exhaustive_check_enriched_monoidal(em):
     if not typed:
         return report
 
-    _absorb(report, check_enriched_nat(associator_nat(em)), "associator")
-    _absorb(report, check_enriched_nat(unitor_nat(em, "l")), "left-unitor")
-    _absorb(report, check_enriched_nat(unitor_nat(em, "r")), "right-unitor")
+    _absorb(report, exhaustive_check_enriched_nat(exhaustive_associator_nat(em)), "associator")
+    _absorb(report, exhaustive_check_enriched_nat(unitor_nat(em, "l")), "left-unitor")
+    _absorb(report, exhaustive_check_enriched_nat(unitor_nat(em, "r")), "right-unitor")
 
     try:
         um = underlying_monoidal(em)
@@ -1030,7 +1166,7 @@ def exhaustive_verify_e0_universal(e: EnrichedCategory, action: UnitalAction,
             e, z1, brackets[(phi[a], phi[b])], phihat_obj[h], family
         )
     ecphi = EnrichedFunctor(phihat, la, host, tuple(phi), comps)
-    for v in check_enriched_functor(ecphi).violations:
+    for v in exhaustive_check_enriched_functor(ecphi).violations:
         report.add("comparison-functor-" + v.law, v.instance, v.detail)
 
     fam = {
@@ -1057,7 +1193,7 @@ def exhaustive_verify_e0_universal(e: EnrichedCategory, action: UnitalAction,
         pr(a, x): e.one(odot_obj(a, x))
         for a in la.objects() for x in range(nM)
     }
-    fun1 = compose_enriched_functors(
+    fun1 = exhaustive_compose_enriched_functors(
         ev, product_enriched_functor(ecphi, identity_enriched_functor(e))
     )
     nat = NatTransf(
@@ -1067,7 +1203,7 @@ def exhaustive_verify_e0_universal(e: EnrichedCategory, action: UnitalAction,
     ecrho = EnrichedNat(
         LaxMonoidalNat(fun1.background, bg, nat), fun1, action.odot, rho_el
     )
-    for v in check_enriched_nat(ecrho).violations:
+    for v in exhaustive_check_enriched_nat(ecrho).violations:
         report.add("rho-" + v.law, v.instance, v.detail)
 
     for x in range(nM):
@@ -1109,7 +1245,7 @@ def exhaustive_verify_e0_universal(e: EnrichedCategory, action: UnitalAction,
                 for a in la.objects()
             ):
                 continue
-            if not check_enriched_nat(
+            if not exhaustive_check_enriched_nat(
                 EnrichedNat(lm_nat, ecphi, ecphi, beta)
             ).ok:
                 continue
@@ -1300,7 +1436,7 @@ def exhaustive_verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalA
             z2, e, brackets[(P[a], P[b])], phat_obj[h], route
         )
     ecp = EnrichedFunctor(phat, la, host, tuple(P), comps)
-    for v in check_enriched_functor(ecp).violations:
+    for v in exhaustive_check_enriched_functor(ecp).violations:
         report.add("comparison-functor-" + v.law, v.instance, v.detail)
 
     rho_bg = {}
@@ -1334,11 +1470,11 @@ def exhaustive_verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalA
             ]
             rho_el[pr(a, mo)] = _el_path(e, o, els)
 
-    star_op = compose_enriched_functors(
+    star_op = exhaustive_compose_enriched_functors(
         em.tensor,
         product_enriched_functor(res.forgetful, identity_enriched_functor(e)),
     )
-    fun1 = compose_enriched_functors(
+    fun1 = exhaustive_compose_enriched_functors(
         star_op, product_enriched_functor(ecp, identity_enriched_functor(e))
     )
     nat = NatTransf(
@@ -1348,7 +1484,7 @@ def exhaustive_verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalA
     ecrho = EnrichedNat(
         LaxMonoidalNat(fun1.background, bg, nat), fun1, action.odot, rho_el
     )
-    for v in check_enriched_nat(ecrho).violations:
+    for v in exhaustive_check_enriched_nat(ecrho).violations:
         report.add("rho-" + v.law, v.instance, v.detail)
 
     for mo in range(nM):
@@ -1397,7 +1533,7 @@ def exhaustive_verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalA
                 for a in la.objects()
             ):
                 continue
-            if not check_enriched_nat(EnrichedNat(lm_nat, ecp, ecp, alpha)).ok:
+            if not exhaustive_check_enriched_nat(EnrichedNat(lm_nat, ecp, ecp, alpha)).ok:
                 continue
             ok3 = all(
                 _el_comp(
@@ -1545,7 +1681,7 @@ def exhaustive_verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAc
             bg.on_mor(ca.identity[h] * mB + e.one(unit_M)),
         )
     ecp = EnrichedFunctor(phat, la, host, tuple(P), comps)
-    for v in check_enriched_functor(ecp).violations:
+    for v in exhaustive_check_enriched_functor(ecp).violations:
         report.add("comparison-functor-" + v.law, v.instance, v.detail)
 
     rho_bg = {}
@@ -1579,11 +1715,11 @@ def exhaustive_verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAc
             ]
             rho_el[pr(a, mo)] = _el_path(e, o, els)
 
-    star_op = compose_enriched_functors(
+    star_op = exhaustive_compose_enriched_functors(
         em.tensor,
         product_enriched_functor(res.forgetful, identity_enriched_functor(e)),
     )
-    fun1 = compose_enriched_functors(
+    fun1 = exhaustive_compose_enriched_functors(
         star_op, product_enriched_functor(ecp, identity_enriched_functor(e))
     )
     nat = NatTransf(
@@ -1593,7 +1729,7 @@ def exhaustive_verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAc
     ecrho = EnrichedNat(
         LaxMonoidalNat(fun1.background, bg, nat), fun1, action.odot, rho_el
     )
-    for v in check_enriched_nat(ecrho).violations:
+    for v in exhaustive_check_enriched_nat(ecrho).violations:
         report.add("rho-" + v.law, v.instance, v.detail)
 
     for mo in range(nM):
@@ -1642,7 +1778,7 @@ def exhaustive_verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAc
                 for a in la.objects()
             ):
                 continue
-            if not check_enriched_nat(EnrichedNat(lm_nat, ecp, ecp, alpha)).ok:
+            if not exhaustive_check_enriched_nat(EnrichedNat(lm_nat, ecp, ecp, alpha)).ok:
                 continue
             ok3 = all(
                 _el_comp(
@@ -1866,7 +2002,7 @@ def exhaustive_enumerate_enriched_functors(
         for combo in itertools.product(*pools):
             budget.spend()
             f = EnrichedFunctor(r, e1, e2, obj_map, dict(zip(keys, combo)))
-            if check_enriched_functor(f).ok:
+            if exhaustive_check_enriched_functor(f).ok:
                 out.append(f)
     return out
 

@@ -6,6 +6,7 @@ import pytest
 from ecat import centers
 from ecat.centers import (
     braided_tables,
+    bracket_pair,
     check_bracket_terminal,
     compare_e0_routes,
     condition_star,
@@ -28,10 +29,12 @@ from ecat.centers import (
 )
 from ecat.actions import ModuleAction, MonoidalModuleCells, terminal_module
 from ecat.actions import monoidal_self_module
+from ecat.canonical import canonical_construction, canonical_monoidal
 from ecat.core import Functor, NatTransf, product_category, terminal_category
 from ecat.enriched import EnrichedNat, check_enriched_nat, underlying_category
 from ecat.enriched_monoidal import (
     EnrichedBraidedCategory,
+    _enriched_half_braidings,
     check_enriched_braided,
     check_enriched_monoidal,
     check_enriched_symmetric,
@@ -46,12 +49,13 @@ from ecat.monoidal import (
     muger_center_z2,
     strict_monoidal,
 )
-from ecat.report import Budget, StructureError, ValidationReport
+from ecat.report import Budget, BudgetExceeded, StructureError, ValidationReport
 
 from helpers import (
     chain2_enriched,
     identity_braiding,
     lattice2_monoidal,
+    lattice4_self_enriched,
     preorder_enriched_monoidal,
     trivial_base_enriched,
     z2_discrete_monoidal,
@@ -112,9 +116,11 @@ def test_e0_chain2_named_bracket_values():
 
 
 def test_e0_category_passes_validators():
-    for e in (chain2_enriched(), z2_enriched(), trivial_base_enriched()):
-        res = e0_center(e, CAP)
+    builds = (chain2_enriched, z2_enriched, trivial_base_enriched, lattice4_self_enriched)
+    for build in builds:
+        res = e0_center(build(), CAP)
         assert check_enriched_monoidal(res.category).ok
+    assert res.category.host.n_objects == 9  # the lattice-4 E0 center
 
 
 def test_e0_hom_elements_count_natural_transformations():
@@ -216,8 +222,6 @@ def test_e0_routes_agree_on_module_fixtures():
 
 
 def e0_host_of(mod: ModuleAction):
-    from ecat.canonical import canonical_construction
-
     return canonical_construction(mod, Budget(CAP, "host")).enriched
 
 
@@ -422,3 +426,97 @@ def test_gamma2_of_canonical_on_module_fixtures():
         br = cells.base_braiding
         out = gamma2_of_canonical(cells, br, CAP)
         assert out["tables_equal"]
+
+
+# --- one budget bounds a whole run ---
+
+
+def _budgets_made(monkeypatch) -> list:
+    """Record every Budget constructed from now on."""
+    made = []
+    init = Budget.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Budget, "__init__", recording)
+    return made
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda cap: gamma1(preorder_enriched_monoidal(), cap),
+        lambda cap: gamma1_of_canonical(lattice2_self_cells(), cap),
+        lambda cap: gamma2_of_canonical(
+            lattice2_self_cells(), lattice2_self_cells().base_braiding, cap
+        ),
+    ],
+    ids=["gamma1", "gamma1_of_canonical", "gamma2_of_canonical"],
+)
+def test_a_run_makes_one_budget(run, monkeypatch):
+    made = _budgets_made(monkeypatch)
+    run(CAP)
+    assert len(made) == 1 and made[0].cap == CAP and made[0].used > 0
+
+
+def _gamma1_stage_spends(em) -> list:
+    """What each half-braiding enumeration and bracket-pair search of
+    gamma1(em) spends on a budget of its own."""
+    res = gamma1(em, CAP)
+    spends = []
+    for x in em.host.objects():
+        b = Budget(CAP)
+        _enriched_half_braidings(em, x, b)
+        spends.append(b.used)
+    objs = res.witnesses["objects"]
+    for oi, oj in itertools.product(objs, repeat=2):
+        b = Budget(CAP)
+        bracket_pair(em, res.witnesses["z2"], oi, oj, b)
+        spends.append(b.used)
+    return spends
+
+
+def _spent(stage) -> int:
+    b = Budget(CAP)
+    stage(b)
+    return b.used
+
+
+def _gamma1_of_canonical_stage_spends(cells) -> list:
+    """What each stage of gamma1_of_canonical(cells) spends on a budget of
+    its own: canonical construction, E1 center, carrier center, canonical
+    construction on the module side, isomorphism search."""
+    out = gamma1_of_canonical(cells, CAP)
+    em = canonical_monoidal(cells, canonical_construction(cells.module, Budget(CAP)))
+    can_b = out["module_side"]
+    host = out["gamma1"].category.host.host
+    return [
+        _spent(lambda b: canonical_construction(cells.module, b)),
+        sum(_gamma1_stage_spends(em)),
+        _spent(lambda b: drinfeld_center_z1(cells.carrier_monoidal, b)),
+        _spent(lambda b: canonical_construction(can_b.module, b)),
+        _spent(
+            lambda b: next(centers._identity_background_functors(host, can_b.enriched, b, iso=True))
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "run, spends",
+    [
+        (gamma1, lambda: _gamma1_stage_spends(preorder_enriched_monoidal())),
+        (gamma1_of_canonical, lambda: _gamma1_of_canonical_stage_spends(lattice2_self_cells())),
+    ],
+    ids=["gamma1", "gamma1_of_canonical"],
+)
+def test_one_cap_bounds_the_sum_of_the_stages(run, spends):
+    spends = spends()
+    arg = preorder_enriched_monoidal() if run is gamma1 else lattice2_self_cells()
+    total = sum(spends)
+    assert max(spends) < total - 1
+    run(arg, total)  # the stages share one budget of exactly their sum
+    for cap in (max(spends), total - 1):
+        with pytest.raises(BudgetExceeded):
+            run(arg, cap)

@@ -18,11 +18,13 @@ from ecat.core import (
     ProductCompose,
     ProductMapping,
     ProductSequence,
+    _flat_rows,
     check_category,
     product_category,
 )
 from ecat.enriched import (
     cartesian_product_enriched,
+    compose_enriched_functors,
     identity_enriched_functor,
     object_functor,
     product_enriched_functor,
@@ -48,6 +50,8 @@ from helpers import (
     eager_product_enriched_functor,
     eager_product_lax,
     eager_product_monoidal,
+    exhaustive_associator_nat,
+    exhaustive_compose_enriched_functors,
     identity_braiding,
     lattice2_monoidal,
     lattice4_monoidal,
@@ -366,3 +370,84 @@ def test_lattice4_associator_nat_materialises_no_cube_tensor():
     largest, largest_view = _largest_table(nat)
     assert largest_view >= 531_441
     assert largest < 531_441
+
+
+# --- flat reads of product tables ---
+
+
+@pytest.mark.parametrize("names", PAIRS + TRIPLES)
+def test_flat_rows_read_every_product_entry_in_key_order(names):
+    e = ENRICHED[names[0]]()
+    for name in names[1:]:
+        e = cartesian_product_enriched(e, ENRICHED[name]())
+    n = e.n_objects
+    for table, arity in ((e.hom_obj, 2), (e.comp, 3)):
+        rows = list(_flat_rows(table, n, arity))
+        assert all(type(row) is list for row in rows)
+        want = [table[key] for key in itertools.product(range(n), repeat=arity)]
+        assert [v for row in rows for v in row] == want
+
+
+def test_flat_rows_leave_a_missing_entry_to_its_read():
+    c = product_category(MONOIDAL["lattice2"]().base, MONOIDAL["z2"]().base)
+    n = c.n_morphisms
+    for g, row in enumerate(_flat_rows(c.compose, n, 2)):
+        for f in range(n):
+            if (g, f) in c.compose:
+                assert row[f] == c.compose[g, f]
+            else:
+                with pytest.raises(KeyError):
+                    row[f]
+
+
+# --- composite enriched functors read their components lazily ---
+
+
+@pytest.mark.parametrize("build", [semion_enriched_monoidal, preorder_enriched_monoidal])
+def test_composite_components_are_the_eager_dict_computed_on_read(build):
+    em = build()
+    lazy = associator_nat(em).source.components
+    eager = exhaustive_associator_nat(em).source.components
+    n = int(len(eager) ** 0.5)
+    key = (n - 1, n // 2)
+    assert lazy[key] == eager[key]
+    assert "1 computed" in repr(lazy)
+    assert len(lazy) == len(eager)
+    assert list(lazy) == list(eager)
+    assert (0, 0) in lazy and (n, 0) not in lazy and (0, -1) not in lazy and 0 not in lazy
+    with pytest.raises(KeyError):
+        lazy[(n, 0)]
+    assert lazy.get((n, 0)) is None and lazy.get((0, n), 7) == 7
+    assert list(lazy.items()) == list(eager.items())
+    assert list(lazy.values()) == list(eager.values())
+    assert lazy == eager and eager == lazy and dict(lazy) == eager
+    assert lazy != {**eager, key: eager[key] + 1}
+
+
+def test_composite_components_raise_where_the_eager_build_raised():
+    em = semion_enriched_monoidal()
+    f = product_enriched_functor(em.tensor, identity_enriched_functor(em.host))
+    c = em.host.base.base
+    n = f.source.n_objects
+    first = (n - 1, n - 2)  # the pair whose tensor cell is broken below
+    cell = (f.on_obj(first[0]), f.on_obj(first[1]))
+    good = em.tensor.components[cell]
+    other_dom = next(g for g in c.morphisms() if c.dom[g] != c.dom[good])
+    dropped = {k: v for k, v in em.tensor.components.items() if k != cell}
+    mistyped = {**em.tensor.components, cell: other_dom}
+    for comps, error in ((dropped, KeyError), (mistyped, StructureError)):
+        g = dataclasses.replace(em.tensor, components=comps)
+        with pytest.raises(error):
+            exhaustive_compose_enriched_functors(g, f)
+        lazy = compose_enriched_functors(g, f).components
+        bad = [k for k in lazy if (f.on_obj(k[0]), f.on_obj(k[1])) == cell]
+        assert bad[0] <= first
+        for key in itertools.islice(lazy, 5):
+            if key not in bad:
+                assert lazy[key] == compose_enriched_functors(em.tensor, f).components[key]
+        with pytest.raises(error):
+            lazy[bad[0]]
+        with pytest.raises(error):
+            lazy.get(bad[-1])
+        with pytest.raises(error):
+            lazy.items()

@@ -1,15 +1,20 @@
 """check_enriched_monoidal decides the tensor background from a validated
-braided base; compared with the exhaustive oracle that always re-checks it."""
+braided base and the associator's naturality one variable at a time;
+compared with the exhaustive oracle that always re-checks the background
+and enumerates every naturality square."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ecat.enriched
+import ecat.enriched_monoidal
 from ecat.actions import monoidal_self_module
 from ecat.canonical import canonical_monoidal
+from ecat.centers import e0_center
 from ecat.core import FinCategory, Functor, check_category, product_category
 from ecat.enriched import cartesian_product_enriched, check_enriched_functor
 from ecat.enriched_monoidal import (
@@ -28,6 +33,7 @@ from ecat.monoidal import (
 from ecat.report import StructureError
 
 from helpers import (
+    chain2_enriched,
     chain3_monoidal,
     exhaustive_check_enriched_monoidal,
     identity_braiding,
@@ -38,6 +44,7 @@ from helpers import (
     sign_algebra,
     sign_monoidal,
     z2_discrete_monoidal,
+    z2_enriched,
 )
 
 
@@ -68,6 +75,11 @@ def _valid():
 
 VALID = _valid()
 SMALL = ("sign-ast-11", "preorder", "semion", "canonical-lattice2", "reversed-semion")
+ALL = {
+    **VALID,
+    "e0-chain2": e0_center(chain2_enriched(), 10**6).category,
+    "e0-z2": e0_center(z2_enriched(), 10**6).category,
+}
 
 
 def _same_as_oracle(em):
@@ -192,9 +204,9 @@ def _laws(em, table, replacements, step=1):
     return laws
 
 
-@pytest.mark.parametrize("name", VALID)
+@pytest.mark.parametrize("name", ALL)
 def test_check_enriched_monoidal_matches_oracle_on_valid_inputs(name):
-    assert _same_as_oracle(VALID[name]).ok
+    assert _same_as_oracle(ALL[name]).ok
 
 
 @pytest.mark.parametrize("name", SMALL + ("canonical-z2",))
@@ -212,6 +224,97 @@ def test_check_enriched_monoidal_matches_oracle_on_tensor_component_mutations(na
     assert mistyped == {"tensor:enriched-functor-typing"}
     if name == "semion":
         assert "tensor:enriched-functor-composition" in _laws(em, "tensor", _same_typed)
+
+
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("table", ["associator", "left-unitor", "right-unitor", "tensor"])
+def test_check_enriched_monoidal_matches_oracle_on_seeded_mutations(name, table):
+    # Up to four entries of the table, each replaced by up to two of the
+    # other morphisms of its type and one of another type, drawn with a
+    # seed fixed per case. A same-typed change of a coherence element
+    # passes every section before the naturality squares, so it reaches the
+    # one-variable screen; a tensor change fails the tensor laws first.
+    em = ALL[name]
+    c = em.host.base.base
+    rng = random.Random(f"{name}/{table}")
+    entries = _entries(em, table)
+    for key, f in rng.sample(entries, min(4, len(entries))):
+        same = _same_typed(c, f)
+        for g in rng.sample(same, min(2, len(same))) + _mistyped(c, f):
+            _same_as_oracle(_with_entry(em, table, key, g))
+
+
+def _counting_exhaustive_nat(monkeypatch) -> list:
+    """Patch the exhaustive enriched-nat check seen by
+    check_enriched_monoidal to record the object count of each source."""
+    calls = []
+    check = ecat.enriched_monoidal.check_enriched_nat
+
+    def counting(n):
+        calls.append(n.source.source.n_objects)
+        return check(n)
+
+    monkeypatch.setattr(ecat.enriched_monoidal, "check_enriched_nat", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_valid_associator_is_decided_by_the_one_variable_screen(name, monkeypatch):
+    calls = _counting_exhaustive_nat(monkeypatch)
+    em = ALL[name]
+    assert check_enriched_monoidal(em).ok
+    n = em.host.n_objects
+    assert calls == [n, n]  # the two unitors only, never the n**3 cube
+
+
+def test_the_screen_checks_exactly_the_pairs_that_differ_in_one_coordinate(monkeypatch):
+    pairs = []
+    squares = ecat.enriched_monoidal._nat_squares
+
+    def recording(nat, x, y):
+        pairs.append((x, y))
+        return squares(nat, x, y)
+
+    monkeypatch.setattr(ecat.enriched_monoidal, "_nat_squares", recording)
+    em = VALID["canonical-lattice4"]
+    assert check_enriched_monoidal(em).ok
+    n = em.host.n_objects
+
+    def digits(x):
+        return (x // (n * n), x // n % n, x % n)
+
+    want = {
+        (x, y)
+        for x in range(n**3)
+        for y in range(n**3)
+        if sum(a != b for a, b in zip(digits(x), digits(y))) <= 1
+    }
+    assert len(pairs) == len(set(pairs)) == len(want) == 640
+    assert set(pairs) == want
+
+
+def test_a_failed_screen_square_falls_back_to_every_square(monkeypatch):
+    em = VALID["semion"]
+    c = em.host.base.base
+    key, f = _entries(em, "associator")[5]
+    mutated = _with_entry(em, "associator", key, _same_typed(c, f)[0])
+    calls = _counting_exhaustive_nat(monkeypatch)
+    report = check_enriched_monoidal(mutated)
+    assert "associator:enriched-nat-square" in report.laws()
+    assert calls == [8, 2, 2]
+    assert report.violations == exhaustive_check_enriched_monoidal(mutated).violations
+
+
+def test_a_dirty_earlier_section_skips_the_screen(monkeypatch):
+    # a wrong tensor component: the associator is checked exhaustively
+    em = VALID["semion"]
+    c = em.host.base.base
+    key, f = _entries(em, "tensor")[3]
+    mutated = _with_entry(em, "tensor", key, _same_typed(c, f)[0])
+    calls = _counting_exhaustive_nat(monkeypatch)
+    report = check_enriched_monoidal(mutated)
+    assert "tensor:enriched-functor-composition" in report.laws()
+    assert calls == [8, 2, 2]
 
 
 @pytest.mark.parametrize("name", ["sign-ast-00", "semion"])

@@ -36,6 +36,7 @@ from ecat.enriched import (
     EnrichedCategory,
     EnrichedFunctor,
     EnrichedNat,
+    _computed,
     cartesian_product_enriched,
     check_enriched_functor,
     compose_enriched_functors,
@@ -530,10 +531,10 @@ def verify_canonical_2functor(
                     lhs = enriched_functor_from_rlax(
                         compose_rlax(f2, f1), src1, tgt2
                     )
-                    rhs = compose_enriched_functors(
+                    rhs = _computed(compose_enriched_functors(
                         enriched_functor_from_rlax(f2, mid2, tgt2),
                         enriched_functor_from_rlax(f1, src1, mid),
-                    )
+                    ))
                     if lhs.obj_map != rhs.obj_map or lhs.components != rhs.components:
                         report.add("composition-preservation", (k1, k2))
     return report

@@ -52,6 +52,7 @@ from ecat.enriched import (
     EnrichedCategory,
     EnrichedFunctor,
     EnrichedNat,
+    _computed,
     cartesian_product_enriched,
     check_enriched_functor,
     check_enriched_nat,
@@ -619,11 +620,14 @@ def enriched_iso_search(
 
     Searches object bijections and invertible hom components exhaustively.
     """
-    if e1.base != e2.base:
+    return _enriched_iso_search(e1, e2, Budget(cap, "enriched isomorphism search"))
+
+
+def _enriched_iso_search(
+    e1: EnrichedCategory, e2: EnrichedCategory, budget: Budget
+) -> EnrichedFunctor | None:
+    if e1.base != e2.base or e1.n_objects != e2.n_objects:
         return None
-    if e1.n_objects != e2.n_objects:
-        return None
-    budget = Budget(cap, "enriched isomorphism search")
     return next(_identity_background_functors(e1, e2, budget, iso=True), None)
 
 
@@ -1147,9 +1151,7 @@ def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict
     return {
         "gamma1": direct,
         "module_side": canB,
-        "iso": next(
-            _identity_background_functors(host, canB.enriched, budget, iso=True), None
-        ),
+        "iso": _enriched_iso_search(host, canB.enriched, budget),
         "strict": enriched_tables_equal(host, canB.enriched),
     }
 
@@ -1523,9 +1525,9 @@ class _UniversalCheck:
                 )
         rho_el = self.rho_el()
         act = self.acting()
-        fun1 = compose_enriched_functors(
+        fun1 = _computed(compose_enriched_functors(
             act, product_enriched_functor(ecp, identity_enriched_functor(e))
-        )
+        ))
         nat = NatTransf(
             fun1.background.functor, bg.functor,
             tuple(rho_bg[(a, b)] for a in ca.objects() for b in c.objects()),
@@ -1780,12 +1782,12 @@ class _MonoidalCheck(_UniversalCheck):
         return rho_el
 
     def acting(self) -> EnrichedFunctor:
-        return compose_enriched_functors(
+        return _computed(compose_enriched_functors(
             self.em.tensor,
             product_enriched_functor(
                 self.res.forgetful, identity_enriched_functor(self.e)
             ),
-        )
+        ))
 
     def pasting_underlying_ok(self, P: list, mo: int, rho_el: dict) -> bool:
         em, e, unit_l, unit_M = self.em, self.e, self.unit_l, self.unit_M
@@ -2033,10 +2035,10 @@ def _center_evaluation_action(res: CenterResult, em: EnrichedMonoidalCategory,
     """
     e = em.host
     u = underlying_category(e)
-    odot = compose_enriched_functors(
+    odot = _computed(compose_enriched_functors(
         em.tensor,
         product_enriched_functor(res.forgetful, identity_enriched_functor(e)),
-    )
+    ))
     f2 = {}
     for i, xa in enumerate(carriers):
         for j, xb in enumerate(carriers):

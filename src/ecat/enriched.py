@@ -314,24 +314,31 @@ def compose_enriched_functors(g: EnrichedFunctor, f: EnrichedFunctor) -> Enriche
     )
 
 
+def _computed(f: EnrichedFunctor) -> EnrichedFunctor:
+    """f after reading each of its components in (x, y) order, so that a
+    composite whose component cannot be computed raises here, where the
+    composite built as a dict raised."""
+    dict(f.components)
+    return f
+
+
 class _ComposedComponents(Mapping):
     """The components of g after f, computed on first read and kept.
 
     The entry at (x, y) is g(Fx, Fy) . g^(f(x, y)). Keys are the pairs of
     source objects, iterated in (x, y) order; ``in``, ``len`` and key
     iteration compute no entry. Reading an entry raises what computing it
-    raises, also through ``get``. ``items`` and ``values``, and so equality
-    with any mapping, compute every entry in (x, y) order, and so raise at
-    the first entry that cannot be computed.
+    raises, also through ``get``, so ``items``, ``values`` and equality
+    with any mapping raise at the first entry, in (x, y) order, that cannot
+    be computed.
     """
 
-    __slots__ = ("_g", "_f", "_n", "_memo", "_full")
+    __slots__ = ("_g", "_f", "_n", "_memo")
 
     def __init__(self, g: EnrichedFunctor, f: EnrichedFunctor):
         self._g, self._f = g, f
         self._n = f.source.n_objects
         self._memo = {}
-        self._full = False
 
     def _entry(self, x: int, y: int) -> int:
         g, f = self._g, self._f
@@ -364,25 +371,6 @@ class _ComposedComponents(Mapping):
 
     def __len__(self) -> int:
         return self._n * self._n
-
-    def _table(self) -> dict:
-        """Every entry, in (x, y) order."""
-        if not self._full:
-            memo = self._memo
-            self._memo = {
-                key: memo[key] if key in memo else self._entry(*key) for key in self
-            }
-            self._full = True
-        return self._memo
-
-    def items(self):
-        return self._table().items()
-
-    def values(self):
-        return self._table().values()
-
-    def __repr__(self):
-        return f"_ComposedComponents(<{len(self)} entries, {len(self._memo)} computed>)"
 
 
 @dataclass(frozen=True, eq=True)
@@ -509,7 +497,12 @@ def hcomp_enriched_nats(eta: EnrichedNat, xi: EnrichedNat) -> EnrichedNat:
         compose_lax(k.background, g.background),
         hcomp_nats(eta.background.nat, xi.background.nat),
     )
-    return EnrichedNat(bg, compose_enriched_functors(h, f), compose_enriched_functors(k, g), comps)
+    return EnrichedNat(
+        bg,
+        _computed(compose_enriched_functors(h, f)),
+        _computed(compose_enriched_functors(k, g)),
+        comps,
+    )
 
 
 def underlying_functor(
@@ -687,7 +680,7 @@ def split_nat(n: EnrichedNat) -> tuple:
     checked = EnrichedNat(
         identity_lax_nat(identity_lax(n.background.source.target)),
         fcheck,
-        compose_enriched_functors(gcheck, phi_star),
+        _computed(compose_enriched_functors(gcheck, phi_star)),
         dict(n.components),
     )
     return n.background, checked

@@ -50,6 +50,7 @@ from ecat.enriched import (
     EnrichedNat,
     UnderlyingResult,
     _check_enriched_functor_laws,
+    _computed,
     _nat_squares,
     cartesian_product_enriched,
     check_enriched,
@@ -413,10 +414,8 @@ def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
 
     assoc = associator_nat(em)
     if not (shortcut and report.ok and _associator_natural_by_variable(assoc)):
-        # compute every composite component first, so that a component that
-        # cannot be computed raises here, as the eager composites raised
-        for composite in (assoc.source, assoc.target):
-            composite.components.items()
+        _computed(assoc.source)
+        _computed(assoc.target)
         _absorb(report, check_enriched_nat(assoc), "associator")
     _absorb(report, check_enriched_nat(unitor_nat(em, "l")), "left-unitor")
     _absorb(report, check_enriched_nat(unitor_nat(em, "r")), "right-unitor")
@@ -517,8 +516,8 @@ def tensor_coherence_nat(emf: EnrichedMonoidalFunctor) -> EnrichedNat:
     """f2 as an enriched nat @(FxF) => F@ with background the mult cells."""
     s, t = emf.source, emf.target
     f = emf.functor
-    left = compose_enriched_functors(t.tensor, product_enriched_functor(f, f))
-    right = compose_enriched_functors(f, s.tensor)
+    left = _computed(compose_enriched_functors(t.tensor, product_enriched_functor(f, f)))
+    right = _computed(compose_enriched_functors(f, s.tensor))
     na = s.host.base.base.n_objects
     comps = []
     for p in left.background.source.base.objects():
@@ -542,7 +541,7 @@ def unit_coherence_nat(emf: EnrichedMonoidalFunctor) -> EnrichedNat:
     s, t = emf.source, emf.target
     f = emf.functor
     left = object_functor(t.host, t.unit_obj)
-    right = compose_enriched_functors(f, object_functor(s.host, s.unit_obj))
+    right = _computed(compose_enriched_functors(f, object_functor(s.host, s.unit_obj)))
     bg = LaxMonoidalNat(
         left.background,
         right.background,
@@ -695,7 +694,7 @@ def braiding_nat(eb: EnrichedBraidedCategory) -> EnrichedNat:
     n = e.n_objects
     sigma = swap_enriched_functor(e, e)
     left = em.tensor
-    right = compose_enriched_functors(em.tensor, sigma)
+    right = _computed(compose_enriched_functors(em.tensor, sigma))
     na = m.base.n_objects
     comps = []
     for p in left.background.source.base.objects():
@@ -825,24 +824,25 @@ def enumerate_enriched_half_braidings(
     em: EnrichedMonoidalCategory, x: int, cap: int | None = None
 ) -> list:
     """All enriched half-braidings on x, in lexicographic component order."""
+    u = underlying_category(em.host)
+    um = underlying_monoidal(em, u)
     budget = Budget(cap, "enriched half-braiding enumeration")
-    return _enriched_half_braidings(em, x, budget)
+    return _enriched_half_braidings(em, x, budget, u, um)
 
 
 def _enriched_half_braidings(
     em: EnrichedMonoidalCategory,
     x: int,
     budget: Budget,
-    u: UnderlyingResult | None = None,
-    um: MonoidalCategory | None = None,
+    u: UnderlyingResult,
+    um: MonoidalCategory,
 ) -> list:
-    """``enumerate_enriched_half_braidings`` on a given budget, reusing the
-    underlying category and monoidal category when they are given."""
+    """``enumerate_enriched_half_braidings`` on a given budget, with the
+    underlying category u of the host and the underlying monoidal category
+    um of em."""
     e = em.host
     m = e.base
     c = m.base
-    u = u or underlying_category(e)
-    um = um or underlying_monoidal(em, u)
     pools = [c.hom(m.unit, e.hom(em.t(z, x), em.t(x, z))) for z in e.objects()]
     hbs = (
         EnrichedHalfBraiding(x, dict(enumerate(combo)))

@@ -5,6 +5,8 @@ import pytest
 
 from ecat import centers
 from ecat.centers import (
+    _enriched_iso_search,
+    _identity_background_functors,
     braided_tables,
     bracket_pair,
     check_bracket_terminal,
@@ -57,6 +59,7 @@ from helpers import (
     lattice2_monoidal,
     lattice4_self_enriched,
     preorder_enriched_monoidal,
+    thin_enriched,
     trivial_base_enriched,
     z2_discrete_monoidal,
     z2_enriched,
@@ -393,6 +396,31 @@ def test_gamma1_of_canonical_on_module_fixtures():
         assert out["strict"]
 
 
+def test_iso_search_refuses_other_object_counts_and_bases():
+    point = thin_enriched(lattice2_monoidal(), [0], lambda x, y: 1)
+    chain = chain2_enriched()
+    # an injective functor exists, but it misses an object
+    assert next(_identity_background_functors(point, chain, Budget(CAP), iso=True))
+    assert _enriched_iso_search(point, chain, Budget(CAP)) is None
+    assert _enriched_iso_search(chain, point, Budget(CAP)) is None
+    assert _enriched_iso_search(chain, z2_enriched(), Budget(CAP)) is None
+    assert _enriched_iso_search(chain, chain, Budget(CAP)) is not None
+
+
+def test_gamma1_of_canonical_searches_through_the_guarded_iso_search(monkeypatch):
+    searched = []
+
+    def spy(e1, e2, budget):
+        searched.append((e1, e2))
+        return _enriched_iso_search(e1, e2, budget)
+
+    monkeypatch.setattr(centers, "_enriched_iso_search", spy)
+    out = gamma1_of_canonical(lattice2_self_cells(), CAP)
+    host = out["gamma1"].category.host.host
+    assert searched == [(host, out["module_side"].enriched)]
+    assert out["iso"] is not None
+
+
 # --- the E2 center ---
 
 
@@ -465,10 +493,12 @@ def _gamma1_stage_spends(em) -> list:
     """What each half-braiding enumeration and bracket-pair search of
     gamma1(em) spends on a budget of its own."""
     res = gamma1(em, CAP)
+    u = underlying_category(em.host)
+    um = underlying_monoidal(em, u)
     spends = []
     for x in em.host.objects():
         b = Budget(CAP)
-        _enriched_half_braidings(em, x, b)
+        _enriched_half_braidings(em, x, b, u, um)
         spends.append(b.used)
     objs = res.witnesses["objects"]
     for oi, oj in itertools.product(objs, repeat=2):

@@ -8,6 +8,7 @@ products, and the views must behave as the tuples and dicts they replace.
 
 import dataclasses
 import itertools
+import re
 from collections.abc import Mapping, Sequence
 
 import pytest
@@ -23,13 +24,19 @@ from ecat.core import (
     product_category,
 )
 from ecat.enriched import (
+    _computed,
     cartesian_product_enriched,
     compose_enriched_functors,
     identity_enriched_functor,
     object_functor,
     product_enriched_functor,
+    swap_enriched_functor,
 )
-from ecat.enriched_monoidal import associator_nat
+from ecat.enriched_monoidal import (
+    EnrichedBraidedCategory,
+    associator_nat,
+    check_enriched_braided,
+)
 from ecat.monoidal import (
     braided_tensor_lax_structure,
     check_lax_monoidal_functor,
@@ -411,7 +418,7 @@ def test_composite_components_are_the_eager_dict_computed_on_read(build):
     n = int(len(eager) ** 0.5)
     key = (n - 1, n // 2)
     assert lazy[key] == eager[key]
-    assert "1 computed" in repr(lazy)
+    assert lazy._memo == {key: eager[key]}
     assert len(lazy) == len(eager)
     assert list(lazy) == list(eager)
     assert (0, 0) in lazy and (n, 0) not in lazy and (0, -1) not in lazy and 0 not in lazy
@@ -450,4 +457,35 @@ def test_composite_components_raise_where_the_eager_build_raised():
         with pytest.raises(error):
             lazy.get(bad[-1])
         with pytest.raises(error):
-            lazy.items()
+            list(lazy.items())
+        with pytest.raises(error):
+            _computed(compose_enriched_functors(g, f))
+
+
+def test_check_enriched_braided_raises_where_the_eager_composite_raised():
+    # The braiding nat's target is the tensor after the switch; a tensor
+    # component that cannot be composed there raises before any square is
+    # read, with the first bad entry in (x, y) order, as the dict build did.
+    em = preorder_enriched_monoidal()
+    e = em.host
+    c = e.base.base
+    sigma = swap_enriched_functor(e, e)
+    braiding_el = {
+        (x, y): e.one(em.t(x, y)) for x, y in itertools.product(e.objects(), repeat=2)
+    }
+    raised = 0
+    for key, f in em.tensor.components.items():
+        for g in c.morphisms():
+            if g == f:
+                continue
+            tensor = dataclasses.replace(
+                em.tensor, components={**em.tensor.components, key: g}
+            )
+            try:
+                exhaustive_compose_enriched_functors(tensor, sigma)
+            except Exception as err:
+                raised += 1
+                eb = EnrichedBraidedCategory(dataclasses.replace(em, tensor=tensor), braiding_el)
+                with pytest.raises(type(err), match=re.escape(str(err))):
+                    check_enriched_braided(eb)
+    assert raised

@@ -22,7 +22,7 @@ in its center.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from ecat.actions import (
@@ -416,7 +416,11 @@ def condition_star(e: EnrichedCategory, cap: int | None = None) -> StarResult:
 
     One budget of cap units bounds the ordinary center, the endofunctor
     enumeration and every family search."""
-    budget = Budget(cap, "E0 center")
+    return _condition_star(e, Budget(cap, "E0 center"))
+
+
+def _condition_star(e: EnrichedCategory, budget: Budget) -> StarResult:
+    """``condition_star`` on a given budget."""
     z1 = drinfeld_center_z1(e.base, budget)
     functors = list(_identity_background_functors(e, e, budget))
     brackets = {}
@@ -442,6 +446,8 @@ class CenterResult:
     category: object
     witnesses: dict
     forgetful: object | None = None
+    # data derived from the witnesses on first use (``e0_ev``); not compared
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def e0_center(e: EnrichedCategory, cap: int | None = None) -> CenterResult:
@@ -451,9 +457,15 @@ def e0_center(e: EnrichedCategory, cap: int | None = None) -> CenterResult:
     Hom objects are the terminal half-braided families; composition,
     identities and tensor cells are the unique mediators of the evident
     composite families. Raises StructureError when some pair has no
-    terminal family.
+    terminal family. One budget of cap units bounds the run
+    (``condition_star``).
     """
-    star = condition_star(e, cap)
+    return _e0_center(e, Budget(cap, "E0 center"))
+
+
+def _e0_center(e: EnrichedCategory, budget: Budget) -> CenterResult:
+    """``e0_center`` on a given budget."""
+    star = _condition_star(e, budget)
     missing = [p for p, br in star.brackets.items() if br is None]
     if missing:
         raise StructureError(
@@ -548,7 +560,15 @@ def e0_center(e: EnrichedCategory, cap: int | None = None) -> CenterResult:
 
 
 def e0_ev(res: CenterResult) -> EnrichedFunctor:
-    """The evaluation action of the E0 center on its host category."""
+    """The evaluation action of the E0 center on its host category, built
+    on the first call for res and kept in ``res.memo``."""
+    ev = res.memo.get("ev")
+    if ev is None:
+        ev = res.memo["ev"] = _e0_ev(res)
+    return ev
+
+
+def _e0_ev(res: CenterResult) -> EnrichedFunctor:
     e = res.witnesses["host"]
     z1 = res.witnesses["z1"]
     functors = res.witnesses["functors"]
@@ -1465,7 +1485,7 @@ class _UniversalCheck:
     def after_comparison(self, P: list) -> None:
         """Data the remaining hooks need once the comparison functor exists."""
 
-    def run(self, cap: int | None) -> TheoremReport:
+    def run(self, budget: Budget) -> TheoremReport:
         report = self.report
         P = self.comparison_objects()
         if not report.ok:
@@ -1590,7 +1610,6 @@ class _UniversalCheck:
                 )
             )
 
-        budget = Budget(cap, "mediating isomorphism search")
         candidates = _search(nA + la.n_objects, domain, [(nA - 1, natural_bg)], budget)
         count = sum(1 for v in candidates if mediates(v))
         return TheoremReport(report, count)
@@ -1901,9 +1920,12 @@ def verify_e0_universal(e: EnrichedCategory, action: UnitalAction,
 
     Builds the comparison enriched functor and both natural isomorphisms
     from the given action, checks the pasting equation on every component,
-    and counts the mediating isomorphisms by exhaustive search.
+    and counts the mediating isomorphisms by exhaustive search. One budget
+    of cap units bounds the run: the E0 center, when res is not given, and
+    the mediator search.
     """
-    return _E0Check(e, action, res or e0_center(e, cap)).run(cap)
+    budget = Budget(cap, "E0 universal property")
+    return _E0Check(e, action, res or _e0_center(e, budget)).run(budget)
 
 
 def verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalAction,
@@ -1914,9 +1936,12 @@ def verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalAction,
 
     The action must carry the monoidal cells f2. Builds the comparison
     functor into the E1 center, checks both pasting components, and
-    counts the mediating isomorphisms by exhaustive search.
+    counts the mediating isomorphisms by exhaustive search. One budget of
+    cap units bounds the run: the E1 center, when res is not given, and
+    the mediator search.
     """
-    return _E1Check(em, action, res or gamma1(em, cap)).run(cap)
+    budget = Budget(cap, "E1 universal property")
+    return _E1Check(em, action, res or _gamma1(em, budget)).run(budget)
 
 
 def verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAction,
@@ -1927,9 +1952,11 @@ def verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAction,
 
     Like the E1 check, but the induced half-braidings must agree with the
     braiding of eb, so the comparison lands in the full subcategory of
-    transparent objects.
+    transparent objects. One budget of cap units bounds the run; the E2
+    center, a full subcategory, searches nothing and spends none of it.
     """
-    return _E2Check(eb, action, res or gamma2(eb, cap)).run(cap)
+    budget = Budget(cap, "E2 universal property")
+    return _E2Check(eb, action, res or gamma2(eb)).run(budget)
 
 
 # --- canonical actions for the verifiers ---

@@ -360,6 +360,51 @@ class ProductCompose(ProductMapping):
         )
 
 
+class LazyPairTable(Mapping):
+    """A read-only dict over the pairs of ``range(n)``, each entry computed
+    by ``entry(x, y)`` when it is first read, and kept.
+
+    Keys iterate in (x, y) order; ``in``, ``len`` and key iteration compute
+    no entry. Reading an entry raises what computing it raises, also through
+    ``get``, so ``dict(table)``, ``items``, ``values`` and equality with any
+    mapping raise at the first entry, in (x, y) order, that cannot be
+    computed. Composites of lax monoidal and enriched functors hold their
+    multiplication cells and components this way.
+    """
+
+    __slots__ = ("_entry", "_n", "_memo")
+
+    def __init__(self, n: int, entry):
+        self._entry, self._n = entry, n
+        self._memo = {}
+
+    def __contains__(self, key) -> bool:
+        if type(key) is not tuple or len(key) != 2:
+            return False
+        x, y = key
+        try:
+            return 0 <= x < self._n and 0 <= y < self._n
+        except TypeError:
+            return False
+
+    def __getitem__(self, key) -> int:
+        value = self._memo.get(key)
+        if value is None:
+            if key not in self:
+                raise KeyError(key)
+            value = self._memo[key] = self._entry(*key)
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def __iter__(self):
+        return itertools.product(range(self._n), repeat=2)
+
+    def __len__(self) -> int:
+        return self._n * self._n
+
+
 class _KeyedCells:
     """A table read by flat position: position k holds ``table[keys[k]]``,
     read from the table each time, so it raises what the table raises."""

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from ecat.core import (
     FinCategory,
     Functor,
+    LazyPairTable,
     NatTransf,
     ProductMapping,
     ProductSequence,
@@ -304,73 +305,31 @@ def identity_enriched_functor(e: EnrichedCategory) -> EnrichedFunctor:
 
 
 def compose_enriched_functors(g: EnrichedFunctor, f: EnrichedFunctor) -> EnrichedFunctor:
-    """g after f. Its components are a ``_ComposedComponents`` view, so a
-    component is computed when it is first read."""
+    """g after f. Its components, g(Fx, Fy) . g^(f(x, y)) at (x, y), are a
+    ``LazyPairTable``, as are the mult cells of its background
+    (``compose_lax``), so each is computed when it is first read.
+    ``_computed`` reads them all."""
+    comp = g.target.base.base.comp
+
+    def component(x: int, y: int) -> int:
+        return comp(g.at(f.on_obj(x), f.on_obj(y)), g.background.on_mor(f.at(x, y)))
+
     return EnrichedFunctor(
         compose_lax(g.background, f.background),
         f.source, g.target,
         tuple(g.on_obj(f.on_obj(x)) for x in f.source.objects()),
-        _ComposedComponents(g, f),
+        LazyPairTable(f.source.n_objects, component),
     )
 
 
 def _computed(f: EnrichedFunctor) -> EnrichedFunctor:
-    """f after reading each of its components in (x, y) order, so that a
-    composite whose component cannot be computed raises here, where the
-    composite built as a dict raised."""
+    """f after reading each mult cell of its background and then each of
+    its components, in (x, y) order, so that a composite with an entry
+    that cannot be computed raises here, where the composite built as
+    dicts raised."""
+    dict(f.background.mult)
     dict(f.components)
     return f
-
-
-class _ComposedComponents(Mapping):
-    """The components of g after f, computed on first read and kept.
-
-    The entry at (x, y) is g(Fx, Fy) . g^(f(x, y)). Keys are the pairs of
-    source objects, iterated in (x, y) order; ``in``, ``len`` and key
-    iteration compute no entry. Reading an entry raises what computing it
-    raises, also through ``get``, so ``items``, ``values`` and equality
-    with any mapping raise at the first entry, in (x, y) order, that cannot
-    be computed.
-    """
-
-    __slots__ = ("_g", "_f", "_n", "_memo")
-
-    def __init__(self, g: EnrichedFunctor, f: EnrichedFunctor):
-        self._g, self._f = g, f
-        self._n = f.source.n_objects
-        self._memo = {}
-
-    def _entry(self, x: int, y: int) -> int:
-        g, f = self._g, self._f
-        return g.target.base.base.comp(
-            g.at(f.on_obj(x), f.on_obj(y)), g.background.on_mor(f.at(x, y))
-        )
-
-    def __contains__(self, key) -> bool:
-        if type(key) is not tuple or len(key) != 2:
-            return False
-        x, y = key
-        try:
-            return 0 <= x < self._n and 0 <= y < self._n
-        except TypeError:
-            return False
-
-    def __getitem__(self, key) -> int:
-        value = self._memo.get(key)
-        if value is None:
-            if key not in self:
-                raise KeyError(key)
-            value = self._memo[key] = self._entry(*key)
-        return value
-
-    def get(self, key, default=None):
-        return self[key] if key in self else default
-
-    def __iter__(self):
-        return itertools.product(range(self._n), repeat=2)
-
-    def __len__(self) -> int:
-        return self._n * self._n
 
 
 @dataclass(frozen=True, eq=True)
@@ -405,44 +364,52 @@ def check_enriched_nat(n: EnrichedNat) -> ValidationReport:
     if not typed:
         return report
     for x, y in itertools.product(e.objects(), repeat=2):
-        square, hom_route = _nat_squares(n, x, y)
-        if not square:
+        if not _nat_square(n, x, y):
             report.add("enriched-nat-square", (x, y))
-        if not hom_route:
+        if not _nat_hom_route(n, x, y):
             report.add("enriched-nat-square-hom-route", (x, y))
     return report
 
 
-def _nat_squares(n: EnrichedNat, x: int, y: int) -> tuple[bool, bool]:
+def _nat_square(n: EnrichedNat, x: int, y: int) -> bool:
     """Whether the naturality square of n at the object pair (x, y)
-    commutes, and whether the same square, routed through ``hom_post`` and
-    ``hom_pre``, does."""
+    commutes."""
     f, g = n.source, n.target
-    e, e2 = f.source, f.target
+    e2 = f.target
     m2 = e2.base
     c = m2.base
-    h = f.background.on_obj(e.hom(x, y))
+    h = f.source.hom(x, y)
+    fx, gy = f.on_obj(x), g.on_obj(y)
     lhs = c.comp_many(
-        e2.c(f.on_obj(x), f.on_obj(y), g.on_obj(y)),
+        e2.c(fx, f.on_obj(y), gy),
         m2.t_mor(n.at(y), f.at(x, y)),
-        inv(m2, m2.l(h)),
+        inv(m2, m2.l(f.background.on_obj(h))),
     )
     rhs = c.comp_many(
-        e2.c(f.on_obj(x), g.on_obj(x), g.on_obj(y)),
+        e2.c(fx, g.on_obj(x), gy),
         m2.t_mor(g.at(x, y), n.at(x)),
-        inv(m2, m2.r(g.background.on_obj(e.hom(x, y)))),
-        n.background.at(e.hom(x, y)),
+        inv(m2, m2.r(g.background.on_obj(h))),
+        n.background.at(h),
     )
-    lhs2 = c.comp(
+    return lhs == rhs
+
+
+def _nat_hom_route(n: EnrichedNat, x: int, y: int) -> bool:
+    """Whether the naturality square of n at (x, y), routed through
+    ``hom_post`` and ``hom_pre``, commutes."""
+    f, g = n.source, n.target
+    e, e2 = f.source, f.target
+    c = e2.base.base
+    lhs = c.comp(
         hom_post(e2, f.on_obj(x), f.on_obj(y), g.on_obj(y), n.at(y)),
         f.at(x, y),
     )
-    rhs2 = c.comp_many(
+    rhs = c.comp_many(
         hom_pre(e2, f.on_obj(x), g.on_obj(x), g.on_obj(y), n.at(x)),
         g.at(x, y),
         n.background.at(e.hom(x, y)),
     )
-    return lhs == rhs, lhs2 == rhs2
+    return lhs == rhs
 
 
 def identity_enriched_nat(f: EnrichedFunctor) -> EnrichedNat:
@@ -492,17 +459,12 @@ def hcomp_enriched_nats(eta: EnrichedNat, xi: EnrichedNat) -> EnrichedNat:
             e3.base.t_mor(kxi, eta.at(f.on_obj(x))),
             inv(e3.base, e3.base.l(e3.base.unit)),
         )
+    hf = _computed(compose_enriched_functors(h, f))
+    kg = _computed(compose_enriched_functors(k, g))
     bg = LaxMonoidalNat(
-        compose_lax(h.background, f.background),
-        compose_lax(k.background, g.background),
-        hcomp_nats(eta.background.nat, xi.background.nat),
+        hf.background, kg.background, hcomp_nats(eta.background.nat, xi.background.nat)
     )
-    return EnrichedNat(
-        bg,
-        _computed(compose_enriched_functors(h, f)),
-        _computed(compose_enriched_functors(k, g)),
-        comps,
-    )
+    return EnrichedNat(bg, hf, kg, comps)
 
 
 def underlying_functor(

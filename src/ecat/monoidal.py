@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from ecat.core import (
     FinCategory,
     Functor,
+    LazyPairTable,
     NatTransf,
     ProductMapping,
     ProductSequence,
@@ -437,7 +438,15 @@ def identity_lax(m: MonoidalCategory) -> LaxMonoidalFunctor:
 
 
 def compose_lax(g: LaxMonoidalFunctor, f: LaxMonoidalFunctor) -> LaxMonoidalFunctor:
-    """g after f; both must be lax-direction (or strong)."""
+    """g after f; both must be lax-direction (or strong).
+
+    The functor and the unit cell are computed here. The mult cell at
+    (x, y), g(f(x, y)) . g(Fx, Fy), is computed when it is first read: the
+    mult is a ``LazyPairTable``, so a composite whose cells are never read
+    (the associator's background on B³ has n⁶ of them) costs nothing for
+    them, and a reader that needs every cell to raise where an eager build
+    raised reads them all first, as ``enriched._computed`` does.
+    """
     if "oplax" in (g.direction, f.direction):
         raise StructureError("composition implemented for lax-direction functors")
     c = g.target.base
@@ -448,9 +457,11 @@ def compose_lax(g: LaxMonoidalFunctor, f: LaxMonoidalFunctor) -> LaxMonoidalFunc
         tuple(g.on_mor(m) for m in f.functor.mor_map),
     )
     unit = c.comp(g.on_mor(f.unit_cell), g.unit_cell)
-    mult = {}
-    for x, y in itertools.product(f.source.base.objects(), repeat=2):
-        mult[(x, y)] = c.comp(g.on_mor(f.m2(x, y)), g.m2(f.on_obj(x), f.on_obj(y)))
+
+    def m2(x: int, y: int) -> int:
+        return c.comp(g.on_mor(f.m2(x, y)), g.m2(f.on_obj(x), f.on_obj(y)))
+
+    mult = LazyPairTable(f.source.base.n_objects, m2)
     direction = "strong" if g.direction == f.direction == "strong" else "lax"
     return LaxMonoidalFunctor(f.source, g.target, functor, unit, mult, direction)
 

@@ -13,6 +13,7 @@ from ecat.centers import (
     compare_e0_routes,
     condition_star,
     e0_center,
+    e0_ev,
     e0_center_via_module,
     enriched_iso_search,
     evaluation_action,
@@ -487,6 +488,81 @@ def test_a_run_makes_one_budget(run, monkeypatch):
     made = _budgets_made(monkeypatch)
     run(CAP)
     assert len(made) == 1 and made[0].cap == CAP and made[0].used > 0
+
+
+def _preorder_braided():
+    em = preorder_enriched_monoidal()
+    return EnrichedBraidedCategory(em, preorder_braiding_el(em), True)
+
+
+# Each verifier run without a center: the center (E0, E1; the E2 center
+# searches nothing) and the mediator search, with the check that runs it.
+VERIFIER_RUNS = {
+    "e0": (
+        lambda cap: verify_e0_universal(chain2_enriched(), trivial_action(chain2_enriched()), cap),
+        lambda b: centers._e0_center(chain2_enriched(), b),
+        lambda res: centers._E0Check(chain2_enriched(), trivial_action(chain2_enriched()), res),
+    ),
+    "e1": (
+        lambda cap: verify_e1_universal(
+            preorder_enriched_monoidal(), trivial_monoidal_action(preorder_enriched_monoidal()), cap
+        ),
+        lambda b: centers._gamma1(preorder_enriched_monoidal(), b),
+        lambda res: centers._E1Check(
+            preorder_enriched_monoidal(), trivial_monoidal_action(preorder_enriched_monoidal()), res
+        ),
+    ),
+    "e2": (
+        lambda cap: verify_e2_universal(
+            _preorder_braided(), trivial_monoidal_action(preorder_enriched_monoidal()), cap
+        ),
+        None,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VERIFIER_RUNS)
+def test_a_verifier_run_makes_one_budget(name, monkeypatch):
+    made = _budgets_made(monkeypatch)
+    out = VERIFIER_RUNS[name][0](CAP)
+    assert out.report.ok and out.uniqueness_count == 1
+    assert len(made) == 1 and made[0].cap == CAP and made[0].used > 0
+
+
+@pytest.mark.parametrize("name", ["e0", "e1"])
+def test_one_cap_bounds_a_verifier_run(name):
+    run, center, check = VERIFIER_RUNS[name]
+    b = Budget(CAP)
+    res = center(b)
+    spends = [b.used]
+    b = Budget(CAP)
+    assert check(res).run(b).uniqueness_count == 1
+    spends.append(b.used)
+    total = sum(spends)
+    assert max(spends) < total - 1
+    assert run(total).uniqueness_count == 1  # one budget of exactly the sum
+    for cap in (max(spends), total - 1):
+        with pytest.raises(BudgetExceeded):
+            run(cap)
+
+
+def test_an_e0_center_builds_its_evaluation_action_once(monkeypatch):
+    built = []
+    build = centers._e0_ev
+
+    def counting(res):
+        built.append(res)
+        return build(res)
+
+    monkeypatch.setattr(centers, "_e0_ev", counting)
+    e = chain2_enriched()
+    res = e0_center(e, CAP)
+    for act in (evaluation_action(res, e), trivial_action(e)):
+        assert verify_e0_universal(e, act, CAP, res).uniqueness_count == 1
+    assert built == [res]
+    assert e0_ev(res) is evaluation_action(res, e).odot
+    assert res == dataclasses.replace(res, memo={})  # the memo is not compared
 
 
 def _gamma1_stage_spends(em) -> list:

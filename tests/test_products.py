@@ -13,8 +13,10 @@ from collections.abc import Mapping, Sequence
 
 import pytest
 
+import ecat.enriched
 from ecat.actions import monoidal_self_module
 from ecat.canonical import canonical_monoidal
+from ecat.centers import e0_center, evaluation_action, verify_e0_universal
 from ecat.core import (
     ProductCompose,
     ProductMapping,
@@ -53,6 +55,7 @@ from helpers import (
     chain3_enriched,
     chain3_monoidal,
     eager_cartesian_product_enriched,
+    eager_compose_lax,
     eager_product_category,
     eager_product_enriched_functor,
     eager_product_lax,
@@ -431,6 +434,22 @@ def test_composite_components_are_the_eager_dict_computed_on_read(build):
     assert lazy != {**eager, key: eager[key] + 1}
 
 
+@pytest.mark.parametrize("build", [semion_enriched_monoidal, preorder_enriched_monoidal])
+def test_composite_mult_is_the_eager_dict_computed_on_read(build):
+    em = build()
+    lazy = associator_nat(em).source.background
+    eager = exhaustive_associator_nat(em).source.background
+    assert (lazy.functor, lazy.unit_cell, lazy.direction) == (
+        eager.functor, eager.unit_cell, eager.direction
+    )
+    n = int(len(eager.mult) ** 0.5)
+    key = (n - 1, n // 2)
+    assert lazy.m2(*key) == eager.m2(*key)
+    assert lazy.mult._memo == {key: eager.mult[key]}
+    assert list(lazy.mult) == list(eager.mult)
+    assert lazy.mult == eager.mult and lazy == eager
+
+
 def test_composite_components_raise_where_the_eager_build_raised():
     em = semion_enriched_monoidal()
     f = product_enriched_functor(em.tensor, identity_enriched_functor(em.host))
@@ -489,3 +508,39 @@ def test_check_enriched_braided_raises_where_the_eager_composite_raised():
                 with pytest.raises(type(err), match=re.escape(str(err))):
                     check_enriched_braided(eb)
     assert raised
+
+
+def test_the_e0_rho_nat_reports_or_raises_as_on_the_eager_composites(monkeypatch):
+    # verify_e0_universal composes the action with the product of the
+    # comparison functor and the identity, and checks the rho nat on that
+    # composite; a mistyped mult cell of the action's background must give
+    # the same verdict, or the same error, as the eager composites did.
+    e = chain2_enriched()
+    res = e0_center(e, 10**6)
+    action = evaluation_action(res, e)
+    bg = action.odot.background
+    c = e.base.base
+    lazy = ecat.enriched.compose_lax
+
+    def outcome(act):
+        try:
+            out = verify_e0_universal(e, act, 10**6, res=res)
+            return ("report", tuple(out.report.violations), out.uniqueness_count)
+        except Exception as err:
+            return ("raise", type(err).__name__, str(err))
+
+    kinds = set()
+    for key, f in bg.mult.items():
+        for g in c.morphisms():
+            if g != f:
+                mult = {**bg.mult, key: g}
+                odot = dataclasses.replace(
+                    action.odot, background=dataclasses.replace(bg, mult=mult)
+                )
+                act = dataclasses.replace(action, odot=odot)
+                monkeypatch.setattr(ecat.enriched, "compose_lax", eager_compose_lax)
+                want = outcome(act)
+                monkeypatch.setattr(ecat.enriched, "compose_lax", lazy)
+                assert outcome(act) == want
+                kinds.add(want[0])
+    assert kinds == {"report", "raise"}

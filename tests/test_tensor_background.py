@@ -1,9 +1,11 @@
-"""check_enriched_monoidal decides the tensor background from a validated
-braided base and the associator's naturality one variable at a time;
-compared with the exhaustive oracle that always re-checks the background
-and enumerates every naturality square."""
+"""check_enriched_monoidal decides the tensor background and the
+associator's background from a validated braided base, and the associator's
+naturality one variable at a time from one route of its squares; compared
+with the exhaustive oracle that always re-checks the backgrounds, builds the
+composites eagerly and enumerates both routes of every naturality square."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -16,9 +18,19 @@ from ecat.actions import monoidal_self_module
 from ecat.canonical import canonical_monoidal
 from ecat.centers import e0_center
 from ecat.core import FinCategory, Functor, check_category, product_category
-from ecat.enriched import cartesian_product_enriched, check_enriched_functor
+from ecat.enriched import (
+    cartesian_product_enriched,
+    check_enriched_functor,
+    check_enriched_nat,
+)
 from ecat.enriched_monoidal import (
+    EnrichedBraidedCategory,
+    _associator_natural_by_variable,
+    associator_nat,
+    braiding_nat,
     check_enriched_monoidal,
+    check_enriched_monoidal_functor,
+    identity_enriched_monoidal_functor,
     one_object_enriched_monoidal,
     reversed_enriched_monoidal,
 )
@@ -28,6 +40,7 @@ from ecat.monoidal import (
     MonoidalCategory,
     braided_tensor_lax_structure,
     check_braided,
+    check_lax_monoidal_nat,
     check_monoidal,
 )
 from ecat.report import StructureError
@@ -35,14 +48,18 @@ from ecat.report import StructureError
 from helpers import (
     chain2_enriched,
     chain3_monoidal,
+    eager_compose_lax,
+    exhaustive_associator_nat,
     exhaustive_check_enriched_monoidal,
     identity_braiding,
     lattice2_monoidal,
     lattice4_monoidal,
+    lattice8_monoidal,
     preorder_enriched_monoidal,
     semion_enriched_monoidal,
     sign_algebra,
     sign_monoidal,
+    two_route_associator_screen,
     z2_discrete_monoidal,
     z2_enriched,
 )
@@ -268,14 +285,15 @@ def test_valid_associator_is_decided_by_the_one_variable_screen(name, monkeypatc
 
 
 def test_the_screen_checks_exactly_the_pairs_that_differ_in_one_coordinate(monkeypatch):
+    # the screen reads one route per pair, through _nat_square
     pairs = []
-    squares = ecat.enriched_monoidal._nat_squares
+    square = ecat.enriched_monoidal._nat_square
 
     def recording(nat, x, y):
         pairs.append((x, y))
-        return squares(nat, x, y)
+        return square(nat, x, y)
 
-    monkeypatch.setattr(ecat.enriched_monoidal, "_nat_squares", recording)
+    monkeypatch.setattr(ecat.enriched_monoidal, "_nat_square", recording)
     em = VALID["canonical-lattice4"]
     assert check_enriched_monoidal(em).ok
     n = em.host.n_objects
@@ -291,6 +309,70 @@ def test_the_screen_checks_exactly_the_pairs_that_differ_in_one_coordinate(monke
     }
     assert len(pairs) == len(set(pairs)) == len(want) == 640
     assert set(pairs) == want
+
+
+@pytest.mark.parametrize("name", ["semion", "canonical-lattice4"])
+def test_the_screen_reads_no_background_cell_and_no_hom_route(name, monkeypatch):
+    def no_hom_route(nat, x, y):
+        raise AssertionError("the screen reads the hom route")
+
+    monkeypatch.setattr(ecat.enriched, "_nat_hom_route", no_hom_route)
+    monkeypatch.setattr(ecat.enriched, "check_lax_monoidal_nat", None)
+    monkeypatch.setattr(ecat.enriched_monoidal, "check_lax_monoidal_nat", None)
+    nat = associator_nat(VALID[name])
+    assert _associator_natural_by_variable(nat)
+    # the mult cells of the B x B x B composites are never computed
+    assert nat.source.background.mult._memo == {}
+    assert nat.target.background.mult._memo == {}
+
+
+# The braided fixtures: semion and its reverse (over the anti-braiding)
+# are braided and not symmetric, the others symmetric. s3 has no braiding
+# (test_s3_has_no_braiding_components), and lattice-8's eager composites
+# hold 262,144 mult cells each, too slow for this suite.
+BRAIDED = {
+    "semion": VALID["semion"],
+    "reversed-semion": VALID["reversed-semion"],
+    "preorder": VALID["preorder"],
+    "canonical-z2": VALID["canonical-z2"],
+    "canonical-lattice2": VALID["canonical-lattice2"],
+    "canonical-lattice4": VALID["canonical-lattice4"],
+    "canonical-chain3": VALID["canonical-chain3"],
+}
+
+
+@pytest.mark.parametrize("name", BRAIDED)
+def test_the_associator_background_is_a_monoidal_nat_on_every_braided_base(name):
+    # Joyal–Street: in a braided monoidal category the associator is a
+    # monoidal nat between the two composites of the tensor with its
+    # mid-swap cells, so the screen need not check it. Checked here on the
+    # eager composites, in full.
+    em = BRAIDED[name]
+    assert check_monoidal(em.host.base).ok and check_braided(em.braiding).ok
+    assert check_lax_monoidal_nat(exhaustive_associator_nat(em).background).ok
+
+
+@pytest.mark.parametrize("name", BRAIDED)
+def test_the_screen_agrees_with_the_two_route_screen(name):
+    # the parent screen checked the background nat and both routes; on
+    # valid inputs and on same-typed associator changes (which reach the
+    # screen) both decide alike
+    em = BRAIDED[name]
+    c = em.host.base.base
+    cases = [em]
+    rng = random.Random(name)
+    for key, f in rng.sample(_entries(em, "associator"), 3):
+        cases += [_with_entry(em, "associator", key, g) for g in _same_typed(c, f)[:2]]
+    verdicts = []
+    for case in cases:
+        got = _associator_natural_by_variable(associator_nat(case))
+        assert got == two_route_associator_screen(exhaustive_associator_nat(case))
+        verdicts.append(got)
+    assert verdicts[0] and not any(verdicts[1:])
+
+
+def test_canonical_lattice8_passes_check_enriched_monoidal():
+    assert check_enriched_monoidal(_canonical(lattice8_monoidal)).ok
 
 
 def test_a_failed_screen_square_falls_back_to_every_square(monkeypatch):
@@ -460,3 +542,55 @@ def test_check_enriched_monoidal_does_not_recheck_the_tensor_background(name, mo
     assert calls == []
     check_enriched_functor(em.tensor)  # the binding counted is the one it calls
     assert len(calls) == 1
+
+
+# --- readers of lazy composite mult cells behave as on the eager build ---
+
+
+def _outcome(run):
+    """The violations run() reports, or the type and message it raises."""
+    try:
+        return ("report", tuple(run().violations))
+    except Exception as err:
+        return ("raise", type(err).__name__, str(err))
+
+
+def _composite_readers(em):
+    """Checks that build composites of em's tensor and read their mult
+    cells: the associator fallback, the braiding nat and the coherence nats
+    of the identity monoidal functor."""
+    e = em.host
+    braiding_el = {
+        (x, y): e.one(em.t(x, y)) for x, y in itertools.product(e.objects(), repeat=2)
+    }
+    eb = EnrichedBraidedCategory(em, braiding_el, True)
+    return [
+        lambda: check_enriched_monoidal(em),
+        lambda: check_enriched_nat(braiding_nat(eb)),
+        lambda: check_enriched_monoidal_functor(identity_enriched_monoidal_functor(em)),
+    ]
+
+
+@pytest.mark.parametrize("name", ["preorder", "semion"])
+@pytest.mark.parametrize("table", ["base-braiding", "background"])
+def test_composite_readers_raise_or_report_as_the_eager_composites_did(
+    name, table, monkeypatch
+):
+    # A mistyped base braiding cell cannot be pinned into a background, so
+    # the tensor keeps its old one and the check raises or reports before
+    # any composite; a mistyped background cell makes the composite mult
+    # cells uncomposable, and each reader raises the error, and the
+    # message, that the eager build raised.
+    em = VALID[name]
+    c = em.host.base.base
+    lazy = ecat.enriched.compose_lax
+    kinds = set()
+    for key, f in _entries(em, table):
+        for g in _mistyped(c, f):
+            for run in _composite_readers(_with_entry(em, table, key, g)):
+                monkeypatch.setattr(ecat.enriched, "compose_lax", eager_compose_lax)
+                want = _outcome(run)
+                monkeypatch.setattr(ecat.enriched, "compose_lax", lazy)
+                assert _outcome(run) == want
+                kinds.add(want[0])
+    assert "raise" in kinds

@@ -362,14 +362,14 @@ class ProductCompose(ProductMapping):
 
 class LazyPairTable(Mapping):
     """A read-only dict over the pairs of ``range(n)``, each entry computed
-    by ``entry(x, y)`` when it is first read, and kept.
+    by ``entry(x, y)`` when it is first read, and kept: the mult cells of
+    ``compose_lax`` and the components of ``compose_enriched_functors``.
 
     Keys iterate in (x, y) order; ``in``, ``len`` and key iteration compute
     no entry. Reading an entry raises what computing it raises, also through
     ``get``, so ``dict(table)``, ``items``, ``values`` and equality with any
     mapping raise at the first entry, in (x, y) order, that cannot be
-    computed. Composites of lax monoidal and enriched functors hold their
-    multiplication cells and components this way.
+    computed.
     """
 
     __slots__ = ("_entry", "_n", "_memo")

@@ -270,41 +270,36 @@ def _tensor_background_is_strong(m: MonoidalCategory) -> bool:
 
 def _associator_natural_by_variable(nat: EnrichedNat) -> bool:
     """Whether ``check_enriched_nat`` reports nothing on the associator nat
-    of an enriched monoidal category, deciding it from the base and from
-    one route of the squares at pairs of objects that differ in one
-    coordinate.
+    of an enriched monoidal category, decided from the base and one route
+    of the squares at pairs of objects that differ in one coordinate.
 
     ``check_enriched_monoidal`` calls this only when every earlier section
     of its report is clean and the shortcut for the tensor background
-    holds: the host is an enriched category; the base B is a category that
-    passes ``check_monoidal`` and ``check_braided``, so it is a braided
-    monoidal category; and the tensor is an enriched functor whose
-    background is the strong braiding-induced one on B's tensor. Then:
+    holds: the host is an enriched category, the base B a category that
+    passes ``check_monoidal`` and ``check_braided`` (so a braided monoidal
+    category), and the tensor an enriched functor whose background is the
+    strong braiding-induced one. Then:
 
-    - The background nat is not checked, and neither are the mult cells of
-      the two composite backgrounds, which are never read. Its components
-      are the associator of B at the objects (a, b, c) of B x B x B, between
-      the composites (a@b)@c and a@(b@c) of B's tensor, so its typing and
-      naturality are the ``associator-typing`` and
-      ``associator-naturality`` that ``check_monoidal`` decided. It is
-      monoidal with respect to the mid-swap cells of the composites in
-      every braided monoidal category: there the tensor B x B -> B with
-      those cells is a strong monoidal functor, and the associator is a
-      monoidal natural transformation between the two composites
-      (Joyal–Street, Braided tensor categories, 1993, §5).
+    - The background nat is not checked, and the mult cells of the two
+      composite backgrounds are never read. Its components are B's
+      associator at (a, b, c) in B x B x B, so its typing and naturality
+      are what ``check_monoidal`` decided. In a braided monoidal category
+      the tensor with its mid-swap cells is a strong monoidal functor and
+      the associator a monoidal natural transformation between the two
+      composites (Joyal–Street, Braided tensor categories, 1993, §5), so
       ``check_lax_monoidal_nat`` would report nothing on it.
     - The component typing is checked in full.
-    - The naturality squares are read only at the pairs of objects
-      x = (x1, x2, x3), y = (y1, y2, y3) of the cube e x e x e that differ
-      in at most one coordinate: n³(3n - 2) pairs instead of n⁶. The
-      source @(@x1) and the target @(1x@) of the nat are enriched functors
-      with strong backgrounds, and the background nat is monoidal, so
-      naturality in each variable separately is naturality (Kelly, Basic
-      Concepts of Enriched Category Theory, 1982, §1.4). For the cartesian
-      product over a braided base the argument runs as follows. Write F
-      for the source, F^ for its background and m2 for the (invertible)
-      multiplication cells of F^. Composition in the cube is componentwise,
-      so for z = (y1, x2, x3) the identity elements of the host give
+    - The squares are read only at the pairs of objects x = (x1, x2, x3),
+      y = (y1, y2, y3) of the cube e x e x e that differ in at most one
+      coordinate: n³(3n - 2) pairs instead of n⁶. The source @(@x1) and
+      the target @(1x@) of the nat are enriched functors with strong
+      backgrounds and the background nat is monoidal, so naturality in
+      each variable separately is naturality (Kelly, Basic Concepts of
+      Enriched Category Theory, 1982, §1.4). For the cartesian product
+      over a braided base the argument runs as follows. Write F for the
+      source, F^ for its background and m2 for the (invertible) mult
+      cells of F^. Composition in the cube is componentwise, so for
+      z = (y1, x2, x3) the identity elements of the host give
       s: hom(x, y) -> hom(z, y) @ hom(x, z) with c . s = 1, by the host's
       unit laws: (f, g, h) factors as (1, g, h) . (f, 1, 1) up to unit
       cells. Precomposed with F^(c) . m2, the square at (x, y) is the
@@ -314,12 +309,10 @@ def _associator_natural_by_variable(nat: EnrichedNat) -> bool:
       m2^-1 . F^(s) gives back the square at (x, y), since F^(c . s) = 1.
       The pair (z, y) splits the same way at (y1, y2, x3), so every square
       follows from squares at pairs that differ in one coordinate.
-    - Only the first route of each of those squares (``_nat_square``) is
-      read. The hom route (``_nat_hom_route``) is the same morphism: each
-      side differs from the first route's by moving the host hom component
-      across B's inverse unitor, which is natural, and by the functoriality
-      of B's tensor, both of which ``check_monoidal`` verified. So it holds
-      where the first route does.
+    - Only the first route of each square (``_nat_square``) is read. The
+      hom route (``_nat_hom_route``) is the same morphism once B's unitors
+      are natural and its tensor is functorial, which ``check_monoidal``
+      verified.
 
     False when a condition fails or raises, or when one of those squares
     fails; the caller then runs the exhaustive ``check_enriched_nat``,
@@ -375,16 +368,15 @@ def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
 
     When that holds and the report is still empty after the element
     typing, the associator nat is first screened by
-    ``_associator_natural_by_variable``. Its background on B x B x B is the
-    associator of B, which the checks of B already decided, so neither that
-    nat nor the mult cells of the composite backgrounds are read (the
-    composites of ``compose_lax`` compute a cell only when it is read). Its
-    typing is checked in full, and one route of its squares only at pairs
-    of objects of the cube that differ in one coordinate. Only when a
-    precondition or a screened square fails are the composites computed in
-    full and does ``check_enriched_nat`` enumerate all n⁶ squares, both
-    routes. The report, violation for violation, and any exception raised
-    are the same either way.
+    ``_associator_natural_by_variable``: its background on B x B x B is
+    B's associator, which the checks of B decided, so neither that nat nor
+    the lazy mult cells of its composites are read; its typing is checked
+    in full, and one route of its squares only at pairs of objects of the
+    cube that differ in one coordinate. Only when a precondition or a
+    screened square fails are the composites computed in full and does
+    ``check_enriched_nat`` enumerate both routes of all n⁶ squares. The
+    report, violation for violation, and any exception raised are the same
+    either way.
     """
     report = ValidationReport("enriched monoidal category")
     e = em.host

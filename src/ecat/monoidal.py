@@ -440,12 +440,10 @@ def identity_lax(m: MonoidalCategory) -> LaxMonoidalFunctor:
 def compose_lax(g: LaxMonoidalFunctor, f: LaxMonoidalFunctor) -> LaxMonoidalFunctor:
     """g after f; both must be lax-direction (or strong).
 
-    The functor and the unit cell are computed here. The mult cell at
-    (x, y), g(f(x, y)) . g(Fx, Fy), is computed when it is first read: the
-    mult is a ``LazyPairTable``, so a composite whose cells are never read
-    (the associator's background on B³ has n⁶ of them) costs nothing for
-    them, and a reader that needs every cell to raise where an eager build
-    raised reads them all first, as ``enriched._computed`` does.
+    The functor and the unit cell are computed here; the mult cell at
+    (x, y), g(f(x, y)) . g(Fx, Fy), when it is first read (a
+    ``LazyPairTable``). A reader that must raise where an eager build
+    raised reads every cell first, as ``enriched._computed`` does.
     """
     if "oplax" in (g.direction, f.direction):
         raise StructureError("composition implemented for lax-direction functors")

@@ -36,12 +36,13 @@ class FinCategory:
     """A finite category given by its index tables.
 
     Lookups derived from the tables are built lazily, once per instance, on
-    first use: ``hom`` reads an index from ``(x, y)`` to the hom set, and
-    ``monoidal.find_inverse`` memoises its answers in ``_inverse_memo``.
-    Both live in the instance ``__dict__``, not in dataclass fields, so
-    equality, hashing and ``dataclasses.replace`` ignore them (a replaced
-    copy starts with empty caches). They rely on the tables not being
-    mutated after construction; nothing in ``ecat`` mutates them.
+    first use: ``hom`` reads an index from ``(x, y)`` to the hom set,
+    ``thin`` is read from that index, and ``monoidal.find_inverse``
+    memoises its answers in ``_inverse_memo``. They live in the instance
+    ``__dict__``, not in dataclass fields, so equality, hashing and
+    ``dataclasses.replace`` ignore them (a replaced copy starts with empty
+    caches). They rely on the tables not being mutated after construction;
+    nothing in ``ecat`` mutates them.
     """
 
     n_objects: int
@@ -63,6 +64,19 @@ class FinCategory:
         for f in range(self.n_morphisms):
             index.setdefault((dom[f], cod[f]), []).append(f)
         return {key: tuple(mors) for key, mors in index.items()}
+
+    @cached_property
+    def thin(self) -> bool:
+        """Whether every hom set has at most one morphism.
+
+        In a thin category (a preorder; Lawvere 1973, Kelly 1982 §1) any
+        two parallel morphisms are equal, so a diagram commutes as soon as
+        its routes are defined and share their domain and codomain. A
+        checker may use this only once the tables pass ``check_category``,
+        so that every composite it reads exists and is typed, and once every
+        cell the diagram reads is in range and typed.
+        """
+        return len(self._hom_index) == self.n_morphisms
 
     @cached_property
     def _inverse_memo(self) -> dict[int, int | None]:

@@ -164,6 +164,15 @@ def lattice4_monoidal():
     return thin_monoidal(c, lambda x, y: x & y, 3)
 
 
+def meet_semilattice_monoidal(masks):
+    """Bit masks, closed under & and holding their largest element, ordered
+    by inclusion, with meet as tensor and the largest mask as unit. The
+    masks [0, 1, 2, 3] give lattice4_monoidal."""
+    index = {x: i for i, x in enumerate(masks)}
+    c = thin_category(len(masks), lambda i, j: masks[i] & masks[j] == masks[i])
+    return thin_monoidal(c, lambda i, j: index[masks[i] & masks[j]], index[max(masks)])
+
+
 def group_monoidal(table, unit):
     """Discrete category on the elements of a group multiplication table."""
     from ecat.core import Functor, product_category

@@ -1,6 +1,6 @@
 """Lookups paid for once: the hom index, the inverse memo and the hoisted,
-screened check_monoidal_module, each compared with the plain version it
-replaced."""
+screened check_monoidal_module with its thin-carrier rule, each compared
+with the plain version it replaced."""
 
 import dataclasses
 import itertools
@@ -16,6 +16,11 @@ from ecat.actions import (
     internal_hom,
     monoidal_self_module,
     self_module,
+)
+from ecat.canonical import (
+    canonical_construction,
+    canonical_monoidal,
+    monoidal_cells_from_enriched,
 )
 from ecat.core import (
     FinCategory,
@@ -42,6 +47,7 @@ from helpers import (
     identity_braiding,
     lattice2_monoidal,
     lattice4_monoidal,
+    meet_semilattice_monoidal,
     scan_hom,
     scan_inverse,
     semion_braiding,
@@ -79,6 +85,14 @@ def test_hom_matches_linear_scan(name):
     for x, y in itertools.product(range(-1, c.n_objects + 1), repeat=2):
         assert c.hom(x, y) == scan_hom(c, x, y)
         assert type(c.hom(x, y)) is tuple
+
+
+@pytest.mark.parametrize("name", CATEGORIES)
+def test_thin_means_at_most_one_morphism_per_hom_set(name):
+    c = CATEGORIES[name]
+    hom_sizes = [len(scan_hom(c, x, y)) for x, y in itertools.product(c.objects(), repeat=2)]
+    assert c.thin == (max(hom_sizes) <= 1)
+    assert "thin" not in {f.name for f in dataclasses.fields(FinCategory)}
 
 
 def test_hom_index_is_lazy_per_instance_and_not_a_field():
@@ -136,6 +150,14 @@ def test_find_inverse_memo_is_per_instance():
 # --- check_monoidal_module against the exhaustive oracle ---
 
 
+def _canonical_cells(m):
+    """The module cells read back from the canonical enriched monoidal
+    category of the self-module of m."""
+    cells = monoidal_self_module(identity_braiding(m))
+    can = canonical_construction(cells.module)
+    return monoidal_cells_from_enriched(canonical_monoidal(cells, can), can)
+
+
 def _self_cells():
     return {
         "semion": monoidal_self_module(semion_braiding()),
@@ -151,6 +173,7 @@ def _self_cells():
         "sign-x-lattice2": monoidal_self_module(
             identity_braiding(product_monoidal(sign_monoidal(), lattice2_monoidal()))
         ),
+        "canonical-lattice4": _canonical_cells(lattice4_monoidal()),
     }
 
 
@@ -177,6 +200,12 @@ def _entries(cells, table):
         return list(enumerate(mod.act.mor_map))
     if table == "carrier-associator":
         return list(cells.carrier_monoidal.associator.items())
+    if table == "base-associator":
+        return list(mod.base.associator.items())
+    if table == "base-braiding":
+        return list(cells.base_braiding.braiding.items())
+    if table == "unit-cell":
+        return [((), cells.unit_cell)]
     return list(enumerate(cells.carrier_monoidal.tensor.mor_map))  # "carrier-tensor"
 
 
@@ -188,6 +217,16 @@ def _with_entry(cells, table, key, g):
     if table == "module-associator":
         assoc = {**mod.oplax_assoc, key: g}
         return dataclasses.replace(cells, module=dataclasses.replace(mod, oplax_assoc=assoc))
+    if table == "base-associator":
+        base = dataclasses.replace(mod.base, associator={**mod.base.associator, key: g})
+        return dataclasses.replace(cells, module=dataclasses.replace(mod, base=base))
+    if table == "base-braiding":
+        b = cells.base_braiding
+        return dataclasses.replace(
+            cells, base_braiding=dataclasses.replace(b, braiding={**b.braiding, key: g})
+        )
+    if table == "unit-cell":
+        return dataclasses.replace(cells, unit_cell=g)
     lm = cells.carrier_monoidal
     if table == "carrier-associator":
         lm = dataclasses.replace(lm, associator={**lm.associator, key: g})
@@ -355,7 +394,9 @@ def test_check_monoidal_module_screens_naturality_one_variable_at_a_time():
     check_category(counted)
     category_reads = compose.reads
     # The hexagon, which follows interchange naturality, starts by reading
-    # the carrier associator; an unreadable one ends the check there.
+    # the carrier associator; an unreadable one ends the check there. The
+    # thin-carrier rule reads it first, fails, and leaves naturality to the
+    # screen.
     copy = dataclasses.replace(
         cells,
         module=dataclasses.replace(mod, carrier=counted),
@@ -387,9 +428,10 @@ def test_check_monoidal_module_matches_oracle_on_drawn_mutations(name, table, da
     assert got == exhaustive_check_monoidal_module(mutated).violations
 
 
+@pytest.mark.parametrize("name", ["semion", "lattice4"])
 @pytest.mark.parametrize("table", ["carrier-associator", "module-associator"])
-def test_check_monoidal_module_raises_on_a_missing_associator_entry(table):
-    cells = SELF_CELLS["semion"]
+def test_check_monoidal_module_raises_on_a_missing_associator_entry(name, table):
+    cells = SELF_CELLS[name]
     mod, lm = cells.module, cells.carrier_monoidal
     if table == "carrier-associator":
         assoc = dict(lm.associator)
@@ -440,6 +482,130 @@ def test_check_monoidal_module_rejects_an_object_map_that_leaves_the_objects():
         exhaustive_check_monoidal_module(cells)
     with pytest.raises(StructureError, match="leaves the objects"):
         check_monoidal_module(cells)
+
+
+# --- the thin-carrier rule against the exhaustive oracle ---
+
+
+THIN_CELLS = ("z2", "lattice2", "chain3", "lattice4", "canonical-lattice4")
+
+THIN_TABLES = (
+    "interchange",
+    "carrier-associator",
+    "module-associator",
+    "action",
+    "carrier-tensor",
+    "base-associator",
+    "base-braiding",
+    "unit-cell",
+)
+
+
+def _outcome(check, cells):
+    """The violations check reports, or the type and message it raises."""
+    try:
+        return check(cells).violations
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _mistyped(c, f, k):
+    """A morphism of c of another type than f; in a thin category every
+    other morphism is one."""
+    alts = [g for g in c.morphisms() if (c.dom[g], c.cod[g]) != (c.dom[f], c.cod[f])]
+    return alts[k % len(alts)]
+
+
+def _assert_mistyped_entry_matches_oracle(cells, table, i):
+    """Give entry i of the table a morphism of another type; the check must
+    report or raise exactly what the oracle does."""
+    k = cells.module.base.base if table.startswith("base-") else cells.module.carrier
+    key, f = _entries(cells, table)[i]
+    mutated = _with_entry(cells, table, key, _mistyped(k, f, i))
+    got = _outcome(check_monoidal_module, mutated)
+    assert got == _outcome(exhaustive_check_monoidal_module, mutated), (table, key)
+
+
+def test_the_thin_rule_applies_to_the_thin_fixtures_only():
+    # so the oracle tests on the other fixtures run the screen and the loops
+    for name, cells in SELF_CELLS.items():
+        assert cells.module.carrier.thin == (name in THIN_CELLS), name
+
+
+@pytest.mark.parametrize("name", ["z2", "lattice2", "chain3"])
+def test_thin_rule_matches_oracle_on_every_mistyped_entry(name):
+    cells = SELF_CELLS[name]
+    for table in THIN_TABLES:
+        for i in range(len(_entries(cells, table))):
+            _assert_mistyped_entry_matches_oracle(cells, table, i)
+
+
+# drawn, since the oracle needs about 12 s for every entry of a lattice-4 fixture
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(["lattice4", "canonical-lattice4"]),
+    st.sampled_from(THIN_TABLES),
+    st.data(),
+)
+def test_thin_rule_matches_oracle_on_drawn_mistyped_entries(name, table, data):
+    cells = SELF_CELLS[name]
+    i = data.draw(st.integers(0, len(_entries(cells, table)) - 1))
+    _assert_mistyped_entry_matches_oracle(cells, table, i)
+
+
+@pytest.mark.parametrize("name", THIN_CELLS)
+@pytest.mark.parametrize("table", ["interchange", "carrier-associator", "module-associator"])
+def test_thin_rule_matches_oracle_on_a_negative_cell(name, table):
+    # f - |mor C| reads as f wherever it indexes a table, so it passes a
+    # typing read, but it is no compose key
+    cells = SELF_CELLS[name]
+    c = cells.module.carrier
+    key, f = _entries(cells, table)[-1]
+    mutated = _with_entry(cells, table, key, f - c.n_morphisms)
+    got = _outcome(check_monoidal_module, mutated)
+    assert got == _outcome(exhaustive_check_monoidal_module, mutated)
+    assert got[0] is StructureError and got[1].startswith("compose undefined")
+
+
+def test_thin_rule_composes_nothing_in_the_sections_it_decides():
+    cells = SELF_CELLS["lattice4"]
+    mod = cells.module
+    c = mod.carrier
+    na, nx = mod.base.base.n_objects, c.n_objects
+    compose = _CountingCompose(c.compose)
+    counted = dataclasses.replace(c, compose=compose)
+    check_category(counted)
+    category_reads = compose.reads
+    compose.reads = 0
+    copy = dataclasses.replace(cells, module=dataclasses.replace(mod, carrier=counted))
+    assert check_monoidal_module(copy).ok
+    # Beyond check_category, only the unit sections compose: two squares of
+    # two compositions per (a, x), one of two per (x, y), and three for the
+    # unit cell. The hexagon alone would read 2 * 2 * 4^6 = 16,384.
+    assert compose.reads - category_reads == 4 * na * nx + 2 * nx**2 + 3
+
+
+@st.composite
+def meet_semilattices(draw):
+    """A random family of subsets of at most three atoms, as bit masks,
+    closed under meet and holding the top element."""
+    top = (1 << draw(st.integers(0, 3))) - 1
+    family = draw(st.sets(st.integers(0, top))) | {top}
+    while meets := {x & y for x in family for y in family} - family:
+        family |= meets
+    return sorted(family)
+
+
+@settings(deadline=None, max_examples=25)
+@given(meet_semilattices())
+def test_meet_semilattice_self_modules_are_coherent(masks):
+    cells = monoidal_self_module(identity_braiding(meet_semilattice_monoidal(masks)))
+    assert cells.module.carrier.thin
+    report = check_monoidal_module(cells)
+    assert report.ok
+    # the oracle takes 1.4 s on six elements and 8.5 s on eight
+    if len(masks) <= 5:
+        assert report.violations == exhaustive_check_monoidal_module(cells).violations
 
 
 # --- searches honour ECAT_BUDGET by default ---

@@ -10,11 +10,17 @@ category is the full subcategory of transparent objects.
 
 Hom objects of the E0 and E1 centers are terminal families: a center
 object with components into hom objects (one per object for E0, a single
-zeta for E1), found by one terminal finder and mediated by one search.
-`check_bracket_terminal` re-checks any such certificate by an exhaustive
-morphism scan. The three universal-property verifiers run one skeleton:
-an induced comparison functor, its background, the unit isomorphism rho
-and the two pasting equations, then a brute-force count of the mediating
+zeta for E1), found by one terminal finder, which also records each
+family's unique morphism into the terminal one. A mediator of a listed
+family is read from that certificate; only an unlisted family is
+mediated by a scan. `check_bracket_terminal` re-checks any such
+certificate by an exhaustive morphism scan. The E0 tensor cells are not
+mediated one by one: each is the composite of a left and a right
+whiskering, each whiskering mediated once (``e0_center``).
+
+The three universal-property verifiers run one skeleton: an induced
+comparison functor, its background, the unit isomorphism rho and the two
+pasting equations, then a brute-force count of the mediating
 isomorphisms; each level supplies only how its comparison functor lands
 in its center.
 """
@@ -41,6 +47,7 @@ from ecat.canonical import (
 from ecat.core import (
     FinCategory,
     Functor,
+    LazyPairTable,
     NatTransf,
     _functor_search,
     _nat_search,
@@ -258,17 +265,25 @@ class Bracket:
     objects and morphisms are the category of families it is terminal in:
     a morphism (p, q, k) is a center morphism k from family p to family q.
     mediators maps each family position to its unique morphism into the
-    bracket."""
+    bracket. incl is the inclusion of the center that built it; given that
+    inclusion, ``_mediate`` reads the mediator of a listed family from
+    mediators instead of scanning the center hom set again."""
 
     obj: int
     components: tuple
     mediators: dict
     objects: tuple
     morphisms: tuple
+    incl: LaxMonoidalFunctor | None = field(default=None, compare=False, repr=False)
 
     @property
     def zeta(self) -> int:
         return self.components[0]
+
+    @cached_property
+    def positions(self) -> dict:
+        """The position of each family, keyed by (z_obj, components)."""
+        return {(f.z_obj, tuple(f.components)): p for p, f in enumerate(self.objects)}
 
 
 def _factors(c: FinCategory, incl: LaxMonoidalFunctor, k: int, tgt: tuple,
@@ -301,7 +316,7 @@ def _terminal_bracket(c: FinCategory, incl: LaxMonoidalFunctor, objects: list,
         if all(len(incoming[q].get(p, ())) == 1 for p in range(len(objects))):
             mediators = {p: ks[0] for p, ks in incoming[q].items()}
             return Bracket(obj.z_obj, obj.components, mediators,
-                           tuple(objects), tuple(morphisms))
+                           tuple(objects), tuple(morphisms), incl)
     return None
 
 
@@ -340,7 +355,18 @@ def _lifter(incl: LaxMonoidalFunctor):
 def _mediate(c: FinCategory, incl: LaxMonoidalFunctor, bracket: Bracket,
              src_z: int, family: tuple) -> int:
     """The unique center morphism src_z -> bracket.obj through which the
-    bracket's components give family."""
+    bracket's components give family.
+
+    When incl built the bracket and (src_z, family) is one of its families,
+    this is the bracket's mediator certificate for that family:
+    ``_terminal_bracket`` found it by the same ``_factors`` scan over the
+    same hom set. Otherwise the hom set is scanned, and exactly one
+    morphism must factor the family.
+    """
+    if incl is bracket.incl:
+        pos = bracket.positions.get((src_z, tuple(family)))
+        if pos is not None:
+            return bracket.mediators[pos]
     hits = [
         k
         for k in incl.source.base.hom(src_z, bracket.obj)
@@ -454,11 +480,33 @@ def e0_center(e: EnrichedCategory, cap: int | None = None) -> CenterResult:
     """The strict monoidal category of endofunctors enriched over the
     ordinary center of the base.
 
-    Hom objects are the terminal half-braided families; composition,
-    identities and tensor cells are the unique mediators of the evident
-    composite families. Raises StructureError when some pair has no
-    terminal family. One budget of cap units bounds the run
-    (``condition_star``).
+    Hom objects are the terminal half-braided families; composition and
+    identities are the unique mediators of the evident composite families.
+    Raises StructureError when some pair has no terminal family. One budget
+    of cap units bounds the run (``condition_star``).
+
+    The tensor is functor composition, so the tensor cell
+    hom(i, k) x hom(j, l) -> hom(ij, kl) is a horizontal composite, and by
+    the interchange law (Mac Lane, CWM §II.5) the composite of two
+    whiskerings: the right whisker hom(i, k) -> hom(il, kl) by F_l, whose
+    family is x -> a_(F_l x), and the left whisker hom(j, l) -> hom(ij, il)
+    by F_i, whose family is x -> F_i(jx, lx) . b_x, for the brackets a of
+    (i, k) and b of (j, l). Each whisker is mediated once, 2n³ mediations
+    in all, and the cell is the host composite of their Z1 tensor. That
+    composite is the cell's mediator:
+
+    - Z1's forgetful functor sends a Z1 tensor of morphisms to the base
+      tensor of their images, and a Z1 composite to a base composite, by
+      construction in ``drinfeld_center_z1``;
+    - the base tensor is functorial, so the composition family of
+      (ij, il, kl) after the two whiskers is, at each object x, the cell
+      family c(ijx, ilx, klx) . (a_(lx) @ F_i(jx, lx) . b_x);
+    - so the composite factors the cell family, and the bracket of
+      (ij, kl) is terminal, which makes it the unique mediator, the one the
+      per-cell search finds. On a thin base this follows from typing alone.
+
+    The n⁴ cells are a ``LazyPairTable``: each is composed when it is
+    first read.
     """
     return _e0_center(e, Budget(cap, "E0 center"))
 
@@ -506,27 +554,32 @@ def _e0_center(e: EnrichedCategory, budget: Budget) -> CenterResult:
         if key not in fun_index:
             raise StructureError(f"endofunctor list not closed under composition at {(i, j)}")
         t_obj[(i, j)] = fun_index[key]
-    cells = {}
-    for i, j in itertools.product(range(n), repeat=2):
-        for k, l in itertools.product(range(n), repeat=2):
-            a, b = brackets[(i, k)], brackets[(j, l)]
-            family = []
-            for x in e.objects():
-                jx, lx = functors[j].on_obj(x), functors[l].on_obj(x)
-                ij_x = functors[i].on_obj(jx)
-                il_x = functors[i].on_obj(lx)
-                kl_x = functors[k].on_obj(lx)
-                family.append(c.comp(
-                    e.c(ij_x, il_x, kl_x),
-                    m.t_mor(
-                        a.components[lx],
-                        c.comp(functors[i].at(jx, lx), b.components[x]),
-                    ),
-                ))
-            cells[(i * n + j, k * n + l)] = _mediate(
-                c, fwd, brackets[(t_obj[(i, j)], t_obj[(k, l)])],
-                zmon.t_obj(a.obj, b.obj), family,
-            )
+    # wr[(i, k, l)]: hom(i, k) -> hom(il, kl), the right whisker by F_l;
+    # wl[(i, j, l)]: hom(j, l) -> hom(ij, il), the left whisker by F_i.
+    wr, wl = {}, {}
+    for i, k, l in itertools.product(range(n), repeat=3):
+        a, fl = brackets[(i, k)], functors[l]
+        wr[(i, k, l)] = _mediate(
+            c, fwd, brackets[(t_obj[(i, l)], t_obj[(k, l)])], a.obj,
+            [a.components[fl.on_obj(x)] for x in e.objects()],
+        )
+    for i, j, l in itertools.product(range(n), repeat=3):
+        b, fi, fj, fl = brackets[(j, l)], functors[i], functors[j], functors[l]
+        wl[(i, j, l)] = _mediate(
+            c, fwd, brackets[(t_obj[(i, j)], t_obj[(i, l)])], b.obj,
+            [c.comp(fi.at(fj.on_obj(x), fl.on_obj(x)), b.components[x])
+             for x in e.objects()],
+        )
+    z_comp, z_t_mor = zmon.base.comp, zmon.t_mor
+
+    def cell(p: int, q: int) -> int:
+        (i, j), (k, l) = divmod(p, n), divmod(q, n)
+        return z_comp(
+            comp[(t_obj[(i, j)], t_obj[(i, l)], t_obj[(k, l)])],
+            z_t_mor(wr[(i, k, l)], wl[(i, j, l)]),
+        )
+
+    cells = LazyPairTable(n * n, cell)
     tensor_obj_map = tuple(t_obj[(i, j)] for i in range(n) for j in range(n))
     tensor = EnrichedFunctor(
         braided_tensor_lax_structure(z1.braided),

@@ -108,12 +108,6 @@ class FinCategory:
     def morphisms(self) -> range:
         return range(self.n_morphisms)
 
-    def obj_name(self, x: int) -> str:
-        return self.obj_names[x] if self.obj_names else str(x)
-
-    def mor_name(self, f: int) -> str:
-        return self.mor_names[f] if self.mor_names else str(f)
-
 
 def _check_ranges(c: FinCategory) -> None:
     n, m = c.n_objects, c.n_morphisms

@@ -134,9 +134,6 @@ class UnderlyingResult:
     elements: tuple  # morphism index -> (x, y, base morphism 1 -> hom(x,y))
     index: dict  # (x, y, base morphism) -> morphism index
 
-    def elem(self, k: int):
-        return self.elements[k]
-
 
 def underlying_category(e: EnrichedCategory) -> UnderlyingResult:
     m = e.base

@@ -254,18 +254,22 @@ def _tensor_background_is_strong(m: MonoidalCategory) -> bool:
     (``braided_tensor_lax_structure``) is a strong monoidal functor
     (Joyal–Street, Braided tensor categories, 1993, §5) and
     ``check_lax_monoidal_functor`` reports nothing on it. False when a
-    condition fails or raises.
+    condition fails or raises. The verdict depends on m's tables alone, so
+    it is decided once per instance and kept in ``m._verdicts``.
     """
-    c = m.base
-    try:
-        return (
-            m.tensor.target == c
-            and _is_product(m.tensor.source, c, c)
-            and check_category(c).ok
-            and check_monoidal(m).ok
-        )
-    except Exception:
-        return False
+    verdicts = m._verdicts
+    if "strong-tensor" not in verdicts:
+        c = m.base
+        try:
+            verdicts["strong-tensor"] = (
+                m.tensor.target == c
+                and _is_product(m.tensor.source, c, c)
+                and check_category(c).ok
+                and check_monoidal(m).ok
+            )
+        except Exception:
+            verdicts["strong-tensor"] = False
+    return verdicts["strong-tensor"]
 
 
 def _associator_natural_by_variable(nat: EnrichedNat) -> bool:

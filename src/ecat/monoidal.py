@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from ecat.core import (
     FinCategory,
@@ -31,6 +32,15 @@ from ecat.report import Budget, StructureError, ValidationReport
 
 @dataclass(frozen=True, eq=True)
 class MonoidalCategory:
+    """A monoidal category on a finite category, by its tables.
+
+    Verdicts that a checker decides from the tables alone are kept in
+    ``_verdicts`` on first use, once per instance, as ``FinCategory`` keeps
+    ``thin``: it is not a dataclass field, so equality, hashing and
+    ``dataclasses.replace`` ignore it, and a replaced copy decides afresh.
+    It relies on the tables not being mutated after construction.
+    """
+
     base: FinCategory
     tensor: Functor  # from product_category(base, base) to base
     unit: int
@@ -44,13 +54,6 @@ class MonoidalCategory:
     def t_mor(self, f: int, g: int) -> int:
         return self.tensor.mor_map[f * self.base.n_morphisms + g]
 
-    def t_obj_many(self, *objs: int) -> int:
-        """Left-bracketed tensor word ((a@b)@c)@..."""
-        out = objs[0]
-        for a in objs[1:]:
-            out = self.t_obj(out, a)
-        return out
-
     def a(self, x: int, y: int, z: int) -> int:
         return self.associator[(x, y, z)]
 
@@ -60,8 +63,9 @@ class MonoidalCategory:
     def r(self, x: int) -> int:
         return self.right_unitor[x]
 
-    def id_(self, x: int) -> int:
-        return self.base.identity[x]
+    @cached_property
+    def _verdicts(self) -> dict:
+        return {}
 
 
 def find_inverse(c: FinCategory, f: int) -> int | None:
@@ -229,9 +233,6 @@ class BraidedStructure:
     def c(self, a: int, b: int) -> int:
         return self.braiding[(a, b)]
 
-    def c_inv(self, a: int, b: int) -> int:
-        return inv(self.host, self.c(a, b))
-
 
 def anti_braiding(b: BraidedStructure) -> BraidedStructure:
     """c-bar_{x,y} = inverse of c_{y,x}."""
@@ -320,11 +321,6 @@ class LaxMonoidalFunctor:
         if self.direction == "oplax":
             return inv(self.target, self.mult[(x, y)])
         return self.mult[(x, y)]
-
-    def unit_lax(self) -> int:
-        if self.direction == "oplax":
-            return inv(self.target, self.unit_cell)
-        return self.unit_cell
 
 
 def check_lax_monoidal_functor(f: LaxMonoidalFunctor) -> ValidationReport:

@@ -94,11 +94,6 @@ class ValidationReport:
     def laws(self) -> set[str]:
         return {v.law for v in self.violations}
 
-    def require(self) -> None:
-        if not self.ok:
-            lines = "\n".join(v.render() for v in self.violations[:20])
-            raise StructureError(f"{self.subject} failed validation:\n{lines}")
-
     def render(self) -> str:
         if self.ok:
             return f"{self.subject}: valid"

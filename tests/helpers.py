@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 
+from hypothesis import strategies as st
+
 from ecat.actions import (
     ModuleAction,
     ModuleFunctor,
@@ -19,12 +21,15 @@ from ecat.actions import (
 from ecat.canonical import CanonicalCategory
 from ecat.centers import (
     Bracket,
+    CenterResult,
     Family,
     TheoremReport,
     _apply_pair,
+    _condition_star,
     _el_comp,
     _el_inv,
     _el_path,
+    _factors,
     _functor_key,
     _t_el,
     _terminal_bracket,
@@ -45,6 +50,8 @@ from ecat.enriched import (
     EnrichedCategory,
     EnrichedFunctor,
     EnrichedNat,
+    cartesian_product_enriched,
+    compose_enriched_functors,
     hom_post,
     hom_pre,
     identity_enriched_functor,
@@ -63,6 +70,7 @@ from ecat.monoidal import (
     LaxMonoidalNat,
     MonoidalCategory,
     _expect,
+    braided_tensor_lax_structure,
     check_half_braiding,
     check_lax_monoidal_functor,
     check_lax_monoidal_nat,
@@ -162,6 +170,17 @@ def lattice4_monoidal():
     """Boolean lattice {0, a, b, 1} = {0b00, 0b01, 0b10, 0b11}, meet, unit 1."""
     c = thin_category(4, lambda x, y: x & y == x)
     return thin_monoidal(c, lambda x, y: x & y, 3)
+
+
+@st.composite
+def meet_semilattices(draw):
+    """A random family of subsets of at most three atoms, as bit masks,
+    closed under meet and holding the top element."""
+    top = (1 << draw(st.integers(0, 3))) - 1
+    family = draw(st.sets(st.integers(0, top))) | {top}
+    while meets := {x & y for x in family for y in family} - family:
+        family |= meets
+    return sorted(family)
 
 
 def meet_semilattice_monoidal(masks):
@@ -2327,3 +2346,136 @@ def exhaustive_enumerate_enriched_half_braidings(
         if check_enriched_half_braiding(em, hb, u, um).ok:
             found.append(hb)
     return found
+
+
+# --- the E0 center before whiskered tensor cells ---
+#
+# The parent body of centers._e0_center, verbatim except that it mediates
+# through _scan_mediate, the parent _mediate, which rescans the center hom
+# set for every composite instead of reading the bracket's certificate.
+
+
+def _scan_mediate(c: FinCategory, incl: LaxMonoidalFunctor, bracket: Bracket,
+                  src_z: int, family: tuple) -> int:
+    """The unique center morphism src_z -> bracket.obj through which the
+    bracket's components give family."""
+    hits = [
+        k
+        for k in incl.source.base.hom(src_z, bracket.obj)
+        if _factors(c, incl, k, bracket.components, family)
+    ]
+    if len(hits) != 1:
+        raise StructureError(f"expected one mediating morphism, found {len(hits)}")
+    return hits[0]
+
+
+def exhaustive_e0_center(e: EnrichedCategory, cap: int | None = None,
+                         cell_keys=None) -> CenterResult:
+    """The E0 center with every one of the n^4 tensor cells mediated on its
+    own from its cell family. With cell_keys, only the cells at those keys
+    (p, q) are mediated, and the tensor holds only them."""
+    star = _condition_star(e, Budget(cap, "E0 center"))
+    missing = [p for p, br in star.brackets.items() if br is None]
+    if missing:
+        raise StructureError(
+            f"no terminal half-braided family for pairs {sorted(missing)}"
+        )
+    z1 = star.z1
+    functors = star.functors
+    brackets = star.brackets
+    m = e.base
+    c = m.base
+    zmon = z1.monoidal
+    fwd = z1.forgetful
+    n = len(functors)
+    fun_index = {_functor_key(f): i for i, f in enumerate(functors)}
+
+    hom_obj = {(i, j): brackets[(i, j)].obj for i, j in brackets}
+    ident = {}
+    for i, fF in enumerate(functors):
+        family = [e.one(fF.on_obj(x)) for x in e.objects()]
+        ident[i] = _scan_mediate(c, fwd, brackets[(i, i)], zmon.unit, family)
+    comp = {}
+    for i, j, k in itertools.product(range(n), repeat=3):
+        a, b = brackets[(i, j)], brackets[(j, k)]
+        family = []
+        for x in e.objects():
+            fx = (functors[i].on_obj(x), functors[j].on_obj(x), functors[k].on_obj(x))
+            family.append(c.comp(
+                e.c(*fx), m.t_mor(b.components[x], a.components[x])
+            ))
+        comp[(i, j, k)] = _scan_mediate(
+            c, fwd, brackets[(i, k)], zmon.t_obj(b.obj, a.obj), family
+        )
+    host = EnrichedCategory(zmon, n, hom_obj, ident, comp)
+
+    t_obj = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        key = _functor_key(compose_enriched_functors(functors[i], functors[j]))
+        if key not in fun_index:
+            raise StructureError(f"endofunctor list not closed under composition at {(i, j)}")
+        t_obj[(i, j)] = fun_index[key]
+    if cell_keys is None:
+        cell_keys = itertools.product(range(n * n), repeat=2)
+    cells = {
+        (p, q): exhaustive_e0_cell(
+            e, functors, brackets, zmon, fwd, t_obj, *divmod(p, n), *divmod(q, n)
+        )
+        for p, q in cell_keys
+    }
+    tensor_obj_map = tuple(t_obj[(i, j)] for i in range(n) for j in range(n))
+    tensor = EnrichedFunctor(
+        braided_tensor_lax_structure(z1.braided),
+        cartesian_product_enriched(host, host),
+        host,
+        tensor_obj_map,
+        cells,
+    )
+    unit_idx = fun_index[_functor_key(identity_enriched_functor(e))]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if t_obj[(t_obj[(i, j)], k)] != t_obj[(i, t_obj[(j, k)])]:
+            raise StructureError("endofunctor composition is not associative")
+    assoc = {
+        (i, j, k): ident[t_obj[(t_obj[(i, j)], k)]]
+        for i, j, k in itertools.product(range(n), repeat=3)
+    }
+    left = tuple(ident[i] for i in range(n))
+    right = tuple(ident[i] for i in range(n))
+    category = EnrichedMonoidalCategory(
+        host, z1.braided, tensor, unit_idx, assoc, left, right
+    )
+    witnesses = {
+        "host": e,
+        "functors": functors,
+        "brackets": brackets,
+        "z1": z1,
+        "tensor_obj": t_obj,
+        "unit_obj": unit_idx,
+    }
+    return CenterResult("E0", category, witnesses)
+
+
+def exhaustive_e0_cell(e: EnrichedCategory, functors, brackets, zmon, fwd,
+                       t_obj: dict, i: int, j: int, k: int, l: int) -> int:
+    """The tensor cell hom(i, k) x hom(j, l) -> hom(ij, kl) of the E0
+    center: the one mediator of its cell family, found by a scan."""
+    m = e.base
+    c = m.base
+    a, b = brackets[(i, k)], brackets[(j, l)]
+    family = []
+    for x in e.objects():
+        jx, lx = functors[j].on_obj(x), functors[l].on_obj(x)
+        ij_x = functors[i].on_obj(jx)
+        il_x = functors[i].on_obj(lx)
+        kl_x = functors[k].on_obj(lx)
+        family.append(c.comp(
+            e.c(ij_x, il_x, kl_x),
+            m.t_mor(
+                a.components[lx],
+                c.comp(functors[i].at(jx, lx), b.components[x]),
+            ),
+        ))
+    return _scan_mediate(
+        c, fwd, brackets[(t_obj[(i, j)], t_obj[(k, l)])],
+        zmon.t_obj(a.obj, b.obj), family,
+    )

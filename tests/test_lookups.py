@@ -48,6 +48,7 @@ from helpers import (
     lattice2_monoidal,
     lattice4_monoidal,
     meet_semilattice_monoidal,
+    meet_semilattices,
     scan_hom,
     scan_inverse,
     semion_braiding,
@@ -583,17 +584,6 @@ def test_thin_rule_composes_nothing_in_the_sections_it_decides():
     # two compositions per (a, x), one of two per (x, y), and three for the
     # unit cell. The hexagon alone would read 2 * 2 * 4^6 = 16,384.
     assert compose.reads - category_reads == 4 * na * nx + 2 * nx**2 + 3
-
-
-@st.composite
-def meet_semilattices(draw):
-    """A random family of subsets of at most three atoms, as bit masks,
-    closed under meet and holding the top element."""
-    top = (1 << draw(st.integers(0, 3))) - 1
-    family = draw(st.sets(st.integers(0, top))) | {top}
-    while meets := {x & y for x in family for y in family} - family:
-        family |= meets
-    return sorted(family)
 
 
 @settings(deadline=None, max_examples=25)

@@ -26,6 +26,7 @@ from ecat.enriched import (
 from ecat.enriched_monoidal import (
     EnrichedBraidedCategory,
     _associator_natural_by_variable,
+    _tensor_background_is_strong,
     associator_nat,
     braiding_nat,
     check_enriched_monoidal,
@@ -542,6 +543,32 @@ def test_check_enriched_monoidal_does_not_recheck_the_tensor_background(name, mo
     assert calls == []
     check_enriched_functor(em.tensor)  # the binding counted is the one it calls
     assert len(calls) == 1
+
+
+def test_the_base_verdict_is_decided_once_per_monoidal_category(monkeypatch):
+    calls = []
+    check = ecat.enriched_monoidal.check_monoidal
+
+    def counting(m):
+        calls.append(m)
+        return check(m)
+
+    monkeypatch.setattr(ecat.enriched_monoidal, "check_monoidal", counting)
+    em = _canonical(lattice4_monoidal)
+    m = em.host.base
+    for _ in range(3):
+        assert check_enriched_monoidal(em).ok
+    # the other calls check the underlying monoidal category, built afresh
+    # on every check
+    assert [x for x in calls if x is m] == [m]
+    del calls[:]
+    assert _tensor_background_is_strong(m) and calls == []
+    copy = dataclasses.replace(m)
+    assert copy == m and _tensor_background_is_strong(copy)
+    assert len(calls) == 1 and calls[0] is copy
+    broken = _with_entry(em, "base-left-unitor", 0, 1).host.base
+    assert not _tensor_background_is_strong(broken)
+    assert _tensor_background_is_strong(m)
 
 
 # --- readers of lazy composite mult cells behave as on the eager build ---

@@ -14,7 +14,6 @@ from ecat.core import (
     FinCategory,
     Functor,
     NatTransf,
-    _flat,
     _is_product,
     check_category,
     check_functor,
@@ -533,23 +532,18 @@ def check_monoidal_module(mm: MonoidalModuleCells) -> ValidationReport:
     associator, oplax unitor, unit cell), each over its instances in
     lexicographic order. A typing violation ends the check.
 
-    When the base and the carrier pass ``check_category`` and the base
-    tensor, the action and the carrier tensor are functors out of their
-    product sources (``_functorial``), two shortcuts apply:
-
-    - On a thin carrier (``FinCategory.thin``: at most one morphism per hom
-      set), parallel morphisms are equal, so every well-typed square
-      commutes (the preorder case of Lawvere 1973 and Kelly 1982 §1). When
-      every cell that the naturality, hexagon and oplax-associator sections
-      read is in range and typed, both routes of each of their squares are
-      defined and parallel, and the three sections hold without composing
-      anything (``_thin_coherent``).
-    - Otherwise naturality of the interchange is screened one variable at a
-      time (Mac Lane, CWM §II.3; see ``_interchange_natural_by_variable``).
-
-    When a precondition fails or raises, or a screened square fails, the
-    sections enumerate every instance, so reports and exceptions are those
-    of the enumeration.
+    On a thin carrier (``FinCategory.thin``: at most one morphism per hom
+    set) parallel morphisms are equal, so every well-typed square commutes
+    (the preorder case of Lawvere 1973 and Kelly 1982 §1). The
+    interchange-naturality, hexagon and oplax-associator sections are then
+    decided from typing, without composing anything, when the base and the
+    carrier pass ``check_category``, the base tensor, the action and the
+    carrier tensor are functors out of their product sources
+    (``_functorial``), and every cell those sections read is in range and
+    typed (``_thin_coherent``). Otherwise, or when a precondition raises,
+    every section enumerates its instances, so reports and exceptions are
+    those of the enumeration; only a tensor or action object map that
+    leaves the objects raises ``StructureError`` first.
     """
     report = ValidationReport("monoidal module")
     mod = mm.module
@@ -562,16 +556,11 @@ def check_monoidal_module(mm: MonoidalModuleCells) -> ValidationReport:
     objs_x = list(c.objects())
     un_a, un_l = a_cat.unit, lm.unit
 
-    # The interchange is also collected as the flat list icell, read by
-    # mixed-radix index: the cell at (a, b, x, y) is
-    # icell[((a*|A| + b)*|C| + x)*|C| + y].
     typed = True
-    icell = []
     for a, b, x, y in itertools.product(objs_a, objs_a, objs_x, objs_x):
         f = mm.interchange.get((a, b, x, y))
         if f is None:
             raise StructureError(f"interchange missing at {(a, b, x, y)}")
-        icell.append(f)
         typed &= _expect(
             report, "interchange-typing", (a, b, x, y), c, f,
             mod.a_obj(a_cat.t_obj(a, b), lm.t_obj(x, y)),
@@ -583,104 +572,50 @@ def check_monoidal_module(mm: MonoidalModuleCells) -> ValidationReport:
     if not typed:
         return report
 
-    # Below, tables are bound locally, and every tensor, identity, associator
-    # component and mid-swap that does not depend on an inner index is read
-    # once, outside the inner loops. A ``*_row`` value is a morphism index
-    # times |mor C|: the start of its row in a flattened action or tensor
-    # mor_map, so ``act_mor[f_row + p]`` is ``mod.a_mor(f, p)``.
-    ca = a_cat.base
-    na, nx, mc = ca.n_objects, c.n_objects, c.n_morphisms
-    comp, cid = c.comp, c.identity
-    cdom, ccod = c.dom, c.cod
-    act_obj, act_mor = mod.act.obj_map, mod.act.mor_map
-    lt_obj, lt_mor = lm.tensor.obj_map, lm.tensor.mor_map
-    inter = mm.interchange
-
-    # naturality of the interchange
-    functorial = _functorial(mm)
-    thin = functorial and _thin_coherent(mm, icell)
-    if not (thin or functorial and _interchange_natural_by_variable(mm, icell)):
-        for f, g in itertools.product(ca.morphisms(), repeat=2):
-            a, b = ca.dom[f], ca.dom[g]
-            ap, bp = ca.cod[f], ca.cod[g]
-            fg_row = a_cat.t_mor(f, g) * mc
-            f_row, g_row = f * mc, g * mc
-            for p in c.morphisms():
-                x, xp = cdom[p], ccod[p]
-                p_row = p * mc
-                fp_row = act_mor[f_row + p] * mc
-                for q in c.morphisms():
-                    lhs = comp(
-                        inter[(ap, bp, xp, ccod[q])],
-                        act_mor[fg_row + lt_mor[p_row + q]],
-                    )
-                    rhs = comp(lt_mor[fp_row + act_mor[g_row + q]], inter[(a, b, x, cdom[q])])
-                    if lhs != rhs:
-                        report.add("interchange-naturality", (f, g, p, q))
-
+    thin = _functorial(mm) and _thin_coherent(mm)
     if not thin:
-        # The hexagon and oplax-associator loops read the cells from flat
-        # lists: icell as above, the carrier associator at (x, y, z) from
-        # lcell[(x*|C| + y)*|C| + z] and the module associator at (a, b, x) from
-        # ocell[(a*|A| + b)*|C| + x]. A name such as ``b_d_y`` is the flat index
-        # of the key prefix (b, d, y) times |C|, so ``icell[b_d_y + z]`` is the
-        # cell at (b, d, y, z). ``ab_of[a][b]``, ``ax_of[a][x]`` and
-        # ``xy_of[x][y]`` are the tensors and actions of objects and ``id_ax_of``
-        # and ``id_xy_of`` the identities on them. They index the flat lists,
-        # so they must be objects.
-        ab_of = [[a_cat.t_obj(a, b) for b in objs_a] for a in objs_a]
-        ax_of = [[act_obj[a * nx + x] for x in objs_x] for a in objs_a]
-        xy_of = [[lt_obj[x * nx + y] for y in objs_x] for x in objs_x]
-        if not (_within(ab_of, na) and _within(ax_of, nx) and _within(xy_of, nx)):
+        # The loops look cells up at tensors and actions of objects, so an
+        # image that is no object would end them in a bare KeyError.
+        na, nx = len(objs_a), len(objs_x)
+        if not (
+            all(0 <= a_cat.t_obj(a, b) < na for a, b in itertools.product(objs_a, repeat=2))
+            and all(0 <= mod.a_obj(a, x) < nx for a, x in itertools.product(objs_a, objs_x))
+            and all(0 <= lm.t_obj(x, y) < nx for x, y in itertools.product(objs_x, repeat=2))
+        ):
             raise StructureError("a tensor or action object map leaves the objects")
-        id_ax_of = [[cid[v] for v in row] for row in ax_of]
-        id_xy_of = [[cid[v] for v in row] for row in xy_of]
 
-        # Both loops below compose by reading the compose table directly. On a
-        # KeyError they compose the same cells again through c.comp, so that
-        # they raise what it raises: StructureError on an undefined composite,
-        # or the KeyError of a missing associator cell.
-        cmp = c.compose
+        # naturality of the interchange
+        for f, g in itertools.product(a_cat.base.morphisms(), repeat=2):
+            for p, q in itertools.product(c.morphisms(), repeat=2):
+                a, b = a_cat.base.dom[f], a_cat.base.dom[g]
+                x, y = c.dom[p], c.dom[q]
+                ap, bp = a_cat.base.cod[f], a_cat.base.cod[g]
+                xp, yp = c.cod[p], c.cod[q]
+                lhs = c.comp(
+                    mm.i(ap, bp, xp, yp),
+                    mod.a_mor(a_cat.t_mor(f, g), lm.t_mor(p, q)),
+                )
+                rhs = c.comp(
+                    lm.t_mor(mod.a_mor(f, p), mod.a_mor(g, q)), mm.i(a, b, x, y)
+                )
+                if lhs != rhs:
+                    report.add("interchange-naturality", (f, g, p, q))
 
         # hexagon relating interchange and the two associators
-        lcell = _flat(lm.associator, itertools.product(objs_x, repeat=3))
         for a, b, d in itertools.product(objs_a, repeat=3):
-            ab, bd = ab_of[a][b], ab_of[b][d]
-            abd_row = a_cat.a(a, b, d) * mc
-            acts_b, acts_d, id_acts_d = ax_of[b], ax_of[d], id_ax_of[d]
-            a_b, ab_d = (a * na + b) * nx, (ab * na + d) * nx
-            b_d, a_bd = (b * na + d) * nx, (a * na + bd) * nx
-            for x in objs_x:
-                ax = ax_of[a][x]
-                id_ax_row = id_ax_of[a][x] * mc
-                a_bd_x = (a_bd + x) * nx
-                for y in objs_x:
-                    i_abxy_row = icell[(a_b + x) * nx + y] * mc
-                    ax_by = (ax * nx + acts_b[y]) * nx
-                    ab_d_xy = (ab_d + xy_of[x][y]) * nx
-                    b_d_y = (b_d + y) * nx
-                    x_y = (x * nx + y) * nx
-                    for z, dz, id_dz, yz in zip(objs_x, acts_d, id_acts_d, xy_of[y]):
-                        try:
-                            lhs = cmp[
-                                cmp[lcell[ax_by + dz], lt_mor[i_abxy_row + id_dz]],
-                                icell[ab_d_xy + z],
-                            ]
-                            rhs = cmp[
-                                cmp[lt_mor[id_ax_row + icell[b_d_y + z]], icell[a_bd_x + yz]],
-                                act_mor[abd_row + lcell[x_y + z]],
-                            ]
-                        except KeyError:
-                            lhs = comp(
-                                comp(lcell[ax_by + dz], lt_mor[i_abxy_row + id_dz]),
-                                icell[ab_d_xy + z],
-                            )
-                            rhs = comp(
-                                comp(lt_mor[id_ax_row + icell[b_d_y + z]], icell[a_bd_x + yz]),
-                                act_mor[abd_row + lcell[x_y + z]],
-                            )
-                        if lhs != rhs:
-                            report.add("interchange-hexagon", (a, b, d, x, y, z))
+            for x, y, z in itertools.product(objs_x, repeat=3):
+                lhs = c.comp_many(
+                    lm.a(mod.a_obj(a, x), mod.a_obj(b, y), mod.a_obj(d, z)),
+                    lm.t_mor(mm.i(a, b, x, y), c.identity[mod.a_obj(d, z)]),
+                    mm.i(a_cat.t_obj(a, b), d, lm.t_obj(x, y), z),
+                )
+                rhs = c.comp_many(
+                    lm.t_mor(c.identity[mod.a_obj(a, x)], mm.i(b, d, y, z)),
+                    mm.i(a, a_cat.t_obj(b, d), x, lm.t_obj(y, z)),
+                    mod.a_mor(a_cat.a(a, b, d), lm.a(x, y, z)),
+                )
+                if lhs != rhs:
+                    report.add("interchange-hexagon", (a, b, d, x, y, z))
 
     # unit squares against the two monoidal unitors
     for a, x in itertools.product(objs_a, objs_x):
@@ -705,42 +640,23 @@ def check_monoidal_module(mm: MonoidalModuleCells) -> ValidationReport:
         def anti(u: int, v: int) -> int:
             return inv(a_cat, mm.base_braiding.c(v, u))
 
-        ocell = _flat(mod.oplax_assoc, itertools.product(objs_a, objs_a, objs_x))
         for a1, a2, b1, b2 in itertools.product(objs_a, repeat=4):
-            a12, b12 = ab_of[a1][a2], ab_of[b1][b2]
-            a1b1, a2b2 = ab_of[a1][b1], ab_of[a2][b2]
-            id_a12_row = ca.identity[a12] * mc
-            swap_row = mid_swap(a_cat, a1, a2, b1, b2, anti) * mc
-            acts_b1, acts_b2 = ax_of[b1], ax_of[b2]
-            a1_a2, b1_b2 = (a1 * na + a2) * nx, (b1 * na + b2) * nx
-            a1b1_a2b2 = (a1b1 * na + a2b2) * nx
-            a1_b1, a2_b2, a12_b12 = (a1 * na + b1) * nx, (a2 * na + b2) * nx, (a12 * na + b12) * nx
-            for x in objs_x:
-                o1_row = ocell[a1_b1 + x] * mc
-                a1_a2_b1x = (a1_a2 + acts_b1[x]) * nx
-                b1_b2_x = (b1_b2 + x) * nx
-                a1b1_a2b2_x = (a1b1_a2b2 + x) * nx
-                for y, b2y, xy, id_xy in zip(objs_x, acts_b2, xy_of[x], id_xy_of[x]):
-                    try:
-                        lhs = cmp[
-                            cmp[icell[a1_a2_b1x + b2y], act_mor[id_a12_row + icell[b1_b2_x + y]]],
-                            ocell[a12_b12 + xy],
-                        ]
-                        rhs = cmp[
-                            cmp[lt_mor[o1_row + ocell[a2_b2 + y]], icell[a1b1_a2b2_x + y]],
-                            act_mor[swap_row + id_xy],
-                        ]
-                    except KeyError:
-                        lhs = comp(
-                            comp(icell[a1_a2_b1x + b2y], act_mor[id_a12_row + icell[b1_b2_x + y]]),
-                            ocell[a12_b12 + xy],
-                        )
-                        rhs = comp(
-                            comp(lt_mor[o1_row + ocell[a2_b2 + y]], icell[a1b1_a2b2_x + y]),
-                            act_mor[swap_row + id_xy],
-                        )
-                    if lhs != rhs:
-                        report.add("associator-oplax-monoidal", (a1, a2, b1, b2, x, y))
+            for x, y in itertools.product(objs_x, repeat=2):
+                lhs = c.comp_many(
+                    mm.i(a1, a2, mod.a_obj(b1, x), mod.a_obj(b2, y)),
+                    mod.a_mor(
+                        a_cat.base.identity[a_cat.t_obj(a1, a2)], mm.i(b1, b2, x, y)
+                    ),
+                    mod.o(a_cat.t_obj(a1, a2), a_cat.t_obj(b1, b2), lm.t_obj(x, y)),
+                )
+                swap = mid_swap(a_cat, a1, a2, b1, b2, anti)
+                rhs = c.comp_many(
+                    lm.t_mor(mod.o(a1, b1, x), mod.o(a2, b2, y)),
+                    mm.i(a_cat.t_obj(a1, b1), a_cat.t_obj(a2, b2), x, y),
+                    mod.a_mor(swap, c.identity[lm.t_obj(x, y)]),
+                )
+                if lhs != rhs:
+                    report.add("associator-oplax-monoidal", (a1, a2, b1, b2, x, y))
 
     # the module unitor is an oplax-monoidal transformation
     for x, y in itertools.product(objs_x, repeat=2):
@@ -790,20 +706,23 @@ def _functorial(mm: MonoidalModuleCells) -> bool:
     return True
 
 
-def _thin_coherent(mm: MonoidalModuleCells, icell: list) -> bool:
+def _thin_coherent(mm: MonoidalModuleCells) -> bool:
     """Whether a thin carrier decides the interchange-naturality, hexagon
     and oplax-associator sections, given ``_functorial(mm)`` and a typed
     interchange.
 
     It checks that the carrier is thin and that every cell those sections
     read is in range and typed: the interchange, the carrier associator
-    (xy)z -> x(yz), the module associator (ab).x -> a.(b.x), the base
-    associator and the base mid-swaps (a1a2)(b1b2) -> (a1b1)(a2b2). A
-    negative index would pass a typing read, as Python reads it from the
-    end. Then both routes of every square of those sections are composites
-    of typed morphisms, defined and parallel, so they are equal. Any
-    exception while reading the cells means False: the sections then
-    enumerate, and raise what they raise.
+    (xy)z -> x(yz), the module associator (ab).x -> a.(b.x), and the base
+    associator and base braiding, these two also invertible. A negative
+    index would pass a typing read, as Python reads it from the end. A base
+    mid-swap (a1a2)(b1b2) -> (a1b1)(a2b2) composes base associator cells,
+    their inverses and the inverse of a braiding cell, tensored with
+    identities; the base tensor being a functor, each mid-swap is then
+    defined and typed. So both routes of every square of those sections are
+    composites of typed morphisms, defined and parallel, and they are
+    equal. Any exception while reading the cells means False: the sections
+    then enumerate, and raise what they raise.
     """
     mod = mm.module
     a_cat, lm, c = mod.base, mm.carrier_monoidal, mod.carrier
@@ -816,12 +735,15 @@ def _thin_coherent(mm: MonoidalModuleCells, icell: list) -> bool:
     def typed(k: FinCategory, f: int, dom: int, cod: int) -> bool:
         return 0 <= f < k.n_morphisms and k.dom[f] == dom and k.cod[f] == cod
 
-    def anti(u: int, v: int) -> int:
-        return inv(a_cat, mm.base_braiding.c(v, u))
+    def iso(f: int, dom: int, cod: int) -> bool:
+        return typed(ca, f, dom, cod) and find_inverse(ca, f) is not None
 
     try:
         return (
-            all(0 <= f < c.n_morphisms for f in icell)
+            all(
+                0 <= mm.interchange[key] < c.n_morphisms
+                for key in itertools.product(objs_a, objs_a, objs_x, objs_x)
+            )
             and all(
                 typed(c, lm.associator[(x, y, z)], lt(lt(x, y), z), lt(x, lt(y, z)))
                 for x, y, z in itertools.product(objs_x, repeat=3)
@@ -831,71 +753,16 @@ def _thin_coherent(mm: MonoidalModuleCells, icell: list) -> bool:
                 for a, b, x in itertools.product(objs_a, objs_a, objs_x)
             )
             and all(
-                typed(ca, a_cat.associator[(a, b, d)], t(t(a, b), d), t(a, t(b, d)))
+                iso(a_cat.associator[(a, b, d)], t(t(a, b), d), t(a, t(b, d)))
                 for a, b, d in itertools.product(objs_a, repeat=3)
             )
             and all(
-                typed(
-                    ca, mid_swap(a_cat, a1, a2, b1, b2, anti),
-                    t(t(a1, a2), t(b1, b2)), t(t(a1, b1), t(a2, b2)),
-                )
-                for a1, a2, b1, b2 in itertools.product(objs_a, repeat=4)
+                iso(mm.base_braiding.braiding[(a, b)], t(a, b), t(b, a))
+                for a, b in itertools.product(objs_a, repeat=2)
             )
         )
     except Exception:  # an unreadable cell leaves the decision to the sections
         return False
-
-
-def _interchange_natural_by_variable(mm: MonoidalModuleCells, icell: list) -> bool:
-    """Whether the interchange is natural, decided one variable at a time,
-    given ``_functorial(mm)``.
-
-    The square at (f, g, p, q) compares (f@g).(p@q) and (f.p)@(g.q) along
-    the interchange cells. When A and C are categories and the base tensor,
-    the action and the carrier tensor are functors out of the products that
-    their tables are indexed by, both sides are functors of (f, g, p, q) on
-    A x A x C x C. Every morphism there is a composite of four whose other
-    entries are identities, and squares paste along composites (Mac Lane,
-    CWM §II.3), so the 4·|mor|·|obj|³ squares with three identity entries
-    hold only if every square holds. False when one of those squares fails
-    or raises ``StructureError``.
-    """
-    mod = mm.module
-    a_cat, lm, c = mod.base, mm.carrier_monoidal, mod.carrier
-    ca = a_cat.base
-    try:
-        na, nx = ca.n_objects, c.n_objects
-        ma, mc = ca.n_morphisms, c.n_morphisms
-        adom, acod, cdom, ccod = ca.dom, ca.cod, c.dom, c.cod
-        t_mor, act_mor, lt_mor = a_cat.tensor.mor_map, mod.act.mor_map, lm.tensor.mor_map
-        comp = c.comp
-
-        def square(f: int, g: int, p: int, q: int) -> bool:
-            lhs = comp(
-                icell[((acod[f] * na + acod[g]) * nx + ccod[p]) * nx + ccod[q]],
-                act_mor[t_mor[f * ma + g] * mc + lt_mor[p * mc + q]],
-            )
-            rhs = comp(
-                lt_mor[act_mor[f * mc + p] * mc + act_mor[g * mc + q]],
-                icell[((adom[f] * na + adom[g]) * nx + cdom[p]) * nx + cdom[q]],
-            )
-            return lhs == rhs
-
-        ida, idc = ca.identity, c.identity
-        mor_a, mor_c = ca.morphisms(), c.morphisms()
-        one_variable = itertools.chain(
-            itertools.product(mor_a, ida, idc, idc),
-            itertools.product(ida, mor_a, idc, idc),
-            itertools.product(ida, ida, mor_c, idc),
-            itertools.product(ida, ida, idc, mor_c),
-        )
-        return all(itertools.starmap(square, one_variable))
-    except StructureError:
-        return False
-
-
-def _within(rows: list, n: int) -> bool:
-    return all(0 <= v < n for row in rows for v in row)
 
 
 def monoidal_self_module(b: BraidedStructure) -> MonoidalModuleCells:

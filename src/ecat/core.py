@@ -74,7 +74,10 @@ class FinCategory:
         its routes are defined and share their domain and codomain. A
         checker may use this only once the tables pass ``check_category``,
         so that every composite it reads exists and is typed, and once every
-        cell the diagram reads is in range and typed.
+        cell the diagram reads is in range and typed. Two checkers do:
+        ``actions.check_monoidal_module`` on a thin carrier, and
+        ``enriched_monoidal.check_enriched_monoidal`` for the associator on
+        a thin base.
         """
         return len(self._hom_index) == self.n_morphisms
 

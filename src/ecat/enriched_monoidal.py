@@ -2,16 +2,15 @@
 
 The tensor product is a genuine enriched functor from the cartesian square,
 and its background is pinned to the braiding-induced lax structure on the
-base tensor functor. Coherence data (associator, unitors, braiding) are
-enriched natural transformations whose backgrounds are the base coherence
-cells. Every law is validated square by square, with two exceptions in
+base tensor. Coherence data (associator, unitors, braiding) are enriched
+natural transformations whose backgrounds are the base coherence cells.
+Every law is validated square by square, with two exceptions in
 ``check_enriched_monoidal``. When the base is a valid braided monoidal
 category, the pinned tensor background is a strong monoidal functor by
 Joyal–Street, so its lax laws are not checked again. When, in addition,
-every earlier law holds, the associator's background is the base
-associator, a monoidal natural transformation there (Joyal–Street), and its
-naturality is decided one variable at a time (Kelly), from one route of
-about 3n⁴ of its n⁶ squares.
+every earlier law holds and the base is thin, the associator is natural as
+soon as its elements are typed: in a thin base every well-typed diagram
+commutes (Lawvere 1973; Kelly 1982 §1), so its nat is not even built.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from ecat.enriched import (
     UnderlyingResult,
     _check_enriched_functor_laws,
     _computed,
-    _nat_square,
     cartesian_product_enriched,
     check_enriched,
     check_enriched_functor,
@@ -272,83 +270,6 @@ def _tensor_background_is_strong(m: MonoidalCategory) -> bool:
     return verdicts["strong-tensor"]
 
 
-def _associator_natural_by_variable(nat: EnrichedNat) -> bool:
-    """Whether ``check_enriched_nat`` reports nothing on the associator nat
-    of an enriched monoidal category, decided from the base and one route
-    of the squares at pairs of objects that differ in one coordinate.
-
-    ``check_enriched_monoidal`` calls this only when every earlier section
-    of its report is clean and the shortcut for the tensor background
-    holds: the host is an enriched category, the base B a category that
-    passes ``check_monoidal`` and ``check_braided`` (so a braided monoidal
-    category), and the tensor an enriched functor whose background is the
-    strong braiding-induced one. Then:
-
-    - The background nat is not checked, and the mult cells of the two
-      composite backgrounds are never read. Its components are B's
-      associator at (a, b, c) in B x B x B, so its typing and naturality
-      are what ``check_monoidal`` decided. In a braided monoidal category
-      the tensor with its mid-swap cells is a strong monoidal functor and
-      the associator a monoidal natural transformation between the two
-      composites (Joyal–Street, Braided tensor categories, 1993, §5), so
-      ``check_lax_monoidal_nat`` would report nothing on it.
-    - The component typing is checked in full.
-    - The squares are read only at the pairs of objects x = (x1, x2, x3),
-      y = (y1, y2, y3) of the cube e x e x e that differ in at most one
-      coordinate: n³(3n - 2) pairs instead of n⁶. The source @(@x1) and
-      the target @(1x@) of the nat are enriched functors with strong
-      backgrounds and the background nat is monoidal, so naturality in
-      each variable separately is naturality (Kelly, Basic Concepts of
-      Enriched Category Theory, 1982, §1.4). For the cartesian product
-      over a braided base the argument runs as follows. Write F for the
-      source, F^ for its background and m2 for the (invertible) mult
-      cells of F^. Composition in the cube is componentwise, so for
-      z = (y1, x2, x3) the identity elements of the host give
-      s: hom(x, y) -> hom(z, y) @ hom(x, z) with c . s = 1, by the host's
-      unit laws: (f, g, h) factors as (1, g, h) . (f, 1, 1) up to unit
-      cells. Precomposed with F^(c) . m2, the square at (x, y) is the
-      pasting of the squares at (z, y) and (x, z), by functoriality of the
-      source and the target, associativity of the host's composition and
-      monoidality of the background nat. Precomposing that further with
-      m2^-1 . F^(s) gives back the square at (x, y), since F^(c . s) = 1.
-      The pair (z, y) splits the same way at (y1, y2, x3), so every square
-      follows from squares at pairs that differ in one coordinate.
-    - Only the first route of each square (``_nat_square``) is read. The
-      hom route (``_nat_hom_route``) is the same morphism once B's unitors
-      are natural and its tensor is functorial, which ``check_monoidal``
-      verified.
-
-    False when a condition fails or raises, or when one of those squares
-    fails; the caller then runs the exhaustive ``check_enriched_nat``,
-    which reports, or raises, what it always did.
-    """
-    try:
-        f, g = nat.source, nat.target
-        e2 = f.target
-        c = e2.base.base
-        for x in f.source.objects():
-            comp = nat.components.get(x)
-            typed = (e2.base.unit, e2.hom(f.on_obj(x), g.on_obj(x)))
-            if comp is None or (c.dom[comp], c.cod[comp]) != typed:
-                return False
-        n = e2.n_objects
-        nn = n * n
-        if f.source.n_objects != nn * n:
-            return False
-        for x in f.source.objects():
-            x1, x2, x3 = x // nn, x // n % n, x % n
-            one_variable = itertools.chain(
-                (x + (v - x1) * nn for v in range(n)),
-                (x + (v - x2) * n for v in range(n) if v != x2),
-                (x + v - x3 for v in range(n) if v != x3),
-            )
-            if not all(_nat_square(nat, x, y) for y in one_variable):
-                return False
-        return True
-    except Exception:
-        return False
-
-
 def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
     """Every failing instance of the enriched-monoidal laws of em, in a
     fixed order.
@@ -370,17 +291,19 @@ def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
     the tensor goes through ``check_enriched_functor`` in full, which also
     reports ``tensor:`` lax-functor violations of a broken base.
 
-    When that holds and the report is still empty after the element
-    typing, the associator nat is first screened by
-    ``_associator_natural_by_variable``: its background on B x B x B is
-    B's associator, which the checks of B decided, so neither that nat nor
-    the lazy mult cells of its composites are read; its typing is checked
-    in full, and one route of its squares only at pairs of objects of the
-    cube that differ in one coordinate. Only when a precondition or a
-    screened square fails are the composites computed in full and does
-    ``check_enriched_nat`` enumerate both routes of all n⁶ squares. The
-    report, violation for violation, and any exception raised are the same
-    either way.
+    When that holds, the report is still empty after the element typing,
+    the base category is thin (``FinCategory.thin``) and every associator
+    element is in range, the associator nat is decided without being built.
+    Its background on B x B x B is B's associator, a monoidal natural
+    transformation between the two composite backgrounds (Joyal–Street), so
+    ``check_lax_monoidal_nat`` would report nothing on it. Its components
+    are the typed associator elements, so both routes of every naturality
+    square are composites of typed morphisms, defined and parallel, and
+    equal in a thin base (Lawvere 1973; Kelly 1982 §1). A negative element
+    would pass the typing read, as Python reads it from the end. Otherwise
+    the composites are computed in full and ``check_enriched_nat``
+    enumerates both routes of all n⁶ squares, reporting or raising what it
+    always did.
     """
     report = ValidationReport("enriched monoidal category")
     e = em.host
@@ -431,8 +354,16 @@ def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
     if not typed:
         return report
 
-    assoc = associator_nat(em)
-    if not (shortcut and report.ok and _associator_natural_by_variable(assoc)):
+    if not (
+        shortcut
+        and report.ok
+        and c.thin
+        and all(
+            0 <= em.associator[k] < c.n_morphisms
+            for k in itertools.product(e.objects(), repeat=3)
+        )
+    ):
+        assoc = associator_nat(em)
         _computed(assoc.source)
         _computed(assoc.target)
         _absorb(report, check_enriched_nat(assoc), "associator")

@@ -953,73 +953,6 @@ def exhaustive_associator_nat(em):
     return EnrichedNat(bg, left, right, components)
 
 
-def _two_route_squares(n, x, y):
-    """Whether the naturality square of n at the object pair (x, y)
-    commutes, and whether the same square, routed through ``hom_post`` and
-    ``hom_pre``, does."""
-    f, g = n.source, n.target
-    e, e2 = f.source, f.target
-    m2 = e2.base
-    c = m2.base
-    h = f.background.on_obj(e.hom(x, y))
-    lhs = c.comp_many(
-        e2.c(f.on_obj(x), f.on_obj(y), g.on_obj(y)),
-        m2.t_mor(n.at(y), f.at(x, y)),
-        inv(m2, m2.l(h)),
-    )
-    rhs = c.comp_many(
-        e2.c(f.on_obj(x), g.on_obj(x), g.on_obj(y)),
-        m2.t_mor(g.at(x, y), n.at(x)),
-        inv(m2, m2.r(g.background.on_obj(e.hom(x, y)))),
-        n.background.at(e.hom(x, y)),
-    )
-    lhs2 = c.comp(
-        hom_post(e2, f.on_obj(x), f.on_obj(y), g.on_obj(y), n.at(y)),
-        f.at(x, y),
-    )
-    rhs2 = c.comp_many(
-        hom_pre(e2, f.on_obj(x), g.on_obj(x), g.on_obj(y), n.at(x)),
-        g.at(x, y),
-        n.background.at(e.hom(x, y)),
-    )
-    return lhs == rhs, lhs2 == rhs2
-
-
-def two_route_associator_screen(nat):
-    """The associator screen before its background was decided from the
-    base: the background nat (``check_lax_monoidal_nat``) and the typing in
-    full, both routes of the squares at the pairs of objects of the cube
-    that differ in at most one coordinate. False when a condition fails or
-    raises, or a square fails."""
-    try:
-        if not check_lax_monoidal_nat(nat.background).ok:
-            return False
-        f, g = nat.source, nat.target
-        e2 = f.target
-        c = e2.base.base
-        for x in f.source.objects():
-            comp = nat.components.get(x)
-            typed = (e2.base.unit, e2.hom(f.on_obj(x), g.on_obj(x)))
-            if comp is None or (c.dom[comp], c.cod[comp]) != typed:
-                return False
-        n = e2.n_objects
-        nn = n * n
-        if f.source.n_objects != nn * n:
-            return False
-        for x in f.source.objects():
-            x1, x2, x3 = x // nn, x // n % n, x % n
-            one_variable = itertools.chain(
-                (x + (v - x1) * nn for v in range(n)),
-                (x + (v - x2) * n for v in range(n) if v != x2),
-                (x + v - x3 for v in range(n) if v != x3),
-            )
-            if not all(_two_route_squares(nat, x, y) == (True, True) for y in one_variable):
-                return False
-        return True
-    except Exception:
-        return False
-
-
 def exhaustive_check_enriched_monoidal(em):
     """check_enriched_monoidal before the tensor background was decided from
     the validated braided base, verbatim: it always re-checks the background

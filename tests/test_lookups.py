@@ -1,6 +1,6 @@
-"""Lookups paid for once: the hom index, the inverse memo and the hoisted,
-screened check_monoidal_module with its thin-carrier rule, each compared
-with the plain version it replaced."""
+"""Lookups paid for once: the hom index and the inverse memo, and
+check_monoidal_module with its thin-carrier rule, each compared with the
+plain version it replaced."""
 
 import dataclasses
 import itertools
@@ -16,6 +16,7 @@ from ecat.actions import (
     internal_hom,
     monoidal_self_module,
     self_module,
+    terminal_module,
 )
 from ecat.canonical import (
     canonical_construction,
@@ -30,6 +31,7 @@ from ecat.core import (
     check_functor,
     opposite_category,
     product_category,
+    terminal_category,
 )
 from ecat.monoidal import (
     BraidedStructure,
@@ -292,10 +294,11 @@ def test_check_monoidal_module_matches_oracle_when_not_a_functor(name, table):
     assert report.violations == exhaustive_check_monoidal_module(broken).violations
 
 
-def test_check_monoidal_module_enumerates_when_a_screened_square_fails():
+def test_check_monoidal_module_enumerates_on_a_non_thin_functorial_carrier():
     cells = SELF_CELLS["sign-x-lattice2"]
     functors = (cells.module.base.tensor, cells.module.act, cells.carrier_monoidal.tensor)
-    assert all(check_functor(fun).ok for fun in functors)  # so the screen runs
+    assert all(check_functor(fun).ok for fun in functors)
+    assert not cells.module.carrier.thin
     c = cells.module.carrier
     laws = set()
     for key, f in _entries(cells, "interchange"):
@@ -374,42 +377,6 @@ class _CountingCompose(dict):
     def __getitem__(self, key):
         self.reads += 1
         return super().__getitem__(key)
-
-
-class _Stop(Exception):
-    pass
-
-
-class _Unreadable:
-    def __getitem__(self, key):
-        raise _Stop
-
-
-def test_check_monoidal_module_screens_naturality_one_variable_at_a_time():
-    cells = SELF_CELLS["lattice4"]
-    mod, lm = cells.module, cells.carrier_monoidal
-    c = mod.carrier
-    m, n = c.n_morphisms, c.n_objects
-    compose = _CountingCompose(c.compose)
-    counted = dataclasses.replace(c, compose=compose)
-    check_category(counted)
-    category_reads = compose.reads
-    # The hexagon, which follows interchange naturality, starts by reading
-    # the carrier associator; an unreadable one ends the check there. The
-    # thin-carrier rule reads it first, fails, and leaves naturality to the
-    # screen.
-    copy = dataclasses.replace(
-        cells,
-        module=dataclasses.replace(mod, carrier=counted),
-        carrier_monoidal=dataclasses.replace(lm, associator=_Unreadable()),
-    )
-    compose.reads = 0
-    with pytest.raises(_Stop):
-        check_monoidal_module(copy)
-    naturality_reads = compose.reads - category_reads
-    # two compositions per square: 4*m*n^3 one-variable squares, against
-    # m^4 = 6,561 quadruples without the screen
-    assert 0 < naturality_reads <= 2 * 4 * m * n**3 < 2 * m**4
 
 
 @settings(deadline=None, max_examples=60)
@@ -528,7 +495,7 @@ def _assert_mistyped_entry_matches_oracle(cells, table, i):
 
 
 def test_the_thin_rule_applies_to_the_thin_fixtures_only():
-    # so the oracle tests on the other fixtures run the screen and the loops
+    # so the oracle tests on the other fixtures run the loops
     for name, cells in SELF_CELLS.items():
         assert cells.module.carrier.thin == (name in THIN_CELLS), name
 
@@ -566,6 +533,26 @@ def test_thin_rule_matches_oracle_on_a_negative_cell(name, table):
     got = _outcome(check_monoidal_module, mutated)
     assert got == _outcome(exhaustive_check_monoidal_module, mutated)
     assert got[0] is StructureError and got[1].startswith("compose undefined")
+
+
+@pytest.mark.parametrize("table", ["base-associator", "base-braiding"])
+def test_thin_rule_needs_invertible_base_cells(table):
+    # The monoid {e, z} with z . z = z, as a one-object base, acts on the
+    # terminal category, which is thin. Setting a base associator or
+    # braiding cell to z keeps it typed, but the mid-swaps of the oplax
+    # section then invert z, and the enumeration raises there.
+    c = FinCategory(1, (0, 0), (0, 0), (0,), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+    m = strict_monoidal(c, Functor(product_category(c, c), c, (0,), (0, 1, 1, 1)), 0)
+    t = terminal_category()
+    lm = strict_monoidal(t, Functor(product_category(t, t), t, (0,), (0,)), 0)
+    cells = MonoidalModuleCells(
+        terminal_module(m), identity_braiding(m), lm, {(0, 0, 0, 0): 0}, 0
+    )
+    assert check_monoidal_module(cells).ok
+    mutated = _with_entry(cells, table, (0, 0) if table == "base-braiding" else (0, 0, 0), 1)
+    got = _outcome(check_monoidal_module, mutated)
+    assert got == _outcome(exhaustive_check_monoidal_module, mutated)
+    assert got == (StructureError, "morphism 1 is not invertible")
 
 
 def test_thin_rule_composes_nothing_in_the_sections_it_decides():

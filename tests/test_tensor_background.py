@@ -1,15 +1,15 @@
 """check_enriched_monoidal decides the tensor background and the
-associator's background from a validated braided base, and the associator's
-naturality one variable at a time from one route of its squares; compared
-with the exhaustive oracle that always re-checks the backgrounds, builds the
-composites eagerly and enumerates both routes of every naturality square."""
+associator's background from a validated braided base, and on a thin base
+the associator's naturality from typing; compared with the exhaustive oracle
+that always re-checks the backgrounds, builds the composites eagerly and
+enumerates both routes of every naturality square."""
 
 import dataclasses
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ecat.enriched
@@ -25,9 +25,7 @@ from ecat.enriched import (
 )
 from ecat.enriched_monoidal import (
     EnrichedBraidedCategory,
-    _associator_natural_by_variable,
     _tensor_background_is_strong,
-    associator_nat,
     braiding_nat,
     check_enriched_monoidal,
     check_enriched_monoidal_functor,
@@ -56,11 +54,12 @@ from helpers import (
     lattice2_monoidal,
     lattice4_monoidal,
     lattice8_monoidal,
+    meet_semilattice_monoidal,
+    meet_semilattices,
     preorder_enriched_monoidal,
     semion_enriched_monoidal,
     sign_algebra,
     sign_monoidal,
-    two_route_associator_screen,
     z2_discrete_monoidal,
     z2_enriched,
 )
@@ -251,7 +250,7 @@ def test_check_enriched_monoidal_matches_oracle_on_seeded_mutations(name, table)
     # other morphisms of its type and one of another type, drawn with a
     # seed fixed per case. A same-typed change of a coherence element
     # passes every section before the naturality squares, so it reaches the
-    # one-variable screen; a tensor change fails the tensor laws first.
+    # associator nat; a tensor change fails the tensor laws first.
     em = ALL[name]
     c = em.host.base.base
     rng = random.Random(f"{name}/{table}")
@@ -276,57 +275,6 @@ def _counting_exhaustive_nat(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("name", ALL)
-def test_valid_associator_is_decided_by_the_one_variable_screen(name, monkeypatch):
-    calls = _counting_exhaustive_nat(monkeypatch)
-    em = ALL[name]
-    assert check_enriched_monoidal(em).ok
-    n = em.host.n_objects
-    assert calls == [n, n]  # the two unitors only, never the n**3 cube
-
-
-def test_the_screen_checks_exactly_the_pairs_that_differ_in_one_coordinate(monkeypatch):
-    # the screen reads one route per pair, through _nat_square
-    pairs = []
-    square = ecat.enriched_monoidal._nat_square
-
-    def recording(nat, x, y):
-        pairs.append((x, y))
-        return square(nat, x, y)
-
-    monkeypatch.setattr(ecat.enriched_monoidal, "_nat_square", recording)
-    em = VALID["canonical-lattice4"]
-    assert check_enriched_monoidal(em).ok
-    n = em.host.n_objects
-
-    def digits(x):
-        return (x // (n * n), x // n % n, x % n)
-
-    want = {
-        (x, y)
-        for x in range(n**3)
-        for y in range(n**3)
-        if sum(a != b for a, b in zip(digits(x), digits(y))) <= 1
-    }
-    assert len(pairs) == len(set(pairs)) == len(want) == 640
-    assert set(pairs) == want
-
-
-@pytest.mark.parametrize("name", ["semion", "canonical-lattice4"])
-def test_the_screen_reads_no_background_cell_and_no_hom_route(name, monkeypatch):
-    def no_hom_route(nat, x, y):
-        raise AssertionError("the screen reads the hom route")
-
-    monkeypatch.setattr(ecat.enriched, "_nat_hom_route", no_hom_route)
-    monkeypatch.setattr(ecat.enriched, "check_lax_monoidal_nat", None)
-    monkeypatch.setattr(ecat.enriched_monoidal, "check_lax_monoidal_nat", None)
-    nat = associator_nat(VALID[name])
-    assert _associator_natural_by_variable(nat)
-    # the mult cells of the B x B x B composites are never computed
-    assert nat.source.background.mult._memo == {}
-    assert nat.target.background.mult._memo == {}
-
-
 # The braided fixtures: semion and its reverse (over the anti-braiding)
 # are braided and not symmetric, the others symmetric. s3 has no braiding
 # (test_s3_has_no_braiding_components), and lattice-8's eager composites
@@ -346,37 +294,111 @@ BRAIDED = {
 def test_the_associator_background_is_a_monoidal_nat_on_every_braided_base(name):
     # Joyal–Street: in a braided monoidal category the associator is a
     # monoidal nat between the two composites of the tensor with its
-    # mid-swap cells, so the screen need not check it. Checked here on the
-    # eager composites, in full.
+    # mid-swap cells, so check_enriched_monoidal need not check it. Checked
+    # here on the eager composites, in full.
     em = BRAIDED[name]
     assert check_monoidal(em.host.base).ok and check_braided(em.braiding).ok
     assert check_lax_monoidal_nat(exhaustive_associator_nat(em).background).ok
-
-
-@pytest.mark.parametrize("name", BRAIDED)
-def test_the_screen_agrees_with_the_two_route_screen(name):
-    # the parent screen checked the background nat and both routes; on
-    # valid inputs and on same-typed associator changes (which reach the
-    # screen) both decide alike
-    em = BRAIDED[name]
-    c = em.host.base.base
-    cases = [em]
-    rng = random.Random(name)
-    for key, f in rng.sample(_entries(em, "associator"), 3):
-        cases += [_with_entry(em, "associator", key, g) for g in _same_typed(c, f)[:2]]
-    verdicts = []
-    for case in cases:
-        got = _associator_natural_by_variable(associator_nat(case))
-        assert got == two_route_associator_screen(exhaustive_associator_nat(case))
-        verdicts.append(got)
-    assert verdicts[0] and not any(verdicts[1:])
 
 
 def test_canonical_lattice8_passes_check_enriched_monoidal():
     assert check_enriched_monoidal(_canonical(lattice8_monoidal)).ok
 
 
-def test_a_failed_screen_square_falls_back_to_every_square(monkeypatch):
+def _residuated(masks):
+    """Whether every pair x, y of the masks has a largest z with z & x
+    included in y, that is an internal hom [x, y] of the self-module."""
+    for x, y in itertools.product(masks, repeat=2):
+        below = [z for z in masks if z & x & ~y == 0]
+        if not any(all(w & ~z == 0 for w in below) for z in below):
+            return False
+    return True
+
+
+@settings(deadline=None, max_examples=15)
+@given(meet_semilattices())
+@example([0, 1, 2, 3])
+@example([0, 1, 2, 4, 7])  # 1 -> 0 has no residual: 2 and 4 are both maximal
+def test_meet_semilattice_canonical_categories_are_enriched_monoidal(masks):
+    # the canonical construction exists exactly on residuated draws
+    if not _residuated(masks):
+        with pytest.raises(StructureError, match="internal hom missing"):
+            _canonical(lambda: meet_semilattice_monoidal(masks))
+        return
+    em = _canonical(lambda: meet_semilattice_monoidal(masks))
+    report = check_enriched_monoidal(em)
+    assert report.ok
+    if len(masks) <= 4:
+        assert report.violations == exhaustive_check_enriched_monoidal(em).violations
+
+
+# --- the thin-base rule for the associator ---
+
+THIN = (
+    "preorder",
+    "reversed-preorder",
+    "canonical-lattice2",
+    "canonical-lattice4",
+    "canonical-chain3",
+    "canonical-z2",
+    "e0-chain2",
+    "e0-z2",
+)
+
+
+def test_the_thin_base_rule_applies_to_the_thin_fixtures_only():
+    # so the oracle tests on the other fixtures check the associator nat
+    for name, em in ALL.items():
+        assert em.host.base.base.thin == (name in THIN), name
+
+
+@pytest.mark.parametrize("name", THIN)
+def test_a_thin_base_builds_no_associator_nat(name, monkeypatch):
+    calls = _counting_exhaustive_nat(monkeypatch)
+    squares = []
+    square = ecat.enriched._nat_square
+
+    def recording(nat, x, y):
+        squares.append(nat.source.source.n_objects)
+        return square(nat, x, y)
+
+    def unbuilt(em):
+        raise AssertionError("the associator nat is built")
+
+    monkeypatch.setattr(ecat.enriched, "_nat_square", recording)
+    monkeypatch.setattr(ecat.enriched_monoidal, "associator_nat", unbuilt)
+    em = ALL[name]
+    assert check_enriched_monoidal(em).ok
+    n = em.host.n_objects
+    assert calls == [n, n]  # the two unitors only, never the n**3 cube
+    assert len(squares) == 2 * n * n and set(squares) == {n}
+
+
+@pytest.mark.parametrize("name", sorted(set(ALL) - set(THIN)))
+def test_a_non_thin_base_checks_the_associator_nat(name, monkeypatch):
+    calls = _counting_exhaustive_nat(monkeypatch)
+    em = ALL[name]
+    assert check_enriched_monoidal(em).ok
+    n = em.host.n_objects
+    assert calls == [n**3, n, n]
+
+
+@pytest.mark.parametrize("name", THIN)
+def test_a_negative_associator_element_on_a_thin_base_raises_as_the_oracle_does(name):
+    # f - |mor B| reads as f wherever it indexes a table, so it passes the
+    # typing read, but it is no compose key
+    em = ALL[name]
+    c = em.host.base.base
+    key, f = _entries(em, "associator")[-1]
+    mutated = _with_entry(em, "associator", key, f - c.n_morphisms)
+    with pytest.raises(StructureError) as oracle:
+        exhaustive_check_enriched_monoidal(mutated)
+    with pytest.raises(StructureError) as got:
+        check_enriched_monoidal(mutated)
+    assert str(got.value) == str(oracle.value)
+
+
+def test_a_failed_associator_square_matches_the_oracle(monkeypatch):
     em = VALID["semion"]
     c = em.host.base.base
     key, f = _entries(em, "associator")[5]
@@ -388,8 +410,8 @@ def test_a_failed_screen_square_falls_back_to_every_square(monkeypatch):
     assert report.violations == exhaustive_check_enriched_monoidal(mutated).violations
 
 
-def test_a_dirty_earlier_section_skips_the_screen(monkeypatch):
-    # a wrong tensor component: the associator is checked exhaustively
+def test_a_dirty_earlier_section_still_checks_the_associator_nat(monkeypatch):
+    # a wrong tensor component: the associator is checked in full
     em = VALID["semion"]
     c = em.host.base.base
     key, f = _entries(em, "tensor")[3]

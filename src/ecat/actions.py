@@ -711,11 +711,12 @@ def _thin_coherent(mm: MonoidalModuleCells) -> bool:
     and oplax-associator sections, given ``_functorial(mm)`` and a typed
     interchange.
 
-    It checks that the carrier is thin and that every cell those sections
-    read is in range and typed: the interchange, the carrier associator
+    It checks that the carrier is thin and that every other cell those
+    sections read is in range and typed: the carrier associator
     (xy)z -> x(yz), the module associator (ab).x -> a.(b.x), and the base
     associator and base braiding, these two also invertible. A negative
-    index would pass a typing read, as Python reads it from the end. A base
+    index would pass a bare typing read, as Python reads it from the end;
+    the interchange typing (``monoidal._expect``) reports one. A base
     mid-swap (a1a2)(b1b2) -> (a1b1)(a2b2) composes base associator cells,
     their inverses and the inverse of a braiding cell, tensored with
     identities; the base tensor being a functor, each mid-swap is then
@@ -741,10 +742,6 @@ def _thin_coherent(mm: MonoidalModuleCells) -> bool:
     try:
         return (
             all(
-                0 <= mm.interchange[key] < c.n_morphisms
-                for key in itertools.product(objs_a, objs_a, objs_x, objs_x)
-            )
-            and all(
                 typed(c, lm.associator[(x, y, z)], lt(lt(x, y), z), lt(x, lt(y, z)))
                 for x, y, z in itertools.product(objs_x, repeat=3)
             )

@@ -36,12 +36,12 @@ class FinCategory:
     """A finite category given by its index tables.
 
     Lookups derived from the tables are built lazily, once per instance, on
-    first use: ``hom`` reads an index from ``(x, y)`` to the hom set,
-    ``thin`` is read from that index, and ``monoidal.find_inverse``
-    memoises its answers in ``_inverse_memo``. They live in the instance
-    ``__dict__``, not in dataclass fields, so equality, hashing and
-    ``dataclasses.replace`` ignore them (a replaced copy starts with empty
-    caches). They rely on the tables not being mutated after construction;
+    first use: ``n_morphisms`` is the length of ``dom``, ``hom`` reads an
+    index from ``(x, y)`` to the hom set, ``thin`` is read from that index,
+    and ``monoidal.find_inverse`` memoises its answers in
+    ``_inverse_memo``. They live in the instance ``__dict__``, not in
+    dataclass fields, so equality, hashing and ``dataclasses.replace``
+    ignore them (a replaced copy starts with empty caches). They rely on the tables not being mutated after construction;
     nothing in ``ecat`` mutates them.
     """
 
@@ -53,7 +53,7 @@ class FinCategory:
     obj_names: tuple[str, ...] | None = field(default=None, compare=False)
     mor_names: tuple[str, ...] | None = field(default=None, compare=False)
 
-    @property
+    @cached_property
     def n_morphisms(self) -> int:
         return len(self.dom)
 
@@ -75,9 +75,11 @@ class FinCategory:
         checker may use this only once the tables pass ``check_category``,
         so that every composite it reads exists and is typed, and once every
         cell the diagram reads is in range and typed. Two checkers do:
-        ``actions.check_monoidal_module`` on a thin carrier, and
-        ``enriched_monoidal.check_enriched_monoidal`` for the associator on
-        a thin base.
+        ``actions.check_monoidal_module`` on a thin carrier decides the
+        interchange naturality, hexagon and oplax sections, and
+        ``enriched_monoidal.check_enriched_monoidal`` on a thin base decides
+        the tensor's enriched-functor composition law and the associator's
+        naturality.
         """
         return len(self._hom_index) == self.n_morphisms
 
@@ -414,85 +416,6 @@ class LazyPairTable(Mapping):
 
     def __len__(self) -> int:
         return self._n * self._n
-
-
-class _KeyedCells:
-    """A table read by flat position: position k holds ``table[keys[k]]``,
-    read from the table each time, so it raises what the table raises."""
-
-    def __init__(self, table: Mapping, keys: list):
-        self.table, self.keys = table, keys
-
-    def __getitem__(self, k: int) -> int:
-        return self.table[self.keys[k]]
-
-
-def _flat(table: Mapping, keys) -> list | _KeyedCells:
-    """The entries of table at keys as a list, read by position. If reading
-    some key fails, the failure is left to the position's first read."""
-    keys = list(keys)
-    try:
-        return [table[key] for key in keys]
-    except Exception:
-        return _KeyedCells(table, keys)
-
-
-def _flat_rows(table: Mapping, n: int, arity: int):
-    """The entries of table at every key of ``range(n)**arity`` (tuples,
-    arity 2 or more), one row per key prefix: in lexicographic order of the
-    prefixes, ``_flat`` of table at that prefix followed by each z in
-    ``range(n)``. A ``ProductMapping`` over exactly these keys whose factor
-    tables are total builds each row from rows of its factor tables by
-    index arithmetic, not key by key, and holds no more than its factor
-    tables and one row."""
-    rows = _product_rows(table, n, arity)
-    if rows is not None:
-        return rows
-    return (
-        _flat(table, (prefix + (z,) for z in range(n)))
-        for prefix in itertools.product(range(n), repeat=arity - 1)
-    )
-
-
-def _product_rows(view, n: int, arity: int):
-    """The rows of ``_flat_rows`` for a product view, or None when view is
-    not a ``ProductMapping`` over those keys or a factor lacks an entry.
-
-    A row of the product joins one row of each factor, first factor most
-    significant: joining a factor with out-range size o turns the row so
-    far, r, into [v*o + w for v in r for w in the factor's row].
-    """
-    if not (isinstance(view, ProductMapping) and view.arity == arity and view._n_in == n):
-        return None
-    factors = []
-    try:
-        for table, n_in, n_out in view.factors:
-            rows = [
-                [table[prefix + (z,)] for z in range(n_in)]
-                for prefix in itertools.product(range(n_in), repeat=arity - 1)
-            ]
-            factors.append((rows, n_in, n_out))
-    except Exception:
-        return None
-    digits = []  # digits[x][k]: the digit of product index x in factor k
-    for x in range(n):
-        ds = []
-        for _, n_in, _ in reversed(factors):
-            x, d = divmod(x, n_in)
-            ds.append(d)
-        digits.append(ds[::-1])
-
-    def joined():
-        for prefix in itertools.product(range(n), repeat=arity - 1):
-            row = [0]
-            for k, (rows, n_in, n_out) in enumerate(factors):
-                at = 0
-                for x in prefix:
-                    at = at * n_in + digits[x][k]
-                row = [v * n_out + w for v in row for w in rows[at]]
-            yield row
-
-    return joined()
 
 
 def product_category(c: FinCategory, d: FinCategory) -> FinCategory:

@@ -18,7 +18,6 @@ from ecat.core import (
     NatTransf,
     ProductMapping,
     ProductSequence,
-    _flat_rows,
     hcomp_nats,
     opposite_category,
     product_category,
@@ -221,74 +220,57 @@ class EnrichedFunctor:
 def check_enriched_functor(f: EnrichedFunctor) -> ValidationReport:
     report = ValidationReport("enriched functor")
     report.extend(check_lax_monoidal_functor(f.background))
-    if not report.ok:
-        return report
-    return _check_enriched_functor_laws(f, report)
+    if report.ok and _check_enriched_functor_laws(f, report):
+        _check_enriched_functor_composition(f, report)
+    return report
 
 
-def _check_enriched_functor_laws(
-    f: EnrichedFunctor, report: ValidationReport
-) -> ValidationReport:
-    """Add to report the enriched-functor laws of f (component typing, then
-    identity and composition), taking its background as a valid lax
-    monoidal functor."""
+def _check_enriched_functor_laws(f: EnrichedFunctor, report: ValidationReport) -> bool:
+    """Add to report the component typing of f and, when every component
+    is typed, its identity law; return whether every component is typed.
+
+    The background is taken as a valid lax monoidal functor. The
+    composition law is left to ``_check_enriched_functor_composition``, so
+    that a caller that can decide it otherwise (``check_enriched_monoidal``
+    on a thin base) skips only that loop.
+    """
     e, e2 = f.source, f.target
     bg = f.background
     c = e2.base.base
-    n = e.n_objects
-    # The typing loop also collects the source hom objects and the
-    # components as flat lists, read by position: the entry at (x, y) is
-    # homs[x*n + y] and cells[x*n + y].
     typed = True
-    homs, cells = [], []
     for x, y in itertools.product(e.objects(), repeat=2):
         cell = f.components.get((x, y))
         if cell is None:
             raise StructureError(f"enriched functor component missing at {(x, y)}")
-        h = e.hom(x, y)
-        homs.append(h)
-        cells.append(cell)
         typed &= _expect(
             report, "enriched-functor-typing", (x, y), c, cell,
-            bg.on_obj(h), e2.hom(f.on_obj(x), f.on_obj(y)),
+            bg.on_obj(e.hom(x, y)), e2.hom(f.on_obj(x), f.on_obj(y)),
         )
     if not typed:
-        return report
+        return False
     for x in e.objects():
         lhs = c.comp_many(f.at(x, x), bg.on_mor(e.one(x)), bg.unit_cell)
         if lhs != e2.one(f.on_obj(x)):
             report.add("enriched-functor-identity", (x,))
+    return True
 
-    # The composition loop reads the source composition at (x, y, z) from
-    # the row of (x, y), built from the factor tables when the source is a
-    # product (``_flat_rows``), and composes by reading the compose table
-    # directly. On a LookupError it reads and composes the same cells again
-    # through the accessors and c.comp, so that it raises what they raise.
-    obj = [f.on_obj(x) for x in e.objects()]
-    cmp, e2comp, mult = c.compose, e2.comp, bg.mult
-    bg_mor, t_mor = bg.functor.mor_map, e2.base.tensor.mor_map
-    mc = c.n_morphisms
-    pairs = itertools.product(e.objects(), repeat=2)
-    for (x, y), comps in zip(pairs, _flat_rows(e.comp, n, 3)):
-        x_row, y_row, xy = x * n, y * n, x * n + y
-        cell_xy, hom_xy, fx, fy = cells[xy], homs[xy], obj[x], obj[y]
-        for z, fz in enumerate(obj):
-            try:
-                lhs = cmp[
-                    cmp[cells[x_row + z], bg_mor[comps[z]]],
-                    mult[homs[y_row + z], hom_xy],
-                ]
-                rhs = cmp[e2comp[fx, fy, fz], t_mor[cells[y_row + z] * mc + cell_xy]]
-            except LookupError:
-                lhs = c.comp_many(
-                    f.at(x, z), bg.on_mor(e.c(x, y, z)), bg.m2(e.hom(y, z), e.hom(x, y))
-                )
-                rhs = c.comp(
-                    e2.c(fx, fy, fz), e2.base.t_mor(f.at(y, z), f.at(x, y))
-                )
-            if lhs != rhs:
-                report.add("enriched-functor-composition", (x, y, z))
-    return report
+
+def _check_enriched_functor_composition(f: EnrichedFunctor, report: ValidationReport) -> None:
+    """Add to report every (x, y, z) whose composition square of f fails,
+    given typed components and a valid lax monoidal background."""
+    e, e2 = f.source, f.target
+    bg = f.background
+    c = e2.base.base
+    for x, y, z in itertools.product(e.objects(), repeat=3):
+        lhs = c.comp_many(
+            f.at(x, z), bg.on_mor(e.c(x, y, z)), bg.m2(e.hom(y, z), e.hom(x, y))
+        )
+        rhs = c.comp(
+            e2.c(f.on_obj(x), f.on_obj(y), f.on_obj(z)),
+            e2.base.t_mor(f.at(y, z), f.at(x, y)),
+        )
+        if lhs != rhs:
+            report.add("enriched-functor-composition", (x, y, z))
 
 
 def identity_enriched_functor(e: EnrichedCategory) -> EnrichedFunctor:

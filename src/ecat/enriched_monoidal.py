@@ -7,10 +7,11 @@ natural transformations whose backgrounds are the base coherence cells.
 Every law is validated square by square, with two exceptions in
 ``check_enriched_monoidal``. When the base is a valid braided monoidal
 category, the pinned tensor background is a strong monoidal functor by
-Joyal–Street, so its lax laws are not checked again. When, in addition,
-every earlier law holds and the base is thin, the associator is natural as
-soon as its elements are typed: in a thin base every well-typed diagram
-commutes (Lawvere 1973; Kelly 1982 §1), so its nat is not even built.
+Joyal–Street, so its lax laws are not checked again. When, in addition, the
+host is a valid enriched category and the base is thin, every diagram whose
+cells are typed commutes (Lawvere 1973; Kelly 1982 §1): the tensor's
+composition law and the associator's naturality then follow from typing,
+so no square of either is read and the associator nat is not even built.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from ecat.enriched import (
     EnrichedFunctor,
     EnrichedNat,
     UnderlyingResult,
+    _check_enriched_functor_composition,
     _check_enriched_functor_laws,
     _computed,
     cartesian_product_enriched,
@@ -291,19 +293,22 @@ def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
     the tensor goes through ``check_enriched_functor`` in full, which also
     reports ``tensor:`` lax-functor violations of a broken base.
 
-    When that holds, the report is still empty after the element typing,
-    the base category is thin (``FinCategory.thin``) and every associator
-    element is in range, the associator nat is decided without being built.
-    Its background on B x B x B is B's associator, a monoidal natural
-    transformation between the two composite backgrounds (Joyal–Street), so
-    ``check_lax_monoidal_nat`` would report nothing on it. Its components
-    are the typed associator elements, so both routes of every naturality
-    square are composites of typed morphisms, defined and parallel, and
-    equal in a thin base (Lawvere 1973; Kelly 1982 §1). A negative element
-    would pass the typing read, as Python reads it from the end. Otherwise
-    the composites are computed in full and ``check_enriched_nat``
-    enumerates both routes of all n⁶ squares, reporting or raising what it
-    always did.
+    One thin condition is decided once, before the tensor section: that
+    shortcut holds, nothing has been reported by then (so the host's
+    identity and composition cells are typed) and the base category is thin
+    (``FinCategory.thin``). Under it, every cell of the two routes of a
+    square is typed: the cartesian square's composition cells are built
+    from the host's, the background is the pinned strong tensor, and the
+    tensor components and coherence elements pass their typing loops, which
+    report any cell out of range. So both routes are defined and parallel,
+    and equal in a thin base (Lawvere 1973; Kelly 1982 §1). The tensor's
+    composition law is then decided without reading a square (its typing
+    and identity sections still run), and the associator nat is decided
+    without being built: its background on B x B x B is B's associator, a
+    monoidal natural transformation between the two composite backgrounds
+    (Joyal–Street). Otherwise the tensor's n⁶ composition squares and the
+    associator's n⁶ naturality squares are enumerated, reporting or raising
+    what they always did.
     """
     report = ValidationReport("enriched monoidal category")
     e = em.host
@@ -323,10 +328,11 @@ def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
         report.add("tensor-shape", ())
         return report
     shortcut = braided and pinned and _tensor_background_is_strong(m)
+    thin = shortcut and report.ok and c.thin
     if shortcut:
-        tensor_report = _check_enriched_functor_laws(
-            em.tensor, ValidationReport("enriched functor")
-        )
+        tensor_report = ValidationReport("enriched functor")
+        if _check_enriched_functor_laws(em.tensor, tensor_report) and not thin:
+            _check_enriched_functor_composition(em.tensor, tensor_report)
     else:
         tensor_report = check_enriched_functor(em.tensor)
     _absorb(report, tensor_report, "tensor")
@@ -354,15 +360,7 @@ def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
     if not typed:
         return report
 
-    if not (
-        shortcut
-        and report.ok
-        and c.thin
-        and all(
-            0 <= em.associator[k] < c.n_morphisms
-            for k in itertools.product(e.objects(), repeat=3)
-        )
-    ):
+    if not thin:
         assoc = associator_nat(em)
         _computed(assoc.source)
         _computed(assoc.target)

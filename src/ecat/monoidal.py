@@ -90,7 +90,12 @@ def inv(m: MonoidalCategory, f: int) -> int:
 
 
 def _expect(report, law, instance, c, f, dom, cod) -> bool:
-    """Record a typing violation unless morphism f goes dom -> cod."""
+    """Record a typing violation unless f is a morphism of c from dom to
+    cod. An f outside ``range(c.n_morphisms)`` is reported, not read: a
+    negative one would be read from the end of the tables."""
+    if not 0 <= f < c.n_morphisms:
+        report.add(law, instance, f"morphism {f} out of range, expected {dom}->{cod}")
+        return False
     if c.dom[f] != dom or c.cod[f] != cod:
         report.add(law, instance, f"morphism {f}: {c.dom[f]}->{c.cod[f]}, expected {dom}->{cod}")
         return False

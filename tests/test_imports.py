@@ -1,6 +1,7 @@
 """Every name a module of src/ecat imports is used in that module, and
 every private module-level function or class of src/ecat is named by some
-code of src/ecat outside its own definition.
+live code of src/ecat outside its own definition: code that is not itself
+in such an unreferenced def.
 
 Names listed in the package's __all__ are re-exported, so they count as
 used in __init__.py.
@@ -56,29 +57,45 @@ def test_no_unused_imports(path):
 
 def unreferenced_privates(sources: dict) -> list:
     """The (module, name) of each module-level function or class whose name
-    starts with one underscore and that no name or attribute read outside
-    its own definition refers to, in any of the modules."""
+    starts with one underscore and that only dead code refers to.
+
+    Code is live unless it lies in a reported def. A private def is live as
+    soon as a name or attribute read in live code outside its own
+    definition refers to it, in any of the modules. So a def named only by
+    itself, by the defs of a dead chain or by a cycle of private defs that
+    nothing else names is reported, not only the head of the chain.
+    """
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    refs = defaultdict(list)  # name -> the nodes that read it
+    privates = [
+        (module, node)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    owner = {}  # id of a node inside a private def -> that def's node
+    for _, node in privates:
+        for inner in ast.walk(node):
+            owner[id(inner)] = node
+    readers = defaultdict(list)  # name -> the def of each read, None outside them
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs[node.id].append(node)
+                readers[node.id].append(owner.get(id(node)))
             elif isinstance(node, ast.Attribute):
-                refs[node.attr].append(node)
-    out = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and node.name.startswith("_")
-                and not node.name.startswith("__")
+                readers[node.attr].append(owner.get(id(node)))
+    live = set()  # ids of the private defs found live so far
+    grew = True
+    while grew:
+        grew = False
+        for _, node in privates:
+            if id(node) not in live and any(
+                d is None or (d is not node and id(d) in live) for d in readers[node.name]
             ):
-                continue
-            own = {id(inner) for inner in ast.walk(node)}
-            if all(id(ref) in own for ref in refs[node.name]):
-                out.append((module, node.name))
-    return sorted(out)
+                live.add(id(node))
+                grew = True
+    return sorted((module, node.name) for module, node in privates if id(node) not in live)
 
 
 def test_the_scan_finds_an_unreferenced_private_def():
@@ -87,6 +104,25 @@ def test_the_scan_finds_an_unreferenced_private_def():
         "b": "import a\n\ndef public():\n    return a._used()\n\ndef __dunder__():\n    pass\n",
     }
     assert unreferenced_privates(sources) == [("a", "_Dead"), ("a", "_loop")]
+
+
+def test_the_scan_follows_dead_chains_and_cycles():
+    # _head names _mid, which names _Tail; _ping and _pong name only each
+    # other; _kept is named by a live private def, _live, and _live by
+    # public code
+    sources = {
+        "a": (
+            "def _head():\n    return _mid()\n\n"
+            "def _mid():\n    return b._Tail()\n\n"
+            "def _ping():\n    return _pong()\n\n"
+            "def _pong():\n    return _ping()\n\n"
+            "def _live():\n    return _kept\n"
+        ),
+        "b": "import a\n\nclass _Tail:\n    pass\n\ndef _kept():\n    pass\n\nX = a._live\n",
+    }
+    assert unreferenced_privates(sources) == [
+        ("a", "_head"), ("a", "_mid"), ("a", "_ping"), ("a", "_pong"), ("b", "_Tail")
+    ]
 
 
 def test_no_unreferenced_private_defs():

@@ -70,6 +70,22 @@ def test_mutated_associator_is_reported():
     assert "pentagon" in report.laws() or "triangle" in report.laws()
 
 
+@pytest.mark.parametrize("g", [9, 14, -1, -9])
+def test_an_out_of_range_associator_cell_is_a_typing_violation(g):
+    # lattice-4 has 9 morphisms: 9 and 14 used to end the typing read in a
+    # bare IndexError, and a negative cell was read from the end of the table
+    m = lattice4_monoidal()
+    assert m.base.n_morphisms == 9
+    bad = {**m.associator, (1, 2, 3): g}
+    report = check_monoidal(
+        type(m)(m.base, m.tensor, m.unit, bad, m.left_unitor, m.right_unitor)
+    )
+    assert [(v.law, v.instance) for v in report.violations] == [
+        ("associator-typing", (1, 2, 3))
+    ]
+    assert "out of range" in report.violations[0].detail
+
+
 def test_mutated_unitor_is_reported():
     m = sign_monoidal()
     report = check_monoidal(

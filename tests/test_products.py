@@ -21,7 +21,6 @@ from ecat.core import (
     ProductCompose,
     ProductMapping,
     ProductSequence,
-    _flat_rows,
     check_category,
     product_category,
 )
@@ -380,34 +379,6 @@ def test_lattice4_associator_nat_materialises_no_cube_tensor():
     largest, largest_view = _largest_table(nat)
     assert largest_view >= 531_441
     assert largest < 531_441
-
-
-# --- flat reads of product tables ---
-
-
-@pytest.mark.parametrize("names", PAIRS + TRIPLES)
-def test_flat_rows_read_every_product_entry_in_key_order(names):
-    e = ENRICHED[names[0]]()
-    for name in names[1:]:
-        e = cartesian_product_enriched(e, ENRICHED[name]())
-    n = e.n_objects
-    for table, arity in ((e.hom_obj, 2), (e.comp, 3)):
-        rows = list(_flat_rows(table, n, arity))
-        assert all(type(row) is list for row in rows)
-        want = [table[key] for key in itertools.product(range(n), repeat=arity)]
-        assert [v for row in rows for v in row] == want
-
-
-def test_flat_rows_leave_a_missing_entry_to_its_read():
-    c = product_category(MONOIDAL["lattice2"]().base, MONOIDAL["z2"]().base)
-    n = c.n_morphisms
-    for g, row in enumerate(_flat_rows(c.compose, n, 2)):
-        for f in range(n):
-            if (g, f) in c.compose:
-                assert row[f] == c.compose[g, f]
-            else:
-                with pytest.raises(KeyError):
-                    row[f]
 
 
 # --- composite enriched functors read their components lazily ---

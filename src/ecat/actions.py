@@ -14,8 +14,6 @@ from ecat.core import (
     FinCategory,
     Functor,
     NatTransf,
-    _is_product,
-    check_category,
     check_functor,
     check_nat_transf,
     compose_functors,
@@ -29,6 +27,9 @@ from ecat.monoidal import (
     LaxMonoidalNat,
     MonoidalCategory,
     _expect,
+    _is_monoidal,
+    _out_of_product,
+    check_braided,
     check_lax_monoidal_functor,
     check_lax_monoidal_nat,
     find_inverse,
@@ -91,41 +92,43 @@ def check_module(mod: ModuleAction) -> ValidationReport:
     if not typed:
         return report
 
-    # naturality of the structure maps
-    for f, g in itertools.product(a_cat.base.morphisms(), repeat=2):
+    # on a thin carrier these laws equate parallel morphisms
+    if not (c.thin and _is_monoidal(a_cat) and _out_of_product(mod.act, a_cat.base, c)):
+        # naturality of the structure maps
+        for f, g in itertools.product(a_cat.base.morphisms(), repeat=2):
+            for p in c.morphisms():
+                a, b, x = a_cat.base.dom[f], a_cat.base.dom[g], c.dom[p]
+                ap, bp, xp = a_cat.base.cod[f], a_cat.base.cod[g], c.cod[p]
+                lhs = c.comp(mod.o(ap, bp, xp), mod.a_mor(a_cat.t_mor(f, g), p))
+                rhs = c.comp(mod.a_mor(f, mod.a_mor(g, p)), mod.o(a, b, x))
+                if lhs != rhs:
+                    report.add("module-associator-naturality", (f, g, p))
         for p in c.morphisms():
-            a, b, x = a_cat.base.dom[f], a_cat.base.dom[g], c.dom[p]
-            ap, bp, xp = a_cat.base.cod[f], a_cat.base.cod[g], c.cod[p]
-            lhs = c.comp(mod.o(ap, bp, xp), mod.a_mor(a_cat.t_mor(f, g), p))
-            rhs = c.comp(mod.a_mor(f, mod.a_mor(g, p)), mod.o(a, b, x))
+            x, xp = c.dom[p], c.cod[p]
+            lhs = c.comp(mod.u(xp), mod.a_mor(a_cat.base.identity[a_cat.unit], p))
+            if lhs != c.comp(p, mod.u(x)):
+                report.add("module-unitor-naturality", (p,))
+
+        # pentagon
+        for a, b, d, x in itertools.product(objs_a, objs_a, objs_a, objs_x):
+            lhs = c.comp(mod.o(a, b, mod.a_obj(d, x)), mod.o(a_cat.t_obj(a, b), d, x))
+            rhs = c.comp_many(
+                mod.a_mor(a_cat.base.identity[a], mod.o(b, d, x)),
+                mod.o(a, a_cat.t_obj(b, d), x),
+                mod.a_mor(a_cat.a(a, b, d), c.identity[x]),
+            )
             if lhs != rhs:
-                report.add("module-associator-naturality", (f, g, p))
-    for p in c.morphisms():
-        x, xp = c.dom[p], c.cod[p]
-        lhs = c.comp(mod.u(xp), mod.a_mor(a_cat.base.identity[a_cat.unit], p))
-        if lhs != c.comp(p, mod.u(x)):
-            report.add("module-unitor-naturality", (p,))
+                report.add("module-pentagon", (a, b, d, x))
 
-    # pentagon
-    for a, b, d, x in itertools.product(objs_a, objs_a, objs_a, objs_x):
-        lhs = c.comp(mod.o(a, b, mod.a_obj(d, x)), mod.o(a_cat.t_obj(a, b), d, x))
-        rhs = c.comp_many(
-            mod.a_mor(a_cat.base.identity[a], mod.o(b, d, x)),
-            mod.o(a, a_cat.t_obj(b, d), x),
-            mod.a_mor(a_cat.a(a, b, d), c.identity[x]),
-        )
-        if lhs != rhs:
-            report.add("module-pentagon", (a, b, d, x))
-
-    # unit triangles
-    un = a_cat.unit
-    for b, x in itertools.product(objs_a, objs_x):
-        lhs = c.comp(mod.u(mod.a_obj(b, x)), mod.o(un, b, x))
-        if lhs != mod.a_mor(a_cat.l(b), c.identity[x]):
-            report.add("module-left-unit", (b, x))
-        rhs = c.comp(mod.a_mor(a_cat.base.identity[b], mod.u(x)), mod.o(b, un, x))
-        if rhs != mod.a_mor(a_cat.r(b), c.identity[x]):
-            report.add("module-right-unit", (b, x))
+        # unit triangles
+        un = a_cat.unit
+        for b, x in itertools.product(objs_a, objs_x):
+            lhs = c.comp(mod.u(mod.a_obj(b, x)), mod.o(un, b, x))
+            if lhs != mod.a_mor(a_cat.l(b), c.identity[x]):
+                report.add("module-left-unit", (b, x))
+            rhs = c.comp(mod.a_mor(a_cat.base.identity[b], mod.u(x)), mod.o(b, un, x))
+            if rhs != mod.a_mor(a_cat.r(b), c.identity[x]):
+                report.add("module-right-unit", (b, x))
 
     if mod.strongly_associative:
         for a, b, x in itertools.product(objs_a, objs_a, objs_x):
@@ -532,18 +535,19 @@ def check_monoidal_module(mm: MonoidalModuleCells) -> ValidationReport:
     associator, oplax unitor, unit cell), each over its instances in
     lexicographic order. A typing violation ends the check.
 
-    On a thin carrier (``FinCategory.thin``: at most one morphism per hom
-    set) parallel morphisms are equal, so every well-typed square commutes
-    (the preorder case of Lawvere 1973 and Kelly 1982 §1). The
-    interchange-naturality, hexagon and oplax-associator sections are then
-    decided from typing, without composing anything, when the base and the
-    carrier pass ``check_category``, the base tensor, the action and the
-    carrier tensor are functors out of their product sources
-    (``_functorial``), and every cell those sections read is in range and
-    typed (``_thin_coherent``). Otherwise, or when a precondition raises,
-    every section enumerates its instances, so reports and exceptions are
-    those of the enumeration; only a tensor or action object map that
-    leaves the objects raises ``StructureError`` first.
+    On a thin carrier the interchange-naturality, hexagon and
+    oplax-associator sections are decided without composing anything, by
+    the one rule of ``FinCategory.thin``, once the structures they are built
+    on pass their own checks: the base and the carrier monoidal category
+    (``monoidal._is_monoidal``), the base braiding on that base
+    (``check_braided``), and the module, with its action out of the product
+    of the base and the carrier (``check_module``). Then every cell those
+    sections read is typed, and every base associator and braiding cell a
+    mid-swap inverts is invertible, so both routes of each square are
+    defined and parallel. Otherwise, or when a precondition raises, every
+    section enumerates its instances, so reports and exceptions are those
+    of the enumeration; only a tensor or action object map that leaves the
+    objects raises ``StructureError`` first.
     """
     report = ValidationReport("monoidal module")
     mod = mm.module
@@ -572,7 +576,18 @@ def check_monoidal_module(mm: MonoidalModuleCells) -> ValidationReport:
     if not typed:
         return report
 
-    thin = _functorial(mm) and _thin_coherent(mm)
+    try:
+        thin = (
+            c.thin
+            and _is_monoidal(a_cat)
+            and _is_monoidal(lm)
+            and mm.base_braiding.host == a_cat
+            and check_braided(mm.base_braiding).ok
+            and _out_of_product(mod.act, a_cat.base, c)
+            and check_module(mod).ok
+        )
+    except Exception:  # an unreadable cell leaves the decision to the sections
+        thin = False
     if not thin:
         # The loops look cells up at tensors and actions of objects, so an
         # image that is no object would end them in a bare KeyError.
@@ -679,87 +694,6 @@ def check_monoidal_module(mm: MonoidalModuleCells) -> ValidationReport:
     if mm.unit_cell != mod.u(un_l):
         report.add("unit-cell-unitor", ())
     return report
-
-
-def _functorial(mm: MonoidalModuleCells) -> bool:
-    """Whether A and C pass ``check_category`` and the base tensor, the
-    action and the carrier tensor are functors out of the products that
-    their tables are indexed by. False when a check fails or raises
-    ``StructureError``."""
-    mod = mm.module
-    a_cat, lm, c = mod.base, mm.carrier_monoidal, mod.carrier
-    ca = a_cat.base
-    try:
-        for k in {id(ca): ca, id(c): c}.values():
-            if not check_category(k).ok:
-                return False
-        checked = set()
-        for fun, x, y in ((a_cat.tensor, ca, ca), (mod.act, ca, c), (lm.tensor, c, c)):
-            if not (fun.target == y and _is_product(fun.source, x, y)):
-                return False
-            if id(fun) not in checked:
-                checked.add(id(fun))
-                if not check_functor(fun).ok:
-                    return False
-    except StructureError:
-        return False
-    return True
-
-
-def _thin_coherent(mm: MonoidalModuleCells) -> bool:
-    """Whether a thin carrier decides the interchange-naturality, hexagon
-    and oplax-associator sections, given ``_functorial(mm)`` and a typed
-    interchange.
-
-    It checks that the carrier is thin and that every other cell those
-    sections read is in range and typed: the carrier associator
-    (xy)z -> x(yz), the module associator (ab).x -> a.(b.x), and the base
-    associator and base braiding, these two also invertible. A negative
-    index would pass a bare typing read, as Python reads it from the end;
-    the interchange typing (``monoidal._expect``) reports one. A base
-    mid-swap (a1a2)(b1b2) -> (a1b1)(a2b2) composes base associator cells,
-    their inverses and the inverse of a braiding cell, tensored with
-    identities; the base tensor being a functor, each mid-swap is then
-    defined and typed. So both routes of every square of those sections are
-    composites of typed morphisms, defined and parallel, and they are
-    equal. Any exception while reading the cells means False: the sections
-    then enumerate, and raise what they raise.
-    """
-    mod = mm.module
-    a_cat, lm, c = mod.base, mm.carrier_monoidal, mod.carrier
-    ca = a_cat.base
-    if not c.thin:
-        return False
-    objs_a, objs_x = ca.objects(), c.objects()
-    t, act, lt = a_cat.t_obj, mod.a_obj, lm.t_obj
-
-    def typed(k: FinCategory, f: int, dom: int, cod: int) -> bool:
-        return 0 <= f < k.n_morphisms and k.dom[f] == dom and k.cod[f] == cod
-
-    def iso(f: int, dom: int, cod: int) -> bool:
-        return typed(ca, f, dom, cod) and find_inverse(ca, f) is not None
-
-    try:
-        return (
-            all(
-                typed(c, lm.associator[(x, y, z)], lt(lt(x, y), z), lt(x, lt(y, z)))
-                for x, y, z in itertools.product(objs_x, repeat=3)
-            )
-            and all(
-                typed(c, mod.oplax_assoc[(a, b, x)], act(t(a, b), x), act(a, act(b, x)))
-                for a, b, x in itertools.product(objs_a, objs_a, objs_x)
-            )
-            and all(
-                iso(a_cat.associator[(a, b, d)], t(t(a, b), d), t(a, t(b, d)))
-                for a, b, d in itertools.product(objs_a, repeat=3)
-            )
-            and all(
-                iso(mm.base_braiding.braiding[(a, b)], t(a, b), t(b, a))
-                for a, b in itertools.product(objs_a, repeat=2)
-            )
-        )
-    except Exception:  # an unreadable cell leaves the decision to the sections
-        return False
 
 
 def monoidal_self_module(b: BraidedStructure) -> MonoidalModuleCells:

@@ -29,6 +29,7 @@ from ecat.monoidal import (
     LaxMonoidalNat,
     MonoidalCategory,
     _expect,
+    _is_monoidal,
     check_lax_monoidal_functor,
     check_lax_monoidal_nat,
     compose_lax,
@@ -88,8 +89,8 @@ def check_enriched(e: EnrichedCategory) -> ValidationReport:
             report, "enriched-composition-typing", (x, y, z), c, f,
             m.t_obj(e.hom(y, z), e.hom(x, y)), e.hom(x, z),
         )
-    if not typed:
-        return report
+    if not typed or (c.thin and _is_monoidal(m)):
+        return report  # on a thin base the laws below equate parallel morphisms
 
     for w, x, y, z in itertools.product(objs, repeat=4):
         lhs = c.comp(e.c(w, x, z), m.t_mor(e.c(x, y, z), c.identity[e.hom(w, x)]))

@@ -6,12 +6,14 @@ base tensor. Coherence data (associator, unitors, braiding) are enriched
 natural transformations whose backgrounds are the base coherence cells.
 Every law is validated square by square, with two exceptions in
 ``check_enriched_monoidal``. When the base is a valid braided monoidal
-category, the pinned tensor background is a strong monoidal functor by
-Joyal–Street, so its lax laws are not checked again. When, in addition, the
-host is a valid enriched category and the base is thin, every diagram whose
-cells are typed commutes (Lawvere 1973; Kelly 1982 §1): the tensor's
-composition law and the associator's naturality then follow from typing,
-so no square of either is read and the associator nat is not even built.
+category (``monoidal._is_monoidal`` and ``check_braided``), the pinned
+tensor background is a strong monoidal functor by Joyal–Street, so its lax
+laws are not checked again. When, in addition, the host is a valid enriched
+category and the base is thin, the one rule of ``FinCategory.thin``
+applies: the tensor's composition law and the associator's naturality
+follow from typing, so no square of either is read and the associator nat
+is not even built. The host, base and underlying checks apply the same
+rule on their own.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from dataclasses import dataclass
 from ecat.core import (
     Functor,
     NatTransf,
-    _is_product,
     _search,
-    check_category,
     product_category,
 )
 from ecat.monoidal import (
@@ -35,6 +35,7 @@ from ecat.monoidal import (
     LaxMonoidalNat,
     MonoidalCategory,
     _expect,
+    _is_monoidal,
     anti_braiding,
     braided_tensor_lax_structure,
     check_braided,
@@ -244,34 +245,6 @@ def underlying_monoidal(
     return MonoidalCategory(u.cat, tensor, em.unit_obj, assoc, lun, run)
 
 
-def _tensor_background_is_strong(m: MonoidalCategory) -> bool:
-    """Whether m is a monoidal category on a category, with its tensor a
-    functor from the tables of ``product_category(m.base, m.base)`` into
-    ``m.base``.
-
-    Given a braiding that passes ``check_braided``, this makes m a braided
-    monoidal category, so the tensor with its braiding-induced cells
-    (``braided_tensor_lax_structure``) is a strong monoidal functor
-    (Joyal–Street, Braided tensor categories, 1993, §5) and
-    ``check_lax_monoidal_functor`` reports nothing on it. False when a
-    condition fails or raises. The verdict depends on m's tables alone, so
-    it is decided once per instance and kept in ``m._verdicts``.
-    """
-    verdicts = m._verdicts
-    if "strong-tensor" not in verdicts:
-        c = m.base
-        try:
-            verdicts["strong-tensor"] = (
-                m.tensor.target == c
-                and _is_product(m.tensor.source, c, c)
-                and check_category(c).ok
-                and check_monoidal(m).ok
-            )
-        except Exception:
-            verdicts["strong-tensor"] = False
-    return verdicts["strong-tensor"]
-
-
 def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
     """Every failing instance of the enriched-monoidal laws of em, in a
     fixed order.
@@ -286,9 +259,10 @@ def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
     category is monoidal (``underlying:``). A wrong shape or a mistyped
     tensor component or coherence element ends the check there.
 
-    When the braiding passes, the background is the pinned one and
-    ``_tensor_background_is_strong`` holds, the base is a braided monoidal
-    category and the background a strong monoidal functor (Joyal–Street),
+    When the braiding passes, the background is the pinned one and the
+    base passes ``monoidal._is_monoidal``, the base is a braided monoidal
+    category and the background, with its braiding-induced cells, a strong
+    monoidal functor (Joyal–Street, Braided tensor categories, 1993, §5),
     so only the enriched-functor laws of the tensor are checked. Otherwise
     the tensor goes through ``check_enriched_functor`` in full, which also
     reports ``tensor:`` lax-functor violations of a broken base.
@@ -327,7 +301,7 @@ def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
     if em.tensor.source != cartesian_product_enriched(e, e) or em.tensor.target != e:
         report.add("tensor-shape", ())
         return report
-    shortcut = braided and pinned and _tensor_background_is_strong(m)
+    shortcut = braided and pinned and _is_monoidal(m)
     thin = shortcut and report.ok and c.thin
     if shortcut:
         tensor_report = ValidationReport("enriched functor")

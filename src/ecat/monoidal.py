@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from ecat.core import (
     FinCategory,
@@ -19,7 +18,9 @@ from ecat.core import (
     NatTransf,
     ProductMapping,
     ProductSequence,
+    _is_product,
     _search,
+    check_category,
     check_functor,
     check_nat_transf,
     identity_functor,
@@ -34,11 +35,12 @@ from ecat.report import Budget, StructureError, ValidationReport
 class MonoidalCategory:
     """A monoidal category on a finite category, by its tables.
 
-    Verdicts that a checker decides from the tables alone are kept in
-    ``_verdicts`` on first use, once per instance, as ``FinCategory`` keeps
-    ``thin``: it is not a dataclass field, so equality, hashing and
-    ``dataclasses.replace`` ignore it, and a replaced copy decides afresh.
-    It relies on the tables not being mutated after construction.
+    Verdicts that a checker decides from the tables alone
+    (``_is_monoidal``) are kept in ``_verdicts`` on first use, once per
+    instance. It is a field outside ``__init__``, equality, hashing and
+    ``repr``, so a ``dataclasses.replace`` copy starts with an empty dict
+    and decides afresh. It relies on the tables not being mutated after
+    construction.
     """
 
     base: FinCategory
@@ -47,6 +49,7 @@ class MonoidalCategory:
     associator: Mapping  # (a,b,c) -> morphism (a@b)@c -> a@(b@c)
     left_unitor: Sequence[int]  # unit@a -> a
     right_unitor: Sequence[int]  # a@unit -> a
+    _verdicts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def t_obj(self, a: int, b: int) -> int:
         return self.tensor.obj_map[a * self.base.n_objects + b]
@@ -62,10 +65,6 @@ class MonoidalCategory:
 
     def r(self, x: int) -> int:
         return self.right_unitor[x]
-
-    @cached_property
-    def _verdicts(self) -> dict:
-        return {}
 
 
 def find_inverse(c: FinCategory, f: int) -> int | None:
@@ -137,6 +136,8 @@ def check_monoidal(m: MonoidalCategory) -> ValidationReport:
             report.add("unitor-iso", ("l", x))
         if find_inverse(c, m.r(x)) is None:
             report.add("unitor-iso", ("r", x))
+    if c.thin and _out_of_product(m.tensor, c, c):
+        return report  # the laws below equate parallel morphisms
 
     # naturality
     for f, g, h in itertools.product(c.morphisms(), repeat=3):
@@ -171,6 +172,39 @@ def check_monoidal(m: MonoidalCategory) -> ValidationReport:
         if lhs != rhs:
             report.add("triangle", (x, y))
     return report
+
+
+def _out_of_product(fun: Functor, x: FinCategory, y: FinCategory) -> bool:
+    """Whether fun maps out of the tables of ``product_category(x, y)``
+    into y, and y passes ``check_category``; False when a check raises."""
+    try:
+        return fun.target == y and _is_product(fun.source, x, y) and check_category(y).ok
+    except Exception:
+        return False
+
+
+def _is_monoidal(m: MonoidalCategory) -> bool:
+    """Whether m passes ``check_monoidal`` with its tensor out of
+    ``product_category(m.base, m.base)`` into ``m.base``, a category;
+    False when a check raises.
+
+    This is the precondition of every thin gate: on a thin category any two
+    parallel morphisms are equal (Lawvere 1973; Kelly 1982 §1), so a
+    coherence law built on m commutes once its cells are typed, and a
+    monoidal m makes every composite of its tensor and coherence cells
+    defined and typed, with invertible associators and unitors. The
+    verdict depends on m's tables alone, so it is decided once per
+    instance and kept in ``m._verdicts``.
+    """
+    verdicts = m._verdicts
+    if "monoidal" not in verdicts:
+        try:
+            verdicts["monoidal"] = (
+                _out_of_product(m.tensor, m.base, m.base) and check_monoidal(m).ok
+            )
+        except Exception:
+            verdicts["monoidal"] = False
+    return verdicts["monoidal"]
 
 
 def strict_monoidal(
@@ -231,9 +265,17 @@ def reversed_monoidal(m: MonoidalCategory) -> MonoidalCategory:
 
 @dataclass(frozen=True, eq=True)
 class BraidedStructure:
+    """A braiding on a monoidal category.
+
+    ``braided_tensor_lax_structure`` keeps its result in ``_built``, once
+    per instance, a field kept as ``MonoidalCategory._verdicts`` is, so a
+    ``dataclasses.replace`` copy builds afresh.
+    """
+
     host: MonoidalCategory
     braiding: dict  # (a,b) -> morphism a@b -> b@a
     symmetric_flag: bool = False
+    _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def c(self, a: int, b: int) -> int:
         return self.braiding[(a, b)]
@@ -265,6 +307,8 @@ def check_braided(b: BraidedStructure) -> ValidationReport:
     for x, y in itertools.product(objs, repeat=2):
         if find_inverse(c, b.c(x, y)) is None:
             report.add("braiding-iso", (x, y))
+    if c.thin and _is_monoidal(m):
+        return report  # the laws below equate parallel morphisms
     for f, g in itertools.product(c.morphisms(), repeat=2):
         x, y = c.dom[f], c.dom[g]
         xp, yp = c.cod[f], c.cod[g]
@@ -594,7 +638,14 @@ def mid_swap(m: MonoidalCategory, a1: int, a2: int, b1: int, b2: int, swap) -> i
 
 
 def braided_tensor_lax_structure(b: BraidedStructure) -> LaxMonoidalFunctor:
-    """The tensor functor A x A -> A with the braiding-induced lax cells."""
+    """The tensor functor A x A -> A with the braiding-induced lax cells,
+    built once per instance of b."""
+    if "tensor" not in b._built:
+        b._built["tensor"] = _braided_tensor_lax_structure(b)
+    return b._built["tensor"]
+
+
+def _braided_tensor_lax_structure(b: BraidedStructure) -> LaxMonoidalFunctor:
     m = b.host
     prod = product_monoidal(m, m)
     n = m.base.n_objects

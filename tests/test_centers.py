@@ -59,6 +59,7 @@ from helpers import (
     identity_braiding,
     lattice2_monoidal,
     lattice4_self_enriched,
+    lattice8_self_enriched,
     preorder_enriched_monoidal,
     thin_enriched,
     trivial_base_enriched,
@@ -120,11 +121,18 @@ def test_e0_chain2_named_bracket_values():
 
 
 def test_e0_category_passes_validators():
-    builds = (chain2_enriched, z2_enriched, trivial_base_enriched, lattice4_self_enriched)
+    # lattice-8 takes about 9 s (2-vCPU x86): the thin gates leave the
+    # functor check of the underlying tensor and the typing of its 27^4 cells
+    builds = (
+        chain2_enriched, z2_enriched, trivial_base_enriched, lattice4_self_enriched,
+        lattice8_self_enriched,
+    )
+    sizes = []
     for build in builds:
         res = e0_center(build(), CAP)
         assert check_enriched_monoidal(res.category).ok
-    assert res.category.host.n_objects == 9  # the lattice-4 E0 center
+        sizes.append(res.category.host.n_objects)
+    assert sizes[-2:] == [9, 27]  # the lattice-4 and lattice-8 E0 centers
 
 
 def test_e0_hom_elements_count_natural_transformations():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ecat.actions import (
     ModuleAction,
     MonoidalModuleCells,
+    check_module,
     check_monoidal_module,
     internal_hom,
     monoidal_self_module,
@@ -35,6 +36,8 @@ from ecat.core import (
 )
 from ecat.monoidal import (
     BraidedStructure,
+    _out_of_product,
+    check_braided,
     drinfeld_center_z1,
     enumerate_half_braidings,
     find_inverse,
@@ -44,6 +47,7 @@ from ecat.monoidal import (
 from ecat.report import BudgetExceeded, StructureError
 
 from helpers import (
+    chain2,
     chain3_monoidal,
     exhaustive_check_monoidal_module,
     identity_braiding,
@@ -56,6 +60,7 @@ from helpers import (
     semion_braiding,
     semion_monoidal,
     sign_monoidal,
+    thin_monoidal,
     z2_discrete_monoidal,
 )
 
@@ -559,6 +564,19 @@ def test_thin_rule_needs_invertible_base_cells(table):
     assert got == (StructureError, "morphism 1 is not invertible")
 
 
+def test_thin_rule_needs_the_braiding_on_the_base():
+    # The identity braiding of chain-2 with join as tensor passes its own
+    # check, but its cells are mistyped for the meet tensor the module acts
+    # by, so the mid-swaps of the oplax section do not compose.
+    cells = SELF_CELLS["lattice2"]
+    join = identity_braiding(thin_monoidal(chain2(), max, 0))
+    assert check_braided(join).ok
+    mutated = dataclasses.replace(cells, base_braiding=join)
+    got = _outcome(check_monoidal_module, mutated)
+    assert got == _outcome(exhaustive_check_monoidal_module, mutated)
+    assert got[0] is StructureError and got[1].startswith("compose undefined")
+
+
 def test_thin_rule_composes_nothing_in_the_sections_it_decides():
     cells = SELF_CELLS["lattice4"]
     mod = cells.module
@@ -566,15 +584,22 @@ def test_thin_rule_composes_nothing_in_the_sections_it_decides():
     na, nx = mod.base.base.n_objects, c.n_objects
     compose = _CountingCompose(c.compose)
     counted = dataclasses.replace(c, compose=compose)
-    check_category(counted)
-    category_reads = compose.reads
-    compose.reads = 0
     copy = dataclasses.replace(cells, module=dataclasses.replace(mod, carrier=counted))
+    # a first check fills the inverse memo and the kept verdicts; what the
+    # precondition still reads on the carrier is the action's product check
+    # and check_module, each typing the composites once in check_category
     assert check_monoidal_module(copy).ok
-    # Beyond check_category, only the unit sections compose: two squares of
-    # two compositions per (a, x), one of two per (x, y), and three for the
-    # unit cell. The hexagon alone would read 2 * 2 * 4^6 = 16,384.
-    assert compose.reads - category_reads == 4 * na * nx + 2 * nx**2 + 3
+    compose.reads = 0
+    assert _out_of_product(copy.module.act, mod.base.base, counted)
+    assert check_module(copy.module).ok
+    precondition_reads = compose.reads
+    assert precondition_reads == 2 * len(c.compose)
+    compose.reads = 0
+    assert check_monoidal_module(copy).ok
+    # Beyond the precondition, only the unit sections compose: two squares
+    # of two compositions per (a, x), one of two per (x, y), and three for
+    # the unit cell. The hexagon alone would read 2 * 2 * 4^6 = 16,384.
+    assert compose.reads - precondition_reads == 4 * na * nx + 2 * nx**2 + 3
 
 
 @settings(deadline=None, max_examples=25)

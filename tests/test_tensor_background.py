@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import ecat.enriched
 import ecat.enriched_monoidal
+import ecat.monoidal
 from ecat.actions import monoidal_self_module
 from ecat.canonical import canonical_monoidal
 from ecat.centers import e0_center
@@ -26,7 +27,6 @@ from ecat.enriched import (
 )
 from ecat.enriched_monoidal import (
     EnrichedBraidedCategory,
-    _tensor_background_is_strong,
     braiding_nat,
     check_enriched_monoidal,
     check_enriched_monoidal_functor,
@@ -39,6 +39,7 @@ from ecat.monoidal import (
     BraidedStructure,
     LaxMonoidalFunctor,
     MonoidalCategory,
+    _is_monoidal,
     braided_tensor_lax_structure,
     check_braided,
     check_lax_monoidal_nat,
@@ -569,28 +570,60 @@ def test_check_enriched_monoidal_does_not_recheck_the_tensor_background(name, mo
 
 def test_the_base_verdict_is_decided_once_per_monoidal_category(monkeypatch):
     calls = []
-    check = ecat.enriched_monoidal.check_monoidal
+    check = ecat.monoidal.check_monoidal
 
     def counting(m):
         calls.append(m)
         return check(m)
 
-    monkeypatch.setattr(ecat.enriched_monoidal, "check_monoidal", counting)
+    # the binding _is_monoidal calls; the underlying monoidal category, built
+    # afresh on every check, goes through ecat.enriched_monoidal's binding
+    monkeypatch.setattr(ecat.monoidal, "check_monoidal", counting)
     em = _canonical(lattice4_monoidal)
     m = em.host.base
     for _ in range(3):
         assert check_enriched_monoidal(em).ok
-    # the other calls check the underlying monoidal category, built afresh
-    # on every check
-    assert [x for x in calls if x is m] == [m]
+    assert calls == [m] and calls[0] is m
     del calls[:]
-    assert _tensor_background_is_strong(m) and calls == []
+    assert _is_monoidal(m) and calls == []
     copy = dataclasses.replace(m)
-    assert copy == m and _tensor_background_is_strong(copy)
+    assert copy == m and _is_monoidal(copy)
     assert len(calls) == 1 and calls[0] is copy
     broken = _with_entry(em, "base-left-unitor", 0, 1).host.base
-    assert not _tensor_background_is_strong(broken)
-    assert _tensor_background_is_strong(m)
+    assert not _is_monoidal(broken)
+    assert _is_monoidal(m)
+
+
+def test_kept_verdicts_are_a_field_that_replace_starts_empty():
+    m = lattice4_monoidal()
+    # set in __init__, so a verdict written later adds no instance attribute
+    assert vars(m)["_verdicts"] == {}
+    assert _is_monoidal(m) and m._verdicts == {"monoidal": True}
+    copy = dataclasses.replace(m)
+    assert copy == m and copy._verdicts == {}
+    (f,) = [f for f in dataclasses.fields(MonoidalCategory) if f.name == "_verdicts"]
+    assert not (f.init or f.compare or f.repr)
+    assert "_verdicts" not in repr(m)
+
+
+def test_the_pinned_background_is_built_once_per_braided_structure(monkeypatch):
+    builds = []
+    build = ecat.monoidal._braided_tensor_lax_structure
+
+    def counting(b):
+        builds.append(b)
+        return build(b)
+
+    em = _canonical(lattice4_monoidal)
+    # a copy of the braiding has built nothing yet
+    em = dataclasses.replace(em, braiding=dataclasses.replace(em.braiding))
+    monkeypatch.setattr(ecat.monoidal, "_braided_tensor_lax_structure", counting)
+    for _ in range(3):
+        assert check_enriched_monoidal(em).ok
+    assert builds == [em.braiding] and builds[0] is em.braiding
+    copy = dataclasses.replace(em.braiding)
+    assert braided_tensor_lax_structure(copy) == em.tensor.background
+    assert len(builds) == 2 and builds[1] is copy
 
 
 # --- readers of lazy composite mult cells behave as on the eager build ---

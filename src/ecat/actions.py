@@ -3,6 +3,11 @@
 Actions are oplax by default: the structure maps (a@b).x -> a.(b.x) and
 1.x -> x need not be invertible. Internal homs are found by exhaustive
 search for a terminal evaluation pair.
+
+A 1-cell between actions is an r-lax functor (``RLaxStructure``) along a
+lax monoidal functor r between the bases. A lax module functor between
+two actions of one base is the case r = ``identity_lax``, so one type, one
+checker (``check_rlax``) and one search (``_rlax_search``) serve both.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from ecat.core import (
     FinCategory,
     Functor,
     NatTransf,
+    _functor_search,
+    _search,
     check_functor,
     check_nat_transf,
     compose_functors,
@@ -32,6 +39,7 @@ from ecat.monoidal import (
     check_braided,
     check_lax_monoidal_functor,
     check_lax_monoidal_nat,
+    compose_lax,
     find_inverse,
     identity_lax,
     inv,
@@ -170,114 +178,11 @@ def terminal_module(m: MonoidalCategory) -> ModuleAction:
 
 
 @dataclass(frozen=True, eq=True)
-class ModuleFunctor:
-    """A lax module functor between two actions of the same base."""
-
-    source: ModuleAction
-    target: ModuleAction
-    functor: Functor
-    cells: dict  # (a,x) -> a.F(x) -> F(a.x)
-
-    def on_obj(self, x: int) -> int:
-        return self.functor.obj_map[x]
-
-    def on_mor(self, p: int) -> int:
-        return self.functor.mor_map[p]
-
-    def cell(self, a: int, x: int) -> int:
-        return self.cells[(a, x)]
-
-
-def check_module_functor(mf: ModuleFunctor) -> ValidationReport:
-    report = ValidationReport("module functor")
-    report.extend(check_functor(mf.functor))
-    if mf.source.base is not mf.target.base and mf.source.base != mf.target.base:
-        raise StructureError("module functor needs a shared base")
-    if not report.ok:
-        return report
-    a_cat = mf.source.base
-    cl, cm = mf.source.carrier, mf.target.carrier
-    typed = True
-    for a, x in itertools.product(a_cat.base.objects(), cl.objects()):
-        f = mf.cells.get((a, x))
-        if f is None:
-            raise StructureError(f"module functor cell missing at {(a, x)}")
-        typed &= _expect(
-            report, "module-functor-typing", (a, x), cm, f,
-            mf.target.a_obj(a, mf.on_obj(x)), mf.on_obj(mf.source.a_obj(a, x)),
-        )
-    if not typed:
-        return report
-    for f in a_cat.base.morphisms():
-        for p in cl.morphisms():
-            a, x = a_cat.base.dom[f], cl.dom[p]
-            ap, xp = a_cat.base.cod[f], cl.cod[p]
-            lhs = cm.comp(mf.cell(ap, xp), mf.target.a_mor(f, mf.on_mor(p)))
-            rhs = cm.comp(mf.on_mor(mf.source.a_mor(f, p)), mf.cell(a, x))
-            if lhs != rhs:
-                report.add("module-functor-naturality", (f, p))
-    for a, b, x in itertools.product(
-        a_cat.base.objects(), a_cat.base.objects(), cl.objects()
-    ):
-        lhs = cm.comp_many(
-            mf.cell(a, mf.source.a_obj(b, x)),
-            mf.target.a_mor(a_cat.base.identity[a], mf.cell(b, x)),
-            mf.target.o(a, b, mf.on_obj(x)),
-        )
-        rhs = cm.comp(mf.on_mor(mf.source.o(a, b, x)), mf.cell(a_cat.t_obj(a, b), x))
-        if lhs != rhs:
-            report.add("module-functor-associativity", (a, b, x))
-    for x in cl.objects():
-        lhs = cm.comp(mf.on_mor(mf.source.u(x)), mf.cell(a_cat.unit, x))
-        if lhs != mf.target.u(mf.on_obj(x)):
-            report.add("module-functor-unit", (x,))
-    return report
-
-
-def identity_module_functor(mod: ModuleAction) -> ModuleFunctor:
-    cells = {
-        (a, x): mod.carrier.identity[mod.a_obj(a, x)]
-        for a in mod.base.base.objects()
-        for x in mod.carrier.objects()
-    }
-    return ModuleFunctor(mod, mod, identity_functor(mod.carrier), cells)
-
-
-def compose_module_functors(g: ModuleFunctor, f: ModuleFunctor) -> ModuleFunctor:
-    cm = g.target.carrier
-    cells = {}
-    for a in f.source.base.base.objects():
-        for x in f.source.carrier.objects():
-            cells[(a, x)] = cm.comp(
-                g.on_mor(f.cell(a, x)), g.cell(a, f.on_obj(x))
-            )
-    return ModuleFunctor(
-        f.source, g.target, compose_functors(g.functor, f.functor), cells
-    )
-
-
-def check_module_nat(
-    f: ModuleFunctor, g: ModuleFunctor, nat: NatTransf
-) -> ValidationReport:
-    report = ValidationReport("module natural transformation")
-    report.extend(check_nat_transf(nat))
-    if not report.ok:
-        return report
-    a_cat = f.source.base
-    cm = f.target.carrier
-    for a, x in itertools.product(a_cat.base.objects(), f.source.carrier.objects()):
-        lhs = cm.comp(g.cell(a, x), f.target.a_mor(a_cat.base.identity[a], nat.components[x]))
-        rhs = cm.comp(nat.components[f.source.a_obj(a, x)], f.cell(a, x))
-        if lhs != rhs:
-            report.add("module-nat", (a, x))
-    return report
-
-
-@dataclass(frozen=True, eq=True)
 class RLaxStructure:
     """A functor F between carriers of actions over different bases,
     with comparison cells beta_{a,x}: R(a).F(x) -> F(a.x) along a
-    lax monoidal functor R between the bases."""
+    lax monoidal functor R between the bases. Along ``identity_lax`` of a
+    shared base it is a lax module functor."""
 
     r: LaxMonoidalFunctor  # bases: source of source-module -> base of target
     source: ModuleAction
@@ -300,60 +205,135 @@ def check_rlax(rl: RLaxStructure) -> ValidationReport:
     report.extend(check_functor(rl.functor))
     if not report.ok:
         return report
-    a_cat = rl.source.base
-    cm = rl.target.carrier
+    src, tgt = rl.source, rl.target
+    a_cat = src.base
+    cl, cm = src.carrier, tgt.carrier
     r = rl.r
+    r_obj, r_mor = r.functor.obj_map, r.functor.mor_map
+    f_obj, f_mor = rl.functor.obj_map, rl.functor.mor_map
+    objs_a = list(a_cat.base.objects())
     typed = True
-    for a, x in itertools.product(a_cat.base.objects(), rl.source.carrier.objects()):
+    for a, x in itertools.product(objs_a, cl.objects()):
         f = rl.beta.get((a, x))
         if f is None:
             raise StructureError(f"r-lax cell missing at {(a, x)}")
         typed &= _expect(
             report, "rlax-typing", (a, x), cm, f,
-            rl.target.a_obj(r.on_obj(a), rl.on_obj(x)),
-            rl.on_obj(rl.source.a_obj(a, x)),
+            tgt.a_obj(r_obj[a], f_obj[x]), f_obj[src.a_obj(a, x)],
         )
     if not typed:
         return report
+    beta = rl.beta
     for f in a_cat.base.morphisms():
-        for p in rl.source.carrier.morphisms():
-            a, x = a_cat.base.dom[f], rl.source.carrier.dom[p]
-            ap, xp = a_cat.base.cod[f], rl.source.carrier.cod[p]
-            lhs = cm.comp(rl.b(ap, xp), rl.target.a_mor(r.on_mor(f), rl.on_mor(p)))
-            rhs = cm.comp(rl.on_mor(rl.source.a_mor(f, p)), rl.b(a, x))
+        a, ap, rf = a_cat.base.dom[f], a_cat.base.cod[f], r_mor[f]
+        for p in cl.morphisms():
+            x, xp = cl.dom[p], cl.cod[p]
+            lhs = cm.comp(beta[(ap, xp)], tgt.a_mor(rf, f_mor[p]))
+            rhs = cm.comp(f_mor[src.a_mor(f, p)], beta[(a, x)])
             if lhs != rhs:
                 report.add("rlax-naturality", (f, p))
-    for a, b, x in itertools.product(
-        a_cat.base.objects(), a_cat.base.objects(), rl.source.carrier.objects()
-    ):
+    for a in objs_a:
+        ra = r_obj[a]
+        id_ra = r.target.base.identity[ra]
+        for b, x in itertools.product(objs_a, cl.objects()):
+            fx = f_obj[x]
+            lhs = cm.comp_many(
+                beta[(a, src.a_obj(b, x))],
+                tgt.a_mor(id_ra, beta[(b, x)]),
+                tgt.o(ra, r_obj[b], fx),
+            )
+            rhs = cm.comp_many(
+                f_mor[src.o(a, b, x)],
+                beta[(a_cat.t_obj(a, b), x)],
+                tgt.a_mor(r.m2(a, b), cm.identity[fx]),
+            )
+            if lhs != rhs:
+                report.add("rlax-associativity", (a, b, x))
+    for x in cl.objects():
+        fx = f_obj[x]
         lhs = cm.comp_many(
-            rl.b(a, rl.source.a_obj(b, x)),
-            rl.target.a_mor(r.target.base.identity[r.on_obj(a)], rl.b(b, x)),
-            rl.target.o(r.on_obj(a), r.on_obj(b), rl.on_obj(x)),
+            f_mor[src.u(x)],
+            beta[(a_cat.unit, x)],
+            tgt.a_mor(r.unit_cell, cm.identity[fx]),
         )
-        rhs = cm.comp_many(
-            rl.on_mor(rl.source.o(a, b, x)),
-            rl.b(a_cat.t_obj(a, b), x),
-            rl.target.a_mor(r.m2(a, b), cm.identity[rl.on_obj(x)]),
-        )
-        if lhs != rhs:
-            report.add("rlax-associativity", (a, b, x))
-    for x in rl.source.carrier.objects():
-        lhs = cm.comp_many(
-            rl.on_mor(rl.source.u(x)),
-            rl.b(a_cat.unit, x),
-            rl.target.a_mor(r.unit_cell, cm.identity[rl.on_obj(x)]),
-        )
-        if lhs != rl.target.u(rl.on_obj(x)):
+        if lhs != tgt.u(fx):
             report.add("rlax-unit", (x,))
     return report
 
 
-def rlax_from_module_functor(mf: ModuleFunctor) -> RLaxStructure:
-    """A lax module functor is an R-lax functor along the identity."""
+def identity_rlax(mod: ModuleAction) -> RLaxStructure:
+    """The identity functor of the carrier as a lax module functor."""
+    beta = {
+        (a, x): mod.carrier.identity[mod.a_obj(a, x)]
+        for a in mod.base.base.objects()
+        for x in mod.carrier.objects()
+    }
     return RLaxStructure(
-        identity_lax(mf.source.base), mf.source, mf.target, mf.functor, dict(mf.cells)
+        identity_lax(mod.base), mod, mod, identity_functor(mod.carrier), beta
     )
+
+
+def compose_rlax(g: RLaxStructure, f: RLaxStructure) -> RLaxStructure:
+    """The composite r-lax functor along the composite of the backgrounds."""
+    comp, g_mor, g_beta, f_beta = g.target.carrier.comp, g.functor.mor_map, g.beta, f.beta
+    r_obj, f_obj = f.r.functor.obj_map, f.functor.obj_map
+    beta = {
+        (a, x): comp(g_mor[f_beta[(a, x)]], g_beta[(r_obj[a], f_obj[x])])
+        for a in f.source.base.base.objects()
+        for x in f.source.carrier.objects()
+    }
+    return RLaxStructure(
+        compose_lax(g.r, f.r),
+        f.source,
+        g.target,
+        compose_functors(g.functor, f.functor),
+        beta,
+    )
+
+
+def _rlax_search(
+    r: LaxMonoidalFunctor, src: ModuleAction, tgt: ModuleAction, budget: Budget
+) -> list:
+    """All r-lax functors along r from src to tgt.
+
+    The first variable is the underlying functor, the rest are the cells
+    at the pairs (a, x) in order; each candidate goes through
+    ``check_rlax``."""
+    cl, cm = src.carrier, tgt.carrier
+    functors = list(_functor_search(cl, cm, budget))
+    keys = [(a, x) for a in src.base.base.objects() for x in cl.objects()]
+    r_obj = r.functor.obj_map
+
+    def domain(i, v):
+        if i == 0:
+            return functors
+        (a, x), f = keys[i - 1], v[0]
+        return cm.hom(tgt.a_obj(r_obj[a], f.obj_map[x]), f.obj_map[src.a_obj(a, x)])
+
+    rls = (
+        RLaxStructure(r, src, tgt, v[0], dict(zip(keys, v[1:])))
+        for v in _search(len(keys) + 1, domain, (), budget)
+    )
+    return [rl for rl in rls if check_rlax(rl).ok]
+
+
+def check_module_nat(
+    f: RLaxStructure, g: RLaxStructure, nat: NatTransf
+) -> ValidationReport:
+    """The square of ``check_xilax_nat`` between two lax module functors
+    at the identity monoidal nat, which is not checked again here."""
+    report = ValidationReport("module natural transformation")
+    report.extend(check_nat_transf(nat))
+    if not report.ok:
+        return report
+    a_cat = f.source.base
+    cm = f.target.carrier
+    for a, x in itertools.product(a_cat.base.objects(), f.source.carrier.objects()):
+        lhs = cm.comp(g.b(a, x), f.target.a_mor(a_cat.base.identity[a], nat.components[x]))
+        rhs = cm.comp(nat.components[f.source.a_obj(a, x)], f.b(a, x))
+        if lhs != rhs:
+            report.add("module-nat", (a, x))
+    return report
 
 
 def check_xilax_nat(

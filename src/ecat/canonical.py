@@ -7,6 +7,12 @@ defining evaluation diagrams. The rest of the module implements the
 correspondences between r-lax data on the module side and enriched
 functors and naturals on the enriched side, plus the monoidal and braided
 upgrades of the construction.
+
+Under the construction, r-lax functors along a background r correspond to
+enriched functors along r (``verify_canonical_2functor``). Both sides are
+enumerated by the one search of their level, ``actions._rlax_search`` and
+``enriched._enriched_functor_search``, which the identity-background
+searches of ``centers`` share.
 """
 
 from __future__ import annotations
@@ -17,9 +23,6 @@ from dataclasses import dataclass
 from ecat.core import (
     Functor,
     NatTransf,
-    _functor_search,
-    _search,
-    compose_functors,
     product_category,
 )
 from ecat.actions import (
@@ -27,18 +30,18 @@ from ecat.actions import (
     ModuleAction,
     MonoidalModuleCells,
     RLaxStructure,
-    check_rlax,
-    identity_module_functor,
+    _rlax_search,
+    compose_rlax,
+    identity_rlax,
     internal_hom,
-    rlax_from_module_functor,
 )
 from ecat.enriched import (
     EnrichedCategory,
     EnrichedFunctor,
     EnrichedNat,
     _computed,
+    _enriched_functor_search,
     cartesian_product_enriched,
-    check_enriched_functor,
     compose_enriched_functors,
     identity_enriched_functor,
     underlying_category,
@@ -53,7 +56,7 @@ from ecat.monoidal import (
     LaxMonoidalNat,
     MonoidalCategory,
     braided_tensor_lax_structure,
-    compose_lax,
+    check_lax_monoidal_functor,
     find_inverse,
 )
 from ecat.report import Budget, StructureError, ValidationReport
@@ -209,28 +212,6 @@ def enriched_functor_from_rlax(
             coev(tgt, b, fx),
         )
     return EnrichedFunctor(r, src.enriched, tgt.enriched, rl.functor.obj_map, comps)
-
-
-def identity_rlax(can: CanonicalCategory) -> RLaxStructure:
-    return rlax_from_module_functor(identity_module_functor(can.module))
-
-
-def compose_rlax(g: RLaxStructure, f: RLaxStructure) -> RLaxStructure:
-    """The composite r-lax functor along the composite of the backgrounds."""
-    cm = g.target.carrier
-    beta = {}
-    for a in f.source.base.base.objects():
-        for x in f.source.carrier.objects():
-            beta[(a, x)] = cm.comp(
-                g.on_mor(f.b(a, x)), g.b(f.r.on_obj(a), f.on_obj(x))
-            )
-    return RLaxStructure(
-        compose_lax(g.r, f.r),
-        f.source,
-        g.target,
-        compose_functors(g.functor, f.functor),
-        beta,
-    )
 
 
 # --- the 2-cell correspondence ---
@@ -428,29 +409,8 @@ def enumerate_rlax(
     tgt: CanonicalCategory,
     cap: int | None = None,
 ) -> list:
-    """All r-lax functors along r between the modules, by brute force.
-
-    The first variable is the underlying functor, the rest are the cells
-    at the pairs (a, x) in order."""
-    budget = Budget(cap, "r-lax enumeration")
-    cl, cm = src.module.carrier, tgt.module.carrier
-    functors = list(_functor_search(cl, cm, budget))
-    keys = [(a, x) for a in src.module.base.base.objects() for x in cl.objects()]
-
-    def domain(i, v):
-        if i == 0:
-            return functors
-        (a, x), f = keys[i - 1], v[0]
-        return cm.hom(
-            tgt.module.a_obj(r.on_obj(a), f.obj_map[x]),
-            f.obj_map[src.module.a_obj(a, x)],
-        )
-
-    rls = (
-        RLaxStructure(r, src.module, tgt.module, v[0], dict(zip(keys, v[1:])))
-        for v in _search(len(keys) + 1, domain, (), budget)
-    )
-    return [rl for rl in rls if check_rlax(rl).ok]
+    """All r-lax functors along r between the modules (``_rlax_search``)."""
+    return _rlax_search(r, src.module, tgt.module, Budget(cap, "r-lax enumeration"))
 
 
 def enumerate_enriched_functors(
@@ -459,27 +419,12 @@ def enumerate_enriched_functors(
     tgt: CanonicalCategory,
     cap: int | None = None,
 ) -> list:
-    """All enriched functors along the background r, by brute force.
-
-    The object map comes first, then the hom components at the pairs
-    (x, y) in order."""
+    """All enriched functors along the background r
+    (``_enriched_functor_search``); none when r is not lax monoidal."""
+    if not check_lax_monoidal_functor(r).ok:
+        return []
     budget = Budget(cap, "enriched functor enumeration")
-    e1, e2 = src.enriched, tgt.enriched
-    cb = r.target.base
-    n = e1.n_objects
-    keys = list(itertools.product(range(n), repeat=2))
-
-    def domain(i, v):
-        if i < n:
-            return range(e2.n_objects)
-        x, y = keys[i - n]
-        return cb.hom(r.on_obj(e1.hom(x, y)), e2.hom(v[x], v[y]))
-
-    efs = (
-        EnrichedFunctor(r, e1, e2, v[:n], dict(zip(keys, v[n:])))
-        for v in _search(n + len(keys), domain, (), budget)
-    )
-    return [f for f in efs if check_enriched_functor(f).ok]
+    return list(_enriched_functor_search(r, src.enriched, tgt.enriched, budget))
 
 
 def verify_canonical_2functor(
@@ -518,7 +463,7 @@ def verify_canonical_2functor(
         if src1.enriched in done:
             continue
         done.append(src1.enriched)
-        fi = enriched_functor_from_rlax(identity_rlax(src1), src1, src1)
+        fi = enriched_functor_from_rlax(identity_rlax(src1.module), src1, src1)
         ref = identity_enriched_functor(src1.enriched)
         if fi.obj_map != ref.obj_map or fi.components != ref.components:
             report.add("identity-preservation", (k1,))

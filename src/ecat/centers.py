@@ -33,11 +33,12 @@ from functools import cached_property
 
 from ecat.actions import (
     ModuleAction,
-    ModuleFunctor,
     MonoidalModuleCells,
-    check_module_functor,
+    RLaxStructure,
+    _rlax_search,
     check_module_nat,
-    compose_module_functors,
+    compose_rlax,
+    identity_rlax,
 )
 from ecat.canonical import (
     canonical_braided,
@@ -49,7 +50,6 @@ from ecat.core import (
     Functor,
     LazyPairTable,
     NatTransf,
-    _functor_search,
     _nat_search,
     _search,
     check_nat_transf,
@@ -60,7 +60,9 @@ from ecat.enriched import (
     EnrichedFunctor,
     EnrichedNat,
     _computed,
+    _enriched_functor_search,
     cartesian_product_enriched,
+    check_enriched,
     check_enriched_functor,
     check_enriched_nat,
     compose_enriched_functors,
@@ -178,53 +180,6 @@ def _half_braided_index(pairs) -> dict:
 # --- endofunctor enumeration ---
 
 
-def _identity_background_functors(src: EnrichedCategory, tgt: EnrichedCategory,
-                                  budget: Budget, iso: bool = False):
-    """Yield the enriched functors src -> tgt with identity background.
-
-    The object map comes first, in lexicographic order, then one hom
-    component per pair (x, y) in order, ranging over the base morphisms
-    between the hom objects. An object pair with no such morphism prunes the
-    object map; the identity law at x and the composition law at (x, y, z)
-    are checked once their components are assigned. With iso set, object
-    maps are bijections and components invertible.
-    """
-    m = src.base
-    c = m.base
-    n = src.n_objects
-    keys = list(itertools.product(src.objects(), repeat=2))
-    var = {k: n + i for i, k in enumerate(keys)}
-
-    def pool(x, y, a):
-        return [
-            f for f in c.hom(src.hom(x, y), tgt.hom(a[x], a[y]))
-            if not iso or find_inverse(c, f) is not None
-        ]
-
-    def domain(i, a):
-        return tgt.objects() if i < n else pool(*keys[i - n], a)
-
-    def identity_law(a, x):
-        return c.comp(a[var[(x, x)]], src.one(x)) == tgt.one(a[x])
-
-    def composition_law(a, x, y, z):
-        return c.comp(a[var[(x, z)]], src.c(x, y, z)) == c.comp(
-            tgt.c(a[x], a[y], a[z]), m.t_mor(a[var[(y, z)]], a[var[(x, y)]])
-        )
-
-    constraints = [(x, lambda a, x=x: a[x] not in a[:x]) for x in range(n)] if iso else []
-    constraints += [(max(x, y), lambda a, k=(x, y): bool(pool(*k, a))) for x, y in keys]
-    constraints += [(var[(x, x)], lambda a, x=x: identity_law(a, x)) for x in range(n)]
-    constraints += [
-        (max(var[(x, z)], var[(y, z)], var[(x, y)]),
-         lambda a, t=(x, y, z): composition_law(a, *t))
-        for x, y, z in itertools.product(range(n), repeat=3)
-    ]
-    bg = identity_lax(m)
-    for a in _search(n + len(keys), domain, constraints, budget):
-        yield EnrichedFunctor(bg, src, tgt, a[:n], dict(zip(keys, a[n:])))
-
-
 def enumerate_identity_background_functors(
     src: EnrichedCategory, tgt: EnrichedCategory, cap: int | None = None
 ) -> list:
@@ -236,7 +191,7 @@ def enumerate_identity_background_functors(
     if src.base != tgt.base:
         raise StructureError("functor enumeration needs a shared base")
     budget = Budget(cap, "enriched endofunctor enumeration")
-    return list(_identity_background_functors(src, tgt, budget))
+    return list(_enriched_functor_search(identity_lax(src.base), src, tgt, budget))
 
 
 def _functor_key(f: EnrichedFunctor) -> tuple:
@@ -448,7 +403,7 @@ def condition_star(e: EnrichedCategory, cap: int | None = None) -> StarResult:
 def _condition_star(e: EnrichedCategory, budget: Budget) -> StarResult:
     """``condition_star`` on a given budget."""
     z1 = drinfeld_center_z1(e.base, budget)
-    functors = list(_identity_background_functors(e, e, budget))
+    functors = list(_enriched_functor_search(identity_lax(e.base), e, e, budget))
     brackets = {}
     for i, fF in enumerate(functors):
         for j, fG in enumerate(functors):
@@ -482,8 +437,9 @@ def e0_center(e: EnrichedCategory, cap: int | None = None) -> CenterResult:
 
     Hom objects are the terminal half-braided families; composition and
     identities are the unique mediators of the evident composite families.
-    Raises StructureError when some pair has no terminal family. One budget
-    of cap units bounds the run (``condition_star``).
+    e must be an enriched category: raises StructureError when
+    ``check_enriched(e)`` fails, and when some pair has no terminal family.
+    One budget of cap units bounds the run (``condition_star``).
 
     The tensor is functor composition, so the tensor cell
     hom(i, k) x hom(j, l) -> hom(ij, kl) is a horizontal composite, and by
@@ -513,6 +469,12 @@ def e0_center(e: EnrichedCategory, cap: int | None = None) -> CenterResult:
 
 def _e0_center(e: EnrichedCategory, budget: Budget) -> CenterResult:
     """``e0_center`` on a given budget."""
+    rep = check_enriched(e)
+    if not rep.ok:
+        v = rep.violations[0]
+        raise StructureError(
+            f"E0 center of an invalid enriched category: {v.law} at {v.instance}"
+        )
     star = _condition_star(e, budget)
     missing = [p for p, br in star.brackets.items() if br is None]
     if missing:
@@ -701,44 +663,25 @@ def _enriched_iso_search(
 ) -> EnrichedFunctor | None:
     if e1.base != e2.base or e1.n_objects != e2.n_objects:
         return None
-    return next(_identity_background_functors(e1, e2, budget, iso=True), None)
+    return next(_enriched_functor_search(identity_lax(e1.base), e1, e2, budget, iso=True), None)
 
 
 # --- the E0 center through module endofunctors ---
 
 
-def _enumerate_module_endofunctors(mod: ModuleAction, budget: Budget) -> list:
-    """Lax module endofunctors of mod: the underlying functor is the first
-    variable, the cells at the pairs (a, x) in order the rest."""
-    cc = mod.carrier
-    functors = list(_functor_search(cc, cc, budget))
-    keys = [(a, x) for a in mod.base.base.objects() for x in cc.objects()]
-
-    def domain(i, v):
-        if i == 0:
-            return functors
-        (a, x), fun = keys[i - 1], v[0]
-        return cc.hom(mod.a_obj(a, fun.obj_map[x]), fun.obj_map[mod.a_obj(a, x)])
-
-    mfs = (
-        ModuleFunctor(mod, mod, v[0], dict(zip(keys, v[1:])))
-        for v in _search(len(keys) + 1, domain, (), budget)
-    )
-    return [mf for mf in mfs if check_module_functor(mf).ok]
-
-
-def _module_functor_key(mf: ModuleFunctor) -> tuple:
+def _rlax_key(rl: RLaxStructure) -> tuple:
     return (
-        tuple(mf.functor.obj_map),
-        tuple(mf.functor.mor_map),
-        tuple(sorted(mf.cells.items())),
+        tuple(rl.functor.obj_map),
+        tuple(rl.functor.mor_map),
+        tuple(sorted(rl.beta.items())),
     )
 
 
 def e0_center_via_module(mod: ModuleAction, cap: int | None = None) -> CenterResult:
     """The E0 center presented through the canonical construction.
 
-    The lax module endofunctors of mod form a category acted on by the
+    The lax module endofunctors of mod, r-lax functors along the identity
+    of its base (``actions._rlax_search``), form a category acted on by the
     ordinary center of the base; the canonical construction on that action
     yields an enriched category, shipped with the strict tensor table
     given by endofunctor composition. One budget of cap units bounds the
@@ -755,8 +698,9 @@ def e0_center_via_module(mod: ModuleAction, cap: int | None = None) -> CenterRes
     zc = zmon.base
     fwd = z1.forgetful
 
-    mfs = _enumerate_module_endofunctors(mod, budget)
-    mf_index = {_module_functor_key(mf): i for i, mf in enumerate(mfs)}
+    bg = identity_lax(m)
+    mfs = _rlax_search(bg, mod, mod, budget)
+    mf_index = {_rlax_key(mf): i for i, mf in enumerate(mfs)}
     nats = [
         (i, j, nat.components)
         for i, fi in enumerate(mfs)
@@ -781,7 +725,9 @@ def e0_center_via_module(mod: ModuleAction, cap: int | None = None) -> CenterRes
                 compose[(gi, fi)] = nat_index[(i, k, comps)]
     funcat = FinCategory(len(mfs), dom, cod, identity, compose)
 
-    def acted_functor(zi: int, mf: ModuleFunctor) -> ModuleFunctor:
+    def acting(zi: int) -> RLaxStructure:
+        """The lax module endofunctor a.- of the center object zi = (a, hb),
+        with cells from its half-braiding hb."""
         ia = fwd.on_obj(zi)
         hb = z1.object_data[zi][1]
         h_obj = tuple(mod.a_obj(ia, x) for x in cc.objects())
@@ -797,13 +743,13 @@ def e0_center_via_module(mod: ModuleAction, cap: int | None = None) -> CenterRes
                     mod.a_mor(hb.components[b], cc.identity[x]),
                     o_inv,
                 )
-        h = ModuleFunctor(mod, mod, Functor(cc, cc, h_obj, h_mor), cells)
-        return compose_module_functors(h, mf)
+        return RLaxStructure(bg, mod, mod, Functor(cc, cc, h_obj, h_mor), cells)
 
     act_obj = []
     for zi in zc.objects():
-        for k in range(len(mfs)):
-            key = _module_functor_key(acted_functor(zi, mfs[k]))
+        h = acting(zi)
+        for mf in mfs:
+            key = _rlax_key(compose_rlax(h, mf))
             if key not in mf_index:
                 raise StructureError("module endofunctors not closed under the action")
             act_obj.append(mf_index[key])
@@ -842,21 +788,8 @@ def e0_center_via_module(mod: ModuleAction, cap: int | None = None) -> CenterRes
     can = canonical_construction(fmod, budget)
     t_obj = {}
     for i, j in itertools.product(range(nf), repeat=2):
-        t_obj[(i, j)] = mf_index[
-            _module_functor_key(compose_module_functors(mfs[i], mfs[j]))
-        ]
-    unit_idx = mf_index[
-        _module_functor_key(
-            ModuleFunctor(
-                mod, mod, Functor(cc, cc, tuple(cc.objects()), tuple(cc.morphisms())),
-                {
-                    (a, x): cc.identity[mod.a_obj(a, x)]
-                    for a in c.objects()
-                    for x in cc.objects()
-                },
-            )
-        )
-    ]
+        t_obj[(i, j)] = mf_index[_rlax_key(compose_rlax(mfs[i], mfs[j]))]
+    unit_idx = mf_index[_rlax_key(identity_rlax(mod))]
     witnesses = {
         "module": mod,
         "module_functors": tuple(mfs),

@@ -18,6 +18,7 @@ from ecat.core import (
     NatTransf,
     ProductMapping,
     ProductSequence,
+    _search,
     hcomp_nats,
     opposite_category,
     product_category,
@@ -33,6 +34,7 @@ from ecat.monoidal import (
     check_lax_monoidal_functor,
     check_lax_monoidal_nat,
     compose_lax,
+    find_inverse,
     identity_lax,
     identity_lax_nat,
     inv,
@@ -44,7 +46,7 @@ from ecat.monoidal import (
     trivial_monoidal,
     unit_pick_lax,
 )
-from ecat.report import StructureError, ValidationReport
+from ecat.report import Budget, StructureError, ValidationReport
 
 
 @dataclass(frozen=True, eq=True)
@@ -272,6 +274,67 @@ def _check_enriched_functor_composition(f: EnrichedFunctor, report: ValidationRe
         )
         if lhs != rhs:
             report.add("enriched-functor-composition", (x, y, z))
+
+
+def _enriched_functor_search(r: LaxMonoidalFunctor, src: EnrichedCategory,
+                             tgt: EnrichedCategory, budget: Budget, iso: bool = False):
+    """Yield the enriched functors src -> tgt along the background r.
+
+    The object map comes first, in lexicographic order, then one hom
+    component per pair (x, y) in order, ranging over the base morphisms
+    r(hom(x, y)) -> hom(Fx, Fy). An object pair with no such morphism
+    prunes the object map; the identity law at x and the composition law at
+    (x, y, z) are checked once their components are assigned. r is taken
+    to be a valid lax monoidal functor, and the background half of each law
+    is composed once per search. With iso set, object maps are bijections
+    and components invertible.
+    """
+    m = tgt.base
+    c = m.base
+    comp, t_mor, tgt_one, tgt_comp = c.comp, m.t_mor, tgt.ident, tgt.comp
+    n = src.n_objects
+    keys = list(itertools.product(src.objects(), repeat=2))
+    r_mor, r_mult, hom = r.functor.mor_map, r.mult, src.hom_obj
+    r_hom = {k: r.on_obj(hom[k]) for k in keys}
+
+    def pool(x, y, a):
+        return [
+            f for f in c.hom(r_hom[(x, y)], tgt.hom(a[x], a[y]))
+            if not iso or find_inverse(c, f) is not None
+        ]
+
+    def domain(i, a):
+        return tgt.objects() if i < n else pool(*keys[i - n], a)
+
+    # The component at (x, y) is variable n + x*n + y. Each law is listed
+    # under the last variable it reads, with its background half composed.
+    units = [[] for _ in range(n + len(keys))]
+    comps = [[] for _ in range(n + len(keys))]
+    for x in range(n):
+        xx = n + x * n + x
+        units[xx].append((x, xx, comp(r_mor[src.ident[x]], r.unit_cell)))
+    for x, y, z in itertools.product(range(n), repeat=3):
+        xz, yz, xy = n + x * n + z, n + y * n + z, n + x * n + y
+        bg = comp(r_mor[src.comp[(x, y, z)]], r_mult[(hom[(y, z)], hom[(x, y)])])
+        comps[max(xz, yz, xy)].append((x, y, z, xz, yz, xy, bg))
+
+    def laws(a, units, comps):
+        """The identity laws F(x, x) . r(one(x)) . r0 = one(Fx) and the
+        composition laws F(x, z) . r(c(x, y, z)) . r2 = c(Fx, Fy, Fz) .
+        (F(y, z) @ F(x, y)) listed under one variable."""
+        return all(comp(a[xx], bg) == tgt_one[a[x]] for x, xx, bg in units) and all(
+            comp(a[xz], bg) == comp(tgt_comp[(a[x], a[y], a[z])], t_mor(a[yz], a[xy]))
+            for x, y, z, xz, yz, xy, bg in comps
+        )
+
+    constraints = [(x, lambda a, x=x: a[x] not in a[:x]) for x in range(n)] if iso else []
+    constraints += [(max(x, y), lambda a, k=(x, y): bool(pool(*k, a))) for x, y in keys]
+    constraints += [
+        (i, lambda a, u=u, c3=c3: laws(a, u, c3))
+        for i, (u, c3) in enumerate(zip(units, comps)) if u or c3
+    ]
+    for a in _search(n + len(keys), domain, constraints, budget):
+        yield EnrichedFunctor(r, src, tgt, a[:n], dict(zip(keys, a[n:])))
 
 
 def identity_enriched_functor(e: EnrichedCategory) -> EnrichedFunctor:

@@ -19,7 +19,7 @@ rule on their own.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ecat.core import (
     Functor,
@@ -80,6 +80,11 @@ class EnrichedMonoidalCategory:
     The associator and unitor entries are elements: base morphisms from the
     base unit into the relevant hom objects. Their backgrounds are, by
     definition, the coherence cells of the base and are not stored.
+
+    ``underlying_monoidal`` keeps its result in ``_built``, once per
+    instance, as ``BraidedStructure._built`` keeps the tensor background,
+    so the checkers and centers that read it share one build and its kept
+    ``monoidal._is_monoidal`` verdict.
     """
 
     host: EnrichedCategory
@@ -89,6 +94,7 @@ class EnrichedMonoidalCategory:
     associator: dict  # (x,y,z) -> 1 -> hom((x@y)@z, x@(y@z))
     left_unitor: tuple  # x -> 1 -> hom(unit@x, x)
     right_unitor: tuple  # x -> 1 -> hom(x@unit, x)
+    _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def pair(self, x: int, y: int) -> int:
         return x * self.host.n_objects + y
@@ -212,9 +218,16 @@ def unitor_nat(em: EnrichedMonoidalCategory, side: str) -> EnrichedNat:
 def underlying_monoidal(
     em: EnrichedMonoidalCategory, u: UnderlyingResult | None = None
 ) -> MonoidalCategory:
-    """Extract the underlying monoidal category of the host."""
+    """The underlying monoidal category of the host, built on the first
+    call for em, on the underlying category u of the host when given, and
+    kept in ``em._built``; a build that raises is not kept."""
+    if "underlying" not in em._built:
+        em._built["underlying"] = _underlying_monoidal(em, u or underlying_category(em.host))
+    return em._built["underlying"]
+
+
+def _underlying_monoidal(em: EnrichedMonoidalCategory, u: UnderlyingResult) -> MonoidalCategory:
     e = em.host
-    u = u or underlying_category(e)
     m = e.base
     c = m.base
     n = e.n_objects
@@ -351,16 +364,12 @@ def check_enriched_monoidal(em: EnrichedMonoidalCategory) -> ValidationReport:
     return report
 
 
-def reversed_enriched_monoidal(
-    em: EnrichedMonoidalCategory, use_anti_braiding: bool = False
-) -> EnrichedMonoidalCategory:
+def reversed_enriched_monoidal(em: EnrichedMonoidalCategory) -> EnrichedMonoidalCategory:
     """The reversed category: same homs, tensor arguments swapped, over the
     anti-braided base.
 
     The tensor cells are the original cells composed with the braiding of
-    the base. Composing with the anti-braiding instead (use_anti_braiding)
-    yields an invalid structure whenever the base braiding is not symmetric;
-    the flag exists so that tests can witness that failure.
+    the base.
     """
     e = em.host
     m = e.base
@@ -368,10 +377,6 @@ def reversed_enriched_monoidal(
     n = e.n_objects
     abar = anti_braiding(em.braiding)
     u = underlying_category(e)
-
-    def swap_mor(h1: int, h2: int) -> int:
-        return abar.c(h1, h2) if use_anti_braiding else em.braiding.c(h1, h2)
-
     prod = cartesian_product_enriched(e, e)
     obj_map = tuple(em.t(y, x) for x in range(n) for y in range(n))
     comps = {}
@@ -379,7 +384,7 @@ def reversed_enriched_monoidal(
         (x1, y1), (x2, y2) = divmod(p, n), divmod(q, n)
         comps[(p, q)] = c.comp(
             em.t_cell(y1, x1, y2, x2),
-            swap_mor(e.hom(x1, x2), e.hom(y1, y2)),
+            em.braiding.c(e.hom(x1, x2), e.hom(y1, y2)),
         )
     tensor = EnrichedFunctor(
         braided_tensor_lax_structure(abar), prod, e, obj_map, comps

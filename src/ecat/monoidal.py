@@ -493,11 +493,12 @@ def compose_lax(g: LaxMonoidalFunctor, f: LaxMonoidalFunctor) -> LaxMonoidalFunc
     if "oplax" in (g.direction, f.direction):
         raise StructureError("composition implemented for lax-direction functors")
     c = g.target.base
+    g_obj, g_mor = g.functor.obj_map, g.functor.mor_map
     functor = Functor(
         f.functor.source,
         g.functor.target,
-        tuple(g.on_obj(x) for x in f.functor.obj_map),
-        tuple(g.on_mor(m) for m in f.functor.mor_map),
+        tuple([g_obj[x] for x in f.functor.obj_map]),
+        tuple([g_mor[m] for m in f.functor.mor_map]),
     )
     unit = c.comp(g.on_mor(f.unit_cell), g.unit_cell)
 

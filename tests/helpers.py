@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from ecat.actions import (
     ModuleAction,
-    ModuleFunctor,
+    MonoidalAdjunction,
     RLaxStructure,
-    check_module_functor,
     check_module_nat,
     check_rlax,
 )
@@ -46,6 +45,7 @@ from ecat.core import (
     _degree_signature,
     check_functor,
     check_nat_transf,
+    identity_functor,
 )
 from ecat.enriched import (
     EnrichedCategory,
@@ -280,6 +280,52 @@ def chain2_enriched():
     return thin_enriched(lattice2_monoidal(), [0, 1], lambda x, y: int(x <= y))
 
 
+def lattice_adjunction():
+    """L: lattice-2 -> lattice-4 sends 0, 1 to bottom, top; R is its right adjoint."""
+    m2, m4 = lattice2_monoidal(), lattice4_monoidal()
+    # L on morphisms: chain2 has id_0, id_1, le
+    bottom_to_top = [
+        f for f in m4.base.morphisms() if m4.base.dom[f] == 0 and m4.base.cod[f] == 3
+    ][0]
+    left = Functor(m2.base, m4.base, (0, 3), (m4.base.identity[0], m4.base.identity[3], bottom_to_top))
+    r_obj = tuple(1 if x == 3 else 0 for x in m4.base.objects())
+    r_mor = []
+    for f in m4.base.morphisms():
+        x, y = r_obj[m4.base.dom[f]], r_obj[m4.base.cod[f]]
+        (g,) = m2.base.hom(x, y)
+        r_mor.append(g)
+    rmult = {}
+    for x, y in itertools.product(m4.base.objects(), repeat=2):
+        (g,) = m2.base.hom(
+            m2.t_obj(r_obj[x], r_obj[y]), r_obj[m4.t_obj(x, y)]
+        )
+        rmult[(x, y)] = g
+    right = LaxMonoidalFunctor(
+        m4, m2, Functor(m4.base, m2.base, r_obj, tuple(r_mor)),
+        m2.base.identity[1], rmult, "lax",
+    )
+    unit = NatTransf(
+        identity_functor(m2.base),
+        Functor(m2.base, m2.base,
+                tuple(r_obj[left.obj_map[x]] for x in m2.base.objects()),
+                tuple(r_mor[left.mor_map[f]] for f in m2.base.morphisms())),
+        tuple(m2.base.identity[x] for x in m2.base.objects()),
+    )
+    counit_comps = []
+    for a in m4.base.objects():
+        la = left.obj_map[r_obj[a]]
+        (g,) = m4.base.hom(la, a)
+        counit_comps.append(g)
+    counit = NatTransf(
+        Functor(m4.base, m4.base,
+                tuple(left.obj_map[r_obj[a]] for a in m4.base.objects()),
+                tuple(left.mor_map[r_mor[f]] for f in m4.base.morphisms())),
+        identity_functor(m4.base),
+        tuple(counit_comps),
+    )
+    return MonoidalAdjunction(left, right, unit, counit), m2, m4
+
+
 def lattice4_self_enriched():
     """The Boolean lattice enriched in itself by implication."""
     return thin_enriched(lattice4_monoidal(), [0, 1, 2, 3], lambda x, y: (~x | y) & 3)
@@ -433,6 +479,27 @@ def semion_enriched_monoidal():
         for x, y, z in itertools.product(range(2), repeat=3)
     }
     return EnrichedMonoidalCategory(host, b, tensor, 0, assoc, (0, 0), (0, 0))
+
+
+def anti_braided_reversal(em):
+    """reversed_enriched_monoidal(em) with each tensor cell composed with
+    the anti-braiding of the base instead of its braiding. The result is
+    ill-defined whenever the base braiding is not symmetric."""
+    import dataclasses
+
+    from ecat.enriched_monoidal import reversed_enriched_monoidal
+
+    rev = reversed_enriched_monoidal(em)
+    e = em.host
+    c = e.base.base
+    n = e.n_objects
+    comps = {}
+    for p, q in itertools.product(range(n * n), repeat=2):
+        (x1, y1), (x2, y2) = divmod(p, n), divmod(q, n)
+        comps[(p, q)] = c.comp(
+            em.t_cell(y1, x1, y2, x2), rev.braiding.c(e.hom(x1, x2), e.hom(y1, y2))
+        )
+    return dataclasses.replace(rev, tensor=dataclasses.replace(rev.tensor, components=comps))
 
 
 def preorder_enriched_monoidal():
@@ -2473,8 +2540,60 @@ def exhaustive_bracket_family(e: EnrichedCategory, fF: EnrichedFunctor,
     return _terminal_bracket(c, fwd, objects, budget)
 
 
+def exhaustive_check_module_functor(rl: RLaxStructure) -> ValidationReport:
+    """The parent body of check_module_functor, verbatim except that it
+    reads an r-lax functor along the identity of the shared base, whose
+    cells are beta; the background rl.r is not read."""
+    report = ValidationReport("module functor")
+    report.extend(check_functor(rl.functor))
+    if rl.source.base is not rl.target.base and rl.source.base != rl.target.base:
+        raise StructureError("module functor needs a shared base")
+    if not report.ok:
+        return report
+    a_cat = rl.source.base
+    cl, cm = rl.source.carrier, rl.target.carrier
+    typed = True
+    for a, x in itertools.product(a_cat.base.objects(), cl.objects()):
+        f = rl.beta.get((a, x))
+        if f is None:
+            raise StructureError(f"module functor cell missing at {(a, x)}")
+        typed &= _expect(
+            report, "module-functor-typing", (a, x), cm, f,
+            rl.target.a_obj(a, rl.on_obj(x)), rl.on_obj(rl.source.a_obj(a, x)),
+        )
+    if not typed:
+        return report
+    for f in a_cat.base.morphisms():
+        for p in cl.morphisms():
+            a, x = a_cat.base.dom[f], cl.dom[p]
+            ap, xp = a_cat.base.cod[f], cl.cod[p]
+            lhs = cm.comp(rl.b(ap, xp), rl.target.a_mor(f, rl.on_mor(p)))
+            rhs = cm.comp(rl.on_mor(rl.source.a_mor(f, p)), rl.b(a, x))
+            if lhs != rhs:
+                report.add("module-functor-naturality", (f, p))
+    for a, b, x in itertools.product(
+        a_cat.base.objects(), a_cat.base.objects(), cl.objects()
+    ):
+        lhs = cm.comp_many(
+            rl.b(a, rl.source.a_obj(b, x)),
+            rl.target.a_mor(a_cat.base.identity[a], rl.b(b, x)),
+            rl.target.o(a, b, rl.on_obj(x)),
+        )
+        rhs = cm.comp(rl.on_mor(rl.source.o(a, b, x)), rl.b(a_cat.t_obj(a, b), x))
+        if lhs != rhs:
+            report.add("module-functor-associativity", (a, b, x))
+    for x in cl.objects():
+        lhs = cm.comp(rl.on_mor(rl.source.u(x)), rl.b(a_cat.unit, x))
+        if lhs != rl.target.u(rl.on_obj(x)):
+            report.add("module-functor-unit", (x,))
+    return report
+
+
 def exhaustive_enumerate_module_endofunctors(mod: ModuleAction, cap: int | None) -> list:
+    """The lax module endofunctors of mod, as r-lax functors along the
+    identity of its base, by brute force."""
     budget = Budget(cap, "module endofunctor enumeration")
+    bg = identity_lax(mod.base)
     cc = mod.carrier
     mb = mod.base.base
     found = []
@@ -2493,8 +2612,8 @@ def exhaustive_enumerate_module_endofunctors(mod: ModuleAction, cap: int | None)
             continue
         for combo in itertools.product(*pools):
             budget.spend()
-            mf = ModuleFunctor(mod, mod, fun, dict(zip(keys, combo)))
-            if check_module_functor(mf).ok:
+            mf = RLaxStructure(bg, mod, mod, fun, dict(zip(keys, combo)))
+            if exhaustive_check_module_functor(mf).ok:
                 found.append(mf)
     return found
 

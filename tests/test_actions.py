@@ -3,38 +3,36 @@ import itertools
 import pytest
 
 from ecat.actions import (
-    MonoidalAdjunction,
     ModuleAction,
     MonoidalRLax,
+    RLaxStructure,
     all_internal_homs,
     beta_from_theta,
     check_adjunction,
     check_module,
-    check_module_functor,
     check_module_nat,
     check_monoidal_module,
     check_monoidal_rlax,
     check_rlax,
     check_xilax_nat,
-    compose_module_functors,
-    identity_module_functor,
+    compose_rlax,
+    identity_rlax,
     internal_hom,
     monoidal_self_module,
-    rlax_from_module_functor,
     self_module,
     terminal_module,
     theta_of,
     transport_to_loplax,
     transport_to_rlax,
 )
-from ecat.actions import ModuleFunctor
-from ecat.core import Functor, NatTransf, identity_functor, identity_nat, product_category
-from ecat.monoidal import LaxMonoidalFunctor, identity_lax_nat
+from ecat.core import Functor, identity_functor, identity_nat, product_category
+from ecat.monoidal import identity_lax, identity_lax_nat
 
 from helpers import (
     discrete,
     identity_braiding,
     lattice2_monoidal,
+    lattice_adjunction,
     lattice4_monoidal,
     sign_monoidal,
     z2_discrete_monoidal,
@@ -121,9 +119,9 @@ def test_all_internal_homs():
 
 def test_identity_module_functor_and_composition():
     mod = self_module(lattice2_monoidal())
-    i = identity_module_functor(mod)
-    assert check_module_functor(i).ok
-    assert check_module_functor(compose_module_functors(i, i)).ok
+    i = identity_rlax(mod)
+    assert check_rlax(i).ok
+    assert check_rlax(compose_rlax(i, i)).ok
     assert check_module_nat(i, i, identity_nat(i.functor)).ok
 
 
@@ -134,14 +132,14 @@ def test_constant_top_module_functor():
     f = Functor(c, c, (1, 1), (1, 1, 1))
     le = 2
     cells = {(0, 0): le, (0, 1): le, (1, 0): 1, (1, 1): 1}
-    mf = ModuleFunctor(mod, mod, f, cells)
-    assert check_module_functor(mf).ok
-    assert check_module_functor(compose_module_functors(identity_module_functor(mod), mf)).ok
+    mf = RLaxStructure(identity_lax(mod.base), mod, mod, f, cells)
+    assert check_rlax(mf).ok
+    assert check_rlax(compose_rlax(identity_rlax(mod), mf)).ok
 
 
 def test_rlax_identity_and_xilax():
     mod = self_module(sign_monoidal())
-    rl = rlax_from_module_functor(identity_module_functor(mod))
+    rl = identity_rlax(mod)
     assert check_rlax(rl).ok
     xihat = identity_lax_nat(rl.r)
     xi = identity_nat(rl.functor)
@@ -150,62 +148,12 @@ def test_rlax_identity_and_xilax():
 
 def test_rlax_cell_forced_in_sign():
     # the unit axiom forces the only cell to be the identity endomorphism
-    from ecat.actions import RLaxStructure
-
     mod = self_module(sign_monoidal())
-    good = rlax_from_module_functor(identity_module_functor(mod))
+    good = identity_rlax(mod)
     bad = RLaxStructure(good.r, mod, mod, good.functor, {(0, 0): 1})
     report = check_rlax(bad)
     assert not report.ok
     assert "rlax-unit" in report.laws() or "rlax-associativity" in report.laws()
-
-
-def lattice_adjunction():
-    """L: lattice-2 -> lattice-4 sends 0, 1 to bottom, top; R is its right adjoint."""
-    from ecat.monoidal import identity_lax
-
-    m2, m4 = lattice2_monoidal(), lattice4_monoidal()
-    # L on morphisms: chain2 has id_0, id_1, le
-    bottom_to_top = [
-        f for f in m4.base.morphisms() if m4.base.dom[f] == 0 and m4.base.cod[f] == 3
-    ][0]
-    left = Functor(m2.base, m4.base, (0, 3), (m4.base.identity[0], m4.base.identity[3], bottom_to_top))
-    r_obj = tuple(1 if x == 3 else 0 for x in m4.base.objects())
-    r_mor = []
-    for f in m4.base.morphisms():
-        x, y = r_obj[m4.base.dom[f]], r_obj[m4.base.cod[f]]
-        (g,) = m2.base.hom(x, y)
-        r_mor.append(g)
-    rmult = {}
-    for x, y in itertools.product(m4.base.objects(), repeat=2):
-        (g,) = m2.base.hom(
-            m2.t_obj(r_obj[x], r_obj[y]), r_obj[m4.t_obj(x, y)]
-        )
-        rmult[(x, y)] = g
-    right = LaxMonoidalFunctor(
-        m4, m2, Functor(m4.base, m2.base, r_obj, tuple(r_mor)),
-        m2.base.identity[1], rmult, "lax",
-    )
-    unit = NatTransf(
-        identity_functor(m2.base),
-        Functor(m2.base, m2.base,
-                tuple(r_obj[left.obj_map[x]] for x in m2.base.objects()),
-                tuple(r_mor[left.mor_map[f]] for f in m2.base.morphisms())),
-        tuple(m2.base.identity[x] for x in m2.base.objects()),
-    )
-    counit_comps = []
-    for a in m4.base.objects():
-        la = left.obj_map[r_obj[a]]
-        (g,) = m4.base.hom(la, a)
-        counit_comps.append(g)
-    counit = NatTransf(
-        Functor(m4.base, m4.base,
-                tuple(left.obj_map[r_obj[a]] for a in m4.base.objects()),
-                tuple(left.mor_map[r_mor[f]] for f in m4.base.morphisms())),
-        identity_functor(m4.base),
-        tuple(counit_comps),
-    )
-    return MonoidalAdjunction(left, right, unit, counit), m2, m4
 
 
 def test_lattice_adjunction_valid():
@@ -278,11 +226,9 @@ def test_mutated_interchange_reported():
 
 
 def identity_monoidal_rlax(build):
-    from ecat.monoidal import identity_lax
-
     m = build()
     cells = monoidal_self_module(identity_braiding(m))
-    rl = rlax_from_module_functor(identity_module_functor(cells.module))
+    rl = identity_rlax(cells.module)
     f2 = dict(identity_lax(m).mult)
     f0 = m.base.identity[m.unit]
     return MonoidalRLax(rl, cells, cells, f2, f0)

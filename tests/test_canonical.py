@@ -8,6 +8,8 @@ from ecat.actions import (
     check_monoidal_module,
     check_rlax,
     check_xilax_nat,
+    compose_rlax,
+    identity_rlax,
     monoidal_self_module,
     self_module,
     terminal_module,
@@ -19,12 +21,10 @@ from ecat.canonical import (
     carrier_identification,
     check_braided_module,
     coev,
-    compose_rlax,
     enriched_functor_from_rlax,
     enriched_nat_from_xilax,
     enumerate_enriched_functors,
     enumerate_rlax,
-    identity_rlax,
     monoidal_cells_from_enriched,
     realize,
     rlax_from_enriched_functor,
@@ -52,6 +52,7 @@ from helpers import (
     identity_braiding,
     lattice2_monoidal,
     lattice4_monoidal,
+    lattice_adjunction,
     semion_braiding,
     thin_category,
     thin_monoidal,
@@ -167,10 +168,14 @@ def correspondence_cases():
         (can2, can2, identity_lax(m2)),
         (canz, canz, identity_lax(z2)),
         (can2, cant, identity_lax(m2)),
+        # along the right adjoint lattice-4 -> lattice-2, not an identity
+        (lattice4_can(), can2, lattice_adjunction()[0].right),
     ]
 
 
-@pytest.mark.parametrize("case", range(3), ids=["lattice2", "z2", "to-terminal"])
+@pytest.mark.parametrize(
+    "case", range(4), ids=["lattice2", "z2", "to-terminal", "lattice4-to-lattice2"]
+)
 def test_one_cell_correspondence_is_bijective(case):
     src, tgt, r = correspondence_cases()[case]
     rls = enumerate_rlax(r, src, tgt, cap=10**7)
@@ -194,7 +199,7 @@ def test_one_cell_correspondence_is_bijective(case):
 
 def test_identity_rlax_gives_identity_enriched_functor():
     can = lattice2_can()
-    ef = enriched_functor_from_rlax(identity_rlax(can), can, can)
+    ef = enriched_functor_from_rlax(identity_rlax(can.module), can, can)
     ideal = identity_enriched_functor(can.enriched)
     assert ef.obj_map == ideal.obj_map
     assert ef.components == ideal.components

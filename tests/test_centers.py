@@ -3,10 +3,9 @@ import itertools
 
 import pytest
 
-from ecat import centers
+from ecat import centers, enriched_monoidal
 from ecat.centers import (
     _enriched_iso_search,
-    _identity_background_functors,
     braided_tables,
     bracket_pair,
     check_bracket_terminal,
@@ -34,7 +33,13 @@ from ecat.actions import ModuleAction, MonoidalModuleCells, terminal_module
 from ecat.actions import monoidal_self_module
 from ecat.canonical import canonical_construction, canonical_monoidal
 from ecat.core import Functor, NatTransf, product_category, terminal_category
-from ecat.enriched import EnrichedNat, check_enriched_nat, underlying_category
+from ecat.enriched import (
+    EnrichedNat,
+    _enriched_functor_search,
+    check_enriched,
+    check_enriched_nat,
+    underlying_category,
+)
 from ecat.enriched_monoidal import (
     EnrichedBraidedCategory,
     _enriched_half_braidings,
@@ -48,6 +53,7 @@ from ecat.monoidal import (
     LaxMonoidalNat,
     MonoidalCategory,
     drinfeld_center_z1,
+    identity_lax,
     is_transparent,
     muger_center_z2,
     strict_monoidal,
@@ -61,6 +67,7 @@ from helpers import (
     lattice4_self_enriched,
     lattice8_self_enriched,
     preorder_enriched_monoidal,
+    sign_enriched,
     thin_enriched,
     trivial_base_enriched,
     z2_discrete_monoidal,
@@ -170,6 +177,16 @@ def test_e0_hom_elements_count_natural_transformations():
 def test_e0_trivial_base_is_a_point():
     res = e0_center(trivial_base_enriched(), CAP)
     assert res.category.host.n_objects == 1
+
+
+def test_e0_center_refuses_an_invalid_enriched_category():
+    e = sign_enriched(1, 1)
+    assert check_enriched(e).laws() == {"enriched-left-unit", "enriched-right-unit"}
+    with pytest.raises(StructureError, match="enriched-left-unit"):
+        e0_center(e, CAP)
+    with pytest.raises(StructureError, match="enriched-left-unit"):
+        verify_e0_universal(e, trivial_action(e), CAP)
+    assert e0_center(sign_enriched(1, 0), CAP).category.host.n_objects == 1
 
 
 def test_bracket_terminality_certificates_recheck():
@@ -409,7 +426,9 @@ def test_iso_search_refuses_other_object_counts_and_bases():
     point = thin_enriched(lattice2_monoidal(), [0], lambda x, y: 1)
     chain = chain2_enriched()
     # an injective functor exists, but it misses an object
-    assert next(_identity_background_functors(point, chain, Budget(CAP), iso=True))
+    assert next(_enriched_functor_search(
+        identity_lax(point.base), point, chain, Budget(CAP), iso=True
+    ))
     assert _enriched_iso_search(point, chain, Budget(CAP)) is None
     assert _enriched_iso_search(chain, point, Budget(CAP)) is None
     assert _enriched_iso_search(chain, z2_enriched(), Budget(CAP)) is None
@@ -573,6 +592,32 @@ def test_an_e0_center_builds_its_evaluation_action_once(monkeypatch):
     assert res == dataclasses.replace(res, memo={})  # the memo is not compared
 
 
+def test_an_enriched_monoidal_category_builds_its_underlying_once(monkeypatch):
+    built = []
+    build = enriched_monoidal._underlying_monoidal
+
+    def counting(em, u):
+        built.append(em)
+        return build(em, u)
+
+    monkeypatch.setattr(enriched_monoidal, "_underlying_monoidal", counting)
+    em = preorder_enriched_monoidal()
+    eb = EnrichedBraidedCategory(em, preorder_braiding_el(em), True)
+    assert check_enriched_monoidal(em).ok
+    assert check_enriched_braided(eb).ok
+    assert len(gamma1(em, CAP).witnesses["objects"]) == 2
+    assert len(built) == 1 and built[0] is em
+    copy = dataclasses.replace(em)
+    assert copy == em and check_enriched_monoidal(copy).ok
+    assert len(built) == 2 and built[1] is copy
+    # a build that raises is not kept, so the next read raises again
+    bad = dataclasses.replace(em, associator={k: -1 for k in em.associator})
+    for _ in range(2):
+        with pytest.raises(StructureError):
+            underlying_monoidal(bad)
+    assert len(built) == 4 and not bad._built
+
+
 def _gamma1_stage_spends(em) -> list:
     """What each half-braiding enumeration and bracket-pair search of
     gamma1(em) spends on a budget of its own."""
@@ -612,7 +657,9 @@ def _gamma1_of_canonical_stage_spends(cells) -> list:
         _spent(lambda b: drinfeld_center_z1(cells.carrier_monoidal, b)),
         _spent(lambda b: canonical_construction(can_b.module, b)),
         _spent(
-            lambda b: next(centers._identity_background_functors(host, can_b.enriched, b, iso=True))
+            lambda b: next(_enriched_functor_search(
+                identity_lax(host.base), host, can_b.enriched, b, iso=True
+            ))
         ),
     ]
 

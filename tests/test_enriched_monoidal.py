@@ -36,6 +36,7 @@ from ecat.monoidal import (
 from ecat.report import StructureError
 
 from helpers import (
+    anti_braided_reversal,
     identity_braiding,
     lattice4_monoidal,
     preorder_enriched_monoidal,
@@ -158,7 +159,7 @@ def test_underlying_of_reversed_is_reversed_underlying():
 
 def test_reversed_with_anti_braiding_is_ill_defined():
     em = semion_enriched_monoidal()
-    bad = reversed_enriched_monoidal(em, use_anti_braiding=True)
+    bad = anti_braided_reversal(em)
     rep = check_enriched_monoidal(bad)
     assert not rep.ok
     assert any(v.law.startswith("tensor:") for v in rep.violations)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecat.actions import monoidal_self_module, self_module
+from ecat.actions import _rlax_search, monoidal_self_module, self_module
 from ecat.canonical import (
     canonical_construction,
     canonical_monoidal,
@@ -23,8 +23,6 @@ from ecat.canonical import (
     enumerate_rlax,
 )
 from ecat.centers import (
-    _enumerate_module_endofunctors,
-    _identity_background_functors,
     bracket_family,
     e0_center_via_module,
     enriched_iso_search,
@@ -37,7 +35,7 @@ from ecat.core import (
     enumerate_nat_transfs,
     iso_search,
 )
-from ecat.enriched import EnrichedCategory
+from ecat.enriched import EnrichedCategory, _enriched_functor_search
 from ecat.enriched_monoidal import enumerate_enriched_half_braidings
 from ecat.monoidal import drinfeld_center_z1, enumerate_half_braidings, identity_lax
 from ecat.report import Budget, BudgetExceeded
@@ -65,6 +63,7 @@ from helpers import (
     lattice4_monoidal,
     lattice4_self_enriched,
     lattice8_self_enriched,
+    lattice_adjunction,
     parallel_pair,
     preorder_enriched_monoidal,
     semion_enriched_monoidal,
@@ -372,7 +371,7 @@ def test_lattice8_e0_enumeration_spends_one_unit_per_node():
     """Every object map tried is paid for, not only the 27 that survive."""
     e = lattice8_self_enriched()
     budget = Budget(CAP)
-    assert len(list(_identity_background_functors(e, e, budget))) == 27
+    assert len(list(_enriched_functor_search(identity_lax(e.base), e, e, budget))) == 27
     with pytest.raises(BudgetExceeded):
         enumerate_identity_background_functors(e, e, budget.used - 1)
     assert len(enumerate_identity_background_functors(e, e, budget.used)) == 27
@@ -386,12 +385,16 @@ def _canonical_cases():
         name: canonical_construction(self_module(MONOIDALS[name]()))
         for name in ("z2", "lattice2", "chain3", "lattice4")
     }
-    return [
+    cases = [
         (cans[name], cans[name], identity_lax(MONOIDALS[name]())) for name in cans
     ]
+    # along the right adjoint lattice-4 -> lattice-2, not an identity
+    return cases + [(cans["lattice4"], cans["lattice2"], lattice_adjunction()[0].right)]
 
 
-@pytest.mark.parametrize("case", range(4), ids=["z2", "lattice2", "chain3", "lattice4"])
+@pytest.mark.parametrize(
+    "case", range(5), ids=["z2", "lattice2", "chain3", "lattice4", "lattice4-to-lattice2"]
+)
 def test_one_cell_enumerations_match_oracle(case):
     src, tgt, r = _canonical_cases()[case]
     assert enumerate_rlax(r, src, tgt, CAP) == exhaustive_enumerate_rlax(r, src, tgt, CAP)
@@ -400,7 +403,7 @@ def test_one_cell_enumerations_match_oracle(case):
 
 
 def _check_module_route(mod):
-    mfs = _enumerate_module_endofunctors(mod, Budget(CAP))
+    mfs = _rlax_search(identity_lax(mod.base), mod, mod, Budget(CAP))
     assert mfs == exhaustive_enumerate_module_endofunctors(mod, CAP)
     nats = e0_center_via_module(mod, CAP).witnesses["nats"]
     assert list(nats) == exhaustive_module_nats(mod, mfs, CAP)

@@ -82,6 +82,12 @@ def canonical_construction(
     The identity element at x mediates the unitor and the composition
     mediates evaluation after evaluation; both are unique by terminality
     of the internal-hom pairs.
+
+    mod is not validated: the result means nothing unless
+    ``check_module(mod)`` passes. An invalid mod can still raise
+    StructureError (a module that is not strongly unital, a pair with no
+    internal hom, a mistyped composite) or KeyError (a missing associator
+    cell, or a mistyped unitor or composite route, which has no mediator).
     """
     if not mod.strongly_unital:
         raise StructureError("canonical construction needs a strongly unital module")

@@ -117,8 +117,9 @@ def _el_path(e: EnrichedCategory, objs: list, els: list) -> int:
     return out
 
 
-def _el_inv(e: EnrichedCategory, u, x: int, y: int, el: int) -> int:
+def _el_inv(e: EnrichedCategory, x: int, y: int, el: int) -> int:
     """Invert an element through the underlying category."""
+    u = underlying_category(e)
     k = u.index.get((x, y, el))
     if k is None:
         raise StructureError(f"no element {el}: {x} -> {y}")
@@ -137,7 +138,7 @@ def _t_el(em: EnrichedMonoidalCategory, x1: int, x2: int, y1: int, y2: int,
     )
 
 
-def _el_mid_swap(em: EnrichedMonoidalCategory, u, a1: int, a2: int, b1: int,
+def _el_mid_swap(em: EnrichedMonoidalCategory, a1: int, a2: int, b1: int,
                  b2: int, swap_el: int) -> int:
     """Element (a1@a2)@(b1@b2) -> (a1@b1)@(a2@b2) exchanging the middle
     factors with swap_el: 1 -> hom(a2@b1, b1@a2)."""
@@ -155,14 +156,14 @@ def _el_mid_swap(em: EnrichedMonoidalCategory, u, a1: int, a2: int, b1: int,
         em.a_el(a1, a2, t(b1, b2)),
         _t_el(em, a1, a1, t(a2, t(b1, b2)), t(t(a2, b1), b2),
               e.one(a1),
-              _el_inv(e, u, t(t(a2, b1), b2), t(a2, t(b1, b2)),
+              _el_inv(e, t(t(a2, b1), b2), t(a2, t(b1, b2)),
                       em.a_el(a2, b1, b2))),
         _t_el(em, a1, a1, t(t(a2, b1), b2), t(t(b1, a2), b2),
               e.one(a1), _t_el(em, t(a2, b1), t(b1, a2), b2, b2,
                                swap_el, e.one(b2))),
         _t_el(em, a1, a1, t(t(b1, a2), b2), t(b1, t(a2, b2)),
               e.one(a1), em.a_el(b1, a2, b2)),
-        _el_inv(e, u, t(t(a1, b1), t(a2, b2)), t(a1, t(b1, t(a2, b2))),
+        _el_inv(e, t(t(a1, b1), t(a2, b2)), t(a1, t(b1, t(a2, b2))),
                 em.a_el(a1, b1, t(a2, b2))),
     ]
     return _el_path(e, objs, els)
@@ -890,6 +891,13 @@ def gamma1(em: EnrichedMonoidalCategory, cap: int | None = None) -> CenterResult
     unique factorings of the corresponding host elements. One budget of
     cap units bounds every half-braiding enumeration and bracket-pair
     search.
+
+    em is not validated: the result means nothing unless
+    ``check_enriched_monoidal(em)`` passes. An invalid em can still raise
+    StructureError (a structure cell not an element, no terminal bracket
+    pair, an unrecognized tensor or unit half-braiding, no unique mediator,
+    a mistyped composite) or KeyError (an identity or composite not an
+    element).
     """
     return _gamma1(em, Budget(cap, "E1 center"))
 
@@ -900,14 +908,14 @@ def _gamma1(em: EnrichedMonoidalCategory, budget: Budget) -> CenterResult:
     m = e.base
     c = m.base
     u = underlying_category(e)
-    um = underlying_monoidal(em, u)
+    um = underlying_monoidal(em)
     cc = u.cat
     z2 = muger_center_z2(em.braiding)
     z2mon, z2br, z2incl = z2
 
     objs = []
     for x in e.objects():
-        for hb in _enriched_half_braidings(em, x, budget, u, um):
+        for hb in _enriched_half_braidings(em, x, budget):
             objs.append((x, hb))
     obj_index = _half_braided_index(objs)
     n = len(objs)
@@ -939,8 +947,8 @@ def _gamma1(em: EnrichedMonoidalCategory, budget: Budget) -> CenterResult:
     t1 = {}
     for i, j in itertools.product(range(n), repeat=2):
         (x, hbx), (y, hby) = objs[i], objs[j]
-        gx = underlying_half_braiding(em, hbx, u)
-        gy = underlying_half_braiding(em, hby, u)
+        gx = underlying_half_braiding(em, hbx)
+        gy = underlying_half_braiding(em, hby)
         comps = {}
         for z in e.objects():
             k = cc.comp_many(
@@ -1165,12 +1173,12 @@ def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict
 # --- the E2 center ---
 
 
-def _underlying_braided(eb: EnrichedBraidedCategory):
-    """The braiding on the underlying monoidal category, plus witnesses."""
+def _underlying_braided(eb: EnrichedBraidedCategory) -> BraidedStructure:
+    """The braiding on the underlying monoidal category."""
     em = eb.host
     e = em.host
     u = underlying_category(e)
-    um = underlying_monoidal(em, u)
+    um = underlying_monoidal(em)
     comps = {
         (x, y): u.index[(em.t(x, y), em.t(y, x), eb.braiding_el[(x, y)])]
         for x, y in itertools.product(e.objects(), repeat=2)
@@ -1180,17 +1188,24 @@ def _underlying_braided(eb: EnrichedBraidedCategory):
         == u.cat.identity[um.t_obj(x, y)]
         for x, y in itertools.product(e.objects(), repeat=2)
     )
-    return BraidedStructure(um, comps, sym), u, um
+    return BraidedStructure(um, comps, sym)
 
 
 def gamma2(eb: EnrichedBraidedCategory, cap: int | None = None) -> CenterResult:
     """The full subcategory of transparent objects, with the restricted
-    enriched monoidal structure; its braiding is symmetric."""
+    enriched monoidal structure; its braiding is symmetric.
+
+    eb is not validated: the result means nothing unless
+    ``check_enriched_braided(eb)`` passes. An invalid eb can still raise
+    StructureError (a structure cell not an element, a unit not transparent,
+    transparent objects not tensor-closed, a mistyped composite) or
+    KeyError (an identity, composite or braiding element not an element).
+    """
     em = eb.host
     e = em.host
     m = e.base
     c = m.base
-    bs, u, um = _underlying_braided(eb)
+    bs = _underlying_braided(eb)
     allobjs = list(e.objects())
     trans = [x for x in allobjs if is_transparent(bs, x, allobjs)]
     pos = {x: i for i, x in enumerate(trans)}
@@ -1429,7 +1444,6 @@ class _UniversalCheck:
         self.mB = self.c.n_morphisms
         self.unit_l = action.unit_obj
         self.unit_b = self.m.unit
-        self.u_e = underlying_category(e)
 
     def pr(self, a: int, x: int) -> int:
         return a * self.nM + x
@@ -1443,7 +1457,7 @@ class _UniversalCheck:
     def inverse_xi(self) -> dict:
         """The inverse elements x -> unit . x of the unit isomorphism."""
         return {
-            x: _el_inv(self.e, self.u_e, self.odot_obj(self.unit_l, x), x,
+            x: _el_inv(self.e, self.odot_obj(self.unit_l, x), x,
                        self.action.xi_el[x])
             for x in range(self.nM)
         }
@@ -1716,7 +1730,6 @@ class _MonoidalCheck(_UniversalCheck):
         super().__init__(em.host, self.laM.host, action, incl,
                          res.category.host.host)
         self.unit_M = em.unit_obj
-        self.u_la = underlying_category(self.la)
         self.route_objects = (self.unit_M,)
         self.inv_xi = self.inverse_xi()
 
@@ -1728,7 +1741,7 @@ class _MonoidalCheck(_UniversalCheck):
         """The half-braiding of a . 1 at mo induced by the monoidal action."""
         em, e, la, laM, f2 = self.em, self.e, self.la, self.laM, self.action.f2
         odot_obj, unit_l, unit_M = self.odot_obj, self.unit_l, self.unit_M
-        u_e, t = self.u_e, em.t
+        t = em.t
         pa = odot_obj(a, unit_M)
         o = [
             t(mo, pa),
@@ -1748,11 +1761,11 @@ class _MonoidalCheck(_UniversalCheck):
             ),
             self.odot_el(
                 a, mo, laM.t(a, unit_l), t(unit_M, mo),
-                _el_inv(la, self.u_la, laM.t(a, unit_l), a, laM.r_el(a)),
-                _el_inv(e, u_e, t(unit_M, mo), mo, em.l_el(mo)),
+                _el_inv(la, laM.t(a, unit_l), a, laM.r_el(a)),
+                _el_inv(e, t(unit_M, mo), mo, em.l_el(mo)),
             ),
             _el_inv(
-                e, u_e, t(pa, odot_obj(unit_l, mo)),
+                e, t(pa, odot_obj(unit_l, mo)),
                 odot_obj(laM.t(a, unit_l), t(unit_M, mo)),
                 f2[((a, unit_M), (unit_l, mo))],
             ),
@@ -2030,9 +2043,8 @@ def tensor_action(em: EnrichedMonoidalCategory,
     xi_bg = {b: m.l(b) for b in m.base.objects()}
     f2 = None
     if braiding_el is not None:
-        u = underlying_category(e)
         f2 = {
-            ((x, p), (y, q)): _el_mid_swap(em, u, x, p, y, q, braiding_el[(p, y)])
+            ((x, p), (y, q)): _el_mid_swap(em, x, p, y, q, braiding_el[(p, y)])
             for x, p, y, q in itertools.product(range(e.n_objects), repeat=4)
         }
     return UnitalAction(em, e, em.tensor, em.unit_obj, xi_el, xi_bg, f2)
@@ -2047,7 +2059,6 @@ def _center_evaluation_action(res: CenterResult, em: EnrichedMonoidalCategory,
     action monoidal.
     """
     e = em.host
-    u = underlying_category(e)
     odot = _computed(compose_enriched_functors(
         em.tensor,
         product_enriched_functor(res.forgetful, identity_enriched_functor(e)),
@@ -2056,7 +2067,7 @@ def _center_evaluation_action(res: CenterResult, em: EnrichedMonoidalCategory,
     for i, xa in enumerate(carriers):
         for j, xb in enumerate(carriers):
             for p, q in itertools.product(range(e.n_objects), repeat=2):
-                f2[((i, p), (j, q))] = _el_mid_swap(em, u, xa, p, xb, q, swap(j, p))
+                f2[((i, p), (j, q))] = _el_mid_swap(em, xa, p, xb, q, swap(j, p))
     # The unit isomorphism is the one of em acting on itself.
     tensor = tensor_action(em)
     return UnitalAction(

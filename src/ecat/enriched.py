@@ -2,14 +2,15 @@
 
 Hom objects, identity elements and composition morphisms are stored as
 explicit tables over the enriching base. Every construction here keeps the
-base non-strict: unitors and associators are inserted explicitly.
+base non-strict: unitors and associators are inserted explicitly. Each
+``EnrichedCategory`` keeps its underlying category, built once, for all readers.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ecat.core import (
     FinCategory,
@@ -51,11 +52,16 @@ from ecat.report import Budget, StructureError, ValidationReport
 
 @dataclass(frozen=True, eq=True)
 class EnrichedCategory:
+    """A category enriched in base. ``underlying_category`` keeps its result
+    in ``_built``, once per instance; a build that raises is not kept, and a
+    ``dataclasses.replace`` copy builds afresh."""
+
     base: MonoidalCategory
     n_objects: int
     hom_obj: Mapping  # (x,y) -> object of base
     ident: Mapping  # x -> morphism 1 -> hom(x,x)
     comp: Mapping  # (x,y,z) -> morphism hom(y,z)@hom(x,y) -> hom(x,z)
+    _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def objects(self):
         return range(self.n_objects)
@@ -131,13 +137,19 @@ class UnderlyingResult:
     lexicographic (x, y, base morphism) order.
     """
 
-    enriched: EnrichedCategory
     cat: FinCategory
     elements: tuple  # morphism index -> (x, y, base morphism 1 -> hom(x,y))
     index: dict  # (x, y, base morphism) -> morphism index
 
 
 def underlying_category(e: EnrichedCategory) -> UnderlyingResult:
+    """The underlying category of e, built once and kept in ``e._built``."""
+    if "underlying" not in e._built:
+        e._built["underlying"] = _underlying_category(e)
+    return e._built["underlying"]
+
+
+def _underlying_category(e: EnrichedCategory) -> UnderlyingResult:
     m = e.base
     c = m.base
     elements = []
@@ -157,7 +169,7 @@ def underlying_category(e: EnrichedCategory) -> UnderlyingResult:
             h = c.comp_many(e.c(x, y, z), m.t_mor(g, f), lam_inv)
             compose[(kg, kf)] = index[(x, z, h)]
     cat = FinCategory(e.n_objects, dom, cod, identity, compose)
-    return UnderlyingResult(e, cat, tuple(elements), index)
+    return UnderlyingResult(cat, tuple(elements), index)
 
 
 def hom_post(e: EnrichedCategory, w: int, y: int, z: int, g: int) -> int:
@@ -510,11 +522,9 @@ def hcomp_enriched_nats(eta: EnrichedNat, xi: EnrichedNat) -> EnrichedNat:
     return EnrichedNat(bg, hf, kg, comps)
 
 
-def underlying_functor(
-    f: EnrichedFunctor, us: UnderlyingResult | None = None, ut: UnderlyingResult | None = None
-) -> Functor:
-    us = us or underlying_category(f.source)
-    ut = ut or underlying_category(f.target)
+def underlying_functor(f: EnrichedFunctor) -> Functor:
+    us = underlying_category(f.source)
+    ut = underlying_category(f.target)
     c = f.target.base.base
     mor_map = []
     for x, y, g in us.elements:
@@ -523,20 +533,13 @@ def underlying_functor(
     return Functor(us.cat, ut.cat, f.obj_map, tuple(mor_map))
 
 
-def underlying_nat(
-    n: EnrichedNat, us: UnderlyingResult | None = None, ut: UnderlyingResult | None = None
-) -> NatTransf:
-    us = us or underlying_category(n.source.source)
-    ut = ut or underlying_category(n.source.target)
+def underlying_nat(n: EnrichedNat) -> NatTransf:
+    ut = underlying_category(n.source.target)
     comps = tuple(
         ut.index[(n.source.on_obj(x), n.target.on_obj(x), n.at(x))]
         for x in n.source.source.objects()
     )
-    return NatTransf(
-        underlying_functor(n.source, us, ut),
-        underlying_functor(n.target, us, ut),
-        comps,
-    )
+    return NatTransf(underlying_functor(n.source), underlying_functor(n.target), comps)
 
 
 def cartesian_product_enriched(

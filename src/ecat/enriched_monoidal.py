@@ -51,7 +51,6 @@ from ecat.enriched import (
     EnrichedCategory,
     EnrichedFunctor,
     EnrichedNat,
-    UnderlyingResult,
     _check_enriched_functor_composition,
     _check_enriched_functor_laws,
     _computed,
@@ -215,19 +214,16 @@ def unitor_nat(em: EnrichedMonoidalCategory, side: str) -> EnrichedNat:
     return EnrichedNat(bg, src, ide, comps)
 
 
-def underlying_monoidal(
-    em: EnrichedMonoidalCategory, u: UnderlyingResult | None = None
-) -> MonoidalCategory:
-    """The underlying monoidal category of the host, built on the first
-    call for em, on the underlying category u of the host when given, and
-    kept in ``em._built``; a build that raises is not kept."""
+def underlying_monoidal(em: EnrichedMonoidalCategory) -> MonoidalCategory:
+    """The underlying monoidal category of the host, kept in ``em._built``."""
     if "underlying" not in em._built:
-        em._built["underlying"] = _underlying_monoidal(em, u or underlying_category(em.host))
+        em._built["underlying"] = _underlying_monoidal(em)
     return em._built["underlying"]
 
 
-def _underlying_monoidal(em: EnrichedMonoidalCategory, u: UnderlyingResult) -> MonoidalCategory:
+def _underlying_monoidal(em: EnrichedMonoidalCategory) -> MonoidalCategory:
     e = em.host
+    u = underlying_category(e)
     m = e.base
     c = m.base
     n = e.n_objects
@@ -481,19 +477,14 @@ def unit_coherence_nat(emf: EnrichedMonoidalFunctor) -> EnrichedNat:
     return EnrichedNat(bg, left, right, {0: emf.f0})
 
 
-def underlying_monoidal_functor(
-    emf: EnrichedMonoidalFunctor,
-    us: UnderlyingResult | None = None,
-    ut: UnderlyingResult | None = None,
-) -> LaxMonoidalFunctor:
+def underlying_monoidal_functor(emf: EnrichedMonoidalFunctor) -> LaxMonoidalFunctor:
     """The underlying functor with its (strong) monoidal structure."""
     s, t = emf.source, emf.target
-    us = us or underlying_category(s.host)
-    ut = ut or underlying_category(t.host)
+    ut = underlying_category(t.host)
     f = emf.functor
-    um_s = underlying_monoidal(s, us)
-    um_t = underlying_monoidal(t, ut)
-    fun = underlying_functor(f, us, ut)
+    um_s = underlying_monoidal(s)
+    um_t = underlying_monoidal(t)
+    fun = underlying_functor(f)
     n = s.host.n_objects
     unit = ut.index[(t.unit_obj, f.on_obj(s.unit_obj), emf.f0)]
     mult = {
@@ -589,12 +580,10 @@ def check_enriched_monoidal_nat(
         report.add("nat-shape", ())
         return report
     _absorb(report, check_enriched_nat(xi), "nat")
-    us = underlying_category(femf.source.host)
-    ut = underlying_category(femf.target.host)
     under = LaxMonoidalNat(
-        underlying_monoidal_functor(femf, us, ut),
-        underlying_monoidal_functor(gemf, us, ut),
-        underlying_nat(xi, us, ut),
+        underlying_monoidal_functor(femf),
+        underlying_monoidal_functor(gemf),
+        underlying_nat(xi),
     )
     _absorb(report, check_lax_monoidal_nat(under), "underlying")
     return report
@@ -662,7 +651,7 @@ def check_enriched_braided(eb: EnrichedBraidedCategory) -> ValidationReport:
     _absorb(report, check_enriched_nat(braiding_nat(eb)), "braiding")
 
     u = underlying_category(e)
-    um = underlying_monoidal(em, u)
+    um = underlying_monoidal(em)
     try:
         braid = {
             (x, y): u.index[(em.t(x, y), em.t(y, x), eb.braiding_el[(x, y)])]
@@ -698,9 +687,10 @@ class EnrichedHalfBraiding:
 
 
 def underlying_half_braiding(
-    em: EnrichedMonoidalCategory, hb: EnrichedHalfBraiding, u: UnderlyingResult
+    em: EnrichedMonoidalCategory, hb: EnrichedHalfBraiding
 ) -> HalfBraidingOrd:
     x = hb.carrier
+    u = underlying_category(em.host)
     comps = {
         z: u.index[(em.t(z, x), em.t(x, z), hb.components[z])]
         for z in em.host.objects()
@@ -709,20 +699,16 @@ def underlying_half_braiding(
 
 
 def check_enriched_half_braiding(
-    em: EnrichedMonoidalCategory,
-    hb: EnrichedHalfBraiding,
-    u: UnderlyingResult | None = None,
-    um: MonoidalCategory | None = None,
+    em: EnrichedMonoidalCategory, hb: EnrichedHalfBraiding
 ) -> ValidationReport:
     report = ValidationReport("enriched half-braiding")
     e = em.host
     m = e.base
     c = m.base
     x = hb.carrier
-    u = u or underlying_category(e)
-    um = um or underlying_monoidal(em, u)
+    um = underlying_monoidal(em)
     try:
-        under = underlying_half_braiding(em, hb, u)
+        under = underlying_half_braiding(em, hb)
     except KeyError as bad:
         report.add("half-braiding-element", (), str(bad))
         return report
@@ -751,22 +737,13 @@ def enumerate_enriched_half_braidings(
     em: EnrichedMonoidalCategory, x: int, cap: int | None = None
 ) -> list:
     """All enriched half-braidings on x, in lexicographic component order."""
-    u = underlying_category(em.host)
-    um = underlying_monoidal(em, u)
+    underlying_monoidal(em)  # raises before the search if a cell is not an element
     budget = Budget(cap, "enriched half-braiding enumeration")
-    return _enriched_half_braidings(em, x, budget, u, um)
+    return _enriched_half_braidings(em, x, budget)
 
 
-def _enriched_half_braidings(
-    em: EnrichedMonoidalCategory,
-    x: int,
-    budget: Budget,
-    u: UnderlyingResult,
-    um: MonoidalCategory,
-) -> list:
-    """``enumerate_enriched_half_braidings`` on a given budget, with the
-    underlying category u of the host and the underlying monoidal category
-    um of em."""
+def _enriched_half_braidings(em: EnrichedMonoidalCategory, x: int, budget: Budget) -> list:
+    """``enumerate_enriched_half_braidings`` on a given budget."""
     e = em.host
     m = e.base
     c = m.base
@@ -775,4 +752,4 @@ def _enriched_half_braidings(
         EnrichedHalfBraiding(x, dict(enumerate(combo)))
         for combo in _search(len(pools), lambda z, a: pools[z], (), budget)
     )
-    return [hb for hb in hbs if check_enriched_half_braiding(em, hb, u, um).ok]
+    return [hb for hb in hbs if check_enriched_half_braiding(em, hb).ok]

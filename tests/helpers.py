@@ -1572,7 +1572,7 @@ def exhaustive_verify_e0_universal(e: EnrichedCategory, action: UnitalAction,
         report.add("comparison-functor-" + v.law, v.instance, v.detail)
 
     fam = {
-        x: _el_inv(e, u_e, odot_obj(unit_l, x), x, action.xi_el[x])
+        x: _el_inv(e, odot_obj(unit_l, x), x, action.xi_el[x])
         for x in range(nM)
     }
     sigma = _mediate_family(
@@ -1735,7 +1735,7 @@ def exhaustive_verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalA
         return _apply_pair(action.odot, nM, mB, a1, x1, a2, x2, el1, el2)
 
     inv_xi = {
-        x: _el_inv(e, u_e, odot_obj(unit_l, x), x, action.xi_el[x])
+        x: _el_inv(e, odot_obj(unit_l, x), x, action.xi_el[x])
         for x in range(nM)
     }
 
@@ -1762,11 +1762,11 @@ def exhaustive_verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalA
                 ),
                 odot_el(
                     a, mo, laM.t(a, unit_l), em.t(unit_M, mo),
-                    _el_inv(la, u_la, laM.t(a, unit_l), a, laM.r_el(a)),
-                    _el_inv(e, u_e, em.t(unit_M, mo), mo, em.l_el(mo)),
+                    _el_inv(la, laM.t(a, unit_l), a, laM.r_el(a)),
+                    _el_inv(e, em.t(unit_M, mo), mo, em.l_el(mo)),
                 ),
                 _el_inv(
-                    e, u_e, em.t(pa, odot_obj(unit_l, mo)),
+                    e, em.t(pa, odot_obj(unit_l, mo)),
                     odot_obj(laM.t(a, unit_l), em.t(unit_M, mo)),
                     action.f2[((a, unit_M), (unit_l, mo))],
                 ),
@@ -2010,7 +2010,7 @@ def exhaustive_verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAc
         return _apply_pair(action.odot, nM, mB, a1, x1, a2, x2, el1, el2)
 
     inv_xi = {
-        x: _el_inv(e, u_e, odot_obj(unit_l, x), x, action.xi_el[x])
+        x: _el_inv(e, odot_obj(unit_l, x), x, action.xi_el[x])
         for x in range(nM)
     }
 
@@ -2041,11 +2041,11 @@ def exhaustive_verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAc
                 ),
                 odot_el(
                     a, mo, laM.t(a, unit_l), em.t(unit_M, mo),
-                    _el_inv(la, u_la, laM.t(a, unit_l), a, laM.r_el(a)),
-                    _el_inv(e, u_e, em.t(unit_M, mo), mo, em.l_el(mo)),
+                    _el_inv(la, laM.t(a, unit_l), a, laM.r_el(a)),
+                    _el_inv(e, em.t(unit_M, mo), mo, em.l_el(mo)),
                 ),
                 _el_inv(
-                    e, u_e, em.t(pa, odot_obj(unit_l, mo)),
+                    e, em.t(pa, odot_obj(unit_l, mo)),
                     odot_obj(laM.t(a, unit_l), em.t(unit_M, mo)),
                     action.f2[((a, unit_M), (unit_l, mo))],
                 ),
@@ -2673,7 +2673,7 @@ def exhaustive_enumerate_enriched_half_braidings(
     m = e.base
     c = m.base
     u = underlying_category(e)
-    um = underlying_monoidal(em, u)
+    um = underlying_monoidal(em)
     budget = Budget(cap, "enriched half-braiding enumeration")
     candidates = []
     for z in e.objects():
@@ -2683,7 +2683,7 @@ def exhaustive_enumerate_enriched_half_braidings(
     for combo in itertools.product(*candidates):
         budget.spend()
         hb = EnrichedHalfBraiding(x, dict(enumerate(combo)))
-        if check_enriched_half_braiding(em, hb, u, um).ok:
+        if check_enriched_half_braiding(em, hb).ok:
             found.append(hb)
     return found
 

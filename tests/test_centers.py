@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from ecat import centers, enriched_monoidal
+from ecat import centers, enriched, enriched_monoidal
 from ecat.centers import (
     _enriched_iso_search,
     braided_tables,
@@ -258,11 +258,14 @@ def e0_host_of(mod: ModuleAction):
 
 
 def test_verify_e0_on_designated_fixtures():
-    e = chain2_enriched()
-    res = e0_center(e, CAP)
-    for act in (evaluation_action(res, e), trivial_action(e)):
-        out = verify_e0_universal(e, act, CAP, res)
-        assert out.report.ok and out.uniqueness_count == 1
+    for e in (chain2_enriched(), sign_enriched(2, 0)):
+        res = e0_center(e, CAP)
+        for act in (evaluation_action(res, e), trivial_action(e)):
+            out = verify_e0_universal(e, act, CAP, res)
+            assert out.report.ok and out.uniqueness_count == 1
+    # the sign-2 center has 8 objects and its underlying category is not thin
+    u = underlying_category(res.category.host)
+    assert (res.category.host.n_objects, u.cat.n_morphisms, u.cat.thin) == (8, 128, False)
     em = preorder_enriched_monoidal()
     out = verify_e0_universal(em.host, tensor_action(em), CAP)
     assert out.report.ok and out.uniqueness_count == 1
@@ -395,9 +398,7 @@ def test_gamma1_braiding_factors_the_half_braidings():
 def test_gamma1_underlying_embeds_fully_in_z1_of_underlying():
     em = preorder_enriched_monoidal()
     res = gamma1(em, CAP)
-    e = em.host
-    u = underlying_category(e)
-    um = underlying_monoidal(em, u)
+    um = underlying_monoidal(em)
     z1u = drinfeld_center_z1(um, Budget(CAP, "underlying center"))
     z1_index = {
         (x, tuple(sorted(hb.components.items()))): i
@@ -405,7 +406,7 @@ def test_gamma1_underlying_embeds_fully_in_z1_of_underlying():
     }
     img = []
     for x, ehb in res.witnesses["objects"]:
-        hbu = underlying_half_braiding(em, ehb, u)
+        hbu = underlying_half_braiding(em, ehb)
         img.append(z1_index[(x, tuple(sorted(hbu.components.items())))])
     ug = underlying_category(res.category.host.host)
     zc = z1u.monoidal.base
@@ -596,9 +597,9 @@ def test_an_enriched_monoidal_category_builds_its_underlying_once(monkeypatch):
     built = []
     build = enriched_monoidal._underlying_monoidal
 
-    def counting(em, u):
+    def counting(em):
         built.append(em)
-        return build(em, u)
+        return build(em)
 
     monkeypatch.setattr(enriched_monoidal, "_underlying_monoidal", counting)
     em = preorder_enriched_monoidal()
@@ -618,16 +619,48 @@ def test_an_enriched_monoidal_category_builds_its_underlying_once(monkeypatch):
     assert len(built) == 4 and not bad._built
 
 
+def test_an_enriched_category_builds_its_underlying_once(monkeypatch):
+    built = []
+    build = enriched._underlying_category
+
+    def counting(e):
+        built.append(e)
+        return build(e)
+
+    monkeypatch.setattr(enriched, "_underlying_category", counting)
+    em = preorder_enriched_monoidal()
+    eb = EnrichedBraidedCategory(em, preorder_braiding_el(em), True)
+    assert check_enriched_monoidal(em).ok
+    assert check_enriched_braided(eb).ok
+    res1 = gamma1(em, CAP)
+    gamma2(eb, CAP)
+    act = gamma1_evaluation_action(res1, em)
+    assert verify_e1_universal(em, act, CAP, res1).report.ok
+    assert sum(e is em.host for e in built) == 1
+    assert len({id(e) for e in built}) == len(built)  # one build per instance
+    e = em.host
+    copy = dataclasses.replace(e)
+    assert copy == e and not copy._built
+    assert underlying_category(copy) is underlying_category(copy)
+    assert underlying_category(copy) == underlying_category(e)
+    assert sum(b is copy for b in built) == 1
+    # a build that raises is not kept, so the next read raises again
+    bad = dataclasses.replace(e, ident={x: -1 for x in e.objects()})
+    before = len(built)
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            underlying_category(bad)
+    assert len(built) == before + 2 and not bad._built
+
+
 def _gamma1_stage_spends(em) -> list:
     """What each half-braiding enumeration and bracket-pair search of
     gamma1(em) spends on a budget of its own."""
     res = gamma1(em, CAP)
-    u = underlying_category(em.host)
-    um = underlying_monoidal(em, u)
     spends = []
     for x in em.host.objects():
         b = Budget(CAP)
-        _enriched_half_braidings(em, x, b, u, um)
+        _enriched_half_braidings(em, x, b)
         spends.append(b.used)
     objs = res.witnesses["objects"]
     for oi, oj in itertools.product(objs, repeat=2):

@@ -28,6 +28,7 @@ from helpers import (
     meet_semilattices,
     preorder_enriched_monoidal,
     semion_enriched_monoidal,
+    sign_enriched,
     trivial_base_enriched,
     z2_enriched,
 )
@@ -49,6 +50,7 @@ E0_HOSTS = {
     "chain3": chain3_enriched,
     "preorder": lambda: preorder_enriched_monoidal().host,
     "semion": lambda: semion_enriched_monoidal().host,
+    "sign2": lambda: sign_enriched(2, 0),
 }
 
 

@@ -283,16 +283,15 @@ def test_unit_object_always_has_a_half_braiding():
 
 def test_enumerated_half_braidings_pass_both_axiom_families():
     em = semion_enriched_monoidal()
-    u = underlying_category(em.host)
-    um = underlying_monoidal(em, u)
+    um = underlying_monoidal(em)
     total = 0
     for x in range(2):
         for hb in enumerate_enriched_half_braidings(em, x):
             total += 1
-            assert check_enriched_half_braiding(em, hb, u, um).ok
+            assert check_enriched_half_braiding(em, hb).ok
             from ecat.enriched_monoidal import underlying_half_braiding
 
-            assert check_half_braiding(um, underlying_half_braiding(em, hb, u)).ok
+            assert check_half_braiding(um, underlying_half_braiding(em, hb)).ok
     assert total > 0
 
 

@@ -1,7 +1,8 @@
 """Every name a module of src/ecat imports is used in that module, and
 every private module-level function or class of src/ecat is named by some
 live code of src/ecat outside its own definition: code that is not itself
-in such an unreferenced def.
+in such an unreferenced def. No def of src/ecat takes an
+``UnderlyingResult``: an enriched category keeps its own.
 
 Names listed in the package's __all__ are re-exported, so they count as
 used in __init__.py.
@@ -128,3 +129,39 @@ def test_the_scan_follows_dead_chains_and_cycles():
 def test_no_unreferenced_private_defs():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def threaded_underlying(sources: dict) -> list:
+    """The (module, def, parameter) of each parameter annotated with
+    ``UnderlyingResult``, in a def at any depth. An enriched category keeps
+    its underlying category, so no def needs it passed in."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None
+            ]
+            for p in params:
+                if p.annotation and "UnderlyingResult" in ast.unparse(p.annotation):
+                    found.append((module, node.name, p.arg))
+    return sorted(found)
+
+
+def test_the_scan_finds_a_threaded_underlying_category():
+    sources = {
+        "a": (
+            "def f(e, u: UnderlyingResult | None = None):\n    pass\n\n"
+            "class C:\n    def m(self, *, us: 'UnderlyingResult'):\n        pass\n\n"
+            "def g(e, u, k: int) -> UnderlyingResult:\n    pass\n"
+        ),
+        "b": "import enriched\n\ndef h(ut: enriched.UnderlyingResult):\n    pass\n",
+    }
+    assert threaded_underlying(sources) == [("a", "f", "u"), ("a", "m", "us"), ("b", "h", "ut")]
+
+
+def test_no_def_takes_an_underlying_category():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert threaded_underlying(sources) == []

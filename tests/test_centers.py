@@ -30,8 +30,8 @@ from ecat.centers import (
     verify_e2_universal,
 )
 from ecat.actions import ModuleAction, MonoidalModuleCells, terminal_module
-from ecat.actions import monoidal_self_module
-from ecat.canonical import canonical_construction, canonical_monoidal
+from ecat.actions import monoidal_self_module, self_module
+from ecat.canonical import canonical_braided, canonical_construction, canonical_monoidal
 from ecat.core import Functor, NatTransf, product_category, terminal_category
 from ecat.enriched import (
     EnrichedNat,
@@ -67,7 +67,9 @@ from helpers import (
     lattice4_self_enriched,
     lattice8_self_enriched,
     preorder_enriched_monoidal,
+    semion_monoidal,
     sign_enriched,
+    sign_monoidal,
     thin_enriched,
     trivial_base_enriched,
     z2_discrete_monoidal,
@@ -714,3 +716,267 @@ def test_one_cap_bounds_the_sum_of_the_stages(run, spends):
     for cap in (max(spends), total - 1):
         with pytest.raises(BudgetExceeded):
             run(arg, cap)
+
+
+# --- the input contract: what an invalid input makes each construction do ---
+
+
+def _contract_inputs(name: str) -> dict:
+    """The inputs of the four unvalidated constructions on a named fixture:
+    the preorder enriched monoidal fixture, the semion base and its
+    self-module, and the lattice-2, sign and z2 bases with the canonical
+    categories of their self-modules. (The E1 center of the semion
+    enriched monoidal category does not exist: no pair of its objects has a
+    terminal bracket pair.)"""
+    if name == "preorder":
+        em = preorder_enriched_monoidal()
+        return {
+            "gamma1": em,
+            "gamma2": EnrichedBraidedCategory(em, preorder_braiding_el(em), True),
+        }
+    if name == "semion":
+        m = semion_monoidal()
+        return {"drinfeld_center_z1": m, "canonical_construction": self_module(m)}
+    b = identity_braiding(
+        {"lattice2": lattice2_monoidal, "sign": sign_monoidal, "z2": z2_discrete_monoidal}[name]()
+    )
+    cells = monoidal_self_module(b)
+    return {
+        "drinfeld_center_z1": b.host,
+        "canonical_construction": cells.module,
+        "gamma1": canonical_monoidal(cells),
+        "gamma2": canonical_braided(cells, b, symmetric=True),
+    }
+
+
+CONTRACT_RUNS = {
+    "drinfeld_center_z1": drinfeld_center_z1,
+    "canonical_construction": canonical_construction,
+    "gamma1": lambda em: gamma1(em, CAP),
+    "gamma2": lambda eb: gamma2(eb, CAP),
+}
+
+
+def _contract_tables(run: str, x) -> tuple:
+    """The tables of x whose entries are changed, by name, and the category
+    whose morphisms those entries are."""
+    if run == "drinfeld_center_z1":
+        return {
+            "associator": x.associator, "left_unitor": x.left_unitor,
+            "right_unitor": x.right_unitor, "tensor": x.tensor.mor_map,
+        }, x.base
+    if run == "canonical_construction":
+        return {
+            "oplax_assoc": x.oplax_assoc, "oplax_unitor": x.oplax_unitor,
+            "act": x.act.mor_map,
+        }, x.carrier
+    em = x.host if run == "gamma2" else x
+    tables = {
+        "ident": em.host.ident, "comp": em.host.comp, "tensor": em.tensor.components,
+        "associator": em.associator, "left_unitor": em.left_unitor,
+        "right_unitor": em.right_unitor,
+    }
+    if run == "gamma2":
+        tables["braiding_el"] = x.braiding_el
+    return tables, em.host.base.base
+
+
+def _set_entry(table, key, g):
+    if isinstance(table, dict):
+        return {**table, key: g}
+    cells = list(table)
+    cells[key] = g
+    return tuple(cells)
+
+
+def _contract_with(run: str, x, table: str, key, g):
+    """x with entry key of the named table set to g."""
+    def functor_with(fun):
+        return dataclasses.replace(fun, mor_map=_set_entry(fun.mor_map, key, g))
+
+    if run == "drinfeld_center_z1" and table == "tensor":
+        return dataclasses.replace(x, tensor=functor_with(x.tensor))
+    if run == "canonical_construction" and table == "act":
+        return dataclasses.replace(x, act=functor_with(x.act))
+    if run in ("drinfeld_center_z1", "canonical_construction") or table == "braiding_el":
+        return dataclasses.replace(x, **{table: _set_entry(getattr(x, table), key, g)})
+    em = x.host if run == "gamma2" else x
+    if table in ("ident", "comp"):
+        host = dataclasses.replace(em.host, **{table: _set_entry(getattr(em.host, table), key, g)})
+        em = dataclasses.replace(em, host=host)
+    elif table == "tensor":
+        tensor = dataclasses.replace(
+            em.tensor, components=_set_entry(dict(em.tensor.components), key, g)
+        )
+        em = dataclasses.replace(em, tensor=tensor)
+    else:
+        em = dataclasses.replace(em, **{table: _set_entry(getattr(em, table), key, g)})
+    return dataclasses.replace(x, host=em) if run == "gamma2" else em
+
+
+def _replacements(c, f, k) -> list:
+    """Every other morphism of c typed as f, then the k-th (cyclically) of
+    another type, if there is one."""
+    same = [g for g in c.hom(c.dom[f], c.cod[f]) if g != f]
+    other = [g for g in c.morphisms() if (c.dom[g], c.cod[g]) != (c.dom[f], c.cod[f])]
+    return same + ([other[k % len(other)]] if other else [])
+
+
+def _contract_outcome(run, x) -> str:
+    """"." for a result, "S" for StructureError, "V" for another
+    ValueError, "K" for KeyError; anything else escapes."""
+    try:
+        run(x)
+    except StructureError:
+        return "S"
+    except ValueError:
+        return "V"
+    except KeyError:
+        return "K"
+    return "."
+
+
+CONTRACT = {
+    ("preorder", "gamma1"): {
+        "ident": "KK",
+        "comp": "SSSSSSSS",
+        "tensor": "SSSSSSSSSSSSSSSS",
+        "associator": "SSSSSSSS",
+        "left_unitor": "SS",
+        "right_unitor": "SS",
+    },
+    ("preorder", "gamma2"): {
+        "ident": "KK",
+        "comp": "SS.S...S",
+        "tensor": "SSSS.S.S..SS...S",
+        "associator": "SSSSSSSS",
+        "left_unitor": "SS",
+        "right_unitor": "SS",
+        "braiding_el": "KKKK",
+    },
+    ("semion", "drinfeld_center_z1"): {
+        "associator": "VVVSVKVSVVVSVVVSVKVSVVVSVVVS...S",
+        "left_unitor": "VVVSVKVS",
+        "right_unitor": "VVVSVKVS",
+        "tensor": (
+            "V.VSVVVSVVVSVVVSVVVSKKKSKKKSKKKSVVVS...K...K...KKKKS...K...K...K"
+            "VVVS...K...K...KKKKS...K...K...KVVVS...K...K...KKKKS...K...K...K"
+            "VVVSKKKSKKKSKKKSV.VS..VS...S.V.SKKKS...K...K...K..VS...K...K...K"
+            "KKKS...K...K...K...S...K...K...KKKKS...K...K...K.V.S...K...K...K"
+        ),
+    },
+    ("semion", "canonical_construction"): {
+        "oplax_assoc": "...S...S...S...S...S...S...S...S",
+        "oplax_unitor": "...K...K",
+        "act": (
+            "SSSS............SSSS............SSSS............SSSS............"
+            "SSSS............SSSS............SSSS............SSSS............"
+            "SSSS............SSSS............SSSS............SSSS............"
+            "SSSS............SSSS............SSSS............SSSS............"
+        ),
+    },
+    ("lattice2", "drinfeld_center_z1"): {
+        "associator": "SSSSSSSS",
+        "left_unitor": "SS",
+        "right_unitor": "SS",
+        "tensor": "SSSSSSSVK",
+    },
+    ("lattice2", "canonical_construction"): {
+        "oplax_assoc": "..SS.SSK",
+        "oplax_unitor": "KK",
+        "act": "SSSSSSSS.",
+    },
+    ("lattice2", "gamma1"): {
+        "ident": "KK",
+        "comp": "SSSSSSSS",
+        "tensor": "SSSSSSSSSSSSSSSS",
+        "associator": "SSSSSSSS",
+        "left_unitor": "SS",
+        "right_unitor": "SS",
+    },
+    ("lattice2", "gamma2"): {
+        "ident": "KK",
+        "comp": "SS.S...S",
+        "tensor": "SSSS.S.S..SS...S",
+        "associator": "SSSSSSSS",
+        "left_unitor": "SS",
+        "right_unitor": "SS",
+        "braiding_el": "KKKK",
+    },
+    ("sign", "drinfeld_center_z1"): {
+        "associator": "V",
+        "left_unitor": "V",
+        "right_unitor": "V",
+        "tensor": ".VV.",
+    },
+    ("sign", "canonical_construction"): {
+        "oplax_assoc": ".",
+        "oplax_unitor": ".",
+        "act": "S.S.",
+    },
+    ("sign", "gamma1"): {
+        "ident": "S",
+        "comp": "S",
+        "tensor": ".",
+        "associator": "S",
+        "left_unitor": "S",
+        "right_unitor": "S",
+    },
+    ("sign", "gamma2"): {
+        "ident": "S",
+        "comp": "S",
+        "tensor": ".",
+        "associator": ".",
+        "left_unitor": ".",
+        "right_unitor": ".",
+        "braiding_el": ".",
+    },
+    ("z2", "drinfeld_center_z1"): {
+        "associator": "SSSSSSSS",
+        "left_unitor": "SS",
+        "right_unitor": "SS",
+        "tensor": "SSSS",
+    },
+    ("z2", "canonical_construction"): {
+        "oplax_assoc": "SSSSSSSS",
+        "oplax_unitor": "KK",
+        "act": "SSSS",
+    },
+    ("z2", "gamma1"): {
+        "ident": "KK",
+        "comp": "SSSSSSSS",
+        "tensor": "SSSSSSSSSSSSSSSS",
+        "associator": "SSSSSSSS",
+        "left_unitor": "SS",
+        "right_unitor": "SS",
+    },
+    ("z2", "gamma2"): {
+        "ident": "KK",
+        "comp": "S......S",
+        "tensor": "S....S....S....S",
+        "associator": "SSSSSSSS",
+        "left_unitor": "SS",
+        "right_unitor": "SS",
+        "braiding_el": "KKKK",
+    },
+}
+
+
+@pytest.mark.parametrize("name, run", list(CONTRACT), ids=lambda v: v)
+def test_one_entry_mutations_keep_the_input_contract(name, run):
+    """gamma1, gamma2, canonical_construction and drinfeld_center_z1 do not
+    validate their input. Each one-entry change of a table of a valid
+    input, one character per change in table order, gives a result, a
+    StructureError or a KeyError, as pinned."""
+    x = _contract_inputs(name)[run]
+    assert _contract_outcome(CONTRACT_RUNS[run], x) == "."
+    tables, c = _contract_tables(run, x)
+    got = {}
+    for table, cells in tables.items():
+        items = cells.items() if isinstance(cells, dict) else enumerate(cells)
+        got[table] = "".join(
+            _contract_outcome(CONTRACT_RUNS[run], _contract_with(run, x, table, key, g))
+            for k, (key, f) in enumerate(items)
+            for g in _replacements(c, f, k)
+        )
+    assert got == CONTRACT[(name, run)]

@@ -85,6 +85,9 @@ from ecat.monoidal import (
     HalfBraidingOrd,
     LaxMonoidalFunctor,
     LaxMonoidalNat,
+    _half_braided_index,
+    _tensor_half_braiding,
+    _unit_half_braiding,
     braided_tensor_lax_structure,
     check_lax_monoidal_functor,
     drinfeld_center_z1,
@@ -167,15 +170,6 @@ def _el_mid_swap(em: EnrichedMonoidalCategory, a1: int, a2: int, b1: int,
                 em.a_el(a1, b1, t(a2, b2))),
     ]
     return _el_path(e, objs, els)
-
-
-def _half_braided_index(pairs) -> dict:
-    """Position of each (object, half-braiding) pair, keyed by the object
-    and the sorted half-braiding components."""
-    return {
-        (x, tuple(sorted(hb.components.items()))): i
-        for i, (x, hb) in enumerate(pairs)
-    }
 
 
 # --- endofunctor enumeration ---
@@ -909,7 +903,6 @@ def _gamma1(em: EnrichedMonoidalCategory, budget: Budget) -> CenterResult:
     c = m.base
     u = underlying_category(e)
     um = underlying_monoidal(em)
-    cc = u.cat
     z2 = muger_center_z2(em.braiding)
     z2mon, z2br, z2incl = z2
 
@@ -949,26 +942,17 @@ def _gamma1(em: EnrichedMonoidalCategory, budget: Budget) -> CenterResult:
         (x, hbx), (y, hby) = objs[i], objs[j]
         gx = underlying_half_braiding(em, hbx)
         gy = underlying_half_braiding(em, hby)
-        comps = {}
-        for z in e.objects():
-            k = cc.comp_many(
-                inv(um, um.a(x, y, z)),
-                um.t_mor(cc.identity[x], gy.components[z]),
-                um.a(x, z, y),
-                um.t_mor(gx.components[z], cc.identity[y]),
-                inv(um, um.a(z, x, y)),
-            )
-            comps[z] = u.elements[k][2]
+        comps = {
+            z: u.elements[k][2]
+            for z, k in _tensor_half_braiding(um, x, gx.components, y, gy.components).items()
+        }
         pos = obj_index.get((em.t(x, y), tuple(sorted(comps.items()))))
         if pos is None:
             raise StructureError(
                 f"tensor of half-braided objects not recognized at {(i, j)}"
             )
         t1[(i, j)] = pos
-    unit_comps = {}
-    for z in e.objects():
-        k = cc.comp(inv(um, um.l(z)), um.r(z))
-        unit_comps[z] = u.elements[k][2]
+    unit_comps = {z: u.elements[k][2] for z, k in _unit_half_braiding(um).items()}
     unit_idx = obj_index.get((em.unit_obj, tuple(sorted(unit_comps.items()))))
     if unit_idx is None:
         raise StructureError("unit half-braiding not recognized")

@@ -761,6 +761,40 @@ def enumerate_half_braidings(
     return [hb for hb in hbs if check_half_braiding(m, hb).ok]
 
 
+def _tensor_half_braiding(
+    m: MonoidalCategory, x: int, gamma: Mapping, y: int, delta: Mapping
+) -> dict:
+    """The half-braiding on x@y from gamma on x and delta on y: at each z,
+    z@(x@y) -> (z@x)@y -> (x@z)@y -> x@(z@y) -> x@(y@z) -> (x@y)@z,
+    exchanging z past x with gamma, then past y with delta."""
+    c = m.base
+    return {
+        z: c.comp_many(
+            inv(m, m.a(x, y, z)),
+            m.t_mor(c.identity[x], delta[z]),
+            m.a(x, z, y),
+            m.t_mor(gamma[z], c.identity[y]),
+            inv(m, m.a(z, x, y)),
+        )
+        for z in c.objects()
+    }
+
+
+def _unit_half_braiding(m: MonoidalCategory) -> dict:
+    """The half-braiding on the unit: at each z, z@1 -> z -> 1@z."""
+    c = m.base
+    return {z: c.comp(inv(m, m.l(z)), m.r(z)) for z in c.objects()}
+
+
+def _half_braided_index(pairs) -> dict:
+    """Position of each (object, half-braiding) pair, keyed by the object
+    and the sorted half-braiding components."""
+    return {
+        (x, tuple(sorted(hb.components.items()))): i
+        for i, (x, hb) in enumerate(pairs)
+    }
+
+
 @dataclass(frozen=True, eq=True)
 class DrinfeldCenter:
     """A center presented as a braided monoidal category plus forgetful data.
@@ -778,7 +812,20 @@ class DrinfeldCenter:
 def drinfeld_center_z1(
     m: MonoidalCategory, budget: Budget | None = None
 ) -> DrinfeldCenter:
-    """The category of (object, half-braiding) pairs, built by brute force."""
+    """The category of (object, half-braiding) pairs, built by brute force.
+
+    Objects are found by key (``_half_braided_index``): the tensor of two
+    objects carries ``_tensor_half_braiding`` and the unit carries
+    ``_unit_half_braiding``, the formulas ``centers.gamma1`` reads too.
+
+    m is not validated: the result means nothing unless
+    ``check_monoidal(m)`` passes. An invalid m can still raise
+    StructureError (a structure morphism that is not invertible, a mistyped
+    composite, a tensor or unit half-braiding that is not among the
+    enumerated ones, named by its pair) or KeyError (an identity,
+    composite, tensor, associator, unitor or braiding component that is not
+    a morphism of the center).
+    """
     c = m.base
     budget = budget or Budget(None, "drinfeld center")
     z_objects: list[tuple[int, HalfBraidingOrd]] = []
@@ -815,21 +862,17 @@ def drinfeld_center_z1(
                 compose[(kg, kf)] = mor_index[(i, k, c.comp(g, f))]
     zcat = FinCategory(nz, dom, cod, identity, compose)
 
+    z_index = _half_braided_index(z_objects)
+
     def tensor_obj(i: int, j: int) -> int:
-        x, gamma = z_objects[i]
-        y, delta = z_objects[j]
-        xy = m.t_obj(x, y)
-        comp = {}
-        for z in c.objects():
-            # z@(x@y) -> x@(y@z) two-step exchange past each factor
-            comp[z] = c.comp_many(
-                inv(m, m.a(x, y, z)),
-                m.t_mor(c.identity[x], delta.components[z]),
-                m.a(x, z, y),
-                m.t_mor(gamma.components[z], c.identity[y]),
-                inv(m, m.a(z, x, y)),
+        (x, gamma), (y, delta) = z_objects[i], z_objects[j]
+        comps = _tensor_half_braiding(m, x, gamma.components, y, delta.components)
+        pos = z_index.get((m.t_obj(x, y), tuple(sorted(comps.items()))))
+        if pos is None:
+            raise StructureError(
+                f"tensor of half-braided objects not recognized at {(i, j)}"
             )
-        return z_objects.index((xy, HalfBraidingOrd(xy, comp)))
+        return pos
 
     t_obj_map = [0] * (nz * nz)
     for i, j in itertools.product(range(nz), repeat=2):
@@ -843,10 +886,9 @@ def drinfeld_center_z1(
             ]
     ztensor = Functor(product_category(zcat, zcat), zcat, tuple(t_obj_map), tuple(t_mor_map))
 
-    unit_hb = HalfBraidingOrd(
-        m.unit, {z: c.comp(inv(m, m.l(z)), m.r(z)) for z in c.objects()}
-    )
-    z_unit = z_objects.index((m.unit, unit_hb))
+    z_unit = z_index.get((m.unit, tuple(sorted(_unit_half_braiding(m).items()))))
+    if z_unit is None:
+        raise StructureError("unit half-braiding not recognized")
 
     def lift(i: int, j: int, f: int) -> int:
         return mor_index[(i, j, f)]

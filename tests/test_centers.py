@@ -823,14 +823,12 @@ def _replacements(c, f, k) -> list:
 
 
 def _contract_outcome(run, x) -> str:
-    """"." for a result, "S" for StructureError, "V" for another
-    ValueError, "K" for KeyError; anything else escapes."""
+    """"." for a result, "S" for StructureError, "K" for KeyError;
+    anything else escapes."""
     try:
         run(x)
     except StructureError:
         return "S"
-    except ValueError:
-        return "V"
     except KeyError:
         return "K"
     return "."
@@ -855,14 +853,14 @@ CONTRACT = {
         "braiding_el": "KKKK",
     },
     ("semion", "drinfeld_center_z1"): {
-        "associator": "VVVSVKVSVVVSVVVSVKVSVVVSVVVS...S",
-        "left_unitor": "VVVSVKVS",
-        "right_unitor": "VVVSVKVS",
+        "associator": "SSSSSKSSSSSSSSSSSKSSSSSSSSSS...S",
+        "left_unitor": "SSSSSKSS",
+        "right_unitor": "SSSSSKSS",
         "tensor": (
-            "V.VSVVVSVVVSVVVSVVVSKKKSKKKSKKKSVVVS...K...K...KKKKS...K...K...K"
-            "VVVS...K...K...KKKKS...K...K...KVVVS...K...K...KKKKS...K...K...K"
-            "VVVSKKKSKKKSKKKSV.VS..VS...S.V.SKKKS...K...K...K..VS...K...K...K"
-            "KKKS...K...K...K...S...K...K...KKKKS...K...K...K.V.S...K...K...K"
+            "S.SSSSSSSSSSSSSSSSSSKKKSKKKSKKKSSSSS...K...K...KKKKS...K...K...K"
+            "SSSS...K...K...KKKKS...K...K...KSSSS...K...K...KKKKS...K...K...K"
+            "SSSSKKKSKKKSKKKSS.SS..SS...S.S.SKKKS...K...K...K..SS...K...K...K"
+            "KKKS...K...K...K...S...K...K...KKKKS...K...K...K.S.S...K...K...K"
         ),
     },
     ("semion", "canonical_construction"): {
@@ -879,7 +877,7 @@ CONTRACT = {
         "associator": "SSSSSSSS",
         "left_unitor": "SS",
         "right_unitor": "SS",
-        "tensor": "SSSSSSSVK",
+        "tensor": "SSSSSSSSK",
     },
     ("lattice2", "canonical_construction"): {
         "oplax_assoc": "..SS.SSK",
@@ -904,10 +902,10 @@ CONTRACT = {
         "braiding_el": "KKKK",
     },
     ("sign", "drinfeld_center_z1"): {
-        "associator": "V",
-        "left_unitor": "V",
-        "right_unitor": "V",
-        "tensor": ".VV.",
+        "associator": "S",
+        "left_unitor": "S",
+        "right_unitor": "S",
+        "tensor": ".SS.",
     },
     ("sign", "canonical_construction"): {
         "oplax_assoc": ".",

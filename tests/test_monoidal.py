@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -41,6 +42,7 @@ from helpers import (
     lattice4_monoidal,
     s3_discrete_monoidal,
     semion_braiding,
+    semion_monoidal,
     sign_monoidal,
     z2_discrete_monoidal,
 )
@@ -280,6 +282,16 @@ def test_z1_of_sign_keeps_both_endomorphisms():
     z = drinfeld_center_z1(sign_monoidal())
     assert z.monoidal.base.n_morphisms == 2
     assert z.braided.symmetric_flag
+
+
+def test_z1_names_the_half_braiding_it_cannot_find():
+    m = semion_monoidal()
+    bad = dataclasses.replace(m, associator={**m.associator, (0, 0, 0): 1})
+    with pytest.raises(StructureError, match=r"tensor .* not recognized at \(0, 0\)"):
+        drinfeld_center_z1(bad)
+    m = sign_monoidal()
+    with pytest.raises(StructureError, match="unit half-braiding not recognized"):
+        drinfeld_center_z1(dataclasses.replace(m, associator={(0, 0, 0): 1}))
 
 
 def test_muger_center_symmetric_fixture_is_everything():

@@ -53,6 +53,7 @@ from ecat.core import (
     _nat_search,
     _search,
     check_nat_transf,
+    labelled_category,
     product_category,
 )
 from ecat.enriched import (
@@ -703,22 +704,11 @@ def e0_center_via_module(mod: ModuleAction, cap: int | None = None) -> CenterRes
         for nat in _nat_search(fi.functor, fj.functor, budget)
         if check_module_nat(fi, fj, nat).ok
     ]
-    nat_index = {key: pos for pos, key in enumerate(nats)}
-    dom = tuple(i for i, _, _ in nats)
-    cod = tuple(j for _, j, _ in nats)
-    identity = tuple(
-        nat_index[(i, i, tuple(cc.identity[x] for x in mf.functor.obj_map))]
-        for i, mf in enumerate(mfs)
+    funcat, nat_index = labelled_category(
+        len(mfs), nats,
+        lambda i: tuple(cc.identity[x] for x in mfs[i].functor.obj_map),
+        lambda g, f: tuple(cc.comp(g[2][x], f[2][x]) for x in cc.objects()),
     )
-    compose = {}
-    for gi, (j1, k, gc) in enumerate(nats):
-        for fi, (i, j2, fc) in enumerate(nats):
-            if j1 == j2:
-                comps = tuple(
-                    cc.comp(gc[x], fc[x]) for x in cc.objects()
-                )
-                compose[(gi, fi)] = nat_index[(i, k, comps)]
-    funcat = FinCategory(len(mfs), dom, cod, identity, compose)
 
     def acting(zi: int) -> RLaxStructure:
         """The lax module endofunctor a.- of the center object zi = (a, hb),

@@ -11,6 +11,16 @@ entry from the factor tables by index arithmetic when it is read. They
 behave as read-only tuples and dicts, and compare equal by their factors,
 so iterated products cost only what their readers read.
 
+Every category whose morphisms are labelled data has one presentation:
+the underlying category of an enriched category (elements 1 -> hom(x, y)),
+the Drinfeld center (host morphisms that respect half-braidings), full
+monoidal subcategories (host morphisms), module endofunctors (natural
+transformations by their components) and skeletal finite sets (function
+tables). ``labelled_category`` numbers a list of triples ``(x, y, label)``
+and composes through the labels; ``labelled_bifunctor`` tabulates a tensor
+on such a category from the label of each pair. Only this module builds a
+``FinCategory`` from tables.
+
 Every exhaustive search of ``ecat`` (all functors, natural transformations,
 isomorphisms, half-braidings, enriched functors, terminal families and
 mediating isomorphisms) runs on ``_search``: a backtracking search that
@@ -496,6 +506,55 @@ def terminal_category() -> FinCategory:
         obj_names=("*",),
         mor_names=("1_*",),
     )
+
+
+def labelled_category(n_objects: int, elements: list, identity, compose) -> tuple:
+    """The category on objects ``0..n_objects-1`` presented by labelled
+    morphisms, and the number of each triple.
+
+    ``elements`` lists triples ``(x, y, label)``, each a morphism x -> y,
+    numbered in the order given; ``index`` maps each triple to its number.
+    ``identity(x)`` is the label of the identity at x. ``compose(g, f)``
+    is the label of g after f, for triples f: x -> y and g: y -> z; the
+    composite is the triple ``(x, z, compose(g, f))``. It is called once
+    per composable pair, f outer and g inner, both in numbering order, so
+    the compose table is filled in that order and the first pair whose
+    composite raises is the first in that order. Non-composable pairs are
+    never visited. An identity or composite that is not among the triples
+    raises KeyError. Returns ``(category, index)``.
+    """
+    index = {t: k for k, t in enumerate(elements)}
+    ident = tuple(index[(x, x, identity(x))] for x in range(n_objects))
+    by_dom: dict = {}
+    for k, t in enumerate(elements):
+        by_dom.setdefault(t[0], []).append((k, t))
+    table = {}
+    for kf, f in enumerate(elements):
+        for kg, g in by_dom.get(f[1], ()):
+            table[(kg, kf)] = index[(f[0], g[1], compose(g, f))]
+    dom = tuple(t[0] for t in elements)
+    cod = tuple(t[1] for t in elements)
+    return FinCategory(n_objects, dom, cod, ident, table), index
+
+
+def labelled_bifunctor(cat: FinCategory, elements: list, index: dict,
+                       obj_map: Sequence[int], label) -> Functor:
+    """A tensor on a labelled category, as a functor out of
+    ``product_category(cat, cat)``.
+
+    On objects it is ``obj_map``, with T(x, y) = ``obj_map[x * n + y]``.
+    It sends the pair of triples (f, g) to the triple
+    ``(T(dom f, dom g), T(cod f, cod g), label(f, g))``, read f outer and g
+    inner in numbering order; a triple that is not an element raises
+    KeyError.
+    """
+    n = cat.n_objects
+    mor_map = tuple(
+        index[(obj_map[f[0] * n + g[0]], obj_map[f[1] * n + g[1]], label(f, g))]
+        for f in elements
+        for g in elements
+    )
+    return Functor(product_category(cat, cat), cat, tuple(obj_map), mor_map)
 
 
 @dataclass(frozen=True, eq=True)

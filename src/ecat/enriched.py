@@ -21,6 +21,8 @@ from ecat.core import (
     ProductSequence,
     _search,
     hcomp_nats,
+    labelled_bifunctor,
+    labelled_category,
     opposite_category,
     product_category,
     vcomp_nats,
@@ -131,7 +133,8 @@ def check_enriched(e: EnrichedCategory) -> ValidationReport:
 
 @dataclass(frozen=True, eq=True)
 class UnderlyingResult:
-    """The underlying ordinary category of an enriched category.
+    """The underlying ordinary category of an enriched category, a labelled
+    presentation (``core.labelled_category``).
 
     Morphisms x -> y are the base morphisms 1 -> hom(x,y), enumerated in
     lexicographic (x, y, base morphism) order.
@@ -152,23 +155,16 @@ def underlying_category(e: EnrichedCategory) -> UnderlyingResult:
 def _underlying_category(e: EnrichedCategory) -> UnderlyingResult:
     m = e.base
     c = m.base
-    elements = []
-    for x, y in itertools.product(e.objects(), repeat=2):
-        for f in c.hom(m.unit, e.hom(x, y)):
-            elements.append((x, y, f))
-    index = {t: k for k, t in enumerate(elements)}
-    dom = tuple(t[0] for t in elements)
-    cod = tuple(t[1] for t in elements)
-    identity = tuple(index[(x, x, e.one(x))] for x in e.objects())
-    compose = {}
+    elements = [
+        (x, y, f)
+        for x, y in itertools.product(e.objects(), repeat=2)
+        for f in c.hom(m.unit, e.hom(x, y))
+    ]
     lam_inv = inv(m, m.l(m.unit))
-    for kf, (x, y, f) in enumerate(elements):
-        for kg, (yp, z, g) in enumerate(elements):
-            if yp != y:
-                continue
-            h = c.comp_many(e.c(x, y, z), m.t_mor(g, f), lam_inv)
-            compose[(kg, kf)] = index[(x, z, h)]
-    cat = FinCategory(e.n_objects, dom, cod, identity, compose)
+    cat, index = labelled_category(
+        e.n_objects, elements, e.one,
+        lambda g, f: c.comp_many(e.c(f[0], f[1], g[1]), m.t_mor(g[2], f[2]), lam_inv),
+    )
     return UnderlyingResult(cat, tuple(elements), index)
 
 
@@ -706,21 +702,24 @@ def finset_skeletal(sizes: tuple) -> FinCategory:
     Morphisms i -> j are functions between sets of those sizes, encoded
     lexicographically.
     """
-    sizes = tuple(sizes)
-    mors = _finset_morphisms(sizes)
-    index = {t: k for k, t in enumerate(mors)}
-    dom = tuple(t[0] for t in mors)
-    cod = tuple(t[1] for t in mors)
-    identity = tuple(
-        index[(i, i, tuple(range(si)))] for i, si in enumerate(sizes)
+    return _finset(tuple(sizes))[0]
+
+
+def _finset(sizes: tuple) -> tuple:
+    """The skeletal finite-set category on sizes, its morphisms in index
+    order, each as (source size index, target size index, function table),
+    and the number of each."""
+    mors = [
+        (i, j, fn)
+        for i, si in enumerate(sizes)
+        for j, sj in enumerate(sizes)
+        for fn in itertools.product(range(sj), repeat=si)
+    ]
+    cat, index = labelled_category(
+        len(sizes), mors, lambda i: tuple(range(sizes[i])),
+        lambda g, f: tuple(g[2][v] for v in f[2]),
     )
-    compose = {}
-    for kf, (i, j, fn) in enumerate(mors):
-        for kg, (jp, k, gn) in enumerate(mors):
-            if jp != j:
-                continue
-            compose[(kg, kf)] = index[(i, k, tuple(gn[v] for v in fn))]
-    return FinCategory(len(sizes), dom, cod, identity, compose)
+    return cat, mors, index
 
 
 def finset_monoidal(sizes: tuple) -> MonoidalCategory:
@@ -730,7 +729,7 @@ def finset_monoidal(sizes: tuple) -> MonoidalCategory:
     encoded as p*n + q; this makes the structure strict on indices.
     """
     sizes = tuple(sizes)
-    c = finset_skeletal(sizes)
+    c, mors, index = _finset(sizes)
     size_index = {}
     for i, s in enumerate(sizes):
         if s in size_index:
@@ -741,62 +740,24 @@ def finset_monoidal(sizes: tuple) -> MonoidalCategory:
             raise StructureError(f"sizes not closed under product at {s}*{t}")
     if 1 not in size_index:
         raise StructureError("a unit needs size 1 among the sizes")
-
-    mors = _finset_morphisms(sizes)
-    index = {t: k for k, t in enumerate(mors)}
-    n = len(sizes)
-    obj_map = [0] * (n * n)
-    for i, j in itertools.product(range(n), repeat=2):
-        obj_map[i * n + j] = size_index[sizes[i] * sizes[j]]
-    nm = len(mors)
-    mor_map = [0] * (nm * nm)
-    for kf, (i1, j1, fn) in enumerate(mors):
-        for kg, (i2, j2, gn) in enumerate(mors):
-            si2, sj2 = sizes[i2], sizes[j2]
-            prod_fn = tuple(
-                fn[p] * sj2 + gn[q]
-                for p in range(sizes[i1])
-                for q in range(si2)
-            )
-            mor_map[kf * nm + kg] = index[
-                (size_index[sizes[i1] * si2], size_index[sizes[j1] * sj2], prod_fn)
-            ]
-    tensor = Functor(product_category(c, c), c, tuple(obj_map), tuple(mor_map))
+    obj_map = tuple(size_index[si * sj] for si in sizes for sj in sizes)
+    tensor = labelled_bifunctor(
+        c, mors, index, obj_map,
+        lambda f, g: tuple(p * sizes[g[1]] + q for p in f[2] for q in g[2]),
+    )
     return strict_monoidal(c, tensor, size_index[1])
 
 
 def finset_braiding(m: MonoidalCategory, sizes: tuple):
     """The symmetric swap on the skeletal finite-set category."""
     sizes = tuple(sizes)
-    c = m.base
-    size_index = {s: i for i, s in enumerate(sizes)}
-    mors = _finset_morphisms(sizes)
+    index = _finset(sizes)[2]
     braiding = {}
     for i, j in itertools.product(range(len(sizes)), repeat=2):
         si, sj = sizes[i], sizes[j]
-        fn = tuple(
-            (k % sj) * si + (k // sj) for k in range(si * sj)
-        )
-        target = size_index[si * sj]
-        # locate the morphism with this function table
-        found = None
-        for f in c.hom(m.t_obj(i, j), m.t_obj(j, i)):
-            if mors[f][2] == fn:
-                found = f
-                break
-        braiding[(i, j)] = found
+        fn = tuple((k % sj) * si + (k // sj) for k in range(si * sj))
+        braiding[(i, j)] = index.get((m.t_obj(i, j), m.t_obj(j, i), fn))
     return BraidedStructure(m, braiding, True)
-
-
-def _finset_morphisms(sizes: tuple) -> list[tuple[int, int, tuple]]:
-    """Morphisms of the skeletal finite-set category in index order, each as
-    (source size index, target size index, function table)."""
-    mors = []
-    for i, si in enumerate(sizes):
-        for j, sj in enumerate(sizes):
-            for fn in itertools.product(range(sj), repeat=si):
-                mors.append((i, j, fn))
-    return mors
 
 
 def hom_set_lax_functor(m: MonoidalCategory, sizes: tuple) -> LaxMonoidalFunctor:
@@ -808,8 +769,7 @@ def hom_set_lax_functor(m: MonoidalCategory, sizes: tuple) -> LaxMonoidalFunctor
     target = finset_monoidal(sizes)
     sizes = tuple(sizes)
     size_index = {s: i for i, s in enumerate(sizes)}
-    mors = _finset_morphisms(sizes)
-    mor_index = {t: k for k, t in enumerate(mors)}
+    mor_index = _finset(sizes)[2]
 
     c = m.base
     hom_sets = {x: list(c.hom(m.unit, x)) for x in c.objects()}

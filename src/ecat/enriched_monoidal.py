@@ -25,7 +25,7 @@ from ecat.core import (
     Functor,
     NatTransf,
     _search,
-    product_category,
+    labelled_bifunctor,
 )
 from ecat.monoidal import (
     AlgebraObject,
@@ -227,15 +227,15 @@ def _underlying_monoidal(em: EnrichedMonoidalCategory) -> MonoidalCategory:
     m = e.base
     c = m.base
     n = e.n_objects
-    mu = u.cat.n_morphisms
     lam_inv = inv(m, m.l(m.unit))
     obj_map = tuple(em.t(i, j) for i in range(n) for j in range(n))
-    mor_map = []
     try:
-        for x, y, f in u.elements:
-            for z, w, g in u.elements:
-                h = c.comp_many(em.t_cell(x, z, y, w), m.t_mor(f, g), lam_inv)
-                mor_map.append(u.index[(em.t(x, z), em.t(y, w), h)])
+        tensor = labelled_bifunctor(
+            u.cat, u.elements, u.index, obj_map,
+            lambda f, g: c.comp_many(
+                em.t_cell(f[0], g[0], f[1], g[1]), m.t_mor(f[2], g[2]), lam_inv
+            ),
+        )
         assoc = {
             (i, j, k): u.index[
                 (em.t(em.t(i, j), k), em.t(i, em.t(j, k)), em.a_el(i, j, k))
@@ -250,7 +250,6 @@ def _underlying_monoidal(em: EnrichedMonoidalCategory) -> MonoidalCategory:
         )
     except KeyError as bad:
         raise StructureError(f"structure component is not an element: {bad}")
-    tensor = Functor(product_category(u.cat, u.cat), u.cat, obj_map, tuple(mor_map))
     return MonoidalCategory(u.cat, tensor, em.unit_obj, assoc, lun, run)
 
 

@@ -25,6 +25,8 @@ from ecat.core import (
     check_nat_transf,
     identity_functor,
     identity_nat,
+    labelled_bifunctor,
+    labelled_category,
     product_category,
     terminal_category,
 )
@@ -851,16 +853,10 @@ def drinfeld_center_z1(
                 budget.spend()
                 if respects(f, src, tgt):
                     z_morphisms.append((i, j, f))
-    mor_index = {t: k for k, t in enumerate(z_morphisms)}
-    dom = tuple(t[0] for t in z_morphisms)
-    cod = tuple(t[1] for t in z_morphisms)
-    identity = tuple(mor_index[(i, i, c.identity[x])] for i, (x, _) in enumerate(z_objects))
-    compose = {}
-    for kf, (i, j, f) in enumerate(z_morphisms):
-        for kg, (jp, k, g) in enumerate(z_morphisms):
-            if jp == j:
-                compose[(kg, kf)] = mor_index[(i, k, c.comp(g, f))]
-    zcat = FinCategory(nz, dom, cod, identity, compose)
+    zcat, index = labelled_category(
+        nz, z_morphisms, lambda i: c.identity[z_objects[i][0]],
+        lambda g, f: c.comp(g[2], f[2]),
+    )
 
     z_index = _half_braided_index(z_objects)
 
@@ -874,64 +870,24 @@ def drinfeld_center_z1(
             )
         return pos
 
-    t_obj_map = [0] * (nz * nz)
-    for i, j in itertools.product(range(nz), repeat=2):
-        t_obj_map[i * nz + j] = tensor_obj(i, j)
-    nzm = len(z_morphisms)
-    t_mor_map = [0] * (nzm * nzm)
-    for kf, (i1, j1, f) in enumerate(z_morphisms):
-        for kg, (i2, j2, g) in enumerate(z_morphisms):
-            t_mor_map[kf * nzm + kg] = mor_index[
-                (t_obj_map[i1 * nz + i2], t_obj_map[j1 * nz + j2], m.t_mor(f, g))
-            ]
-    ztensor = Functor(product_category(zcat, zcat), zcat, tuple(t_obj_map), tuple(t_mor_map))
-
+    t_obj_map = tuple(tensor_obj(i, j) for i, j in itertools.product(range(nz), repeat=2))
     z_unit = z_index.get((m.unit, tuple(sorted(_unit_half_braiding(m).items()))))
     if z_unit is None:
         raise StructureError("unit half-braiding not recognized")
-
-    def lift(i: int, j: int, f: int) -> int:
-        return mor_index[(i, j, f)]
-
-    assoc = {}
-    for i, j, k in itertools.product(range(nz), repeat=3):
-        ij = t_obj_map[i * nz + j]
-        jk = t_obj_map[j * nz + k]
-        assoc[(i, j, k)] = lift(
-            t_obj_map[ij * nz + k], t_obj_map[i * nz + jk],
-            m.a(z_objects[i][0], z_objects[j][0], z_objects[k][0]),
-        )
-    lu = tuple(lift(t_obj_map[z_unit * nz + i], i, m.l(z_objects[i][0])) for i in range(nz))
-    ru = tuple(lift(t_obj_map[i * nz + z_unit], i, m.r(z_objects[i][0])) for i in range(nz))
-    zmon = MonoidalCategory(zcat, ztensor, z_unit, assoc, lu, ru)
-
-    braiding = {}
-    for i, j in itertools.product(range(nz), repeat=2):
-        x, _ = z_objects[i]
-        _, delta = z_objects[j]
-        braiding[(i, j)] = lift(
-            t_obj_map[i * nz + j], t_obj_map[j * nz + i],
-            delta.components[x],
-        )
+    zmon, forgetful = _lifted_monoidal(
+        m, zcat, z_morphisms, index, [x for x, _ in z_objects], t_obj_map, z_unit
+    )
+    braiding = {
+        (i, j): index[(
+            zmon.t_obj(i, j), zmon.t_obj(j, i), z_objects[j][1].components[z_objects[i][0]]
+        )]
+        for i, j in itertools.product(range(nz), repeat=2)
+    }
     symmetric = all(
-        zcat.comp(braiding[(j, i)], braiding[(i, j)])
-        == zcat.identity[t_obj_map[i * nz + j]]
+        zcat.comp(braiding[(j, i)], braiding[(i, j)]) == zcat.identity[zmon.t_obj(i, j)]
         for i, j in itertools.product(range(nz), repeat=2)
     )
     zbraided = BraidedStructure(zmon, braiding, symmetric)
-
-    forget = Functor(
-        zcat, c,
-        tuple(x for x, _ in z_objects),
-        tuple(f for _, _, f in z_morphisms),
-    )
-    fmult = {
-        (i, j): c.identity[m.t_obj(z_objects[i][0], z_objects[j][0])]
-        for i, j in itertools.product(range(nz), repeat=2)
-    }
-    forgetful = LaxMonoidalFunctor(
-        zmon, m, forget, c.identity[m.unit], fmult, "strong"
-    )
     return DrinfeldCenter(zmon, zbraided, forgetful, tuple(z_objects))
 
 
@@ -950,44 +906,54 @@ def full_monoidal_subcategory(
     for x, y in itertools.product(objs, repeat=2):
         if m.t_obj(x, y) not in obj_index:
             raise StructureError(f"objects not tensor-closed at {(x, y)}")
-    mors = [
-        f for f in c.morphisms() if c.dom[f] in obj_index and c.cod[f] in obj_index
+    elements = [
+        (obj_index[c.dom[f]], obj_index[c.cod[f]], f)
+        for f in c.morphisms() if c.dom[f] in obj_index and c.cod[f] in obj_index
     ]
-    mor_index = {f: i for i, f in enumerate(mors)}
-    dom = tuple(obj_index[c.dom[f]] for f in mors)
-    cod = tuple(obj_index[c.cod[f]] for f in mors)
-    identity = tuple(mor_index[c.identity[x]] for x in objs)
-    compose = {}
-    for f in mors:
-        for g in mors:
-            if c.cod[f] == c.dom[g]:
-                compose[(mor_index[g], mor_index[f])] = mor_index[c.comp(g, f)]
-    sub = FinCategory(len(objs), dom, cod, identity, compose)
-    n = len(objs)
-    t_obj = [0] * (n * n)
-    for x, y in itertools.product(objs, repeat=2):
-        t_obj[obj_index[x] * n + obj_index[y]] = obj_index[m.t_obj(x, y)]
-    nm = len(mors)
-    t_mor = [0] * (nm * nm)
-    for f, g in itertools.product(mors, repeat=2):
-        t_mor[mor_index[f] * nm + mor_index[g]] = mor_index[m.t_mor(f, g)]
-    tensor = Functor(product_category(sub, sub), sub, tuple(t_obj), tuple(t_mor))
+    sub, index = labelled_category(
+        len(objs), elements, lambda i: c.identity[objs[i]],
+        lambda g, f: c.comp(g[2], f[2]),
+    )
+    t_obj = tuple(obj_index[m.t_obj(x, y)] for x, y in itertools.product(objs, repeat=2))
+    return _lifted_monoidal(m, sub, elements, index, objs, t_obj, obj_index[m.unit])
+
+
+def _lifted_monoidal(
+    m: MonoidalCategory, cat: FinCategory, elements: list, index: dict,
+    host_objs: Sequence[int], t_obj: Sequence[int], unit: int,
+) -> tuple[MonoidalCategory, LaxMonoidalFunctor]:
+    """The monoidal structure of m on a labelled category over it, and the
+    strong monoidal functor that forgets to m.
+
+    ``cat`` is the labelled category of ``elements`` (triples (i, j, f) with
+    f a morphism of m from ``host_objs[i]`` to ``host_objs[j]``), ``t_obj``
+    its tensor on objects and ``unit`` its unit. Tensor, associator and
+    unitors are those of m, read through ``index``; the forgetful functor
+    has identity cells.
+    """
+    c = m.base
+    n = cat.n_objects
+    tensor = labelled_bifunctor(
+        cat, elements, index, t_obj, lambda f, g: m.t_mor(f[2], g[2])
+    )
+
+    def t(i: int, j: int) -> int:
+        return t_obj[i * n + j]
+
+    h = host_objs
     assoc = {
-        (obj_index[x], obj_index[y], obj_index[z]): mor_index[m.a(x, y, z)]
-        for x, y, z in itertools.product(objs, repeat=3)
+        (i, j, k): index[(t(t(i, j), k), t(i, t(j, k)), m.a(h[i], h[j], h[k]))]
+        for i, j, k in itertools.product(range(n), repeat=3)
     }
-    lu = tuple(mor_index[m.l(x)] for x in objs)
-    ru = tuple(mor_index[m.r(x)] for x in objs)
-    submon = MonoidalCategory(sub, tensor, obj_index[m.unit], assoc, lu, ru)
-    incl = Functor(sub, c, tuple(objs), tuple(mors))
-    imult = {
-        (i, j): c.identity[m.t_obj(objs[i], objs[j])]
+    lu = tuple(index[(t(unit, i), i, m.l(h[i]))] for i in range(n))
+    ru = tuple(index[(t(i, unit), i, m.r(h[i]))] for i in range(n))
+    lifted = MonoidalCategory(cat, tensor, unit, assoc, lu, ru)
+    forget = Functor(cat, c, tuple(h), tuple(f for _, _, f in elements))
+    mult = {
+        (i, j): c.identity[m.t_obj(h[i], h[j])]
         for i, j in itertools.product(range(n), repeat=2)
     }
-    inclusion = LaxMonoidalFunctor(
-        submon, m, incl, c.identity[m.unit], imult, "strong"
-    )
-    return submon, inclusion
+    return lifted, LaxMonoidalFunctor(lifted, m, forget, c.identity[m.unit], mult, "strong")
 
 
 def is_transparent(b: BraidedStructure, x: int, against: list[int]) -> bool:
@@ -1006,9 +972,7 @@ def muger_centralizer(
     trans = [x for x in m.base.objects() if is_transparent(b, x, objs)]
     submon, inclusion = full_monoidal_subcategory(m, trans)
     obj_index = {x: i for i, x in enumerate(sorted(set(trans)))}
-    mor_to_sub = {}
-    for i, f in enumerate(inclusion.functor.mor_map):
-        mor_to_sub[f] = i
+    mor_to_sub = {f: i for i, f in enumerate(inclusion.functor.mor_map)}
     braiding = {
         (obj_index[x], obj_index[y]): mor_to_sub[b.c(x, y)]
         for x, y in itertools.product(sorted(set(trans)), repeat=2)

@@ -222,23 +222,30 @@ def s3_discrete_monoidal():
     return group_monoidal(table, idx[(0, 1, 2)])
 
 
-def sign_monoidal():
-    """One object, endomorphisms Z/2, tensor = addition of endomorphisms."""
+def delooping_monoidal(*orders):
+    """B(A) for the abelian group A = Z/n1 x ... x Z/nk: one object whose
+    endomorphisms are the elements of A, numbered in mixed radix (first
+    factor most significant), with composition and tensor both the addition
+    of A (Eckmann-Hilton). Not thin once A is nontrivial."""
     from ecat.core import Functor, product_category
     from ecat.monoidal import strict_monoidal
 
-    c = FinCategory(
-        n_objects=1,
-        dom=(0, 0),
-        cod=(0, 0),
-        identity=(0,),
-        compose={(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
-        mor_names=("e", "g"),
-    )
-    tensor = Functor(
-        product_category(c, c), c, (0,), (0, 1, 1, 0)
-    )
+    elems = list(itertools.product(*(range(n) for n in orders)))
+    index = {a: k for k, a in enumerate(elems)}
+    add = [
+        [index[tuple((a + b) % n for a, b, n in zip(x, y, orders))] for y in elems]
+        for x in elems
+    ]
+    k = len(elems)
+    pairs = list(itertools.product(range(k), repeat=2))
+    c = FinCategory(1, (0,) * k, (0,) * k, (0,), {(f, g): add[f][g] for f, g in pairs})
+    tensor = Functor(product_category(c, c), c, (0,), tuple(add[f][g] for f, g in pairs))
     return strict_monoidal(c, tensor, 0)
+
+
+def sign_monoidal():
+    """B(Z/2): one object, endomorphisms Z/2, tensor = addition of endomorphisms."""
+    return delooping_monoidal(2)
 
 
 def identity_braiding(m, symmetric=True):

@@ -1,5 +1,10 @@
+import sys
+
 import pytest
 
+from ecat import centers, enriched, monoidal
+from ecat.actions import self_module
+from ecat.canonical import canonical_construction
 from ecat.core import (
     FinCategory,
     Functor,
@@ -15,13 +20,24 @@ from ecat.core import (
     identity_functor,
     inverse_functor,
     iso_search,
+    labelled_category,
     opposite_category,
     product_category,
     terminal_category,
 )
+from ecat.monoidal import drinfeld_center_z1, muger_center_z2
 from ecat.report import BudgetExceeded, StructureError
 
-from helpers import chain2, discrete, parallel_pair
+from helpers import (
+    chain2,
+    delooping_monoidal,
+    discrete,
+    identity_braiding,
+    lattice4_monoidal,
+    parallel_pair,
+    semion_braiding,
+    sign_monoidal,
+)
 
 
 def test_terminal_category_valid():
@@ -182,3 +198,72 @@ def test_budget_exceeded():
     c = chain2()
     with pytest.raises(BudgetExceeded):
         enumerate_functors(product_category(c, c), product_category(c, c), cap=3)
+
+
+# --- labelled presentations ---
+
+
+def naive_labelled_category(n, elements, identity, compose):
+    """Every pair of elements, the loop each builder ran on its own before
+    they shared ``labelled_category``."""
+    index = {t: k for k, t in enumerate(elements)}
+    ident = tuple(index[(x, x, identity(x))] for x in range(n))
+    table = {}
+    for kf, f in enumerate(elements):
+        for kg, g in enumerate(elements):
+            if g[0] == f[1]:
+                table[(kg, kf)] = index[(f[0], g[1], compose(g, f))]
+    dom = tuple(t[0] for t in elements)
+    cod = tuple(t[1] for t in elements)
+    return FinCategory(n, dom, cod, ident, table), index
+
+
+LABELLED_FIXTURES = {
+    "semion": semion_braiding,
+    "lattice4": lambda: identity_braiding(lattice4_monoidal()),
+    "sign-2": lambda: identity_braiding(sign_monoidal()),
+    "B(Z/3)": lambda: identity_braiding(delooping_monoidal(3)),
+    "B(Z/4)": lambda: identity_braiding(delooping_monoidal(4)),
+    "B(Z/2xZ/2)": lambda: identity_braiding(delooping_monoidal(2, 2)),
+}
+LABELLED_BUILDERS = {
+    "_underlying_category", "drinfeld_center_z1", "full_monoidal_subcategory",
+    "e0_center_via_module", "_finset",
+}
+
+
+@pytest.mark.parametrize("name", LABELLED_FIXTURES)
+def test_labelled_category_matches_all_pairs_on_every_builder(name, monkeypatch):
+    """Each builder's call is checked against the all-pairs reference: the
+    same tables, compose filled in the same order, the same index, and one
+    compose call per composable pair."""
+    seen = set()
+
+    def checked(n, elements, identity, compose):
+        calls = []
+
+        def counting(g, f):
+            calls.append((g, f))
+            return compose(g, f)
+
+        cat, index = labelled_category(n, elements, identity, counting)
+        ref, ref_index = naive_labelled_category(n, elements, identity, compose)
+        assert cat == ref and list(cat.compose) == list(ref.compose)
+        assert index == ref_index and len(calls) == len(cat.compose)
+        seen.add(sys._getframe(1).f_code.co_name)
+        return cat, index
+
+    for module in (enriched, monoidal, centers):
+        monkeypatch.setattr(module, "labelled_category", checked)
+    b = LABELLED_FIXTURES[name]()
+    m = b.host
+    drinfeld_center_z1(m)
+    muger_center_z2(b)
+    enriched.underlying_category(canonical_construction(self_module(m)).enriched)
+    enriched.finset_braiding(enriched.finset_monoidal((0, 1)), (0, 1))
+    enriched.finset_skeletal((0, 1, 2))
+    if name == "semion":  # its self-module has no internal hom at (0, 0)
+        assert seen == LABELLED_BUILDERS - {"e0_center_via_module"}
+        return
+    centers.e0_center_via_module(self_module(m), 10**6)
+    assert seen == LABELLED_BUILDERS

@@ -2,7 +2,9 @@
 every private module-level function or class of src/ecat is named by some
 live code of src/ecat outside its own definition: code that is not itself
 in such an unreferenced def. No def of src/ecat takes an
-``UnderlyingResult``: an enriched category keeps its own.
+``UnderlyingResult``: an enriched category keeps its own. No module of
+src/ecat but core.py calls ``FinCategory``: the others build categories
+through core.
 
 Names listed in the package's __all__ are re-exported, so they count as
 used in __init__.py.
@@ -165,3 +167,35 @@ def test_the_scan_finds_a_threaded_underlying_category():
 def test_no_def_takes_an_underlying_category():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert threaded_underlying(sources) == []
+
+
+def category_builders(sources: dict) -> list:
+    """The (module, line) of each call of ``FinCategory`` outside
+    ``core.py``. Every other module builds its categories through ``core``:
+    ``labelled_category`` for categories of labelled morphisms, and
+    ``product_category`` and the rest."""
+    found = []
+    for module, source in sources.items():
+        if module == "core.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "FinCategory":
+                    found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_the_scan_finds_a_category_built_outside_core():
+    sources = {
+        "core.py": "c = FinCategory(1, (0,), (0,), (0,), {(0, 0): 0})\n",
+        "a.py": "def f(n, d, c, i, t):\n    return FinCategory(n, d, c, i, t)\n",
+        "b.py": "import core\n\nx = core.FinCategory(1, d, c, i, t)\ny: FinCategory = x\n",
+    }
+    assert category_builders(sources) == [("a.py", 2), ("b.py", 3)]
+
+
+def test_only_core_builds_a_category():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert category_builders(sources) == []

@@ -37,6 +37,7 @@ from ecat.report import StructureError
 
 from helpers import (
     chain3_monoidal,
+    delooping_monoidal,
     identity_braiding,
     lattice2_monoidal,
     lattice4_monoidal,
@@ -47,12 +48,18 @@ from helpers import (
     z2_discrete_monoidal,
 )
 
+DELOOPINGS = [
+    lambda: delooping_monoidal(3),
+    lambda: delooping_monoidal(4),
+    lambda: delooping_monoidal(2, 2),
+]
 ALL_MONOIDAL = [
     lattice2_monoidal,
     lattice4_monoidal,
     z2_discrete_monoidal,
     s3_discrete_monoidal,
     sign_monoidal,
+    *DELOOPINGS,
 ]
 
 
@@ -282,6 +289,17 @@ def test_z1_of_sign_keeps_both_endomorphisms():
     z = drinfeld_center_z1(sign_monoidal())
     assert z.monoidal.base.n_morphisms == 2
     assert z.braided.symmetric_flag
+
+
+@pytest.mark.parametrize("build", DELOOPINGS, ids=["B(Z/3)", "B(Z/4)", "B(Z/2xZ/2)"])
+def test_z1_of_a_delooping_has_one_object_and_every_morphism(build):
+    """B(A) of an abelian group A has one half-braiding, the trivial one,
+    and every element of A respects it, as for sign_monoidal, B(Z/2)."""
+    m = build()
+    z = drinfeld_center_z1(m)
+    assert not m.base.thin
+    assert (z.monoidal.base.n_objects, z.monoidal.base.n_morphisms) == (1, m.base.n_morphisms)
+    assert check_braided(z.braided).ok and z.braided.symmetric_flag
 
 
 def test_z1_names_the_half_braiding_it_cannot_find():

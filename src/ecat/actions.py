@@ -481,7 +481,9 @@ def internal_hom(
 def all_internal_homs(
     mod: ModuleAction, budget: Budget | None = None
 ) -> dict | None:
-    """Internal homs for every pair, or None if any is missing."""
+    """Internal homs for every pair, or None if any is missing. One budget
+    (a default one when none is given) bounds every search."""
+    budget = budget or Budget(None, "internal hom search")
     out = {}
     for x in mod.carrier.objects():
         for y in mod.carrier.objects():

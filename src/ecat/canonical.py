@@ -88,11 +88,13 @@ def canonical_construction(
     StructureError (a module that is not strongly unital, a pair with no
     internal hom, a mistyped composite) or KeyError (a missing associator
     cell, or a mistyped unitor or composite route, which has no mediator).
+    One budget, the default one when none is given, bounds every search.
     """
     if not mod.strongly_unital:
         raise StructureError("canonical construction needs a strongly unital module")
     c = mod.carrier
     m = mod.base
+    budget = budget or Budget(None, "internal hom search")
     homs = {}
     for x, y in itertools.product(c.objects(), repeat=2):
         ih = internal_hom(mod, x, y, budget)
@@ -427,9 +429,13 @@ def enumerate_enriched_functors(
 ) -> list:
     """All enriched functors along the background r
     (``_enriched_functor_search``); none when r is not lax monoidal."""
+    return _enriched_functors(r, src, tgt, Budget(cap, "enriched functor enumeration"))
+
+
+def _enriched_functors(r: LaxMonoidalFunctor, src: CanonicalCategory,
+                       tgt: CanonicalCategory, budget: Budget) -> list:
     if not check_lax_monoidal_functor(r).ok:
         return []
-    budget = Budget(cap, "enriched functor enumeration")
     return list(_enriched_functor_search(r, src.enriched, tgt.enriched, budget))
 
 
@@ -442,12 +448,14 @@ def verify_canonical_2functor(
     For every (source, target, background) triple the two brute-force
     enumerations must biject under the mutually inverse translations, and
     identities and composites must be preserved where endpoints match.
+    One budget of cap units bounds every enumeration of every triple.
     """
     report = ValidationReport("canonical construction 2-functoriality")
     images = {}
+    budget = Budget(cap, "canonical 2-functoriality")
     for k, (src, tgt, r) in enumerate(pairs):
-        rls = enumerate_rlax(r, src, tgt, cap)
-        efs = enumerate_enriched_functors(r, src, tgt, cap)
+        rls = _rlax_search(r, src.module, tgt.module, budget)
+        efs = _enriched_functors(r, src, tgt, budget)
         if len(rls) != len(efs):
             report.add("local-bijectivity-count", (k, len(rls), len(efs)))
         seen = []

@@ -59,9 +59,9 @@ from ecat.core import (
 from ecat.enriched import (
     EnrichedCategory,
     EnrichedFunctor,
-    EnrichedNat,
     _computed,
     _enriched_functor_search,
+    _enriched_nat,
     cartesian_product_enriched,
     check_enriched,
     check_enriched_functor,
@@ -85,7 +85,6 @@ from ecat.monoidal import (
     BraidedStructure,
     HalfBraidingOrd,
     LaxMonoidalFunctor,
-    LaxMonoidalNat,
     _half_braided_index,
     _tensor_half_braiding,
     _unit_half_braiding,
@@ -874,7 +873,9 @@ def gamma1(em: EnrichedMonoidalCategory, cap: int | None = None) -> CenterResult
     objects are terminal bracket pairs; all structure elements are the
     unique factorings of the corresponding host elements. One budget of
     cap units bounds every half-braiding enumeration and bracket-pair
-    search.
+    search. A valid em need not have an E1 center: when some pair of
+    half-braided objects has no terminal bracket pair, this raises
+    StructureError naming that pair.
 
     em is not validated: the result means nothing unless
     ``check_enriched_monoidal(em)`` passes. An invalid em can still raise
@@ -1167,7 +1168,9 @@ def _underlying_braided(eb: EnrichedBraidedCategory) -> BraidedStructure:
 
 def gamma2(eb: EnrichedBraidedCategory, cap: int | None = None) -> CenterResult:
     """The full subcategory of transparent objects, with the restricted
-    enriched monoidal structure; its braiding is symmetric.
+    enriched monoidal structure; its braiding is symmetric. A full
+    subcategory needs no search, so cap is not read; it is accepted for
+    symmetry with ``gamma1``.
 
     eb is not validated: the result means nothing unless
     ``check_enriched_braided(eb)`` passes. An invalid eb can still raise
@@ -1279,7 +1282,7 @@ def gamma2_of_canonical(
     budget = Budget(cap, "E2 center of a canonical category")
     can = canonical_construction(mm.module, budget)
     eb = canonical_braided(mm, carrier_braiding, can, carrier_braiding.symmetric_flag)
-    side1 = gamma2(eb, cap)
+    side1 = gamma2(eb)
 
     subL, subbr, subincl = muger_center_z2(carrier_braiding)
     mod = mm.module
@@ -1522,13 +1525,8 @@ class _UniversalCheck:
         fun1 = _computed(compose_enriched_functors(
             act, product_enriched_functor(ecp, identity_enriched_functor(e))
         ))
-        nat = NatTransf(
-            fun1.background.functor, bg.functor,
-            tuple(rho_bg[(a, b)] for a in ca.objects() for b in c.objects()),
-        )
-        ecrho = EnrichedNat(
-            LaxMonoidalNat(fun1.background, bg, nat), fun1, action.odot, rho_el
-        )
+        rho_bg_comps = [rho_bg[(a, b)] for a in ca.objects() for b in c.objects()]
+        ecrho = _enriched_nat(fun1, action.odot, rho_bg_comps, rho_el)
         for v in check_enriched_nat(ecrho).violations:
             report.add("rho-" + v.law, v.instance, v.detail)
 
@@ -1563,9 +1561,8 @@ class _UniversalCheck:
 
         def mediates(v):
             combo_bg, alpha = v[:nA], dict(enumerate(v[nA:]))
-            lm_nat = LaxMonoidalNat(phat, phat, NatTransf(phat.functor, phat.functor, combo_bg))
             return (
-                check_enriched_nat(EnrichedNat(lm_nat, ecp, ecp, alpha)).ok
+                check_enriched_nat(_enriched_nat(ecp, ecp, combo_bg, alpha)).ok
                 and self.fixes_unit(P, alpha, combo_bg, ph_unit)
                 and all(
                     self.fixes_rho(

@@ -394,6 +394,14 @@ class EnrichedNat:
         return self.components[x]
 
 
+def _enriched_nat(source: EnrichedFunctor, target: EnrichedFunctor,
+                  bg_components, components: dict) -> EnrichedNat:
+    """source => target over the monoidal nat of their backgrounds."""
+    s, t = source.background, target.background
+    bg = LaxMonoidalNat(s, t, NatTransf(s.functor, t.functor, tuple(bg_components)))
+    return EnrichedNat(bg, source, target, components)
+
+
 def check_enriched_nat(n: EnrichedNat) -> ValidationReport:
     report = ValidationReport("enriched natural transformation")
     report.extend(check_lax_monoidal_nat(n.background))
@@ -604,8 +612,6 @@ def swap_enriched_functor(e1: EnrichedCategory, e2: EnrichedCategory) -> Enriche
 
 def pushforward(r: LaxMonoidalFunctor, e: EnrichedCategory) -> EnrichedCategory:
     """Transport the enrichment along a lax monoidal functor on the base."""
-    if r.direction == "oplax":
-        raise StructureError("pushforward needs a lax-direction functor")
     c = r.target.base
     hom_obj = {
         (x, y): r.on_obj(e.hom(x, y))

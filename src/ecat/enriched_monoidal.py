@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from ecat.core import (
     Functor,
-    NatTransf,
     _search,
     labelled_bifunctor,
 )
@@ -54,6 +53,7 @@ from ecat.enriched import (
     _check_enriched_functor_composition,
     _check_enriched_functor_laws,
     _computed,
+    _enriched_nat,
     cartesian_product_enriched,
     check_enriched,
     check_enriched_functor,
@@ -135,17 +135,12 @@ def associator_nat(em: EnrichedMonoidalCategory) -> EnrichedNat:
         ab, cc = divmod(p, na)
         a, b = divmod(ab, na)
         comps.append(base.a(a, b, cc))
-    bg = LaxMonoidalNat(
-        left.background,
-        right.background,
-        NatTransf(left.background.functor, right.background.functor, tuple(comps)),
-    )
     components = {}
     for x in range(n * n * n):
         ij, k = divmod(x, n)
         i, j = divmod(ij, n)
         components[x] = em.a_el(i, j, k)
-    return EnrichedNat(bg, left, right, components)
+    return _enriched_nat(left, right, comps, components)
 
 
 def _one_sided_unit_functor(em: EnrichedMonoidalCategory, side: str) -> EnrichedFunctor:
@@ -206,12 +201,7 @@ def unitor_nat(em: EnrichedMonoidalCategory, side: str) -> EnrichedNat:
         comps[x] = em.l_el(x) if side == "l" else em.r_el(x)
     for a in m.base.objects():
         nat_comps.append(m.l(a) if side == "l" else m.r(a))
-    bg = LaxMonoidalNat(
-        src.background,
-        ide.background,
-        NatTransf(src.background.functor, ide.background.functor, tuple(nat_comps)),
-    )
-    return EnrichedNat(bg, src, ide, comps)
+    return _enriched_nat(src, ide, nat_comps, comps)
 
 
 def underlying_monoidal(em: EnrichedMonoidalCategory) -> MonoidalCategory:
@@ -445,17 +435,12 @@ def tensor_coherence_nat(emf: EnrichedMonoidalFunctor) -> EnrichedNat:
     for p in left.background.source.base.objects():
         a, b = divmod(p, na)
         comps.append(f.background.m2(a, b))
-    bg = LaxMonoidalNat(
-        left.background,
-        right.background,
-        NatTransf(left.background.functor, right.background.functor, tuple(comps)),
-    )
     n = s.host.n_objects
     components = {
         x * n + y: emf.f2[(x, y)]
         for x, y in itertools.product(range(n), repeat=2)
     }
-    return EnrichedNat(bg, left, right, components)
+    return _enriched_nat(left, right, comps, components)
 
 
 def unit_coherence_nat(emf: EnrichedMonoidalFunctor) -> EnrichedNat:
@@ -464,16 +449,7 @@ def unit_coherence_nat(emf: EnrichedMonoidalFunctor) -> EnrichedNat:
     f = emf.functor
     left = object_functor(t.host, t.unit_obj)
     right = _computed(compose_enriched_functors(f, object_functor(s.host, s.unit_obj)))
-    bg = LaxMonoidalNat(
-        left.background,
-        right.background,
-        NatTransf(
-            left.background.functor,
-            right.background.functor,
-            (f.background.unit_cell,),
-        ),
-    )
-    return EnrichedNat(bg, left, right, {0: emf.f0})
+    return _enriched_nat(left, right, (f.background.unit_cell,), {0: emf.f0})
 
 
 def underlying_monoidal_functor(emf: EnrichedMonoidalFunctor) -> LaxMonoidalFunctor:
@@ -615,16 +591,11 @@ def braiding_nat(eb: EnrichedBraidedCategory) -> EnrichedNat:
     for p in left.background.source.base.objects():
         a, b = divmod(p, na)
         comps.append(em.braiding.c(a, b))
-    bg = LaxMonoidalNat(
-        left.background,
-        right.background,
-        NatTransf(left.background.functor, right.background.functor, tuple(comps)),
-    )
     components = {
         x * n + y: eb.braiding_el[(x, y)]
         for x, y in itertools.product(range(n), repeat=2)
     }
-    return EnrichedNat(bg, left, right, components)
+    return _enriched_nat(left, right, comps, components)
 
 
 def check_enriched_braided(eb: EnrichedBraidedCategory) -> ValidationReport:

@@ -345,10 +345,12 @@ def check_braided(b: BraidedStructure) -> ValidationReport:
 
 @dataclass(frozen=True, eq=True)
 class LaxMonoidalFunctor:
-    """A functor between monoidal categories with comparison cells.
+    """A functor between monoidal categories with comparison cells
+    unit_cell 1_B -> F(1_A) and mult (x,y): F(x)@F(y) -> F(x@y).
 
-    direction "lax": unit_cell 1_B -> F(1_A), mult (x,y): F(x)@F(y) -> F(x@y).
-    direction "oplax": cells reversed. direction "strong": lax cells, all invertible.
+    direction "lax" asks nothing more of the cells; direction "strong" asks
+    that all of them be invertible. There is no oplax orientation: an oplax
+    structure is a lax one between the opposite categories.
     """
 
     source: MonoidalCategory
@@ -367,35 +369,25 @@ class LaxMonoidalFunctor:
     def m2(self, x: int, y: int) -> int:
         return self.mult[(x, y)]
 
-    def m2_lax(self, x: int, y: int) -> int:
-        """The lax-direction cell F(x)@F(y) -> F(x@y), inverting if oplax."""
-        if self.direction == "oplax":
-            return inv(self.target, self.mult[(x, y)])
-        return self.mult[(x, y)]
-
 
 def check_lax_monoidal_functor(f: LaxMonoidalFunctor) -> ValidationReport:
     report = ValidationReport("lax monoidal functor")
     a, b = f.source, f.target
     c = b.base
     report.extend(check_functor(f.functor))
-    if f.direction not in ("lax", "oplax", "strong"):
+    if f.direction not in ("lax", "strong"):
         raise StructureError(f"unknown direction {f.direction!r}")
     if not report.ok:
         return report
-    oplax = f.direction == "oplax"
 
-    typed = True
-    du, cu = (f.on_obj(a.unit), b.unit) if oplax else (b.unit, f.on_obj(a.unit))
-    typed &= _expect(report, "unit-cell-typing", (), c, f.unit_cell, du, cu)
+    typed = _expect(report, "unit-cell-typing", (), c, f.unit_cell, b.unit, f.on_obj(a.unit))
     for x, y in itertools.product(a.base.objects(), repeat=2):
         cell = f.mult.get((x, y))
         if cell is None:
             raise StructureError(f"mult cell missing at {(x, y)}")
         fx_fy = b.t_obj(f.on_obj(x), f.on_obj(y))
         fxy = f.on_obj(a.t_obj(x, y))
-        d0, c0 = (fxy, fx_fy) if oplax else (fx_fy, fxy)
-        typed &= _expect(report, "mult-cell-typing", (x, y), c, cell, d0, c0)
+        typed &= _expect(report, "mult-cell-typing", (x, y), c, cell, fx_fy, fxy)
     if not typed:
         return report
 
@@ -403,67 +395,39 @@ def check_lax_monoidal_functor(f: LaxMonoidalFunctor) -> ValidationReport:
     for p, q in itertools.product(a.base.morphisms(), repeat=2):
         x, y = a.base.dom[p], a.base.dom[q]
         xp, yp = a.base.cod[p], a.base.cod[q]
-        if oplax:
-            lhs = c.comp(f.m2(xp, yp), f.on_mor(a.t_mor(p, q)))
-            rhs = c.comp(b.t_mor(f.on_mor(p), f.on_mor(q)), f.m2(x, y))
-        else:
-            lhs = c.comp(f.m2(xp, yp), b.t_mor(f.on_mor(p), f.on_mor(q)))
-            rhs = c.comp(f.on_mor(a.t_mor(p, q)), f.m2(x, y))
+        lhs = c.comp(f.m2(xp, yp), b.t_mor(f.on_mor(p), f.on_mor(q)))
+        rhs = c.comp(f.on_mor(a.t_mor(p, q)), f.m2(x, y))
         if lhs != rhs:
             report.add("mult-naturality", (p, q))
 
-    # lax associativity / unitality (in the lax direction; oplax is mirrored)
-    def m2d(x, y):
-        return f.m2(x, y)
-
+    # lax associativity / unitality
     for x, y, z in itertools.product(a.base.objects(), repeat=3):
         fx, fy, fz = f.on_obj(x), f.on_obj(y), f.on_obj(z)
-        if not oplax:
-            lhs = c.comp_many(
-                f.on_mor(a.a(x, y, z)), m2d(a.t_obj(x, y), z),
-                b.t_mor(m2d(x, y), c.identity[fz]),
-            )
-            rhs = c.comp_many(
-                m2d(x, a.t_obj(y, z)), b.t_mor(c.identity[fx], m2d(y, z)),
-                b.a(fx, fy, fz),
-            )
-        else:
-            lhs = c.comp_many(
-                b.t_mor(m2d(x, y), c.identity[fz]), m2d(a.t_obj(x, y), z),
-            )
-            rhs = c.comp_many(
-                inv(b, b.a(fx, fy, fz)), b.t_mor(c.identity[fx], m2d(y, z)),
-                m2d(x, a.t_obj(y, z)), f.on_mor(a.a(x, y, z)),
-            )
+        lhs = c.comp_many(
+            f.on_mor(a.a(x, y, z)), f.m2(a.t_obj(x, y), z),
+            b.t_mor(f.m2(x, y), c.identity[fz]),
+        )
+        rhs = c.comp_many(
+            f.m2(x, a.t_obj(y, z)), b.t_mor(c.identity[fx], f.m2(y, z)),
+            b.a(fx, fy, fz),
+        )
         if lhs != rhs:
             report.add("lax-associativity", (x, y, z))
 
     for x in a.base.objects():
         fx = f.on_obj(x)
-        if not oplax:
-            lhs = c.comp_many(
-                f.on_mor(a.l(x)), m2d(a.unit, x),
-                b.t_mor(f.unit_cell, c.identity[fx]),
-            )
-            if lhs != b.l(fx):
-                report.add("lax-left-unitality", (x,))
-            rhs = c.comp_many(
-                f.on_mor(a.r(x)), m2d(x, a.unit),
-                b.t_mor(c.identity[fx], f.unit_cell),
-            )
-            if rhs != b.r(fx):
-                report.add("lax-right-unitality", (x,))
-        else:
-            lhs = c.comp_many(
-                b.l(fx), b.t_mor(f.unit_cell, c.identity[fx]), m2d(a.unit, x),
-            )
-            if lhs != f.on_mor(a.l(x)):
-                report.add("lax-left-unitality", (x,))
-            rhs = c.comp_many(
-                b.r(fx), b.t_mor(c.identity[fx], f.unit_cell), m2d(x, a.unit),
-            )
-            if rhs != f.on_mor(a.r(x)):
-                report.add("lax-right-unitality", (x,))
+        lhs = c.comp_many(
+            f.on_mor(a.l(x)), f.m2(a.unit, x),
+            b.t_mor(f.unit_cell, c.identity[fx]),
+        )
+        if lhs != b.l(fx):
+            report.add("lax-left-unitality", (x,))
+        rhs = c.comp_many(
+            f.on_mor(a.r(x)), f.m2(x, a.unit),
+            b.t_mor(c.identity[fx], f.unit_cell),
+        )
+        if rhs != b.r(fx):
+            report.add("lax-right-unitality", (x,))
 
     if f.direction == "strong":
         if find_inverse(c, f.unit_cell) is None:
@@ -485,15 +449,13 @@ def identity_lax(m: MonoidalCategory) -> LaxMonoidalFunctor:
 
 
 def compose_lax(g: LaxMonoidalFunctor, f: LaxMonoidalFunctor) -> LaxMonoidalFunctor:
-    """g after f; both must be lax-direction (or strong).
+    """g after f.
 
     The functor and the unit cell are computed here; the mult cell at
     (x, y), g(f(x, y)) . g(Fx, Fy), when it is first read (a
     ``LazyPairTable``). A reader that must raise where an eager build
     raised reads every cell first, as ``enriched._computed`` does.
     """
-    if "oplax" in (g.direction, f.direction):
-        raise StructureError("composition implemented for lax-direction functors")
     c = g.target.base
     g_obj, g_mor = g.functor.obj_map, g.functor.mor_map
     functor = Functor(
@@ -513,7 +475,7 @@ def compose_lax(g: LaxMonoidalFunctor, f: LaxMonoidalFunctor) -> LaxMonoidalFunc
 
 
 def product_lax(f: LaxMonoidalFunctor, g: LaxMonoidalFunctor) -> LaxMonoidalFunctor:
-    """F x G between product monoidal categories (lax direction), as views."""
+    """F x G between product monoidal categories, as views."""
     src = product_monoidal(f.source, g.source)
     tgt = product_monoidal(f.target, g.target)
     fs, gs = f.source.base, g.source.base
@@ -619,8 +581,8 @@ def check_braided_lax_functor(
     report = check_lax_monoidal_functor(f)
     c = f.target.base
     for x, y in itertools.product(f.source.base.objects(), repeat=2):
-        lhs = c.comp(f.m2_lax(y, x), ct.c(f.on_obj(x), f.on_obj(y)))
-        rhs = c.comp(f.on_mor(cs.c(x, y)), f.m2_lax(x, y))
+        lhs = c.comp(f.m2(y, x), ct.c(f.on_obj(x), f.on_obj(y)))
+        rhs = c.comp(f.on_mor(cs.c(x, y)), f.m2(x, y))
         if lhs != rhs:
             report.add("braided-functor", (x, y))
     return report
@@ -1027,40 +989,20 @@ def find_left_dual(m: MonoidalCategory, x: int) -> DualityWitness | None:
     return None
 
 
-def find_right_dual(m: MonoidalCategory, x: int) -> DualityWitness | None:
-    """Search a right dual: ev x@d -> 1, coev 1 -> d@x."""
-    c = m.base
-    for d in c.objects():
-        for ev in c.hom(m.t_obj(x, d), m.unit):
-            for coev in c.hom(m.unit, m.t_obj(d, x)):
-                # x -> x@1 -> x@(d@x) -> (x@d)@x -> 1@x -> x
-                zig_x = c.comp_many(
-                    m.l(x),
-                    m.t_mor(ev, c.identity[x]),
-                    inv(m, m.a(x, d, x)),
-                    m.t_mor(c.identity[x], coev),
-                    inv(m, m.r(x)),
-                )
-                # d -> 1@d -> (d@x)@d -> d@(x@d) -> d@1 -> d
-                zig_d = c.comp_many(
-                    m.r(d),
-                    m.t_mor(c.identity[d], ev),
-                    m.a(d, x, d),
-                    m.t_mor(coev, c.identity[d]),
-                    inv(m, m.l(d)),
-                )
-                if zig_x == c.identity[x] and zig_d == c.identity[d]:
-                    return DualityWitness(x, d, ev, coev)
-    return None
-
-
 def check_rigid(m: MonoidalCategory) -> tuple[ValidationReport, dict]:
-    """Every object must admit a left and a right dual; witnesses returned."""
+    """Every object must admit a left and a right dual; witnesses returned.
+
+    A right dual of x in m (ev x@d -> 1, coev 1 -> d@x) is a left dual of x
+    in ``reversed_monoidal(m)``, so both are found by ``find_left_dual``.
+    Building the reversed category inverts every associator of m, so this
+    raises StructureError when one of them is not invertible.
+    """
     report = ValidationReport("rigidity")
     witnesses = {}
+    rev = reversed_monoidal(m)
     for x in m.base.objects():
         left = find_left_dual(m, x)
-        right = find_right_dual(m, x)
+        right = find_left_dual(rev, x)
         if left is None:
             report.add("left-dual", (x,))
         if right is None:

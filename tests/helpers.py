@@ -67,6 +67,7 @@ from ecat.enriched_monoidal import (
 )
 from ecat.monoidal import (
     BraidedStructure,
+    DualityWitness,
     HalfBraidingOrd,
     LaxMonoidalFunctor,
     LaxMonoidalNat,
@@ -2826,3 +2827,137 @@ def exhaustive_e0_cell(e: EnrichedCategory, functors, brackets, zmon, fwd,
         c, fwd, brackets[(t_obj[(i, j)], t_obj[(k, l)])],
         zmon.t_obj(a.obj, b.obj), family,
     )
+
+
+# --- the lax-functor checker and the right-dual search with their mirrors ---
+#
+# The parent bodies of check_lax_monoidal_functor, which also took an
+# "oplax" direction, and of find_right_dual, which mirrored find_left_dual,
+# verbatim.
+
+
+def exhaustive_check_lax_monoidal_functor(f: LaxMonoidalFunctor) -> ValidationReport:
+    report = ValidationReport("lax monoidal functor")
+    a, b = f.source, f.target
+    c = b.base
+    report.extend(check_functor(f.functor))
+    if f.direction not in ("lax", "oplax", "strong"):
+        raise StructureError(f"unknown direction {f.direction!r}")
+    if not report.ok:
+        return report
+    oplax = f.direction == "oplax"
+
+    typed = True
+    du, cu = (f.on_obj(a.unit), b.unit) if oplax else (b.unit, f.on_obj(a.unit))
+    typed &= _expect(report, "unit-cell-typing", (), c, f.unit_cell, du, cu)
+    for x, y in itertools.product(a.base.objects(), repeat=2):
+        cell = f.mult.get((x, y))
+        if cell is None:
+            raise StructureError(f"mult cell missing at {(x, y)}")
+        fx_fy = b.t_obj(f.on_obj(x), f.on_obj(y))
+        fxy = f.on_obj(a.t_obj(x, y))
+        d0, c0 = (fxy, fx_fy) if oplax else (fx_fy, fxy)
+        typed &= _expect(report, "mult-cell-typing", (x, y), c, cell, d0, c0)
+    if not typed:
+        return report
+
+    # naturality of mult
+    for p, q in itertools.product(a.base.morphisms(), repeat=2):
+        x, y = a.base.dom[p], a.base.dom[q]
+        xp, yp = a.base.cod[p], a.base.cod[q]
+        if oplax:
+            lhs = c.comp(f.m2(xp, yp), f.on_mor(a.t_mor(p, q)))
+            rhs = c.comp(b.t_mor(f.on_mor(p), f.on_mor(q)), f.m2(x, y))
+        else:
+            lhs = c.comp(f.m2(xp, yp), b.t_mor(f.on_mor(p), f.on_mor(q)))
+            rhs = c.comp(f.on_mor(a.t_mor(p, q)), f.m2(x, y))
+        if lhs != rhs:
+            report.add("mult-naturality", (p, q))
+
+    # lax associativity / unitality (in the lax direction; oplax is mirrored)
+    def m2d(x, y):
+        return f.m2(x, y)
+
+    for x, y, z in itertools.product(a.base.objects(), repeat=3):
+        fx, fy, fz = f.on_obj(x), f.on_obj(y), f.on_obj(z)
+        if not oplax:
+            lhs = c.comp_many(
+                f.on_mor(a.a(x, y, z)), m2d(a.t_obj(x, y), z),
+                b.t_mor(m2d(x, y), c.identity[fz]),
+            )
+            rhs = c.comp_many(
+                m2d(x, a.t_obj(y, z)), b.t_mor(c.identity[fx], m2d(y, z)),
+                b.a(fx, fy, fz),
+            )
+        else:
+            lhs = c.comp_many(
+                b.t_mor(m2d(x, y), c.identity[fz]), m2d(a.t_obj(x, y), z),
+            )
+            rhs = c.comp_many(
+                inv(b, b.a(fx, fy, fz)), b.t_mor(c.identity[fx], m2d(y, z)),
+                m2d(x, a.t_obj(y, z)), f.on_mor(a.a(x, y, z)),
+            )
+        if lhs != rhs:
+            report.add("lax-associativity", (x, y, z))
+
+    for x in a.base.objects():
+        fx = f.on_obj(x)
+        if not oplax:
+            lhs = c.comp_many(
+                f.on_mor(a.l(x)), m2d(a.unit, x),
+                b.t_mor(f.unit_cell, c.identity[fx]),
+            )
+            if lhs != b.l(fx):
+                report.add("lax-left-unitality", (x,))
+            rhs = c.comp_many(
+                f.on_mor(a.r(x)), m2d(x, a.unit),
+                b.t_mor(c.identity[fx], f.unit_cell),
+            )
+            if rhs != b.r(fx):
+                report.add("lax-right-unitality", (x,))
+        else:
+            lhs = c.comp_many(
+                b.l(fx), b.t_mor(f.unit_cell, c.identity[fx]), m2d(a.unit, x),
+            )
+            if lhs != f.on_mor(a.l(x)):
+                report.add("lax-left-unitality", (x,))
+            rhs = c.comp_many(
+                b.r(fx), b.t_mor(c.identity[fx], f.unit_cell), m2d(x, a.unit),
+            )
+            if rhs != f.on_mor(a.r(x)):
+                report.add("lax-right-unitality", (x,))
+
+    if f.direction == "strong":
+        if find_inverse(c, f.unit_cell) is None:
+            report.add("cell-invertibility", ("unit",))
+        for x, y in itertools.product(a.base.objects(), repeat=2):
+            if find_inverse(c, f.m2(x, y)) is None:
+                report.add("cell-invertibility", (x, y))
+    return report
+
+
+def exhaustive_find_right_dual(m: MonoidalCategory, x: int) -> DualityWitness | None:
+    """Search a right dual: ev x@d -> 1, coev 1 -> d@x."""
+    c = m.base
+    for d in c.objects():
+        for ev in c.hom(m.t_obj(x, d), m.unit):
+            for coev in c.hom(m.unit, m.t_obj(d, x)):
+                # x -> x@1 -> x@(d@x) -> (x@d)@x -> 1@x -> x
+                zig_x = c.comp_many(
+                    m.l(x),
+                    m.t_mor(ev, c.identity[x]),
+                    inv(m, m.a(x, d, x)),
+                    m.t_mor(c.identity[x], coev),
+                    inv(m, m.r(x)),
+                )
+                # d -> 1@d -> (d@x)@d -> d@(x@d) -> d@1 -> d
+                zig_d = c.comp_many(
+                    m.r(d),
+                    m.t_mor(c.identity[d], ev),
+                    m.a(d, x, d),
+                    m.t_mor(coev, c.identity[d]),
+                    inv(m, m.l(d)),
+                )
+                if zig_x == c.identity[x] and zig_d == c.identity[d]:
+                    return DualityWitness(x, d, ev, coev)
+    return None

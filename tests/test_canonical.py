@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecat.actions import (
+    _rlax_search,
+    all_internal_homs,
     check_monoidal_module,
     check_rlax,
     check_xilax_nat,
     compose_rlax,
     identity_rlax,
+    internal_hom,
     monoidal_self_module,
     self_module,
     terminal_module,
@@ -35,6 +38,7 @@ from ecat.canonical import (
 from ecat.core import check_functor, enumerate_nat_transfs
 from ecat.enriched import (
     EnrichedNat,
+    _enriched_functor_search,
     check_enriched,
     check_enriched_functor,
     check_enriched_nat,
@@ -47,11 +51,12 @@ from ecat.enriched_monoidal import (
     check_enriched_symmetric,
 )
 from ecat.monoidal import anti_braiding, identity_lax, identity_lax_nat
-from ecat.report import StructureError
+from ecat.report import Budget, BudgetExceeded, StructureError
 from helpers import (
     identity_braiding,
     lattice2_monoidal,
     lattice4_monoidal,
+    lattice8_monoidal,
     lattice_adjunction,
     semion_braiding,
     thin_category,
@@ -324,3 +329,82 @@ def test_mismatched_carrier_braiding_fails_the_square():
     rep = check_braided_module(monoidal_self_module(b), anti_braiding(b))
     assert not rep.ok
     assert rep.violations[0].law == "braided-module-square"
+
+
+# --- one budget per run ---
+
+
+def _spent(stage) -> int:
+    b = Budget(10**7)
+    stage(b)
+    return b.used
+
+
+def _lattice4_cells():
+    return monoidal_self_module(identity_braiding(lattice4_monoidal()))
+
+
+def _internal_hom_spends(mod) -> list:
+    """What each internal-hom search of mod spends on a budget of its own."""
+    objs = list(mod.carrier.objects())
+    return [_spent(lambda b: internal_hom(mod, x, y, b)) for x in objs for y in objs]
+
+
+def _two_functor_spends() -> list:
+    """What the two enumerations of the lattice-4 2-functoriality check
+    spend on a budget each."""
+    can, r = lattice4_can(), identity_lax(lattice4_monoidal())
+    return [
+        _spent(lambda b: _rlax_search(r, can.module, can.module, b)),
+        _spent(lambda b: list(_enriched_functor_search(r, can.enriched, can.enriched, b))),
+    ]
+
+
+# Each run reads its cap from ECAT_BUDGET, but verify_canonical_2functor,
+# which is passed it.
+ONE_BUDGET_RUNS = {
+    "canonical_construction": (
+        lambda cap: canonical_construction(self_module(lattice4_monoidal())),
+        lambda: _internal_hom_spends(self_module(lattice4_monoidal())),
+    ),
+    "all_internal_homs": (
+        lambda cap: all_internal_homs(self_module(lattice4_monoidal())),
+        lambda: _internal_hom_spends(self_module(lattice4_monoidal())),
+    ),
+    "canonical_monoidal": (
+        lambda cap: canonical_monoidal(_lattice4_cells()),
+        lambda: _internal_hom_spends(_lattice4_cells().module),
+    ),
+    "canonical_braided": (
+        lambda cap: canonical_braided(_lattice4_cells(), _lattice4_cells().base_braiding),
+        lambda: _internal_hom_spends(_lattice4_cells().module),
+    ),
+    "verify_canonical_2functor": (
+        lambda cap: verify_canonical_2functor(
+            [(lattice4_can(), lattice4_can(), identity_lax(lattice4_monoidal()))], cap
+        ),
+        _two_functor_spends,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ONE_BUDGET_RUNS)
+def test_one_cap_bounds_every_search_of_the_run(name, monkeypatch):
+    run, spends = ONE_BUDGET_RUNS[name]
+    spends = spends()
+    total = sum(spends)
+    assert max(spends) < total - 1
+    monkeypatch.setenv("ECAT_BUDGET", str(total))
+    run(total)  # the searches share one budget of exactly their sum
+    for cap in (max(spends), total - 1):
+        monkeypatch.setenv("ECAT_BUDGET", str(cap))
+        with pytest.raises(BudgetExceeded):
+            run(cap)
+
+
+def test_ecat_budget_bounds_the_lattice8_canonical_construction(monkeypatch):
+    mod = self_module(lattice8_monoidal())
+    assert max(_internal_hom_spends(mod)) <= 27
+    monkeypatch.setenv("ECAT_BUDGET", "27")
+    with pytest.raises(BudgetExceeded):
+        canonical_construction(mod)

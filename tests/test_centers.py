@@ -1,12 +1,14 @@
 import dataclasses
+import inspect
 import itertools
 
 import pytest
 
-from ecat import centers, enriched, enriched_monoidal
+from ecat import actions, canonical, centers, core, enriched, enriched_monoidal, monoidal
 from ecat.centers import (
     _enriched_iso_search,
     braided_tables,
+    bracket_family,
     bracket_pair,
     check_bracket_terminal,
     compare_e0_routes,
@@ -15,6 +17,7 @@ from ecat.centers import (
     e0_ev,
     e0_center_via_module,
     enriched_iso_search,
+    enumerate_identity_background_functors,
     evaluation_action,
     gamma1,
     gamma1_evaluation_action,
@@ -30,9 +33,25 @@ from ecat.centers import (
     verify_e2_universal,
 )
 from ecat.actions import ModuleAction, MonoidalModuleCells, terminal_module
-from ecat.actions import monoidal_self_module, self_module
-from ecat.canonical import canonical_braided, canonical_construction, canonical_monoidal
-from ecat.core import Functor, NatTransf, product_category, terminal_category
+from ecat.actions import all_internal_homs, internal_hom, monoidal_self_module, self_module
+from ecat.canonical import (
+    canonical_braided,
+    canonical_construction,
+    canonical_monoidal,
+    enumerate_enriched_functors,
+    enumerate_rlax,
+    verify_canonical_2functor,
+)
+from ecat.core import (
+    Functor,
+    NatTransf,
+    enumerate_functors,
+    enumerate_nat_transfs,
+    identity_functor,
+    iso_search,
+    product_category,
+    terminal_category,
+)
 from ecat.enriched import (
     EnrichedNat,
     _enriched_functor_search,
@@ -46,6 +65,7 @@ from ecat.enriched_monoidal import (
     check_enriched_braided,
     check_enriched_monoidal,
     check_enriched_symmetric,
+    enumerate_enriched_half_braidings,
     underlying_half_braiding,
     underlying_monoidal,
 )
@@ -53,6 +73,7 @@ from ecat.monoidal import (
     LaxMonoidalNat,
     MonoidalCategory,
     drinfeld_center_z1,
+    enumerate_half_braidings,
     identity_lax,
     is_transparent,
     muger_center_z2,
@@ -61,12 +82,14 @@ from ecat.monoidal import (
 from ecat.report import Budget, BudgetExceeded, StructureError, ValidationReport
 
 from helpers import (
+    chain2,
     chain2_enriched,
     identity_braiding,
     lattice2_monoidal,
     lattice4_self_enriched,
     lattice8_self_enriched,
     preorder_enriched_monoidal,
+    semion_enriched_monoidal,
     semion_monoidal,
     sign_enriched,
     sign_monoidal,
@@ -577,6 +600,109 @@ def test_one_cap_bounds_a_verifier_run(name):
             run(cap)
 
 
+def _search_inputs() -> dict:
+    """Small inputs for every public search entry point, built afresh."""
+    cells = lattice2_self_cells()
+    em = preorder_enriched_monoidal()
+    chain = chain2_enriched()
+    c2 = chain2()
+    e1 = gamma1(em, CAP)
+    return {
+        "lat2": lattice2_monoidal(),
+        "chain": chain,
+        "em": em,
+        "cells": cells,
+        "can": canonical_construction(cells.module),
+        "c2": c2,
+        "idf": identity_functor(c2),
+        "star": condition_star(chain, CAP),
+        "pair": (e1.witnesses["z2"], *e1.witnesses["objects"][:2]),
+        "direct": e0_center(e0_host_of(cells.module), CAP),
+        "via": e0_center_via_module(cells.module, CAP),
+        "budget": Budget(CAP),
+    }
+
+
+# Every public search entry point, by module and name, called on the inputs
+# above. bracket_family and bracket_pair take no default budget, so they are
+# handed one.
+SEARCH_ENTRY_POINTS = {
+    "core.enumerate_functors": lambda i: enumerate_functors(i["c2"], i["c2"]),
+    "core.enumerate_nat_transfs": lambda i: enumerate_nat_transfs(i["idf"], i["idf"]),
+    "core.iso_search": lambda i: iso_search(i["c2"], i["c2"]),
+    "monoidal.enumerate_half_braidings": lambda i: enumerate_half_braidings(i["lat2"], 0),
+    "monoidal.drinfeld_center_z1": lambda i: drinfeld_center_z1(i["lat2"]),
+    "enriched_monoidal.enumerate_enriched_half_braidings": (
+        lambda i: enumerate_enriched_half_braidings(i["em"], 0)
+    ),
+    "actions.internal_hom": lambda i: internal_hom(i["cells"].module, 0, 1),
+    "actions.all_internal_homs": lambda i: all_internal_homs(i["cells"].module),
+    "canonical.canonical_construction": lambda i: canonical_construction(i["cells"].module),
+    "canonical.canonical_monoidal": lambda i: canonical_monoidal(i["cells"]),
+    "canonical.canonical_braided": (
+        lambda i: canonical_braided(i["cells"], i["cells"].base_braiding)
+    ),
+    "canonical.enumerate_rlax": (
+        lambda i: enumerate_rlax(identity_lax(i["lat2"]), i["can"], i["can"])
+    ),
+    "canonical.enumerate_enriched_functors": (
+        lambda i: enumerate_enriched_functors(identity_lax(i["lat2"]), i["can"], i["can"])
+    ),
+    "canonical.verify_canonical_2functor": (
+        lambda i: verify_canonical_2functor([(i["can"], i["can"], identity_lax(i["lat2"]))])
+    ),
+    "centers.enumerate_identity_background_functors": (
+        lambda i: enumerate_identity_background_functors(i["chain"], i["chain"])
+    ),
+    "centers.bracket_family": lambda i: bracket_family(
+        i["chain"], i["star"].functors[0], i["star"].functors[1], i["star"].z1, i["budget"]
+    ),
+    "centers.condition_star": lambda i: condition_star(i["chain"]),
+    "centers.e0_center": lambda i: e0_center(i["chain"]),
+    "centers.enriched_iso_search": lambda i: enriched_iso_search(i["chain"], i["chain"]),
+    "centers.e0_center_via_module": lambda i: e0_center_via_module(i["cells"].module),
+    "centers.compare_e0_routes": lambda i: compare_e0_routes(i["direct"], i["via"]),
+    "centers.bracket_pair": lambda i: bracket_pair(i["em"], *i["pair"], i["budget"]),
+    "centers.gamma1": lambda i: gamma1(i["em"]),
+    "centers.gamma1_of_canonical": lambda i: gamma1_of_canonical(i["cells"]),
+    "centers.gamma2": lambda i: gamma2(_preorder_braided()),
+    "centers.gamma2_of_canonical": (
+        lambda i: gamma2_of_canonical(i["cells"], i["cells"].base_braiding)
+    ),
+    "centers.verify_e0_universal": (
+        lambda i: verify_e0_universal(i["chain"], trivial_action(i["chain"]))
+    ),
+    "centers.verify_e1_universal": (
+        lambda i: verify_e1_universal(i["em"], trivial_monoidal_action(i["em"]))
+    ),
+    "centers.verify_e2_universal": lambda i: verify_e2_universal(
+        _preorder_braided(), trivial_monoidal_action(i["em"])
+    ),
+}
+
+
+def test_every_public_search_entry_point_is_guarded():
+    """Every public function of src/ecat that takes a cap or a budget is
+    listed, so a new one cannot slip past the guard below."""
+    found = {
+        f"{module.__name__.split('.')[1]}.{name}"
+        for module in (core, monoidal, enriched, enriched_monoidal, actions, canonical, centers)
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__
+        and not name.startswith("_")
+        and {"cap", "budget"} & set(inspect.signature(fn).parameters)
+    }
+    assert found <= set(SEARCH_ENTRY_POINTS)
+
+
+@pytest.mark.parametrize("name", SEARCH_ENTRY_POINTS)
+def test_a_search_entry_point_makes_at_most_one_budget(name, monkeypatch):
+    inputs = _search_inputs()
+    made = _budgets_made(monkeypatch)
+    SEARCH_ENTRY_POINTS[name](inputs)
+    assert len(made) <= 1
+
+
 def test_an_e0_center_builds_its_evaluation_action_once(monkeypatch):
     built = []
     build = centers._e0_ev
@@ -716,6 +842,27 @@ def test_one_cap_bounds_the_sum_of_the_stages(run, spends):
     for cap in (max(spends), total - 1):
         with pytest.raises(BudgetExceeded):
             run(arg, cap)
+
+
+# --- valid inputs without a center ---
+
+
+def test_the_valid_semion_category_has_no_e1_and_no_e0_center():
+    """The semion enriched monoidal category passes its check, yet its
+    Müger center holds only the unit, which has no morphism into
+    hom(0, 1) = 1: no pair has a terminal bracket pair, and no pair of the
+    8 endofunctors of its host has a terminal family."""
+    em = semion_enriched_monoidal()
+    assert check_enriched_monoidal(em).ok
+    with pytest.raises(StructureError, match=r"^no terminal bracket pair at \(0, 1\)$"):
+        gamma1(em, CAP)
+    star = condition_star(em.host, CAP)
+    assert len(star.functors) == 8 and len(star.brackets) == 64
+    assert all(b is None for b in star.brackets.values())
+    pairs = sorted(star.brackets)
+    with pytest.raises(StructureError) as info:
+        e0_center(em.host, CAP)
+    assert str(info.value) == f"no terminal half-braided family for pairs {pairs}"
 
 
 # --- the input contract: what an invalid input makes each construction do ---

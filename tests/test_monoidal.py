@@ -190,11 +190,12 @@ def test_mutated_mult_cell_reported():
     assert report.laws() & {"lax-associativity", "lax-left-unitality", "lax-right-unitality"}
 
 
-def test_oplax_direction_identity():
+def test_oplax_direction_is_refused():
     m = lattice4_monoidal()
     i = identity_lax(m)
     op = LaxMonoidalFunctor(m, m, i.functor, i.unit_cell, i.mult, "oplax")
-    assert check_lax_monoidal_functor(op).ok
+    with pytest.raises(StructureError, match="unknown direction 'oplax'"):
+        check_lax_monoidal_functor(op)
 
 
 def test_braided_tensor_lax_structure():

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from ecat.actions import (
     ModuleAction,
@@ -818,26 +818,14 @@ def compare_e0_routes(direct: CenterResult, via: CenterResult,
 # --- the E1 center ---
 
 
-def _bracket_square_ok(em: EnrichedMonoidalCategory, oi, oj, a_host: int,
-                       zeta: int) -> bool:
+def _bracket_square_ok(em: EnrichedMonoidalCategory, a_host: int, zeta: int,
+                       up_leg, down_leg) -> bool:
     e = em.host
     m = e.base
     c = m.base
-    x, hbx = oi
-    y, hby = oj
     for z in e.objects():
-        up = c.comp_many(
-            hom_post(e, em.t(z, x), em.t(z, y), em.t(y, z), hby.components[z]),
-            em.t_cell(z, x, z, y),
-            m.t_mor(e.one(z), zeta),
-            inv(m, m.l(a_host)),
-        )
-        down = c.comp_many(
-            hom_pre(e, em.t(z, x), em.t(x, z), em.t(y, z), hbx.components[z]),
-            em.t_cell(x, z, y, z),
-            m.t_mor(zeta, e.one(z)),
-            inv(m, m.r(a_host)),
-        )
+        up = c.comp_many(*up_leg(z), m.t_mor(e.one(z), zeta), inv(m, m.l(a_host)))
+        down = c.comp_many(*down_leg(z), m.t_mor(zeta, e.one(z)), inv(m, m.r(a_host)))
         if up != down:
             return False
     return True
@@ -849,18 +837,31 @@ def bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
 
     Pairs join a transparent base object with a morphism zeta into
     hom(x, y) satisfying the sliding square; morphisms come from the
-    transparent subcategory and must commute with both legs.
+    transparent subcategory and must commute with both legs. The first two
+    factors of each side of the square at z do not depend on the candidate;
+    they are computed once, when the first candidate reaches z.
     """
     z2mon, _, z2incl = z2
     e = em.host
     c = e.base.base
-    x, y = oi[0], oj[0]
+    (x, hbx), (y, hby) = oi, oj
+
+    @cache
+    def up_leg(z: int) -> tuple:
+        post = hom_post(e, em.t(z, x), em.t(z, y), em.t(y, z), hby.components[z])
+        return post, em.t_cell(z, x, z, y)
+
+    @cache
+    def down_leg(z: int) -> tuple:
+        pre = hom_pre(e, em.t(z, x), em.t(x, z), em.t(y, z), hbx.components[z])
+        return pre, em.t_cell(x, z, y, z)
+
     objects = []
     for az in z2mon.base.objects():
         a_host = z2incl.on_obj(az)
         for zeta in sorted(c.hom(a_host, e.hom(x, y))):
             budget.spend()
-            if _bracket_square_ok(em, oi, oj, a_host, zeta):
+            if _bracket_square_ok(em, a_host, zeta, up_leg, down_leg):
                 objects.append(Family(az, (zeta,)))
     return _terminal_bracket(c, z2incl, objects, budget)
 

@@ -402,7 +402,8 @@ class ProductCompose(ProductMapping):
 class LazyPairTable(Mapping):
     """A read-only dict over the pairs of ``range(n)``, each entry computed
     by ``entry(x, y)`` when it is first read, and kept: the mult cells of
-    ``compose_lax`` and the components of ``compose_enriched_functors``.
+    ``compose_lax`` and ``braided_tensor_lax_structure`` and the components
+    of ``compose_enriched_functors``.
 
     Keys iterate in (x, y) order; ``in``, ``len`` and key iteration compute
     no entry. Reading an entry raises what computing it raises, also through

@@ -269,9 +269,10 @@ def reversed_monoidal(m: MonoidalCategory) -> MonoidalCategory:
 class BraidedStructure:
     """A braiding on a monoidal category.
 
-    ``braided_tensor_lax_structure`` keeps its result in ``_built``, once
-    per instance, a field kept as ``MonoidalCategory._verdicts`` is, so a
-    ``dataclasses.replace`` copy builds afresh.
+    ``braided_tensor_lax_structure`` keeps its result, whose mult cells are
+    computed as they are read, in ``_built``, once per instance, a field
+    kept as ``MonoidalCategory._verdicts`` is, so a ``dataclasses.replace``
+    copy builds afresh.
     """
 
     host: MonoidalCategory
@@ -604,7 +605,9 @@ def mid_swap(m: MonoidalCategory, a1: int, a2: int, b1: int, b2: int, swap) -> i
 
 def braided_tensor_lax_structure(b: BraidedStructure) -> LaxMonoidalFunctor:
     """The tensor functor A x A -> A with the braiding-induced lax cells,
-    built once per instance of b."""
+    built once per instance of b. The mult cells are a ``LazyPairTable``:
+    each is composed when it is first read, and one that cannot be composed
+    raises there."""
     if "tensor" not in b._built:
         b._built["tensor"] = _braided_tensor_lax_structure(b)
     return b._built["tensor"]
@@ -614,15 +617,16 @@ def _braided_tensor_lax_structure(b: BraidedStructure) -> LaxMonoidalFunctor:
     m = b.host
     prod = product_monoidal(m, m)
     n = m.base.n_objects
-    mult = {}
-    for p, q in itertools.product(prod.base.objects(), repeat=2):
+
+    def m2(p: int, q: int) -> int:
         a1, b1 = divmod(p, n)
         a2, b2 = divmod(q, n)
         # (a1@b1)@(a2@b2) -> (a1@a2)@(b1@b2), swapping with c_{b1,a2}
-        mult[(p, q)] = mid_swap(m, a1, b1, a2, b2, lambda u, v: b.c(u, v))
+        return mid_swap(m, a1, b1, a2, b2, b.c)
+
     unit = inv(m, m.l(m.unit))
     tensor = Functor(prod.base, m.base, m.tensor.obj_map, m.tensor.mor_map)
-    return LaxMonoidalFunctor(prod, m, tensor, unit, mult, "strong")
+    return LaxMonoidalFunctor(prod, m, tensor, unit, LazyPairTable(n * n, m2), "strong")
 
 
 @dataclass(frozen=True, eq=True)
@@ -890,8 +894,9 @@ def _lifted_monoidal(
     ``cat`` is the labelled category of ``elements`` (triples (i, j, f) with
     f a morphism of m from ``host_objs[i]`` to ``host_objs[j]``), ``t_obj``
     its tensor on objects and ``unit`` its unit. Tensor, associator and
-    unitors are those of m, read through ``index``; the forgetful functor
-    has identity cells.
+    unitors are those of m, read through ``index``; an associator or unitor
+    cell that is not an element raises StructureError naming it. The
+    forgetful functor has identity cells.
     """
     c = m.base
     n = cat.n_objects
@@ -902,13 +907,20 @@ def _lifted_monoidal(
     def t(i: int, j: int) -> int:
         return t_obj[i * n + j]
 
+    def lift(cell: str, key, dom: int, cod: int, f: int) -> int:
+        k = index.get((dom, cod, f))
+        if k is None:
+            raise StructureError(f"{cell} at {key} is not a morphism of the lifted category")
+        return k
+
     h = host_objs
     assoc = {
-        (i, j, k): index[(t(t(i, j), k), t(i, t(j, k)), m.a(h[i], h[j], h[k]))]
+        (i, j, k): lift("associator", (i, j, k), t(t(i, j), k), t(i, t(j, k)),
+                        m.a(h[i], h[j], h[k]))
         for i, j, k in itertools.product(range(n), repeat=3)
     }
-    lu = tuple(index[(t(unit, i), i, m.l(h[i]))] for i in range(n))
-    ru = tuple(index[(t(i, unit), i, m.r(h[i]))] for i in range(n))
+    lu = tuple(lift("left unitor", i, t(unit, i), i, m.l(h[i])) for i in range(n))
+    ru = tuple(lift("right unitor", i, t(i, unit), i, m.r(h[i])) for i in range(n))
     lifted = MonoidalCategory(cat, tensor, unit, assoc, lu, ru)
     forget = Functor(cat, c, tuple(h), tuple(f for _, _, f in elements))
     mult = {

@@ -80,6 +80,8 @@ from ecat.monoidal import (
     find_inverse,
     identity_lax,
     inv,
+    mid_swap,
+    product_monoidal,
 )
 from ecat.report import Budget, StructureError, ValidationReport
 
@@ -2961,3 +2963,73 @@ def exhaustive_find_right_dual(m: MonoidalCategory, x: int) -> DualityWitness | 
                 if zig_x == c.identity[x] and zig_d == c.identity[d]:
                     return DualityWitness(x, d, ev, coev)
     return None
+
+
+# --- the tensor background and the bracket squares before lazy reads ---
+#
+# The parent bodies of monoidal._braided_tensor_lax_structure, which built
+# every mult cell into a dict, and of centers.bracket_pair with
+# _bracket_square_ok, which composed both legs of the sliding square at
+# every z afresh for each candidate, verbatim.
+
+
+def eager_braided_tensor_lax_structure(b: BraidedStructure) -> LaxMonoidalFunctor:
+    m = b.host
+    prod = product_monoidal(m, m)
+    n = m.base.n_objects
+    mult = {}
+    for p, q in itertools.product(prod.base.objects(), repeat=2):
+        a1, b1 = divmod(p, n)
+        a2, b2 = divmod(q, n)
+        # (a1@b1)@(a2@b2) -> (a1@a2)@(b1@b2), swapping with c_{b1,a2}
+        mult[(p, q)] = mid_swap(m, a1, b1, a2, b2, lambda u, v: b.c(u, v))
+    unit = inv(m, m.l(m.unit))
+    tensor = Functor(prod.base, m.base, m.tensor.obj_map, m.tensor.mor_map)
+    return LaxMonoidalFunctor(prod, m, tensor, unit, mult, "strong")
+
+
+def _exhaustive_bracket_square_ok(em: EnrichedMonoidalCategory, oi, oj, a_host: int,
+                                  zeta: int) -> bool:
+    e = em.host
+    m = e.base
+    c = m.base
+    x, hbx = oi
+    y, hby = oj
+    for z in e.objects():
+        up = c.comp_many(
+            hom_post(e, em.t(z, x), em.t(z, y), em.t(y, z), hby.components[z]),
+            em.t_cell(z, x, z, y),
+            m.t_mor(e.one(z), zeta),
+            inv(m, m.l(a_host)),
+        )
+        down = c.comp_many(
+            hom_pre(e, em.t(z, x), em.t(x, z), em.t(y, z), hbx.components[z]),
+            em.t_cell(x, z, y, z),
+            m.t_mor(zeta, e.one(z)),
+            inv(m, m.r(a_host)),
+        )
+        if up != down:
+            return False
+    return True
+
+
+def exhaustive_bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
+                            budget: Budget) -> Bracket | None:
+    """The terminal bracket pair from oi to oj, if one exists.
+
+    Pairs join a transparent base object with a morphism zeta into
+    hom(x, y) satisfying the sliding square; morphisms come from the
+    transparent subcategory and must commute with both legs.
+    """
+    z2mon, _, z2incl = z2
+    e = em.host
+    c = e.base.base
+    x, y = oi[0], oj[0]
+    objects = []
+    for az in z2mon.base.objects():
+        a_host = z2incl.on_obj(az)
+        for zeta in sorted(c.hom(a_host, e.hom(x, y))):
+            budget.spend()
+            if _exhaustive_bracket_square_ok(em, oi, oj, a_host, zeta):
+                objects.append(Family(az, (zeta,)))
+    return _terminal_bracket(c, z2incl, objects, budget)

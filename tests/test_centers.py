@@ -84,6 +84,8 @@ from ecat.report import Budget, BudgetExceeded, StructureError, ValidationReport
 from helpers import (
     chain2,
     chain2_enriched,
+    eager_braided_tensor_lax_structure,
+    exhaustive_bracket_pair,
     identity_braiding,
     lattice2_monoidal,
     lattice4_self_enriched,
@@ -1000,9 +1002,9 @@ CONTRACT = {
         "braiding_el": "KKKK",
     },
     ("semion", "drinfeld_center_z1"): {
-        "associator": "SSSSSKSSSSSSSSSSSKSSSSSSSSSS...S",
-        "left_unitor": "SSSSSKSS",
-        "right_unitor": "SSSSSKSS",
+        "associator": "SSSSSSSSSSSSSSSSSSSSSSSSSSSS...S",
+        "left_unitor": "SSSSSSSS",
+        "right_unitor": "SSSSSSSS",
         "tensor": (
             "S.SSSSSSSSSSSSSSSSSSKKKSKKKSKKKSSSSS...K...K...KKKKS...K...K...K"
             "SSSS...K...K...KKKKS...K...K...KSSSS...K...K...KKKKS...K...K...K"
@@ -1125,3 +1127,37 @@ def test_one_entry_mutations_keep_the_input_contract(name, run):
             for g in _replacements(c, f, k)
         )
     assert got == CONTRACT[(name, run)]
+
+
+@pytest.mark.parametrize(
+    "name, run", [key for key in CONTRACT if key[1] in ("gamma1", "gamma2")], ids=lambda v: v
+)
+def test_one_entry_mutations_match_the_eager_background_and_bracket_oracles(
+    name, run, monkeypatch
+):
+    """Each one-entry change of the contract, run once as it is and once
+    with the eager tensor background and the per-candidate bracket squares
+    of the frozen oracles, gives an equal result or raises the same error."""
+    x = _contract_inputs(name)[run]
+    tables, c = _contract_tables(run, x)
+    changes = [
+        _contract_with(run, x, table, key, g)
+        for table, cells in tables.items()
+        for k, (key, f) in enumerate(
+            cells.items() if isinstance(cells, dict) else enumerate(cells)
+        )
+        for g in _replacements(c, f, k)
+    ]
+
+    def outcome(y):
+        try:
+            return CONTRACT_RUNS[run](y)
+        except (StructureError, KeyError) as err:
+            return type(err), str(err)
+
+    got = [outcome(y) for y in changes]
+    monkeypatch.setattr(
+        centers, "braided_tensor_lax_structure", eager_braided_tensor_lax_structure
+    )
+    monkeypatch.setattr(centers, "bracket_pair", exhaustive_bracket_pair)
+    assert got == [outcome(y) for y in changes]

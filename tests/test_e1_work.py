@@ -1,0 +1,169 @@
+"""The tensor background computes its mult cells as they are read, and the
+E1 center's bracket search composes the candidate-free legs of each sliding
+square once per object pair; compared with the eager oracles that build every
+mult cell up front and recompose both legs for each candidate."""
+
+import dataclasses
+import itertools
+
+import pytest
+
+import ecat.centers
+import ecat.monoidal
+from ecat.actions import monoidal_self_module
+from ecat.canonical import canonical_monoidal
+from ecat.centers import bracket_pair, gamma1
+from ecat.core import LazyPairTable
+from ecat.enriched_monoidal import _enriched_half_braidings
+from ecat.monoidal import braided_tensor_lax_structure, muger_center_z2, product_monoidal
+from ecat.report import Budget, StructureError
+
+from helpers import (
+    chain3_monoidal,
+    delooping_monoidal,
+    eager_braided_tensor_lax_structure,
+    exhaustive_bracket_pair,
+    identity_braiding,
+    lattice2_monoidal,
+    lattice4_monoidal,
+    lattice8_monoidal,
+    preorder_enriched_monoidal,
+    semion_braiding,
+    sign_monoidal,
+    z2_discrete_monoidal,
+)
+
+CAP = 500_000
+
+
+def _sign_x_lattice2():
+    return product_monoidal(sign_monoidal(), lattice2_monoidal())
+
+
+BRAIDED = {
+    "lattice2": lambda: identity_braiding(lattice2_monoidal()),
+    "lattice4": lambda: identity_braiding(lattice4_monoidal()),
+    "chain3": lambda: identity_braiding(chain3_monoidal()),
+    "z2": lambda: identity_braiding(z2_discrete_monoidal()),
+    "semion": semion_braiding,
+    "sign": lambda: identity_braiding(sign_monoidal()),
+    "B(Z/3)": lambda: identity_braiding(delooping_monoidal(3)),
+    "B(Z/4)": lambda: identity_braiding(delooping_monoidal(4)),
+    "B(Z/2xZ/2)": lambda: identity_braiding(delooping_monoidal(2, 2)),
+    "sign-x-lattice2": lambda: identity_braiding(_sign_x_lattice2()),
+}
+
+
+@pytest.mark.parametrize("name", BRAIDED)
+def test_the_lazy_tensor_background_equals_the_eager_one_cell_by_cell(name):
+    b = BRAIDED[name]()
+    lazy = braided_tensor_lax_structure(b)
+    eager = eager_braided_tensor_lax_structure(b)
+    assert isinstance(lazy.mult, LazyPairTable)
+    assert list(lazy.mult) == list(eager.mult)
+    for key in eager.mult:
+        assert lazy.mult[key] == eager.mult[key], key
+    assert (lazy.functor, lazy.unit_cell, lazy.direction) == (
+        eager.functor, eager.unit_cell, eager.direction
+    )
+    assert lazy == eager
+
+
+@pytest.mark.parametrize("name", ["semion", "sign-x-lattice2"])
+def test_a_cell_that_cannot_be_composed_raises_when_it_is_read(name):
+    """Each braiding entry changed to a morphism of another type: the eager
+    build raises at the first failing cell; the lazy build does not, and
+    reading its cells in key order raises the same error at that cell."""
+    b = BRAIDED[name]()
+    c = b.host.base
+    raised = 0
+    for key, f in b.braiding.items():
+        for g in c.morphisms():
+            if (c.dom[g], c.cod[g]) == (c.dom[f], c.cod[f]):
+                continue
+            bad = dataclasses.replace(b, braiding={**b.braiding, key: g})
+            try:
+                eager_braided_tensor_lax_structure(bad)
+            except StructureError as err:
+                want = str(err)
+            else:
+                continue
+            lazy = braided_tensor_lax_structure(bad).mult
+            with pytest.raises(StructureError) as got:
+                for cell in lazy:
+                    lazy[cell]
+            assert str(got.value) == want
+            raised += 1
+    assert raised > 0
+
+
+def _canonical(m):
+    return canonical_monoidal(monoidal_self_module(identity_braiding(m)))
+
+
+GAMMA1_HOSTS = {
+    "lattice2": lambda: _canonical(lattice2_monoidal()),
+    "lattice4": lambda: _canonical(lattice4_monoidal()),
+    "lattice8": lambda: _canonical(lattice8_monoidal()),
+    "chain3": lambda: _canonical(chain3_monoidal()),
+    "z2": lambda: _canonical(z2_discrete_monoidal()),
+    "preorder": preorder_enriched_monoidal,
+    "sign-x-lattice2": lambda: _canonical(_sign_x_lattice2()),
+}
+
+
+def _gamma1_objects(em):
+    """The half-braided objects of gamma1(em), in its order, and the
+    transparent subcategory its brackets live in."""
+    budget = Budget(CAP)
+    objs = [
+        (x, hb) for x in em.host.objects() for hb in _enriched_half_braidings(em, x, budget)
+    ]
+    return objs, muger_center_z2(em.braiding)
+
+
+@pytest.mark.parametrize("name", GAMMA1_HOSTS)
+def test_bracket_pair_matches_the_parent_on_every_pair_of_gamma1_objects(name):
+    em = GAMMA1_HOSTS[name]()
+    objs, z2 = _gamma1_objects(em)
+    for oi, oj in itertools.product(objs, repeat=2):
+        got_budget, want_budget = Budget(CAP), Budget(CAP)
+        got = bracket_pair(em, z2, oi, oj, got_budget)
+        want = exhaustive_bracket_pair(em, z2, oi, oj, want_budget)
+        assert got == want
+        assert got_budget.used == want_budget.used
+
+
+def _counting(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that appends 1 to the returned list
+    on each call."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_gamma1_on_lattice8_composes_no_tensor_background_cell(monkeypatch):
+    em = GAMMA1_HOSTS["lattice8"]()
+    calls = _counting(monkeypatch, ecat.monoidal, "mid_swap")
+    assert gamma1(em, CAP).category.host.host.n_objects == 8
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["lattice8", "preorder", "sign-x-lattice2"])
+def test_bracket_pair_composes_each_leg_once_per_object(name, monkeypatch):
+    em = GAMMA1_HOSTS[name]()
+    n = em.host.n_objects
+    objs, z2 = _gamma1_objects(em)
+    posts = _counting(monkeypatch, ecat.centers, "hom_post")
+    pres = _counting(monkeypatch, ecat.centers, "hom_pre")
+    for oi, oj in itertools.product(objs, repeat=2):
+        posts.clear()
+        pres.clear()
+        bracket_pair(em, z2, oi, oj, Budget(CAP))
+        assert len(posts) <= n and len(pres) <= n

@@ -422,7 +422,7 @@ class CenterResult:
     category: object
     witnesses: dict
     forgetful: object | None = None
-    # data derived from the witnesses on first use (``e0_ev``); not compared
+    # the evaluation action of any kind, built on first use; not compared
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -570,8 +570,10 @@ def _e0_center(e: EnrichedCategory, budget: Budget) -> CenterResult:
 
 
 def e0_ev(res: CenterResult) -> EnrichedFunctor:
-    """The evaluation action of the E0 center on its host category, built
-    on the first call for res and kept in ``res.memo``."""
+    """The evaluation action of a center of any kind on the host category
+    it was computed from, built on the first call for res and kept in
+    ``res.memo``. For E0 it evaluates endofunctors; for E1 and E2 it is the
+    host tensor after the forgetful functor in the first variable."""
     ev = res.memo.get("ev")
     if ev is None:
         ev = res.memo["ev"] = _e0_ev(res)
@@ -579,6 +581,10 @@ def e0_ev(res: CenterResult) -> EnrichedFunctor:
 
 
 def _e0_ev(res: CenterResult) -> EnrichedFunctor:
+    if res.kind != "E0":
+        em = res.witnesses["host"] if res.kind == "E1" else res.witnesses["host"].host
+        return _computed(compose_enriched_functors(em.tensor, product_enriched_functor(
+            res.forgetful, identity_enriched_functor(em.host))))
     e = res.witnesses["host"]
     z1 = res.witnesses["z1"]
     functors = res.witnesses["functors"]
@@ -1347,7 +1353,8 @@ class UnitalAction:
     unit object; xi_el[x] is the element 1 -> hom(unit . x, x) and
     xi_bg[b] the base morphism (1 .hat b) -> b of the unit isomorphism.
     For monoidal actors, f2 holds the elements making odot monoidal:
-    f2[((x,m),(y,n))] : 1 -> hom((x.m) @ (y.n), (x@y).(m@n)).
+    f2[((x,m),(y,n))] : 1 -> hom((x.m) @ (y.n), (x@y).(m@n)). It may be a
+    lazy mapping, whose entries are computed, and may raise, when read.
     """
 
     actor: object
@@ -1395,20 +1402,22 @@ class _UniversalCheck:
     into the center, whose background lands in the base zmon the center is
     enriched over; incl: zmon -> base of e is that base's inclusion. run()
     builds the comparison functor, the natural isomorphism rho from the
-    center's action composed with it to the given action, checks both
-    pasting equations, and counts the mediating isomorphisms by exhaustive
-    search. Each level supplies comparison_objects, background_objects,
-    rho_el, acting, pasting_underlying_ok, pasting_background_ok, fixes_unit
-    and fixes_rho; lift and component default to lifting through incl and
-    mediating into the center's terminal families.
+    center's action on its own host (``e0_ev``) composed with it to the
+    given action, checks both pasting equations, and counts the mediating
+    isomorphisms by exhaustive search. Each level supplies
+    comparison_objects, background_objects, rho_el, pasting_underlying_ok,
+    pasting_background_ok, fixes_unit and fixes_rho; lift and component
+    default to lifting through incl and mediating into the center's
+    terminal families.
     """
 
     title = ""
 
     def __init__(self, e: EnrichedCategory, la: EnrichedCategory,
-                 action: UnitalAction, incl: LaxMonoidalFunctor, host):
+                 action: UnitalAction, incl: LaxMonoidalFunctor,
+                 res: CenterResult, host):
         self.report = ValidationReport(self.title)
-        self.e, self.la, self.action = e, la, action
+        self.e, self.la, self.action, self.res = e, la, action, res
         self.incl = incl
         self.zmon = incl.source
         self.host = host
@@ -1522,7 +1531,7 @@ class _UniversalCheck:
                     ),
                 )
         rho_el = self.rho_el()
-        act = self.acting()
+        act = e0_ev(self.res)
         fun1 = _computed(compose_enriched_functors(
             act, product_enriched_functor(ecp, identity_enriched_functor(e))
         ))
@@ -1598,11 +1607,10 @@ class _E0Check(_UniversalCheck):
         w = res.witnesses
         self.z1, self.functors = w["z1"], w["functors"]
         self.brackets, self.unit_idx = w["brackets"], w["unit_obj"]
-        self.ev = e0_ev(res)
         la = action.actor
         if isinstance(la, EnrichedMonoidalCategory):
             la = la.host
-        super().__init__(e, la, action, self.z1.forgetful, res.category.host)
+        super().__init__(e, la, action, self.z1.forgetful, res, res.category.host)
         self.route_objects = range(self.nM)
 
     def comparison_objects(self) -> list:
@@ -1663,13 +1671,10 @@ class _E0Check(_UniversalCheck):
             for a in self.la.objects() for x in range(self.nM)
         }
 
-    def acting(self) -> EnrichedFunctor:
-        return self.ev
-
     def pasting_underlying_ok(self, P: list, x: int, rho_el: dict) -> bool:
         e, unit_l = self.e, self.unit_l
         el = _apply_pair(
-            self.ev, self.nM, self.mB, self.unit_idx, x, P[unit_l], x,
+            e0_ev(self.res), self.nM, self.mB, self.unit_idx, x, P[unit_l], x,
             self.sigma, e.one(x),
         )
         xi = self.action.xi_el[x]
@@ -1698,8 +1703,8 @@ class _MonoidalCheck(_UniversalCheck):
 
     def __init__(self, em: EnrichedMonoidalCategory, action: UnitalAction,
                  res: CenterResult, incl: LaxMonoidalFunctor):
-        self.em, self.res, self.laM = em, res, action.actor
-        super().__init__(em.host, self.laM.host, action, incl,
+        self.em, self.laM = em, action.actor
+        super().__init__(em.host, self.laM.host, action, incl, res,
                          res.category.host.host)
         self.unit_M = em.unit_obj
         self.route_objects = (self.unit_M,)
@@ -1770,14 +1775,6 @@ class _MonoidalCheck(_UniversalCheck):
                 ]
                 rho_el[self.pr(a, mo)] = _el_path(e, o, els)
         return rho_el
-
-    def acting(self) -> EnrichedFunctor:
-        return _computed(compose_enriched_functors(
-            self.em.tensor,
-            product_enriched_functor(
-                self.res.forgetful, identity_enriched_functor(self.e)
-            ),
-        ))
 
     def pasting_underlying_ok(self, P: list, mo: int, rho_el: dict) -> bool:
         em, e, unit_l, unit_M = self.em, self.e, self.unit_l, self.unit_M
@@ -1906,10 +1903,10 @@ def verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalAction,
     monoidal unital actions on em.
 
     The action must carry the monoidal cells f2. Builds the comparison
-    functor into the E1 center, checks both pasting components, and
-    counts the mediating isomorphisms by exhaustive search. One budget of
-    cap units bounds the run: the E1 center, when res is not given, and
-    the mediator search.
+    functor into the E1 center, which acts on its own host (``e0_ev``), as
+    for E0; checks both pasting components, and counts the mediating
+    isomorphisms by exhaustive search. One budget of cap units bounds the
+    run: the E1 center, when res is not given, and the mediator search.
     """
     budget = Budget(cap, "E1 universal property")
     return _E1Check(em, action, res or _gamma1(em, budget)).run(budget)
@@ -1923,8 +1920,9 @@ def verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAction,
 
     Like the E1 check, but the induced half-braidings must agree with the
     braiding of eb, so the comparison lands in the full subcategory of
-    transparent objects. One budget of cap units bounds the run; the E2
-    center, a full subcategory, searches nothing and spends none of it.
+    transparent objects; the center acts on its own host, as for E0. One
+    budget of cap units bounds the run; the E2 center, a full subcategory,
+    searches nothing and spends none of it.
     """
     budget = Budget(cap, "E2 universal property")
     return _E2Check(eb, action, res or gamma2(eb)).run(budget)
@@ -2022,34 +2020,54 @@ def tensor_action(em: EnrichedMonoidalCategory,
     return UnitalAction(em, e, em.tensor, em.unit_obj, xi_el, xi_bg, f2)
 
 
+class _MidSwapTable(LazyPairTable):
+    """The f2 of a center's evaluation action: a ``LazyPairTable`` over the
+    center object pairs (i, j), each spread over the host object pairs
+    (p, q) and keyed ((i, p), (j, q)), iterated in (i, j, p, q) order."""
+
+    __slots__ = ("_nM",)
+
+    def __init__(self, n: int, nM: int, entry):
+        super().__init__(n, entry)
+        self._nM = nM
+
+    def __contains__(self, key) -> bool:
+        try:
+            (i, p), (j, q) = key
+            return super().__contains__((i, j)) and 0 <= p < self._nM and 0 <= q < self._nM
+        except (TypeError, ValueError):
+            return False
+
+    def __iter__(self):
+        r, s = range(self._n), range(self._nM)
+        return (((i, p), (j, q)) for i, j, p, q in itertools.product(r, r, s, s))
+
+    def __len__(self) -> int:
+        return super().__len__() * self._nM * self._nM
+
+
 def _center_evaluation_action(res: CenterResult, em: EnrichedMonoidalCategory,
                               carriers: list, swap, unit_obj: int) -> UnitalAction:
     """A center acting on its host by tensoring with the carrier.
 
     carriers[i] is the host object under center object i, and swap(j, p)
     the element 1 -> hom(p @ carriers[j], carriers[j] @ p) that makes the
-    action monoidal.
+    action monoidal. Each f2 cell is computed when it is first read.
     """
     e = em.host
-    odot = _computed(compose_enriched_functors(
-        em.tensor,
-        product_enriched_functor(res.forgetful, identity_enriched_functor(e)),
-    ))
-    f2 = {}
-    for i, xa in enumerate(carriers):
-        for j, xb in enumerate(carriers):
-            for p, q in itertools.product(range(e.n_objects), repeat=2):
-                f2[((i, p), (j, q))] = _el_mid_swap(em, xa, p, xb, q, swap(j, p))
+    f2 = _MidSwapTable(len(carriers), e.n_objects, lambda ip, jq: _el_mid_swap(
+        em, carriers[ip[0]], ip[1], carriers[jq[0]], jq[1], swap(jq[0], ip[1])))
     # The unit isomorphism is the one of em acting on itself.
     tensor = tensor_action(em)
     return UnitalAction(
-        res.category.host, e, odot, unit_obj, tensor.xi_el, tensor.xi_bg, f2
+        res.category.host, e, e0_ev(res), unit_obj, tensor.xi_el, tensor.xi_bg, f2
     )
 
 
 def gamma1_evaluation_action(res: CenterResult,
                              em: EnrichedMonoidalCategory) -> UnitalAction:
-    """The E1 center acting on its host by tensoring with the carrier."""
+    """The E1 center acting on its own host by tensoring with the carrier;
+    odot is ``e0_ev(res)``, as for E0."""
     objs = res.witnesses["objects"]
     return _center_evaluation_action(
         res, em, [x for x, _ in objs],
@@ -2059,7 +2077,8 @@ def gamma1_evaluation_action(res: CenterResult,
 
 def gamma2_evaluation_action(res: CenterResult,
                              eb: EnrichedBraidedCategory) -> UnitalAction:
-    """The E2 center acting on its host by tensoring with the carrier."""
+    """The E2 center acting on its own host by tensoring with the carrier;
+    odot is ``e0_ev(res)``, as for E0."""
     em = eb.host
     objs = res.witnesses["objects"]
     return _center_evaluation_action(

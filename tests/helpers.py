@@ -23,10 +23,12 @@ from ecat.centers import (
     CenterResult,
     Family,
     TheoremReport,
+    UnitalAction,
     _apply_pair,
     _condition_star,
     _el_comp,
     _el_inv,
+    _el_mid_swap,
     _el_path,
     _factors,
     _functor_key,
@@ -36,6 +38,7 @@ from ecat.centers import (
     e0_ev,
     gamma1,
     gamma2,
+    tensor_action,
 )
 from ecat.core import (
     FinCategory,
@@ -51,6 +54,7 @@ from ecat.enriched import (
     EnrichedCategory,
     EnrichedFunctor,
     EnrichedNat,
+    _computed,
     cartesian_product_enriched,
     compose_enriched_functors,
     hom_post,
@@ -3033,3 +3037,35 @@ def exhaustive_bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
             if _exhaustive_bracket_square_ok(em, oi, oj, a_host, zeta):
                 objects.append(Family(az, (zeta,)))
     return _terminal_bracket(c, z2incl, objects, budget)
+
+
+# --- the E1/E2 evaluation action before memoised odot and lazy f2 ---
+#
+# The parent body of centers._center_evaluation_action, verbatim: it built
+# the acting composite from em, not from the center's own host, and every
+# f2 cell into a dict.
+
+
+def eager_center_evaluation_action(res: CenterResult, em: EnrichedMonoidalCategory,
+                                   carriers: list, swap, unit_obj: int) -> UnitalAction:
+    """A center acting on its host by tensoring with the carrier.
+
+    carriers[i] is the host object under center object i, and swap(j, p)
+    the element 1 -> hom(p @ carriers[j], carriers[j] @ p) that makes the
+    action monoidal.
+    """
+    e = em.host
+    odot = _computed(compose_enriched_functors(
+        em.tensor,
+        product_enriched_functor(res.forgetful, identity_enriched_functor(e)),
+    ))
+    f2 = {}
+    for i, xa in enumerate(carriers):
+        for j, xb in enumerate(carriers):
+            for p, q in itertools.product(range(e.n_objects), repeat=2):
+                f2[((i, p), (j, q))] = _el_mid_swap(em, xa, p, xb, q, swap(j, p))
+    # The unit isomorphism is the one of em acting on itself.
+    tensor = tensor_action(em)
+    return UnitalAction(
+        res.category.host, e, odot, unit_obj, tensor.xi_el, tensor.xi_bg, f2
+    )

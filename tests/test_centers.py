@@ -77,6 +77,7 @@ from ecat.monoidal import (
     identity_lax,
     is_transparent,
     muger_center_z2,
+    product_monoidal,
     strict_monoidal,
 )
 from ecat.report import Budget, BudgetExceeded, StructureError, ValidationReport
@@ -88,6 +89,7 @@ from helpers import (
     exhaustive_bracket_pair,
     identity_braiding,
     lattice2_monoidal,
+    lattice4_monoidal,
     lattice4_self_enriched,
     lattice8_self_enriched,
     preorder_enriched_monoidal,
@@ -279,6 +281,19 @@ def test_e0_routes_agree_on_module_fixtures():
 
 def e0_host_of(mod: ModuleAction):
     return canonical_construction(mod, Budget(CAP, "host")).enriched
+
+
+def test_both_e0_routes_refuse_the_sign_x_z2_self_module():
+    """Z1(sign x z2) is not Z1(sign) x Z1(z2): the self-module is valid, yet
+    neither route finds an E0 center, so the routes agree that none exists."""
+    cells = monoidal_self_module(
+        identity_braiding(product_monoidal(sign_monoidal(), z2_discrete_monoidal()))
+    )
+    assert actions.check_monoidal_module(cells).ok
+    with pytest.raises(StructureError, match="no terminal half-braided family for pairs"):
+        e0_center(e0_host_of(cells.module), CAP)
+    with pytest.raises(StructureError, match=r"internal hom missing for pair \(0, 0\)"):
+        e0_center_via_module(cells.module, CAP)
 
 
 # --- universal-property verifiers ---
@@ -720,6 +735,51 @@ def test_an_e0_center_builds_its_evaluation_action_once(monkeypatch):
         assert verify_e0_universal(e, act, CAP, res).uniqueness_count == 1
     assert built == [res]
     assert e0_ev(res) is evaluation_action(res, e).odot
+    assert res == dataclasses.replace(res, memo={})  # the memo is not compared
+
+
+@pytest.mark.parametrize("level", ["E1", "E2"])
+def test_a_center_builds_its_evaluation_functor_once(monkeypatch, level):
+    """The evaluation action and both verifier runs share one acting
+    composite, and a lattice-4 run reads at most the 2·|la|·nM f2 cells that
+    the induced half-braidings and rho need."""
+    built, composed, swaps = [], [], []
+    build = centers._e0_ev
+    compose = centers.compose_enriched_functors
+    mid_swap = centers._el_mid_swap
+
+    def counting(res):
+        built.append(res)
+        return build(res)
+
+    def composing(g, f):
+        composed.append(g)
+        return compose(g, f)
+
+    def swapping(*args):
+        swaps.append(args)
+        return mid_swap(*args)
+
+    monkeypatch.setattr(centers, "_e0_ev", counting)
+    monkeypatch.setattr(centers, "compose_enriched_functors", composing)
+    monkeypatch.setattr(centers, "_el_mid_swap", swapping)
+    b = identity_braiding(lattice4_monoidal())
+    eb = canonical_braided(monoidal_self_module(b), b, symmetric=True)
+    em = eb.host
+    if level == "E1":
+        res, subject = gamma1(em, CAP), em
+        act, verify = gamma1_evaluation_action(res, em), verify_e1_universal
+    else:
+        res, subject = gamma2(eb, CAP), eb
+        act, verify = gamma2_evaluation_action(res, eb), verify_e2_universal
+    assert verify(subject, act, CAP, res).uniqueness_count == 1
+    n_la, n_m = res.category.host.host.n_objects, em.host.n_objects
+    assert (n_la, n_m) == (4, 4)
+    assert 0 < len(swaps) <= 2 * n_la * n_m < len(act.f2)
+    assert verify(subject, trivial_monoidal_action(em), CAP, res).uniqueness_count == 1
+    assert built == [res]
+    assert sum(g is em.tensor for g in composed) == 1
+    assert e0_ev(res) is act.odot
     assert res == dataclasses.replace(res, memo={})  # the memo is not compared
 
 

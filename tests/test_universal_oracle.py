@@ -31,10 +31,12 @@ from ecat.centers import (
     verify_e2_universal,
 )
 from ecat.enriched_monoidal import EnrichedBraidedCategory, one_object_enriched_monoidal
+from ecat.monoidal import product_monoidal
 from ecat.report import Budget
 
 from helpers import (
     chain2_enriched,
+    delooping_monoidal,
     exhaustive_verify_e0_universal,
     exhaustive_verify_e1_universal,
     exhaustive_verify_e2_universal,
@@ -42,6 +44,7 @@ from helpers import (
     lattice2_monoidal,
     preorder_enriched_monoidal,
     sign_algebra,
+    sign_monoidal,
     z2_enriched,
 )
 
@@ -73,16 +76,13 @@ FAILURE_LAWS = {
 # No one-entry mutation of these fixtures reaches the remaining laws. Every
 # base object is transparent (the bases are symmetric), so the background
 # and unit images stay transparent. A mutated xi_bg entry is also read by
-# the E0 comparison objects, which fail first. The induced half-braiding
-# reads f2 and odot twice, at the same entry when the actor and the acted
-# category have one object, so a mutation cancels there; on the larger
-# fixtures every element is unique and a mutated entry is ill typed.
+# the E0 comparison objects, which fail first. The induced half-braidings
+# are reached only on the non-thin products, where a mutated f2 or odot
+# entry can stay well typed and change the element it composes into.
 UNREACHED_LAWS = {
     "background-image-not-transparent",
     "image-not-transparent",
     "background-image-not-central",
-    "induced-half-braiding-missing",
-    "induced-braiding-mismatch",
 }
 
 
@@ -95,12 +95,15 @@ def _braided(em):
     return EnrichedBraidedCategory(em, braiding_el, True)
 
 
-def _canonical_lattice2():
-    m = lattice2_monoidal()
+def _canonical(m):
     b = identity_braiding(m)
     cells = monoidal_self_module(b)
     can = canonical_construction(cells.module, Budget(CAP, "internal homs"))
     return canonical_braided(cells, b, can, True)
+
+
+def _canonical_lattice2():
+    return _canonical(lattice2_monoidal())
 
 
 def _sign():
@@ -110,6 +113,12 @@ def _sign():
     return _braided(one_object_enriched_monoidal(alg, identity_braiding(alg.host)))
 
 
+# The canonical categories of the self-modules of factor x lattice-2: their
+# underlying categories are not thin, and their E1 and E2 centers exist.
+NON_THIN_PRODUCTS = {"sign-x-lattice2": sign_monoidal,
+                     "BZ3-x-lattice2": lambda: delooping_monoidal(3)}
+
+
 @functools.lru_cache(maxsize=None)
 def _fixtures() -> dict:
     """name -> (e, em or None, eb or None)."""
@@ -117,7 +126,9 @@ def _fixtures() -> dict:
            "z2": (z2_enriched(), None, None)}
     for name, eb in (("preorder", _braided(preorder_enriched_monoidal())),
                      ("lattice2", _canonical_lattice2()),
-                     ("sign", _sign())):
+                     ("sign", _sign()),
+                     *((name, _canonical(product_monoidal(factor(), lattice2_monoidal())))
+                       for name, factor in NON_THIN_PRODUCTS.items())):
         out[name] = (eb.host.host, eb.host, eb)
     return out
 
@@ -148,10 +159,14 @@ def _setting(level: str, fixture: str, kind: str):
 CASES = [
     (level, fixture, kind)
     for level, fixture, kind in itertools.product(
-        ("e0", "e1", "e2"), ("chain2", "z2", "preorder", "lattice2", "sign"),
+        ("e0", "e1", "e2"),
+        ("chain2", "z2", "preorder", "lattice2", "sign", *NON_THIN_PRODUCTS),
         ("evaluation", "trivial", "tensor"),
     )
     if level == "e0" or fixture not in ("chain2", "z2")
+    # their E0 centers have 6 and 9 objects: one evaluation row takes the
+    # exhaustive oracle 6 s on sign x lattice-2 and minutes on B(Z/3)
+    if level != "e0" or fixture not in NON_THIN_PRODUCTS
     if kind != "tensor" or fixture not in ("chain2", "z2")
 ]
 

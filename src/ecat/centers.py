@@ -442,9 +442,9 @@ def e0_center(e: EnrichedCategory, cap: int | None = None) -> CenterResult:
     whiskerings: the right whisker hom(i, k) -> hom(il, kl) by F_l, whose
     family is x -> a_(F_l x), and the left whisker hom(j, l) -> hom(ij, il)
     by F_i, whose family is x -> F_i(jx, lx) . b_x, for the brackets a of
-    (i, k) and b of (j, l). Each whisker is mediated once, 2n³ mediations
-    in all, and the cell is the host composite of their Z1 tensor. That
-    composite is the cell's mediator:
+    (i, k) and b of (j, l). Each whisker is mediated the first time a cell
+    needs it, and kept; the cell is the host composite of their Z1 tensor.
+    That composite is the cell's mediator:
 
     - Z1's forgetful functor sends a Z1 tensor of morphisms to the base
       tensor of their images, and a Z1 composite to a base composite, by
@@ -457,7 +457,7 @@ def e0_center(e: EnrichedCategory, cap: int | None = None) -> CenterResult:
       per-cell search finds. On a thin base this follows from typing alone.
 
     The n⁴ cells are a ``LazyPairTable``: each is composed when it is
-    first read.
+    first read, so a whisker that no cell reads is never mediated.
     """
     return _e0_center(e, Budget(cap, "E0 center"))
 
@@ -511,29 +511,33 @@ def _e0_center(e: EnrichedCategory, budget: Budget) -> CenterResult:
         if key not in fun_index:
             raise StructureError(f"endofunctor list not closed under composition at {(i, j)}")
         t_obj[(i, j)] = fun_index[key]
-    # wr[(i, k, l)]: hom(i, k) -> hom(il, kl), the right whisker by F_l;
-    # wl[(i, j, l)]: hom(j, l) -> hom(ij, il), the left whisker by F_i.
-    wr, wl = {}, {}
-    for i, k, l in itertools.product(range(n), repeat=3):
+
+    @cache
+    def wr(i: int, k: int, l: int) -> int:
+        """hom(i, k) -> hom(il, kl), the right whisker by F_l."""
         a, fl = brackets[(i, k)], functors[l]
-        wr[(i, k, l)] = _mediate(
+        return _mediate(
             c, fwd, brackets[(t_obj[(i, l)], t_obj[(k, l)])], a.obj,
             [a.components[fl.on_obj(x)] for x in e.objects()],
         )
-    for i, j, l in itertools.product(range(n), repeat=3):
+
+    @cache
+    def wl(i: int, j: int, l: int) -> int:
+        """hom(j, l) -> hom(ij, il), the left whisker by F_i."""
         b, fi, fj, fl = brackets[(j, l)], functors[i], functors[j], functors[l]
-        wl[(i, j, l)] = _mediate(
+        return _mediate(
             c, fwd, brackets[(t_obj[(i, j)], t_obj[(i, l)])], b.obj,
             [c.comp(fi.at(fj.on_obj(x), fl.on_obj(x)), b.components[x])
              for x in e.objects()],
         )
+
     z_comp, z_t_mor = zmon.base.comp, zmon.t_mor
 
     def cell(p: int, q: int) -> int:
         (i, j), (k, l) = divmod(p, n), divmod(q, n)
         return z_comp(
             comp[(t_obj[(i, j)], t_obj[(i, l)], t_obj[(k, l)])],
-            z_t_mor(wr[(i, k, l)], wl[(i, j, l)]),
+            z_t_mor(wr(i, k, l), wl(i, j, l)),
         )
 
     cells = LazyPairTable(n * n, cell)
@@ -830,8 +834,8 @@ def _bracket_square_ok(em: EnrichedMonoidalCategory, a_host: int, zeta: int,
     m = e.base
     c = m.base
     for z in e.objects():
-        up = c.comp_many(*up_leg(z), m.t_mor(e.one(z), zeta), inv(m, m.l(a_host)))
-        down = c.comp_many(*down_leg(z), m.t_mor(zeta, e.one(z)), inv(m, m.r(a_host)))
+        up = c.comp_many(up_leg(z), m.t_mor(e.one(z), zeta), inv(m, m.l(a_host)))
+        down = c.comp_many(down_leg(z), m.t_mor(zeta, e.one(z)), inv(m, m.r(a_host)))
         if up != down:
             return False
     return True
@@ -845,7 +849,8 @@ def bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
     hom(x, y) satisfying the sliding square; morphisms come from the
     transparent subcategory and must commute with both legs. The first two
     factors of each side of the square at z do not depend on the candidate;
-    they are computed once, when the first candidate reaches z.
+    they are computed and composed into one leg once, when the first
+    candidate reaches z, and every candidate composes onto that leg.
     """
     z2mon, _, z2incl = z2
     e = em.host
@@ -853,14 +858,14 @@ def bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
     (x, hbx), (y, hby) = oi, oj
 
     @cache
-    def up_leg(z: int) -> tuple:
+    def up_leg(z: int) -> int:
         post = hom_post(e, em.t(z, x), em.t(z, y), em.t(y, z), hby.components[z])
-        return post, em.t_cell(z, x, z, y)
+        return c.comp(post, em.t_cell(z, x, z, y))
 
     @cache
-    def down_leg(z: int) -> tuple:
+    def down_leg(z: int) -> int:
         pre = hom_pre(e, em.t(z, x), em.t(x, z), em.t(y, z), hbx.components[z])
-        return pre, em.t_cell(x, z, y, z)
+        return c.comp(pre, em.t_cell(x, z, y, z))
 
     objects = []
     for az in z2mon.base.objects():
@@ -890,6 +895,11 @@ def gamma1(em: EnrichedMonoidalCategory, cap: int | None = None) -> CenterResult
     pair, an unrecognized tensor or unit half-braiding, no unique mediator,
     a mistyped composite) or KeyError (an identity or composite not an
     element).
+
+    The n⁴ tensor cells are a ``LazyPairTable``: each is composed and
+    mediated when it is first read. So a mistyped tensor component, or a
+    cell of an invalid em with no unique mediator, raises at the read, not
+    here.
     """
     return _gamma1(em, Budget(cap, "E1 center"))
 
@@ -935,11 +945,11 @@ def _gamma1(em: EnrichedMonoidalCategory, budget: Budget) -> CenterResult:
         )
     host = EnrichedCategory(z2mon, n, hom_obj, ident, comp)
 
+    under = cache(lambda i: underlying_half_braiding(em, objs[i][1]))
     t1 = {}
     for i, j in itertools.product(range(n), repeat=2):
-        (x, hbx), (y, hby) = objs[i], objs[j]
-        gx = underlying_half_braiding(em, hbx)
-        gy = underlying_half_braiding(em, hby)
+        x, y = objs[i][0], objs[j][0]
+        gx, gy = under(i), under(j)
         comps = {
             z: u.elements[k][2]
             for z, k in _tensor_half_braiding(um, x, gx.components, y, gy.components).items()
@@ -955,24 +965,24 @@ def _gamma1(em: EnrichedMonoidalCategory, budget: Budget) -> CenterResult:
     if unit_idx is None:
         raise StructureError("unit half-braiding not recognized")
 
-    cells = {}
-    for i, j in itertools.product(range(n), repeat=2):
-        for k, l in itertools.product(range(n), repeat=2):
-            bik, bjl = brackets[(i, k)], brackets[(j, l)]
-            route = c.comp(
-                em.t_cell(objs[i][0], objs[j][0], objs[k][0], objs[l][0]),
-                m.t_mor(bik.zeta, bjl.zeta),
-            )
-            cells[(i * n + j, k * n + l)] = _mediate(
-                c, z2incl, brackets[(t1[(i, j)], t1[(k, l)])],
-                z2mon.t_obj(bik.obj, bjl.obj), (route,),
-            )
+    def cell(p: int, q: int) -> int:
+        (i, j), (k, l) = divmod(p, n), divmod(q, n)
+        bik, bjl = brackets[(i, k)], brackets[(j, l)]
+        route = c.comp(
+            em.t_cell(objs[i][0], objs[j][0], objs[k][0], objs[l][0]),
+            m.t_mor(bik.zeta, bjl.zeta),
+        )
+        return _mediate(
+            c, z2incl, brackets[(t1[(i, j)], t1[(k, l)])],
+            z2mon.t_obj(bik.obj, bjl.obj), (route,),
+        )
+
     tensor = EnrichedFunctor(
         braided_tensor_lax_structure(z2br),
         cartesian_product_enriched(host, host),
         host,
         tuple(t1[(i, j)] for i in range(n) for j in range(n)),
-        cells,
+        LazyPairTable(n * n, cell),
     )
 
     assoc = {}

@@ -402,8 +402,9 @@ class ProductCompose(ProductMapping):
 class LazyPairTable(Mapping):
     """A read-only dict over the pairs of ``range(n)``, each entry computed
     by ``entry(x, y)`` when it is first read, and kept: the mult cells of
-    ``compose_lax`` and ``braided_tensor_lax_structure`` and the components
-    of ``compose_enriched_functors``.
+    ``compose_lax`` and ``braided_tensor_lax_structure``, the components
+    of ``compose_enriched_functors``, the tensor cells of ``e0_center`` and
+    ``gamma1``, and the f2 cells of the centers' evaluation actions.
 
     Keys iterate in (x, y) order; ``in``, ``len`` and key iteration compute
     no entry. Reading an entry raises what computing it raises, also through

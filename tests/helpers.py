@@ -32,6 +32,7 @@ from ecat.centers import (
     _el_path,
     _factors,
     _functor_key,
+    _mediate,
     _t_el,
     _terminal_bracket,
     e0_center,
@@ -3037,6 +3038,38 @@ def exhaustive_bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
             if _exhaustive_bracket_square_ok(em, oi, oj, a_host, zeta):
                 objects.append(Family(az, (zeta,)))
     return _terminal_bracket(c, z2incl, objects, budget)
+
+
+# --- the E1 center's tensor cells before lazy reads ---
+#
+# The parent cell loop of centers._gamma1, verbatim, which composed and
+# mediated all n^4 tensor cells into a dict before returning; it reads the
+# objects, brackets, transparent subcategory and tensor object table from
+# the witnesses of res = gamma1(em).
+
+
+def eager_gamma1_cells(em: EnrichedMonoidalCategory, res: CenterResult) -> dict:
+    e = em.host
+    m = e.base
+    c = m.base
+    objs = res.witnesses["objects"]
+    brackets = res.witnesses["brackets"]
+    t1 = res.witnesses["tensor_obj"]
+    z2mon, _, z2incl = res.witnesses["z2"]
+    n = len(objs)
+    cells = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        for k, l in itertools.product(range(n), repeat=2):
+            bik, bjl = brackets[(i, k)], brackets[(j, l)]
+            route = c.comp(
+                em.t_cell(objs[i][0], objs[j][0], objs[k][0], objs[l][0]),
+                m.t_mor(bik.zeta, bjl.zeta),
+            )
+            cells[(i * n + j, k * n + l)] = _mediate(
+                c, z2incl, brackets[(t1[(i, j)], t1[(k, l)])],
+                z2mon.t_obj(bik.obj, bjl.obj), (route,),
+            )
+    return cells
 
 
 # --- the E1/E2 evaluation action before memoised odot and lazy f2 ---

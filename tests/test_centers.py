@@ -86,6 +86,7 @@ from helpers import (
     chain2,
     chain2_enriched,
     eager_braided_tensor_lax_structure,
+    eager_gamma1_cells,
     exhaustive_bracket_pair,
     identity_braiding,
     lattice2_monoidal,
@@ -1047,7 +1048,7 @@ CONTRACT = {
     ("preorder", "gamma1"): {
         "ident": "KK",
         "comp": "SSSSSSSS",
-        "tensor": "SSSSSSSSSSSSSSSS",
+        "tensor": "SSSSSS.SS.SS.SSS",
         "associator": "SSSSSSSS",
         "left_unitor": "SS",
         "right_unitor": "SS",
@@ -1096,7 +1097,7 @@ CONTRACT = {
     ("lattice2", "gamma1"): {
         "ident": "KK",
         "comp": "SSSSSSSS",
-        "tensor": "SSSSSSSSSSSSSSSS",
+        "tensor": "SSSSSS.SS.SS.SSS",
         "associator": "SSSSSSSS",
         "left_unitor": "SS",
         "right_unitor": "SS",
@@ -1152,7 +1153,7 @@ CONTRACT = {
     ("z2", "gamma1"): {
         "ident": "KK",
         "comp": "SSSSSSSS",
-        "tensor": "SSSSSSSSSSSSSSSS",
+        "tensor": "SSS.SS.SS.SS.SSS",
         "associator": "SSSSSSSS",
         "left_unitor": "SS",
         "right_unitor": "SS",
@@ -1211,7 +1212,9 @@ def test_one_entry_mutations_match_the_eager_background_and_bracket_oracles(
 
     def outcome(y):
         try:
-            return CONTRACT_RUNS[run](y)
+            res = CONTRACT_RUNS[run](y)
+            dict(res.category.host.tensor.components)
+            return res
         except (StructureError, KeyError) as err:
             return type(err), str(err)
 
@@ -1221,3 +1224,32 @@ def test_one_entry_mutations_match_the_eager_background_and_bracket_oracles(
     )
     monkeypatch.setattr(centers, "bracket_pair", exhaustive_bracket_pair)
     assert got == [outcome(y) for y in changes]
+
+
+# the tensor changes of CONTRACT that gamma1 returns on and whose cells
+# raise when read, by position in the "tensor" string
+LAZY_TENSOR_RAISES = {"preorder": (6, 9, 12), "lattice2": (6, 9, 12), "z2": (3, 6, 9, 12)}
+
+
+@pytest.mark.parametrize("name", LAZY_TENSOR_RAISES)
+def test_a_gamma1_tensor_cell_that_cannot_be_computed_raises_when_read(name):
+    """gamma1 computes its tensor cells when they are read. On each tensor
+    change pinned "." in CONTRACT but not before, gamma1 returns, and
+    reading its cells in key order raises what the frozen eager cell loop
+    raised, of the same type and with the same message."""
+    x = _contract_inputs(name)["gamma1"]
+    tables, c = _contract_tables("gamma1", x)
+    changes = [
+        _contract_with("gamma1", x, "tensor", key, g)
+        for k, (key, f) in enumerate(tables["tensor"].items())
+        for g in _replacements(c, f, k)
+    ]
+    for pos in LAZY_TENSOR_RAISES[name]:
+        assert CONTRACT[(name, "gamma1")]["tensor"][pos] == "."
+        y = changes[pos]
+        res = gamma1(y, CAP)
+        with pytest.raises((StructureError, KeyError)) as eager:
+            eager_gamma1_cells(y, res)
+        with pytest.raises(eager.type) as lazy:
+            dict(res.category.host.tensor.components)
+        assert (type(lazy.value), str(lazy.value)) == (eager.type, str(eager.value))

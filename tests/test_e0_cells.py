@@ -128,6 +128,27 @@ def test_lattice8_e0_center_cells_match_one_cell_mediations():
     assert set(cells._memo) == set(keys)  # only the cells read were composed
 
 
+def test_lattice4_e0_center_mediates_each_whisker_only_when_a_cell_needs_it(monkeypatch):
+    calls = []
+    mediate = centers._mediate
+
+    def counting(*args):
+        calls.append(1)
+        return mediate(*args)
+
+    monkeypatch.setattr(centers, "_mediate", counting)
+    res = e0_center(lattice4_self_enriched(), CAP)
+    n = res.category.host.n_objects
+    cells = res.category.tensor.components
+    assert len(calls) == n + n**3  # the identities and compositions only
+    calls.clear()
+    cells[(1 * n + 2, 3 * n + 4)]
+    assert len(calls) == 2  # its right and its left whisker
+    for key in itertools.product(range(n * n), repeat=2):
+        cells[key]
+    assert len(calls) == 2 * n**3  # each whisker once, however many cells read it
+
+
 # --- _mediate reads the certificate of the inclusion that built it ---
 
 

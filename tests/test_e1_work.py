@@ -1,7 +1,8 @@
-"""The tensor background computes its mult cells as they are read, and the
-E1 center's bracket search composes the candidate-free legs of each sliding
-square once per object pair; compared with the eager oracles that build every
-mult cell up front and recompose both legs for each candidate."""
+"""The tensor background computes its mult cells as they are read, the E1
+center computes its own tensor cells as they are read, and its bracket search
+composes the candidate-free legs of each sliding square once per object pair;
+compared with the eager oracles that build every mult cell and every tensor
+cell up front and recompose both legs for each candidate."""
 
 import dataclasses
 import itertools
@@ -13,7 +14,7 @@ import ecat.monoidal
 from ecat.actions import monoidal_self_module
 from ecat.canonical import canonical_monoidal
 from ecat.centers import bracket_pair, gamma1
-from ecat.core import LazyPairTable
+from ecat.core import FinCategory, LazyPairTable
 from ecat.enriched_monoidal import _enriched_half_braidings
 from ecat.monoidal import braided_tensor_lax_structure, muger_center_z2, product_monoidal
 from ecat.report import Budget, StructureError
@@ -22,6 +23,7 @@ from helpers import (
     chain3_monoidal,
     delooping_monoidal,
     eager_braided_tensor_lax_structure,
+    eager_gamma1_cells,
     exhaustive_bracket_pair,
     identity_braiding,
     lattice2_monoidal,
@@ -112,6 +114,27 @@ GAMMA1_HOSTS = {
 }
 
 
+CELL_HOSTS = {
+    **GAMMA1_HOSTS,
+    "B(Z/3)-x-lattice2": lambda: _canonical(
+        product_monoidal(delooping_monoidal(3), lattice2_monoidal())
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CELL_HOSTS)
+def test_every_lazy_e1_cell_equals_the_eager_cell_loop(name):
+    em = CELL_HOSTS[name]()
+    res = gamma1(em, CAP)
+    got = res.category.host.tensor.components
+    want = eager_gamma1_cells(em, res)
+    assert isinstance(got, LazyPairTable)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key], key
+    assert got == want
+
+
 def _gamma1_objects(em):
     """The half-braided objects of gamma1(em), in its order, and the
     transparent subcategory its brackets live in."""
@@ -155,6 +178,18 @@ def test_gamma1_on_lattice8_composes_no_tensor_background_cell(monkeypatch):
     assert calls == []
 
 
+def test_gamma1_on_lattice8_computes_each_tensor_cell_only_when_read(monkeypatch):
+    res = gamma1(GAMMA1_HOSTS["lattice8"](), CAP)
+    cells = res.category.host.tensor.components
+    assert len(cells) == 4096
+    assert not cells._memo  # no cell is computed before it is read
+    calls = _counting(monkeypatch, ecat.centers, "_mediate")
+    key = (3 * 8 + 5, 6 * 8 + 7)
+    value = cells[key]
+    assert cells._memo == {key: value} and len(calls) == 1
+    assert cells[key] == value and len(calls) == 1  # kept, not recomputed
+
+
 @pytest.mark.parametrize("name", ["lattice8", "preorder", "sign-x-lattice2"])
 def test_bracket_pair_composes_each_leg_once_per_object(name, monkeypatch):
     em = GAMMA1_HOSTS[name]()
@@ -167,3 +202,46 @@ def test_bracket_pair_composes_each_leg_once_per_object(name, monkeypatch):
         pres.clear()
         bracket_pair(em, z2, oi, oj, Budget(CAP))
         assert len(posts) <= n and len(pres) <= n
+
+
+class _Leg(int):
+    """A hom_post or hom_pre value, marked so that composing it is seen."""
+
+
+@pytest.mark.parametrize("name", ["lattice8", "preorder", "sign-x-lattice2"])
+def test_bracket_pair_composes_each_leg_once(name, monkeypatch):
+    """Each candidate-free leg, hom_post or hom_pre after its tensor cell, is
+    composed once per object per pair, not once per candidate."""
+    em = GAMMA1_HOSTS[name]()
+    objs, z2 = _gamma1_objects(em)
+    made, legs = [], []
+    for fun in ("hom_post", "hom_pre"):
+        inner = getattr(ecat.centers, fun)
+
+        def marked(*args, inner=inner):
+            made.append(1)
+            return _Leg(inner(*args))
+
+        monkeypatch.setattr(ecat.centers, fun, marked)
+    inner_comp = FinCategory.comp
+
+    def comp(self, g, f):
+        if type(g) is _Leg:
+            legs.append((g, f))
+        return inner_comp(self, g, f)
+
+    monkeypatch.setattr(FinCategory, "comp", comp)
+    composed = 0
+    for oi, oj in itertools.product(objs, repeat=2):
+        made.clear()
+        legs.clear()
+        bracket_pair(em, z2, oi, oj, Budget(CAP))
+        assert len(legs) == len(made) <= 2 * em.host.n_objects
+        composed += len(legs)
+    assert composed > 0
+
+
+def test_gamma1_on_lattice8_reads_each_underlying_half_braiding_once(monkeypatch):
+    calls = _counting(monkeypatch, ecat.centers, "underlying_half_braiding")
+    res = gamma1(GAMMA1_HOSTS["lattice8"](), CAP)
+    assert len(calls) == res.category.host.host.n_objects == 8

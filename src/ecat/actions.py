@@ -177,6 +177,54 @@ def terminal_module(m: MonoidalCategory) -> ModuleAction:
     return ModuleAction(m, t, act, assoc, (0,), True, True)
 
 
+def _restricted_module(
+    mod: ModuleAction, r: LaxMonoidalFunctor, incl: LaxMonoidalFunctor
+) -> ModuleAction:
+    """mod pulled back along the strong monoidal functor r into its base,
+    then restricted to the full subcategory of its carrier that incl
+    includes.
+
+    a acts on x by r(a) acting on incl(x); each structure map is that of mod
+    after the inverse comparison cell of r, read in the subcategory. Raises
+    StructureError when the subcategory is not closed under the action. The
+    strength flags are those of mod: restriction and a strong r keep them.
+    """
+    src, sub, c = r.source, incl.source.base, mod.carrier
+    ca = src.base
+    sub_obj = {incl.on_obj(x): x for x in sub.objects()}
+    sub_mor = {incl.on_mor(p): p for p in sub.morphisms()}
+    act_obj = []
+    for a in ca.objects():
+        for x in sub.objects():
+            t = mod.a_obj(r.on_obj(a), incl.on_obj(x))
+            if t not in sub_obj:
+                raise StructureError("the restricted carrier is not closed under the action")
+            act_obj.append(sub_obj[t])
+    act_mor = [
+        sub_mor[mod.a_mor(r.on_mor(f), incl.on_mor(p))]
+        for f in ca.morphisms() for p in sub.morphisms()
+    ]
+    act = Functor(product_category(ca, sub), sub, tuple(act_obj), tuple(act_mor))
+
+    def after(g: int, cell: int, x: int) -> int:
+        """g after mod's action of the inverse of cell on incl(x)."""
+        ix = incl.on_obj(x)
+        return sub_mor[c.comp(g, mod.a_mor(inv(mod.base, cell), c.identity[ix]))]
+
+    oplax_assoc = {
+        (a, b, x): after(mod.o(r.on_obj(a), r.on_obj(b), incl.on_obj(x)), r.m2(a, b), x)
+        for a, b in itertools.product(ca.objects(), repeat=2)
+        for x in sub.objects()
+    }
+    oplax_unitor = tuple(
+        after(mod.u(incl.on_obj(x)), r.unit_cell, x) for x in sub.objects()
+    )
+    return ModuleAction(
+        src, sub, act, oplax_assoc, oplax_unitor,
+        mod.strongly_associative, mod.strongly_unital,
+    )
+
+
 @dataclass(frozen=True, eq=True)
 class RLaxStructure:
     """A functor F between carriers of actions over different bases,

@@ -11,10 +11,12 @@ category is the full subcategory of transparent objects.
 Hom objects of the E0 and E1 centers are terminal families: a center
 object with components into hom objects (one per object for E0, a single
 zeta for E1), found by one terminal finder, which also records each
-family's unique morphism into the terminal one. A mediator of a listed
-family is read from that certificate; only an unlisted family is
-mediated by a scan. `check_bracket_terminal` re-checks any such
-certificate by an exhaustive morphism scan. The E0 tensor cells are not
+family's unique morphism into the terminal one. Both centers build their
+category of terminal families with one host, ``_family_host``: identities
+and composites are the mediators of the identity and composite families.
+A mediator of a listed family is read from that certificate; only an
+unlisted family is mediated by a scan. `check_bracket_terminal` re-checks
+any such certificate by an exhaustive morphism scan. The E0 tensor cells are not
 mediated one by one: each is the composite of a left and a right
 whiskering, each whiskering mediated once (``e0_center``).
 
@@ -35,10 +37,12 @@ from ecat.actions import (
     ModuleAction,
     MonoidalModuleCells,
     RLaxStructure,
+    _restricted_module,
     _rlax_search,
     check_module_nat,
     compose_rlax,
     identity_rlax,
+    self_module,
 )
 from ecat.canonical import (
     canonical_braided,
@@ -85,11 +89,12 @@ from ecat.monoidal import (
     BraidedStructure,
     HalfBraidingOrd,
     LaxMonoidalFunctor,
+    _flagged_braiding,
     _half_braided_index,
-    _tensor_half_braiding,
-    _unit_half_braiding,
+    _half_braided_tensor,
     braided_tensor_lax_structure,
     check_lax_monoidal_functor,
+    compose_lax,
     drinfeld_center_z1,
     find_inverse,
     identity_lax,
@@ -327,6 +332,41 @@ def _mediate(c: FinCategory, incl: LaxMonoidalFunctor, bracket: Bracket,
     return hits[0]
 
 
+def _family_host(e: EnrichedCategory, incl: LaxMonoidalFunctor, brackets: dict,
+                 carriers: list) -> EnrichedCategory:
+    """The enriched category of terminal families, over the center that
+    incl includes into the base of e.
+
+    The hom object of (i, j) is the object of ``brackets[(i, j)]``;
+    identities and composites are the unique mediators of the identity and
+    composite families. carriers[i] lists the objects of e that the
+    components of a family out of i start from: F_i(x) for each object x
+    (E0), or (x_i,) (E1).
+    """
+    m = e.base
+    c = m.base
+    zmon = incl.source
+    n = len(carriers)
+    ident = {
+        i: _mediate(c, incl, brackets[(i, i)], zmon.unit, [e.one(x) for x in xs])
+        for i, xs in enumerate(carriers)
+    }
+    comp = {}
+    for i, j, k in itertools.product(range(n), repeat=3):
+        a, b = brackets[(i, j)], brackets[(j, k)]
+        family = [
+            c.comp(e.c(xi, xj, xk), m.t_mor(bz, az))
+            for xi, xj, xk, az, bz in zip(
+                carriers[i], carriers[j], carriers[k], a.components, b.components
+            )
+        ]
+        comp[(i, j, k)] = _mediate(
+            c, incl, brackets[(i, k)], zmon.t_obj(b.obj, a.obj), family
+        )
+    hom_obj = {p: br.obj for p, br in brackets.items()}
+    return EnrichedCategory(zmon, n, hom_obj, ident, comp)
+
+
 # --- half-braided families between endofunctors ---
 
 
@@ -479,31 +519,16 @@ def _e0_center(e: EnrichedCategory, budget: Budget) -> CenterResult:
     z1 = star.z1
     functors = star.functors
     brackets = star.brackets
-    m = e.base
-    c = m.base
+    c = e.base.base
     zmon = z1.monoidal
     fwd = z1.forgetful
     n = len(functors)
     fun_index = {_functor_key(f): i for i, f in enumerate(functors)}
 
-    hom_obj = {(i, j): brackets[(i, j)].obj for i, j in brackets}
-    ident = {}
-    for i, fF in enumerate(functors):
-        family = [e.one(fF.on_obj(x)) for x in e.objects()]
-        ident[i] = _mediate(c, fwd, brackets[(i, i)], zmon.unit, family)
-    comp = {}
-    for i, j, k in itertools.product(range(n), repeat=3):
-        a, b = brackets[(i, j)], brackets[(j, k)]
-        family = []
-        for x in e.objects():
-            fx = (functors[i].on_obj(x), functors[j].on_obj(x), functors[k].on_obj(x))
-            family.append(c.comp(
-                e.c(*fx), m.t_mor(b.components[x], a.components[x])
-            ))
-        comp[(i, j, k)] = _mediate(
-            c, fwd, brackets[(i, k)], zmon.t_obj(b.obj, a.obj), family
-        )
-    host = EnrichedCategory(zmon, n, hom_obj, ident, comp)
+    host = _family_host(
+        e, fwd, brackets, [[f.on_obj(x) for x in e.objects()] for f in functors]
+    )
+    ident, comp = host.ident, host.comp
 
     t_obj = {}
     for i, j in itertools.product(range(n), repeat=2):
@@ -829,13 +854,13 @@ def compare_e0_routes(direct: CenterResult, via: CenterResult,
 
 
 def _bracket_square_ok(em: EnrichedMonoidalCategory, a_host: int, zeta: int,
-                       up_leg, down_leg) -> bool:
+                       up_leg, down_leg, l_inv, r_inv) -> bool:
     e = em.host
     m = e.base
     c = m.base
     for z in e.objects():
-        up = c.comp_many(up_leg(z), m.t_mor(e.one(z), zeta), inv(m, m.l(a_host)))
-        down = c.comp_many(down_leg(z), m.t_mor(zeta, e.one(z)), inv(m, m.r(a_host)))
+        up = c.comp_many(up_leg(z), m.t_mor(e.one(z), zeta), l_inv(a_host))
+        down = c.comp_many(down_leg(z), m.t_mor(zeta, e.one(z)), r_inv(a_host))
         if up != down:
             return False
     return True
@@ -850,12 +875,17 @@ def bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
     transparent subcategory and must commute with both legs. The first two
     factors of each side of the square at z do not depend on the candidate;
     they are computed and composed into one leg once, when the first
-    candidate reaches z, and every candidate composes onto that leg.
+    candidate reaches z, and every candidate composes onto that leg. The
+    inverse unitors of each transparent object are likewise computed once,
+    where its first candidate first reads them.
     """
     z2mon, _, z2incl = z2
     e = em.host
-    c = e.base.base
+    m = e.base
+    c = m.base
     (x, hbx), (y, hby) = oi, oj
+    l_inv = cache(lambda a: inv(m, m.l(a)))
+    r_inv = cache(lambda a: inv(m, m.r(a)))
 
     @cache
     def up_leg(z: int) -> int:
@@ -872,7 +902,7 @@ def bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
         a_host = z2incl.on_obj(az)
         for zeta in sorted(c.hom(a_host, e.hom(x, y))):
             budget.spend()
-            if _bracket_square_ok(em, a_host, zeta, up_leg, down_leg):
+            if _bracket_square_ok(em, a_host, zeta, up_leg, down_leg, l_inv, r_inv):
                 objects.append(Family(az, (zeta,)))
     return _terminal_bracket(c, z2incl, objects, budget)
 
@@ -909,7 +939,6 @@ def _gamma1(em: EnrichedMonoidalCategory, budget: Budget) -> CenterResult:
     e = em.host
     m = e.base
     c = m.base
-    u = underlying_category(e)
     um = underlying_monoidal(em)
     z2 = muger_center_z2(em.braiding)
     z2mon, z2br, z2incl = z2
@@ -918,7 +947,6 @@ def _gamma1(em: EnrichedMonoidalCategory, budget: Budget) -> CenterResult:
     for x in e.objects():
         for hb in _enriched_half_braidings(em, x, budget):
             objs.append((x, hb))
-    obj_index = _half_braided_index(objs)
     n = len(objs)
 
     brackets = {}
@@ -928,42 +956,12 @@ def _gamma1(em: EnrichedMonoidalCategory, budget: Budget) -> CenterResult:
             raise StructureError(f"no terminal bracket pair at {(i, j)}")
         brackets[(i, j)] = br
 
-    hom_obj = {p: br.obj for p, br in brackets.items()}
-    ident = {
-        i: _mediate(c, z2incl, brackets[(i, i)], z2mon.unit, (e.one(x),))
-        for i, (x, _) in enumerate(objs)
-    }
-    comp = {}
-    for i, j, k in itertools.product(range(n), repeat=3):
-        bjk, bij = brackets[(j, k)], brackets[(i, j)]
-        route = c.comp(
-            e.c(objs[i][0], objs[j][0], objs[k][0]),
-            m.t_mor(bjk.zeta, bij.zeta),
-        )
-        comp[(i, j, k)] = _mediate(
-            c, z2incl, brackets[(i, k)], z2mon.t_obj(bjk.obj, bij.obj), (route,)
-        )
-    host = EnrichedCategory(z2mon, n, hom_obj, ident, comp)
+    host = _family_host(e, z2incl, brackets, [(x,) for x, _ in objs])
 
-    under = cache(lambda i: underlying_half_braiding(em, objs[i][1]))
-    t1 = {}
-    for i, j in itertools.product(range(n), repeat=2):
-        x, y = objs[i][0], objs[j][0]
-        gx, gy = under(i), under(j)
-        comps = {
-            z: u.elements[k][2]
-            for z, k in _tensor_half_braiding(um, x, gx.components, y, gy.components).items()
-        }
-        pos = obj_index.get((em.t(x, y), tuple(sorted(comps.items()))))
-        if pos is None:
-            raise StructureError(
-                f"tensor of half-braided objects not recognized at {(i, j)}"
-            )
-        t1[(i, j)] = pos
-    unit_comps = {z: u.elements[k][2] for z, k in _unit_half_braiding(um).items()}
-    unit_idx = obj_index.get((em.unit_obj, tuple(sorted(unit_comps.items()))))
-    if unit_idx is None:
-        raise StructureError("unit half-braiding not recognized")
+    t_obj, unit_idx = _half_braided_tensor(
+        um, [(x, underlying_half_braiding(em, hb)) for x, hb in objs]
+    )
+    t1 = {(i, j): t_obj[i * n + j] for i, j in itertools.product(range(n), repeat=2)}
 
     def cell(p: int, q: int) -> int:
         (i, j), (k, l) = divmod(p, n), divmod(q, n)
@@ -981,7 +979,7 @@ def _gamma1(em: EnrichedMonoidalCategory, budget: Budget) -> CenterResult:
         braided_tensor_lax_structure(z2br),
         cartesian_product_enriched(host, host),
         host,
-        tuple(t1[(i, j)] for i in range(n) for j in range(n)),
+        t_obj,
         LazyPairTable(n * n, cell),
     )
 
@@ -1017,7 +1015,7 @@ def _gamma1(em: EnrichedMonoidalCategory, budget: Budget) -> CenterResult:
             host, t1[(i, j)], t1[(j, i)], t1[(i, j)],
             braid[(j, i)], braid[(i, j)],
         )
-        == ident[t1[(i, j)]]
+        == host.ident[t1[(i, j)]]
         for i, j in itertools.product(range(n), repeat=2)
     )
 
@@ -1051,7 +1049,9 @@ def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict
     canonical enriched monoidal category. The other route forms the
     ordinary center of the carrier, takes the centralizer of the image of
     the base acting on the carrier unit, and rebuilds a canonical category
-    from the induced module over the transparent subcategory of the base.
+    from the induced module over the transparent subcategory of the base:
+    the carrier center acting on itself, pulled back to that subcategory
+    and restricted to the centralizer (``_restricted_module``).
     Returns both results with an isomorphism between them when one exists.
     One budget of cap units bounds both canonical constructions, the E1
     center, the carrier center and the isomorphism search.
@@ -1068,10 +1068,8 @@ def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict
     cc = mod.carrier
     z1m = drinfeld_center_z1(lm, budget)
     zm = z1m.monoidal
-    zc = zm.base
-    fwd = z1m.forgetful
-    z1_obj_index = _half_braided_index(z1m.object_data)
-    lift_mor = _lifter(fwd)
+    find = _half_braided_index(z1m.object_data)
+    lift_mor = _lifter(z1m.forgetful)
 
     phi_obj = []
     for a in ca.objects():
@@ -1086,7 +1084,7 @@ def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict
                 inv(lm, mm.i(mA.unit, a, z, lm.unit)),
                 lm.t_mor(inv(lm, mod.u(z)), cc.identity[x]),
             )
-        pos = z1_obj_index.get((x, tuple(sorted(comps.items()))))
+        pos = find(x, comps)
         if pos is None:
             raise StructureError(
                 f"action of {a} on the carrier unit is not central"
@@ -1106,52 +1104,14 @@ def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict
             zm.t_obj(phi_obj[a], phi_obj[b]), phi_obj[mA.t_obj(a, b)], g
         )
     phi0 = lift_mor(zm.unit, phi_obj[mA.unit], inv(lm, mod.u(lm.unit)))
+    phi = LaxMonoidalFunctor(
+        mA, zm, Functor(ca, zm.base, tuple(phi_obj), tuple(phi_mor)), phi0, phi2,
+        "strong",
+    )
 
-    submon, subbr, subincl = muger_centralizer(z1m.braided, phi_obj)
-    sub_obj = {subincl.on_obj(i): i for i in submon.base.objects()}
-    sub_mor = {subincl.on_mor(k): k for k in submon.base.morphisms()}
-    z2 = muger_center_z2(mm.base_braiding)
-    z2mon, z2br, z2incl = z2
-
-    act_obj, act_mor = [], []
-    for a2 in z2mon.base.objects():
-        pa = phi_obj[z2incl.on_obj(a2)]
-        for x in submon.base.objects():
-            tgt = zm.t_obj(pa, subincl.on_obj(x))
-            if tgt not in sub_obj:
-                raise StructureError("centralizer is not closed under the action")
-            act_obj.append(sub_obj[tgt])
-    for f2 in z2mon.base.morphisms():
-        pf = phi_mor[z2incl.on_mor(f2)]
-        for p in submon.base.morphisms():
-            act_mor.append(sub_mor[zm.t_mor(pf, subincl.on_mor(p))])
-    act = Functor(
-        product_category(z2mon.base, submon.base), submon.base,
-        tuple(act_obj), tuple(act_mor),
-    )
-    oplax_assoc = {}
-    for a2, b2 in itertools.product(z2mon.base.objects(), repeat=2):
-        a, b = z2incl.on_obj(a2), z2incl.on_obj(b2)
-        for x in submon.base.objects():
-            ix = subincl.on_obj(x)
-            g = zc.comp(
-                zm.a(phi_obj[a], phi_obj[b], ix),
-                zm.t_mor(inv(zm, phi2[(a, b)]), zc.identity[ix]),
-            )
-            oplax_assoc[(a2, b2, x)] = sub_mor[g]
-    oplax_unit = []
-    for x in submon.base.objects():
-        ix = subincl.on_obj(x)
-        g = zc.comp(zm.l(ix), zm.t_mor(inv(zm, phi0), zc.identity[ix]))
-        oplax_unit.append(sub_mor[g])
-    strong_a = all(
-        find_inverse(submon.base, f) is not None for f in oplax_assoc.values()
-    )
-    strong_u = all(find_inverse(submon.base, f) is not None for f in oplax_unit)
-    modB = ModuleAction(
-        z2mon, submon.base, act, oplax_assoc, tuple(oplax_unit),
-        strong_a, strong_u,
-    )
+    _, _, subincl = muger_centralizer(z1m.braided, phi_obj)
+    z2incl = direct.witnesses["z2"][2]  # em.braiding is mm.base_braiding
+    modB = _restricted_module(self_module(zm), compose_lax(phi, z2incl), subincl)
     canB = canonical_construction(modB, budget)
     host = direct.category.host.host
     return {
@@ -1175,12 +1135,7 @@ def _underlying_braided(eb: EnrichedBraidedCategory) -> BraidedStructure:
         (x, y): u.index[(em.t(x, y), em.t(y, x), eb.braiding_el[(x, y)])]
         for x, y in itertools.product(e.objects(), repeat=2)
     }
-    sym = all(
-        u.cat.comp(comps[(y, x)], comps[(x, y)])
-        == u.cat.identity[um.t_obj(x, y)]
-        for x, y in itertools.product(e.objects(), repeat=2)
-    )
-    return BraidedStructure(um, comps, sym)
+    return _flagged_braiding(um, comps)
 
 
 def gamma2(eb: EnrichedBraidedCategory, cap: int | None = None) -> CenterResult:
@@ -1292,7 +1247,8 @@ def gamma2_of_canonical(
 
     One route restricts the canonical braided category to its transparent
     objects; the other restricts the module to the transparent subcategory
-    of the carrier first and rebuilds the canonical braided category.
+    of the carrier first (``_restricted_module`` along the identity) and
+    rebuilds the canonical braided category.
     Returns both with an exact comparison of all tables. One budget of cap
     units bounds both canonical constructions.
     """
@@ -1303,38 +1259,9 @@ def gamma2_of_canonical(
 
     subL, subbr, subincl = muger_center_z2(carrier_braiding)
     mod = mm.module
-    mA = mod.base
-    ca = mA.base
-    sub_obj = {subincl.on_obj(i): i for i in subL.base.objects()}
+    ca = mod.base.base
+    mod2 = _restricted_module(mod, identity_lax(mod.base), subincl)
     sub_mor = {subincl.on_mor(k): k for k in subL.base.morphisms()}
-    act_obj, act_mor = [], []
-    for a in ca.objects():
-        for x in subL.base.objects():
-            t = mod.a_obj(a, subincl.on_obj(x))
-            if t not in sub_obj:
-                raise StructureError(
-                    "transparent carrier objects are not closed under the action"
-                )
-            act_obj.append(sub_obj[t])
-    for f in ca.morphisms():
-        for p in subL.base.morphisms():
-            act_mor.append(sub_mor[mod.a_mor(f, subincl.on_mor(p))])
-    act = Functor(
-        product_category(ca, subL.base), subL.base,
-        tuple(act_obj), tuple(act_mor),
-    )
-    oplax_assoc = {
-        (a, b, x): sub_mor[mod.o(a, b, subincl.on_obj(x))]
-        for a, b in itertools.product(ca.objects(), repeat=2)
-        for x in subL.base.objects()
-    }
-    oplax_unit = tuple(
-        sub_mor[mod.u(subincl.on_obj(x))] for x in subL.base.objects()
-    )
-    mod2 = ModuleAction(
-        mA, subL.base, act, oplax_assoc, oplax_unit,
-        mod.strongly_associative, mod.strongly_unital,
-    )
     interchange = {
         (a, b, x, y): sub_mor[mm.i(a, b, subincl.on_obj(x), subincl.on_obj(y))]
         for a, b in itertools.product(ca.objects(), repeat=2)
@@ -1648,7 +1575,7 @@ class _E0Check(_UniversalCheck):
     def background_objects(self) -> list:
         m, c, mA, bg, po = self.m, self.c, self.mA, self.bg, self.po
         xi_bg, mB, unit_b = self.action.xi_bg, self.mB, self.unit_b
-        z1_obj_index = _half_braided_index(self.z1.object_data)
+        find = _half_braided_index(self.z1.object_data)
         phihat_obj = []
         for a in self.ca.objects():
             xb = bg.on_obj(po(a, unit_b))
@@ -1662,7 +1589,7 @@ class _E0Check(_UniversalCheck):
                     bg.m2(po(mA.unit, z), po(a, unit_b)),
                     m.t_mor(inv(m, xi_bg[z]), c.identity[xb]),
                 )
-            pos = z1_obj_index.get((xb, tuple(sorted(comps.items()))))
+            pos = find(xb, comps)
             if pos is None:
                 self.report.add("background-image-not-central", (a,))
             phihat_obj.append(pos)
@@ -1827,12 +1754,12 @@ class _E1Check(_MonoidalCheck):
         super().__init__(em, action, res, res.witnesses["z2"][2])
 
     def comparison_objects(self) -> list:
-        obj_index = _half_braided_index(self.res.witnesses["objects"])
+        find = _half_braided_index(self.res.witnesses["objects"])
         P = []
         for a in self.la.objects():
             pa = self.odot_obj(a, self.unit_M)
             comps = {mo: self.induced_half_braiding(a, mo) for mo in range(self.nM)}
-            pos = obj_index.get((pa, tuple(sorted(comps.items()))))
+            pos = find(pa, comps)
             if pos is None:
                 self.report.add("induced-half-braiding-missing", (a,))
             P.append(pos)

@@ -8,7 +8,7 @@ inserts them explicitly.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from ecat.core import (
@@ -754,13 +754,43 @@ def _unit_half_braiding(m: MonoidalCategory) -> dict:
     return {z: c.comp(inv(m, m.l(z)), m.r(z)) for z in c.objects()}
 
 
-def _half_braided_index(pairs) -> dict:
-    """Position of each (object, half-braiding) pair, keyed by the object
-    and the sorted half-braiding components."""
-    return {
+def _half_braided_index(pairs) -> Callable[[int, Mapping], int | None]:
+    """The lookup (x, components) -> position of that (object,
+    half-braiding) pair among pairs, or None; the one place that keys a
+    half-braiding, by its sorted components."""
+    index = {
         (x, tuple(sorted(hb.components.items()))): i
         for i, (x, hb) in enumerate(pairs)
     }
+    return lambda x, comps: index.get((x, tuple(sorted(comps.items()))))
+
+
+def _half_braided_tensor(m: MonoidalCategory, pairs) -> tuple[tuple, int]:
+    """The tensor on objects (row-major) and the unit of the half-braided
+    objects pairs of m.
+
+    The tensor of two pairs carries ``_tensor_half_braiding`` and the unit
+    carries ``_unit_half_braiding``, each found by ``_half_braided_index``.
+    Raises StructureError when one of them is not among pairs.
+    """
+    find = _half_braided_index(pairs)
+
+    def tensor_obj(i: int, j: int) -> int:
+        (x, gamma), (y, delta) = pairs[i], pairs[j]
+        comps = _tensor_half_braiding(m, x, gamma.components, y, delta.components)
+        pos = find(m.t_obj(x, y), comps)
+        if pos is None:
+            raise StructureError(
+                f"tensor of half-braided objects not recognized at {(i, j)}"
+            )
+        return pos
+
+    n = len(pairs)
+    t_obj = tuple(tensor_obj(i, j) for i, j in itertools.product(range(n), repeat=2))
+    unit = find(m.unit, _unit_half_braiding(m))
+    if unit is None:
+        raise StructureError("unit half-braiding not recognized")
+    return t_obj, unit
 
 
 @dataclass(frozen=True, eq=True)
@@ -782,9 +812,8 @@ def drinfeld_center_z1(
 ) -> DrinfeldCenter:
     """The category of (object, half-braiding) pairs, built by brute force.
 
-    Objects are found by key (``_half_braided_index``): the tensor of two
-    objects carries ``_tensor_half_braiding`` and the unit carries
-    ``_unit_half_braiding``, the formulas ``centers.gamma1`` reads too.
+    The tensor on objects and the unit come from the object table
+    ``_half_braided_tensor``, which ``centers.gamma1`` reads too.
 
     m is not validated: the result means nothing unless
     ``check_monoidal(m)`` passes. An invalid m can still raise
@@ -824,22 +853,7 @@ def drinfeld_center_z1(
         lambda g, f: c.comp(g[2], f[2]),
     )
 
-    z_index = _half_braided_index(z_objects)
-
-    def tensor_obj(i: int, j: int) -> int:
-        (x, gamma), (y, delta) = z_objects[i], z_objects[j]
-        comps = _tensor_half_braiding(m, x, gamma.components, y, delta.components)
-        pos = z_index.get((m.t_obj(x, y), tuple(sorted(comps.items()))))
-        if pos is None:
-            raise StructureError(
-                f"tensor of half-braided objects not recognized at {(i, j)}"
-            )
-        return pos
-
-    t_obj_map = tuple(tensor_obj(i, j) for i, j in itertools.product(range(nz), repeat=2))
-    z_unit = z_index.get((m.unit, tuple(sorted(_unit_half_braiding(m).items()))))
-    if z_unit is None:
-        raise StructureError("unit half-braiding not recognized")
+    t_obj_map, z_unit = _half_braided_tensor(m, z_objects)
     zmon, forgetful = _lifted_monoidal(
         m, zcat, z_morphisms, index, [x for x, _ in z_objects], t_obj_map, z_unit
     )
@@ -849,11 +863,7 @@ def drinfeld_center_z1(
         )]
         for i, j in itertools.product(range(nz), repeat=2)
     }
-    symmetric = all(
-        zcat.comp(braiding[(j, i)], braiding[(i, j)]) == zcat.identity[zmon.t_obj(i, j)]
-        for i, j in itertools.product(range(nz), repeat=2)
-    )
-    zbraided = BraidedStructure(zmon, braiding, symmetric)
+    zbraided = _flagged_braiding(zmon, braiding)
     return DrinfeldCenter(zmon, zbraided, forgetful, tuple(z_objects))
 
 
@@ -938,6 +948,14 @@ def is_transparent(b: BraidedStructure, x: int, against: list[int]) -> bool:
     )
 
 
+def _flagged_braiding(m: MonoidalCategory, braiding: dict) -> BraidedStructure:
+    """The braiding on m, flagged symmetric when every object is
+    transparent against every object."""
+    b = BraidedStructure(m, braiding)
+    objs = list(m.base.objects())
+    return BraidedStructure(m, braiding, all(is_transparent(b, x, objs) for x in objs))
+
+
 def muger_centralizer(
     b: BraidedStructure, objs: list[int]
 ) -> tuple[MonoidalCategory, BraidedStructure, LaxMonoidalFunctor]:
@@ -951,12 +969,7 @@ def muger_centralizer(
         (obj_index[x], obj_index[y]): mor_to_sub[b.c(x, y)]
         for x, y in itertools.product(sorted(set(trans)), repeat=2)
     }
-    symmetric = all(
-        submon.base.comp(braiding[(j, i)], braiding[(i, j)])
-        == submon.base.identity[submon.t_obj(i, j)]
-        for i, j in itertools.product(submon.base.objects(), repeat=2)
-    )
-    return submon, BraidedStructure(submon, braiding, symmetric), inclusion
+    return submon, _flagged_braiding(submon, braiding), inclusion
 
 
 def muger_center_z2(

@@ -7,17 +7,24 @@ library's own constructions.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from hypothesis import strategies as st
 
 from ecat.actions import (
     ModuleAction,
     MonoidalAdjunction,
+    MonoidalModuleCells,
     RLaxStructure,
     check_module_nat,
     check_rlax,
 )
-from ecat.canonical import CanonicalCategory
+from ecat.canonical import (
+    CanonicalCategory,
+    canonical_braided,
+    canonical_construction,
+    canonical_monoidal,
+)
 from ecat.centers import (
     Bracket,
     CenterResult,
@@ -32,6 +39,8 @@ from ecat.centers import (
     _el_path,
     _factors,
     _functor_key,
+    _gamma1,
+    _lifter,
     _mediate,
     _t_el,
     _terminal_bracket,
@@ -50,6 +59,7 @@ from ecat.core import (
     check_functor,
     check_nat_transf,
     identity_functor,
+    product_category,
 )
 from ecat.enriched import (
     EnrichedCategory,
@@ -68,6 +78,7 @@ from ecat.enriched_monoidal import (
     EnrichedHalfBraiding,
     EnrichedMonoidalCategory,
     check_enriched_half_braiding,
+    underlying_half_braiding,
     underlying_monoidal,
 )
 from ecat.monoidal import (
@@ -78,14 +89,19 @@ from ecat.monoidal import (
     LaxMonoidalNat,
     MonoidalCategory,
     _expect,
+    _tensor_half_braiding,
+    _unit_half_braiding,
     braided_tensor_lax_structure,
     check_half_braiding,
     check_lax_monoidal_functor,
     check_lax_monoidal_nat,
+    drinfeld_center_z1,
     find_inverse,
     identity_lax,
     inv,
     mid_swap,
+    muger_center_z2,
+    muger_centralizer,
     product_monoidal,
 )
 from ecat.report import Budget, StructureError, ValidationReport
@@ -3102,3 +3118,256 @@ def eager_center_evaluation_action(res: CenterResult, em: EnrichedMonoidalCatego
     return UnitalAction(
         res.category.host, e, odot, unit_obj, tensor.xi_el, tensor.xi_bg, f2
     )
+
+
+# --- the centers' constructions before they were shared ---
+#
+# Parent bodies of centers and monoidal, verbatim but for the import of the
+# names they read and the half-braided key, which ``_half_braided_index``
+# now builds behind a lookup: ``_parent_half_braided_index`` is its parent
+# body, the dict the parent sites read with ``.get``.
+
+
+def _parent_half_braided_index(pairs) -> dict:
+    return {
+        (x, tuple(sorted(hb.components.items()))): i
+        for i, (x, hb) in enumerate(pairs)
+    }
+
+
+def parent_gamma1_module_side(mm, cap: int | None = None) -> ModuleAction:
+    """The parent body of ``centers.gamma1_of_canonical`` up to the module
+    it hands to its second canonical construction, which it returns."""
+    budget = Budget(cap, "E1 center of a canonical category")
+    can = canonical_construction(mm.module, budget)
+    em = canonical_monoidal(mm, can)
+    _gamma1(em, budget)
+
+    mod = mm.module
+    mA = mod.base
+    ca = mA.base
+    lm = mm.carrier_monoidal
+    cc = mod.carrier
+    z1m = drinfeld_center_z1(lm, budget)
+    zm = z1m.monoidal
+    zc = zm.base
+    fwd = z1m.forgetful
+    z1_obj_index = _parent_half_braided_index(z1m.object_data)
+    lift_mor = _lifter(fwd)
+
+    phi_obj = []
+    for a in ca.objects():
+        x = mod.a_obj(a, lm.unit)
+        comps = {}
+        for z in cc.objects():
+            comps[z] = cc.comp_many(
+                lm.t_mor(cc.identity[x], mod.u(z)),
+                mm.i(a, mA.unit, lm.unit, z),
+                mod.a_mor(inv(mA, mA.r(a)), inv(lm, lm.l(z))),
+                mod.a_mor(mA.l(a), lm.r(z)),
+                inv(lm, mm.i(mA.unit, a, z, lm.unit)),
+                lm.t_mor(inv(lm, mod.u(z)), cc.identity[x]),
+            )
+        pos = z1_obj_index.get((x, tuple(sorted(comps.items()))))
+        if pos is None:
+            raise StructureError(
+                f"action of {a} on the carrier unit is not central"
+            )
+        phi_obj.append(pos)
+    phi_mor = []
+    for f in ca.morphisms():
+        g = mod.a_mor(f, cc.identity[lm.unit])
+        phi_mor.append(lift_mor(phi_obj[ca.dom[f]], phi_obj[ca.cod[f]], g))
+    phi2 = {}
+    for a, b in itertools.product(ca.objects(), repeat=2):
+        g = cc.comp(
+            mod.a_mor(ca.identity[mA.t_obj(a, b)], lm.l(lm.unit)),
+            inv(lm, mm.i(a, b, lm.unit, lm.unit)),
+        )
+        phi2[(a, b)] = lift_mor(
+            zm.t_obj(phi_obj[a], phi_obj[b]), phi_obj[mA.t_obj(a, b)], g
+        )
+    phi0 = lift_mor(zm.unit, phi_obj[mA.unit], inv(lm, mod.u(lm.unit)))
+
+    submon, subbr, subincl = muger_centralizer(z1m.braided, phi_obj)
+    sub_obj = {subincl.on_obj(i): i for i in submon.base.objects()}
+    sub_mor = {subincl.on_mor(k): k for k in submon.base.morphisms()}
+    z2 = muger_center_z2(mm.base_braiding)
+    z2mon, z2br, z2incl = z2
+
+    act_obj, act_mor = [], []
+    for a2 in z2mon.base.objects():
+        pa = phi_obj[z2incl.on_obj(a2)]
+        for x in submon.base.objects():
+            tgt = zm.t_obj(pa, subincl.on_obj(x))
+            if tgt not in sub_obj:
+                raise StructureError("centralizer is not closed under the action")
+            act_obj.append(sub_obj[tgt])
+    for f2 in z2mon.base.morphisms():
+        pf = phi_mor[z2incl.on_mor(f2)]
+        for p in submon.base.morphisms():
+            act_mor.append(sub_mor[zm.t_mor(pf, subincl.on_mor(p))])
+    act = Functor(
+        product_category(z2mon.base, submon.base), submon.base,
+        tuple(act_obj), tuple(act_mor),
+    )
+    oplax_assoc = {}
+    for a2, b2 in itertools.product(z2mon.base.objects(), repeat=2):
+        a, b = z2incl.on_obj(a2), z2incl.on_obj(b2)
+        for x in submon.base.objects():
+            ix = subincl.on_obj(x)
+            g = zc.comp(
+                zm.a(phi_obj[a], phi_obj[b], ix),
+                zm.t_mor(inv(zm, phi2[(a, b)]), zc.identity[ix]),
+            )
+            oplax_assoc[(a2, b2, x)] = sub_mor[g]
+    oplax_unit = []
+    for x in submon.base.objects():
+        ix = subincl.on_obj(x)
+        g = zc.comp(zm.l(ix), zm.t_mor(inv(zm, phi0), zc.identity[ix]))
+        oplax_unit.append(sub_mor[g])
+    strong_a = all(
+        find_inverse(submon.base, f) is not None for f in oplax_assoc.values()
+    )
+    strong_u = all(find_inverse(submon.base, f) is not None for f in oplax_unit)
+    modB = ModuleAction(
+        z2mon, submon.base, act, oplax_assoc, tuple(oplax_unit),
+        strong_a, strong_u,
+    )
+    return modB
+
+
+def parent_gamma2_module_side(mm, carrier_braiding: BraidedStructure,
+                              cap: int | None = None) -> ModuleAction:
+    """The parent body of ``centers.gamma2_of_canonical`` up to the module
+    it hands to its second canonical construction, which it returns."""
+    budget = Budget(cap, "E2 center of a canonical category")
+    can = canonical_construction(mm.module, budget)
+    eb = canonical_braided(mm, carrier_braiding, can, carrier_braiding.symmetric_flag)
+    gamma2(eb)
+
+    subL, subbr, subincl = muger_center_z2(carrier_braiding)
+    mod = mm.module
+    mA = mod.base
+    ca = mA.base
+    sub_obj = {subincl.on_obj(i): i for i in subL.base.objects()}
+    sub_mor = {subincl.on_mor(k): k for k in subL.base.morphisms()}
+    act_obj, act_mor = [], []
+    for a in ca.objects():
+        for x in subL.base.objects():
+            t = mod.a_obj(a, subincl.on_obj(x))
+            if t not in sub_obj:
+                raise StructureError(
+                    "transparent carrier objects are not closed under the action"
+                )
+            act_obj.append(sub_obj[t])
+    for f in ca.morphisms():
+        for p in subL.base.morphisms():
+            act_mor.append(sub_mor[mod.a_mor(f, subincl.on_mor(p))])
+    act = Functor(
+        product_category(ca, subL.base), subL.base,
+        tuple(act_obj), tuple(act_mor),
+    )
+    oplax_assoc = {
+        (a, b, x): sub_mor[mod.o(a, b, subincl.on_obj(x))]
+        for a, b in itertools.product(ca.objects(), repeat=2)
+        for x in subL.base.objects()
+    }
+    oplax_unit = tuple(
+        sub_mor[mod.u(subincl.on_obj(x))] for x in subL.base.objects()
+    )
+    mod2 = ModuleAction(
+        mA, subL.base, act, oplax_assoc, oplax_unit,
+        mod.strongly_associative, mod.strongly_unital,
+    )
+    interchange = {
+        (a, b, x, y): sub_mor[mm.i(a, b, subincl.on_obj(x), subincl.on_obj(y))]
+        for a, b in itertools.product(ca.objects(), repeat=2)
+        for x, y in itertools.product(subL.base.objects(), repeat=2)
+    }
+    MonoidalModuleCells(
+        mod2, mm.base_braiding, subL, interchange, sub_mor[mm.unit_cell]
+    )
+    return mod2
+
+
+def parent_z1_tensor_unit(m: MonoidalCategory, z_objects: list) -> tuple:
+    """The tensor object map and unit of ``monoidal.drinfeld_center_z1``'s
+    parent body on the half-braided objects z_objects of m."""
+    nz = len(z_objects)
+    z_index = _parent_half_braided_index(z_objects)
+
+    def tensor_obj(i: int, j: int) -> int:
+        (x, gamma), (y, delta) = z_objects[i], z_objects[j]
+        comps = _tensor_half_braiding(m, x, gamma.components, y, delta.components)
+        pos = z_index.get((m.t_obj(x, y), tuple(sorted(comps.items()))))
+        if pos is None:
+            raise StructureError(
+                f"tensor of half-braided objects not recognized at {(i, j)}"
+            )
+        return pos
+
+    t_obj_map = tuple(tensor_obj(i, j) for i, j in itertools.product(range(nz), repeat=2))
+    z_unit = z_index.get((m.unit, tuple(sorted(_unit_half_braiding(m).items()))))
+    if z_unit is None:
+        raise StructureError("unit half-braiding not recognized")
+    return t_obj_map, z_unit
+
+
+def parent_gamma1_tensor_unit(em: EnrichedMonoidalCategory, objs: list) -> tuple:
+    """The tensor object table t1 and the unit of ``centers._gamma1``'s
+    parent body on its enriched half-braided objects objs."""
+    e = em.host
+    u = underlying_category(e)
+    um = underlying_monoidal(em)
+    obj_index = _parent_half_braided_index(objs)
+    n = len(objs)
+    under = cache(lambda i: underlying_half_braiding(em, objs[i][1]))
+    t1 = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        x, y = objs[i][0], objs[j][0]
+        gx, gy = under(i), under(j)
+        comps = {
+            z: u.elements[k][2]
+            for z, k in _tensor_half_braiding(um, x, gx.components, y, gy.components).items()
+        }
+        pos = obj_index.get((em.t(x, y), tuple(sorted(comps.items()))))
+        if pos is None:
+            raise StructureError(
+                f"tensor of half-braided objects not recognized at {(i, j)}"
+            )
+        t1[(i, j)] = pos
+    unit_comps = {z: u.elements[k][2] for z, k in _unit_half_braiding(um).items()}
+    unit_idx = obj_index.get((em.unit_obj, tuple(sorted(unit_comps.items()))))
+    if unit_idx is None:
+        raise StructureError("unit half-braiding not recognized")
+    return t1, unit_idx
+
+
+def parent_gamma1_host(em: EnrichedMonoidalCategory, res: CenterResult) -> EnrichedCategory:
+    """The enriched category of terminal bracket pairs of ``centers._gamma1``'s
+    parent body; it reads the objects, brackets and transparent subcategory
+    from the witnesses of res = gamma1(em)."""
+    e = em.host
+    m = e.base
+    c = m.base
+    objs = res.witnesses["objects"]
+    brackets = res.witnesses["brackets"]
+    z2mon, _, z2incl = res.witnesses["z2"]
+    n = len(objs)
+    hom_obj = {p: br.obj for p, br in brackets.items()}
+    ident = {
+        i: _mediate(c, z2incl, brackets[(i, i)], z2mon.unit, (e.one(x),))
+        for i, (x, _) in enumerate(objs)
+    }
+    comp = {}
+    for i, j, k in itertools.product(range(n), repeat=3):
+        bjk, bij = brackets[(j, k)], brackets[(i, j)]
+        route = c.comp(
+            e.c(objs[i][0], objs[j][0], objs[k][0]),
+            m.t_mor(bjk.zeta, bij.zeta),
+        )
+        comp[(i, j, k)] = _mediate(
+            c, z2incl, brackets[(i, k)], z2mon.t_obj(bjk.obj, bij.obj), (route,)
+        )
+    return EnrichedCategory(z2mon, n, hom_obj, ident, comp)

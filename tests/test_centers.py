@@ -85,6 +85,7 @@ from ecat.report import Budget, BudgetExceeded, StructureError, ValidationReport
 from helpers import (
     chain2,
     chain2_enriched,
+    delooping_monoidal,
     eager_braided_tensor_lax_structure,
     eager_gamma1_cells,
     exhaustive_bracket_pair,
@@ -262,6 +263,16 @@ def z2_self_cells():
     return monoidal_self_module(identity_braiding(m))
 
 
+def sign_x_lattice2_self_cells():
+    m = product_monoidal(sign_monoidal(), lattice2_monoidal())
+    return monoidal_self_module(identity_braiding(m))
+
+
+def bz3_x_lattice2_self_cells():
+    m = product_monoidal(delooping_monoidal(3), lattice2_monoidal())
+    return monoidal_self_module(identity_braiding(m))
+
+
 def terminal_cells():
     t = terminal_category()
     m = strict_monoidal(t, Functor(product_category(t, t), t, (0,), (0,)), 0)
@@ -271,7 +282,10 @@ def terminal_cells():
 
 
 def test_e0_routes_agree_on_module_fixtures():
-    for cells in (lattice2_self_cells(), z2_self_cells(), terminal_cells()):
+    for cells in (
+        lattice2_self_cells(), z2_self_cells(), terminal_cells(),
+        sign_x_lattice2_self_cells(), bz3_x_lattice2_self_cells(),
+    ):
         mod = cells.module
         direct = e0_center(e0_host_of(mod), CAP)
         via = e0_center_via_module(mod, CAP)
@@ -460,7 +474,10 @@ def test_gamma1_underlying_embeds_fully_in_z1_of_underlying():
 
 
 def test_gamma1_of_canonical_on_module_fixtures():
-    for cells in (lattice2_self_cells(), z2_self_cells(), terminal_cells()):
+    for cells in (
+        lattice2_self_cells(), z2_self_cells(), terminal_cells(),
+        sign_x_lattice2_self_cells(), bz3_x_lattice2_self_cells(),
+    ):
         out = gamma1_of_canonical(cells, CAP)
         assert out["iso"] is not None
         assert out["strict"]
@@ -522,7 +539,10 @@ def test_gamma2_of_symmetric_fixture_is_itself():
 
 
 def test_gamma2_of_canonical_on_module_fixtures():
-    for cells in (lattice2_self_cells(), z2_self_cells(), terminal_cells()):
+    for cells in (
+        lattice2_self_cells(), z2_self_cells(), terminal_cells(),
+        sign_x_lattice2_self_cells(), bz3_x_lattice2_self_cells(),
+    ):
         br = cells.base_braiding
         out = gamma2_of_canonical(cells, br, CAP)
         assert out["tables_equal"]

@@ -1,8 +1,9 @@
 """The tensor background computes its mult cells as they are read, the E1
 center computes its own tensor cells as they are read, and its bracket search
-composes the candidate-free legs of each sliding square once per object pair;
-compared with the eager oracles that build every mult cell and every tensor
-cell up front and recompose both legs for each candidate."""
+composes the candidate-free legs of each sliding square once per object pair
+and inverts each transparent object's unitors once per pair; compared with
+the eager oracles that build every mult cell and every tensor cell up front
+and recompose both legs for each candidate."""
 
 import dataclasses
 import itertools
@@ -245,3 +246,27 @@ def test_gamma1_on_lattice8_reads_each_underlying_half_braiding_once(monkeypatch
     calls = _counting(monkeypatch, ecat.centers, "underlying_half_braiding")
     res = gamma1(GAMMA1_HOSTS["lattice8"](), CAP)
     assert len(calls) == res.category.host.host.n_objects == 8
+
+
+def test_bracket_pair_inverts_each_unitor_once_per_transparent_object(monkeypatch):
+    """On lattice-8, each pair inverts the left and the right unitor of each
+    transparent object that has a candidate once, not once per object and
+    candidate."""
+    em = GAMMA1_HOSTS["lattice8"]()
+    m = em.host.base
+    objs, z2 = _gamma1_objects(em)
+    z2mon, _, z2incl = z2
+    inverted = []
+    inner = ecat.centers.inv
+
+    def counted(mon, f):
+        inverted.append(f)
+        return inner(mon, f)
+
+    monkeypatch.setattr(ecat.centers, "inv", counted)
+    hosts = [z2incl.on_obj(az) for az in z2mon.base.objects()]
+    for oi, oj in itertools.product(objs, repeat=2):
+        inverted.clear()
+        bracket_pair(em, z2, oi, oj, Budget(CAP))
+        read = [a for a in hosts if m.base.hom(a, em.host.hom(oi[0], oj[0]))]
+        assert sorted(inverted) == sorted([m.l(a) for a in read] + [m.r(a) for a in read])

@@ -4,7 +4,8 @@ live code of src/ecat outside its own definition: code that is not itself
 in such an unreferenced def. No def of src/ecat takes an
 ``UnderlyingResult``: an enriched category keeps its own. No module of
 src/ecat but core.py calls ``FinCategory``: the others build categories
-through core.
+through core. No ``.get(...)`` of src/ecat keys by ``sorted(`` outside
+``monoidal._half_braided_index``, the one table of half-braided objects.
 
 Names listed in the package's __all__ are re-exported, so they count as
 used in __init__.py.
@@ -199,3 +200,51 @@ def test_the_scan_finds_a_category_built_outside_core():
 def test_only_core_builds_a_category():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert category_builders(sources) == []
+
+
+def sorted_key_lookups(sources: dict) -> list:
+    """The (module, line) of each ``.get(...)`` call whose key calls
+    ``sorted(`` outside ``monoidal._half_braided_index``, the one place that
+    keys a half-braiding by its sorted components."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        exempt = set()
+        if module == "monoidal.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "_half_braided_index":
+                    exempt = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and id(node) not in exempt
+                and any(
+                    isinstance(n, ast.Call) and getattr(n.func, "id", None) == "sorted"
+                    for arg in node.args for n in ast.walk(arg)
+                )
+            ):
+                found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_the_scan_finds_a_sorted_key_lookup_outside_the_index():
+    index = (
+        "def _half_braided_index(pairs):\n"
+        "    index = {}\n"
+        "    return lambda x, c: index.get((x, tuple(sorted(c.items()))))\n"
+    )
+    sources = {
+        "monoidal.py": index + "def f(d, c):\n    return d.get((0, tuple(sorted(c))))\n",
+        "centers.py": "a = d.get(sorted(c))\nb = d.get(c, sorted(e))\nc = d.get(x)\n",
+        "core.py": index,
+    }
+    assert sorted_key_lookups(sources) == [
+        ("centers.py", 1), ("centers.py", 2), ("core.py", 3), ("monoidal.py", 5),
+    ]
+
+
+def test_only_the_half_braided_index_keys_by_sorted_components():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sorted_key_lookups(sources) == []

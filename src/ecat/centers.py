@@ -11,14 +11,16 @@ category is the full subcategory of transparent objects.
 Hom objects of the E0 and E1 centers are terminal families: a center
 object with components into hom objects (one per object for E0, a single
 zeta for E1), found by one terminal finder, which also records each
-family's unique morphism into the terminal one. Both centers build their
-category of terminal families with one host, ``_family_host``: identities
-and composites are the mediators of the identity and composite families.
-A mediator of a listed family is read from that certificate; only an
-unlisted family is mediated by a scan. `check_bracket_terminal` re-checks
-any such certificate by an exhaustive morphism scan. The E0 tensor cells are not
-mediated one by one: each is the composite of a left and a right
-whiskering, each whiskering mediated once (``e0_center``).
+family's unique morphism into the terminal one. On a thin host whose other
+cells are typed (``enriched._thin_families``, ``_thin_brackets``) every
+sliding square commutes and every family factors, so neither is composed.
+Both centers build their category of terminal families with one host,
+``_family_host``: identities and composites are the mediators of the
+identity and composite families. A mediator of a listed family is read
+from that certificate; only an unlisted family is mediated by a scan.
+`check_bracket_terminal` re-checks any such certificate by an exhaustive
+morphism scan. The E0 tensor cells are each the composite of a left and a
+right whiskering, each whiskering mediated once (``e0_center``).
 
 The three universal-property verifiers run one skeleton: an induced
 comparison functor, its background, the unit isomorphism rho and the two
@@ -66,6 +68,8 @@ from ecat.enriched import (
     _computed,
     _enriched_functor_search,
     _enriched_nat,
+    _thin_brackets,
+    _thin_families,
     cartesian_product_enriched,
     check_enriched,
     check_enriched_functor,
@@ -249,12 +253,13 @@ def _factors(c: FinCategory, incl: LaxMonoidalFunctor, k: int, tgt: tuple,
 
 
 def _terminal_bracket(c: FinCategory, incl: LaxMonoidalFunctor, objects: list,
-                      budget: Budget) -> Bracket | None:
+                      budget: Budget, thin: bool = False) -> Bracket | None:
     """The first terminal family among objects, if one exists.
 
     incl maps the center into the base c. Morphisms are the center
     morphisms through which the target family gives the source family;
-    each candidate spends one unit of budget.
+    each candidate spends one unit of budget. thin is the caller's verdict
+    that c is a thin host on which incl and every family are typed.
     """
     zc = incl.source.base
     morphisms = []
@@ -262,7 +267,7 @@ def _terminal_bracket(c: FinCategory, incl: LaxMonoidalFunctor, objects: list,
         for q, tgt in enumerate(objects):
             for k in zc.hom(src.z_obj, tgt.z_obj):
                 budget.spend()
-                if _factors(c, incl, k, tgt.components, src.components):
+                if thin or _factors(c, incl, k, tgt.components, src.components):
                     morphisms.append((p, q, k))
     incoming = {q: {} for q in range(len(objects))}
     for p, q, k in morphisms:
@@ -402,6 +407,7 @@ def bracket_family(e: EnrichedCategory, fF: EnrichedFunctor,
     """
     c = e.base.base
     fwd = z1.forgetful
+    thin = _thin_families(e, fF, fG, z1)
 
     def domain(i, v):
         if i == 0:
@@ -409,13 +415,13 @@ def bracket_family(e: EnrichedCategory, fF: EnrichedFunctor,
         return c.hom(fwd.on_obj(v[0]), e.hom(fF.on_obj(i - 1), fG.on_obj(i - 1)))
 
     def slides(v):
-        return _family_square_ok(e, fF, fG, z1.object_data[v[0]][1], v[1:])
+        return thin or _family_square_ok(e, fF, fG, z1.object_data[v[0]][1], v[1:])
 
     n = e.n_objects
     objects = [
         Family(v[0], v[1:]) for v in _search(n + 1, domain, [(n, slides)], budget)
     ]
-    return _terminal_bracket(c, fwd, objects, budget)
+    return _terminal_bracket(c, fwd, objects, budget, thin)
 
 
 @dataclass
@@ -853,31 +859,19 @@ def compare_e0_routes(direct: CenterResult, via: CenterResult,
 # --- the E1 center ---
 
 
-def _bracket_square_ok(em: EnrichedMonoidalCategory, a_host: int, zeta: int,
-                       up_leg, down_leg, l_inv, r_inv) -> bool:
-    e = em.host
-    m = e.base
-    c = m.base
-    for z in e.objects():
-        up = c.comp_many(up_leg(z), m.t_mor(e.one(z), zeta), l_inv(a_host))
-        down = c.comp_many(down_leg(z), m.t_mor(zeta, e.one(z)), r_inv(a_host))
-        if up != down:
-            return False
-    return True
-
-
 def bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
                  budget: Budget) -> Bracket | None:
     """The terminal bracket pair from oi to oj, if one exists.
 
     Pairs join a transparent base object with a morphism zeta into
     hom(x, y) satisfying the sliding square; morphisms come from the
-    transparent subcategory and must commute with both legs. The first two
-    factors of each side of the square at z do not depend on the candidate;
-    they are computed and composed into one leg once, when the first
-    candidate reaches z, and every candidate composes onto that leg. The
-    inverse unitors of each transparent object are likewise computed once,
-    where its first candidate first reads them.
+    transparent subcategory and must commute with both legs. On a thin
+    host whose other cells are typed (``enriched._thin_brackets``) every
+    square commutes and every pair factors, so nothing is composed.
+    Otherwise the first two factors of each side of the square at z, which
+    do not depend on the candidate, are composed into one leg once, when
+    the first candidate reaches z, and the inverse unitors of each
+    transparent object once, where its first candidate reads them.
     """
     z2mon, _, z2incl = z2
     e = em.host
@@ -897,14 +891,19 @@ def bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
         pre = hom_pre(e, em.t(z, x), em.t(x, z), em.t(y, z), hbx.components[z])
         return c.comp(pre, em.t_cell(x, z, y, z))
 
+    thin = _thin_brackets(em, oi, oj, z2incl)
     objects = []
     for az in z2mon.base.objects():
         a_host = z2incl.on_obj(az)
         for zeta in sorted(c.hom(a_host, e.hom(x, y))):
             budget.spend()
-            if _bracket_square_ok(em, a_host, zeta, up_leg, down_leg, l_inv, r_inv):
+            if thin or all(
+                c.comp_many(up_leg(z), m.t_mor(e.one(z), zeta), l_inv(a_host))
+                == c.comp_many(down_leg(z), m.t_mor(zeta, e.one(z)), r_inv(a_host))
+                for z in e.objects()
+            ):
                 objects.append(Family(az, (zeta,)))
-    return _terminal_bracket(c, z2incl, objects, budget)
+    return _terminal_bracket(c, z2incl, objects, budget, thin)
 
 
 def gamma1(em: EnrichedMonoidalCategory, cap: int | None = None) -> CenterResult:

@@ -105,7 +105,17 @@ class FinCategory:
         - ``enriched_monoidal.check_enriched_monoidal``: the tensor's
           composition law and the associator's naturality, on a thin base
           once the base passes ``_is_monoidal``, the braiding passes, the
-          tensor background is the pinned one and nothing is reported.
+          tensor background is the pinned one and nothing is reported;
+        - four checks of the centers, once the host passes
+          ``enriched._thin_host`` (a thin base that passes ``_is_monoidal``
+          and a host that passes ``check_enriched``) and the cells each
+          reads are typed: the E0 sliding squares of
+          ``centers.bracket_family`` (``enriched._thin_families``), the E1
+          sliding squares of ``centers.bracket_pair``
+          (``enriched._thin_brackets``), the naturality squares of
+          ``enriched_monoidal.check_enriched_half_braiding``, and the
+          factorings of ``centers._terminal_bracket`` that either search
+          hands it.
         """
         return len(self._hom_index) == self.n_morphisms
 

@@ -29,6 +29,7 @@ from ecat.core import (
 )
 from ecat.monoidal import (
     BraidedStructure,
+    DrinfeldCenter,
     LaxMonoidalFunctor,
     LaxMonoidalNat,
     MonoidalCategory,
@@ -56,7 +57,8 @@ from ecat.report import Budget, StructureError, ValidationReport
 class EnrichedCategory:
     """A category enriched in base. ``underlying_category`` keeps its result
     in ``_built``, once per instance; a build that raises is not kept, and a
-    ``dataclasses.replace`` copy builds afresh."""
+    ``dataclasses.replace`` copy builds afresh. ``_thin_host`` keeps its
+    verdict there too."""
 
     base: MonoidalCategory
     n_objects: int
@@ -129,6 +131,109 @@ def check_enriched(e: EnrichedCategory) -> ValidationReport:
         if rhs != c.identity[h]:
             report.add("enriched-right-unit", (x, y))
     return report
+
+
+def _thin_host(e: EnrichedCategory) -> bool:
+    """Whether the base category of e is thin, the base passes
+    ``monoidal._is_monoidal`` and e passes ``check_enriched``; False when a
+    check raises.
+
+    This is the precondition of the centers' square gates: on such an e
+    every composite of its identity and composition cells with the base
+    tensor, associators and unitors is defined, and any two parallel
+    composites are equal (Lawvere 1973; Kelly 1982 §1). So a square built
+    from them commutes once its other cells are typed (``_typed_cells``).
+    The verdict depends on e's tables alone, so it is decided once per
+    instance and kept in ``e._built``, as ``_is_monoidal`` keeps its verdict
+    in ``m._verdicts``.
+    """
+    built = e._built
+    if "thin" not in built:
+        try:
+            built["thin"] = (
+                e.base.base.thin and _is_monoidal(e.base) and check_enriched(e).ok
+            )
+        except Exception:
+            built["thin"] = False
+    return built["thin"]
+
+
+def _typed_cells(e: EnrichedCategory, cells) -> bool:
+    """Whether e passes ``_thin_host`` and each (f, dom, cod) of the iterable
+    cells is a morphism dom -> cod of the base category; False when reading
+    a cell raises, so that the caller's own loop reads it again and raises."""
+    if not _thin_host(e):
+        return False
+    c = e.base.base
+    n, doms, cods = c.n_morphisms, c.dom, c.cod
+    try:
+        return all(0 <= f < n and doms[f] == dom and cods[f] == cod for f, dom, cod in cells)
+    except Exception:
+        return False
+
+
+def _functor_cells(f: LaxMonoidalFunctor):
+    """(f(k), f(dom k), f(cod k)) for each morphism k of the source of f: f
+    is typed on morphisms when each is a morphism of that type."""
+    s = f.source.base
+    return ((f.on_mor(k), f.on_obj(s.dom[k]), f.on_obj(s.cod[k])) for k in s.morphisms())
+
+
+def _thin_families(e: EnrichedCategory, fF: EnrichedFunctor, fG: EnrichedFunctor,
+                   z1: DrinfeldCenter) -> bool:
+    """Whether e passes ``_thin_host`` and the cells that the E0 sliding
+    squares and factorings of families from fF to fG read besides a
+    candidate's components are typed: each component of fF and fG,
+    hom(x, y) -> hom(Fx, Fy); the half-braiding of each object a of the
+    center z1 at each hom object h, h@a -> a@h, with a the forgetful image;
+    and that forgetful functor on morphisms. The search domains type the
+    candidate components, so then every square commutes and every family
+    factors (``centers.bracket_family``)."""
+    if not _thin_host(e):
+        return False
+    m = e.base
+    fwd = z1.forgetful
+    pairs = list(itertools.product(e.objects(), repeat=2))
+    homs = {e.hom(x, y) for x, y in pairs}  # every hom object is read by check_enriched
+    cells = itertools.chain(
+        (
+            (f.at(x, y), e.hom(x, y), e.hom(f.on_obj(x), f.on_obj(y)))
+            for f in (fF, fG) for x, y in pairs
+        ),
+        (
+            (hb.components[h], m.t_obj(h, fwd.on_obj(i)), m.t_obj(fwd.on_obj(i), h))
+            for i, (_, hb) in enumerate(z1.object_data) for h in homs
+        ),
+        _functor_cells(fwd),
+    )
+    return _typed_cells(e, cells)
+
+
+def _thin_brackets(em, oi: tuple, oj: tuple, incl: LaxMonoidalFunctor) -> bool:
+    """Whether the host e of the enriched monoidal category em passes
+    ``_thin_host`` and the cells that the E1 sliding squares and factorings
+    of bracket pairs from oi = (x, hbx) to oj = (y, hby) read besides a
+    candidate zeta are typed: at each object z, hbx[z]: 1 -> hom(z@x, x@z),
+    hby[z]: 1 -> hom(z@y, y@z) and the tensor cells at (z, x, z, y) and
+    (x, z, y, z); and incl, the inclusion of the transparent objects, on
+    morphisms. The search domain types zeta, so then every square commutes
+    and every pair factors (``centers.bracket_pair``)."""
+    e = em.host
+    m = e.base
+    t = em.t
+    (x, hbx), (y, hby) = oi, oj
+    cells = itertools.chain.from_iterable(
+        (
+            (hbx.components[z], m.unit, e.hom(t(z, x), t(x, z))),
+            (hby.components[z], m.unit, e.hom(t(z, y), t(y, z))),
+            (em.t_cell(z, x, z, y), m.t_obj(e.hom(z, z), e.hom(x, y)),
+             e.hom(t(z, x), t(z, y))),
+            (em.t_cell(x, z, y, z), m.t_obj(e.hom(x, y), e.hom(z, z)),
+             e.hom(t(x, z), t(y, z))),
+        )
+        for z in e.objects()
+    )
+    return _typed_cells(e, itertools.chain(cells, _functor_cells(incl)))
 
 
 @dataclass(frozen=True, eq=True)

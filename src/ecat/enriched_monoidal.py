@@ -13,7 +13,8 @@ category and the base is thin, the one rule of ``FinCategory.thin``
 applies: the tensor's composition law and the associator's naturality
 follow from typing, so no square of either is read and the associator nat
 is not even built. The host, base and underlying checks apply the same
-rule on their own.
+rule on their own, and so does ``check_enriched_half_braiding`` on a thin
+host (``enriched._thin_host``).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from ecat.enriched import (
     _check_enriched_functor_laws,
     _computed,
     _enriched_nat,
+    _typed_cells,
     cartesian_product_enriched,
     check_enriched,
     check_enriched_functor,
@@ -671,6 +673,15 @@ def underlying_half_braiding(
 def check_enriched_half_braiding(
     em: EnrichedMonoidalCategory, hb: EnrichedHalfBraiding
 ) -> ValidationReport:
+    """Every failing instance of the laws of hb: its components are elements
+    whose underlying morphisms form a half-braiding (``underlying:``), and
+    its naturality square commutes at every pair of objects.
+
+    The components are typed once they are elements. When the host passes
+    ``enriched._thin_host`` and the tensor cells the squares read are typed,
+    both routes of each square are parallel, hence equal, so no square is
+    composed; otherwise every square is.
+    """
     report = ValidationReport("enriched half-braiding")
     e = em.host
     m = e.base
@@ -684,7 +695,18 @@ def check_enriched_half_braiding(
         return report
     _absorb(report, check_half_braiding(um, under), "underlying")
 
-    for y, z in itertools.product(e.objects(), repeat=2):
+    pairs = list(itertools.product(e.objects(), repeat=2))
+    if _typed_cells(e, itertools.chain.from_iterable(
+        (
+            (em.t_cell(y, x, z, x), m.t_obj(e.hom(y, z), e.hom(x, x)),
+             e.hom(em.t(y, x), em.t(z, x))),
+            (em.t_cell(x, y, x, z), m.t_obj(e.hom(x, x), e.hom(y, z)),
+             e.hom(em.t(x, y), em.t(x, z))),
+        )
+        for y, z in pairs
+    )):
+        return report
+    for y, z in pairs:
         h = e.hom(y, z)
         post = c.comp_many(
             hom_post(e, em.t(y, x), em.t(z, x), em.t(x, z), hb.components[z]),

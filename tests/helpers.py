@@ -56,6 +56,7 @@ from ecat.core import (
     NatTransf,
     _check_ranges,
     _degree_signature,
+    _search,
     check_functor,
     check_nat_transf,
     identity_functor,
@@ -77,6 +78,7 @@ from ecat.enriched import (
 from ecat.enriched_monoidal import (
     EnrichedHalfBraiding,
     EnrichedMonoidalCategory,
+    _absorb,
     check_enriched_half_braiding,
     underlying_half_braiding,
     underlying_monoidal,
@@ -3371,3 +3373,101 @@ def parent_gamma1_host(em: EnrichedMonoidalCategory, res: CenterResult) -> Enric
             c, z2incl, brackets[(i, k)], z2mon.t_obj(bjk.obj, bij.obj), (route,)
         )
     return EnrichedCategory(z2mon, n, hom_obj, ident, comp)
+
+
+# --- the centers' square checks before the thin-host gates ---
+#
+# The parent bodies of centers.bracket_family, centers._terminal_bracket and
+# enriched_monoidal.check_enriched_half_braiding, verbatim except that the
+# family search calls the frozen square check and terminal finder of this
+# file. They compose every sliding square and every factoring, on thin
+# hosts too.
+
+
+def ungated_terminal_bracket(c: FinCategory, incl: LaxMonoidalFunctor, objects: list,
+                             budget: Budget) -> Bracket | None:
+    """The first terminal family among objects, if one exists.
+
+    incl maps the center into the base c. Morphisms are the center
+    morphisms through which the target family gives the source family;
+    each candidate spends one unit of budget.
+    """
+    zc = incl.source.base
+    morphisms = []
+    for p, src in enumerate(objects):
+        for q, tgt in enumerate(objects):
+            for k in zc.hom(src.z_obj, tgt.z_obj):
+                budget.spend()
+                if _factors(c, incl, k, tgt.components, src.components):
+                    morphisms.append((p, q, k))
+    incoming = {q: {} for q in range(len(objects))}
+    for p, q, k in morphisms:
+        incoming[q].setdefault(p, []).append(k)
+    for q, obj in enumerate(objects):
+        if all(len(incoming[q].get(p, ())) == 1 for p in range(len(objects))):
+            mediators = {p: ks[0] for p, ks in incoming[q].items()}
+            return Bracket(obj.z_obj, obj.components, mediators,
+                           tuple(objects), tuple(morphisms), incl)
+    return None
+
+
+def ungated_bracket_family(e: EnrichedCategory, fF: EnrichedFunctor,
+                           fG: EnrichedFunctor, z1, budget: Budget) -> Bracket | None:
+    """The terminal half-braided family from fF to fG, if one exists.
+
+    Families pair an object a of the ordinary center z1 of the base with
+    components I(a) -> hom(Fx, Gx) that slide past every hom; morphisms
+    are center morphisms compatible with both families. The center object
+    is the first variable of the search, the components the rest.
+    """
+    c = e.base.base
+    fwd = z1.forgetful
+
+    def domain(i, v):
+        if i == 0:
+            return range(len(z1.object_data))
+        return c.hom(fwd.on_obj(v[0]), e.hom(fF.on_obj(i - 1), fG.on_obj(i - 1)))
+
+    def slides(v):
+        return _exhaustive_family_square_ok(e, fF, fG, z1.object_data[v[0]][1], v[1:])
+
+    n = e.n_objects
+    objects = [
+        Family(v[0], v[1:]) for v in _search(n + 1, domain, [(n, slides)], budget)
+    ]
+    return ungated_terminal_bracket(c, fwd, objects, budget)
+
+
+def ungated_check_enriched_half_braiding(
+    em: EnrichedMonoidalCategory, hb: EnrichedHalfBraiding
+) -> ValidationReport:
+    report = ValidationReport("enriched half-braiding")
+    e = em.host
+    m = e.base
+    c = m.base
+    x = hb.carrier
+    um = underlying_monoidal(em)
+    try:
+        under = underlying_half_braiding(em, hb)
+    except KeyError as bad:
+        report.add("half-braiding-element", (), str(bad))
+        return report
+    _absorb(report, check_half_braiding(um, under), "underlying")
+
+    for y, z in itertools.product(e.objects(), repeat=2):
+        h = e.hom(y, z)
+        post = c.comp_many(
+            hom_post(e, em.t(y, x), em.t(z, x), em.t(x, z), hb.components[z]),
+            em.t_cell(y, x, z, x),
+            m.t_mor(c.identity[h], e.one(x)),
+            inv(m, m.r(h)),
+        )
+        pre = c.comp_many(
+            hom_pre(e, em.t(y, x), em.t(x, y), em.t(x, z), hb.components[y]),
+            em.t_cell(x, y, x, z),
+            m.t_mor(e.one(x), c.identity[h]),
+            inv(m, m.l(h)),
+        )
+        if post != pre:
+            report.add("enriched-half-braiding-naturality", (y, z))
+    return report

@@ -1,0 +1,315 @@
+"""The centers' sliding squares and factorings decided from typing on a thin
+host, against the frozen ungated bodies of tests/helpers.py.
+
+On a host that passes ``enriched._thin_host``, every sliding square of the E0
+and E1 centers and every naturality square of an enriched half-braiding
+commutes once its cells are typed, and every typed family factors through
+every other, so the gated checks compose none of them. Every case below must
+give the oracle's result and ``Budget.used``, or raise its exception type and
+message: the valid thin fixtures, and one-entry changes of host composition
+cells, tensor cells, half-braiding components and functor components, which
+the gates must leave to the loops.
+"""
+
+import dataclasses
+import itertools
+
+import pytest
+
+from ecat.actions import monoidal_self_module
+from ecat.canonical import canonical_monoidal
+from ecat.centers import bracket_family, bracket_pair, enumerate_identity_background_functors
+from ecat.core import FinCategory
+from ecat.enriched import _thin_host
+from ecat.enriched_monoidal import (
+    EnrichedHalfBraiding,
+    check_enriched_half_braiding,
+    underlying_half_braiding,
+    underlying_monoidal,
+)
+from ecat.monoidal import (
+    HalfBraidingOrd,
+    check_half_braiding,
+    drinfeld_center_z1,
+    muger_center_z2,
+)
+from ecat.report import Budget
+
+from helpers import (
+    chain3_monoidal,
+    exhaustive_bracket_pair,
+    identity_braiding,
+    lattice2_monoidal,
+    lattice4_monoidal,
+    lattice8_monoidal,
+    preorder_enriched_monoidal,
+    ungated_bracket_family,
+    ungated_check_enriched_half_braiding,
+    z2_discrete_monoidal,
+)
+
+CAP = 500_000
+
+
+def _canonical(m):
+    return canonical_monoidal(monoidal_self_module(identity_braiding(m)))
+
+
+HOSTS = {
+    "lattice2": lambda: _canonical(lattice2_monoidal()),
+    "lattice4": lambda: _canonical(lattice4_monoidal()),
+    "lattice8": lambda: _canonical(lattice8_monoidal()),
+    "chain3": lambda: _canonical(chain3_monoidal()),
+    "z2": lambda: _canonical(z2_discrete_monoidal()),
+    "preorder": preorder_enriched_monoidal,
+}
+
+# at most this many one-entry changes of each table, spread evenly over it
+CHANGES = 24
+
+
+def _outcome(run, *args):
+    """The result of run(*args, budget) and the budget it used, or the type
+    and message of what it raised and the budget used by then."""
+    budget = Budget(CAP)
+    try:
+        got = run(*args, budget)
+    except Exception as exc:
+        return type(exc), str(exc), budget.used
+    return got, budget.used
+
+
+def _report(check, em, hb):
+    """The violations check reports, or the type and message it raises."""
+    try:
+        return check(em, hb).violations
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _spread(keys) -> list:
+    keys = list(keys)
+    return keys[:: max(1, len(keys) // CHANGES)]
+
+
+def _mistyped(c: FinCategory, f: int, k: int) -> int:
+    """The k-th morphism of c (cyclically) of another type than f."""
+    alts = [g for g in c.morphisms() if (c.dom[g], c.cod[g]) != (c.dom[f], c.cod[f])]
+    return alts[k % len(alts)]
+
+
+def _changed(table: dict, c: FinCategory, keys):
+    """Each one-entry change of table at keys to a mistyped morphism."""
+    for k, key in enumerate(keys):
+        yield {**table, key: _mistyped(c, table[key], k)}
+
+
+@pytest.fixture
+def compositions(monkeypatch):
+    """A list that gets one entry per FinCategory.comp call."""
+    calls = []
+    comp = FinCategory.comp
+
+    def counting(c, g, f):
+        calls.append(None)
+        return comp(c, g, f)
+
+    monkeypatch.setattr(FinCategory, "comp", counting)
+    return calls
+
+
+# --- E0: half-braided families ---
+
+
+def _e0_inputs(name):
+    e = HOSTS[name]().host
+    return e, enumerate_identity_background_functors(e, e, CAP), drinfeld_center_z1(e.base)
+
+
+@pytest.mark.parametrize("name", HOSTS)
+def test_bracket_family_matches_the_ungated_search_and_composes_nothing(name, compositions):
+    e, funs, z1 = _e0_inputs(name)
+    assert _thin_host(e)
+    found = 0
+    for f, g in itertools.product(funs, repeat=2):
+        want = _outcome(ungated_bracket_family, e, f, g, z1)
+        del compositions[:]
+        assert _outcome(bracket_family, e, f, g, z1) == want
+        assert compositions == []
+        found += want[0] is not None
+    assert found > 0
+
+
+def _e0_changes(e, funs, z1):
+    """(e, fF, fG, z1) with one entry changed: a host composition cell, a
+    component of fF or of fG, a half-braiding component of an object of z1,
+    or the forgetful functor of z1 on a morphism."""
+    c = e.base.base
+    fF, fG = funs[0], funs[-1]
+    for comp in _changed(dict(e.comp), c, _spread(e.comp)):
+        yield dataclasses.replace(e, comp=comp), fF, fG, z1
+    for comps in _changed(dict(fF.components), c, _spread(fF.components)):
+        yield e, dataclasses.replace(fF, components=comps), fG, z1
+    for comps in _changed(dict(fG.components), c, _spread(fG.components)):
+        yield e, fF, dataclasses.replace(fG, components=comps), z1
+    keys = _spread(itertools.product(range(len(z1.object_data)), c.objects()))
+    for k, (i, h) in enumerate(keys):
+        x, hb = z1.object_data[i]
+        bad = HalfBraidingOrd(hb.carrier, {**hb.components, h: _mistyped(c, hb.components[h], k)})
+        data = z1.object_data[:i] + ((x, bad),) + z1.object_data[i + 1:]
+        yield e, fF, fG, dataclasses.replace(z1, object_data=data)
+    fwd = z1.forgetful
+    mors = dict(enumerate(fwd.functor.mor_map))
+    for mor_map in _changed(mors, c, _spread(mors)):
+        functor = dataclasses.replace(fwd.functor, mor_map=tuple(mor_map.values()))
+        yield e, fF, fG, dataclasses.replace(z1, forgetful=dataclasses.replace(fwd, functor=functor))
+
+
+@pytest.mark.parametrize("name", HOSTS)
+def test_bracket_family_on_a_changed_entry_matches_the_ungated_search(name):
+    e, funs, z1 = _e0_inputs(name)
+    n = 0
+    for args in _e0_changes(e, funs, z1):
+        assert _outcome(bracket_family, *args) == _outcome(ungated_bracket_family, *args)
+        n += 1
+    assert n > 0
+
+
+# --- E1: enriched half-braidings and bracket pairs ---
+
+
+def _candidates(em, x) -> list:
+    """Every half-braiding on x that the enumeration tries."""
+    e = em.host
+    c = e.base.base
+    u = e.base.unit
+    pools = [c.hom(u, e.hom(em.t(z, x), em.t(x, z))) for z in e.objects()]
+    return [EnrichedHalfBraiding(x, dict(enumerate(p))) for p in itertools.product(*pools)]
+
+
+def _tensor_keys(em, x, y) -> list:
+    """The keys of the tensor cells at (z, x, z, y) and (x, z, y, z) for
+    every object z, which the sliding squares of x and y read."""
+    p = em.pair
+    return [
+        key for z in em.host.objects()
+        for key in ((p(z, x), p(z, y)), (p(x, z), p(y, z)))
+    ]
+
+
+def _naturality_keys(em, x) -> list:
+    """The keys of the tensor cells at (y, x, z, x) and (x, y, x, z) for
+    every pair of objects, which the naturality squares of a half-braiding
+    on x read. A cell whose hom(y, z) has no element is read there and
+    nowhere else: the underlying monoidal category does not compose it."""
+    p = em.pair
+    return [
+        key for y, z in itertools.product(em.host.objects(), repeat=2)
+        for key in ((p(y, x), p(z, x)), (p(x, y), p(x, z)))
+    ]
+
+
+def _with_tensor(em, cells):
+    return dataclasses.replace(em, tensor=dataclasses.replace(em.tensor, components=cells))
+
+
+@pytest.mark.parametrize("name", HOSTS)
+def test_enriched_half_braidings_match_the_ungated_check(name, compositions):
+    em = HOSTS[name]()
+    assert _thin_host(em.host)
+    c = em.host.base.base
+    checks = 0
+    for x in em.host.objects():
+        for hb in _candidates(em, x):
+            want = _report(ungated_check_enriched_half_braiding, em, hb)
+            del compositions[:]
+            got = _report(check_enriched_half_braiding, em, hb)
+            assert got == want
+            if want == []:  # only the Set-level check composes
+                n = len(compositions)
+                del compositions[:]
+                check_half_braiding(underlying_monoidal(em), underlying_half_braiding(em, hb))
+                assert n == len(compositions)
+            for comps in _changed(hb.components, c, _spread(hb.components)):
+                bad = EnrichedHalfBraiding(x, comps)
+                assert _report(check_enriched_half_braiding, em, bad) == _report(
+                    ungated_check_enriched_half_braiding, em, bad
+                )
+            checks += 1
+    assert checks > 0
+
+
+@pytest.mark.parametrize("name", HOSTS)
+def test_enriched_half_braidings_on_a_changed_cell_match_the_ungated_check(name):
+    em = HOSTS[name]()
+    e = em.host
+    c = e.base.base
+    x = e.n_objects - 1
+    hbs = _candidates(em, x)
+    cells = dict(em.tensor.components)
+    changed = [_with_tensor(em, t) for t in _changed(cells, c, _spread(_naturality_keys(em, x)))]
+    changed += [
+        dataclasses.replace(em, host=dataclasses.replace(e, comp=comp))
+        for comp in _changed(dict(e.comp), c, _spread(e.comp))
+    ]
+    for bad in changed:
+        for hb in hbs:
+            assert _report(check_enriched_half_braiding, bad, hb) == _report(
+                ungated_check_enriched_half_braiding, bad, hb
+            )
+
+
+def _e1_inputs(name):
+    """The host, its half-braided objects as the ungated check finds them,
+    and its transparent subcategory."""
+    em = HOSTS[name]()
+    objs = [
+        (x, hb) for x in em.host.objects() for hb in _candidates(em, x)
+        if ungated_check_enriched_half_braiding(em, hb).ok
+    ]
+    return em, objs, muger_center_z2(em.braiding)
+
+
+def _e1_changes(em, objs, z2):
+    """(em, z2, oi, oj) with one entry changed: a host composition cell, a
+    tensor cell that a sliding square reads, a half-braiding component of
+    oi or of oj, or the inclusion of the transparent objects on a morphism."""
+    e = em.host
+    c = e.base.base
+    oi, oj = objs[0], objs[-1]
+    for comp in _changed(dict(e.comp), c, _spread(e.comp)):
+        yield dataclasses.replace(em, host=dataclasses.replace(e, comp=comp)), z2, oi, oj
+    keys = _spread(_tensor_keys(em, oi[0], oj[0]))
+    for cells in _changed(dict(em.tensor.components), c, keys):
+        yield _with_tensor(em, cells), z2, oi, oj
+    (x, hbx), (y, hby) = oi, oj
+    for comps in _changed(hbx.components, c, _spread(hbx.components)):
+        yield em, z2, (x, EnrichedHalfBraiding(x, comps)), oj
+    for comps in _changed(hby.components, c, _spread(hby.components)):
+        yield em, z2, oi, (y, EnrichedHalfBraiding(y, comps))
+    z2mon, z2br, incl = z2
+    mors = dict(enumerate(incl.functor.mor_map))
+    for mor_map in _changed(mors, c, _spread(mors)):
+        functor = dataclasses.replace(incl.functor, mor_map=tuple(mor_map.values()))
+        yield em, (z2mon, z2br, dataclasses.replace(incl, functor=functor)), oi, oj
+
+
+@pytest.mark.parametrize("name", HOSTS)
+def test_bracket_pair_composes_nothing_on_a_thin_host(name, compositions):
+    em, objs, z2 = _e1_inputs(name)
+    assert _thin_host(em.host)  # its kept verdict is decided here, not counted below
+    for oi, oj in itertools.product(objs, repeat=2):
+        want = _outcome(exhaustive_bracket_pair, em, z2, oi, oj)
+        del compositions[:]
+        assert _outcome(bracket_pair, em, z2, oi, oj) == want
+        assert want[0] is not None and compositions == []
+
+
+@pytest.mark.parametrize("name", HOSTS)
+def test_bracket_pair_on_a_changed_entry_matches_the_ungated_search(name):
+    em, objs, z2 = _e1_inputs(name)
+    n = 0
+    for args in _e1_changes(em, objs, z2):
+        assert _outcome(bracket_pair, *args) == _outcome(exhaustive_bracket_pair, *args)
+        n += 1
+    assert n > 0

@@ -1,9 +1,9 @@
 """The tensor background computes its mult cells as they are read, the E1
 center computes its own tensor cells as they are read, and its bracket search
 composes the candidate-free legs of each sliding square once per object pair
-and inverts each transparent object's unitors once per pair; compared with
-the eager oracles that build every mult cell and every tensor cell up front
-and recompose both legs for each candidate."""
+and inverts each transparent object's unitors once per pair, and on a thin
+host neither; compared with the eager oracles that build every mult cell and
+every tensor cell up front and recompose both legs for each candidate."""
 
 import dataclasses
 import itertools
@@ -212,9 +212,12 @@ class _Leg(int):
 @pytest.mark.parametrize("name", ["lattice8", "preorder", "sign-x-lattice2"])
 def test_bracket_pair_composes_each_leg_once(name, monkeypatch):
     """Each candidate-free leg, hom_post or hom_pre after its tensor cell, is
-    composed once per object per pair, not once per candidate."""
+    composed once per object per pair, not once per candidate. On a thin
+    host (lattice-8, preorder) every sliding square is decided from typing,
+    so no leg is composed and no unitor is inverted at all."""
     em = GAMMA1_HOSTS[name]()
     objs, z2 = _gamma1_objects(em)
+    inverted = _counting(monkeypatch, ecat.centers, "inv")
     made, legs = [], []
     for fun in ("hom_post", "hom_pre"):
         inner = getattr(ecat.centers, fun)
@@ -239,7 +242,10 @@ def test_bracket_pair_composes_each_leg_once(name, monkeypatch):
         bracket_pair(em, z2, oi, oj, Budget(CAP))
         assert len(legs) == len(made) <= 2 * em.host.n_objects
         composed += len(legs)
-    assert composed > 0
+    if name == "sign-x-lattice2":
+        assert composed > 0
+    else:
+        assert composed == 0 and inverted == []
 
 
 def test_gamma1_on_lattice8_reads_each_underlying_half_braiding_once(monkeypatch):
@@ -249,10 +255,10 @@ def test_gamma1_on_lattice8_reads_each_underlying_half_braiding_once(monkeypatch
 
 
 def test_bracket_pair_inverts_each_unitor_once_per_transparent_object(monkeypatch):
-    """On lattice-8, each pair inverts the left and the right unitor of each
-    transparent object that has a candidate once, not once per object and
-    candidate."""
-    em = GAMMA1_HOSTS["lattice8"]()
+    """On sign x lattice-2, a host that is not thin, each pair inverts the
+    left and the right unitor of each transparent object that has a
+    candidate once, not once per object and candidate."""
+    em = GAMMA1_HOSTS["sign-x-lattice2"]()
     m = em.host.base
     objs, z2 = _gamma1_objects(em)
     z2mon, _, z2incl = z2

@@ -6,6 +6,8 @@ in such an unreferenced def. No def of src/ecat takes an
 src/ecat but core.py calls ``FinCategory``: the others build categories
 through core. No ``.get(...)`` of src/ecat keys by ``sorted(`` outside
 ``monoidal._half_braided_index``, the one table of half-braided objects.
+Every ``.thin`` read of src/ecat outside the two base rules is gated by
+``_is_monoidal`` or ``_thin_host``.
 
 Names listed in the package's __all__ are re-exported, so they count as
 used in __init__.py.
@@ -248,3 +250,83 @@ def test_the_scan_finds_a_sorted_key_lookup_outside_the_index():
 def test_only_the_half_braided_index_keys_by_sorted_components():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert sorted_key_lookups(sources) == []
+
+
+# the thin rules that _is_monoidal itself is decided by
+BASE_THIN_RULES = {("core.py", "check_category"), ("monoidal.py", "check_monoidal")}
+GATES = {"_is_monoidal", "_thin_host"}
+
+
+def ungated_thin_reads(sources: dict) -> list:
+    """The (module, line) of each ``.thin`` read in a function whose
+    condition calls neither ``_is_monoidal`` nor ``_thin_host``, outside
+    ``BASE_THIN_RULES``.
+
+    A read's condition is the innermost statement that holds it (the test
+    of an ``if`` or ``while``, not its body). A local name that the
+    condition reads stands for the values assigned to it in the same
+    function, so ``ok = _is_monoidal(m)`` then ``if c.thin and ok`` counts
+    as gated.
+    """
+    found = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (module, fn.name) in BASE_THIN_RULES:
+                continue
+            assigned = defaultdict(list)  # local name -> the values assigned to it
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            assigned[target.id].append(node.value)
+            for stmt in ast.walk(fn):
+                if not isinstance(stmt, ast.stmt) or stmt is fn:
+                    continue
+                cond = stmt.test if isinstance(stmt, (ast.If, ast.While)) else stmt
+                if isinstance(cond, ast.stmt) and any(
+                    isinstance(n, ast.stmt) for n in ast.iter_child_nodes(cond)
+                ):
+                    continue  # a compound statement: its own statements are visited
+                reads = [
+                    n for n in ast.walk(cond)
+                    if isinstance(n, ast.Attribute) and n.attr == "thin"
+                    and isinstance(n.ctx, ast.Load)
+                ]
+                if reads and not _calls_a_gate(cond, assigned, set()):
+                    found.update((module, n.lineno) for n in reads)
+    return sorted(found)
+
+
+def _calls_a_gate(node, assigned: dict, seen: set) -> bool:
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) in GATES:
+            return True
+        if isinstance(n, ast.Name) and n.id in assigned and n.id not in seen:
+            seen.add(n.id)
+            if any(_calls_a_gate(v, assigned, seen) for v in assigned[n.id]):
+                return True
+    return False
+
+
+def test_the_scan_finds_an_ungated_thin_read():
+    sources = {
+        "core.py": "def check_category(c):\n    if c.thin:\n        return 1\n",
+        "a.py": (
+            "def f(c, m):\n    if c.thin and _is_monoidal(m):\n        return 1\n"
+            "    ok = _thin_host(e)\n    gated = c.thin and ok\n"
+            "    if c.thin:\n        return 2\n"
+        ),
+        "b.py": (
+            "def g(c, m):\n    while c.thin:\n        if _is_monoidal(m):\n            pass\n"
+            "    return c.thin or _out_of_product(m)\n"
+        ),
+    }
+    assert ungated_thin_reads(sources) == [("a.py", 6), ("b.py", 2), ("b.py", 5)]
+
+
+def test_every_thin_read_is_gated():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert ungated_thin_reads(sources) == []

@@ -19,6 +19,8 @@ from ecat.core import (
     FinCategory,
     Functor,
     NatTransf,
+    _check_functor_composition,
+    _check_functor_typing,
     _functor_search,
     _search,
     check_functor,
@@ -74,12 +76,28 @@ class ModuleAction:
 
 
 def check_module(mod: ModuleAction) -> ValidationReport:
+    """The action's functor laws, the typing of the structure maps, their
+    naturality, the pentagon, the unit triangles and, when asked for,
+    invertibility.
+
+    On a thin carrier any two parallel morphisms are equal, so once the
+    base passes ``_is_monoidal`` and the action maps out of the product of
+    the base and the carrier into the carrier, the action's composition law
+    and every law after the typing hold as soon as the action and the
+    structure maps are typed, and are not enumerated.
+    """
     report = ValidationReport("module action")
-    report.extend(check_functor(mod.act))
+    _check_functor_typing(mod.act, report)
     if not report.ok:
         return report
     a_cat = mod.base
     c = mod.carrier
+    # on a thin carrier these laws equate parallel morphisms
+    thin = c.thin and _is_monoidal(a_cat) and _out_of_product(mod.act, a_cat.base, c)
+    if not thin:
+        _check_functor_composition(mod.act, report)
+        if not report.ok:
+            return report
     objs_a = list(a_cat.base.objects())
     objs_x = list(c.objects())
 
@@ -100,8 +118,7 @@ def check_module(mod: ModuleAction) -> ValidationReport:
     if not typed:
         return report
 
-    # on a thin carrier these laws equate parallel morphisms
-    if not (c.thin and _is_monoidal(a_cat) and _out_of_product(mod.act, a_cat.base, c)):
+    if not thin:
         # naturality of the structure maps
         for f, g in itertools.product(a_cat.base.morphisms(), repeat=2):
             for p in c.morphisms():

@@ -97,8 +97,9 @@ class FinCategory:
           law after typing and invertibility, once the host or base passes
           ``monoidal._is_monoidal``;
         - ``actions.check_module``: naturality, pentagon and unit triangles,
-          once the base passes ``_is_monoidal`` and the action maps out of
-          the product of the base and the carrier into the carrier;
+          and its action's composition law, once the base passes
+          ``_is_monoidal`` and the action maps out of the product of the
+          base and the carrier into the carrier;
         - ``actions.check_monoidal_module``: interchange naturality, hexagon
           and the oplax associator, once the base and carrier monoidal
           categories, the base braiding and the module pass;
@@ -585,6 +586,20 @@ class Functor:
 
 def check_functor(fun: Functor) -> ValidationReport:
     report = ValidationReport("functor")
+    _check_functor_typing(fun, report)
+    if report.ok:
+        _check_functor_composition(fun, report)
+    return report
+
+
+def _check_functor_typing(fun: Functor, report: ValidationReport) -> None:
+    """Add to report the typing of fun and its identity law; raise
+    ``StructureError`` when its tables are not index-consistent.
+
+    The composition law is left to ``_check_functor_composition``, so that
+    its one gated caller, ``actions.check_module``, can decide that law on
+    a thin carrier from this typing and skip only that loop.
+    """
     c, d = fun.source, fun.target
     if len(fun.obj_map) != c.n_objects or len(fun.mor_map) != c.n_morphisms:
         raise StructureError("functor table lengths inconsistent")
@@ -602,12 +617,17 @@ def check_functor(fun: Functor) -> ValidationReport:
     for x in c.objects():
         if fun.mor_map[c.identity[x]] != d.identity[fun.obj_map[x]]:
             report.add("functor-identity", (x,))
-    if not report.ok:
-        return report
+
+
+def _check_functor_composition(fun: Functor, report: ValidationReport) -> None:
+    """Add to report every composable pair (g, f) of the source whose
+    composite fun does not preserve, given that fun passes
+    ``_check_functor_typing``. Its one gated caller is
+    ``actions.check_module``, which runs it unless the carrier is thin."""
+    c, d = fun.source, fun.target
     for (g, f), h in c.compose.items():
         if d.comp(fun.mor_map[g], fun.mor_map[f]) != fun.mor_map[h]:
             report.add("functor-composition", (g, f))
-    return report
 
 
 def identity_functor(c: FinCategory) -> Functor:

@@ -57,7 +57,6 @@ from ecat.core import (
     _check_ranges,
     _degree_signature,
     _search,
-    check_functor,
     check_nat_transf,
     identity_functor,
     product_category,
@@ -761,10 +760,37 @@ def scan_inverse(c, f):
 
 # --- the Set-level and enriched checkers before the thin gates ---
 #
-# The bodies of check_category, check_monoidal, check_braided, check_module
-# and check_enriched before each was given its thin-category early return,
-# verbatim, so that the oracles that use them enumerate every law whatever
-# the library decides.
+# The bodies of check_functor, check_category, check_monoidal,
+# check_braided, check_module and check_enriched before each was given its
+# thin-category early return or was split for one, verbatim, so that the
+# oracles that use them enumerate every law whatever the library decides.
+
+
+def exhaustive_check_functor(fun: Functor) -> ValidationReport:
+    report = ValidationReport("functor")
+    c, d = fun.source, fun.target
+    if len(fun.obj_map) != c.n_objects or len(fun.mor_map) != c.n_morphisms:
+        raise StructureError("functor table lengths inconsistent")
+    for x in fun.obj_map:
+        if not 0 <= x < d.n_objects:
+            raise StructureError("functor obj_map out of range")
+    for f in fun.mor_map:
+        if not 0 <= f < d.n_morphisms:
+            raise StructureError("functor mor_map out of range")
+    for f in c.morphisms():
+        if d.dom[fun.mor_map[f]] != fun.obj_map[c.dom[f]]:
+            report.add("functor-dom", (f,))
+        if d.cod[fun.mor_map[f]] != fun.obj_map[c.cod[f]]:
+            report.add("functor-cod", (f,))
+    for x in c.objects():
+        if fun.mor_map[c.identity[x]] != d.identity[fun.obj_map[x]]:
+            report.add("functor-identity", (x,))
+    if not report.ok:
+        return report
+    for (g, f), h in c.compose.items():
+        if d.comp(fun.mor_map[g], fun.mor_map[f]) != fun.mor_map[h]:
+            report.add("functor-composition", (g, f))
+    return report
 
 
 def exhaustive_check_category(c: FinCategory) -> ValidationReport:
@@ -808,7 +834,7 @@ def exhaustive_check_category(c: FinCategory) -> ValidationReport:
 def exhaustive_check_monoidal(m: MonoidalCategory) -> ValidationReport:
     report = ValidationReport("monoidal category")
     c = m.base
-    report.extend(check_functor(m.tensor))
+    report.extend(exhaustive_check_functor(m.tensor))
     if not 0 <= m.unit < c.n_objects:
         raise StructureError("unit object out of range")
     if not report.ok:
@@ -926,7 +952,7 @@ def exhaustive_check_braided(b: BraidedStructure) -> ValidationReport:
 
 def exhaustive_check_module(mod: ModuleAction) -> ValidationReport:
     report = ValidationReport("module action")
-    report.extend(check_functor(mod.act))
+    report.extend(exhaustive_check_functor(mod.act))
     if not report.ok:
         return report
     a_cat = mod.base
@@ -2334,7 +2360,7 @@ def exhaustive_iso_search(
             budget.spend()
             if i == len(non_identity):
                 fun = Functor(c, d, tuple(obj_map), tuple(mor_map))
-                return fun if check_functor(fun).ok else None
+                return fun if exhaustive_check_functor(fun).ok else None
             f = non_identity[i]
             for m in d.hom(obj_map[c.dom[f]], obj_map[c.cod[f]]):
                 if used[m]:
@@ -2578,7 +2604,7 @@ def exhaustive_check_module_functor(rl: RLaxStructure) -> ValidationReport:
     reads an r-lax functor along the identity of the shared base, whose
     cells are beta; the background rl.r is not read."""
     report = ValidationReport("module functor")
-    report.extend(check_functor(rl.functor))
+    report.extend(exhaustive_check_functor(rl.functor))
     if rl.source.base is not rl.target.base and rl.source.base != rl.target.base:
         raise StructureError("module functor needs a shared base")
     if not report.ok:
@@ -2865,7 +2891,7 @@ def exhaustive_check_lax_monoidal_functor(f: LaxMonoidalFunctor) -> ValidationRe
     report = ValidationReport("lax monoidal functor")
     a, b = f.source, f.target
     c = b.base
-    report.extend(check_functor(f.functor))
+    report.extend(exhaustive_check_functor(f.functor))
     if f.direction not in ("lax", "oplax", "strong"):
         raise StructureError(f"unknown direction {f.direction!r}")
     if not report.ok:

@@ -7,7 +7,9 @@ src/ecat but core.py calls ``FinCategory``: the others build categories
 through core. No ``.get(...)`` of src/ecat keys by ``sorted(`` outside
 ``monoidal._half_braided_index``, the one table of half-braided objects.
 Every ``.thin`` read of src/ecat outside the two base rules is gated by
-``_is_monoidal`` or ``_thin_host``.
+``_is_monoidal`` or ``_thin_host``, and the composition sections that a
+thin gate skips are called only by their own checker and their one gated
+caller.
 
 Names listed in the package's __all__ are re-exported, so they count as
 used in __init__.py.
@@ -330,3 +332,72 @@ def test_the_scan_finds_an_ungated_thin_read():
 def test_every_thin_read_is_gated():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert ungated_thin_reads(sources) == []
+
+
+# each composition section a thin gate skips -> the (module, function) that
+# may call it: its own checker and its one gated caller
+GATED_SECTIONS = {
+    "_check_functor_composition": {
+        ("core.py", "check_functor"), ("actions.py", "check_module"),
+    },
+    "_check_enriched_functor_composition": {
+        ("enriched.py", "check_enriched_functor"),
+        ("enriched_monoidal.py", "check_enriched_monoidal"),
+    },
+}
+
+
+def stray_section_calls(sources: dict) -> list:
+    """The (module, line, section) of each call of a ``GATED_SECTIONS``
+    section, by name or attribute, outside the module-level functions
+    allowed to call it."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        caller = {}  # id of a node inside a module-level def -> that def's name
+        for fn in tree.body:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for n in ast.walk(fn):
+                    caller[id(n)] = fn.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in GATED_SECTIONS and (module, caller.get(id(node))) not in GATED_SECTIONS[name]:
+                found.append((module, node.lineno, name))
+    return sorted(found)
+
+
+def test_the_scan_finds_a_stray_section_call():
+    sources = {
+        "core.py": (
+            "def check_functor(fun):\n    _check_functor_composition(fun, r)\n\n"
+            "def check_module(mod):\n    _check_functor_composition(mod.act, r)\n"
+        ),
+        "actions.py": (
+            "def check_module(mod):\n    core._check_functor_composition(mod.act, r)\n\n"
+            "def check_rlax(rl):\n    _check_functor_composition(rl.functor, r)\n"
+            "    _check_enriched_functor_composition(f, r)\n"
+        ),
+        "enriched.py": "_check_enriched_functor_composition(f, r)\n",
+    }
+    assert stray_section_calls(sources) == [
+        ("actions.py", 5, "_check_functor_composition"),
+        ("actions.py", 6, "_check_enriched_functor_composition"),
+        ("core.py", 5, "_check_functor_composition"),
+        ("enriched.py", 1, "_check_enriched_functor_composition"),
+    ]
+
+
+def test_the_scan_catches_a_call_planted_in_the_sources():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    planted = sources["monoidal.py"] + "\n\ndef _f(m, r):\n    _check_functor_composition(m.tensor, r)\n"
+    sources["monoidal.py"] = planted
+    line = planted.rstrip("\n").count("\n") + 1
+    assert stray_section_calls(sources) == [("monoidal.py", line, "_check_functor_composition")]
+
+
+def test_composition_sections_are_called_only_by_their_checker_and_gated_caller():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert stray_section_calls(sources) == []

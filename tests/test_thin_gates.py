@@ -8,7 +8,8 @@ report what the oracle reports, or raise its exception type and message:
 valid inputs, every one-entry mistyped cell of a thin fixture, categories
 that fail check_category, tensors and actions that do not come out of a
 product, and the non-thin fixtures, where a count of compositions shows
-that no gate fires.
+that no gate fires. check_functor, whose composition section check_module
+skips on a thin carrier, is compared with its frozen body the same way.
 """
 
 import dataclasses
@@ -30,11 +31,13 @@ from helpers import (
     exhaustive_check_braided,
     exhaustive_check_category,
     exhaustive_check_enriched,
+    exhaustive_check_functor,
     exhaustive_check_module,
     exhaustive_check_monoidal,
     identity_braiding,
     lattice2_monoidal,
     lattice4_monoidal,
+    lattice8_monoidal,
     meet_semilattice_monoidal,
     meet_semilattices,
     semion_braiding,
@@ -295,6 +298,44 @@ def test_a_tensor_or_action_out_of_another_source_decides_nothing(name):
         assert outcomes, "the loops report or raise on the misread action"
 
 
+# --- check_functor, split for check_module's gate, against its frozen body ---
+
+
+def _changed_mor_maps(fun: Functor) -> list:
+    """fun with one mor_map entry set to another morphism of its type, to
+    one of another type, and past the last morphism, and fun with its last
+    entry left out."""
+    d = fun.target
+    changed = []
+    for k, f in enumerate(fun.mor_map):
+        for g in _same_typed(d, f)[:1] + [_mistyped(d, f, k)]:
+            if g is not None:
+                changed.append(dataclasses.replace(fun, mor_map=_set(fun.mor_map, k, g)))
+    changed.append(dataclasses.replace(fun, mor_map=_set(fun.mor_map, 0, d.n_morphisms)))
+    changed.append(dataclasses.replace(fun, mor_map=tuple(fun.mor_map)[:-1]))
+    return changed
+
+
+@pytest.mark.parametrize("name", THIN + NON_THIN + ("lattice8",))
+def test_check_functor_reports_as_its_frozen_body(name):
+    """On the tensor of each fixture, which is also its self-module's
+    action, on the tensor over a relabelled source, and on their one-entry
+    changes that keep the typing and that break it."""
+    m = lattice8_monoidal() if name == "lattice8" else BRAIDED[name]().host
+    laws = set()
+    for fun in (m.tensor, _relabeled(m.tensor)):
+        for x in (fun, *_changed_mor_maps(fun)):
+            got = _outcome(check_functor, x)
+            assert got == _outcome(exhaustive_check_functor, x)
+            if isinstance(got, list):
+                laws.update(v.law for v in got)
+    assert "functor-identity" in laws
+    # only a category with two objects has mistyped changes, and only one
+    # with two parallel morphisms has same-typed ones
+    assert ("functor-dom" in laws) == ("functor-cod" in laws) == (m.base.n_objects > 1)
+    assert ("functor-composition" in laws) == (name in NON_THIN)
+
+
 # --- the non-thin fixtures: no gate fires ---
 
 
@@ -333,7 +374,19 @@ def test_valid_fixtures_pass_and_only_thin_ones_skip_compositions(name, kind, co
     assert _assert_as_oracle(kind, x) == []
     got, want = _counts(compositions, kind, x)
     assert want > 0
-    assert (got < want) if name in THIN else (got == want), (got, want)
+    if name not in THIN:
+        assert got == want, (got, want)
+    elif kind == "module":
+        assert got == 0, got  # the action's composition law is decided too
+    else:
+        assert got < want, (got, want)
+
+
+def test_the_lattice8_self_module_passes_and_composes_nothing(compositions):
+    x = self_module(lattice8_monoidal())
+    assert _assert_as_oracle("module", x) == []
+    got, want = _counts(compositions, "module", x)
+    assert got == 0 < want, (got, want)
 
 
 @pytest.mark.parametrize("kind", CHECKS)

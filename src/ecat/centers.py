@@ -8,12 +8,12 @@ carry an enriched half-braiding, enriched over the Mueger center of the
 base via terminal bracket pairs. The E2 center of an enriched braided
 category is the full subcategory of transparent objects.
 
-Hom objects of the E0 and E1 centers are terminal families: a center
-object with components into hom objects (one per object for E0, a single
-zeta for E1), found by one terminal finder, which also records each
-family's unique morphism into the terminal one. On a thin host whose other
-cells are typed (``enriched._thin_families``, ``_thin_brackets``) every
-sliding square commutes and every family factors, so neither is composed.
+Hom objects of the E0 and E1 centers are terminal families: a center object
+with components into hom objects (one per object for E0, a single zeta for
+E1), searched by ``_bracket_search`` and found by one terminal finder, which
+records each family's unique morphism into the terminal one. On a thin host
+with typed cells (``enriched._family_cells``, ``_bracket_cells``) no sliding
+square or factoring is composed.
 Both centers build their category of terminal families with one host,
 ``_family_host``: identities and composites are the mediators of the
 identity and composite families. A mediator of a listed family is read
@@ -65,11 +65,13 @@ from ecat.core import (
 from ecat.enriched import (
     EnrichedCategory,
     EnrichedFunctor,
+    _bracket_cells,
     _computed,
     _enriched_functor_search,
     _enriched_nat,
-    _thin_brackets,
-    _thin_families,
+    _family_cells,
+    _functor_cells,
+    _typed_cells,
     cartesian_product_enriched,
     check_enriched,
     check_enriched_functor,
@@ -372,6 +374,28 @@ def _family_host(e: EnrichedCategory, incl: LaxMonoidalFunctor, brackets: dict,
     return EnrichedCategory(zmon, n, hom_obj, ident, comp)
 
 
+def _bracket_search(e: EnrichedCategory, incl: LaxMonoidalFunctor, targets: list,
+                    square, cells, budget: Budget) -> Bracket | None:
+    """The first terminal family over the center that incl includes into the
+    base of e: a center object a (variable 0) with one component
+    incl(a) -> targets[i - 1] per variable i after it. square decides a family
+    at its last variable, unless cells (what square and the factorings read
+    besides the components) and incl on morphisms are typed on a thin host
+    (``_typed_cells``): then every square commutes and every family factors."""
+    c = e.base.base
+    k = len(targets)
+    thin = _typed_cells(e, itertools.chain(cells, _functor_cells(incl)))
+
+    def domain(i, v):
+        if i == 0:
+            return incl.source.base.objects()
+        return c.hom(incl.on_obj(v[0]), targets[i - 1])
+
+    squares = [] if thin else [(k, square)]
+    objects = [Family(v[0], v[1:]) for v in _search(k + 1, domain, squares, budget)]
+    return _terminal_bracket(c, incl, objects, budget, thin)
+
+
 # --- half-braided families between endofunctors ---
 
 
@@ -402,26 +426,16 @@ def bracket_family(e: EnrichedCategory, fF: EnrichedFunctor,
 
     Families pair an object a of the ordinary center z1 of the base with
     components I(a) -> hom(Fx, Gx) that slide past every hom; morphisms
-    are center morphisms compatible with both families. The center object
-    is the first variable of the search, the components the rest.
+    are center morphisms compatible with both families (``_bracket_search``
+    over the cells of ``enriched._family_cells``).
     """
-    c = e.base.base
-    fwd = z1.forgetful
-    thin = _thin_families(e, fF, fG, z1)
-
-    def domain(i, v):
-        if i == 0:
-            return range(len(z1.object_data))
-        return c.hom(fwd.on_obj(v[0]), e.hom(fF.on_obj(i - 1), fG.on_obj(i - 1)))
 
     def slides(v):
-        return thin or _family_square_ok(e, fF, fG, z1.object_data[v[0]][1], v[1:])
+        return _family_square_ok(e, fF, fG, z1.object_data[v[0]][1], v[1:])
 
-    n = e.n_objects
-    objects = [
-        Family(v[0], v[1:]) for v in _search(n + 1, domain, [(n, slides)], budget)
-    ]
-    return _terminal_bracket(c, fwd, objects, budget, thin)
+    targets = [e.hom(fF.on_obj(x), fG.on_obj(x)) for x in e.objects()]
+    cells = _family_cells(e, fF, fG, z1)
+    return _bracket_search(e, z1.forgetful, targets, slides, cells, budget)
 
 
 @dataclass
@@ -674,16 +688,6 @@ def _e0_ev(res: CenterResult) -> EnrichedFunctor:
 # --- enriched isomorphism search ---
 
 
-def enriched_tables_equal(e1: EnrichedCategory, e2: EnrichedCategory) -> bool:
-    return (
-        e1.base == e2.base
-        and e1.n_objects == e2.n_objects
-        and e1.hom_obj == e2.hom_obj
-        and e1.ident == e2.ident
-        and e1.comp == e2.comp
-    )
-
-
 def enriched_iso_search(
     e1: EnrichedCategory, e2: EnrichedCategory, cap: int | None = None
 ) -> EnrichedFunctor | None:
@@ -838,7 +842,7 @@ def compare_e0_routes(direct: CenterResult, via: CenterResult,
     iso = enriched_iso_search(host, via.category, cap)
     out = {
         "iso": iso,
-        "strict": enriched_tables_equal(host, via.category),
+        "strict": host == via.category,
         "tensor_ok": False,
         "unit_ok": False,
     }
@@ -865,15 +869,14 @@ def bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
 
     Pairs join a transparent base object with a morphism zeta into
     hom(x, y) satisfying the sliding square; morphisms come from the
-    transparent subcategory and must commute with both legs. On a thin
-    host whose other cells are typed (``enriched._thin_brackets``) every
-    square commutes and every pair factors, so nothing is composed.
-    Otherwise the first two factors of each side of the square at z, which
-    do not depend on the candidate, are composed into one leg once, when
-    the first candidate reaches z, and the inverse unitors of each
-    transparent object once, where its first candidate reads them.
+    transparent subcategory and must commute with both legs
+    (``_bracket_search`` over the cells of ``enriched._bracket_cells``).
+    The first two factors of each side of the square at z, which do not
+    depend on the candidate, are composed into one leg once, when the first
+    candidate reaches z, and the inverse unitors of each transparent object
+    once, where its first candidate reads them.
     """
-    z2mon, _, z2incl = z2
+    z2incl = z2[2]
     e = em.host
     m = e.base
     c = m.base
@@ -891,19 +894,16 @@ def bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
         pre = hom_pre(e, em.t(z, x), em.t(x, z), em.t(y, z), hbx.components[z])
         return c.comp(pre, em.t_cell(x, z, y, z))
 
-    thin = _thin_brackets(em, oi, oj, z2incl)
-    objects = []
-    for az in z2mon.base.objects():
-        a_host = z2incl.on_obj(az)
-        for zeta in sorted(c.hom(a_host, e.hom(x, y))):
-            budget.spend()
-            if thin or all(
-                c.comp_many(up_leg(z), m.t_mor(e.one(z), zeta), l_inv(a_host))
-                == c.comp_many(down_leg(z), m.t_mor(zeta, e.one(z)), r_inv(a_host))
-                for z in e.objects()
-            ):
-                objects.append(Family(az, (zeta,)))
-    return _terminal_bracket(c, z2incl, objects, budget, thin)
+    def slides(v):
+        a_host, zeta = z2incl.on_obj(v[0]), v[1]
+        return all(
+            c.comp_many(up_leg(z), m.t_mor(e.one(z), zeta), l_inv(a_host))
+            == c.comp_many(down_leg(z), m.t_mor(zeta, e.one(z)), r_inv(a_host))
+            for z in e.objects()
+        )
+
+    cells = _bracket_cells(em, oi, oj)
+    return _bracket_search(e, z2incl, [e.hom(x, y)], slides, cells, budget)
 
 
 def gamma1(em: EnrichedMonoidalCategory, cap: int | None = None) -> CenterResult:
@@ -1117,7 +1117,7 @@ def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict
         "gamma1": direct,
         "module_side": canB,
         "iso": _enriched_iso_search(host, canB.enriched, budget),
-        "strict": enriched_tables_equal(host, canB.enriched),
+        "strict": host == canB.enriched,
     }
 
 

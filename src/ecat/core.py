@@ -110,12 +110,13 @@ class FinCategory:
         - four checks of the centers, once the host passes
           ``enriched._thin_host`` (a thin base that passes ``_is_monoidal``
           and a host that passes ``check_enriched``) and the cells each
-          reads are typed: the E0 sliding squares of
-          ``centers.bracket_family`` (``enriched._thin_families``), the E1
-          sliding squares of ``centers.bracket_pair``
-          (``enriched._thin_brackets``), the naturality squares of
+          reads are typed: the E0 and E1 sliding squares of
+          ``centers._bracket_search`` (its cells from
+          ``enriched._family_cells`` for ``bracket_family`` and
+          ``enriched._bracket_cells`` for ``bracket_pair``), the
+          naturality squares of
           ``enriched_monoidal.check_enriched_half_braiding``, and the
-          factorings of ``centers._terminal_bracket`` that either search
+          factorings of ``centers._terminal_bracket`` that the search
           hands it.
         """
         return len(self._hom_index) == self.n_morphisms

@@ -179,61 +179,46 @@ def _functor_cells(f: LaxMonoidalFunctor):
     return ((f.on_mor(k), f.on_obj(s.dom[k]), f.on_obj(s.cod[k])) for k in s.morphisms())
 
 
-def _thin_families(e: EnrichedCategory, fF: EnrichedFunctor, fG: EnrichedFunctor,
-                   z1: DrinfeldCenter) -> bool:
-    """Whether e passes ``_thin_host`` and the cells that the E0 sliding
-    squares and factorings of families from fF to fG read besides a
-    candidate's components are typed: each component of fF and fG,
-    hom(x, y) -> hom(Fx, Fy); the half-braiding of each object a of the
-    center z1 at each hom object h, h@a -> a@h, with a the forgetful image;
-    and that forgetful functor on morphisms. The search domains type the
-    candidate components, so then every square commutes and every family
-    factors (``centers.bracket_family``)."""
-    if not _thin_host(e):
-        return False
+def _family_cells(e: EnrichedCategory, fF: EnrichedFunctor, fG: EnrichedFunctor,
+                  z1: DrinfeldCenter):
+    """The cells that the E0 sliding squares and factorings of families from
+    fF to fG read besides a candidate's components and the forgetful functor
+    of z1 on morphisms, each as (f, dom, cod) for ``_typed_cells``: each
+    component of fF and fG, hom(x, y) -> hom(Fx, Fy), and the half-braiding
+    of each object a of the center z1 at each hom object h, h@a -> a@h, with
+    a the forgetful image (``centers.bracket_family``). Nothing is read
+    before the first cell is asked for."""
     m = e.base
     fwd = z1.forgetful
     pairs = list(itertools.product(e.objects(), repeat=2))
+    for f in (fF, fG):
+        for x, y in pairs:
+            yield f.at(x, y), e.hom(x, y), e.hom(f.on_obj(x), f.on_obj(y))
     homs = {e.hom(x, y) for x, y in pairs}  # every hom object is read by check_enriched
-    cells = itertools.chain(
-        (
-            (f.at(x, y), e.hom(x, y), e.hom(f.on_obj(x), f.on_obj(y)))
-            for f in (fF, fG) for x, y in pairs
-        ),
-        (
-            (hb.components[h], m.t_obj(h, fwd.on_obj(i)), m.t_obj(fwd.on_obj(i), h))
-            for i, (_, hb) in enumerate(z1.object_data) for h in homs
-        ),
-        _functor_cells(fwd),
-    )
-    return _typed_cells(e, cells)
+    for i, (_, hb) in enumerate(z1.object_data):
+        for h in homs:
+            yield hb.components[h], m.t_obj(h, fwd.on_obj(i)), m.t_obj(fwd.on_obj(i), h)
 
 
-def _thin_brackets(em, oi: tuple, oj: tuple, incl: LaxMonoidalFunctor) -> bool:
-    """Whether the host e of the enriched monoidal category em passes
-    ``_thin_host`` and the cells that the E1 sliding squares and factorings
-    of bracket pairs from oi = (x, hbx) to oj = (y, hby) read besides a
-    candidate zeta are typed: at each object z, hbx[z]: 1 -> hom(z@x, x@z),
-    hby[z]: 1 -> hom(z@y, y@z) and the tensor cells at (z, x, z, y) and
-    (x, z, y, z); and incl, the inclusion of the transparent objects, on
-    morphisms. The search domain types zeta, so then every square commutes
-    and every pair factors (``centers.bracket_pair``)."""
+def _bracket_cells(em, oi: tuple, oj: tuple):
+    """The cells that the E1 sliding squares and factorings of bracket pairs
+    from oi = (x, hbx) to oj = (y, hby) read besides a candidate zeta and the
+    inclusion of the transparent objects on morphisms, each as
+    (f, dom, cod) for ``_typed_cells``: at each object z of the host e of
+    em, hbx[z]: 1 -> hom(z@x, x@z), hby[z]: 1 -> hom(z@y, y@z) and the
+    tensor cells at (z, x, z, y) and (x, z, y, z) (``centers.bracket_pair``).
+    Nothing is read before the first cell is asked for."""
     e = em.host
     m = e.base
     t = em.t
     (x, hbx), (y, hby) = oi, oj
-    cells = itertools.chain.from_iterable(
-        (
-            (hbx.components[z], m.unit, e.hom(t(z, x), t(x, z))),
-            (hby.components[z], m.unit, e.hom(t(z, y), t(y, z))),
-            (em.t_cell(z, x, z, y), m.t_obj(e.hom(z, z), e.hom(x, y)),
-             e.hom(t(z, x), t(z, y))),
-            (em.t_cell(x, z, y, z), m.t_obj(e.hom(x, y), e.hom(z, z)),
-             e.hom(t(x, z), t(y, z))),
-        )
-        for z in e.objects()
-    )
-    return _typed_cells(e, itertools.chain(cells, _functor_cells(incl)))
+    for z in e.objects():
+        yield hbx.components[z], m.unit, e.hom(t(z, x), t(x, z))
+        yield hby.components[z], m.unit, e.hom(t(z, y), t(y, z))
+        yield (em.t_cell(z, x, z, y), m.t_obj(e.hom(z, z), e.hom(x, y)),
+               e.hom(t(z, x), t(z, y)))
+        yield (em.t_cell(x, z, y, z), m.t_obj(e.hom(x, y), e.hom(z, z)),
+               e.hom(t(x, z), t(y, z)))
 
 
 @dataclass(frozen=True, eq=True)

@@ -46,8 +46,11 @@ class Budget:
 
     One unit is one search node: one value tried for one variable of
     ``core._search``, whether or not a constraint then rejects it, or one
-    candidate tried by a single-pool filter (an internal-hom, center-morphism
-    or terminal-family scan). Searches that share one budget share its cap.
+    candidate tried by a single-pool filter: the internal-hom scan of
+    ``actions.internal_hom``, the center-morphism scan of
+    ``monoidal.drinfeld_center_z1`` and the terminal-family scan, the
+    morphism scan of ``centers._terminal_bracket``. Nothing else spends.
+    Searches that share one budget share its cap.
     """
 
     __slots__ = ("cap", "used", "what")

@@ -3084,6 +3084,25 @@ def exhaustive_bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
     return _terminal_bracket(c, z2incl, objects, budget)
 
 
+def bracket_pair_used(em: EnrichedMonoidalCategory, z2: tuple, oi, oj, used: int,
+                      raised: bool) -> int:
+    """The ``Budget.used`` of ``centers.bracket_pair`` on inputs where
+    ``exhaustive_bracket_pair`` spent used units and then returned (raised
+    False) or raised. The search spends the oracle's candidates and one unit
+    per transparent object it enters, as variable 0 of ``core._search``:
+    every one, unless the oracle raised at a candidate; then each up to the
+    one that owns the oracle's last spent candidate."""
+    z2mon, _, z2incl = z2
+    e = em.host
+    hom = e.hom(oi[0], oj[0])
+    candidates = 0
+    for az in z2mon.base.objects():
+        candidates += len(e.base.base.hom(z2incl.on_obj(az), hom))
+        if raised and used <= candidates:
+            return used + az + 1
+    return used + z2mon.base.n_objects
+
+
 # --- the E1 center's tensor cells before lazy reads ---
 #
 # The parent cell loop of centers._gamma1, verbatim, which composed and

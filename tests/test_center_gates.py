@@ -8,7 +8,10 @@ every other, so the gated checks compose none of them. Every case below must
 give the oracle's result and ``Budget.used``, or raise its exception type and
 message: the valid thin fixtures, and one-entry changes of host composition
 cells, tensor cells, half-braiding components and functor components, which
-the gates must leave to the loops.
+the gates must leave to the loops. ``bracket_pair`` searches its transparent
+object as a search variable, where its oracle loops over the objects without
+spending, so its ``Budget.used`` is the oracle's plus the objects it enters
+(``helpers.bracket_pair_used``).
 """
 
 import dataclasses
@@ -36,6 +39,7 @@ from ecat.monoidal import (
 from ecat.report import Budget
 
 from helpers import (
+    bracket_pair_used,
     chain3_monoidal,
     exhaustive_bracket_pair,
     identity_braiding,
@@ -294,12 +298,19 @@ def _e1_changes(em, objs, z2):
         yield em, (z2mon, z2br, dataclasses.replace(incl, functor=functor)), oi, oj
 
 
+def _pair_outcome(em, z2, oi, oj):
+    """The outcome of ``exhaustive_bracket_pair``, with the ``Budget.used``
+    that ``bracket_pair`` spends in its place (``bracket_pair_used``)."""
+    *got, used = _outcome(exhaustive_bracket_pair, em, z2, oi, oj)
+    return (*got, bracket_pair_used(em, z2, oi, oj, used, len(got) > 1))
+
+
 @pytest.mark.parametrize("name", HOSTS)
 def test_bracket_pair_composes_nothing_on_a_thin_host(name, compositions):
     em, objs, z2 = _e1_inputs(name)
     assert _thin_host(em.host)  # its kept verdict is decided here, not counted below
     for oi, oj in itertools.product(objs, repeat=2):
-        want = _outcome(exhaustive_bracket_pair, em, z2, oi, oj)
+        want = _pair_outcome(em, z2, oi, oj)
         del compositions[:]
         assert _outcome(bracket_pair, em, z2, oi, oj) == want
         assert want[0] is not None and compositions == []
@@ -310,6 +321,6 @@ def test_bracket_pair_on_a_changed_entry_matches_the_ungated_search(name):
     em, objs, z2 = _e1_inputs(name)
     n = 0
     for args in _e1_changes(em, objs, z2):
-        assert _outcome(bracket_pair, *args) == _outcome(exhaustive_bracket_pair, *args)
+        assert _outcome(bracket_pair, *args) == _pair_outcome(*args)
         n += 1
     assert n > 0

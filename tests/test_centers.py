@@ -53,6 +53,7 @@ from ecat.core import (
     terminal_category,
 )
 from ecat.enriched import (
+    EnrichedCategory,
     EnrichedNat,
     _enriched_functor_search,
     check_enriched,
@@ -208,6 +209,17 @@ def test_e0_hom_elements_count_natural_transformations():
 def test_e0_trivial_base_is_a_point():
     res = e0_center(trivial_base_enriched(), CAP)
     assert res.category.host.n_objects == 1
+
+
+def test_e0_of_the_zero_object_category_is_its_terminal_center_object():
+    # the bracket search with no component variables: a family is a center
+    # object alone, and the terminal family is the terminal object of Z1
+    e = EnrichedCategory(lattice2_monoidal(), 0, {}, {}, {})
+    budget = Budget(CAP)
+    res = centers._e0_center(e, budget)
+    host = res.category.host
+    assert (host.n_objects, host.hom_obj, res.witnesses["unit_obj"]) == (1, {(0, 0): 1}, 0)
+    assert budget.used == 12
 
 
 def test_e0_center_refuses_an_invalid_enriched_category():

@@ -9,7 +9,8 @@ through core. No ``.get(...)`` of src/ecat keys by ``sorted(`` outside
 Every ``.thin`` read of src/ecat outside the two base rules is gated by
 ``_is_monoidal`` or ``_thin_host``, and the composition sections that a
 thin gate skips are called only by their own checker and their one gated
-caller.
+caller. Budget is spent only by ``core._search`` and the single-pool filters
+that ``report.Budget`` names.
 
 Names listed in the package's __all__ are re-exported, so they count as
 used in __init__.py.
@@ -347,6 +348,15 @@ GATED_SECTIONS = {
 }
 
 
+def _callers(tree: ast.Module) -> dict:
+    """The id of each node inside a module-level def -> that def's name."""
+    return {
+        id(n): fn.name
+        for fn in tree.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for n in ast.walk(fn)
+    }
+
+
 def stray_section_calls(sources: dict) -> list:
     """The (module, line, section) of each call of a ``GATED_SECTIONS``
     section, by name or attribute, outside the module-level functions
@@ -354,11 +364,7 @@ def stray_section_calls(sources: dict) -> list:
     found = []
     for module, source in sources.items():
         tree = ast.parse(source)
-        caller = {}  # id of a node inside a module-level def -> that def's name
-        for fn in tree.body:
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for n in ast.walk(fn):
-                    caller[id(n)] = fn.name
+        caller = _callers(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -401,3 +407,61 @@ def test_the_scan_catches_a_call_planted_in_the_sources():
 def test_composition_sections_are_called_only_by_their_checker_and_gated_caller():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert stray_section_calls(sources) == []
+
+
+# the one exhaustive search and the single-pool filters that report.Budget
+# names: each spends one unit per candidate it tries
+SPENDERS = {
+    ("core.py", "_search"),
+    ("actions.py", "internal_hom"),
+    ("monoidal.py", "drinfeld_center_z1"),
+    ("centers.py", "_terminal_bracket"),
+}
+
+
+def stray_spends(sources: dict) -> list:
+    """The (module, line) of each ``.spend(`` call outside the module-level
+    functions of ``SPENDERS``: any other search is a call of ``_search``."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        caller = _callers(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "spend"
+                and (module, caller.get(id(node))) not in SPENDERS
+            ):
+                found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_the_scan_finds_a_stray_spend():
+    sources = {
+        "core.py": (
+            "def _search(n, d, c, budget):\n    budget.spend()\n\n"
+            "def _functor_search(c, d, budget):\n    budget.spend(2)\n"
+        ),
+        "centers.py": (
+            "def _terminal_bracket(c, budget):\n    budget.spend()\n\n"
+            "def bracket_pair(em, budget):\n    for z in em:\n        budget.spend()\n"
+        ),
+        "report.py": "class Budget:\n    def spend(self, n=1):\n        self.used += n\n",
+        "actions.py": "budget.spend()\n",
+    }
+    assert stray_spends(sources) == [("actions.py", 1), ("centers.py", 6), ("core.py", 5)]
+
+
+def test_the_spend_scan_catches_a_spend_planted_in_the_sources():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    planted = sources["centers.py"] + (
+        "\n\ndef _f(pool, budget):\n    for p in pool:\n        budget.spend()\n"
+    )
+    sources["centers.py"] = planted
+    line = planted.rstrip("\n").count("\n") + 1
+    assert stray_spends(sources) == [("centers.py", line)]
+
+
+def test_only_the_search_and_the_named_filters_spend():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert stray_spends(sources) == []

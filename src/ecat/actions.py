@@ -510,7 +510,7 @@ class InternalHom:
 
 
 def internal_hom(
-    mod: ModuleAction, x: int, y: int, budget: Budget | None = None
+    mod: ModuleAction, x: int, y: int, cap: int | Budget | None = None
 ) -> InternalHom | None:
     """Brute-force search for the internal hom [x, y].
 
@@ -519,7 +519,7 @@ def internal_hom(
     """
     c = mod.carrier
     ca = mod.base.base
-    budget = budget or Budget(None, "internal hom search")
+    budget = Budget.of(cap, "internal hom search")
     for h in ca.objects():
         for ev in c.hom(mod.a_obj(h, x), y):
             mediators = {}
@@ -544,11 +544,11 @@ def internal_hom(
 
 
 def all_internal_homs(
-    mod: ModuleAction, budget: Budget | None = None
+    mod: ModuleAction, cap: int | Budget | None = None
 ) -> dict | None:
     """Internal homs for every pair, or None if any is missing. One budget
-    (a default one when none is given) bounds every search."""
-    budget = budget or Budget(None, "internal hom search")
+    of cap units bounds every search."""
+    budget = Budget.of(cap, "internal hom search")
     out = {}
     for x in mod.carrier.objects():
         for y in mod.carrier.objects():

@@ -75,7 +75,7 @@ class CanonicalCategory:
 
 
 def canonical_construction(
-    mod: ModuleAction, budget: Budget | None = None
+    mod: ModuleAction, cap: int | Budget | None = None
 ) -> CanonicalCategory:
     """Build the enriched category with hom objects the internal homs.
 
@@ -88,13 +88,13 @@ def canonical_construction(
     StructureError (a module that is not strongly unital, a pair with no
     internal hom, a mistyped composite) or KeyError (a missing associator
     cell, or a mistyped unitor or composite route, which has no mediator).
-    One budget, the default one when none is given, bounds every search.
+    One budget of cap units bounds every search.
     """
     if not mod.strongly_unital:
         raise StructureError("canonical construction needs a strongly unital module")
     c = mod.carrier
     m = mod.base
-    budget = budget or Budget(None, "internal hom search")
+    budget = Budget.of(cap, "internal hom search")
     homs = {}
     for x, y in itertools.product(c.objects(), repeat=2):
         ih = internal_hom(mod, x, y, budget)
@@ -415,25 +415,21 @@ def enumerate_rlax(
     r: LaxMonoidalFunctor,
     src: CanonicalCategory,
     tgt: CanonicalCategory,
-    cap: int | None = None,
+    cap: int | Budget | None = None,
 ) -> list:
     """All r-lax functors along r between the modules (``_rlax_search``)."""
-    return _rlax_search(r, src.module, tgt.module, Budget(cap, "r-lax enumeration"))
+    return _rlax_search(r, src.module, tgt.module, Budget.of(cap, "r-lax enumeration"))
 
 
 def enumerate_enriched_functors(
     r: LaxMonoidalFunctor,
     src: CanonicalCategory,
     tgt: CanonicalCategory,
-    cap: int | None = None,
+    cap: int | Budget | None = None,
 ) -> list:
     """All enriched functors along the background r
     (``_enriched_functor_search``); none when r is not lax monoidal."""
-    return _enriched_functors(r, src, tgt, Budget(cap, "enriched functor enumeration"))
-
-
-def _enriched_functors(r: LaxMonoidalFunctor, src: CanonicalCategory,
-                       tgt: CanonicalCategory, budget: Budget) -> list:
+    budget = Budget.of(cap, "enriched functor enumeration")
     if not check_lax_monoidal_functor(r).ok:
         return []
     return list(_enriched_functor_search(r, src.enriched, tgt.enriched, budget))
@@ -441,7 +437,7 @@ def _enriched_functors(r: LaxMonoidalFunctor, src: CanonicalCategory,
 
 def verify_canonical_2functor(
     pairs: list[tuple[CanonicalCategory, CanonicalCategory, LaxMonoidalFunctor]],
-    cap: int | None = None,
+    cap: int | Budget | None = None,
 ) -> ValidationReport:
     """Functoriality and local bijectivity of the canonical construction.
 
@@ -452,10 +448,10 @@ def verify_canonical_2functor(
     """
     report = ValidationReport("canonical construction 2-functoriality")
     images = {}
-    budget = Budget(cap, "canonical 2-functoriality")
+    budget = Budget.of(cap, "canonical 2-functoriality")
     for k, (src, tgt, r) in enumerate(pairs):
         rls = _rlax_search(r, src.module, tgt.module, budget)
-        efs = _enriched_functors(r, src, tgt, budget)
+        efs = enumerate_enriched_functors(r, src, tgt, budget)
         if len(rls) != len(efs):
             report.add("local-bijectivity-count", (k, len(rls), len(efs)))
         seen = []

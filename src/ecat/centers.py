@@ -87,7 +87,7 @@ from ecat.enriched import (
 from ecat.enriched_monoidal import (
     EnrichedBraidedCategory,
     EnrichedMonoidalCategory,
-    _enriched_half_braidings,
+    enumerate_enriched_half_braidings,
     underlying_half_braiding,
     underlying_monoidal,
 )
@@ -187,7 +187,7 @@ def _el_mid_swap(em: EnrichedMonoidalCategory, a1: int, a2: int, b1: int,
 
 
 def enumerate_identity_background_functors(
-    src: EnrichedCategory, tgt: EnrichedCategory, cap: int | None = None
+    src: EnrichedCategory, tgt: EnrichedCategory, cap: int | Budget | None = None
 ) -> list:
     """All enriched functors src -> tgt whose background is the identity.
 
@@ -196,7 +196,7 @@ def enumerate_identity_background_functors(
     """
     if src.base != tgt.base:
         raise StructureError("functor enumeration needs a shared base")
-    budget = Budget(cap, "enriched endofunctor enumeration")
+    budget = Budget.of(cap, "enriched endofunctor enumeration")
     return list(_enriched_functor_search(identity_lax(src.base), src, tgt, budget))
 
 
@@ -447,18 +447,14 @@ class StarResult:
     z1: object
 
 
-def condition_star(e: EnrichedCategory, cap: int | None = None) -> StarResult:
+def condition_star(e: EnrichedCategory, cap: int | Budget | None = None) -> StarResult:
     """Check whether every endofunctor pair has a terminal family.
 
-    One budget of cap units bounds the ordinary center, the endofunctor
-    enumeration and every family search."""
-    return _condition_star(e, Budget(cap, "E0 center"))
-
-
-def _condition_star(e: EnrichedCategory, budget: Budget) -> StarResult:
-    """``condition_star`` on a given budget."""
+    One budget of cap units (None, an int, or a Budget to share) bounds the
+    ordinary center, the endofunctor enumeration and every family search."""
+    budget = Budget.of(cap, "E0 center")
     z1 = drinfeld_center_z1(e.base, budget)
-    functors = list(_enriched_functor_search(identity_lax(e.base), e, e, budget))
+    functors = enumerate_identity_background_functors(e, e, budget)
     brackets = {}
     for i, fF in enumerate(functors):
         for j, fG in enumerate(functors):
@@ -486,7 +482,7 @@ class CenterResult:
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def e0_center(e: EnrichedCategory, cap: int | None = None) -> CenterResult:
+def e0_center(e: EnrichedCategory, cap: int | Budget | None = None) -> CenterResult:
     """The strict monoidal category of endofunctors enriched over the
     ordinary center of the base.
 
@@ -494,7 +490,8 @@ def e0_center(e: EnrichedCategory, cap: int | None = None) -> CenterResult:
     identities are the unique mediators of the evident composite families.
     e must be an enriched category: raises StructureError when
     ``check_enriched(e)`` fails, and when some pair has no terminal family.
-    One budget of cap units bounds the run (``condition_star``).
+    One budget of cap units (None, an int, or a Budget to share) bounds the
+    run (``condition_star``).
 
     The tensor is functor composition, so the tensor cell
     hom(i, k) x hom(j, l) -> hom(ij, kl) is a horizontal composite, and by
@@ -519,18 +516,14 @@ def e0_center(e: EnrichedCategory, cap: int | None = None) -> CenterResult:
     The n⁴ cells are a ``LazyPairTable``: each is composed when it is
     first read, so a whisker that no cell reads is never mediated.
     """
-    return _e0_center(e, Budget(cap, "E0 center"))
-
-
-def _e0_center(e: EnrichedCategory, budget: Budget) -> CenterResult:
-    """``e0_center`` on a given budget."""
+    budget = Budget.of(cap, "E0 center")
     rep = check_enriched(e)
     if not rep.ok:
         v = rep.violations[0]
         raise StructureError(
             f"E0 center of an invalid enriched category: {v.law} at {v.instance}"
         )
-    star = _condition_star(e, budget)
+    star = condition_star(e, budget)
     missing = [p for p, br in star.brackets.items() if br is None]
     if missing:
         raise StructureError(
@@ -689,18 +682,13 @@ def _e0_ev(res: CenterResult) -> EnrichedFunctor:
 
 
 def enriched_iso_search(
-    e1: EnrichedCategory, e2: EnrichedCategory, cap: int | None = None
+    e1: EnrichedCategory, e2: EnrichedCategory, cap: int | Budget | None = None
 ) -> EnrichedFunctor | None:
     """An identity-background enriched isomorphism e1 -> e2, if any.
 
     Searches object bijections and invertible hom components exhaustively.
     """
-    return _enriched_iso_search(e1, e2, Budget(cap, "enriched isomorphism search"))
-
-
-def _enriched_iso_search(
-    e1: EnrichedCategory, e2: EnrichedCategory, budget: Budget
-) -> EnrichedFunctor | None:
+    budget = Budget.of(cap, "enriched isomorphism search")
     if e1.base != e2.base or e1.n_objects != e2.n_objects:
         return None
     return next(_enriched_functor_search(identity_lax(e1.base), e1, e2, budget, iso=True), None)
@@ -717,20 +705,21 @@ def _rlax_key(rl: RLaxStructure) -> tuple:
     )
 
 
-def e0_center_via_module(mod: ModuleAction, cap: int | None = None) -> CenterResult:
+def e0_center_via_module(mod: ModuleAction, cap: int | Budget | None = None) -> CenterResult:
     """The E0 center presented through the canonical construction.
 
     The lax module endofunctors of mod, r-lax functors along the identity
     of its base (``actions._rlax_search``), form a category acted on by the
     ordinary center of the base; the canonical construction on that action
     yields an enriched category, shipped with the strict tensor table
-    given by endofunctor composition. One budget of cap units bounds the
-    ordinary center, every search and the canonical construction.
+    given by endofunctor composition. One budget of cap units (None, an
+    int, or a Budget to share) bounds the ordinary center, every search and
+    the canonical construction.
     """
-    budget = Budget(cap, "E0 center")
-    z1 = drinfeld_center_z1(mod.base, budget)
     if not mod.strongly_associative:
         raise StructureError("module endofunctor action needs strong associativity")
+    budget = Budget.of(cap, "E0 center")
+    z1 = drinfeld_center_z1(mod.base, budget)
     cc = mod.carrier
     m = mod.base
     c = m.base
@@ -832,7 +821,7 @@ def e0_center_via_module(mod: ModuleAction, cap: int | None = None) -> CenterRes
 
 
 def compare_e0_routes(direct: CenterResult, via: CenterResult,
-                      cap: int | None = None) -> dict:
+                      cap: int | Budget | None = None) -> dict:
     """Match the endofunctor presentation against the module presentation.
 
     Finds an identity-background enriched isomorphism and transports the
@@ -906,17 +895,17 @@ def bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
     return _bracket_search(e, z2incl, [e.hom(x, y)], slides, cells, budget)
 
 
-def gamma1(em: EnrichedMonoidalCategory, cap: int | None = None) -> CenterResult:
+def gamma1(em: EnrichedMonoidalCategory, cap: int | Budget | None = None) -> CenterResult:
     """The braided category of half-braided objects enriched over the
     transparent subcategory of the base.
 
     Objects are pairs of a host object with an enriched half-braiding; hom
     objects are terminal bracket pairs; all structure elements are the
     unique factorings of the corresponding host elements. One budget of
-    cap units bounds every half-braiding enumeration and bracket-pair
-    search. A valid em need not have an E1 center: when some pair of
-    half-braided objects has no terminal bracket pair, this raises
-    StructureError naming that pair.
+    cap units (None, an int, or a Budget to share) bounds every
+    half-braiding enumeration and bracket-pair search. A valid em need not
+    have an E1 center: when some pair of half-braided objects has no
+    terminal bracket pair, this raises StructureError naming that pair.
 
     em is not validated: the result means nothing unless
     ``check_enriched_monoidal(em)`` passes. An invalid em can still raise
@@ -930,11 +919,7 @@ def gamma1(em: EnrichedMonoidalCategory, cap: int | None = None) -> CenterResult
     cell of an invalid em with no unique mediator, raises at the read, not
     here.
     """
-    return _gamma1(em, Budget(cap, "E1 center"))
-
-
-def _gamma1(em: EnrichedMonoidalCategory, budget: Budget) -> CenterResult:
-    """``gamma1`` on a given budget."""
+    budget = Budget.of(cap, "E1 center")
     e = em.host
     m = e.base
     c = m.base
@@ -944,7 +929,7 @@ def _gamma1(em: EnrichedMonoidalCategory, budget: Budget) -> CenterResult:
 
     objs = []
     for x in e.objects():
-        for hb in _enriched_half_braidings(em, x, budget):
+        for hb in enumerate_enriched_half_braidings(em, x, budget):
             objs.append((x, hb))
     n = len(objs)
 
@@ -1041,7 +1026,7 @@ def _gamma1(em: EnrichedMonoidalCategory, budget: Budget) -> CenterResult:
 # --- the E1 center of a canonical category, through the carrier ---
 
 
-def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict:
+def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | Budget | None = None) -> dict:
     """Compute the E1 center of a canonical category along both routes.
 
     The direct route applies the half-braided-object construction to the
@@ -1052,13 +1037,14 @@ def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict
     the carrier center acting on itself, pulled back to that subcategory
     and restricted to the centralizer (``_restricted_module``).
     Returns both results with an isomorphism between them when one exists.
-    One budget of cap units bounds both canonical constructions, the E1
-    center, the carrier center and the isomorphism search.
+    One budget of cap units (None, an int, or a Budget to share) bounds
+    both canonical constructions, the E1 center, the carrier center and the
+    isomorphism search.
     """
-    budget = Budget(cap, "E1 center of a canonical category")
+    budget = Budget.of(cap, "E1 center of a canonical category")
     can = canonical_construction(mm.module, budget)
     em = canonical_monoidal(mm, can)
-    direct = _gamma1(em, budget)
+    direct = gamma1(em, budget)
 
     mod = mm.module
     mA = mod.base
@@ -1116,7 +1102,7 @@ def gamma1_of_canonical(mm: MonoidalModuleCells, cap: int | None = None) -> dict
     return {
         "gamma1": direct,
         "module_side": canB,
-        "iso": _enriched_iso_search(host, canB.enriched, budget),
+        "iso": enriched_iso_search(host, canB.enriched, budget),
         "strict": host == canB.enriched,
     }
 
@@ -1137,7 +1123,7 @@ def _underlying_braided(eb: EnrichedBraidedCategory) -> BraidedStructure:
     return _flagged_braiding(um, comps)
 
 
-def gamma2(eb: EnrichedBraidedCategory, cap: int | None = None) -> CenterResult:
+def gamma2(eb: EnrichedBraidedCategory, cap: int | Budget | None = None) -> CenterResult:
     """The full subcategory of transparent objects, with the restricted
     enriched monoidal structure; its braiding is symmetric. A full
     subcategory needs no search, so cap is not read; it is accepted for
@@ -1240,7 +1226,7 @@ def braided_tables(eb: EnrichedBraidedCategory) -> tuple:
 def gamma2_of_canonical(
     mm: MonoidalModuleCells,
     carrier_braiding: BraidedStructure,
-    cap: int | None = None,
+    cap: int | Budget | None = None,
 ) -> dict:
     """Compute the E2 center of a canonical braided category both ways.
 
@@ -1249,9 +1235,10 @@ def gamma2_of_canonical(
     of the carrier first (``_restricted_module`` along the identity) and
     rebuilds the canonical braided category.
     Returns both with an exact comparison of all tables. One budget of cap
-    units bounds both canonical constructions.
+    units (None, an int, or a Budget to share) bounds both canonical
+    constructions.
     """
-    budget = Budget(cap, "E2 center of a canonical category")
+    budget = Budget.of(cap, "E2 center of a canonical category")
     can = canonical_construction(mm.module, budget)
     eb = canonical_braided(mm, carrier_braiding, can, carrier_braiding.symmetric_flag)
     side1 = gamma2(eb)
@@ -1817,7 +1804,7 @@ class _E2Check(_MonoidalCheck):
 
 
 def verify_e0_universal(e: EnrichedCategory, action: UnitalAction,
-                        cap: int | None = None,
+                        cap: int | Budget | None = None,
                         res: CenterResult | None = None) -> TheoremReport:
     """Check that the endofunctor category is terminal among left unital
     actions on e.
@@ -1825,15 +1812,15 @@ def verify_e0_universal(e: EnrichedCategory, action: UnitalAction,
     Builds the comparison enriched functor and both natural isomorphisms
     from the given action, checks the pasting equation on every component,
     and counts the mediating isomorphisms by exhaustive search. One budget
-    of cap units bounds the run: the E0 center, when res is not given, and
-    the mediator search.
+    of cap units (None, an int, or a Budget to share) bounds the run: the E0
+    center, when res is not given, and the mediator search.
     """
-    budget = Budget(cap, "E0 universal property")
-    return _E0Check(e, action, res or _e0_center(e, budget)).run(budget)
+    budget = Budget.of(cap, "E0 universal property")
+    return _E0Check(e, action, res or e0_center(e, budget)).run(budget)
 
 
 def verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalAction,
-                        cap: int | None = None,
+                        cap: int | Budget | None = None,
                         res: CenterResult | None = None) -> TheoremReport:
     """Check that the category of half-braided objects is terminal among
     monoidal unital actions on em.
@@ -1841,15 +1828,16 @@ def verify_e1_universal(em: EnrichedMonoidalCategory, action: UnitalAction,
     The action must carry the monoidal cells f2. Builds the comparison
     functor into the E1 center, which acts on its own host (``e0_ev``), as
     for E0; checks both pasting components, and counts the mediating
-    isomorphisms by exhaustive search. One budget of cap units bounds the
-    run: the E1 center, when res is not given, and the mediator search.
+    isomorphisms by exhaustive search. One budget of cap units (None, an
+    int, or a Budget to share) bounds the run: the E1 center, when res is
+    not given, and the mediator search.
     """
-    budget = Budget(cap, "E1 universal property")
-    return _E1Check(em, action, res or _gamma1(em, budget)).run(budget)
+    budget = Budget.of(cap, "E1 universal property")
+    return _E1Check(em, action, res or gamma1(em, budget)).run(budget)
 
 
 def verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAction,
-                        cap: int | None = None,
+                        cap: int | Budget | None = None,
                         res: CenterResult | None = None) -> TheoremReport:
     """Check that the transparent subcategory is terminal among braided
     monoidal unital actions on eb.
@@ -1857,10 +1845,11 @@ def verify_e2_universal(eb: EnrichedBraidedCategory, action: UnitalAction,
     Like the E1 check, but the induced half-braidings must agree with the
     braiding of eb, so the comparison lands in the full subcategory of
     transparent objects; the center acts on its own host, as for E0. One
-    budget of cap units bounds the run; the E2 center, a full subcategory,
-    searches nothing and spends none of it.
+    budget of cap units (None, an int, or a Budget to share) bounds the run;
+    the E2 center, a full subcategory, searches nothing and spends none of
+    it.
     """
-    budget = Budget(cap, "E2 universal property")
+    budget = Budget.of(cap, "E2 universal property")
     return _E2Check(eb, action, res or gamma2(eb)).run(budget)
 
 

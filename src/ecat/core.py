@@ -801,10 +801,10 @@ def _functor_search(c: FinCategory, d: FinCategory, budget: Budget, iso: bool = 
 
 
 def enumerate_functors(
-    c: FinCategory, d: FinCategory, cap: int | None = None
+    c: FinCategory, d: FinCategory, cap: int | Budget | None = None
 ) -> list[Functor]:
     """All functors C -> D in lexicographic (obj_map, then mor_map) order."""
-    return list(_functor_search(c, d, Budget(cap, "functor enumeration")))
+    return list(_functor_search(c, d, Budget.of(cap, "functor enumeration")))
 
 
 def _nat_search(f: Functor, g: Functor, budget: Budget):
@@ -825,9 +825,9 @@ def _nat_search(f: Functor, g: Functor, budget: Budget):
 
 
 def enumerate_nat_transfs(
-    f: Functor, g: Functor, cap: int | None = None
+    f: Functor, g: Functor, cap: int | Budget | None = None
 ) -> list[NatTransf]:
-    return list(_nat_search(f, g, Budget(cap, "natural transformation enumeration")))
+    return list(_nat_search(f, g, Budget.of(cap, "natural transformation enumeration")))
 
 
 def find_terminal_objects(c: FinCategory) -> list[int]:
@@ -846,13 +846,12 @@ def _degree_signature(c: FinCategory, x: int) -> tuple:
 
 
 def iso_search(
-    c: FinCategory, d: FinCategory, cap: int | None = None
+    c: FinCategory, d: FinCategory, cap: int | Budget | None = None
 ) -> Functor | None:
     """First isomorphism C -> D in deterministic order, or None."""
     if c.n_objects != d.n_objects or c.n_morphisms != d.n_morphisms:
         return None
-    budget = Budget(cap, "isomorphism search")
-    return next(_functor_search(c, d, budget, iso=True), None)
+    return next(_functor_search(c, d, Budget.of(cap, "isomorphism search"), iso=True), None)
 
 
 def inverse_functor(fun: Functor) -> Functor:

@@ -297,8 +297,7 @@ def opposite_enriched(e: EnrichedCategory) -> EnrichedCategory:
     hom_obj = {(x, y): e.hom(y, x) for x, y in itertools.product(e.objects(), repeat=2)}
     comp = {}
     for x, y, z in itertools.product(e.objects(), repeat=3):
-        # hom^op(y,z) @rev hom^op(x,y) = hom(x,y) @ hom(y,x)... over rev,
-        # the source object equals hom(y,x) @rev... spelled via e's tables:
+        # the composite at (x, y, z) is e's at (z, y, x): hom(y, x) @ hom(z, y) -> hom(z, x)
         comp[(x, y, z)] = e.c(z, y, x)
     return EnrichedCategory(rev, e.n_objects, hom_obj, dict(e.ident), comp)
 

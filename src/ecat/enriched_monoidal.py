@@ -726,16 +726,11 @@ def check_enriched_half_braiding(
 
 
 def enumerate_enriched_half_braidings(
-    em: EnrichedMonoidalCategory, x: int, cap: int | None = None
+    em: EnrichedMonoidalCategory, x: int, cap: int | Budget | None = None
 ) -> list:
     """All enriched half-braidings on x, in lexicographic component order."""
     underlying_monoidal(em)  # raises before the search if a cell is not an element
-    budget = Budget(cap, "enriched half-braiding enumeration")
-    return _enriched_half_braidings(em, x, budget)
-
-
-def _enriched_half_braidings(em: EnrichedMonoidalCategory, x: int, budget: Budget) -> list:
-    """``enumerate_enriched_half_braidings`` on a given budget."""
+    budget = Budget.of(cap, "enriched half-braiding enumeration")
     e = em.host
     m = e.base
     c = m.base

@@ -713,11 +713,11 @@ def check_half_braiding(m: MonoidalCategory, hb: HalfBraidingOrd) -> ValidationR
 
 
 def enumerate_half_braidings(
-    m: MonoidalCategory, x: int, budget: Budget | None = None
+    m: MonoidalCategory, x: int, cap: int | Budget | None = None
 ) -> list[HalfBraidingOrd]:
     """All half-braidings on x, deterministically ordered."""
     c = m.base
-    budget = budget or Budget(None, "half-braiding enumeration")
+    budget = Budget.of(cap, "half-braiding enumeration")
     pools = [
         [f for f in c.hom(m.t_obj(z, x), m.t_obj(x, z)) if find_inverse(c, f) is not None]
         for z in c.objects()
@@ -808,7 +808,7 @@ class DrinfeldCenter:
 
 
 def drinfeld_center_z1(
-    m: MonoidalCategory, budget: Budget | None = None
+    m: MonoidalCategory, cap: int | Budget | None = None
 ) -> DrinfeldCenter:
     """The category of (object, half-braiding) pairs, built by brute force.
 
@@ -824,7 +824,7 @@ def drinfeld_center_z1(
     a morphism of the center).
     """
     c = m.base
-    budget = budget or Budget(None, "drinfeld center")
+    budget = Budget.of(cap, "drinfeld center")
     z_objects: list[tuple[int, HalfBraidingOrd]] = []
     for x in c.objects():
         for hb in enumerate_half_braidings(m, x, budget):

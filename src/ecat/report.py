@@ -51,6 +51,10 @@ class Budget:
     ``monoidal.drinfeld_center_z1`` and the terminal-family scan, the
     morphism scan of ``centers._terminal_bracket``. Nothing else spends.
     Searches that share one budget share its cap.
+
+    Every public search takes ``cap``: None for the ``ECAT_BUDGET``
+    default, an int for a fresh budget of that many units, or a Budget to
+    spend from, so that one cap bounds a whole run (``Budget.of``).
     """
 
     __slots__ = ("cap", "used", "what")
@@ -59,6 +63,12 @@ class Budget:
         self.cap = default_budget() if cap is None else cap
         self.used = 0
         self.what = what
+
+    @staticmethod
+    def of(cap: int | Budget | None, what: str) -> Budget:
+        """cap itself when it is a Budget, else a new Budget of cap units
+        spent during what."""
+        return cap if isinstance(cap, Budget) else Budget(cap, what)
 
     def spend(self, n: int = 1) -> None:
         self.used += n

@@ -32,18 +32,17 @@ from ecat.centers import (
     TheoremReport,
     UnitalAction,
     _apply_pair,
-    _condition_star,
     _el_comp,
     _el_inv,
     _el_mid_swap,
     _el_path,
     _factors,
     _functor_key,
-    _gamma1,
     _lifter,
     _mediate,
     _t_el,
     _terminal_bracket,
+    condition_star,
     e0_center,
     e0_ev,
     gamma1,
@@ -2749,7 +2748,7 @@ def exhaustive_enumerate_enriched_half_braidings(
 
 # --- the E0 center before whiskered tensor cells ---
 #
-# The parent body of centers._e0_center, verbatim except that it mediates
+# The parent body of centers.e0_center, verbatim except that it mediates
 # through _scan_mediate, the parent _mediate, which rescans the center hom
 # set for every composite instead of reading the bracket's certificate.
 
@@ -2773,7 +2772,7 @@ def exhaustive_e0_center(e: EnrichedCategory, cap: int | None = None,
     """The E0 center with every one of the n^4 tensor cells mediated on its
     own from its cell family. With cell_keys, only the cells at those keys
     (p, q) are mediated, and the tensor holds only them."""
-    star = _condition_star(e, Budget(cap, "E0 center"))
+    star = condition_star(e, Budget(cap, "E0 center"))
     missing = [p for p, br in star.brackets.items() if br is None]
     if missing:
         raise StructureError(
@@ -3105,7 +3104,7 @@ def bracket_pair_used(em: EnrichedMonoidalCategory, z2: tuple, oi, oj, used: int
 
 # --- the E1 center's tensor cells before lazy reads ---
 #
-# The parent cell loop of centers._gamma1, verbatim, which composed and
+# The parent cell loop of centers.gamma1, verbatim, which composed and
 # mediated all n^4 tensor cells into a dict before returning; it reads the
 # objects, brackets, transparent subcategory and tensor object table from
 # the witnesses of res = gamma1(em).
@@ -3188,7 +3187,7 @@ def parent_gamma1_module_side(mm, cap: int | None = None) -> ModuleAction:
     budget = Budget(cap, "E1 center of a canonical category")
     can = canonical_construction(mm.module, budget)
     em = canonical_monoidal(mm, can)
-    _gamma1(em, budget)
+    gamma1(em, budget)
 
     mod = mm.module
     mA = mod.base
@@ -3362,7 +3361,7 @@ def parent_z1_tensor_unit(m: MonoidalCategory, z_objects: list) -> tuple:
 
 
 def parent_gamma1_tensor_unit(em: EnrichedMonoidalCategory, objs: list) -> tuple:
-    """The tensor object table t1 and the unit of ``centers._gamma1``'s
+    """The tensor object table t1 and the unit of ``centers.gamma1``'s
     parent body on its enriched half-braided objects objs."""
     e = em.host
     u = underlying_category(e)
@@ -3392,7 +3391,7 @@ def parent_gamma1_tensor_unit(em: EnrichedMonoidalCategory, objs: list) -> tuple
 
 
 def parent_gamma1_host(em: EnrichedMonoidalCategory, res: CenterResult) -> EnrichedCategory:
-    """The enriched category of terminal bracket pairs of ``centers._gamma1``'s
+    """The enriched category of terminal bracket pairs of ``centers.gamma1``'s
     parent body; it reads the objects, brackets and transparent subcategory
     from the witnesses of res = gamma1(em)."""
     e = em.host

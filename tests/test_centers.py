@@ -1,12 +1,13 @@
 import dataclasses
+import functools
 import inspect
 import itertools
+import sys
 
 import pytest
 
 from ecat import actions, canonical, centers, core, enriched, enriched_monoidal, monoidal
 from ecat.centers import (
-    _enriched_iso_search,
     braided_tables,
     bracket_family,
     bracket_pair,
@@ -62,7 +63,6 @@ from ecat.enriched import (
 )
 from ecat.enriched_monoidal import (
     EnrichedBraidedCategory,
-    _enriched_half_braidings,
     check_enriched_braided,
     check_enriched_monoidal,
     check_enriched_symmetric,
@@ -216,7 +216,7 @@ def test_e0_of_the_zero_object_category_is_its_terminal_center_object():
     # object alone, and the terminal family is the terminal object of Z1
     e = EnrichedCategory(lattice2_monoidal(), 0, {}, {}, {})
     budget = Budget(CAP)
-    res = centers._e0_center(e, budget)
+    res = centers.e0_center(e, budget)
     host = res.category.host
     assert (host.n_objects, host.hom_obj, res.witnesses["unit_obj"]) == (1, {(0, 0): 1}, 0)
     assert budget.used == 12
@@ -321,6 +321,12 @@ def test_both_e0_routes_refuse_the_sign_x_z2_self_module():
         e0_center(e0_host_of(cells.module), CAP)
     with pytest.raises(StructureError, match=r"internal hom missing for pair \(0, 0\)"):
         e0_center_via_module(cells.module, CAP)
+
+
+def test_e0_center_via_module_refuses_a_weakly_associative_module_before_searching():
+    mod = dataclasses.replace(self_module(lattice2_monoidal()), strongly_associative=False)
+    with pytest.raises(StructureError, match="needs strong associativity"):
+        e0_center_via_module(mod, 1)
 
 
 # --- universal-property verifiers ---
@@ -502,10 +508,10 @@ def test_iso_search_refuses_other_object_counts_and_bases():
     assert next(_enriched_functor_search(
         identity_lax(point.base), point, chain, Budget(CAP), iso=True
     ))
-    assert _enriched_iso_search(point, chain, Budget(CAP)) is None
-    assert _enriched_iso_search(chain, point, Budget(CAP)) is None
-    assert _enriched_iso_search(chain, z2_enriched(), Budget(CAP)) is None
-    assert _enriched_iso_search(chain, chain, Budget(CAP)) is not None
+    assert enriched_iso_search(point, chain, Budget(CAP)) is None
+    assert enriched_iso_search(chain, point, Budget(CAP)) is None
+    assert enriched_iso_search(chain, z2_enriched(), Budget(CAP)) is None
+    assert enriched_iso_search(chain, chain, Budget(CAP)) is not None
 
 
 def test_gamma1_of_canonical_searches_through_the_guarded_iso_search(monkeypatch):
@@ -513,9 +519,9 @@ def test_gamma1_of_canonical_searches_through_the_guarded_iso_search(monkeypatch
 
     def spy(e1, e2, budget):
         searched.append((e1, e2))
-        return _enriched_iso_search(e1, e2, budget)
+        return enriched_iso_search(e1, e2, budget)
 
-    monkeypatch.setattr(centers, "_enriched_iso_search", spy)
+    monkeypatch.setattr(centers, "enriched_iso_search", spy)
     out = gamma1_of_canonical(lattice2_self_cells(), CAP)
     host = out["gamma1"].category.host.host
     assert searched == [(host, out["module_side"].enriched)]
@@ -603,14 +609,14 @@ def _preorder_braided():
 VERIFIER_RUNS = {
     "e0": (
         lambda cap: verify_e0_universal(chain2_enriched(), trivial_action(chain2_enriched()), cap),
-        lambda b: centers._e0_center(chain2_enriched(), b),
+        lambda b: centers.e0_center(chain2_enriched(), b),
         lambda res: centers._E0Check(chain2_enriched(), trivial_action(chain2_enriched()), res),
     ),
     "e1": (
         lambda cap: verify_e1_universal(
             preorder_enriched_monoidal(), trivial_monoidal_action(preorder_enriched_monoidal()), cap
         ),
-        lambda b: centers._gamma1(preorder_enriched_monoidal(), b),
+        lambda b: centers.gamma1(preorder_enriched_monoidal(), b),
         lambda res: centers._E1Check(
             preorder_enriched_monoidal(), trivial_monoidal_action(preorder_enriched_monoidal()), res
         ),
@@ -753,6 +759,37 @@ def test_a_search_entry_point_makes_at_most_one_budget(name, monkeypatch):
     assert len(made) <= 1
 
 
+def _parameters(name: str) -> set:
+    module, fname = name.split(".")
+    return set(inspect.signature(getattr(sys.modules[f"ecat.{module}"], fname)).parameters)
+
+
+def test_every_search_entry_point_takes_cap_but_the_bracket_searches():
+    """Only the two bracket searches, run inside a center, take a budget;
+    every other entry point takes cap: None, an int or a Budget."""
+    takes_budget = {name for name in SEARCH_ENTRY_POINTS if "budget" in _parameters(name)}
+    assert takes_budget == {"centers.bracket_family", "centers.bracket_pair"}
+
+
+@pytest.mark.parametrize("name", [n for n in SEARCH_ENTRY_POINTS if "cap" in _parameters(n)])
+def test_a_search_entry_point_handed_a_budget_spends_only_from_it(name, monkeypatch):
+    inputs = _search_inputs()
+    fname = name.split(".")[1]
+    b = Budget(CAP)
+    monkeypatch.setitem(globals(), fname, functools.partial(globals()[fname], cap=b))
+    made = _budgets_made(monkeypatch)
+    spent_from = set()
+    spend = Budget.spend
+
+    def recording(self, n=1):
+        spent_from.add(id(self))
+        spend(self, n)
+
+    monkeypatch.setattr(Budget, "spend", recording)
+    SEARCH_ENTRY_POINTS[name](inputs)
+    assert made == [] and spent_from <= {id(b)}
+
+
 def test_an_e0_center_builds_its_evaluation_action_once(monkeypatch):
     built = []
     build = centers._e0_ev
@@ -883,7 +920,7 @@ def _gamma1_stage_spends(em) -> list:
     spends = []
     for x in em.host.objects():
         b = Budget(CAP)
-        _enriched_half_braidings(em, x, b)
+        enumerate_enriched_half_braidings(em, x, b)
         spends.append(b.used)
     objs = res.witnesses["objects"]
     for oi, oj in itertools.product(objs, repeat=2):

@@ -16,7 +16,7 @@ from ecat.actions import monoidal_self_module
 from ecat.canonical import canonical_monoidal
 from ecat.centers import bracket_pair, gamma1
 from ecat.core import FinCategory, LazyPairTable
-from ecat.enriched_monoidal import _enriched_half_braidings
+from ecat.enriched_monoidal import enumerate_enriched_half_braidings
 from ecat.monoidal import braided_tensor_lax_structure, muger_center_z2, product_monoidal
 from ecat.report import Budget, StructureError
 
@@ -142,7 +142,9 @@ def _gamma1_objects(em):
     transparent subcategory its brackets live in."""
     budget = Budget(CAP)
     objs = [
-        (x, hb) for x in em.host.objects() for hb in _enriched_half_braidings(em, x, budget)
+        (x, hb)
+        for x in em.host.objects()
+        for hb in enumerate_enriched_half_braidings(em, x, budget)
     ]
     return objs, muger_center_z2(em.braiding)
 

@@ -10,7 +10,8 @@ Every ``.thin`` read of src/ecat outside the two base rules is gated by
 ``_is_monoidal`` or ``_thin_host``, and the composition sections that a
 thin gate skips are called only by their own checker and their one gated
 caller. Budget is spent only by ``core._search`` and the single-pool filters
-that ``report.Budget`` names.
+that ``report.Budget`` names, and made only by ``Budget.of``, so every
+search entry point shares a Budget it is handed.
 
 Names listed in the package's __all__ are re-exported, so they count as
 used in __init__.py.
@@ -465,3 +466,52 @@ def test_the_spend_scan_catches_a_spend_planted_in_the_sources():
 def test_only_the_search_and_the_named_filters_spend():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert stray_spends(sources) == []
+
+
+def budget_builders(sources: dict) -> list:
+    """The (module, line) of each call of ``Budget``, by name or attribute,
+    outside ``Budget.of`` in report.py."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        allowed = set()
+        if module == "report.py":
+            allowed = {
+                id(n)
+                for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Budget"
+                for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "of"
+                for n in ast.walk(fn)
+            }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "Budget":
+                    found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_the_scan_finds_a_budget_made_outside_budget_of():
+    sources = {
+        "report.py": (
+            "class Budget:\n    @staticmethod\n    def of(cap, what):\n"
+            "        return cap if isinstance(cap, Budget) else Budget(cap, what)\n\n"
+            "DEFAULT = Budget(1)\n"
+        ),
+        "core.py": "def f(c, cap=None):\n    return g(c, Budget.of(cap, 'f'))\n",
+        "centers.py": "def h(e, budget=None):\n    budget = budget or report.Budget(None, 'h')\n",
+    }
+    assert budget_builders(sources) == [("centers.py", 2), ("report.py", 6)]
+
+
+def test_the_budget_scan_catches_a_budget_planted_in_the_sources():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    planted = sources["centers.py"] + "\n\ndef _f(e, cap=None):\n    return Budget(cap, 'f')\n"
+    sources["centers.py"] = planted
+    line = planted.rstrip("\n").count("\n") + 1
+    assert budget_builders(sources) == [("centers.py", line)]
+
+
+def test_only_budget_of_makes_a_budget():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert budget_builders(sources) == []

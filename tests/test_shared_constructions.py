@@ -15,7 +15,7 @@ from ecat.actions import monoidal_self_module
 from ecat.canonical import canonical_monoidal
 from ecat.centers import gamma1, gamma1_of_canonical, gamma2_of_canonical
 from ecat.enriched_monoidal import (
-    _enriched_half_braidings,
+    enumerate_enriched_half_braidings,
     underlying_half_braiding,
     underlying_monoidal,
 )
@@ -143,7 +143,11 @@ def _canonical(name):
 
 def _gamma1_objects(em) -> list:
     budget = Budget(CAP)
-    return [(x, hb) for x in em.host.objects() for hb in _enriched_half_braidings(em, x, budget)]
+    return [
+        (x, hb)
+        for x in em.host.objects()
+        for hb in enumerate_enriched_half_braidings(em, x, budget)
+    ]
 
 
 def _row_major(t1: dict, n: int) -> tuple:

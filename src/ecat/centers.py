@@ -59,6 +59,7 @@ from ecat.core import (
     _nat_search,
     _search,
     check_nat_transf,
+    kept,
     labelled_category,
     product_category,
 )
@@ -155,32 +156,14 @@ def _t_el(em: EnrichedMonoidalCategory, x1: int, x2: int, y1: int, y2: int,
 def _el_mid_swap(em: EnrichedMonoidalCategory, a1: int, a2: int, b1: int,
                  b2: int, swap_el: int) -> int:
     """Element (a1@a2)@(b1@b2) -> (a1@b1)@(a2@b2) exchanging the middle
-    factors with swap_el: 1 -> hom(a2@b1, b1@a2)."""
-    e = em.host
+    factors with swap_el: 1 -> hom(a2@b1, b1@a2): ``monoidal.mid_swap`` in
+    the underlying monoidal category, read back as an element."""
+    u = underlying_category(em.host)
     t = em.t
-    objs = [
-        t(t(a1, a2), t(b1, b2)),
-        t(a1, t(a2, t(b1, b2))),
-        t(a1, t(t(a2, b1), b2)),
-        t(a1, t(t(b1, a2), b2)),
-        t(a1, t(b1, t(a2, b2))),
-        t(t(a1, b1), t(a2, b2)),
-    ]
-    els = [
-        em.a_el(a1, a2, t(b1, b2)),
-        _t_el(em, a1, a1, t(a2, t(b1, b2)), t(t(a2, b1), b2),
-              e.one(a1),
-              _el_inv(e, t(t(a2, b1), b2), t(a2, t(b1, b2)),
-                      em.a_el(a2, b1, b2))),
-        _t_el(em, a1, a1, t(t(a2, b1), b2), t(t(b1, a2), b2),
-              e.one(a1), _t_el(em, t(a2, b1), t(b1, a2), b2, b2,
-                               swap_el, e.one(b2))),
-        _t_el(em, a1, a1, t(t(b1, a2), b2), t(b1, t(a2, b2)),
-              e.one(a1), em.a_el(b1, a2, b2)),
-        _el_inv(e, t(t(a1, b1), t(a2, b2)), t(a1, t(b1, t(a2, b2))),
-                em.a_el(a1, b1, t(a2, b2))),
-    ]
-    return _el_path(e, objs, els)
+    return u.elements[mid_swap(
+        underlying_monoidal(em), a1, a2, b1, b2,
+        lambda v, w: u.index[(t(v, w), t(w, v), swap_el)],
+    )][2]
 
 
 # --- endofunctor enumeration ---
@@ -478,8 +461,7 @@ class CenterResult:
     category: object
     witnesses: dict
     forgetful: object | None = None
-    # the evaluation action of any kind, built on first use; not compared
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def e0_center(e: EnrichedCategory, cap: int | Budget | None = None) -> CenterResult:
@@ -611,18 +593,12 @@ def e0_center(e: EnrichedCategory, cap: int | Budget | None = None) -> CenterRes
     return CenterResult("E0", category, witnesses)
 
 
+@kept
 def e0_ev(res: CenterResult) -> EnrichedFunctor:
     """The evaluation action of a center of any kind on the host category
-    it was computed from, built on the first call for res and kept in
-    ``res.memo``. For E0 it evaluates endofunctors; for E1 and E2 it is the
-    host tensor after the forgetful functor in the first variable."""
-    ev = res.memo.get("ev")
-    if ev is None:
-        ev = res.memo["ev"] = _e0_ev(res)
-    return ev
-
-
-def _e0_ev(res: CenterResult) -> EnrichedFunctor:
+    it was computed from. For E0 it evaluates endofunctors; for E1 and E2
+    it is the host tensor after the forgetful functor in the first
+    variable."""
     if res.kind != "E0":
         em = res.witnesses["host"] if res.kind == "E1" else res.witnesses["host"].host
         return _computed(compose_enriched_functors(em.tensor, product_enriched_functor(

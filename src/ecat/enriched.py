@@ -21,6 +21,7 @@ from ecat.core import (
     ProductSequence,
     _search,
     hcomp_nats,
+    kept,
     labelled_bifunctor,
     labelled_category,
     opposite_category,
@@ -55,17 +56,14 @@ from ecat.report import Budget, StructureError, ValidationReport
 
 @dataclass(frozen=True, eq=True)
 class EnrichedCategory:
-    """A category enriched in base. ``underlying_category`` keeps its result
-    in ``_built``, once per instance; a build that raises is not kept, and a
-    ``dataclasses.replace`` copy builds afresh. ``_thin_host`` keeps its
-    verdict there too."""
+    """A category enriched in base."""
 
     base: MonoidalCategory
     n_objects: int
     hom_obj: Mapping  # (x,y) -> object of base
     ident: Mapping  # x -> morphism 1 -> hom(x,x)
     comp: Mapping  # (x,y,z) -> morphism hom(y,z)@hom(x,y) -> hom(x,z)
-    _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def objects(self):
         return range(self.n_objects)
@@ -133,6 +131,7 @@ def check_enriched(e: EnrichedCategory) -> ValidationReport:
     return report
 
 
+@kept
 def _thin_host(e: EnrichedCategory) -> bool:
     """Whether the base category of e is thin, the base passes
     ``monoidal._is_monoidal`` and e passes ``check_enriched``; False when a
@@ -143,19 +142,11 @@ def _thin_host(e: EnrichedCategory) -> bool:
     tensor, associators and unitors is defined, and any two parallel
     composites are equal (Lawvere 1973; Kelly 1982 §1). So a square built
     from them commutes once its other cells are typed (``_typed_cells``).
-    The verdict depends on e's tables alone, so it is decided once per
-    instance and kept in ``e._built``, as ``_is_monoidal`` keeps its verdict
-    in ``m._verdicts``.
     """
-    built = e._built
-    if "thin" not in built:
-        try:
-            built["thin"] = (
-                e.base.base.thin and _is_monoidal(e.base) and check_enriched(e).ok
-            )
-        except Exception:
-            built["thin"] = False
-    return built["thin"]
+    try:
+        return e.base.base.thin and _is_monoidal(e.base) and check_enriched(e).ok
+    except Exception:
+        return False
 
 
 def _typed_cells(e: EnrichedCategory, cells) -> bool:
@@ -235,14 +226,9 @@ class UnderlyingResult:
     index: dict  # (x, y, base morphism) -> morphism index
 
 
+@kept
 def underlying_category(e: EnrichedCategory) -> UnderlyingResult:
-    """The underlying category of e, built once and kept in ``e._built``."""
-    if "underlying" not in e._built:
-        e._built["underlying"] = _underlying_category(e)
-    return e._built["underlying"]
-
-
-def _underlying_category(e: EnrichedCategory) -> UnderlyingResult:
+    """The underlying category of e."""
     m = e.base
     c = m.base
     elements = [

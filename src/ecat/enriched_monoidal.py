@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from ecat.core import (
     Functor,
     _search,
+    kept,
     labelled_bifunctor,
 )
 from ecat.monoidal import (
@@ -81,11 +82,6 @@ class EnrichedMonoidalCategory:
     The associator and unitor entries are elements: base morphisms from the
     base unit into the relevant hom objects. Their backgrounds are, by
     definition, the coherence cells of the base and are not stored.
-
-    ``underlying_monoidal`` keeps its result in ``_built``, once per
-    instance, as ``BraidedStructure._built`` keeps the tensor background,
-    so the checkers and centers that read it share one build and its kept
-    ``monoidal._is_monoidal`` verdict.
     """
 
     host: EnrichedCategory
@@ -95,7 +91,7 @@ class EnrichedMonoidalCategory:
     associator: dict  # (x,y,z) -> 1 -> hom((x@y)@z, x@(y@z))
     left_unitor: tuple  # x -> 1 -> hom(unit@x, x)
     right_unitor: tuple  # x -> 1 -> hom(x@unit, x)
-    _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def pair(self, x: int, y: int) -> int:
         return x * self.host.n_objects + y
@@ -206,14 +202,9 @@ def unitor_nat(em: EnrichedMonoidalCategory, side: str) -> EnrichedNat:
     return _enriched_nat(src, ide, nat_comps, comps)
 
 
+@kept
 def underlying_monoidal(em: EnrichedMonoidalCategory) -> MonoidalCategory:
-    """The underlying monoidal category of the host, kept in ``em._built``."""
-    if "underlying" not in em._built:
-        em._built["underlying"] = _underlying_monoidal(em)
-    return em._built["underlying"]
-
-
-def _underlying_monoidal(em: EnrichedMonoidalCategory) -> MonoidalCategory:
+    """The underlying monoidal category of the host."""
     e = em.host
     u = underlying_category(e)
     m = e.base

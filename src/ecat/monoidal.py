@@ -25,6 +25,7 @@ from ecat.core import (
     check_nat_transf,
     identity_functor,
     identity_nat,
+    kept,
     labelled_bifunctor,
     labelled_category,
     product_category,
@@ -35,15 +36,7 @@ from ecat.report import Budget, StructureError, ValidationReport
 
 @dataclass(frozen=True, eq=True)
 class MonoidalCategory:
-    """A monoidal category on a finite category, by its tables.
-
-    Verdicts that a checker decides from the tables alone
-    (``_is_monoidal``) are kept in ``_verdicts`` on first use, once per
-    instance. It is a field outside ``__init__``, equality, hashing and
-    ``repr``, so a ``dataclasses.replace`` copy starts with an empty dict
-    and decides afresh. It relies on the tables not being mutated after
-    construction.
-    """
+    """A monoidal category on a finite category, by its tables."""
 
     base: FinCategory
     tensor: Functor  # from product_category(base, base) to base
@@ -51,7 +44,7 @@ class MonoidalCategory:
     associator: Mapping  # (a,b,c) -> morphism (a@b)@c -> a@(b@c)
     left_unitor: Sequence[int]  # unit@a -> a
     right_unitor: Sequence[int]  # a@unit -> a
-    _verdicts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def t_obj(self, a: int, b: int) -> int:
         return self.tensor.obj_map[a * self.base.n_objects + b]
@@ -185,6 +178,7 @@ def _out_of_product(fun: Functor, x: FinCategory, y: FinCategory) -> bool:
         return False
 
 
+@kept
 def _is_monoidal(m: MonoidalCategory) -> bool:
     """Whether m passes ``check_monoidal`` with its tensor out of
     ``product_category(m.base, m.base)`` into ``m.base``, a category;
@@ -194,19 +188,12 @@ def _is_monoidal(m: MonoidalCategory) -> bool:
     parallel morphisms are equal (Lawvere 1973; Kelly 1982 §1), so a
     coherence law built on m commutes once its cells are typed, and a
     monoidal m makes every composite of its tensor and coherence cells
-    defined and typed, with invertible associators and unitors. The
-    verdict depends on m's tables alone, so it is decided once per
-    instance and kept in ``m._verdicts``.
+    defined and typed, with invertible associators and unitors.
     """
-    verdicts = m._verdicts
-    if "monoidal" not in verdicts:
-        try:
-            verdicts["monoidal"] = (
-                _out_of_product(m.tensor, m.base, m.base) and check_monoidal(m).ok
-            )
-        except Exception:
-            verdicts["monoidal"] = False
-    return verdicts["monoidal"]
+    try:
+        return _out_of_product(m.tensor, m.base, m.base) and check_monoidal(m).ok
+    except Exception:
+        return False
 
 
 def strict_monoidal(
@@ -267,18 +254,12 @@ def reversed_monoidal(m: MonoidalCategory) -> MonoidalCategory:
 
 @dataclass(frozen=True, eq=True)
 class BraidedStructure:
-    """A braiding on a monoidal category.
-
-    ``braided_tensor_lax_structure`` keeps its result, whose mult cells are
-    computed as they are read, in ``_built``, once per instance, a field
-    kept as ``MonoidalCategory._verdicts`` is, so a ``dataclasses.replace``
-    copy builds afresh.
-    """
+    """A braiding on a monoidal category."""
 
     host: MonoidalCategory
     braiding: dict  # (a,b) -> morphism a@b -> b@a
     symmetric_flag: bool = False
-    _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def c(self, a: int, b: int) -> int:
         return self.braiding[(a, b)]
@@ -603,17 +584,11 @@ def mid_swap(m: MonoidalCategory, a1: int, a2: int, b1: int, b2: int, swap) -> i
     return c.comp_many(s5, s4, s3, s2, s1)
 
 
+@kept
 def braided_tensor_lax_structure(b: BraidedStructure) -> LaxMonoidalFunctor:
-    """The tensor functor A x A -> A with the braiding-induced lax cells,
-    built once per instance of b. The mult cells are a ``LazyPairTable``:
-    each is composed when it is first read, and one that cannot be composed
-    raises there."""
-    if "tensor" not in b._built:
-        b._built["tensor"] = _braided_tensor_lax_structure(b)
-    return b._built["tensor"]
-
-
-def _braided_tensor_lax_structure(b: BraidedStructure) -> LaxMonoidalFunctor:
+    """The tensor functor A x A -> A with the braiding-induced lax cells.
+    The mult cells are a ``LazyPairTable``: each is composed when it is
+    first read, and one that cannot be composed raises there."""
     m = b.host
     prod = product_monoidal(m, m)
     n = m.base.n_objects

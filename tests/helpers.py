@@ -3138,7 +3138,43 @@ def eager_gamma1_cells(em: EnrichedMonoidalCategory, res: CenterResult) -> dict:
 #
 # The parent body of centers._center_evaluation_action, verbatim: it built
 # the acting composite from em, not from the center's own host, and every
-# f2 cell into a dict.
+# f2 cell into a dict. Its cells come from the live centers._el_mid_swap,
+# so that a cell that cannot be computed raises the same error in both
+# builders (test_evaluation_action pins the message). parent_el_mid_swap is
+# the parent body of centers._el_mid_swap, which composed the mid-swap
+# element by element before it became a reading of monoidal.mid_swap in
+# the underlying monoidal category; test_centers compares the two.
+
+
+def parent_el_mid_swap(em: EnrichedMonoidalCategory, a1: int, a2: int, b1: int,
+                       b2: int, swap_el: int) -> int:
+    """Element (a1@a2)@(b1@b2) -> (a1@b1)@(a2@b2) exchanging the middle
+    factors with swap_el: 1 -> hom(a2@b1, b1@a2)."""
+    e = em.host
+    t = em.t
+    objs = [
+        t(t(a1, a2), t(b1, b2)),
+        t(a1, t(a2, t(b1, b2))),
+        t(a1, t(t(a2, b1), b2)),
+        t(a1, t(t(b1, a2), b2)),
+        t(a1, t(b1, t(a2, b2))),
+        t(t(a1, b1), t(a2, b2)),
+    ]
+    els = [
+        em.a_el(a1, a2, t(b1, b2)),
+        _t_el(em, a1, a1, t(a2, t(b1, b2)), t(t(a2, b1), b2),
+              e.one(a1),
+              _el_inv(e, t(t(a2, b1), b2), t(a2, t(b1, b2)),
+                      em.a_el(a2, b1, b2))),
+        _t_el(em, a1, a1, t(t(a2, b1), b2), t(t(b1, a2), b2),
+              e.one(a1), _t_el(em, t(a2, b1), t(b1, a2), b2, b2,
+                               swap_el, e.one(b2))),
+        _t_el(em, a1, a1, t(t(b1, a2), b2), t(b1, t(a2, b2)),
+              e.one(a1), em.a_el(b1, a2, b2)),
+        _el_inv(e, t(t(a1, b1), t(a2, b2)), t(a1, t(b1, t(a2, b2))),
+                em.a_el(a1, b1, t(a2, b2))),
+    ]
+    return _el_path(e, objs, els)
 
 
 def eager_center_evaluation_action(res: CenterResult, em: EnrichedMonoidalCategory,

@@ -791,21 +791,23 @@ def test_a_search_entry_point_handed_a_budget_spends_only_from_it(name, monkeypa
 
 
 def test_an_e0_center_builds_its_evaluation_action_once(monkeypatch):
-    built = []
-    build = centers._e0_ev
+    # the build makes one cartesian product of the center's host and e
+    products = []
+    product = centers.cartesian_product_enriched
 
-    def counting(res):
-        built.append(res)
-        return build(res)
+    def counting(a, b):
+        products.append((a, b))
+        return product(a, b)
 
-    monkeypatch.setattr(centers, "_e0_ev", counting)
+    monkeypatch.setattr(centers, "cartesian_product_enriched", counting)
     e = chain2_enriched()
     res = e0_center(e, CAP)
     for act in (evaluation_action(res, e), trivial_action(e)):
         assert verify_e0_universal(e, act, CAP, res).uniqueness_count == 1
-    assert built == [res]
+    assert sum(a is res.category.host and b is e for a, b in products) == 1
     assert e0_ev(res) is evaluation_action(res, e).odot
-    assert res == dataclasses.replace(res, memo={})  # the memo is not compared
+    copy = dataclasses.replace(res)
+    assert res == copy and res._kept and not copy._kept  # the store is not compared
 
 
 @pytest.mark.parametrize("level", ["E1", "E2"])
@@ -813,14 +815,9 @@ def test_a_center_builds_its_evaluation_functor_once(monkeypatch, level):
     """The evaluation action and both verifier runs share one acting
     composite, and a lattice-4 run reads at most the 2·|la|·nM f2 cells that
     the induced half-braidings and rho need."""
-    built, composed, swaps = [], [], []
-    build = centers._e0_ev
+    composed, swaps = [], []
     compose = centers.compose_enriched_functors
     mid_swap = centers._el_mid_swap
-
-    def counting(res):
-        built.append(res)
-        return build(res)
 
     def composing(g, f):
         composed.append(g)
@@ -830,7 +827,6 @@ def test_a_center_builds_its_evaluation_functor_once(monkeypatch, level):
         swaps.append(args)
         return mid_swap(*args)
 
-    monkeypatch.setattr(centers, "_e0_ev", counting)
     monkeypatch.setattr(centers, "compose_enriched_functors", composing)
     monkeypatch.setattr(centers, "_el_mid_swap", swapping)
     b = identity_braiding(lattice4_monoidal())
@@ -847,21 +843,23 @@ def test_a_center_builds_its_evaluation_functor_once(monkeypatch, level):
     assert (n_la, n_m) == (4, 4)
     assert 0 < len(swaps) <= 2 * n_la * n_m < len(act.f2)
     assert verify(subject, trivial_monoidal_action(em), CAP, res).uniqueness_count == 1
-    assert built == [res]
+    assert res._kept == {e0_ev.__wrapped__: act.odot}
     assert sum(g is em.tensor for g in composed) == 1
     assert e0_ev(res) is act.odot
-    assert res == dataclasses.replace(res, memo={})  # the memo is not compared
+    copy = dataclasses.replace(res)
+    assert res == copy and not copy._kept  # the store is not compared
 
 
 def test_an_enriched_monoidal_category_builds_its_underlying_once(monkeypatch):
+    # the build tabulates its tensor once; record the em it builds for
     built = []
-    build = enriched_monoidal._underlying_monoidal
+    bifunctor = enriched_monoidal.labelled_bifunctor
 
-    def counting(em):
-        built.append(em)
-        return build(em)
+    def counting(*args):
+        built.append(sys._getframe(1).f_locals["em"])
+        return bifunctor(*args)
 
-    monkeypatch.setattr(enriched_monoidal, "_underlying_monoidal", counting)
+    monkeypatch.setattr(enriched_monoidal, "labelled_bifunctor", counting)
     em = preorder_enriched_monoidal()
     eb = EnrichedBraidedCategory(em, preorder_braiding_el(em), True)
     assert check_enriched_monoidal(em).ok
@@ -876,18 +874,19 @@ def test_an_enriched_monoidal_category_builds_its_underlying_once(monkeypatch):
     for _ in range(2):
         with pytest.raises(StructureError):
             underlying_monoidal(bad)
-    assert len(built) == 4 and not bad._built
+    assert len(built) == 4 and not bad._kept
 
 
 def test_an_enriched_category_builds_its_underlying_once(monkeypatch):
+    # the build numbers its elements once, with e.one as the identity
     built = []
-    build = enriched._underlying_category
+    number = enriched.labelled_category
 
-    def counting(e):
-        built.append(e)
-        return build(e)
+    def counting(n, elements, identity, compose):
+        built.append(identity.__self__)
+        return number(n, elements, identity, compose)
 
-    monkeypatch.setattr(enriched, "_underlying_category", counting)
+    monkeypatch.setattr(enriched, "labelled_category", counting)
     em = preorder_enriched_monoidal()
     eb = EnrichedBraidedCategory(em, preorder_braiding_el(em), True)
     assert check_enriched_monoidal(em).ok
@@ -900,7 +899,7 @@ def test_an_enriched_category_builds_its_underlying_once(monkeypatch):
     assert len({id(e) for e in built}) == len(built)  # one build per instance
     e = em.host
     copy = dataclasses.replace(e)
-    assert copy == e and not copy._built
+    assert copy == e and not copy._kept
     assert underlying_category(copy) is underlying_category(copy)
     assert underlying_category(copy) == underlying_category(e)
     assert sum(b is copy for b in built) == 1
@@ -910,7 +909,7 @@ def test_an_enriched_category_builds_its_underlying_once(monkeypatch):
     for _ in range(2):
         with pytest.raises(KeyError):
             underlying_category(bad)
-    assert len(built) == before + 2 and not bad._built
+    assert len(built) == before + 2 and not bad._kept
 
 
 def _gamma1_stage_spends(em) -> list:

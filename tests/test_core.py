@@ -1,8 +1,9 @@
+import dataclasses
 import sys
 
 import pytest
 
-from ecat import centers, enriched, monoidal
+from ecat import centers, enriched, enriched_monoidal, monoidal
 from ecat.actions import self_module
 from ecat.canonical import canonical_construction
 from ecat.core import (
@@ -20,6 +21,7 @@ from ecat.core import (
     identity_functor,
     inverse_functor,
     iso_search,
+    kept,
     labelled_category,
     opposite_category,
     product_category,
@@ -227,7 +229,7 @@ LABELLED_FIXTURES = {
     "B(Z/2xZ/2)": lambda: identity_braiding(delooping_monoidal(2, 2)),
 }
 LABELLED_BUILDERS = {
-    "_underlying_category", "drinfeld_center_z1", "full_monoidal_subcategory",
+    "underlying_category", "drinfeld_center_z1", "full_monoidal_subcategory",
     "e0_center_via_module", "_finset",
 }
 
@@ -267,3 +269,82 @@ def test_labelled_category_matches_all_pairs_on_every_builder(name, monkeypatch)
         return
     centers.e0_center_via_module(self_module(m), 10**6)
     assert seen == LABELLED_BUILDERS
+
+
+# --- core.kept: what is built from an instance, kept once per instance ---
+
+
+@dataclasses.dataclass(frozen=True)
+class _Tables:
+    n: int
+    _kept: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
+
+
+def test_a_kept_build_runs_once_per_instance_and_afresh_on_a_replace_copy():
+    calls = []
+
+    @kept
+    def doubled(t):
+        calls.append(t)
+        return [2 * t.n]
+
+    t = _Tables(3)
+    assert doubled(t) == [6] and doubled(t) is doubled(t)
+    assert calls == [t] and calls[0] is t
+    copy = dataclasses.replace(t)
+    assert copy == t and copy._kept == {}
+    assert doubled(copy) == [6] and doubled(copy) is not doubled(t)
+    assert len(calls) == 2 and calls[1] is copy
+
+
+def test_a_kept_build_that_raises_keeps_nothing_and_raises_again():
+    calls = []
+
+    @kept
+    def failing(t):
+        calls.append(t)
+        raise StructureError(f"no build for {t.n}")
+
+    t = _Tables(1)
+    for _ in range(2):
+        with pytest.raises(StructureError, match="no build for 1"):
+            failing(t)
+    assert len(calls) == 2 and t._kept == {}
+
+
+def test_the_kept_store_is_outside_equality_hashing_and_repr():
+    @kept
+    def built(t):
+        return t.n
+
+    t, u = _Tables(2), _Tables(2)
+    assert built(t) == 2 and t._kept and not u._kept
+    assert t == u and hash(t) == hash(u) and repr(t) == repr(u) == "_Tables(n=2)"
+    for cls in (
+        monoidal.MonoidalCategory, monoidal.BraidedStructure, enriched.EnrichedCategory,
+        enriched_monoidal.EnrichedMonoidalCategory, centers.CenterResult,
+    ):
+        (f,) = [f for f in dataclasses.fields(cls) if f.name == "_kept"]
+        assert not (f.init or f.compare or f.repr), cls
+
+
+def test_two_kept_builds_on_one_instance_do_not_collide():
+    @kept
+    def first(t):
+        return ("first", t.n)
+
+    @kept
+    def second(t):
+        return ("second", t.n)
+
+    t = _Tables(5)
+    assert first(t) == ("first", 5) and second(t) == ("second", 5)
+    assert first(t) == ("first", 5)
+    assert t._kept == {first.__wrapped__: ("first", 5), second.__wrapped__: ("second", 5)}
+    # two of the library's kept builds on one enriched category
+    e = canonical_construction(self_module(lattice4_monoidal())).enriched
+    u = enriched.underlying_category(e)
+    assert enriched._thin_host(e) is True and enriched.underlying_category(e) is u
+    assert e._kept == {
+        enriched.underlying_category.__wrapped__: u, enriched._thin_host.__wrapped__: True,
+    }

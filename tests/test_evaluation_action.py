@@ -1,12 +1,14 @@
 """The E1 and E2 evaluation actions against the eager builder they replaced.
 
 gamma1_evaluation_action and gamma2_evaluation_action take their acting
-functor from the center's memo (``e0_ev``) and compute each f2 cell when it
-is read; eager_center_evaluation_action in helpers.py built the composite
+functor from ``e0_ev``, kept once per center, and compute each f2 cell when
+it is read; eager_center_evaluation_action in helpers.py built the composite
 afresh and every f2 cell into a dict. On the center's own host both give
 the same action, entry by entry, and an f2 cell that cannot be computed
 raises the same error, at construction for the eager builder and when read
-for the lazy one.
+for the lazy one. Each f2 cell is ``centers._el_mid_swap``, a reading of
+``monoidal.mid_swap`` in the underlying monoidal category; it equals the
+element-by-element parent body it replaced.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ import ecat.centers
 from ecat.actions import monoidal_self_module
 from ecat.canonical import canonical_braided
 from ecat.centers import (
+    _el_mid_swap,
     gamma1,
     gamma1_evaluation_action,
     gamma2,
@@ -35,9 +38,13 @@ from helpers import (
     identity_braiding,
     lattice2_monoidal,
     lattice4_monoidal,
+    lattice8_monoidal,
+    parent_el_mid_swap,
     preorder_enriched_monoidal,
+    semion_enriched_monoidal,
     sign_algebra,
     sign_monoidal,
+    z2_discrete_monoidal,
 )
 
 CAP = 500_000
@@ -170,3 +177,33 @@ def test_an_f2_cell_that_cannot_be_computed_raises_when_it_is_read(level, name):
         else:
             assert list(lazy.f2.items()) == list(eager.f2.items())
     assert raised > 0
+
+
+# each host with its number of (cell, swap element) cases, 4,529 in all
+MID_SWAP_HOSTS = {
+    "preorder": (preorder_enriched_monoidal, 16),
+    "semion": (semion_enriched_monoidal, 64),
+    "lattice4": (lambda: _canonical(lattice4_monoidal()).host, 256),
+    "lattice8": (lambda: _canonical(lattice8_monoidal()).host, 4096),
+    "chain3": (lambda: _canonical(chain3_monoidal()).host, 81),
+    "z2": (lambda: _canonical(z2_discrete_monoidal()).host, 16),
+}
+
+
+@pytest.mark.parametrize("name", MID_SWAP_HOSTS)
+def test_the_mid_swap_element_equals_the_parent_one(name):
+    """On every cell (a1, a2, b1, b2) and every swap element
+    1 -> hom(a2@b1, b1@a2), the mid-swap read from the underlying monoidal
+    category is the element the parent composed step by step."""
+    build, expected = MID_SWAP_HOSTS[name]
+    em = build()
+    e = em.host
+    c = e.base.base
+    cases = 0
+    for a1, a2, b1, b2 in itertools.product(range(e.n_objects), repeat=4):
+        for swap_el in c.hom(e.base.unit, e.hom(em.t(a2, b1), em.t(b1, a2))):
+            cases += 1
+            assert _el_mid_swap(em, a1, a2, b1, b2, swap_el) == parent_el_mid_swap(
+                em, a1, a2, b1, b2, swap_el
+            ), (a1, a2, b1, b2, swap_el)
+    assert cases == expected

@@ -11,7 +11,10 @@ Every ``.thin`` read of src/ecat outside the two base rules is gated by
 thin gate skips are called only by their own checker and their one gated
 caller. Budget is spent only by ``core._search`` and the single-pool filters
 that ``report.Budget`` names, and made only by ``Budget.of``, so every
-search entry point shares a Budget it is handed.
+search entry point shares a Budget it is handed. What is built from an
+instance is kept only by ``core.kept``: no other dict field is declared
+with ``init=False``, ``._kept`` is read or written only inside ``kept``, and
+nothing writes through ``vars(`` or ``.__dict__``.
 
 Names listed in the package's __all__ are re-exported, so they count as
 used in __init__.py.
@@ -515,3 +518,112 @@ def test_the_budget_scan_catches_a_budget_planted_in_the_sources():
 def test_only_budget_of_makes_a_budget():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert budget_builders(sources) == []
+
+
+# the methods that write to the dict they are called on
+DICT_WRITES = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _instance_dict(node) -> bool:
+    """Whether node is ``vars(...)`` or ``<expr>.__dict__``."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "vars"
+    return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+
+def stray_stores(sources: dict) -> list:
+    """The (module, line, kind) of each store of built things outside
+    ``core.kept``: a ``field`` declared ``init=False`` with a dict
+    annotation or ``default_factory=dict`` under any name but ``_kept``
+    ("field"); a read or write of ``._kept`` outside the def of ``kept`` in
+    core.py ("_kept"); a write through ``vars(`` or ``.__dict__``, by
+    subscript or by a writing dict method ("vars")."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        allowed = set()
+        if module == "core.py":
+            allowed = {
+                id(n)
+                for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "kept"
+                for n in ast.walk(fn)
+            }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)
+                and node.target.id != "_kept"
+                and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "field"
+            ):
+                kw = {k.arg: k.value for k in node.value.keywords}
+                init = kw.get("init")
+                factory = kw.get("default_factory")
+                if (
+                    isinstance(init, ast.Constant) and init.value is False
+                    and (
+                        ast.unparse(node.annotation).startswith("dict")
+                        or getattr(factory, "id", None) == "dict"
+                    )
+                ):
+                    found.append((module, node.lineno, "field"))
+            elif isinstance(node, ast.Attribute) and node.attr == "_kept" and id(node) not in allowed:
+                found.append((module, node.lineno, "_kept"))
+            elif (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and _instance_dict(node.value)
+            ) or (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in DICT_WRITES
+                and _instance_dict(node.func.value)
+            ):
+                found.append((module, node.lineno, "vars"))
+    return sorted(found)
+
+
+def test_the_scan_finds_a_stray_store():
+    sources = {
+        "core.py": (
+            "def kept(build):\n    def get(obj):\n        return obj._kept[build]\n"
+            "    return get\n\ndef f(o):\n    return o._kept\n"
+        ),
+        "a.py": (
+            "@dataclass\nclass A:\n"
+            "    _kept: dict = field(default_factory=dict, init=False, repr=False)\n"
+            "    _memo: dict = field(default_factory=dict, init=False, compare=False)\n"
+            "    names: tuple = field(default=(), init=False)\n"
+            "    seen: dict = field(default_factory=dict)\n"
+            "    cache: Mapping = field(default_factory=dict, init=False)\n"
+        ),
+        "b.py": (
+            "def f(o, k, v):\n    vars(o)[k] = v\n    o.__dict__.update(k=v)\n"
+            "    del o.__dict__[k]\n    return vars(o).get(k), o.__dict__[k]\n\n"
+            "x = o._kept\n"
+        ),
+    }
+    assert stray_stores(sources) == [
+        ("a.py", 4, "field"), ("a.py", 7, "field"),
+        ("b.py", 2, "vars"), ("b.py", 3, "vars"), ("b.py", 4, "vars"), ("b.py", 7, "_kept"),
+        ("core.py", 7, "_kept"),
+    ]
+
+
+def test_the_store_scan_catches_a_store_planted_in_the_sources():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    planted = sources["centers.py"] + (
+        "\n\n@dataclass\nclass _Memo:\n"
+        "    memo: dict = field(default_factory=dict, init=False, compare=False)\n"
+        "\n\ndef _f(res):\n    vars(res)['ev'] = res._kept\n"
+    )
+    sources["centers.py"] = planted
+    last = planted.rstrip("\n").count("\n") + 1
+    assert stray_stores(sources) == [
+        ("centers.py", last - 4, "field"), ("centers.py", last, "_kept"), ("centers.py", last, "vars"),
+    ]
+
+
+def test_only_kept_keeps_what_is_built_from_an_instance():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert stray_stores(sources) == []

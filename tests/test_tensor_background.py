@@ -7,6 +7,7 @@ enumerates both routes of every naturality square."""
 import dataclasses
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -597,27 +598,30 @@ def test_the_base_verdict_is_decided_once_per_monoidal_category(monkeypatch):
 def test_kept_verdicts_are_a_field_that_replace_starts_empty():
     m = lattice4_monoidal()
     # set in __init__, so a verdict written later adds no instance attribute
-    assert vars(m)["_verdicts"] == {}
-    assert _is_monoidal(m) and m._verdicts == {"monoidal": True}
+    assert vars(m)["_kept"] == {}
+    assert _is_monoidal(m) and m._kept == {_is_monoidal.__wrapped__: True}
     copy = dataclasses.replace(m)
-    assert copy == m and copy._verdicts == {}
-    (f,) = [f for f in dataclasses.fields(MonoidalCategory) if f.name == "_verdicts"]
+    assert copy == m and copy._kept == {}
+    (f,) = [f for f in dataclasses.fields(MonoidalCategory) if f.name == "_kept"]
     assert not (f.init or f.compare or f.repr)
-    assert "_verdicts" not in repr(m)
+    assert "_kept" not in repr(m)
 
 
 def test_the_pinned_background_is_built_once_per_braided_structure(monkeypatch):
+    # the build makes one lazy table of mult cells; record the b it builds for
     builds = []
-    build = ecat.monoidal._braided_tensor_lax_structure
+    table = ecat.monoidal.LazyPairTable
 
-    def counting(b):
-        builds.append(b)
-        return build(b)
+    def counting(n, entry):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "braided_tensor_lax_structure":
+            builds.append(frame.f_locals["b"])
+        return table(n, entry)
 
     em = _canonical(lattice4_monoidal)
     # a copy of the braiding has built nothing yet
     em = dataclasses.replace(em, braiding=dataclasses.replace(em.braiding))
-    monkeypatch.setattr(ecat.monoidal, "_braided_tensor_lax_structure", counting)
+    monkeypatch.setattr(ecat.monoidal, "LazyPairTable", counting)
     for _ in range(3):
         assert check_enriched_monoidal(em).ok
     assert builds == [em.braiding] and builds[0] is em.braiding

@@ -12,8 +12,10 @@ Hom objects of the E0 and E1 centers are terminal families: a center object
 with components into hom objects (one per object for E0, a single zeta for
 E1), searched by ``_bracket_search`` and found by one terminal finder, which
 records each family's unique morphism into the terminal one. On a thin host
-with typed cells (``enriched._family_cells``, ``_bracket_cells``) no sliding
-square or factoring is composed.
+with typed cells (``enriched._enriched_functor_cells`` and
+``_half_braiding_cells``, typed once per functor and once per center by
+``condition_star``; ``_bracket_cells``) no sliding square or factoring is
+composed.
 Both centers build their category of terminal families with one host,
 ``_family_host``: identities and composites are the mediators of the
 identity and composite families. A mediator of a listed family is read
@@ -26,7 +28,8 @@ The three universal-property verifiers run one skeleton: an induced
 comparison functor, its background, the unit isomorphism rho and the two
 pasting equations, then a brute-force count of the mediating
 isomorphisms; each level supplies only how its comparison functor lands
-in its center.
+in its center. On a thin host typing decides the naturality squares of
+rho and of each mediator candidate (``_nat_report``).
 """
 
 from __future__ import annotations
@@ -66,17 +69,21 @@ from ecat.core import (
 from ecat.enriched import (
     EnrichedCategory,
     EnrichedFunctor,
+    EnrichedNat,
     _bracket_cells,
+    _check_enriched_nat_squares,
+    _check_enriched_nat_typing,
     _computed,
+    _enriched_functor_cells,
     _enriched_functor_search,
     _enriched_nat,
-    _family_cells,
     _functor_cells,
+    _half_braiding_cells,
+    _mult_cells,
     _typed_cells,
     cartesian_product_enriched,
     check_enriched,
     check_enriched_functor,
-    check_enriched_nat,
     compose_enriched_functors,
     hom_post,
     hom_pre,
@@ -184,7 +191,9 @@ def enumerate_identity_background_functors(
 
 
 def _functor_key(f: EnrichedFunctor) -> tuple:
-    return (tuple(f.obj_map), tuple(sorted(f.components.items())))
+    """The object map of f and its components read in (x, y) order."""
+    pairs = itertools.product(f.source.objects(), repeat=2)
+    return tuple(f.obj_map), tuple(map(f.components.__getitem__, pairs))
 
 
 # --- terminal families ---
@@ -358,16 +367,16 @@ def _family_host(e: EnrichedCategory, incl: LaxMonoidalFunctor, brackets: dict,
 
 
 def _bracket_search(e: EnrichedCategory, incl: LaxMonoidalFunctor, targets: list,
-                    square, cells, budget: Budget) -> Bracket | None:
+                    square, thin: bool, budget: Budget) -> Bracket | None:
     """The first terminal family over the center that incl includes into the
     base of e: a center object a (variable 0) with one component
     incl(a) -> targets[i - 1] per variable i after it. square decides a family
-    at its last variable, unless cells (what square and the factorings read
-    besides the components) and incl on morphisms are typed on a thin host
-    (``_typed_cells``): then every square commutes and every family factors."""
+    at its last variable, unless thin: the caller's verdict that what square
+    and the factorings read besides the components, and incl on morphisms,
+    are typed on a thin host (``_typed_cells``). Then every square commutes
+    and every family factors."""
     c = e.base.base
     k = len(targets)
-    thin = _typed_cells(e, itertools.chain(cells, _functor_cells(incl)))
 
     def domain(i, v):
         if i == 0:
@@ -409,16 +418,27 @@ def bracket_family(e: EnrichedCategory, fF: EnrichedFunctor,
 
     Families pair an object a of the ordinary center z1 of the base with
     components I(a) -> hom(Fx, Gx) that slide past every hom; morphisms
-    are center morphisms compatible with both families (``_bracket_search``
-    over the cells of ``enriched._family_cells``).
+    are center morphisms compatible with both families (``_bracket_search``,
+    thin when the components of fF and fG, the cells of
+    ``enriched._half_braiding_cells`` and the forgetful functor of z1 are
+    typed).
     """
+    cells = itertools.chain(
+        _enriched_functor_cells(fF), _enriched_functor_cells(fG),
+        _half_braiding_cells(e, z1), _functor_cells(z1.forgetful),
+    )
+    return _family_search(e, fF, fG, z1, _typed_cells(e, cells), budget)
+
+
+def _family_search(e: EnrichedCategory, fF: EnrichedFunctor, fG: EnrichedFunctor,
+                   z1, thin: bool, budget: Budget) -> Bracket | None:
+    """``bracket_family`` with its thin verdict given."""
 
     def slides(v):
         return _family_square_ok(e, fF, fG, z1.object_data[v[0]][1], v[1:])
 
     targets = [e.hom(fF.on_obj(x), fG.on_obj(x)) for x in e.objects()]
-    cells = _family_cells(e, fF, fG, z1)
-    return _bracket_search(e, z1.forgetful, targets, slides, cells, budget)
+    return _bracket_search(e, z1.forgetful, targets, slides, thin, budget)
 
 
 @dataclass
@@ -434,14 +454,22 @@ def condition_star(e: EnrichedCategory, cap: int | Budget | None = None) -> Star
     """Check whether every endofunctor pair has a terminal family.
 
     One budget of cap units (None, an int, or a Budget to share) bounds the
-    ordinary center, the endofunctor enumeration and every family search."""
+    ordinary center, the endofunctor enumeration and every family search.
+
+    The cells that ``bracket_family`` types for a pair are typed here once
+    per endofunctor and once for z1, and each pair's search is thin when
+    its two functors and z1 are."""
     budget = Budget.of(cap, "E0 center")
     z1 = drinfeld_center_z1(e.base, budget)
     functors = enumerate_identity_background_functors(e, e, budget)
+    z1_typed = _typed_cells(
+        e, itertools.chain(_half_braiding_cells(e, z1), _functor_cells(z1.forgetful)))
+    typed = [z1_typed and _typed_cells(e, _enriched_functor_cells(f)) for f in functors]
     brackets = {}
     for i, fF in enumerate(functors):
         for j, fG in enumerate(functors):
-            brackets[(i, j)] = bracket_family(e, fF, fG, z1, budget)
+            brackets[(i, j)] = _family_search(
+                e, fF, fG, z1, typed[i] and typed[j], budget)
     return StarResult(tuple(functors), brackets, z1)
 
 
@@ -867,8 +895,8 @@ def bracket_pair(em: EnrichedMonoidalCategory, z2: tuple, oi, oj,
             for z in e.objects()
         )
 
-    cells = _bracket_cells(em, oi, oj)
-    return _bracket_search(e, z2incl, [e.hom(x, y)], slides, cells, budget)
+    thin = _typed_cells(e, itertools.chain(_bracket_cells(em, oi, oj), _functor_cells(z2incl)))
+    return _bracket_search(e, z2incl, [e.hom(x, y)], slides, thin, budget)
 
 
 def gamma1(em: EnrichedMonoidalCategory, cap: int | Budget | None = None) -> CenterResult:
@@ -1294,6 +1322,34 @@ def _apply_pair(fun: EnrichedFunctor, n2: int, m2: int, p1: int, x1: int,
     )
 
 
+def _nat_report(n: EnrichedNat, cells) -> ValidationReport:
+    """``check_enriched_nat(n)``, with the naturality squares composed only
+    when the typing passes and cells are not typed on the host that n's
+    functors map into (``_typed_cells``).
+
+    cells are the components of the source and target functors of n, or
+    what types them. The typing covers n's components and its background,
+    whose components ``check_lax_monoidal_nat`` types. Then both routes of
+    each square are parallel morphisms of the thin base, hence equal
+    (Lawvere 1973; Kelly 1982 §1)."""
+    report = ValidationReport("enriched natural transformation")
+    if _check_enriched_nat_typing(n, report) and not _typed_cells(n.source.target, cells):
+        _check_enriched_nat_squares(n, report)
+    return report
+
+
+@kept
+def _ev_typed(res: CenterResult) -> bool:
+    """Whether the action ``e0_ev(res)`` of the center on its host is typed
+    on a thin host: its background on morphisms, its mult cells and its
+    components. Then a composite of it after a product of typed functors,
+    as the source of rho, is typed and computable without being read."""
+    act = e0_ev(res)
+    bg = act.background
+    return _typed_cells(act.target, itertools.chain(
+        _functor_cells(bg), _mult_cells(bg), _enriched_functor_cells(act)))
+
+
 class _UniversalCheck:
     """The skeleton shared by the E0, E1 and E2 universal-property checks.
 
@@ -1303,7 +1359,15 @@ class _UniversalCheck:
     builds the comparison functor, the natural isomorphism rho from the
     center's action on its own host (``e0_ev``) composed with it to the
     given action, checks both pasting equations, and counts the mediating
-    isomorphisms by exhaustive search. Each level supplies
+    isomorphisms by exhaustive search.
+
+    Typing decides two checks on a thin host (``_nat_report``): the
+    naturality squares of rho, once the given action's components are typed
+    and so are the three factors of rho's source (the comparison functor,
+    by its own check; the center's action on e, by ``_ev_typed``; the
+    identity), which is then never materialised; and the naturality squares
+    of each mediator candidate, once the comparison functor's components
+    are typed. Everything else is checked in full. Each level supplies
     comparison_objects, background_objects, rho_el, pasting_underlying_ok,
     pasting_background_ok, fixes_unit and fixes_rho; lift and component
     default to lifting through incl and mediating into the center's
@@ -1414,7 +1478,8 @@ class _UniversalCheck:
         for a, b in itertools.product(la.objects(), repeat=2):
             comps[(a, b)] = self.component(P, phat_obj, a, b, la.hom(a, b))
         ecp = EnrichedFunctor(phat, la, host, tuple(P), comps)
-        for v in check_enriched_functor(ecp).violations:
+        ecp_report = check_enriched_functor(ecp)
+        for v in ecp_report.violations:
             report.add("comparison-functor-" + v.law, v.instance, v.detail)
         self.after_comparison(P)
 
@@ -1431,12 +1496,21 @@ class _UniversalCheck:
                 )
         rho_el = self.rho_el()
         act = e0_ev(self.res)
-        fun1 = _computed(compose_enriched_functors(
+        fun1 = compose_enriched_functors(
             act, product_enriched_functor(ecp, identity_enriched_functor(e))
-        ))
+        )
+        ev_typed = act.target == e and _ev_typed(self.res)
+        if ecp_report.ok and ev_typed:
+            fun1_cells = ()  # typed, and computable, through its three factors
+        else:
+            fun1_cells = _enriched_functor_cells(_computed(fun1))
+        if action.odot is act and ev_typed:
+            odot_cells = ()  # the evaluation action: typed by _ev_typed
+        else:
+            odot_cells = _enriched_functor_cells(action.odot)
         rho_bg_comps = [rho_bg[(a, b)] for a in ca.objects() for b in c.objects()]
         ecrho = _enriched_nat(fun1, action.odot, rho_bg_comps, rho_el)
-        for v in check_enriched_nat(ecrho).violations:
+        for v in _nat_report(ecrho, itertools.chain(fun1_cells, odot_cells)).violations:
             report.add("rho-" + v.law, v.instance, v.detail)
 
         for x in range(nM):
@@ -1470,8 +1544,9 @@ class _UniversalCheck:
 
         def mediates(v):
             combo_bg, alpha = v[:nA], dict(enumerate(v[nA:]))
+            nat = _enriched_nat(ecp, ecp, combo_bg, alpha)
             return (
-                check_enriched_nat(_enriched_nat(ecp, ecp, combo_bg, alpha)).ok
+                _nat_report(nat, _enriched_functor_cells(ecp)).ok
                 and self.fixes_unit(P, alpha, combo_bg, ph_unit)
                 and all(
                     self.fixes_rho(

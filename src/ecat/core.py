@@ -142,17 +142,19 @@ class FinCategory:
           composition law and the associator's naturality, on a thin base
           once the base passes ``_is_monoidal``, the braiding passes, the
           tensor background is the pinned one and nothing is reported;
-        - four checks of the centers, once the host passes
+        - five checks of the centers, once the host passes
           ``enriched._thin_host`` (a thin base that passes ``_is_monoidal``
           and a host that passes ``check_enriched``) and the cells each
           reads are typed: the E0 and E1 sliding squares of
           ``centers._bracket_search`` (its cells from
-          ``enriched._family_cells`` for ``bracket_family`` and
-          ``enriched._bracket_cells`` for ``bracket_pair``), the
-          naturality squares of
-          ``enriched_monoidal.check_enriched_half_braiding``, and the
+          ``enriched._enriched_functor_cells`` and
+          ``enriched._half_braiding_cells`` for ``bracket_family`` and
+          ``condition_star``, ``enriched._bracket_cells`` for
+          ``bracket_pair``), the naturality squares of
+          ``enriched_monoidal.check_enriched_half_braiding``, the
           factorings of ``centers._terminal_bracket`` that the search
-          hands it.
+          hands it, and the verifiers' naturality squares of rho and of
+          each mediator candidate (``centers._nat_report``).
         """
         return len(self._hom_index) == self.n_morphisms
 

@@ -142,6 +142,19 @@ def _thin_host(e: EnrichedCategory) -> bool:
     tensor, associators and unitors is defined, and any two parallel
     composites are equal (Lawvere 1973; Kelly 1982 §1). So a square built
     from them commutes once its other cells are typed (``_typed_cells``).
+    Every gate reads it through ``_typed_cells``:
+
+    - ``centers._bracket_search``: the E0 sliding squares of
+      ``bracket_family`` (its functors' components, ``_half_braiding_cells``
+      and the Z1 forgetful functor, typed once per functor and once per
+      center in ``condition_star``) and the E1 ones of ``bracket_pair``
+      (``_bracket_cells``), with the factorings of ``_terminal_bracket``;
+    - ``enriched_monoidal.check_enriched_half_braiding``: its naturality
+      squares;
+    - ``centers._nat_report``: the naturality squares of the verifiers'
+      rho and mediator nats, after ``_check_enriched_nat_typing``;
+    - ``centers._ev_typed``: the action of a center on its host, which
+      types the unmaterialised composite that rho starts from.
     """
     try:
         return e.base.base.thin and _is_monoidal(e.base) and check_enriched(e).ok
@@ -170,22 +183,38 @@ def _functor_cells(f: LaxMonoidalFunctor):
     return ((f.on_mor(k), f.on_obj(s.dom[k]), f.on_obj(s.cod[k])) for k in s.morphisms())
 
 
-def _family_cells(e: EnrichedCategory, fF: EnrichedFunctor, fG: EnrichedFunctor,
-                  z1: DrinfeldCenter):
-    """The cells that the E0 sliding squares and factorings of families from
-    fF to fG read besides a candidate's components and the forgetful functor
-    of z1 on morphisms, each as (f, dom, cod) for ``_typed_cells``: each
-    component of fF and fG, hom(x, y) -> hom(Fx, Fy), and the half-braiding
-    of each object a of the center z1 at each hom object h, h@a -> a@h, with
-    a the forgetful image (``centers.bracket_family``). Nothing is read
-    before the first cell is asked for."""
+def _mult_cells(f: LaxMonoidalFunctor):
+    """(f2(x, y), Fx @ Fy, F(x @ y)) for each object pair (x, y) of the
+    source of f: its mult cells, each as (f, dom, cod) for ``_typed_cells``."""
+    s, t = f.source, f.target
+    for x, y in itertools.product(s.base.objects(), repeat=2):
+        yield f.m2(x, y), t.t_obj(f.on_obj(x), f.on_obj(y)), f.on_obj(s.t_obj(x, y))
+
+
+def _enriched_functor_cells(f: EnrichedFunctor):
+    """(f(x, y), bg(hom(x, y)), hom(Fx, Fy)) for each object pair (x, y) of
+    the source of f, in order, with bg its background: its components, each
+    as (f, dom, cod) for ``_typed_cells``. Nothing is read before the first
+    cell is asked for."""
+    at, obj, bg_obj = f.components, f.obj_map, f.background.functor.obj_map
+    hom, hom2 = f.source.hom_obj, f.target.hom_obj
+    for x, y in itertools.product(f.source.objects(), repeat=2):
+        yield at[(x, y)], bg_obj[hom[(x, y)]], hom2[(obj[x], obj[y])]
+
+
+def _half_braiding_cells(e: EnrichedCategory, z1: DrinfeldCenter):
+    """The half-braiding of each object a of the center z1 at each hom
+    object h of e, h@a -> a@h with a its forgetful image, each as
+    (f, dom, cod) for ``_typed_cells``. With the components of two
+    endofunctors and z1's forgetful functor on morphisms, these are the
+    cells that the E0 sliding squares and factorings of families between
+    those endofunctors read besides a candidate's components
+    (``centers.bracket_family``). Nothing is read before the first cell is
+    asked for."""
     m = e.base
     fwd = z1.forgetful
-    pairs = list(itertools.product(e.objects(), repeat=2))
-    for f in (fF, fG):
-        for x, y in pairs:
-            yield f.at(x, y), e.hom(x, y), e.hom(f.on_obj(x), f.on_obj(y))
-    homs = {e.hom(x, y) for x, y in pairs}  # every hom object is read by check_enriched
+    # every hom object is read by check_enriched
+    homs = {e.hom(x, y) for x, y in itertools.product(e.objects(), repeat=2)}
     for i, (_, hb) in enumerate(z1.object_data):
         for h in homs:
             yield hb.components[h], m.t_obj(h, fwd.on_obj(i)), m.t_obj(fwd.on_obj(i), h)
@@ -479,9 +508,22 @@ def _enriched_nat(source: EnrichedFunctor, target: EnrichedFunctor,
 
 def check_enriched_nat(n: EnrichedNat) -> ValidationReport:
     report = ValidationReport("enriched natural transformation")
+    if _check_enriched_nat_typing(n, report):
+        _check_enriched_nat_squares(n, report)
+    return report
+
+
+def _check_enriched_nat_typing(n: EnrichedNat, report: ValidationReport) -> bool:
+    """Add to report the violations of n's background (``check_lax_monoidal_nat``)
+    and of its component typing; return whether there are none, that is
+    whether the naturality squares are to be checked.
+
+    The squares are left to ``_check_enriched_nat_squares``, so that a caller
+    that can decide them otherwise (``centers._nat_report`` on a thin host)
+    skips only that loop."""
     report.extend(check_lax_monoidal_nat(n.background))
     if not report.ok:
-        return report
+        return False
     f, g = n.source, n.target
     e, e2 = f.source, f.target
     m2 = e2.base
@@ -495,14 +537,17 @@ def check_enriched_nat(n: EnrichedNat) -> ValidationReport:
             report, "enriched-nat-typing", (x,), c, comp,
             m2.unit, e2.hom(f.on_obj(x), g.on_obj(x)),
         )
-    if not typed:
-        return report
-    for x, y in itertools.product(e.objects(), repeat=2):
+    return typed
+
+
+def _check_enriched_nat_squares(n: EnrichedNat, report: ValidationReport) -> None:
+    """Add to report every (x, y) whose naturality square of n fails, by
+    either route, given a valid background and typed components."""
+    for x, y in itertools.product(n.source.source.objects(), repeat=2):
         if not _nat_square(n, x, y):
             report.add("enriched-nat-square", (x, y))
         if not _nat_hom_route(n, x, y):
             report.add("enriched-nat-square-hom-route", (x, y))
-    return report
 
 
 def _nat_square(n: EnrichedNat, x: int, y: int) -> bool:

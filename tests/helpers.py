@@ -3551,3 +3551,17 @@ def ungated_check_enriched_half_braiding(
         if post != pre:
             report.add("enriched-half-braiding-naturality", (y, z))
     return report
+
+
+def counting_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that appends the arguments of each
+    call to the returned list."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

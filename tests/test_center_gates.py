@@ -12,19 +12,46 @@ the gates must leave to the loops. ``bracket_pair`` searches its transparent
 object as a search variable, where its oracle loops over the objects without
 spending, so its ``Budget.used`` is the oracle's plus the objects it enters
 (``helpers.bracket_pair_used``).
+
+The universal-property verifiers gate the naturality squares of rho and of
+each mediator candidate the same way (``centers._nat_report``): on the thin
+hosts none is composed, and every gated report must equal the report of
+``enriched.check_enriched_nat``, the oracle, also when a mistyped action
+cell makes the gate fall back to the squares. ``condition_star`` types each
+endofunctor and the ordinary center once, not once per pair.
 """
 
 import dataclasses
+import functools
 import itertools
 
 import pytest
 
+from ecat import centers, enriched
 from ecat.actions import monoidal_self_module
-from ecat.canonical import canonical_monoidal
-from ecat.centers import bracket_family, bracket_pair, enumerate_identity_background_functors
+from ecat.canonical import canonical_braided, canonical_monoidal
+from ecat.centers import (
+    bracket_family,
+    bracket_pair,
+    condition_star,
+    e0_center,
+    e0_ev,
+    enumerate_identity_background_functors,
+    evaluation_action,
+    gamma1,
+    gamma1_evaluation_action,
+    gamma2,
+    gamma2_evaluation_action,
+    trivial_action,
+    trivial_monoidal_action,
+    verify_e0_universal,
+    verify_e1_universal,
+    verify_e2_universal,
+)
 from ecat.core import FinCategory
-from ecat.enriched import _thin_host
+from ecat.enriched import _thin_host, check_enriched_nat
 from ecat.enriched_monoidal import (
+    EnrichedBraidedCategory,
     EnrichedHalfBraiding,
     check_enriched_half_braiding,
     underlying_half_braiding,
@@ -36,17 +63,19 @@ from ecat.monoidal import (
     drinfeld_center_z1,
     muger_center_z2,
 )
-from ecat.report import Budget
+from ecat.report import Budget, ValidationReport
 
 from helpers import (
     bracket_pair_used,
     chain3_monoidal,
+    counting_calls,
     exhaustive_bracket_pair,
     identity_braiding,
     lattice2_monoidal,
     lattice4_monoidal,
     lattice8_monoidal,
     preorder_enriched_monoidal,
+    sign_enriched,
     ungated_bracket_family,
     ungated_check_enriched_half_braiding,
     z2_discrete_monoidal,
@@ -324,3 +353,200 @@ def test_bracket_pair_on_a_changed_entry_matches_the_ungated_search(name):
         assert _outcome(bracket_pair, *args) == _pair_outcome(*args)
         n += 1
     assert n > 0
+
+
+# --- the verifiers' naturality squares ---
+
+# the thin hosts of the verifiers, by their base; preorder is its own host
+THIN_BASES = {
+    "lattice2": lattice2_monoidal,
+    "lattice4": lattice4_monoidal,
+    "chain3": chain3_monoidal,
+    "z2": z2_discrete_monoidal,
+    "preorder": None,
+}
+LEVELS = ("e0", "e1", "e2")
+
+
+@functools.lru_cache(maxsize=None)
+def _braided_host(name) -> EnrichedBraidedCategory:
+    if name == "preorder":
+        em = preorder_enriched_monoidal()
+        e = em.host
+        braiding = {(x, y): e.one(em.t(x, y)) for x, y in itertools.product(e.objects(), repeat=2)}
+        return EnrichedBraidedCategory(em, braiding, True)
+    b = identity_braiding(THIN_BASES[name]())
+    return canonical_braided(monoidal_self_module(b), b, symmetric=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _verifier(name, level) -> tuple:
+    """(verify, subject, center, {action kind: action}) at one level."""
+    eb = _braided_host(name)
+    em = eb.host
+    e = em.host
+    if level == "e0":
+        res = e0_center(e, CAP)
+        return verify_e0_universal, e, res, {
+            "evaluation": evaluation_action(res, e), "trivial": trivial_action(e)}
+    if level == "e1":
+        res = gamma1(em, CAP)
+        return verify_e1_universal, em, res, {
+            "evaluation": gamma1_evaluation_action(res, em),
+            "trivial": trivial_monoidal_action(em)}
+    res = gamma2(eb, CAP)
+    return verify_e2_universal, eb, res, {
+        "evaluation": gamma2_evaluation_action(res, eb),
+        "trivial": trivial_monoidal_action(em)}
+
+
+def _nat_outcome(check, *args):
+    """The violations check reports, or the type and message it raises."""
+    try:
+        return check(*args).violations
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def nat_reports(monkeypatch):
+    """A list that gets (gated outcome, check_enriched_nat outcome) for each
+    nat that a verifier checks through ``centers._nat_report``."""
+    pairs = []
+    gated = centers._nat_report
+
+    def comparing(n, cells):
+        want = _nat_outcome(check_enriched_nat, n)
+        try:
+            report = gated(n, cells)
+        except Exception as exc:
+            pairs.append(((type(exc), str(exc)), want))
+            raise
+        pairs.append((report.violations, want))
+        return report
+
+    monkeypatch.setattr(centers, "_nat_report", comparing)
+    return pairs
+
+
+@pytest.mark.parametrize("kind", ["evaluation", "trivial"])
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("name", THIN_BASES)
+def test_a_verifier_composes_no_naturality_square_on_a_thin_host(name, level, kind, monkeypatch):
+    verify, subject, res, acts = _verifier(name, level)
+    squares = counting_calls(monkeypatch, enriched, "_nat_square")
+    computed = counting_calls(monkeypatch, centers, "_computed")  # e0_ev(res) is kept
+    out = verify(subject, acts[kind], CAP, res)
+    assert (out.report.violations, out.uniqueness_count) == ([], 1)
+    assert squares == []
+    assert computed == []  # rho's source is typed through its factors, never read
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("name", THIN_BASES)
+def test_the_gated_nat_reports_equal_check_enriched_nat(name, level, nat_reports):
+    verify, subject, res, acts = _verifier(name, level)
+    for act in acts.values():
+        verify(subject, act, CAP, res)
+    assert nat_reports
+    for got, want in nat_reports:
+        assert got == want
+
+
+def _odot_changes(act):
+    """act with one odot component changed to a mistyped morphism, at a
+    spread of keys."""
+    c = act.acted.base.base
+    comps = dict(act.odot.components)
+    for k, key in enumerate(_spread(comps)):
+        odot = dataclasses.replace(
+            act.odot, components={**comps, key: _mistyped(c, comps[key], k)})
+        yield dataclasses.replace(act, odot=odot)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("name", THIN_BASES)
+def test_a_mistyped_action_cell_falls_back_to_the_squares(name, level, nat_reports, monkeypatch):
+    verify, subject, res, acts = _verifier(name, level)
+    squares = counting_calls(monkeypatch, centers, "_check_enriched_nat_squares")
+    fell_back = 0
+    for act in _odot_changes(acts["evaluation"]):
+        del squares[:], nat_reports[:]
+        try:
+            verify(subject, act, CAP, res)
+        except Exception:
+            pass  # a mistyped cell may not compose; where a nat check raised, so did the oracle
+        for got, want in nat_reports:
+            assert got == want
+        fell_back += bool(squares)
+    assert fell_back > 0
+
+
+def _action_changes(act):
+    """act with one entry changed to a mistyped morphism: a component, its
+    background on a morphism, or a mult cell of its background, at a
+    spread of keys."""
+    c = act.target.base.base
+    bg = act.background
+    for comps in _changed(dict(act.components), c, _spread(act.components)):
+        yield dataclasses.replace(act, components=comps)
+    mors = dict(enumerate(bg.functor.mor_map))
+    for mor_map in _changed(mors, c, _spread(mors)):
+        functor = dataclasses.replace(bg.functor, mor_map=tuple(mor_map.values()))
+        yield dataclasses.replace(act, background=dataclasses.replace(bg, functor=functor))
+    for mult in _changed(dict(bg.mult), c, _spread(bg.mult)):
+        yield dataclasses.replace(act, background=dataclasses.replace(bg, mult=mult))
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("name", THIN_BASES)
+def test_a_center_action_types_only_when_every_cell_is_typed(name, level):
+    _, _, res, _ = _verifier(name, level)
+    assert centers._ev_typed(res)
+    n = 0
+    for act in _action_changes(e0_ev(res)):
+        bad = dataclasses.replace(res)  # its store starts empty
+        bad._kept[e0_ev.__wrapped__] = act
+        assert not centers._ev_typed(bad)
+        n += 1
+    assert n > 0
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_rho_source_is_materialised_when_the_comparison_functor_fails(level, monkeypatch):
+    # its factors are then not known to be typed
+    verify, subject, res, acts = _verifier("lattice2", level)
+
+    def failing(f):
+        report = ValidationReport("stub")
+        report.add("stub-law", (0,))
+        return report
+
+    monkeypatch.setattr(centers, "check_enriched_functor", failing)
+    computed = counting_calls(monkeypatch, centers, "_computed")
+    out = verify(subject, acts["evaluation"], CAP, res)
+    assert [v.law for v in out.report.violations] == ["comparison-functor-stub-law"]
+    assert len(computed) == 1
+
+
+# --- condition_star: each cell typed once ---
+
+STAR_HOSTS = {
+    **{name: lambda name=name: _braided_host(name).host.host for name in THIN_BASES},
+    "sign2": lambda: sign_enriched(2, 0),  # not thin: nothing is typed
+}
+
+
+@pytest.mark.parametrize("name", STAR_HOSTS)
+def test_condition_star_types_each_functor_once_and_matches_the_ungated_search(
+        name, monkeypatch):
+    e = STAR_HOSTS[name]()
+    typed = counting_calls(monkeypatch, centers, "_enriched_functor_cells")
+    braidings = counting_calls(monkeypatch, centers, "_half_braiding_cells")
+    star = condition_star(e, CAP)
+    thin = _thin_host(e)
+    assert sorted(id(f) for (f,) in typed) == sorted(map(id, star.functors) if thin else [])
+    assert len(braidings) == 1
+    for (i, j), bracket in star.brackets.items():
+        want = ungated_bracket_family(e, star.functors[i], star.functors[j], star.z1, Budget(CAP))
+        assert bracket == want

@@ -23,6 +23,7 @@ from ecat.report import Budget, StructureError
 from helpers import (
     bracket_pair_used,
     chain3_monoidal,
+    counting_calls,
     delooping_monoidal,
     eager_braided_tensor_lax_structure,
     eager_gamma1_cells,
@@ -161,23 +162,9 @@ def test_bracket_pair_matches_the_parent_on_every_pair_of_gamma1_objects(name):
         assert got_budget.used == bracket_pair_used(em, z2, oi, oj, want_budget.used, False)
 
 
-def _counting(monkeypatch, module, name) -> list:
-    """Replace module.name by a wrapper that appends 1 to the returned list
-    on each call."""
-    calls = []
-    inner = getattr(module, name)
-
-    def counted(*args):
-        calls.append(1)
-        return inner(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_gamma1_on_lattice8_composes_no_tensor_background_cell(monkeypatch):
     em = GAMMA1_HOSTS["lattice8"]()
-    calls = _counting(monkeypatch, ecat.monoidal, "mid_swap")
+    calls = counting_calls(monkeypatch, ecat.monoidal, "mid_swap")
     assert gamma1(em, CAP).category.host.host.n_objects == 8
     assert calls == []
 
@@ -187,7 +174,7 @@ def test_gamma1_on_lattice8_computes_each_tensor_cell_only_when_read(monkeypatch
     cells = res.category.host.tensor.components
     assert len(cells) == 4096
     assert not cells._memo  # no cell is computed before it is read
-    calls = _counting(monkeypatch, ecat.centers, "_mediate")
+    calls = counting_calls(monkeypatch, ecat.centers, "_mediate")
     key = (3 * 8 + 5, 6 * 8 + 7)
     value = cells[key]
     assert cells._memo == {key: value} and len(calls) == 1
@@ -199,8 +186,8 @@ def test_bracket_pair_composes_each_leg_once_per_object(name, monkeypatch):
     em = GAMMA1_HOSTS[name]()
     n = em.host.n_objects
     objs, z2 = _gamma1_objects(em)
-    posts = _counting(monkeypatch, ecat.centers, "hom_post")
-    pres = _counting(monkeypatch, ecat.centers, "hom_pre")
+    posts = counting_calls(monkeypatch, ecat.centers, "hom_post")
+    pres = counting_calls(monkeypatch, ecat.centers, "hom_pre")
     for oi, oj in itertools.product(objs, repeat=2):
         posts.clear()
         pres.clear()
@@ -220,7 +207,7 @@ def test_bracket_pair_composes_each_leg_once(name, monkeypatch):
     so no leg is composed and no unitor is inverted at all."""
     em = GAMMA1_HOSTS[name]()
     objs, z2 = _gamma1_objects(em)
-    inverted = _counting(monkeypatch, ecat.centers, "inv")
+    inverted = counting_calls(monkeypatch, ecat.centers, "inv")
     made, legs = [], []
     for fun in ("hom_post", "hom_pre"):
         inner = getattr(ecat.centers, fun)
@@ -252,7 +239,7 @@ def test_bracket_pair_composes_each_leg_once(name, monkeypatch):
 
 
 def test_gamma1_on_lattice8_reads_each_underlying_half_braiding_once(monkeypatch):
-    calls = _counting(monkeypatch, ecat.centers, "underlying_half_braiding")
+    calls = counting_calls(monkeypatch, ecat.centers, "underlying_half_braiding")
     res = gamma1(GAMMA1_HOSTS["lattice8"](), CAP)
     assert len(calls) == res.category.host.host.n_objects == 8
 

@@ -349,6 +349,9 @@ GATED_SECTIONS = {
         ("enriched.py", "check_enriched_functor"),
         ("enriched_monoidal.py", "check_enriched_monoidal"),
     },
+    "_check_enriched_nat_squares": {
+        ("enriched.py", "check_enriched_nat"), ("centers.py", "_nat_report"),
+    },
 }
 
 

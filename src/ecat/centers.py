@@ -28,8 +28,8 @@ The three universal-property verifiers run one skeleton: an induced
 comparison functor, its background, the unit isomorphism rho and the two
 pasting equations, then a brute-force count of the mediating
 isomorphisms; each level supplies only how its comparison functor lands
-in its center. On a thin host typing decides the naturality squares of
-rho and of each mediator candidate (``_nat_report``).
+in its center. On a thin host typing decides rho, each mediator
+candidate and the comparison functor's composition law (``_UniversalCheck``).
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ from ecat.enriched import (
     EnrichedFunctor,
     EnrichedNat,
     _bracket_cells,
+    _check_enriched_functor_composition,
+    _check_enriched_functor_laws,
     _check_enriched_nat_squares,
     _check_enriched_nat_typing,
     _computed,
@@ -79,11 +81,11 @@ from ecat.enriched import (
     _enriched_nat,
     _functor_cells,
     _half_braiding_cells,
-    _mult_cells,
+    _lax_cells,
+    _thin_host,
     _typed_cells,
     cartesian_product_enriched,
     check_enriched,
-    check_enriched_functor,
     compose_enriched_functors,
     hom_post,
     hom_pre,
@@ -1331,23 +1333,44 @@ def _nat_report(n: EnrichedNat, cells) -> ValidationReport:
     what types them. The typing covers n's components and its background,
     whose components ``check_lax_monoidal_nat`` types. Then both routes of
     each square are parallel morphisms of the thin base, hence equal
-    (Lawvere 1973; Kelly 1982 §1)."""
+    (Lawvere 1973; Kelly 1982 §1). The verifiers call it only where typing
+    does not decide the whole nat (``_UniversalCheck``)."""
     report = ValidationReport("enriched natural transformation")
     if _check_enriched_nat_typing(n, report) and not _typed_cells(n.source.target, cells):
         _check_enriched_nat_squares(n, report)
     return report
 
 
+def _action_cells(act: EnrichedFunctor):
+    """Every cell of an action enriched functor: its background's
+    (``_lax_cells``), then its components."""
+    return itertools.chain(_lax_cells(act.background), _enriched_functor_cells(act))
+
+
 @kept
 def _ev_typed(res: CenterResult) -> bool:
     """Whether the action ``e0_ev(res)`` of the center on its host is typed
-    on a thin host: its background on morphisms, its mult cells and its
-    components. Then a composite of it after a product of typed functors,
-    as the source of rho, is typed and computable without being read."""
+    on a thin host: its background on morphisms, its unit and mult cells
+    and its components. Then a composite of it after a product of typed
+    functors, as the source of rho, is typed and computable without being
+    read."""
     act = e0_ev(res)
-    bg = act.background
-    return _typed_cells(act.target, itertools.chain(
-        _functor_cells(bg), _mult_cells(bg), _enriched_functor_cells(act)))
+    return _typed_cells(act.target, _action_cells(act))
+
+
+def _comparison_report(ecp: EnrichedFunctor, bg_report: ValidationReport) -> ValidationReport:
+    """``check_enriched_functor(ecp)`` from bg_report, the report of its
+    background, with the composition squares composed only when the source
+    or the target fails ``_thin_host``. When both pass, the background is
+    valid and the components are typed, both routes of a square are
+    parallel morphisms of a thin base, hence equal (Lawvere 1973; Kelly
+    1982 §1)."""
+    report = ValidationReport("enriched functor")
+    report.extend(bg_report)
+    if report.ok and _check_enriched_functor_laws(ecp, report) and not (
+            _thin_host(ecp.target) and _thin_host(ecp.source)):
+        _check_enriched_functor_composition(ecp, report)
+    return report
 
 
 class _UniversalCheck:
@@ -1361,13 +1384,14 @@ class _UniversalCheck:
     given action, checks both pasting equations, and counts the mediating
     isomorphisms by exhaustive search.
 
-    Typing decides two checks on a thin host (``_nat_report``): the
-    naturality squares of rho, once the given action's components are typed
-    and so are the three factors of rho's source (the comparison functor,
-    by its own check; the center's action on e, by ``_ev_typed``; the
-    identity), which is then never materialised; and the naturality squares
-    of each mediator candidate, once the comparison functor's components
-    are typed. Everything else is checked in full. Each level supplies
+    On a thin host typing decides three checks: the comparison functor's
+    composition law (``_comparison_report``); once that functor passes,
+    each mediator candidate, typed by its search domain; and rho, when the
+    given action is typed and rho is typed against the object maps of its
+    source, the center's action on e (``_ev_typed``) after the comparison
+    functor times the identity, which is then neither built nor checked.
+    Elsewhere the full checks run, ``_nat_report`` deciding their squares,
+    and the report is the same. Each level supplies
     comparison_objects, background_objects, rho_el, pasting_underlying_ok,
     pasting_background_ok, fixes_unit and fixes_rho; lift and component
     default to lifting through incl and mediating into the center's
@@ -1471,14 +1495,15 @@ class _UniversalCheck:
             mA, zmon, Functor(ca, zc, tuple(phat_obj), phat_mor),
             ph_unit, ph_mult, "strong",
         )
-        for v in check_lax_monoidal_functor(phat).violations:
+        phat_report = check_lax_monoidal_functor(phat)
+        for v in phat_report.violations:
             report.add("background-functor-" + v.law, v.instance, v.detail)
 
         comps = {}
         for a, b in itertools.product(la.objects(), repeat=2):
             comps[(a, b)] = self.component(P, phat_obj, a, b, la.hom(a, b))
         ecp = EnrichedFunctor(phat, la, host, tuple(P), comps)
-        ecp_report = check_enriched_functor(ecp)
+        ecp_report = _comparison_report(ecp, phat_report)
         for v in ecp_report.violations:
             report.add("comparison-functor-" + v.law, v.instance, v.detail)
         self.after_comparison(P)
@@ -1496,22 +1521,31 @@ class _UniversalCheck:
                 )
         rho_el = self.rho_el()
         act = e0_ev(self.res)
-        fun1 = compose_enriched_functors(
-            act, product_enriched_functor(ecp, identity_enriched_functor(e))
-        )
+        pr = self.pr
         ev_typed = act.target == e and _ev_typed(self.res)
-        if ecp_report.ok and ev_typed:
-            fun1_cells = ()  # typed, and computable, through its three factors
-        else:
-            fun1_cells = _enriched_functor_cells(_computed(fun1))
-        if action.odot is act and ev_typed:
-            odot_cells = ()  # the evaluation action: typed by _ev_typed
-        else:
-            odot_cells = _enriched_functor_cells(action.odot)
-        rho_bg_comps = [rho_bg[(a, b)] for a in ca.objects() for b in c.objects()]
-        ecrho = _enriched_nat(fun1, action.odot, rho_bg_comps, rho_el)
-        for v in _nat_report(ecrho, itertools.chain(fun1_cells, odot_cells)).violations:
-            report.add("rho-" + v.law, v.instance, v.detail)
+        odot_typed = ev_typed and (
+            action.odot is act or _typed_cells(e, _action_cells(action.odot)))
+        # rho's source, act after ecp x id, is typed through its factors
+        rho_typed = ecp_report.ok and odot_typed and _typed_cells(e, itertools.chain(
+            ((rho_bg[(a, b)], act.background.on_obj(po(phat_obj[a], b)), bg.on_obj(po(a, b)))
+             for a in ca.objects() for b in c.objects()),
+            ((rho_el[pr(a, x)], m.unit,
+              e.hom(act.on_obj(pr(P[a], x)), action.odot.on_obj(pr(a, x))))
+             for a in la.objects() for x in range(nM)),
+        ))
+        if not rho_typed:
+            fun1 = compose_enriched_functors(
+                act, product_enriched_functor(ecp, identity_enriched_functor(e))
+            )
+            if ecp_report.ok and ev_typed:
+                fun1_cells = ()  # typed, and computable, through its three factors
+            else:
+                fun1_cells = _enriched_functor_cells(_computed(fun1))
+            odot_cells = () if odot_typed else _enriched_functor_cells(action.odot)
+            rho_bg_comps = [rho_bg[(a, b)] for a in ca.objects() for b in c.objects()]
+            ecrho = _enriched_nat(fun1, action.odot, rho_bg_comps, rho_el)
+            for v in _nat_report(ecrho, itertools.chain(fun1_cells, odot_cells)).violations:
+                report.add("rho-" + v.law, v.instance, v.detail)
 
         for x in range(nM):
             if not self.pasting_underlying_ok(P, x, rho_el):
@@ -1542,11 +1576,15 @@ class _UniversalCheck:
         def natural_bg(v):
             return check_nat_transf(NatTransf(phat.functor, phat.functor, v[:nA])).ok
 
+        # each candidate is typed by domain; with ecp checked, its
+        # background and its nat are typed nats of typed functors
+        typed = ecp_report.ok and _thin_host(host)
+
         def mediates(v):
             combo_bg, alpha = v[:nA], dict(enumerate(v[nA:]))
-            nat = _enriched_nat(ecp, ecp, combo_bg, alpha)
             return (
-                _nat_report(nat, _enriched_functor_cells(ecp)).ok
+                (typed or _nat_report(_enriched_nat(ecp, ecp, combo_bg, alpha),
+                                      _enriched_functor_cells(ecp)).ok)
                 and self.fixes_unit(P, alpha, combo_bg, ph_unit)
                 and all(
                     self.fixes_rho(
@@ -1565,7 +1603,8 @@ class _UniversalCheck:
                 )
             )
 
-        candidates = _search(nA + la.n_objects, domain, [(nA - 1, natural_bg)], budget)
+        constraints = [] if typed else [(nA - 1, natural_bg)]
+        candidates = _search(nA + la.n_objects, domain, constraints, budget)
         count = sum(1 for v in candidates if mediates(v))
         return TheoremReport(report, count)
 

@@ -142,7 +142,7 @@ class FinCategory:
           composition law and the associator's naturality, on a thin base
           once the base passes ``_is_monoidal``, the braiding passes, the
           tensor background is the pinned one and nothing is reported;
-        - five checks of the centers, once the host passes
+        - seven checks of the centers, once the host passes
           ``enriched._thin_host`` (a thin base that passes ``_is_monoidal``
           and a host that passes ``check_enriched``) and the cells each
           reads are typed: the E0 and E1 sliding squares of
@@ -153,8 +153,15 @@ class FinCategory:
           ``bracket_pair``), the naturality squares of
           ``enriched_monoidal.check_enriched_half_braiding``, the
           factorings of ``centers._terminal_bracket`` that the search
-          hands it, and the verifiers' naturality squares of rho and of
-          each mediator candidate (``centers._nat_report``).
+          hands it, and four in the verifiers
+          (``centers._UniversalCheck``): rho whole, once the comparison
+          functor passes, both actions are typed and rho's components are
+          typed against the object maps of its source; each mediator
+          candidate, its background naturality and its nat, once the
+          comparison functor passes; the comparison functor's composition
+          law, on a thin source and target (``centers._comparison_report``);
+          and the naturality squares of a nat that the verifiers still
+          check (``centers._nat_report``).
         """
         return len(self._hom_index) == self.n_morphisms
 

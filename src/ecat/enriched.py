@@ -142,7 +142,7 @@ def _thin_host(e: EnrichedCategory) -> bool:
     tensor, associators and unitors is defined, and any two parallel
     composites are equal (Lawvere 1973; Kelly 1982 §1). So a square built
     from them commutes once its other cells are typed (``_typed_cells``).
-    Every gate reads it through ``_typed_cells``:
+    These gates read it, directly or through ``_typed_cells``:
 
     - ``centers._bracket_search``: the E0 sliding squares of
       ``bracket_family`` (its functors' components, ``_half_braiding_cells``
@@ -152,9 +152,15 @@ def _thin_host(e: EnrichedCategory) -> bool:
     - ``enriched_monoidal.check_enriched_half_braiding``: its naturality
       squares;
     - ``centers._nat_report``: the naturality squares of the verifiers'
-      rho and mediator nats, after ``_check_enriched_nat_typing``;
+      rho and mediator nats, after ``_check_enriched_nat_typing``, where
+      the verifier does not decide the whole nat;
     - ``centers._ev_typed``: the action of a center on its host, which
-      types the unmaterialised composite that rho starts from.
+      types the unmaterialised composite that rho starts from;
+    - ``centers._UniversalCheck.run``: rho whole, its background and
+      elements typed against the object maps of that composite, and each
+      mediator candidate, typed by its search domain;
+    - ``centers._comparison_report``: the composition law of the
+      verifiers' comparison functor.
     """
     try:
         return e.base.base.thin and _is_monoidal(e.base) and check_enriched(e).ok
@@ -183,10 +189,13 @@ def _functor_cells(f: LaxMonoidalFunctor):
     return ((f.on_mor(k), f.on_obj(s.dom[k]), f.on_obj(s.cod[k])) for k in s.morphisms())
 
 
-def _mult_cells(f: LaxMonoidalFunctor):
-    """(f2(x, y), Fx @ Fy, F(x @ y)) for each object pair (x, y) of the
-    source of f: its mult cells, each as (f, dom, cod) for ``_typed_cells``."""
+def _lax_cells(f: LaxMonoidalFunctor):
+    """f on each morphism (``_functor_cells``), its unit cell 1 -> F(1) and
+    (f2(x, y), Fx @ Fy, F(x @ y)) for each object pair (x, y) of the source
+    of f: every cell of f, each as (f, dom, cod) for ``_typed_cells``."""
     s, t = f.source, f.target
+    yield from _functor_cells(f)
+    yield f.unit_cell, t.unit, f.on_obj(s.unit)
     for x, y in itertools.product(s.base.objects(), repeat=2):
         yield f.m2(x, y), t.t_obj(f.on_obj(x), f.on_obj(y)), f.on_obj(s.t_obj(x, y))
 

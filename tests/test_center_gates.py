@@ -13,12 +13,18 @@ object as a search variable, where its oracle loops over the objects without
 spending, so its ``Budget.used`` is the oracle's plus the objects it enters
 (``helpers.bracket_pair_used``).
 
-The universal-property verifiers gate the naturality squares of rho and of
-each mediator candidate the same way (``centers._nat_report``): on the thin
-hosts none is composed, and every gated report must equal the report of
-``enriched.check_enriched_nat``, the oracle, also when a mistyped action
-cell makes the gate fall back to the squares. ``condition_star`` types each
-endofunctor and the ordinary center once, not once per pair.
+The universal-property verifiers decide rho, each mediator candidate and
+the comparison functor's composition law from typing on a thin host: there
+they build no composite for rho's source and run no
+``check_lax_monoidal_nat`` or composition loop, and every ``TheoremReport``
+and ``Budget.used`` must equal the one given with ``_thin_host`` patched to
+False, also on one-entry mistyped action cells and comparison components.
+The naturality squares of a nat still checked are gated the same way
+(``centers._nat_report``): none is composed on the thin hosts, and every
+gated report must equal the report of ``enriched.check_enriched_nat``, the
+oracle, also when a mistyped action cell makes the gate fall back to the
+squares. ``condition_star`` types each endofunctor and the ordinary center
+once, not once per pair.
 """
 
 import dataclasses
@@ -42,6 +48,7 @@ from ecat.centers import (
     gamma1_evaluation_action,
     gamma2,
     gamma2_evaluation_action,
+    tensor_action,
     trivial_action,
     trivial_monoidal_action,
     verify_e0_universal,
@@ -434,18 +441,35 @@ def nat_reports(monkeypatch):
 @pytest.mark.parametrize("name", THIN_BASES)
 def test_a_verifier_composes_no_naturality_square_on_a_thin_host(name, level, kind, monkeypatch):
     verify, subject, res, acts = _verifier(name, level)
+    e0_ev(res)  # kept: the center's action on its host is built once per center
     squares = counting_calls(monkeypatch, enriched, "_nat_square")
-    computed = counting_calls(monkeypatch, centers, "_computed")  # e0_ev(res) is kept
+    computed = counting_calls(monkeypatch, centers, "_computed")
+    # rho, the mediator candidates and the comparison functor's composition
+    # law are decided from typing: rho's source is not even built
+    spies = [
+        counting_calls(monkeypatch, module, fun) for module, fun in (
+            (centers, "product_enriched_functor"),
+            (centers, "compose_enriched_functors"),
+            (enriched, "check_lax_monoidal_nat"),
+            (centers, "_check_enriched_functor_composition"),
+            (centers, "_nat_report"),
+        )
+    ]
     out = verify(subject, acts[kind], CAP, res)
     assert (out.report.violations, out.uniqueness_count) == ([], 1)
     assert squares == []
-    assert computed == []  # rho's source is typed through its factors, never read
+    assert computed == []
+    assert spies == [[]] * len(spies)
 
 
 @pytest.mark.parametrize("level", LEVELS)
 @pytest.mark.parametrize("name", THIN_BASES)
-def test_the_gated_nat_reports_equal_check_enriched_nat(name, level, nat_reports):
+def test_the_gated_nat_reports_equal_check_enriched_nat(name, level, nat_reports, monkeypatch):
     verify, subject, res, acts = _verifier(name, level)
+    # with the verifier's own typing off, rho and every mediator candidate
+    # reach _nat_report, whose squares typing still decides
+    monkeypatch.setattr(centers, "_thin_host", lambda e: False)
+    monkeypatch.setattr(centers, "_ev_typed", lambda res: False)
     for act in acts.values():
         verify(subject, act, CAP, res)
     assert nat_reports
@@ -482,20 +506,22 @@ def test_a_mistyped_action_cell_falls_back_to_the_squares(name, level, nat_repor
     assert fell_back > 0
 
 
-def _action_changes(act):
+def _action_changes(act, spread=_spread):
     """act with one entry changed to a mistyped morphism: a component, its
-    background on a morphism, or a mult cell of its background, at a
-    spread of keys."""
+    background on a morphism, a mult cell of its background, at a spread of
+    keys, or its background's unit cell."""
     c = act.target.base.base
     bg = act.background
-    for comps in _changed(dict(act.components), c, _spread(act.components)):
+    for comps in _changed(dict(act.components), c, spread(act.components)):
         yield dataclasses.replace(act, components=comps)
     mors = dict(enumerate(bg.functor.mor_map))
-    for mor_map in _changed(mors, c, _spread(mors)):
+    for mor_map in _changed(mors, c, spread(mors)):
         functor = dataclasses.replace(bg.functor, mor_map=tuple(mor_map.values()))
         yield dataclasses.replace(act, background=dataclasses.replace(bg, functor=functor))
-    for mult in _changed(dict(bg.mult), c, _spread(bg.mult)):
+    for mult in _changed(dict(bg.mult), c, spread(bg.mult)):
         yield dataclasses.replace(act, background=dataclasses.replace(bg, mult=mult))
+    yield dataclasses.replace(
+        act, background=dataclasses.replace(bg, unit_cell=_mistyped(c, bg.unit_cell, 0)))
 
 
 @pytest.mark.parametrize("level", LEVELS)
@@ -517,16 +543,150 @@ def test_rho_source_is_materialised_when_the_comparison_functor_fails(level, mon
     # its factors are then not known to be typed
     verify, subject, res, acts = _verifier("lattice2", level)
 
-    def failing(f):
+    def failing(ecp, bg_report):
         report = ValidationReport("stub")
         report.add("stub-law", (0,))
         return report
 
-    monkeypatch.setattr(centers, "check_enriched_functor", failing)
+    monkeypatch.setattr(centers, "_comparison_report", failing)
     computed = counting_calls(monkeypatch, centers, "_computed")
+    nats = counting_calls(monkeypatch, centers, "_nat_report")
     out = verify(subject, acts["evaluation"], CAP, res)
     assert [v.law for v in out.report.violations] == ["comparison-functor-stub-law"]
     assert len(computed) == 1
+    # nor are the mediator candidates known to be typed: each nat is checked
+    assert [n.source is n.target for n, _ in nats] == [False] + [True] * (len(nats) - 1)
+    assert len(nats) > 1
+
+
+# --- the verifiers decide rho, the mediators and the comparison functor ---
+
+# at most this many one-entry changes of each action table per verifier
+VERIFIER_CHANGES = 8
+CHECKS = {"e0": centers._E0Check, "e1": centers._E1Check, "e2": centers._E2Check}
+
+
+def _few(keys) -> list:
+    keys = list(keys)
+    return keys[:: max(1, len(keys) // VERIFIER_CHANGES)]
+
+
+def _theorem(verify, subject, act, res):
+    """The violations and uniqueness count of a verification and the
+    budget it used, or the type and message of what it raised and the
+    budget used by then."""
+    budget = Budget(CAP)
+    try:
+        out = verify(subject, act, budget, res)
+    except Exception as exc:
+        return type(exc), str(exc), budget.used
+    return out.report.violations, out.uniqueness_count, budget.used
+
+
+def _ungated_theorem(monkeypatch, verify, subject, act, res):
+    """``_theorem`` with ``_thin_host`` False in centers and enriched, so
+    that every law is checked in full, on a copy of the center that keeps
+    its action on its host but no verdict on its typing."""
+    bare = dataclasses.replace(res)  # its store starts empty
+    bare._kept[e0_ev.__wrapped__] = e0_ev(res)
+    with monkeypatch.context() as patched:
+        patched.setattr(centers, "_thin_host", lambda e: False)
+        patched.setattr(enriched, "_thin_host", lambda e: False)
+        return _theorem(verify, subject, act, bare)
+
+
+def _unital_changes(act):
+    """act with one cell changed to a mistyped morphism: a cell of odot
+    (``_action_changes``), or an entry of xi_el, xi_bg or f2, at a few
+    keys."""
+    c = act.acted.base.base
+    for odot in _action_changes(act.odot, _few):
+        yield dataclasses.replace(act, odot=odot)
+    for field in ("xi_el", "xi_bg", "f2"):
+        table = getattr(act, field)
+        if table is not None:
+            for changed in _changed(dict(table), c, _few(table)):
+                yield dataclasses.replace(act, **{field: changed})
+
+
+@pytest.mark.parametrize("kind", ["evaluation", "trivial"])
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("name", THIN_BASES)
+def test_a_verifier_reports_what_it_reports_with_the_thin_gates_off(
+        name, level, kind, monkeypatch):
+    verify, subject, res, acts = _verifier(name, level)
+    act = acts[kind]
+    got = _theorem(verify, subject, act, res)
+    assert got[:2] == ([], 1)
+    assert got == _ungated_theorem(monkeypatch, verify, subject, act, res)
+    n = 0
+    for bad in _unital_changes(act):
+        assert _theorem(verify, subject, bad, res) == _ungated_theorem(
+            monkeypatch, verify, subject, bad, res)
+        n += 1
+    assert n > 0
+
+
+@pytest.mark.parametrize("name", THIN_BASES)
+def test_a_mistyped_actor_composition_cell_reports_what_it_reports_with_the_thin_gates_off(
+        name, monkeypatch):
+    # the comparison functor's composition law reads the actor's composition
+    # cells, which a host acting on itself by its tensor does not type
+    verify, subject, res, _ = _verifier(name, "e0")
+    em = _braided_host(name).host
+    act = tensor_action(em)
+    assert _theorem(verify, subject, act, res)[:2] == ([], 1)
+    e = em.host
+    n = 0
+    for comp in _changed(dict(e.comp), e.base.base, _few(e.comp)):
+        actor = dataclasses.replace(em, host=dataclasses.replace(e, comp=comp))
+        bad = dataclasses.replace(act, actor=actor)
+        assert _theorem(verify, subject, bad, res) == _ungated_theorem(
+            monkeypatch, verify, subject, bad, res)
+        n += 1
+    assert n > 0
+
+
+@pytest.mark.parametrize("kind", ["evaluation", "trivial"])
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("name", THIN_BASES)
+def test_a_mistyped_comparison_component_reports_what_it_reports_with_the_thin_gates_off(
+        name, level, kind, monkeypatch):
+    verify, subject, res, acts = _verifier(name, level)
+    act = acts[kind]
+    la = getattr(act.actor, "host", act.actor)  # the acting enriched category
+    cls = CHECKS[level]
+    component = cls.component
+    n = 0
+    for k, key in enumerate(_few(itertools.product(la.objects(), repeat=2))):
+        def mistyped(self, P, phat_obj, a, b, h, key=key, k=k):
+            f = component(self, P, phat_obj, a, b, h)
+            return _mistyped(self.host.base.base, f, k) if (a, b) == key else f
+
+        monkeypatch.setattr(cls, "component", mistyped)
+        got = _theorem(verify, subject, act, res)
+        assert got[:2] != ([], 1)  # reported, or raised where rho's source is read
+        assert got == _ungated_theorem(monkeypatch, verify, subject, act, res)
+        n += 1
+    assert n > 0
+
+
+@pytest.mark.parametrize("kind", ["evaluation", "trivial"])
+def test_off_a_thin_host_a_verifier_checks_rho_the_mediators_and_the_composition_law(
+        kind, monkeypatch):
+    e = sign_enriched(2, 0)
+    res = e0_center(e, CAP)
+    assert not _thin_host(res.category.host)
+    act = evaluation_action(res, e) if kind == "evaluation" else trivial_action(e)
+    sources = counting_calls(monkeypatch, centers, "product_enriched_functor")
+    compositions = counting_calls(monkeypatch, centers, "_check_enriched_functor_composition")
+    nats = counting_calls(monkeypatch, centers, "_nat_report")
+    out = verify_e0_universal(e, act, CAP, res)
+    assert (out.report.violations, out.uniqueness_count) == ([], 1)
+    assert len(sources) == len(compositions) == 1
+    # rho's, then one per mediator candidate
+    assert [n.source is n.target for n, _ in nats] == [False] + [True] * (len(nats) - 1)
+    assert len(nats) > 1
 
 
 # --- condition_star: each cell typed once ---

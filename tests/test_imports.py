@@ -8,8 +8,8 @@ through core. No ``.get(...)`` of src/ecat keys by ``sorted(`` outside
 ``monoidal._half_braided_index``, the one table of half-braided objects.
 Every ``.thin`` read of src/ecat outside the two base rules is gated by
 ``_is_monoidal`` or ``_thin_host``, and the composition sections that a
-thin gate skips are called only by their own checker and their one gated
-caller. Budget is spent only by ``core._search`` and the single-pool filters
+thin gate skips are called only by their own checker and their gated
+callers. Budget is spent only by ``core._search`` and the single-pool filters
 that ``report.Budget`` names, and made only by ``Budget.of``, so every
 search entry point shares a Budget it is handed. What is built from an
 instance is kept only by ``core.kept``: no other dict field is declared
@@ -340,7 +340,7 @@ def test_every_thin_read_is_gated():
 
 
 # each composition section a thin gate skips -> the (module, function) that
-# may call it: its own checker and its one gated caller
+# may call it: its own checker and its gated callers
 GATED_SECTIONS = {
     "_check_functor_composition": {
         ("core.py", "check_functor"), ("actions.py", "check_module"),
@@ -348,6 +348,7 @@ GATED_SECTIONS = {
     "_check_enriched_functor_composition": {
         ("enriched.py", "check_enriched_functor"),
         ("enriched_monoidal.py", "check_enriched_monoidal"),
+        ("centers.py", "_comparison_report"),  # the verifiers' comparison functor
     },
     "_check_enriched_nat_squares": {
         ("enriched.py", "check_enriched_nat"), ("centers.py", "_nat_report"),

@@ -266,10 +266,43 @@ class RLaxStructure:
 
 
 def check_rlax(rl: RLaxStructure) -> ValidationReport:
+    """The carrier functor's laws and the typing of the cells
+    (``_check_rlax_typing``), then, once both hold, naturality,
+    associativity and the unit law of the cells (``_check_rlax_laws``).
+
+    On a thin target carrier the laws equate parallel morphisms, so once
+    the typing holds and ``_thin_rlax`` holds they hold too; ``_rlax_search``
+    decides them so, and this checker enumerates them."""
     report = ValidationReport("r-lax functor")
+    _check_rlax_typing(rl, report)
+    if report.ok:
+        _check_rlax_laws(rl, report)
+    return report
+
+
+def _check_rlax_typing(rl: RLaxStructure, report: ValidationReport) -> None:
+    """Add to report the laws of the carrier functor (``check_functor``)
+    and, once they hold, the typing of each cell R(a).F(x) -> F(a.x);
+    raise ``StructureError`` when a cell is missing."""
     report.extend(check_functor(rl.functor))
     if not report.ok:
-        return report
+        return
+    src, tgt = rl.source, rl.target
+    r_obj, f_obj = rl.r.functor.obj_map, rl.functor.obj_map
+    for a, x in itertools.product(src.base.base.objects(), src.carrier.objects()):
+        f = rl.beta.get((a, x))
+        if f is None:
+            raise StructureError(f"r-lax cell missing at {(a, x)}")
+        _expect(
+            report, "rlax-typing", (a, x), tgt.carrier, f,
+            tgt.a_obj(r_obj[a], f_obj[x]), f_obj[src.a_obj(a, x)],
+        )
+
+
+def _check_rlax_laws(rl: RLaxStructure, report: ValidationReport) -> None:
+    """Add to report every failing instance of the naturality,
+    associativity and unit laws of the cells, given that rl passes
+    ``_check_rlax_typing``. Its one caller is ``check_rlax``."""
     src, tgt = rl.source, rl.target
     a_cat = src.base
     cl, cm = src.carrier, tgt.carrier
@@ -277,17 +310,6 @@ def check_rlax(rl: RLaxStructure) -> ValidationReport:
     r_obj, r_mor = r.functor.obj_map, r.functor.mor_map
     f_obj, f_mor = rl.functor.obj_map, rl.functor.mor_map
     objs_a = list(a_cat.base.objects())
-    typed = True
-    for a, x in itertools.product(objs_a, cl.objects()):
-        f = rl.beta.get((a, x))
-        if f is None:
-            raise StructureError(f"r-lax cell missing at {(a, x)}")
-        typed &= _expect(
-            report, "rlax-typing", (a, x), cm, f,
-            tgt.a_obj(r_obj[a], f_obj[x]), f_obj[src.a_obj(a, x)],
-        )
-    if not typed:
-        return report
     beta = rl.beta
     for f in a_cat.base.morphisms():
         a, ap, rf = a_cat.base.dom[f], a_cat.base.cod[f], r_mor[f]
@@ -323,7 +345,6 @@ def check_rlax(rl: RLaxStructure) -> ValidationReport:
         )
         if lhs != tgt.u(fx):
             report.add("rlax-unit", (x,))
-    return report
 
 
 def identity_rlax(mod: ModuleAction) -> RLaxStructure:
@@ -356,30 +377,109 @@ def compose_rlax(g: RLaxStructure, f: RLaxStructure) -> RLaxStructure:
     )
 
 
+def _thin_rlax(r: LaxMonoidalFunctor, src: ModuleAction, tgt: ModuleAction) -> bool:
+    """Whether the target carrier is thin and every cell that the r-lax
+    laws along r from src to tgt compose is typed once a candidate is:
+    r runs from the base of src to the base of tgt and passes
+    ``check_lax_monoidal_functor``, and each module acts out of the product
+    of its base and its carrier and passes ``check_module``. Then both
+    sides of each law are parallel morphisms (Lawvere 1973; Kelly 1982
+    §1). False when a check raises."""
+    try:
+        return (
+            tgt.carrier.thin
+            and r.source == src.base and r.target == tgt.base
+            and all(
+                _out_of_product(mod.act, mod.base.base, mod.carrier) and check_module(mod).ok
+                for mod in ((src,) if src is tgt else (src, tgt))
+            )
+            and check_lax_monoidal_functor(r).ok
+        )
+    except Exception:
+        return False
+
+
 def _rlax_search(
-    r: LaxMonoidalFunctor, src: ModuleAction, tgt: ModuleAction, budget: Budget
+    r: LaxMonoidalFunctor, src: ModuleAction, tgt: ModuleAction, budget: Budget,
+    thin: bool | None = None,
 ) -> list:
     """All r-lax functors along r from src to tgt.
 
     The first variable is the underlying functor, the rest are the cells
-    at the pairs (a, x) in order; each candidate goes through
-    ``check_rlax``."""
+    at the pairs (a, x) in order, each from its pool of morphisms
+    R(a).F(x) -> F(a.x). The functor search tests the pool of each (a, x)
+    once x and a.x are mapped, so an object map with an empty pool is
+    pruned before any morphism map is listed. Each complete candidate goes
+    through ``check_rlax``; when ``_thin_rlax`` holds, only through
+    ``_check_rlax_typing``, since the laws then follow from typing. thin is
+    that verdict when the caller has it, and is computed here when None."""
     cl, cm = src.carrier, tgt.carrier
-    functors = list(_functor_search(cl, cm, budget))
     keys = [(a, x) for a in src.base.base.objects() for x in cl.objects()]
     r_obj = r.functor.obj_map
+
+    def pool(a, x, f_obj):
+        return cm.hom(tgt.a_obj(r_obj[a], f_obj[x]), f_obj[src.a_obj(a, x)])
+
+    # an a.x outside the objects is left to the cell variables, which read it
+    pools = [
+        (max(x, ax), lambda v, a=a, x=x: bool(pool(a, x, v)))
+        for a, x in keys if 0 <= (ax := src.a_obj(a, x)) < cl.n_objects
+    ]
+    functors = list(_functor_search(cl, cm, budget, obj_checks=pools))
 
     def domain(i, v):
         if i == 0:
             return functors
-        (a, x), f = keys[i - 1], v[0]
-        return cm.hom(tgt.a_obj(r_obj[a], f.obj_map[x]), f.obj_map[src.a_obj(a, x)])
+        return pool(*keys[i - 1], v[0].obj_map)
 
-    rls = (
-        RLaxStructure(r, src, tgt, v[0], dict(zip(keys, v[1:])))
-        for v in _search(len(keys) + 1, domain, (), budget)
-    )
-    return [rl for rl in rls if check_rlax(rl).ok]
+    def rlax(v):
+        return RLaxStructure(r, src, tgt, v[0], dict(zip(keys, v[1:])))
+
+    if thin is None:
+        thin = _thin_rlax(r, src, tgt)
+
+    def lawful(v):
+        if not thin:
+            return check_rlax(rlax(v)).ok
+        report = ValidationReport("r-lax functor")
+        _check_rlax_typing(rlax(v), report)
+        return report.ok
+
+    return [rlax(v) for v in _search(len(keys) + 1, domain, [(len(keys), lawful)], budget)]
+
+
+def _half_braided_rlax(r: LaxMonoidalFunctor, mod: ModuleAction, a: int, hb) -> RLaxStructure:
+    """The lax module endofunctor a.- of mod, along r, the identity of its
+    base, for an object a of the base with a half-braiding hb: its cell at
+    (b, x) is b.(a.x) -> (b @ a).x -> (a @ b).x -> a.(b.x), through the
+    inverse structure map, hb at b and the structure map. Raises
+    ``StructureError`` when a structure map is not invertible."""
+    c, cc = mod.base.base, mod.carrier
+    h_obj = tuple(mod.a_obj(a, x) for x in cc.objects())
+    h_mor = tuple(mod.a_mor(c.identity[a], p) for p in cc.morphisms())
+    cells = {}
+    for b in c.objects():
+        for x in cc.objects():
+            o_inv = find_inverse(cc, mod.o(b, a, x))
+            if o_inv is None:
+                raise StructureError(f"morphism {mod.o(b, a, x)} is not invertible")
+            cells[(b, x)] = cc.comp_many(
+                mod.o(a, b, x), mod.a_mor(hb.components[b], cc.identity[x]), o_inv,
+            )
+    return RLaxStructure(r, mod, mod, Functor(cc, cc, h_obj, h_mor), cells)
+
+
+def _rlax_key(g: RLaxStructure, f: RLaxStructure | None = None, thin: bool = False) -> tuple:
+    """The key of g after f (of g when f is None) among the r-lax functors
+    between two modules: its object map, morphism map and sorted cells.
+    When thin, ``_thin_rlax``'s verdict on functors that ``_rlax_search``
+    typed, an r-lax functor is fixed by its object map: the key is that
+    map, and the composite is not built."""
+    if thin:
+        obj = g.functor.obj_map
+        return tuple(obj if f is None else (obj[y] for y in f.functor.obj_map))
+    rl = g if f is None else compose_rlax(g, f)
+    return tuple(rl.functor.obj_map), tuple(rl.functor.mor_map), tuple(sorted(rl.beta.items()))
 
 
 def check_module_nat(

@@ -15,10 +15,12 @@ records each family's unique morphism into the terminal one. On a thin host
 with typed cells (``enriched._enriched_functor_cells`` and
 ``_half_braiding_cells``, typed once per functor and once per center by
 ``condition_star``; ``_bracket_cells``) no sliding square or factoring is
-composed.
+composed, and each pool holds at most one morphism, so one family per
+center object is listed, not searched.
 Both centers build their category of terminal families with one host,
 ``_family_host``: identities and composites are the mediators of the
-identity and composite families. A mediator of a listed family is read
+identity and composite families, or on a thin E0 host with typed cells the
+only morphisms of their hom sets. A mediator of a listed family is read
 from that certificate; only an unlisted family is mediated by a scan.
 `check_bracket_terminal` re-checks any such certificate by an exhaustive
 morphism scan. The E0 tensor cells are each the composite of a left and a
@@ -41,11 +43,12 @@ from functools import cache, cached_property
 from ecat.actions import (
     ModuleAction,
     MonoidalModuleCells,
-    RLaxStructure,
+    _half_braided_rlax,
     _restricted_module,
+    _rlax_key,
     _rlax_search,
+    _thin_rlax,
     check_module_nat,
-    compose_rlax,
     identity_rlax,
     self_module,
 )
@@ -192,8 +195,11 @@ def enumerate_identity_background_functors(
     return list(_enriched_functor_search(identity_lax(src.base), src, tgt, budget))
 
 
-def _functor_key(f: EnrichedFunctor) -> tuple:
-    """The object map of f and its components read in (x, y) order."""
+def _functor_key(f: EnrichedFunctor, thin: bool = False) -> tuple:
+    """The object map of f and, unless thin, its components read in (x, y)
+    order; on a thin host the object map fixes a typed functor."""
+    if thin:
+        return tuple(f.obj_map)
     pairs = itertools.product(f.source.objects(), repeat=2)
     return tuple(f.obj_map), tuple(map(f.components.__getitem__, pairs))
 
@@ -309,7 +315,7 @@ def _lifter(incl: LaxMonoidalFunctor):
 
 
 def _mediate(c: FinCategory, incl: LaxMonoidalFunctor, bracket: Bracket,
-             src_z: int, family: tuple) -> int:
+             src_z: int, family: tuple | None) -> int:
     """The unique center morphism src_z -> bracket.obj through which the
     bracket's components give family.
 
@@ -317,16 +323,17 @@ def _mediate(c: FinCategory, incl: LaxMonoidalFunctor, bracket: Bracket,
     this is the bracket's mediator certificate for that family:
     ``_terminal_bracket`` found it by the same ``_factors`` scan over the
     same hom set. Otherwise the hom set is scanned, and exactly one
-    morphism must factor the family.
+    morphism must factor the family; every one does when family is None,
+    the caller's verdict of a thin host with typed cells.
     """
-    if incl is bracket.incl:
+    if family is not None and incl is bracket.incl:
         pos = bracket.positions.get((src_z, tuple(family)))
         if pos is not None:
             return bracket.mediators[pos]
     hits = [
         k
         for k in incl.source.base.hom(src_z, bracket.obj)
-        if _factors(c, incl, k, bracket.components, family)
+        if family is None or _factors(c, incl, k, bracket.components, family)
     ]
     if len(hits) != 1:
         raise StructureError(f"expected one mediating morphism, found {len(hits)}")
@@ -334,7 +341,7 @@ def _mediate(c: FinCategory, incl: LaxMonoidalFunctor, bracket: Bracket,
 
 
 def _family_host(e: EnrichedCategory, incl: LaxMonoidalFunctor, brackets: dict,
-                 carriers: list) -> EnrichedCategory:
+                 carriers: list, thin: bool = False) -> EnrichedCategory:
     """The enriched category of terminal families, over the center that
     incl includes into the base of e.
 
@@ -342,20 +349,22 @@ def _family_host(e: EnrichedCategory, incl: LaxMonoidalFunctor, brackets: dict,
     identities and composites are the unique mediators of the identity and
     composite families. carriers[i] lists the objects of e that the
     components of a family out of i start from: F_i(x) for each object x
-    (E0), or (x_i,) (E1).
+    (E0), or (x_i,) (E1). thin is the caller's verdict of a thin host with
+    typed cells: then no family is composed (``_mediate``).
     """
     m = e.base
     c = m.base
     zmon = incl.source
     n = len(carriers)
     ident = {
-        i: _mediate(c, incl, brackets[(i, i)], zmon.unit, [e.one(x) for x in xs])
+        i: _mediate(c, incl, brackets[(i, i)], zmon.unit,
+                    None if thin else [e.one(x) for x in xs])
         for i, xs in enumerate(carriers)
     }
     comp = {}
     for i, j, k in itertools.product(range(n), repeat=3):
         a, b = brackets[(i, j)], brackets[(j, k)]
-        family = [
+        family = None if thin else [
             c.comp(e.c(xi, xj, xk), m.t_mor(bz, az))
             for xi, xj, xk, az, bz in zip(
                 carriers[i], carriers[j], carriers[k], a.components, b.components
@@ -376,7 +385,9 @@ def _bracket_search(e: EnrichedCategory, incl: LaxMonoidalFunctor, targets: list
     at its last variable, unless thin: the caller's verdict that what square
     and the factorings read besides the components, and incl on morphisms,
     are typed on a thin host (``_typed_cells``). Then every square commutes
-    and every family factors."""
+    and every family factors, and each pool holds at most one morphism: a
+    family is listed for each a whose pools are all non-empty, as
+    ``_search(1, ...)``, not searched."""
     c = e.base.base
     k = len(targets)
 
@@ -385,8 +396,18 @@ def _bracket_search(e: EnrichedCategory, incl: LaxMonoidalFunctor, targets: list
             return incl.source.base.objects()
         return c.hom(incl.on_obj(v[0]), targets[i - 1])
 
-    squares = [] if thin else [(k, square)]
-    objects = [Family(v[0], v[1:]) for v in _search(k + 1, domain, squares, budget)]
+    if thin:  # the one family of each a with no empty pool: its pools' heads
+        heads = {}
+
+        def listed(v):
+            x = incl.on_obj(v[0])
+            pools = [c.hom(x, t) for t in targets]
+            heads[v[0]] = next(zip(*pools), ())
+            return all(pools)
+
+        objects = [Family(a, heads[a]) for a, in _search(1, domain, [(0, listed)], budget)]
+    else:
+        objects = [Family(v[0], v[1:]) for v in _search(k + 1, domain, [(k, square)], budget)]
     return _terminal_bracket(c, incl, objects, budget, thin)
 
 
@@ -450,6 +471,7 @@ class StarResult:
     functors: tuple
     brackets: dict  # (i, j) -> Bracket or None
     z1: object
+    thin: bool  # every functor and z1 typed on a thin host
 
 
 def condition_star(e: EnrichedCategory, cap: int | Budget | None = None) -> StarResult:
@@ -472,7 +494,7 @@ def condition_star(e: EnrichedCategory, cap: int | Budget | None = None) -> Star
         for j, fG in enumerate(functors):
             brackets[(i, j)] = _family_search(
                 e, fF, fG, z1, typed[i] and typed[j], budget)
-    return StarResult(tuple(functors), brackets, z1)
+    return StarResult(tuple(functors), brackets, z1, all(typed))
 
 
 # --- the E0 center ---
@@ -548,16 +570,19 @@ def e0_center(e: EnrichedCategory, cap: int | Budget | None = None) -> CenterRes
     zmon = z1.monoidal
     fwd = z1.forgetful
     n = len(functors)
-    fun_index = {_functor_key(f): i for i, f in enumerate(functors)}
+    thin = star.thin
+    fun_index = {_functor_key(f, thin): i for i, f in enumerate(functors)}
 
     host = _family_host(
-        e, fwd, brackets, [[f.on_obj(x) for x in e.objects()] for f in functors]
+        e, fwd, brackets, [[f.on_obj(x) for x in e.objects()] for f in functors], thin
     )
     ident, comp = host.ident, host.comp
 
     t_obj = {}
     for i, j in itertools.product(range(n), repeat=2):
-        key = _functor_key(compose_enriched_functors(functors[i], functors[j]))
+        fi, fj = functors[i], functors[j]
+        key = (tuple(map(fi.obj_map.__getitem__, fj.obj_map)) if thin
+               else _functor_key(compose_enriched_functors(fi, fj)))
         if key not in fun_index:
             raise StructureError(f"endofunctor list not closed under composition at {(i, j)}")
         t_obj[(i, j)] = fun_index[key]
@@ -599,18 +624,15 @@ def e0_center(e: EnrichedCategory, cap: int | Budget | None = None) -> CenterRes
         tensor_obj_map,
         cells,
     )
-    unit_idx = fun_index[_functor_key(identity_enriched_functor(e))]
+    unit_idx = fun_index[_functor_key(identity_enriched_functor(e), thin)]
+    assoc = {}
     for i, j, k in itertools.product(range(n), repeat=3):
         if t_obj[(t_obj[(i, j)], k)] != t_obj[(i, t_obj[(j, k)])]:
             raise StructureError("endofunctor composition is not associative")
-    assoc = {
-        (i, j, k): ident[t_obj[(t_obj[(i, j)], k)]]
-        for i, j, k in itertools.product(range(n), repeat=3)
-    }
-    left = tuple(ident[i] for i in range(n))
-    right = tuple(ident[i] for i in range(n))
+        assoc[(i, j, k)] = ident[t_obj[(t_obj[(i, j)], k)]]
+    unitors = tuple(ident[i] for i in range(n))
     category = EnrichedMonoidalCategory(
-        host, z1.braided, tensor, unit_idx, assoc, left, right
+        host, z1.braided, tensor, unit_idx, assoc, unitors, unitors
     )
     witnesses = {
         "host": e,
@@ -703,14 +725,6 @@ def enriched_iso_search(
 # --- the E0 center through module endofunctors ---
 
 
-def _rlax_key(rl: RLaxStructure) -> tuple:
-    return (
-        tuple(rl.functor.obj_map),
-        tuple(rl.functor.mor_map),
-        tuple(sorted(rl.beta.items())),
-    )
-
-
 def e0_center_via_module(mod: ModuleAction, cap: int | Budget | None = None) -> CenterResult:
     """The E0 center presented through the canonical construction.
 
@@ -734,14 +748,15 @@ def e0_center_via_module(mod: ModuleAction, cap: int | Budget | None = None) -> 
     fwd = z1.forgetful
 
     bg = identity_lax(m)
-    mfs = _rlax_search(bg, mod, mod, budget)
-    mf_index = {_rlax_key(mf): i for i, mf in enumerate(mfs)}
+    thin = _thin_rlax(bg, mod, mod)  # r-lax laws, module squares and keys from typing
+    mfs = _rlax_search(bg, mod, mod, budget, thin)
+    mf_index = {_rlax_key(mf, thin=thin): i for i, mf in enumerate(mfs)}
     nats = [
         (i, j, nat.components)
         for i, fi in enumerate(mfs)
         for j, fj in enumerate(mfs)
         for nat in _nat_search(fi.functor, fj.functor, budget)
-        if check_module_nat(fi, fj, nat).ok
+        if thin or check_module_nat(fi, fj, nat).ok
     ]
     funcat, nat_index = labelled_category(
         len(mfs), nats,
@@ -749,31 +764,11 @@ def e0_center_via_module(mod: ModuleAction, cap: int | Budget | None = None) -> 
         lambda g, f: tuple(cc.comp(g[2][x], f[2][x]) for x in cc.objects()),
     )
 
-    def acting(zi: int) -> RLaxStructure:
-        """The lax module endofunctor a.- of the center object zi = (a, hb),
-        with cells from its half-braiding hb."""
-        ia = fwd.on_obj(zi)
-        hb = z1.object_data[zi][1]
-        h_obj = tuple(mod.a_obj(ia, x) for x in cc.objects())
-        h_mor = tuple(mod.a_mor(c.identity[ia], p) for p in cc.morphisms())
-        cells = {}
-        for b in c.objects():
-            for x in cc.objects():
-                o_inv = find_inverse(cc, mod.o(b, ia, x))
-                if o_inv is None:
-                    raise StructureError(f"morphism {mod.o(b, ia, x)} is not invertible")
-                cells[(b, x)] = cc.comp_many(
-                    mod.o(ia, b, x),
-                    mod.a_mor(hb.components[b], cc.identity[x]),
-                    o_inv,
-                )
-        return RLaxStructure(bg, mod, mod, Functor(cc, cc, h_obj, h_mor), cells)
-
     act_obj = []
     for zi in zc.objects():
-        h = acting(zi)
+        h = _half_braided_rlax(bg, mod, fwd.on_obj(zi), z1.object_data[zi][1])
         for mf in mfs:
-            key = _rlax_key(compose_rlax(h, mf))
+            key = _rlax_key(h, mf, thin)
             if key not in mf_index:
                 raise StructureError("module endofunctors not closed under the action")
             act_obj.append(mf_index[key])
@@ -812,8 +807,8 @@ def e0_center_via_module(mod: ModuleAction, cap: int | Budget | None = None) -> 
     can = canonical_construction(fmod, budget)
     t_obj = {}
     for i, j in itertools.product(range(nf), repeat=2):
-        t_obj[(i, j)] = mf_index[_rlax_key(compose_rlax(mfs[i], mfs[j]))]
-    unit_idx = mf_index[_rlax_key(identity_rlax(mod))]
+        t_obj[(i, j)] = mf_index[_rlax_key(mfs[i], mfs[j], thin)]
+    unit_idx = mf_index[_rlax_key(identity_rlax(mod), thin=thin)]
     witnesses = {
         "module": mod,
         "module_functors": tuple(mfs),

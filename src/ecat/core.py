@@ -142,7 +142,13 @@ class FinCategory:
           composition law and the associator's naturality, on a thin base
           once the base passes ``_is_monoidal``, the braiding passes, the
           tensor background is the pinned one and nothing is reported;
-        - seven checks of the centers, once the host passes
+        - ``actions._rlax_search``: the r-lax laws after typing, once the
+          background passes ``check_lax_monoidal_functor`` and both modules
+          act out of their products and pass ``check_module``
+          (``actions._thin_rlax``); under the same verdict
+          ``centers.e0_center_via_module`` keys r-lax functors by their
+          object maps and takes typed nats without their module squares;
+        - ten checks of the centers, once the host passes
           ``enriched._thin_host`` (a thin base that passes ``_is_monoidal``
           and a host that passes ``check_enriched``) and the cells each
           reads are typed: the E0 and E1 sliding squares of
@@ -150,10 +156,15 @@ class FinCategory:
           ``enriched._enriched_functor_cells`` and
           ``enriched._half_braiding_cells`` for ``bracket_family`` and
           ``condition_star``, ``enriched._bracket_cells`` for
-          ``bracket_pair``), the naturality squares of
-          ``enriched_monoidal.check_enriched_half_braiding``, the
+          ``bracket_pair``), which then lists one family per center object
+          instead of searching; the naturality squares of
+          ``enriched_monoidal.check_enriched_half_braiding``; the
           factorings of ``centers._terminal_bracket`` that the search
-          hands it, and four in the verifiers
+          hands it; on ``condition_star``'s verdict that every
+          endofunctor and Z1 are typed, the identities and composites of
+          ``centers._family_host``, each the only morphism of its center
+          hom set, and ``e0_center``'s keys, the object maps of the
+          endofunctors and their composites; and four in the verifiers
           (``centers._UniversalCheck``): rho whole, once the comparison
           functor passes, both actions are typed and rho's components are
           typed against the object maps of its source; each mediator
@@ -794,12 +805,16 @@ def _search(n: int, domain, constraints, budget: Budget):
             stack.append(iter(domain(i + 1, a)))
 
 
-def _functor_search(c: FinCategory, d: FinCategory, budget: Budget, iso: bool = False):
+def _functor_search(c: FinCategory, d: FinCategory, budget: Budget, iso: bool = False,
+                    obj_checks=()):
     """Functors C -> D in lexicographic (obj_map, then mor_map) order.
 
     Objects are the first variables, then the morphisms that are not
     identities; a composite is checked once its three morphisms are mapped.
     With iso set, only bijections that keep degree signatures are yielded.
+    obj_checks holds further ``_search`` constraints ``(x, check)`` on the
+    object map: ``check(a)`` may read ``a[:x + 1]``, the images of objects 0..x,
+    and prunes an object map before any morphism is mapped.
     """
     n = c.n_objects
     ident = {e: x for x, e in enumerate(c.identity)}
@@ -840,6 +855,7 @@ def _functor_search(c: FinCategory, d: FinCategory, budget: Budget, iso: bool = 
          lambda a, g=g, f=f, h=h: d.comp(image(a, g), image(a, f)) == image(a, h))
         for (g, f), h in c.compose.items()
     ]
+    constraints += obj_checks
     for a in _search(n + len(free), domain, constraints, budget):
         yield Functor(c, d, a[:n], tuple(image(a, f) for f in c.morphisms()))
 

@@ -149,6 +149,11 @@ def _thin_host(e: EnrichedCategory) -> bool:
       and the Z1 forgetful functor, typed once per functor and once per
       center in ``condition_star``) and the E1 ones of ``bracket_pair``
       (``_bracket_cells``), with the factorings of ``_terminal_bracket``;
+      it then lists one family per center object, not searching;
+    - ``centers.e0_center``, on ``condition_star``'s verdict that every
+      endofunctor and Z1 are typed: the identities and composites of
+      ``_family_host``, each the only morphism of its center hom set, and
+      the keys of the endofunctors and their composites, their object maps;
     - ``enriched_monoidal.check_enriched_half_braiding``: its naturality
       squares;
     - ``centers._nat_report``: the naturality squares of the verifiers'

@@ -4,13 +4,16 @@ host, against the frozen ungated bodies of tests/helpers.py.
 On a host that passes ``enriched._thin_host``, every sliding square of the E0
 and E1 centers and every naturality square of an enriched half-braiding
 commutes once its cells are typed, and every typed family factors through
-every other, so the gated checks compose none of them. Every case below must
-give the oracle's result and ``Budget.used``, or raise its exception type and
+every other, so the gated checks compose none of them; each pool then holds
+at most one morphism, so the families are listed, not searched, and the
+``Budget.used`` of a listing is ``helpers.listed_bracket_used``. Every case
+below must give the oracle's result, or raise its exception type and
 message: the valid thin fixtures, and one-entry changes of host composition
 cells, tensor cells, half-braiding components and functor components, which
-the gates must leave to the loops. ``bracket_pair`` searches its transparent
-object as a search variable, where its oracle loops over the objects without
-spending, so its ``Budget.used`` is the oracle's plus the objects it enters
+the gates must leave to the loops, with the oracle's ``Budget.used``.
+``bracket_pair`` searches its transparent object as a search variable, where
+its oracle loops over the objects without spending, so off the listing its
+``Budget.used`` is the oracle's plus the objects it enters
 (``helpers.bracket_pair_used``).
 
 The universal-property verifiers decide rho, each mediator candidate and
@@ -78,6 +81,7 @@ from helpers import (
     counting_calls,
     exhaustive_bracket_pair,
     identity_braiding,
+    listed_bracket_used,
     lattice2_monoidal,
     lattice4_monoidal,
     lattice8_monoidal,
@@ -172,7 +176,9 @@ def test_bracket_family_matches_the_ungated_search_and_composes_nothing(name, co
     assert _thin_host(e)
     found = 0
     for f, g in itertools.product(funs, repeat=2):
-        want = _outcome(ungated_bracket_family, e, f, g, z1)
+        targets = [e.hom(f.on_obj(x), g.on_obj(x)) for x in e.objects()]
+        got, _ = _outcome(ungated_bracket_family, e, f, g, z1)
+        want = got, listed_bracket_used(z1.forgetful, targets, e.base.base)
         del compositions[:]
         assert _outcome(bracket_family, e, f, g, z1) == want
         assert compositions == []

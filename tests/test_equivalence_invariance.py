@@ -2,8 +2,9 @@
 equivalent to the one without, so their E0 centers are equivalent (Kelly
 1982 §1.11): they have as many isomorphism classes, and the universal
 property holds on both. The repeated input inflates the center (chain-2's
-from 3 objects to 13, lattice-4's from 9 to 57), so these rows also run the
-verifiers on centers with many isomorphic objects.
+from 3 objects to 13, chain-3's from 8 to 41 or 32, lattice-4's from 9 to
+57), so these rows also run the verifiers on centers with many isomorphic
+objects.
 """
 
 import pytest
@@ -12,13 +13,17 @@ from ecat.centers import e0_center, evaluation_action, trivial_action, verify_e0
 from ecat.enriched import underlying_category
 from ecat.monoidal import find_inverse
 
-from helpers import lattice2_monoidal, lattice4_monoidal, thin_enriched
+from helpers import chain3_monoidal, lattice2_monoidal, lattice4_monoidal, thin_enriched
 
 CAP = 1_000_000
 
 
 def _chain2(objs):
     return thin_enriched(lattice2_monoidal(), objs, lambda x, y: int(x <= y))
+
+
+def _chain3(objs):
+    return thin_enriched(chain3_monoidal(), objs, lambda x, y: 2 if x <= y else y)
 
 
 def _lattice4(objs):
@@ -46,6 +51,10 @@ def _iso_classes(e) -> int:
 ROWS = {
     "chain2-repeat-top": (lambda: _chain2([0, 1]), lambda: _chain2([0, 1, 1]), (3, 13)),
     "chain2-repeat-bottom": (lambda: _chain2([0, 1]), lambda: _chain2([0, 0, 1]), (3, 13)),
+    "chain3-repeat-middle": (
+        lambda: _chain3([0, 1, 2]), lambda: _chain3([0, 1, 1, 2]), (8, 41)),
+    "chain3-repeat-bottom": (
+        lambda: _chain3([0, 1, 2]), lambda: _chain3([0, 0, 1, 2]), (8, 32)),
     "lattice4-repeat-1": (
         lambda: _lattice4([0, 1, 2, 3]), lambda: _lattice4([0, 1, 1, 2, 3]), (9, 57)),
 }

@@ -482,29 +482,14 @@ def _rlax_key(g: RLaxStructure, f: RLaxStructure | None = None, thin: bool = Fal
     return tuple(rl.functor.obj_map), tuple(rl.functor.mor_map), tuple(sorted(rl.beta.items()))
 
 
-def check_module_nat(
-    f: RLaxStructure, g: RLaxStructure, nat: NatTransf
-) -> ValidationReport:
-    """The square of ``check_xilax_nat`` between two lax module functors
-    at the identity monoidal nat, which is not checked again here."""
-    report = ValidationReport("module natural transformation")
-    report.extend(check_nat_transf(nat))
-    if not report.ok:
-        return report
-    a_cat = f.source.base
-    cm = f.target.carrier
-    for a, x in itertools.product(a_cat.base.objects(), f.source.carrier.objects()):
-        lhs = cm.comp(g.b(a, x), f.target.a_mor(a_cat.base.identity[a], nat.components[x]))
-        rhs = cm.comp(nat.components[f.source.a_obj(a, x)], f.b(a, x))
-        if lhs != rhs:
-            report.add("module-nat", (a, x))
-    return report
-
-
 def check_xilax_nat(
     f1: RLaxStructure, f2: RLaxStructure, xihat: LaxMonoidalNat, xi: NatTransf
 ) -> ValidationReport:
-    """The compatibility square between two r-lax functors."""
+    """The compatibility square between two r-lax functors.
+
+    A nat of lax module functors, r-lax functors along the identity, is its
+    case at the identity monoidal nat ``identity_lax_nat(identity_lax(m))``
+    (``centers.e0_center_via_module``): it gets no checker of its own."""
     report = ValidationReport("xi-lax natural transformation")
     report.extend(check_nat_transf(xi))
     report.extend(check_lax_monoidal_nat(xihat))

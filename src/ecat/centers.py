@@ -31,7 +31,8 @@ comparison functor, its background, the unit isomorphism rho and the two
 pasting equations, then a brute-force count of the mediating
 isomorphisms; each level supplies only how its comparison functor lands
 in its center. On a thin host typing decides rho, each mediator
-candidate and the comparison functor's composition law (``_UniversalCheck``).
+candidate and the comparison functor's composition law (``_UniversalCheck``);
+elsewhere each is checked by its public checker.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from ecat.actions import (
     _rlax_key,
     _rlax_search,
     _thin_rlax,
-    check_module_nat,
+    check_xilax_nat,
     identity_rlax,
     self_module,
 )
@@ -72,12 +73,9 @@ from ecat.core import (
 from ecat.enriched import (
     EnrichedCategory,
     EnrichedFunctor,
-    EnrichedNat,
     _bracket_cells,
     _check_enriched_functor_composition,
     _check_enriched_functor_laws,
-    _check_enriched_nat_squares,
-    _check_enriched_nat_typing,
     _computed,
     _enriched_functor_cells,
     _enriched_functor_search,
@@ -89,6 +87,7 @@ from ecat.enriched import (
     _typed_cells,
     cartesian_product_enriched,
     check_enriched,
+    check_enriched_nat,
     compose_enriched_functors,
     hom_post,
     hom_pre,
@@ -117,6 +116,7 @@ from ecat.monoidal import (
     drinfeld_center_z1,
     find_inverse,
     identity_lax,
+    identity_lax_nat,
     inv,
     is_transparent,
     mid_swap,
@@ -748,6 +748,7 @@ def e0_center_via_module(mod: ModuleAction, cap: int | Budget | None = None) -> 
     fwd = z1.forgetful
 
     bg = identity_lax(m)
+    idnat = identity_lax_nat(bg)  # a module nat is a xi-lax nat at the identity
     thin = _thin_rlax(bg, mod, mod)  # r-lax laws, module squares and keys from typing
     mfs = _rlax_search(bg, mod, mod, budget, thin)
     mf_index = {_rlax_key(mf, thin=thin): i for i, mf in enumerate(mfs)}
@@ -756,7 +757,7 @@ def e0_center_via_module(mod: ModuleAction, cap: int | Budget | None = None) -> 
         for i, fi in enumerate(mfs)
         for j, fj in enumerate(mfs)
         for nat in _nat_search(fi.functor, fj.functor, budget)
-        if thin or check_module_nat(fi, fj, nat).ok
+        if thin or check_xilax_nat(fi, fj, idnat, nat).ok
     ]
     funcat, nat_index = labelled_category(
         len(mfs), nats,
@@ -1319,23 +1320,6 @@ def _apply_pair(fun: EnrichedFunctor, n2: int, m2: int, p1: int, x1: int,
     )
 
 
-def _nat_report(n: EnrichedNat, cells) -> ValidationReport:
-    """``check_enriched_nat(n)``, with the naturality squares composed only
-    when the typing passes and cells are not typed on the host that n's
-    functors map into (``_typed_cells``).
-
-    cells are the components of the source and target functors of n, or
-    what types them. The typing covers n's components and its background,
-    whose components ``check_lax_monoidal_nat`` types. Then both routes of
-    each square are parallel morphisms of the thin base, hence equal
-    (Lawvere 1973; Kelly 1982 §1). The verifiers call it only where typing
-    does not decide the whole nat (``_UniversalCheck``)."""
-    report = ValidationReport("enriched natural transformation")
-    if _check_enriched_nat_typing(n, report) and not _typed_cells(n.source.target, cells):
-        _check_enriched_nat_squares(n, report)
-    return report
-
-
 def _action_cells(act: EnrichedFunctor):
     """Every cell of an action enriched functor: its background's
     (``_lax_cells``), then its components."""
@@ -1385,8 +1369,8 @@ class _UniversalCheck:
     given action is typed and rho is typed against the object maps of its
     source, the center's action on e (``_ev_typed``) after the comparison
     functor times the identity, which is then neither built nor checked.
-    Elsewhere the full checks run, ``_nat_report`` deciding their squares,
-    and the report is the same. Each level supplies
+    Elsewhere each is checked whole, rho and the mediator candidates by
+    ``check_enriched_nat``, and the report is the same. Each level supplies
     comparison_objects, background_objects, rho_el, pasting_underlying_ok,
     pasting_background_ok, fixes_unit and fixes_rho; lift and component
     default to lifting through incl and mediating into the center's
@@ -1517,29 +1501,25 @@ class _UniversalCheck:
         rho_el = self.rho_el()
         act = e0_ev(self.res)
         pr = self.pr
-        ev_typed = act.target == e and _ev_typed(self.res)
-        odot_typed = ev_typed and (
-            action.odot is act or _typed_cells(e, _action_cells(action.odot)))
         # rho's source, act after ecp x id, is typed through its factors
-        rho_typed = ecp_report.ok and odot_typed and _typed_cells(e, itertools.chain(
-            ((rho_bg[(a, b)], act.background.on_obj(po(phat_obj[a], b)), bg.on_obj(po(a, b)))
-             for a in ca.objects() for b in c.objects()),
-            ((rho_el[pr(a, x)], m.unit,
-              e.hom(act.on_obj(pr(P[a], x)), action.odot.on_obj(pr(a, x))))
-             for a in la.objects() for x in range(nM)),
-        ))
+        rho_typed = (
+            ecp_report.ok and act.target == e and _ev_typed(self.res)
+            and (action.odot is act or _typed_cells(e, _action_cells(action.odot)))
+            and _typed_cells(e, itertools.chain(
+                ((rho_bg[(a, b)], act.background.on_obj(po(phat_obj[a], b)), bg.on_obj(po(a, b)))
+                 for a in ca.objects() for b in c.objects()),
+                ((rho_el[pr(a, x)], m.unit,
+                  e.hom(act.on_obj(pr(P[a], x)), action.odot.on_obj(pr(a, x))))
+                 for a in la.objects() for x in range(nM)),
+            ))
+        )
         if not rho_typed:
             fun1 = compose_enriched_functors(
                 act, product_enriched_functor(ecp, identity_enriched_functor(e))
             )
-            if ecp_report.ok and ev_typed:
-                fun1_cells = ()  # typed, and computable, through its three factors
-            else:
-                fun1_cells = _enriched_functor_cells(_computed(fun1))
-            odot_cells = () if odot_typed else _enriched_functor_cells(action.odot)
             rho_bg_comps = [rho_bg[(a, b)] for a in ca.objects() for b in c.objects()]
             ecrho = _enriched_nat(fun1, action.odot, rho_bg_comps, rho_el)
-            for v in _nat_report(ecrho, itertools.chain(fun1_cells, odot_cells)).violations:
+            for v in check_enriched_nat(ecrho).violations:
                 report.add("rho-" + v.law, v.instance, v.detail)
 
         for x in range(nM):
@@ -1578,8 +1558,7 @@ class _UniversalCheck:
         def mediates(v):
             combo_bg, alpha = v[:nA], dict(enumerate(v[nA:]))
             return (
-                (typed or _nat_report(_enriched_nat(ecp, ecp, combo_bg, alpha),
-                                      _enriched_functor_cells(ecp)).ok)
+                (typed or check_enriched_nat(_enriched_nat(ecp, ecp, combo_bg, alpha)).ok)
                 and self.fixes_unit(P, alpha, combo_bg, ph_unit)
                 and all(
                     self.fixes_rho(

@@ -147,8 +147,9 @@ class FinCategory:
           act out of their products and pass ``check_module``
           (``actions._thin_rlax``); under the same verdict
           ``centers.e0_center_via_module`` keys r-lax functors by their
-          object maps and takes typed nats without their module squares;
-        - ten checks of the centers, once the host passes
+          object maps and takes typed nats without their module squares
+          (``actions.check_xilax_nat`` at the identity);
+        - nine checks of the centers, once the host passes
           ``enriched._thin_host`` (a thin base that passes ``_is_monoidal``
           and a host that passes ``check_enriched``) and the cells each
           reads are typed: the E0 and E1 sliding squares of
@@ -164,15 +165,15 @@ class FinCategory:
           endofunctor and Z1 are typed, the identities and composites of
           ``centers._family_host``, each the only morphism of its center
           hom set, and ``e0_center``'s keys, the object maps of the
-          endofunctors and their composites; and four in the verifiers
+          endofunctors and their composites; and three in the verifiers
           (``centers._UniversalCheck``): rho whole, once the comparison
           functor passes, both actions are typed and rho's components are
           typed against the object maps of its source; each mediator
           candidate, its background naturality and its nat, once the
-          comparison functor passes; the comparison functor's composition
-          law, on a thin source and target (``centers._comparison_report``);
-          and the naturality squares of a nat that the verifiers still
-          check (``centers._nat_report``).
+          comparison functor passes; and the comparison functor's
+          composition law, on a thin source and target
+          (``centers._comparison_report``). Where typing does not decide
+          rho or a candidate, ``enriched.check_enriched_nat`` checks it.
         """
         return len(self._hom_index) == self.n_morphisms
 

@@ -137,35 +137,12 @@ def _thin_host(e: EnrichedCategory) -> bool:
     ``monoidal._is_monoidal`` and e passes ``check_enriched``; False when a
     check raises.
 
-    This is the precondition of the centers' square gates: on such an e
+    This is the precondition of the centers' thin gates: on such an e
     every composite of its identity and composition cells with the base
     tensor, associators and unitors is defined, and any two parallel
     composites are equal (Lawvere 1973; Kelly 1982 §1). So a square built
     from them commutes once its other cells are typed (``_typed_cells``).
-    These gates read it, directly or through ``_typed_cells``:
-
-    - ``centers._bracket_search``: the E0 sliding squares of
-      ``bracket_family`` (its functors' components, ``_half_braiding_cells``
-      and the Z1 forgetful functor, typed once per functor and once per
-      center in ``condition_star``) and the E1 ones of ``bracket_pair``
-      (``_bracket_cells``), with the factorings of ``_terminal_bracket``;
-      it then lists one family per center object, not searching;
-    - ``centers.e0_center``, on ``condition_star``'s verdict that every
-      endofunctor and Z1 are typed: the identities and composites of
-      ``_family_host``, each the only morphism of its center hom set, and
-      the keys of the endofunctors and their composites, their object maps;
-    - ``enriched_monoidal.check_enriched_half_braiding``: its naturality
-      squares;
-    - ``centers._nat_report``: the naturality squares of the verifiers'
-      rho and mediator nats, after ``_check_enriched_nat_typing``, where
-      the verifier does not decide the whole nat;
-    - ``centers._ev_typed``: the action of a center on its host, which
-      types the unmaterialised composite that rho starts from;
-    - ``centers._UniversalCheck.run``: rho whole, its background and
-      elements typed against the object maps of that composite, and each
-      mediator candidate, typed by its search domain;
-    - ``centers._comparison_report``: the composition law of the
-      verifiers' comparison functor.
+    ``FinCategory.thin`` lists the gates that read it.
     """
     try:
         return e.base.base.thin and _is_monoidal(e.base) and check_enriched(e).ok
@@ -521,23 +498,13 @@ def _enriched_nat(source: EnrichedFunctor, target: EnrichedFunctor,
 
 
 def check_enriched_nat(n: EnrichedNat) -> ValidationReport:
+    """The background of n (``check_lax_monoidal_nat``), then the typing of
+    its components and, when both pass, every naturality square, by either
+    route."""
     report = ValidationReport("enriched natural transformation")
-    if _check_enriched_nat_typing(n, report):
-        _check_enriched_nat_squares(n, report)
-    return report
-
-
-def _check_enriched_nat_typing(n: EnrichedNat, report: ValidationReport) -> bool:
-    """Add to report the violations of n's background (``check_lax_monoidal_nat``)
-    and of its component typing; return whether there are none, that is
-    whether the naturality squares are to be checked.
-
-    The squares are left to ``_check_enriched_nat_squares``, so that a caller
-    that can decide them otherwise (``centers._nat_report`` on a thin host)
-    skips only that loop."""
     report.extend(check_lax_monoidal_nat(n.background))
     if not report.ok:
-        return False
+        return report
     f, g = n.source, n.target
     e, e2 = f.source, f.target
     m2 = e2.base
@@ -551,17 +518,14 @@ def _check_enriched_nat_typing(n: EnrichedNat, report: ValidationReport) -> bool
             report, "enriched-nat-typing", (x,), c, comp,
             m2.unit, e2.hom(f.on_obj(x), g.on_obj(x)),
         )
-    return typed
-
-
-def _check_enriched_nat_squares(n: EnrichedNat, report: ValidationReport) -> None:
-    """Add to report every (x, y) whose naturality square of n fails, by
-    either route, given a valid background and typed components."""
-    for x, y in itertools.product(n.source.source.objects(), repeat=2):
+    if not typed:
+        return report
+    for x, y in itertools.product(e.objects(), repeat=2):
         if not _nat_square(n, x, y):
             report.add("enriched-nat-square", (x, y))
         if not _nat_hom_route(n, x, y):
             report.add("enriched-nat-square-hom-route", (x, y))
+    return report
 
 
 def _nat_square(n: EnrichedNat, x: int, y: int) -> bool:

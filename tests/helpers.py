@@ -16,7 +16,6 @@ from ecat.actions import (
     MonoidalAdjunction,
     MonoidalModuleCells,
     RLaxStructure,
-    check_module_nat,
     check_rlax,
     compose_rlax,
     identity_rlax,
@@ -2685,6 +2684,27 @@ def exhaustive_enumerate_module_endofunctors(mod: ModuleAction, cap: int | None)
     return found
 
 
+def exhaustive_check_module_nat(
+    f: RLaxStructure, g: RLaxStructure, nat: NatTransf
+) -> ValidationReport:
+    """The module-nat square of two lax module functors at every (a, x):
+    g(a, x) . a.nat_x = nat_(a.x) . f(a, x), after nat's naturality. The
+    parent ``actions.check_module_nat``, now ``check_xilax_nat`` at the
+    identity monoidal nat."""
+    report = ValidationReport("module natural transformation")
+    report.extend(check_nat_transf(nat))
+    if not report.ok:
+        return report
+    a_cat = f.source.base
+    cm = f.target.carrier
+    for a, x in itertools.product(a_cat.base.objects(), f.source.carrier.objects()):
+        lhs = cm.comp(g.b(a, x), f.target.a_mor(a_cat.base.identity[a], nat.components[x]))
+        rhs = cm.comp(nat.components[f.source.a_obj(a, x)], f.b(a, x))
+        if lhs != rhs:
+            report.add("module-nat", (a, x))
+    return report
+
+
 def exhaustive_module_nats(mod: ModuleAction, mfs: list, cap: int | None) -> list:
     """The natural-transformation loop of e0_center_via_module: every
     (i, j, components) between the module endofunctors mfs."""
@@ -2704,7 +2724,7 @@ def exhaustive_module_nats(mod: ModuleAction, mfs: list, cap: int | None) -> lis
                 nat = NatTransf(fi.functor, fj.functor, combo)
                 if not check_nat_transf(nat).ok:
                     continue
-                if check_module_nat(fi, fj, nat).ok:
+                if exhaustive_check_module_nat(fi, fj, nat).ok:
                     nats.append((i, j, combo))
     return nats
 
@@ -3789,7 +3809,7 @@ def ungated_e0_center_via_module(mod: ModuleAction, cap: int | Budget | None = N
         for i, fi in enumerate(mfs)
         for j, fj in enumerate(mfs)
         for nat in _nat_search(fi.functor, fj.functor, budget)
-        if check_module_nat(fi, fj, nat).ok
+        if exhaustive_check_module_nat(fi, fj, nat).ok
     ]
     funcat, nat_index = labelled_category(
         len(mfs), nats,

@@ -10,7 +10,6 @@ from ecat.actions import (
     beta_from_theta,
     check_adjunction,
     check_module,
-    check_module_nat,
     check_monoidal_module,
     check_monoidal_rlax,
     check_rlax,
@@ -122,7 +121,7 @@ def test_identity_module_functor_and_composition():
     i = identity_rlax(mod)
     assert check_rlax(i).ok
     assert check_rlax(compose_rlax(i, i)).ok
-    assert check_module_nat(i, i, identity_nat(i.functor)).ok
+    assert check_xilax_nat(i, i, identity_lax_nat(i.r), identity_nat(i.functor)).ok
 
 
 def test_constant_top_module_functor():

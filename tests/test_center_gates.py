@@ -22,12 +22,9 @@ they build no composite for rho's source and run no
 ``check_lax_monoidal_nat`` or composition loop, and every ``TheoremReport``
 and ``Budget.used`` must equal the one given with ``_thin_host`` patched to
 False, also on one-entry mistyped action cells and comparison components.
-The naturality squares of a nat still checked are gated the same way
-(``centers._nat_report``): none is composed on the thin hosts, and every
-gated report must equal the report of ``enriched.check_enriched_nat``, the
-oracle, also when a mistyped action cell makes the gate fall back to the
-squares. ``condition_star`` types each endofunctor and the ordinary center
-once, not once per pair.
+Where typing does not decide rho or a candidate, the nat is checked whole by
+``enriched.check_enriched_nat``. ``condition_star`` types each endofunctor
+and the ordinary center once, not once per pair.
 """
 
 import dataclasses
@@ -59,7 +56,7 @@ from ecat.centers import (
     verify_e2_universal,
 )
 from ecat.core import FinCategory
-from ecat.enriched import _thin_host, check_enriched_nat
+from ecat.enriched import _thin_host
 from ecat.enriched_monoidal import (
     EnrichedBraidedCategory,
     EnrichedHalfBraiding,
@@ -413,35 +410,6 @@ def _verifier(name, level) -> tuple:
         "trivial": trivial_monoidal_action(em)}
 
 
-def _nat_outcome(check, *args):
-    """The violations check reports, or the type and message it raises."""
-    try:
-        return check(*args).violations
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-@pytest.fixture
-def nat_reports(monkeypatch):
-    """A list that gets (gated outcome, check_enriched_nat outcome) for each
-    nat that a verifier checks through ``centers._nat_report``."""
-    pairs = []
-    gated = centers._nat_report
-
-    def comparing(n, cells):
-        want = _nat_outcome(check_enriched_nat, n)
-        try:
-            report = gated(n, cells)
-        except Exception as exc:
-            pairs.append(((type(exc), str(exc)), want))
-            raise
-        pairs.append((report.violations, want))
-        return report
-
-    monkeypatch.setattr(centers, "_nat_report", comparing)
-    return pairs
-
-
 @pytest.mark.parametrize("kind", ["evaluation", "trivial"])
 @pytest.mark.parametrize("level", LEVELS)
 @pytest.mark.parametrize("name", THIN_BASES)
@@ -458,7 +426,7 @@ def test_a_verifier_composes_no_naturality_square_on_a_thin_host(name, level, ki
             (centers, "compose_enriched_functors"),
             (enriched, "check_lax_monoidal_nat"),
             (centers, "_check_enriched_functor_composition"),
-            (centers, "_nat_report"),
+            (centers, "check_enriched_nat"),
         )
     ]
     out = verify(subject, acts[kind], CAP, res)
@@ -466,50 +434,6 @@ def test_a_verifier_composes_no_naturality_square_on_a_thin_host(name, level, ki
     assert squares == []
     assert computed == []
     assert spies == [[]] * len(spies)
-
-
-@pytest.mark.parametrize("level", LEVELS)
-@pytest.mark.parametrize("name", THIN_BASES)
-def test_the_gated_nat_reports_equal_check_enriched_nat(name, level, nat_reports, monkeypatch):
-    verify, subject, res, acts = _verifier(name, level)
-    # with the verifier's own typing off, rho and every mediator candidate
-    # reach _nat_report, whose squares typing still decides
-    monkeypatch.setattr(centers, "_thin_host", lambda e: False)
-    monkeypatch.setattr(centers, "_ev_typed", lambda res: False)
-    for act in acts.values():
-        verify(subject, act, CAP, res)
-    assert nat_reports
-    for got, want in nat_reports:
-        assert got == want
-
-
-def _odot_changes(act):
-    """act with one odot component changed to a mistyped morphism, at a
-    spread of keys."""
-    c = act.acted.base.base
-    comps = dict(act.odot.components)
-    for k, key in enumerate(_spread(comps)):
-        odot = dataclasses.replace(
-            act.odot, components={**comps, key: _mistyped(c, comps[key], k)})
-        yield dataclasses.replace(act, odot=odot)
-
-
-@pytest.mark.parametrize("level", LEVELS)
-@pytest.mark.parametrize("name", THIN_BASES)
-def test_a_mistyped_action_cell_falls_back_to_the_squares(name, level, nat_reports, monkeypatch):
-    verify, subject, res, acts = _verifier(name, level)
-    squares = counting_calls(monkeypatch, centers, "_check_enriched_nat_squares")
-    fell_back = 0
-    for act in _odot_changes(acts["evaluation"]):
-        del squares[:], nat_reports[:]
-        try:
-            verify(subject, act, CAP, res)
-        except Exception:
-            pass  # a mistyped cell may not compose; where a nat check raised, so did the oracle
-        for got, want in nat_reports:
-            assert got == want
-        fell_back += bool(squares)
-    assert fell_back > 0
 
 
 def _action_changes(act, spread=_spread):
@@ -548,6 +472,7 @@ def test_a_center_action_types_only_when_every_cell_is_typed(name, level):
 def test_rho_source_is_materialised_when_the_comparison_functor_fails(level, monkeypatch):
     # its factors are then not known to be typed
     verify, subject, res, acts = _verifier("lattice2", level)
+    e0_ev(res)  # kept: the center's action on its host is built once per center
 
     def failing(ecp, bg_report):
         report = ValidationReport("stub")
@@ -555,13 +480,23 @@ def test_rho_source_is_materialised_when_the_comparison_functor_fails(level, mon
         return report
 
     monkeypatch.setattr(centers, "_comparison_report", failing)
+    built = []
+    compose = centers.compose_enriched_functors
+
+    def composing(g, f):
+        built.append(compose(g, f))
+        return built[-1]
+
+    monkeypatch.setattr(centers, "compose_enriched_functors", composing)
     computed = counting_calls(monkeypatch, centers, "_computed")
-    nats = counting_calls(monkeypatch, centers, "_nat_report")
+    nats = counting_calls(monkeypatch, centers, "check_enriched_nat")
     out = verify(subject, acts["evaluation"], CAP, res)
     assert [v.law for v in out.report.violations] == ["comparison-functor-stub-law"]
-    assert len(computed) == 1
+    # rho's source is built and checked whole, not read ahead
+    assert len(built) == 1 and nats[0][0].source is built[0]
+    assert computed == []
     # nor are the mediator candidates known to be typed: each nat is checked
-    assert [n.source is n.target for n, _ in nats] == [False] + [True] * (len(nats) - 1)
+    assert [n.source is n.target for (n,) in nats] == [False] + [True] * (len(nats) - 1)
     assert len(nats) > 1
 
 
@@ -686,12 +621,12 @@ def test_off_a_thin_host_a_verifier_checks_rho_the_mediators_and_the_composition
     act = evaluation_action(res, e) if kind == "evaluation" else trivial_action(e)
     sources = counting_calls(monkeypatch, centers, "product_enriched_functor")
     compositions = counting_calls(monkeypatch, centers, "_check_enriched_functor_composition")
-    nats = counting_calls(monkeypatch, centers, "_nat_report")
+    nats = counting_calls(monkeypatch, centers, "check_enriched_nat")
     out = verify_e0_universal(e, act, CAP, res)
     assert (out.report.violations, out.uniqueness_count) == ([], 1)
     assert len(sources) == len(compositions) == 1
     # rho's, then one per mediator candidate
-    assert [n.source is n.target for n, _ in nats] == [False] + [True] * (len(nats) - 1)
+    assert [n.source is n.target for (n,) in nats] == [False] + [True] * (len(nats) - 1)
     assert len(nats) > 1
 
 

@@ -428,7 +428,7 @@ def _e2_verification():
                      id="check_enriched_functor-comparison-functor-"),
         # rho's nat check, run where typing does not decide rho: here the
         # center's action on its host is not known to be typed
-        pytest.param("_nat_report", ["rho-"], id="check_enriched_nat-rho-"),
+        pytest.param("check_enriched_nat", ["rho-"], id="check_enriched_nat-rho-"),
     ],
 )
 @pytest.mark.parametrize(
@@ -437,7 +437,7 @@ def _e2_verification():
 )
 def test_verifier_reports_functor_violation(monkeypatch, verify, check, prefixes):
     monkeypatch.setattr(centers, check, _one_violation)
-    if check == "_nat_report":
+    if check == "check_enriched_nat":
         monkeypatch.setattr(centers, "_ev_typed", lambda res: False)
     out = verify()
     assert not out.ok

@@ -2,34 +2,44 @@
 every private module-level function or class of src/ecat is named by some
 live code of src/ecat outside its own definition: code that is not itself
 in such an unreferenced def. No def of src/ecat takes an
-``UnderlyingResult``: an enriched category keeps its own. No module of
-src/ecat but core.py calls ``FinCategory``: the others build categories
-through core. No ``.get(...)`` of src/ecat keys by ``sorted(`` outside
-``monoidal._half_braided_index``, the one table of half-braided objects.
-Every ``.thin`` read of src/ecat outside the two base rules is gated by
-``_is_monoidal`` or ``_thin_host``, or is one of the listed sites whose
-gate is another verdict, and the composition and law sections that a thin
-gate skips are called only by their own checker and their gated callers.
-No ``_search(`` call of src/ecat passes no constraint, outside the two
-half-braiding enumerations that still filter afterwards. Budget is spent
-only by ``core._search`` and the single-pool filters that
-``report.Budget`` names, and made only by ``Budget.of``, so every
-search entry point shares a Budget it is handed. What is built from an
-instance is kept only by ``core.kept``: no other dict field is declared
-with ``init=False``, ``._kept`` is read or written only inside ``kept``, and
-nothing writes through ``vars(`` or ``.__dict__``.
+``UnderlyingResult``: an enriched category keeps its own. Every ``.thin``
+read of src/ecat outside the two base rules is gated by ``_is_monoidal`` or
+``_thin_host``, or is one of the listed sites whose gate is another verdict.
+What is built from an instance is kept only by ``core.kept``: no other dict
+field is declared with ``init=False``, ``._kept`` is read or written only
+inside ``kept``, and nothing writes through ``vars(`` or ``.__dict__``.
+
+Each row of ``RULES`` names a callee, the calls of it that it governs, the
+sites allowed to make them and why; one scanner, ``stray_calls``, runs the
+table. Only core.py calls ``FinCategory``; no ``.get(...)`` keys by
+``sorted(`` outside ``monoidal._half_braided_index``, the one table of
+half-braided objects; the composition and law sections that a thin gate
+skips are called only by their own checker and their gated callers; Budget
+is spent only by ``core._search`` and the single-pool filters that
+``report.Budget`` names, and made only by ``Budget.of``; no ``_search(``
+call passes no constraint, outside the two half-braiding enumerations that
+still filter afterwards. Each rule has a synthetic and a planted-source
+self-test, and each allowed site must still make its call.
 
 Names listed in the package's __all__ are re-exported, so they count as
 used in __init__.py.
 """
 
 import ast
+import functools
 from collections import defaultdict
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ecat"
+
+
+def _src() -> dict:
+    """Each module of src/ecat by file name -> its source."""
+    return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
 
 def _exported(tree: ast.Module) -> set:
@@ -142,8 +152,7 @@ def test_the_scan_follows_dead_chains_and_cycles():
 
 
 def test_no_unreferenced_private_defs():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert unreferenced_privates(sources) == []
+    assert unreferenced_privates(_src()) == []
 
 
 def threaded_underlying(sources: dict) -> list:
@@ -178,88 +187,7 @@ def test_the_scan_finds_a_threaded_underlying_category():
 
 
 def test_no_def_takes_an_underlying_category():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert threaded_underlying(sources) == []
-
-
-def category_builders(sources: dict) -> list:
-    """The (module, line) of each call of ``FinCategory`` outside
-    ``core.py``. Every other module builds its categories through ``core``:
-    ``labelled_category`` for categories of labelled morphisms, and
-    ``product_category`` and the rest."""
-    found = []
-    for module, source in sources.items():
-        if module == "core.py":
-            continue
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Call):
-                f = node.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name == "FinCategory":
-                    found.append((module, node.lineno))
-    return sorted(found)
-
-
-def test_the_scan_finds_a_category_built_outside_core():
-    sources = {
-        "core.py": "c = FinCategory(1, (0,), (0,), (0,), {(0, 0): 0})\n",
-        "a.py": "def f(n, d, c, i, t):\n    return FinCategory(n, d, c, i, t)\n",
-        "b.py": "import core\n\nx = core.FinCategory(1, d, c, i, t)\ny: FinCategory = x\n",
-    }
-    assert category_builders(sources) == [("a.py", 2), ("b.py", 3)]
-
-
-def test_only_core_builds_a_category():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert category_builders(sources) == []
-
-
-def sorted_key_lookups(sources: dict) -> list:
-    """The (module, line) of each ``.get(...)`` call whose key calls
-    ``sorted(`` outside ``monoidal._half_braided_index``, the one place that
-    keys a half-braiding by its sorted components."""
-    found = []
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        exempt = set()
-        if module == "monoidal.py":
-            for node in tree.body:
-                if isinstance(node, ast.FunctionDef) and node.name == "_half_braided_index":
-                    exempt = {id(n) for n in ast.walk(node)}
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get"
-                and id(node) not in exempt
-                and any(
-                    isinstance(n, ast.Call) and getattr(n.func, "id", None) == "sorted"
-                    for arg in node.args for n in ast.walk(arg)
-                )
-            ):
-                found.append((module, node.lineno))
-    return sorted(found)
-
-
-def test_the_scan_finds_a_sorted_key_lookup_outside_the_index():
-    index = (
-        "def _half_braided_index(pairs):\n"
-        "    index = {}\n"
-        "    return lambda x, c: index.get((x, tuple(sorted(c.items()))))\n"
-    )
-    sources = {
-        "monoidal.py": index + "def f(d, c):\n    return d.get((0, tuple(sorted(c))))\n",
-        "centers.py": "a = d.get(sorted(c))\nb = d.get(c, sorted(e))\nc = d.get(x)\n",
-        "core.py": index,
-    }
-    assert sorted_key_lookups(sources) == [
-        ("centers.py", 1), ("centers.py", 2), ("core.py", 3), ("monoidal.py", 5),
-    ]
-
-
-def test_only_the_half_braided_index_keys_by_sorted_components():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert sorted_key_lookups(sources) == []
+    assert threaded_underlying(_src()) == []
 
 
 # the thin rules that _is_monoidal itself is decided by
@@ -351,8 +279,7 @@ def test_the_scan_finds_an_ungated_thin_read():
 
 
 def test_every_thin_read_is_gated():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert ungated_thin_reads(sources) == []
+    assert ungated_thin_reads(_src()) == []
 
 
 @pytest.mark.parametrize("site", sorted(GATED_SITES), ids=lambda s: f"{s[0]}:{s[1]}")
@@ -364,8 +291,8 @@ def test_each_listed_gate_site_reads_thin(site):
     assert any(isinstance(n, ast.Attribute) and n.attr == "thin" for n in ast.walk(fn))
 
 
-# each composition section a thin gate skips -> the (module, function) that
-# may call it: its own checker and its gated callers
+# each composition or law section a thin gate skips -> the (module, def)
+# that may call it: its own checker and its gated callers
 GATED_SECTIONS = {
     "_check_functor_composition": {
         ("core.py", "check_functor"), ("actions.py", "check_module"),
@@ -375,44 +302,149 @@ GATED_SECTIONS = {
         ("enriched_monoidal.py", "check_enriched_monoidal"),
         ("centers.py", "_comparison_report"),  # the verifiers' comparison functor
     },
-    "_check_enriched_nat_squares": {
-        ("enriched.py", "check_enriched_nat"), ("centers.py", "_nat_report"),
-    },
     # _rlax_search decides these laws from typing under _thin_rlax, and
     # otherwise runs check_rlax
     "_check_rlax_laws": {("actions.py", "check_rlax")},
 }
+# the one exhaustive search and the single-pool filters that report.Budget
+# names: each spends one unit per candidate it tries
+SPENDERS = {
+    ("core.py", "_search"),
+    ("actions.py", "internal_hom"),
+    ("monoidal.py", "drinfeld_center_z1"),
+    ("centers.py", "_terminal_bracket"),
+}
+# the searches that pass no constraint and filter afterwards: the
+# half-braiding enumerations, whose laws are not yet placed at their
+# variables
+UNCONSTRAINED_SEARCHES = {
+    ("monoidal.py", "enumerate_half_braidings"),
+    ("enriched_monoidal.py", "enumerate_enriched_half_braidings"),
+}
+
+
+class Rule(NamedTuple):
+    """Calls of callee, by name or attribute, that where accepts (every call
+    when None) are made only at sites: a module, or a (module, def) pair
+    whose def is a module-level function or a ``Class.method``."""
+
+    callee: str
+    sites: set
+    reason: str
+    where: Callable[[ast.Call], bool] | None = None
+
+
+def _sorted_key(call: ast.Call) -> bool:
+    """Whether an argument of call calls ``sorted(``."""
+    return any(
+        isinstance(n, ast.Call) and getattr(n.func, "id", None) == "sorted"
+        for arg in call.args for n in ast.walk(arg)
+    )
+
+
+def _no_constraints(call: ast.Call) -> bool:
+    """Whether a ``_search`` call passes ``()`` or ``[]`` as its constraints."""
+    if len(call.args) > 2:
+        arg = call.args[2]
+    else:
+        arg = next((k.value for k in call.keywords if k.arg == "constraints"), None)
+    return isinstance(arg, (ast.Tuple, ast.List)) and not arg.elts
+
+
+RULES = [
+    Rule("FinCategory", {"core.py"},
+         "every other module builds its categories through core: labelled_category"
+         " for categories of labelled morphisms, product_category and the rest"),
+    Rule("get", {("monoidal.py", "_half_braided_index")},
+         "the one table of half-braided objects keys a half-braiding by its"
+         " sorted components", _sorted_key),
+    *(Rule(section, sites, "a section that a thin gate skips is called only by"
+           " its own checker and its gated callers")
+      for section, sites in GATED_SECTIONS.items()),
+    Rule("spend", SPENDERS,
+         "any other search is a call of _search, so that every search entry"
+         " point spends from the Budget it is handed"),
+    Rule("Budget", {("report.py", "Budget.of")},
+         "every search entry point shares a Budget it is handed"),
+    Rule("_search", UNCONSTRAINED_SEARCHES,
+         "a search states each law at the variable where it becomes decidable,"
+         " not in a filter after it", _no_constraints),
+]
 
 
 def _callers(tree: ast.Module) -> dict:
-    """The id of each node inside a module-level def -> that def's name."""
-    return {
-        id(n): fn.name
-        for fn in tree.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for n in ast.walk(fn)
-    }
+    """The id of each node inside a module-level def -> that def's name, or
+    ``Class.method`` inside a method of a module-level class."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = [(fn.name, fn) for fn in tree.body if isinstance(fn, funcs)]
+    defs += [
+        (f"{cls.name}.{fn.name}", fn)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, funcs)
+    ]
+    return {id(n): name for name, fn in defs for n in ast.walk(fn)}
 
 
-def stray_section_calls(sources: dict) -> list:
-    """The (module, line, section) of each call of a ``GATED_SECTIONS``
-    section, by name or attribute, outside the module-level functions
-    allowed to call it."""
-    found = []
+def _callee(call: ast.Call) -> str | None:
+    """The name that call calls, by name or attribute."""
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+@functools.cache
+def _call_sites(source: str) -> tuple:
+    """The (callee, def, node) of each call of source; def is None outside
+    the defs of ``_callers``."""
+    tree = ast.parse(source)
+    caller = _callers(tree)
+    return tuple(
+        (_callee(node), caller.get(id(node)), node)
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+    )
+
+
+def _calls(sources: dict, rule: Rule):
+    """The (module, def, line) of each call that rule governs."""
     for module, source in sources.items():
-        tree = ast.parse(source)
-        caller = _callers(tree)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name in GATED_SECTIONS and (module, caller.get(id(node))) not in GATED_SECTIONS[name]:
-                found.append((module, node.lineno, name))
-    return sorted(found)
+        for name, fn, node in _call_sites(source):
+            if name == rule.callee and (rule.where is None or rule.where(node)):
+                yield module, fn, node.lineno
 
 
-def test_the_scan_finds_a_stray_section_call():
-    sources = {
+def stray_calls(sources: dict, rules=RULES) -> list:
+    """The (module, line, callee) of each call that a rule governs outside
+    its sites."""
+    return sorted(
+        (module, line, rule.callee)
+        for rule in rules
+        for module, fn, line in _calls(sources, rule)
+        if module not in rule.sites and (module, fn) not in rule.sites
+    )
+
+
+# each rule's synthetic sources, and the calls the scan must find in them
+SYNTHETIC = {
+    "FinCategory": ({
+        "core.py": "c = FinCategory(1, (0,), (0,), (0,), {(0, 0): 0})\n",
+        "a.py": "def f(n, d, c, i, t):\n    return FinCategory(n, d, c, i, t)\n",
+        "b.py": "import core\n\nx = core.FinCategory(1, d, c, i, t)\ny: FinCategory = x\n",
+    }, [("a.py", 2, "FinCategory"), ("b.py", 3, "FinCategory")]),
+    "get": ({
+        "monoidal.py": (
+            "def _half_braided_index(pairs):\n    index = {}\n"
+            "    return lambda x, c: index.get((x, tuple(sorted(c.items()))))\n"
+            "def f(d, c):\n    return d.get((0, tuple(sorted(c))))\n"
+        ),
+        "centers.py": "a = d.get(sorted(c))\nb = d.get(c, sorted(e))\nc = d.get(x)\n",
+        "core.py": (
+            "def _half_braided_index(pairs):\n    index = {}\n"
+            "    return lambda x, c: index.get((x, tuple(sorted(c.items()))))\n"
+        ),
+    }, [
+        ("centers.py", 1, "get"), ("centers.py", 2, "get"), ("core.py", 3, "get"),
+        ("monoidal.py", 5, "get"),
+    ]),
+    "sections": ({
         "core.py": (
             "def check_functor(fun):\n    _check_functor_composition(fun, r)\n\n"
             "def check_module(mod):\n    _check_functor_composition(mod.act, r)\n"
@@ -423,57 +455,13 @@ def test_the_scan_finds_a_stray_section_call():
             "    _check_enriched_functor_composition(f, r)\n"
         ),
         "enriched.py": "_check_enriched_functor_composition(f, r)\n",
-    }
-    assert stray_section_calls(sources) == [
+    }, [
         ("actions.py", 5, "_check_functor_composition"),
         ("actions.py", 6, "_check_enriched_functor_composition"),
         ("core.py", 5, "_check_functor_composition"),
         ("enriched.py", 1, "_check_enriched_functor_composition"),
-    ]
-
-
-def test_the_scan_catches_a_call_planted_in_the_sources():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    planted = sources["monoidal.py"] + "\n\ndef _f(m, r):\n    _check_functor_composition(m.tensor, r)\n"
-    sources["monoidal.py"] = planted
-    line = planted.rstrip("\n").count("\n") + 1
-    assert stray_section_calls(sources) == [("monoidal.py", line, "_check_functor_composition")]
-
-
-def test_composition_sections_are_called_only_by_their_checker_and_gated_caller():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert stray_section_calls(sources) == []
-
-
-# the one exhaustive search and the single-pool filters that report.Budget
-# names: each spends one unit per candidate it tries
-SPENDERS = {
-    ("core.py", "_search"),
-    ("actions.py", "internal_hom"),
-    ("monoidal.py", "drinfeld_center_z1"),
-    ("centers.py", "_terminal_bracket"),
-}
-
-
-def stray_spends(sources: dict) -> list:
-    """The (module, line) of each ``.spend(`` call outside the module-level
-    functions of ``SPENDERS``: any other search is a call of ``_search``."""
-    found = []
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        caller = _callers(tree)
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and getattr(node.func, "attr", None) == "spend"
-                and (module, caller.get(id(node))) not in SPENDERS
-            ):
-                found.append((module, node.lineno))
-    return sorted(found)
-
-
-def test_the_scan_finds_a_stray_spend():
-    sources = {
+    ]),
+    "spend": ({
         "core.py": (
             "def _search(n, d, c, budget):\n    budget.spend()\n\n"
             "def _functor_search(c, d, budget):\n    budget.spend(2)\n"
@@ -484,50 +472,8 @@ def test_the_scan_finds_a_stray_spend():
         ),
         "report.py": "class Budget:\n    def spend(self, n=1):\n        self.used += n\n",
         "actions.py": "budget.spend()\n",
-    }
-    assert stray_spends(sources) == [("actions.py", 1), ("centers.py", 6), ("core.py", 5)]
-
-
-def test_the_spend_scan_catches_a_spend_planted_in_the_sources():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    planted = sources["centers.py"] + (
-        "\n\ndef _f(pool, budget):\n    for p in pool:\n        budget.spend()\n"
-    )
-    sources["centers.py"] = planted
-    line = planted.rstrip("\n").count("\n") + 1
-    assert stray_spends(sources) == [("centers.py", line)]
-
-
-def test_only_the_search_and_the_named_filters_spend():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert stray_spends(sources) == []
-
-
-def budget_builders(sources: dict) -> list:
-    """The (module, line) of each call of ``Budget``, by name or attribute,
-    outside ``Budget.of`` in report.py."""
-    found = []
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        allowed = set()
-        if module == "report.py":
-            allowed = {
-                id(n)
-                for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Budget"
-                for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "of"
-                for n in ast.walk(fn)
-            }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and id(node) not in allowed:
-                f = node.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name == "Budget":
-                    found.append((module, node.lineno))
-    return sorted(found)
-
-
-def test_the_scan_finds_a_budget_made_outside_budget_of():
-    sources = {
+    }, [("actions.py", 1, "spend"), ("centers.py", 6, "spend"), ("core.py", 5, "spend")]),
+    "Budget": ({
         "report.py": (
             "class Budget:\n    @staticmethod\n    def of(cap, what):\n"
             "        return cap if isinstance(cap, Budget) else Budget(cap, what)\n\n"
@@ -535,21 +481,66 @@ def test_the_scan_finds_a_budget_made_outside_budget_of():
         ),
         "core.py": "def f(c, cap=None):\n    return g(c, Budget.of(cap, 'f'))\n",
         "centers.py": "def h(e, budget=None):\n    budget = budget or report.Budget(None, 'h')\n",
-    }
-    assert budget_builders(sources) == [("centers.py", 2), ("report.py", 6)]
+    }, [("centers.py", 2, "Budget"), ("report.py", 6, "Budget")]),
+    "_search": ({
+        "monoidal.py": (
+            "def enumerate_half_braidings(m, x, budget):\n"
+            "    return _search(2, d, (), budget)\n"
+        ),
+        "actions.py": (
+            "def _rlax_search(r, budget):\n"
+            "    laws = [(3, lawful)]\n"
+            "    a = _search(4, domain, laws, budget)\n"
+            "    b = core._search(4, domain, (), budget)\n"
+            "    return _search(4, domain, constraints=[], budget=budget)\n"
+        ),
+        "core.py": "def _nat_search(f, g, budget):\n    return _search(n, d, [(0, c)], budget)\n",
+    }, [("actions.py", 4, "_search"), ("actions.py", 5, "_search")]),
+}
+# a call of each callee planted in a module of src/ecat, in a def of its own
+PLANTED = {
+    "FinCategory": ("centers.py", "def _f(n):\n    return FinCategory(n, (), (), (), {})\n"),
+    "get": ("centers.py", "def _f(d, c):\n    return d.get(tuple(sorted(c)))\n"),
+    "_check_functor_composition": (
+        "monoidal.py", "def _f(m, r):\n    _check_functor_composition(m.tensor, r)\n"),
+    "_check_enriched_functor_composition": (
+        "centers.py", "def _f(f, r):\n    _check_enriched_functor_composition(f, r)\n"),
+    "_check_rlax_laws": ("centers.py", "def _f(rl, r):\n    _check_rlax_laws(rl, r)\n"),
+    "spend": ("centers.py", "def _f(pool, budget):\n    for p in pool:\n        budget.spend()\n"),
+    "Budget": ("centers.py", "def _f(e, cap=None):\n    return Budget(cap, 'f')\n"),
+    "_search": (
+        "centers.py", "def _f(domain, budget):\n    return list(_search(2, domain, (), budget))\n"),
+}
 
 
-def test_the_budget_scan_catches_a_budget_planted_in_the_sources():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    planted = sources["centers.py"] + "\n\ndef _f(e, cap=None):\n    return Budget(cap, 'f')\n"
-    sources["centers.py"] = planted
-    line = planted.rstrip("\n").count("\n") + 1
-    assert budget_builders(sources) == [("centers.py", line)]
+@pytest.mark.parametrize("name", SYNTHETIC)
+def test_the_scan_finds_the_stray_calls_of_a_rule(name):
+    sources, want = SYNTHETIC[name]
+    assert stray_calls(sources) == want
 
 
-def test_only_budget_of_makes_a_budget():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert budget_builders(sources) == []
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.callee)
+def test_the_scan_catches_a_call_planted_in_the_sources(rule):
+    sources = _src()
+    module, planted = PLANTED[rule.callee]
+    sources[module] += "\n\n" + planted
+    line = sources[module].rstrip("\n").count("\n") + 1  # the call ends each plant
+    assert stray_calls(sources) == [(module, line, rule.callee)]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.callee)
+def test_each_call_a_rule_governs_is_at_one_of_its_sites(rule):
+    assert stray_calls(_src(), [rule]) == [], rule.reason
+
+
+@pytest.mark.parametrize("rule, site", [
+    pytest.param(rule, site, id=f"{rule.callee}-{':'.join(site) if isinstance(site, tuple) else site}")
+    for rule in RULES for site in sorted(rule.sites, key=str)
+])
+def test_each_allowed_site_still_makes_the_call(rule, site):
+    # a site that no longer makes the call it is allowed is a stale exemption
+    made = {(module, fn) for module, fn, _ in _calls(_src(), rule)}
+    assert site in {module for module, _ in made} | made
 
 
 # the methods that write to the dict they are called on
@@ -643,7 +634,7 @@ def test_the_scan_finds_a_stray_store():
 
 
 def test_the_store_scan_catches_a_store_planted_in_the_sources():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    sources = _src()
     planted = sources["centers.py"] + (
         "\n\n@dataclass\nclass _Memo:\n"
         "    memo: dict = field(default_factory=dict, init=False, compare=False)\n"
@@ -657,79 +648,4 @@ def test_the_store_scan_catches_a_store_planted_in_the_sources():
 
 
 def test_only_kept_keeps_what_is_built_from_an_instance():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert stray_stores(sources) == []
-
-
-# the searches that pass no constraint and filter afterwards: the
-# half-braiding enumerations, whose laws are not yet placed at their
-# variables
-UNCONSTRAINED_SEARCHES = {
-    ("monoidal.py", "enumerate_half_braidings"),
-    ("enriched_monoidal.py", "enumerate_enriched_half_braidings"),
-}
-
-
-def _no_constraints(call: ast.Call) -> bool:
-    """Whether a ``_search`` call passes ``()`` or ``[]`` as its constraints."""
-    if len(call.args) > 2:
-        arg = call.args[2]
-    else:
-        arg = next((k.value for k in call.keywords if k.arg == "constraints"), None)
-    return isinstance(arg, (ast.Tuple, ast.List)) and not arg.elts
-
-
-def unconstrained_searches(sources: dict) -> list:
-    """The (module, line) of each ``_search(`` call, by name or attribute,
-    whose constraints are ``()`` or ``[]``, outside the module-level
-    functions of ``UNCONSTRAINED_SEARCHES``: a search states each law at the
-    variable where it becomes decidable, not in a filter after it."""
-    found = []
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        caller = _callers(tree)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if (
-                name == "_search"
-                and _no_constraints(node)
-                and (module, caller.get(id(node))) not in UNCONSTRAINED_SEARCHES
-            ):
-                found.append((module, node.lineno))
-    return sorted(found)
-
-
-def test_the_scan_finds_an_unconstrained_search():
-    sources = {
-        "monoidal.py": (
-            "def enumerate_half_braidings(m, x, budget):\n"
-            "    return _search(2, d, (), budget)\n"
-        ),
-        "actions.py": (
-            "def _rlax_search(r, budget):\n"
-            "    laws = [(3, lawful)]\n"
-            "    a = _search(4, domain, laws, budget)\n"
-            "    b = core._search(4, domain, (), budget)\n"
-            "    return _search(4, domain, constraints=[], budget=budget)\n"
-        ),
-        "core.py": "def _nat_search(f, g, budget):\n    return _search(n, d, [(0, c)], budget)\n",
-    }
-    assert unconstrained_searches(sources) == [("actions.py", 4), ("actions.py", 5)]
-
-
-def test_the_search_scan_catches_a_search_planted_in_the_sources():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    planted = sources["centers.py"] + (
-        "\n\ndef _f(domain, budget):\n    return list(_search(2, domain, (), budget))\n"
-    )
-    sources["centers.py"] = planted
-    line = planted.rstrip("\n").count("\n") + 1
-    assert unconstrained_searches(sources) == [("centers.py", line)]
-
-
-def test_every_search_states_a_constraint():
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert unconstrained_searches(sources) == []
+    assert stray_stores(_src()) == []

@@ -14,11 +14,14 @@ body's answer: on the thin fixtures, and, with the gate fallen back, on
 one-entry mistyped functor components, Z1 half-braiding cells and module
 cells, where the outcome or exception must be the full path's. Only
 ``Budget.used`` falls. Off a thin host (sign-2, the sign x lattice-2
-self-module) the full path runs.
+self-module) the full path runs, and a module nat is checked by
+``check_xilax_nat`` at the identity monoidal nat, which must give the
+frozen module-nat check's verdict and failing instances.
 """
 
 import dataclasses
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -27,6 +30,7 @@ from ecat.actions import (
     _rlax_search,
     _thin_rlax,
     check_rlax,
+    check_xilax_nat,
     monoidal_self_module,
     self_module,
 )
@@ -40,7 +44,7 @@ from ecat.centers import (
     e0_center_via_module,
     enumerate_identity_background_functors,
 )
-from ecat.core import FinCategory
+from ecat.core import FinCategory, _nat_search, check_nat_transf
 from ecat.enriched import (
     _enriched_functor_cells,
     _half_braiding_cells,
@@ -51,14 +55,16 @@ from ecat.monoidal import (
     HalfBraidingOrd,
     drinfeld_center_z1,
     identity_lax,
+    identity_lax_nat,
     muger_center_z2,
     product_monoidal,
 )
-from ecat.report import Budget
+from ecat.report import Budget, StructureError
 
 from helpers import (
     chain3_monoidal,
     counting_calls,
+    exhaustive_check_module_nat,
     identity_braiding,
     lattice2_monoidal,
     lattice4_monoidal,
@@ -353,7 +359,7 @@ def test_check_rlax_reports_what_the_frozen_check_reports(name):
 @pytest.mark.parametrize("name", MODULES)
 def test_e0_center_via_module_equals_the_frozen_route(name, monkeypatch):
     mod = MODULES[name]()
-    squares = counting_calls(monkeypatch, centers, "check_module_nat")
+    squares = counting_calls(monkeypatch, centers, "check_xilax_nat")
     got = _outcome(e0_center_via_module, mod)
     assert squares == []  # the typed nats are taken as they are
     want = _outcome(ungated_e0_center_via_module, mod)
@@ -427,10 +433,68 @@ def test_off_a_thin_carrier_the_via_route_checks_every_law(monkeypatch):
     mod = self_module(product_monoidal(sign_monoidal(), lattice2_monoidal()))
     assert not _thin_rlax(identity_lax(mod.base), mod, mod)
     laws = counting_calls(monkeypatch, actions, "_check_rlax_laws")
-    squares = counting_calls(monkeypatch, centers, "check_module_nat")
+    squares = counting_calls(monkeypatch, centers, "check_xilax_nat")
     got = e0_center_via_module(mod, CAP)
     assert len(laws) > 0 and len(squares) > 0
     assert got == ungated_e0_center_via_module(mod, CAP)
+
+
+# the self-modules whose nats are compared with the frozen module-nat check:
+# two thin carriers and one that is not
+NAT_MODULES = {
+    "lattice2": lambda: self_module(lattice2_monoidal()),
+    "z2": lambda: self_module(z2_discrete_monoidal()),
+    "sign x lattice2": lambda: self_module(product_monoidal(sign_monoidal(), lattice2_monoidal())),
+}
+
+
+def _nat_changes(cc: FinCategory, nat):
+    """nat with one component changed: to each other morphism of its hom
+    set, and to a mistyped morphism."""
+    comps = nat.components
+    for x, f in enumerate(comps):
+        for g in [*(g for g in cc.hom(cc.dom[f], cc.cod[f]) if g != f), _mistyped(cc, f, x)]:
+            yield dataclasses.replace(nat, components=comps[:x] + (g,) + comps[x + 1:])
+
+
+def _cell_changes(cc: FinCategory, rl):
+    """rl with one cell changed: to each other morphism of its hom set, and
+    to a mistyped morphism, so that a module square can fail."""
+    for k, (key, f) in enumerate(rl.beta.items()):
+        for g in [*(g for g in cc.hom(cc.dom[f], cc.cod[f]) if g != f), _mistyped(cc, f, k)]:
+            yield dataclasses.replace(rl, beta={**rl.beta, key: g})
+
+
+def _verdict(check, *args):
+    """Whether check passes and the instances it reports, or the type and
+    message of what it raised."""
+    try:
+        report = check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return report.ok, [v.instance for v in report.violations]
+
+
+@pytest.mark.parametrize("name", NAT_MODULES)
+def test_a_module_nat_is_checked_as_a_xilax_nat_at_the_identity(name):
+    mod = NAT_MODULES[name]()
+    cc = mod.carrier
+    mfs = _rlax_search(identity_lax(mod.base), mod, mod, Budget(CAP))
+    seen = Counter()
+    for f, g in itertools.product(mfs, repeat=2):
+        for nat in _nat_search(f.functor, g.functor, Budget(CAP)):
+            cases = [(g, n) for n in (nat, *_nat_changes(cc, nat))]
+            cases += [(h, nat) for h in _cell_changes(cc, g)]
+            for h, n in cases:
+                got = _verdict(check_xilax_nat, f, h, identity_lax_nat(f.r), n)
+                assert got == _verdict(exhaustive_check_module_nat, f, h, n)
+                seen[check_nat_transf(n).ok, got[0]] += 1
+    # module nats pass and unnatural changes fail; a changed cell fails a
+    # module square of a natural nat, or on a discrete carrier, where each
+    # changed cell is mistyped, raises in both checks
+    assert seen[True, True] > 0 and seen[False, False] > 0
+    assert (seen[True, False] > 0) == (cc.n_morphisms > cc.n_objects)
+    assert seen[True, StructureError] > 0
 
 
 # --- the ladder ---

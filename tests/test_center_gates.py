@@ -22,7 +22,8 @@ they build no composite for rho's source and run no
 ``check_lax_monoidal_nat`` or composition loop, and every ``TheoremReport``
 and ``Budget.used`` must equal the one given with ``_thin_host`` patched to
 False, also on one-entry mistyped action cells and comparison components.
-Where typing does not decide rho or a candidate, the nat is checked whole by
+Where typing does not decide rho or a candidate, as when a mistyped action
+cell leaves rho's source untyped, the nat is checked whole by
 ``enriched.check_enriched_nat``. ``condition_star`` types each endofunctor
 and the ordinary center once, not once per pair.
 """
@@ -566,6 +567,34 @@ def test_a_verifier_reports_what_it_reports_with_the_thin_gates_off(
             monkeypatch, verify, subject, bad, res)
         n += 1
     assert n > 0
+
+
+def _odot_changes(act):
+    """act with one odot component changed to a mistyped morphism, at a
+    spread of keys."""
+    c = act.acted.base.base
+    comps = dict(act.odot.components)
+    for k, key in enumerate(_spread(comps)):
+        odot = dataclasses.replace(
+            act.odot, components={**comps, key: _mistyped(c, comps[key], k)})
+        yield dataclasses.replace(act, odot=odot)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("name", THIN_BASES)
+def test_a_mistyped_action_cell_falls_back_to_check_enriched_nat(name, level, monkeypatch):
+    # rho's source is then not known to be typed: rho is built and checked
+    # whole, and the report is the one given with the thin gates off
+    verify, subject, res, acts = _verifier(name, level)
+    e0_ev(res)  # kept: the center's action on its host is built once per center
+    fell_back = 0
+    for bad in _odot_changes(acts["evaluation"]):
+        with monkeypatch.context() as spied:
+            nats = counting_calls(spied, centers, "check_enriched_nat")
+            got = _theorem(verify, subject, bad, res)
+        assert got == _ungated_theorem(monkeypatch, verify, subject, bad, res)
+        fell_back += any(n.target is bad.odot for (n,) in nats)
+    assert fell_back > 0
 
 
 @pytest.mark.parametrize("name", THIN_BASES)
